@@ -88,7 +88,6 @@ from .translate import (
     trans_sort_synth,
     trans_sort_synth_all,
     trans_subsort_check,
-    trans_subsort_synth,
     trans_term_check,
     trans_term_synth,
     verify_translation,
@@ -168,7 +167,6 @@ __all__ = [
     "trans_sort_synth",
     "trans_sort_synth_all",
     "trans_subsort_check",
-    "trans_subsort_synth",
     "trans_term_check",
     "trans_term_synth",
     "verify_translation",

@@ -47,7 +47,8 @@ class LfDiagnostic:
     span: Optional[SourceSpan] = field(default=None)
 
     def __post_init__(self):
-        assert self.kind in _KINDS, self.kind
+        if self.kind not in _KINDS:
+            raise TypeError(f"unknown LF diagnostic kind {self.kind!r}")
 
 
 class LfError(CheckError):
@@ -161,7 +162,8 @@ def _synth_spine_kind(sig: Signature, ctx, a):
     while isinstance(a, TApp):
         spine.append(a.arg)
         a = a.fn
-    assert isinstance(a, TConst)
+    if not isinstance(a, TConst):
+        raise TypeError(f"_synth_spine_kind: type head is not a constant: {a!r}")
     decl = sig.type_fam(a.name)
     if decl is None:
         _fail("unbound name", f"unbound type family {a.name}")
@@ -194,11 +196,11 @@ def lf_check_sig(sig: Signature) -> None:
         try:
             match decl:
                 case TypeFam(n, k):
-                    if n in checked.names():
+                    if checked.type_fam(n) or checked.term_const(n):
                         raise CheckError(f"{n} is declared twice", decl.span)
                     lf_check_kind(checked, [], k)
                 case TermConst(n, a):
-                    if n in checked.names():
+                    if checked.type_fam(n) or checked.term_const(n):
                         raise CheckError(f"{n} is declared twice", decl.span)
                     lf_check_type(checked, [], a)
                 case _:

@@ -1005,7 +1005,7 @@ def lfi_check_sig(sig: LfiSignature) -> None:
     """Re-check a whole signature declaration by declaration."""
     checked = LfiSignature()
     for decl in sig:
-        if decl.name in checked.names():
+        if decl.name in checked._fams or decl.name in checked._consts:
             raise LfiError(f"{decl.name} is declared twice")
         if decl.is_family():
             lfi_check_kind(checked, [], decl.classifier)

@@ -66,7 +66,8 @@ class SortDiagnostic:
     span: Optional[SourceSpan] = field(default=None)
 
     def __post_init__(self):
-        assert self.kind in _KINDS, self.kind
+        if self.kind not in _KINDS:
+            raise TypeError(f"unknown sort diagnostic kind {self.kind!r}")
 
 
 class SortError(CheckError):
@@ -96,31 +97,43 @@ def _pp_term(t) -> str:
 
 
 class SubsortClosure:
-    """Reflexive-transitive closure of the declared subsorting edges."""
+    """Reflexive-transitive closure of a signature's declared subsort edges.
 
-    def __init__(self, reach: dict[str, set[str]]):
-        self.reach = reach
+    A live view of `sig.sub_edges`: the sorts above a head are found by
+    search on its first query and remembered until the signature gains a
+    subsort declaration, so declarations appended later are seen.
+    """
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self._reach: dict[str, set[str]] = {}
+        self._edge_count = len(sig.sub_decls)
 
     def related(self, s1: str, s2: str) -> bool:
-        return s1 == s2 or s2 in self.reach.get(s1, set())
+        if s1 == s2:
+            return True
+        if self._edge_count != len(self.sig.sub_decls):
+            self._reach = {}
+            self._edge_count = len(self.sig.sub_decls)
+        reach = self._reach.get(s1)
+        if reach is None:
+            reach = self._reach[s1] = self._search(s1)
+        return s2 in reach
 
-
-def build_closure(sig: Signature) -> SubsortClosure:
-    edges: dict[str, set[str]] = {}
-    for d in sig.sub_decls:
-        edges.setdefault(d.sub, set()).add(d.sup)
-    reach: dict[str, set[str]] = {}
-    for start in edges:
+    def _search(self, start: str) -> set[str]:
+        edges = self.sig.sub_edges
         seen: set[str] = set()
         frontier = [start]
         while frontier:
-            node = frontier.pop()
-            for nxt in edges.get(node, ()):
+            for nxt in edges.get(frontier.pop(), ()):
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        reach[start] = seen
-    return SubsortClosure(reach)
+        return seen
+
+
+def build_closure(sig: Signature) -> SubsortClosure:
+    return SubsortClosure(sig)
 
 
 def subsort_q(closure: SubsortClosure, q1, q2) -> bool:
@@ -305,11 +318,10 @@ def _synth_sort_class(sig, closure, ctx, s, trace):
         _sfail("no-refinement-declared", f"unknown sort {head.name}")
     cls = fam.cls
     refined = TConst(fam.refines)
-    erased = erase_sig(sig)
     ectx = erase_ctx(ctx)
     for i, arg in enumerate(args, start=1):
-        cls = _class_apply(sig, closure, ctx, erased, ectx, cls, arg, i,
-                           head.name, trace)
+        cls = _class_apply(sig, closure, ctx, ectx, cls, arg, i, head.name,
+                           trace)
         if cls is None:
             _sfail("annotation-mismatch",
                    f"sort {head.name} applied to too many arguments")
@@ -317,14 +329,18 @@ def _synth_sort_class(sig, closure, ctx, s, trace):
     return cls, refined
 
 
-def _class_apply(sig, closure, ctx, erased, ectx, cls, arg, i, fam_name, trace):
-    """Apply one spine argument to a class; intersections try both sides."""
+def _class_apply(sig, closure, ctx, ectx, cls, arg, i, fam_name, trace):
+    """Apply one spine argument to a class; intersections try both sides.
+
+    The LF premise runs on sig itself: LF looks up only type families and
+    term constants, which a signature shares with its erasure.
+    """
     match cls:
         case CPi(h, ds, dt, body):
             if dt is None:
                 raise TypeError("class was not elaborated")
             try:
-                lf_check_term(erased, ectx, arg, dt)
+                lf_check_term(sig, ectx, arg, dt)
                 _acheck(sig, closure, ctx, arg, ds, trace)
             except MetricExhausted:
                 raise
@@ -340,16 +356,16 @@ def _class_apply(sig, closure, ctx, erased, ectx, cls, arg, i, fam_name, trace):
                        f"argument {i} of {fam_name}: substitution failed: {e}")
         case CInter(l, r):
             try:
-                left = _class_apply(sig, closure, ctx, erased, ectx, l, arg,
-                                    i, fam_name, trace)
+                left = _class_apply(sig, closure, ctx, ectx, l, arg, i,
+                                    fam_name, trace)
             except MetricExhausted:
                 raise
             except (SortError, LfError):
                 left = None
             if left is not None:
                 return left
-            return _class_apply(sig, closure, ctx, erased, ectx, r, arg, i,
-                                fam_name, trace)
+            return _class_apply(sig, closure, ctx, ectx, r, arg, i, fam_name,
+                                trace)
         case CSort() | CTop():
             return None
     raise TypeError(f"_class_apply: not a class: {cls!r}")
@@ -479,23 +495,20 @@ def check_signature(raw: Signature, strict: bool = False,
     declaration; by default repeats merge as an intersection.
     """
     checked = Signature()
-    erased = Signature()
-    closure = build_closure(Signature())
+    closure = build_closure(checked)
     for decl in raw:
         try:
             match decl:
                 case TypeFam(n, k):
-                    if n in erased.names():
+                    if checked.type_fam(n) or checked.term_const(n):
                         raise CheckError(f"{n} is declared twice", decl.span)
-                    lf_check_kind(erased, [], k)
+                    lf_check_kind(checked, [], k)
                     checked.append(decl)
-                    erased.append(decl)
                 case TermConst(n, a):
-                    if n in erased.names():
+                    if checked.type_fam(n) or checked.term_const(n):
                         raise CheckError(f"{n} is declared twice", decl.span)
-                    lf_check_type(erased, [], a)
+                    lf_check_type(checked, [], a)
                     checked.append(decl)
-                    erased.append(decl)
                 case SortFam(n, ref, cls):
                     if checked.sort_fam(n) is not None:
                         raise CheckError(f"{n} is declared twice", decl.span)
@@ -524,7 +537,6 @@ def check_signature(raw: Signature, strict: bool = False,
                             f"subsorting between {s1} and {s2} needs matching "
                             f"classes", decl.span)
                     checked.append(decl)
-                    closure = build_closure(checked)
                 case ConstRef(c, s):
                     const = checked.term_const(c)
                     if const is None:

@@ -158,7 +158,9 @@ def _subst_rn(n0: NormalTerm, x0: str, a0: SimpleType, r: AtomicTerm,
             res = _subst_n(arg, y, fty.dom, body, fuel, path + ("beta",))
             # The returned type is always a subterm of the original index;
             # this is the decreasing measure of the beta case.
-            assert _simple_subterm(fty.cod, a0)
+            if not _simple_subterm(fty.cod, a0):
+                raise TypeError("hereditary substitution: result type is not "
+                                "a subterm of the index type")
             return res, fty.cod
     raise SubstFailure("head-type mismatch", path)
 

@@ -235,7 +235,9 @@ class Signature:
     """Ordered, append-only list of declarations with name indexes.
 
     Uniqueness per namespace is the checker's job; lookups here return the
-    first matching declaration.
+    first matching declaration.  Subsort declarations are also kept as an
+    edge map, sub to its declared supersorts in declaration order, which
+    `lfr_check.SubsortClosure` and the translator's coercion search read.
     """
 
     def __init__(self, decls: Iterable[Declaration] = ()):
@@ -245,6 +247,7 @@ class Signature:
         self._sort_fams: dict[str, SortFam] = {}
         self._const_refs: dict[str, list[ConstRef]] = {}
         self.sub_decls: list[SubDecl] = []
+        self.sub_edges: dict[str, list[str]] = {}
         for d in decls:
             self.append(d)
 
@@ -259,8 +262,9 @@ class Signature:
                 self._sort_fams.setdefault(n, decl)
             case ConstRef(const=c):
                 self._const_refs.setdefault(c, []).append(decl)
-            case SubDecl():
+            case SubDecl(sub=a, sup=b):
                 self.sub_decls.append(decl)
+                self.sub_edges.setdefault(a, []).append(b)
 
     def __iter__(self) -> Iterator[Declaration]:
         return iter(self.decls)

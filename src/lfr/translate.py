@@ -510,24 +510,16 @@ def _term_check(sig, closure, ctx, n, s, mangler):
 # Subsort coercions
 
 
-def _edge_adjacency(sig: Signature) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {}
-    for d in sig.sub_decls:
-        adj.setdefault(d.sub, []).append(d.sup)
-    return adj
-
-
 def _bfs_path(sig: Signature, a: str, b: str):
     """Shortest head path along declared edges; ties by declaration order."""
     if a == b:
         return []
-    adj = _edge_adjacency(sig)
     parent: dict[str, str] = {}
     queue = [a]
     seen = {a}
     while queue:
         node = queue.pop(0)
-        for nxt in adj.get(node, []):
+        for nxt in sig.sub_edges.get(node, []):
             if nxt in seen:
                 continue
             parent[nxt] = node
@@ -577,22 +569,6 @@ def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None,
         trace.append("climb")
     rest = trans_subsort_check(sig, ctx, q_step, q2, mangler, closure, trace)
     return Metafunction(2, plug_holes(rest.body, [IHole(0), t]))
-
-
-def trans_subsort_synth(sig: Signature, ctx: Context, q1, to_head=None,
-                        mangler=None, closure=None, trace=None):
-    """Coerce one declared step up (or to a named head); returns (sort, F)."""
-    h1, sp1 = sort_spine(q1)
-    if to_head is None:
-        adj = _edge_adjacency(sig)
-        outgoing = adj.get(h1.name, [])
-        if not outgoing:
-            from .printer import pp_sort
-            _sfail("subsort-failure",
-                   f"{pp_sort(q1)} has no declared supersort")
-        to_head = outgoing[0]
-    q2 = _rebuild_atom(to_head, sp1)
-    return q2, trans_subsort_check(sig, ctx, q1, q2, mangler, closure, trace)
 
 
 # ---------------------------------------------------------------------------

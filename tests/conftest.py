@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,16 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Signatures that must check; bad-* files are rejection fixtures.
 GOLDEN_NAMES = ("nat", "even-odd", "double", "coerce", "cbv", "coherence")
+
+
+def checkout_env() -> dict[str, str]:
+    """The caller's environment with this checkout's `src` first on the path,
+    so a subprocess imports the `lfr` of this tree and no other."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    return env
 
 
 def golden_path(name: str) -> Path:

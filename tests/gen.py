@@ -8,6 +8,7 @@ for the high-volume acceptance runs.
 
 from __future__ import annotations
 
+from lfr import parse_signature
 from lfr.syntax import (
     App,
     Arrow,
@@ -139,3 +140,17 @@ def gen_sort(choose, alpha, depth: int, bases=("even", "odd", "pos")):
 def rng_chooser(rng):
     """Adapt a random.Random to the choose interface."""
     return rng.randint
+
+
+def wide_signature(n: int):
+    """ROADMAP's Wide family, parsed: a subsort chain of n sorts under nat
+    and 2n refined constants, 6n+4 declarations."""
+    lines = ["nat : type.", "z : nat.", "s : nat -> nat."]
+    lines += [f"q{i} << nat." for i in range(n)]
+    lines += [f"q{i} <: q{i + 1}." for i in range(n - 1)]
+    lines += ["z :: q0.", "s :: q0 -> q0."]
+    for i in range(n):
+        lines += [f"c{i} : nat.", f"c{i} :: q{i}."]
+    for i in range(n):
+        lines += [f"d{i} : nat -> nat.", f"d{i} :: q{n - 1} -> q{n - 1}."]
+    return parse_signature("\n".join(lines))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +11,7 @@ import pytest
 from lfr import VerifyError, lfi_check_sig, parse_lfi
 from lfr.cli import main
 
-from conftest import GOLDEN_NAMES, golden_path
+from conftest import GOLDEN_NAMES, checkout_env, golden_path
 
 
 GOOD = [n for n in GOLDEN_NAMES]
@@ -150,15 +149,6 @@ class TestVerify:
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _checkout_env() -> dict[str, str]:
-    """The caller's environment with this checkout's `src` first on the path,
-    so a subprocess imports the `lfr` of this tree and no other."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    return env
-
-
 def _declared_script(name: str) -> str:
     """The `module:attr` entry that `pyproject.toml` declares for `name`."""
     try:
@@ -191,7 +181,7 @@ class TestEntrypoint:
         proc = subprocess.run(
             [sys.executable, "-m", "lfr.cli", "check", "--quiet",
              str(golden_path("cbv"))],
-            capture_output=True, text=True, env=_checkout_env())
+            capture_output=True, text=True, env=checkout_env())
         assert proc.returncode == 0
 
     def test_installed_script(self, tmp_path):
@@ -201,7 +191,7 @@ class TestEntrypoint:
         def run(name):
             return subprocess.run(
                 [str(script), "check", "--quiet", str(golden_path(name))],
-                capture_output=True, text=True, env=_checkout_env())
+                capture_output=True, text=True, env=checkout_env())
 
         proc = run("nat")
         assert proc.returncode == 0, proc.stderr

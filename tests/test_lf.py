@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lfr import (
+    CheckError,
     lf_check_kind,
     lf_check_sig,
     lf_check_term,
@@ -26,7 +27,10 @@ from lfr.syntax import (
     Lam,
     TApp,
     TConst,
+    Signature,
+    TermConst,
     TPi,
+    TypeFam,
     alpha_eq,
     erase_ctx,
     erase_sig,
@@ -43,6 +47,17 @@ class TestGoldenSignatures:
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
     def test_erased_goldens_check(self, name, checked_goldens):
         lf_check_sig(erase_sig(checked_goldens[name]))
+
+    @pytest.mark.parametrize("first, second", [
+        (TermConst("z", NAT_T), TermConst("z", NAT_T)),
+        (TermConst("z", NAT_T), TypeFam("z", KType())),
+        (TypeFam("z", KType()), TermConst("z", NAT_T)),
+    ])
+    def test_name_declared_twice(self, first, second):
+        sig = Signature([TypeFam("nat", KType()), first, second])
+        with pytest.raises(CheckError) as info:
+            lf_check_sig(sig)
+        assert info.value.message == "z is declared twice"
 
 
 class TestTermTyping:

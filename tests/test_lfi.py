@@ -262,6 +262,15 @@ class TestChecking:
         with pytest.raises(LfiError):
             lfi_check_sig(bad)
 
+    def test_signature_rejects_family_and_constant_sharing_a_name(self):
+        from lfr.lfi import LfiDecl
+
+        bad = LfiSignature([LfiDecl("nat", IKType()),
+                            LfiDecl("nat", ITConst("nat"))])
+        with pytest.raises(LfiError) as info:
+            lfi_check_sig(bad)
+        assert str(info.value) == "nat is declared twice"
+
 
 class TestSwitching:
     def test_atomic_terms_switch_at_any_type(self, eo):
