@@ -5,6 +5,22 @@ top vanishes); checking switches between synthesis and the declared
 subsort preorder at atomic sorts.  All judgments presuppose that the
 subject is well typed at the erasure of its classifier; the signature
 checker establishes that invariant declaration by declaration.
+
+The judgments the translation reads also return a derivation: one
+tagged tuple per rule, holding the derivations of its premises.
+
+    ("const", c)  ("var", x)        synthesis from a constant or variable
+    ("intro", s)                    formation from sort family s's class
+    ("fst", d)  ("snd", d)          one side of an intersection
+    ("app", d, m, d_m)              d applied to m, which d_m checks
+    ("unit",)  ("pair", d1, d2)     checking against # and against ^
+    ("lam", hint, x, avoid, d)      a function checked with its binder
+                                    opened as x = fresh_name(hint, avoid)
+    ("sub", ctx, q, s, n, d)        n synthesizes q by d, and q <= s
+
+Synthesis sets are lists of (sort, derivation), and sort formation
+yields every (class, derivation) candidate.  Derivations hold no target
+syntax, so checking alone pays only for the tuples.
 """
 
 from __future__ import annotations
@@ -165,25 +181,30 @@ def set_subsort_audit(fn: Optional[Callable]) -> None:
 
 def split(s, trace: Optional[list] = None) -> list:
     """Flatten a sort into its atomic and function components."""
+    return [q for q, _ in _split(s, None, trace)]
+
+
+def _split(s, d, trace) -> list:
+    """split, pairing each component with its projection out of d."""
     match s:
         case SInter(l, r):
             if trace is not None:
                 trace.append("∧-E₁")
-            left = split(l, trace)
+            left = _split(l, ("fst", d), trace)
             if trace is not None:
                 trace.append("∧-E₂")
-            return left + split(r, trace)
+            return left + _split(r, ("snd", d), trace)
         case STop():
             return []
         case _:
-            return [s]
+            return [(s, d)]
 
 
 def asynth(sig: Signature, ctx: Context, r, closure: Optional[SubsortClosure] = None,
            trace: Optional[list] = None) -> list:
     if closure is None:
         closure = build_closure(sig)
-    return _asynth(sig, closure, ctx, r, trace)
+    return [q for q, _ in _asynth(sig, closure, ctx, r, trace)]
 
 
 def _asynth(sig, closure, ctx, r, trace) -> list:
@@ -195,7 +216,7 @@ def _asynth(sig, closure, ctx, r, trace) -> list:
                        f"constant {n} has no refinement declaration")
             if trace is not None:
                 trace.append("const")
-            return split(merged, trace)
+            return _split(merged, ("const", n), trace)
         case FVar(n):
             entry = ctx_lookup(ctx, n)
             if entry is None:
@@ -203,7 +224,7 @@ def _asynth(sig, closure, ctx, r, trace) -> list:
                        f"variable {n} is not in the context")
             if trace is not None:
                 trace.append("var")
-            return split(entry.sort, trace)
+            return _split(entry.sort, ("var", n), trace)
         case App(f, a):
             d = _asynth(sig, closure, ctx, f, trace)
             out = _apply_delta(sig, closure, ctx, d, a, trace)
@@ -220,19 +241,20 @@ def apply_delta(sig: Signature, ctx: Context, d: list, arg,
                 trace: Optional[list] = None) -> list:
     if closure is None:
         closure = build_closure(sig)
-    return _apply_delta(sig, closure, ctx, d, arg, trace)
+    out = _apply_delta(sig, closure, ctx, [(q, None) for q in d], arg, trace)
+    return [q for q, _ in out]
 
 
 def _apply_delta(sig, closure, ctx, d, arg, trace) -> list:
     """Push an argument through every function component that accepts it."""
     out: list = []
-    for entry in d:
+    for entry, d_fn in d:
         if not isinstance(entry, SPi):
             continue
         if entry.dom_type is None:
             raise TypeError("apply_delta: sort was not elaborated")
         try:
-            _acheck(sig, closure, ctx, arg, entry.dom_sort, trace)
+            d_arg = _acheck(sig, closure, ctx, arg, entry.dom_sort, trace)
             x = fresh_name(entry.hint, free_vars(entry.cod) | free_vars(arg))
             cod = hsubst_syntax(arg, x, entry.dom_type,
                                 open_at(entry.cod, FVar(x)))
@@ -240,7 +262,7 @@ def _apply_delta(sig, closure, ctx, d, arg, trace) -> list:
             raise
         except (SortError, SubstFailure):
             continue
-        out.extend(split(cod, trace))
+        out.extend(_split(cod, ("app", d_fn, arg, d_arg), trace))
     return out
 
 
@@ -252,16 +274,19 @@ def acheck(sig: Signature, ctx: Context, n, s,
     _acheck(sig, closure, ctx, n, s, trace)
 
 
-def _acheck(sig, closure, ctx, n, s, trace) -> None:
+def _acheck(sig, closure, ctx, n, s, trace) -> tuple:
+    """The derivation of n against s; a SortError if there is none."""
     match s:
         case STop():
             if trace is not None:
                 trace.append("⊤-I")
+            return ("unit",)
         case SInter(l, r):
-            _acheck(sig, closure, ctx, n, l, trace)
-            _acheck(sig, closure, ctx, n, r, trace)
+            left = _acheck(sig, closure, ctx, n, l, trace)
+            right = _acheck(sig, closure, ctx, n, r, trace)
             if trace is not None:
                 trace.append("∧-I")
+            return ("pair", left, right)
         case SPi(h, ds, dt, cod):
             if not isinstance(n, Lam):
                 _sfail("annotation-mismatch",
@@ -269,12 +294,15 @@ def _acheck(sig, closure, ctx, n, s, trace) -> None:
                        f"against function sort {_pp_sort(s)}")
             if dt is None:
                 raise TypeError("acheck: sort was not elaborated")
-            x = fresh_name(h, {e.name for e in ctx} | free_vars(n.body)
-                           | free_vars(cod))
-            _acheck(sig, closure, ctx + [CtxEntry(x, ds, dt)],
-                    open_at(n.body, FVar(x)), open_at(cod, FVar(x)), trace)
+            avoid = ({e.name for e in ctx} | free_vars(n.body)
+                     | free_vars(cod))
+            x = fresh_name(h, avoid)
+            body = _acheck(sig, closure, ctx + [CtxEntry(x, ds, dt)],
+                           open_at(n.body, FVar(x)), open_at(cod, FVar(x)),
+                           trace)
             if trace is not None:
                 trace.append("Π-I")
+            return ("lam", h, x, avoid, body)
         case _:
             if not is_atomic_sort(s):
                 raise TypeError(f"acheck: not a sort: {s!r}")
@@ -285,23 +313,24 @@ def _acheck(sig, closure, ctx, n, s, trace) -> None:
             if not d:
                 _sfail("empty-synthesis",
                        f"term {_pp_term(n)} synthesizes no sorts")
-            matched = False
-            for q in d:
+            matched = None
+            for q, d_q in d:
                 if isinstance(q, SPi):
                     continue
                 ok = subsort_q(closure, q, s)
                 if _subsort_audit is not None:
                     _subsort_audit(ctx, q, s, ok)
                 if ok:
-                    matched = True
+                    matched = ("sub", ctx, q, s, n, d_q)
                     break
-            if not matched:
-                shown = ", ".join(_pp_sort(q) for q in d)
+            if matched is None:
+                shown = ", ".join(_pp_sort(q) for q, _ in d)
                 _sfail("subsort-failure",
                        f"term {_pp_term(n)}: none of the synthesized sorts "
                        f"[{shown}] is a subsort of {_pp_sort(s)}")
             if trace is not None:
                 trace.append("switch")
+            return matched
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +338,36 @@ def _acheck(sig, closure, ctx, n, s, trace) -> None:
 
 
 def _synth_sort_class(sig, closure, ctx, s, trace):
-    """Class and refined type of an atomic sort, checking spine arguments."""
+    """Every (class, derivation) an atomic sort's spine leads to, in order,
+    and the type the sort refines.
+
+    When no candidate takes an argument, the error is the first
+    candidate's: the one a left-first search would report.
+    """
     head, args = sort_spine(s)
     if not isinstance(head, SConst):
         raise TypeError(f"sort head is not a constant: {head!r}")
     fam = sig.sort_fam(head.name)
     if fam is None:
         _sfail("no-refinement-declared", f"unknown sort {head.name}")
-    cls = fam.cls
+    cands = [(fam.cls, ("intro", head.name))]
     refined = TConst(fam.refines)
     ectx = erase_ctx(ctx)
     for i, arg in enumerate(args, start=1):
-        cls = _class_apply(sig, closure, ctx, ectx, cls, arg, i, head.name,
-                           trace)
-        if cls is None:
-            _sfail("annotation-mismatch",
-                   f"sort {head.name} applied to too many arguments")
+        applied = [_class_apply(sig, closure, ctx, ectx, cls, d, arg, i,
+                                head.name, trace) for cls, d in cands]
+        cands = [c for taken, _ in applied for c in taken]
+        if not cands:
+            raise applied[0][1]
         refined = TApp(refined, arg)
-    return cls, refined
+    return cands, refined
 
 
-def _class_apply(sig, closure, ctx, ectx, cls, arg, i, fam_name, trace):
-    """Apply one spine argument to a class; intersections try both sides.
+def _class_apply(sig, closure, ctx, ectx, cls, d, arg, i, fam_name, trace):
+    """Apply one spine argument to a class; intersections keep both sides.
 
+    Returns the (class, derivation) pairs that accept the argument, left
+    side first, and the error of the last side that does not (or None).
     The LF premise runs on sig itself: LF looks up only type families and
     term constants, which a signature shares with its erasure.
     """
@@ -341,42 +377,40 @@ def _class_apply(sig, closure, ctx, ectx, cls, arg, i, fam_name, trace):
                 raise TypeError("class was not elaborated")
             try:
                 lf_check_term(sig, ectx, arg, dt)
-                _acheck(sig, closure, ctx, arg, ds, trace)
+                d_arg = _acheck(sig, closure, ctx, arg, ds, trace)
             except MetricExhausted:
                 raise
             except (SortError, LfError) as e:
-                _rewrap_arg(e, i, fam_name)
+                return [], _rewrap_arg(e, i, fam_name)
             x = fresh_name(h, free_vars(body) | free_vars(arg))
             try:
-                return hsubst_syntax(arg, x, dt, open_at(body, FVar(x)))
+                cod = hsubst_syntax(arg, x, dt, open_at(body, FVar(x)))
             except MetricExhausted:
                 raise
             except SubstFailure as e:
-                _sfail("annotation-mismatch",
-                       f"argument {i} of {fam_name}: substitution failed: {e}")
+                return [], SortError(SortDiagnostic(
+                    "annotation-mismatch",
+                    f"argument {i} of {fam_name}: substitution failed: {e}"))
+            return [(cod, ("app", d, arg, d_arg))], None
         case CInter(l, r):
-            try:
-                left = _class_apply(sig, closure, ctx, ectx, l, arg, i,
-                                    fam_name, trace)
-            except MetricExhausted:
-                raise
-            except (SortError, LfError):
-                left = None
-            if left is not None:
-                return left
-            return _class_apply(sig, closure, ctx, ectx, r, arg, i, fam_name,
-                                trace)
+            left, l_err = _class_apply(sig, closure, ctx, ectx, l, ("fst", d),
+                                       arg, i, fam_name, trace)
+            right, r_err = _class_apply(sig, closure, ctx, ectx, r,
+                                        ("snd", d), arg, i, fam_name, trace)
+            return left + right, r_err or l_err
         case CSort() | CTop():
-            return None
+            return [], SortError(SortDiagnostic(
+                "annotation-mismatch",
+                f"sort {fam_name} applied to too many arguments"))
     raise TypeError(f"_class_apply: not a class: {cls!r}")
 
 
 def _rewrap_arg(e, i: int, fam_name: str):
     """Prefix argument position info, preserving the diagnostic kind."""
     if isinstance(e, SortError):
-        raise SortError(SortDiagnostic(
+        return SortError(SortDiagnostic(
             e.diag.kind, f"argument {i} of {fam_name}: {e.diag.message}"))
-    raise LfError(type(e.diag)(
+    return LfError(type(e.diag)(
         e.diag.kind, f"argument {i} of {fam_name}: {e.diag.message}",
         e.diag.expected, e.diag.actual))
 
@@ -418,8 +452,8 @@ def _elab_sort(sig, closure, ctx, s, a, trace):
                 trace.append("Π-F")
             return SPi(h, ds2, a.dom, close_at(cod2, x))
         case SConst() | SApp():
-            cls, refined = _synth_sort_class(sig, closure, ctx, s, trace)
-            if not isinstance(cls, CSort):
+            cands, refined = _synth_sort_class(sig, closure, ctx, s, trace)
+            if not any(isinstance(cls, CSort) for cls, _ in cands):
                 _sfail("annotation-mismatch",
                        f"sort {_pp_sort(s)} is not fully applied")
             if not alpha_eq(refined, a):

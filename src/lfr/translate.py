@@ -7,9 +7,11 @@ along irrelevantly, so provably-equal coercion paths cannot break
 equality of translated types.
 
 Sorts translate to metafunctions with one hole (the subject term);
-subsort coercions to metafunctions with two (subject and proof).  The
-emitted signature is self-contained and re-checkable by the target
-checker, which verify_translation does.
+subsort coercions to metafunctions with two (subject and proof).  Proofs
+of terms and formation proofs of sorts are not derived here: the sort
+checker's judgments return derivations, and `_proof` maps each rule to
+its target term.  The emitted signature is self-contained and
+re-checkable by the target checker, which verify_translation does.
 """
 
 from __future__ import annotations
@@ -50,10 +52,18 @@ from .lfi import (
     lfi_check_sig,
     meta_apply,
     plug_holes,
-    revapp,  # noqa: F401  (re-exported: reverse application driver)
 )
-from .lfr_check import SortDiagnostic, SortError, _acheck, build_closure, subsort_q
-from .subst import MetricExhausted, SubstFailure, eta_expand, hsubst_syntax
+from .lfr_check import (
+    SortError,
+    _acheck,
+    _asynth,
+    _sfail,
+    _synth_sort_class,
+    build_closure,
+    subsort_q,  # noqa: F401  (bound here for bench/tracer.py to wrap)
+)
+from .subst import MetricExhausted, eta_expand
+from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,
     BVar,
@@ -83,9 +93,7 @@ from .syntax import (
     TPi,
     TypeFam,
     alpha_eq,
-    ctx_lookup,
     free_vars,
-    fresh_name,
     open_at,
     pool_name,
     sort_spine,
@@ -146,10 +154,6 @@ class TransResult:
     lfi_sig: LfiSignature
     provenance: dict[str, str]
     mangler: NameMangler
-
-
-def _sfail(kind: str, message: str):
-    raise SortError(SortDiagnostic(kind, message))
 
 
 # ---------------------------------------------------------------------------
@@ -338,59 +342,28 @@ def trans_sort_synth_all(sig: Signature, ctx: Context, q, mangler=None,
     """Every formation proof of an atomic sort, in elimination order."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    head, args = sort_spine(q)
-    if not isinstance(head, SConst):
-        raise TypeError(f"trans_sort_synth: bad sort head {head!r}")
-    fam = sig.sort_fam(head.name)
-    if fam is None:
-        _sfail("no-refinement-declared", f"unknown sort {head.name}")
-    cands = [(IConst(mangler.sort_intro(head.name)), fam.cls)]
-    for arg in args:
-        nxt = []
-        for proof, cls in cands:
-            nxt.extend(_form_apply_all(sig, closure, ctx, cls, proof, arg,
-                                       mangler))
-        cands = nxt
-    proofs = [p for p, cls in cands if isinstance(cls, CSort)]
-    if not proofs:
-        from .printer import pp_sort
-        _sfail("annotation-mismatch",
-               f"no formation proof for sort {pp_sort(q)}")
-    return proofs
+    return [_proof(sig, closure, mangler, d, {})
+            for d in _formations(sig, closure, ctx, q)]
 
 
 def trans_sort_synth(sig: Signature, ctx: Context, q, mangler=None,
                      closure=None):
     """The formation proof the translator itself uses (first in order)."""
-    return trans_sort_synth_all(sig, ctx, q, mangler, closure)[0]
+    mangler = mangler or NameMangler(sig)
+    closure = closure or build_closure(sig)
+    return _proof(sig, closure, mangler,
+                  _formations(sig, closure, ctx, q)[0], {})
 
 
-def _form_apply_all(sig, closure, ctx, cls, proof, arg, mangler) -> list:
-    match cls:
-        case CPi(h, ds, dt, body):
-            try:
-                _acheck(sig, closure, ctx, arg, ds, None)
-            except MetricExhausted:
-                raise
-            except SortError:
-                return []
-            ahat = trans_term_check(sig, ctx, arg, ds, mangler, closure)
-            x = fresh_name(h, free_vars(body) | free_vars(arg))
-            try:
-                cod = hsubst_syntax(arg, x, dt, open_at(body, FVar(x)))
-            except MetricExhausted:
-                raise
-            except SubstFailure:
-                return []
-            return [(IApp(IApp(proof, inj_term(arg)), ahat), cod)]
-        case CInter(l, r):
-            return (_form_apply_all(sig, closure, ctx, l, IFst(proof), arg,
-                                    mangler)
-                    + _form_apply_all(sig, closure, ctx, r, ISnd(proof), arg,
-                                      mangler))
-        case CSort() | CTop():
-            return []
-    raise TypeError(f"_form_apply_all: not a class: {cls!r}")
+def _formations(sig, closure, ctx, q) -> list:
+    """The checker's derivations that q is a sort, in elimination order."""
+    cands, _ = _synth_sort_class(sig, closure, ctx, q, None)
+    derivs = [d for cls, d in cands if isinstance(cls, CSort)]
+    if not derivs:
+        from .printer import pp_sort
+        _sfail("annotation-mismatch",
+               f"no formation proof for sort {pp_sort(q)}")
+    return derivs
 
 
 # ---------------------------------------------------------------------------
@@ -402,55 +375,8 @@ def trans_term_synth(sig: Signature, ctx: Context, r, mangler=None,
     """Synthesis set paired with the proof for each component."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return _term_synth(sig, closure, ctx, r, mangler)
-
-
-def _term_synth(sig, closure, ctx, r, mangler) -> list:
-    match r:
-        case Const(n):
-            merged = sig.merged_ref_sort(n)
-            if merged is None:
-                _sfail("no-refinement-declared",
-                       f"constant {n} has no refinement declaration")
-            return _split_wp(merged, IConst(mangler.term_const(n)))
-        case FVar(n):
-            entry = ctx_lookup(ctx, n)
-            if entry is None:
-                _sfail("no-refinement-declared",
-                       f"variable {n} is not in the context")
-            return _split_wp(entry.sort, IFVar(n + "^"))
-        case App(f, a):
-            pairs = _term_synth(sig, closure, ctx, f, mangler)
-            out = []
-            for entry, proof in pairs:
-                if not isinstance(entry, SPi):
-                    continue
-                try:
-                    _acheck(sig, closure, ctx, a, entry.dom_sort, None)
-                    ahat = trans_term_check(sig, ctx, a, entry.dom_sort,
-                                            mangler, closure)
-                    x = fresh_name(entry.hint,
-                                   free_vars(entry.cod) | free_vars(a))
-                    cod = hsubst_syntax(a, x, entry.dom_type,
-                                        open_at(entry.cod, FVar(x)))
-                except MetricExhausted:
-                    raise
-                except (SortError, SubstFailure):
-                    continue
-                out.extend(_split_wp(cod, IApp(IApp(proof, inj_term(a)), ahat)))
-            return out
-    raise TypeError(f"trans_term_synth: not atomic: {r!r}")
-
-
-def _split_wp(s, proof) -> list:
-    """split, pairing each component with its projection path."""
-    match s:
-        case SInter(l, r):
-            return _split_wp(l, IFst(proof)) + _split_wp(r, ISnd(proof))
-        case STop():
-            return []
-        case _:
-            return [(s, proof)]
+    return [(q, _proof(sig, closure, mangler, d, {}))
+            for q, d in _asynth(sig, closure, ctx, r, None)]
 
 
 def trans_term_check(sig: Signature, ctx: Context, n, s, mangler=None,
@@ -458,52 +384,46 @@ def trans_term_check(sig: Signature, ctx: Context, n, s, mangler=None,
     """Proof term witnessing that n inhabits s."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return _term_check(sig, closure, ctx, n, s, mangler)
+    return _proof(sig, closure, mangler,
+                  _acheck(sig, closure, ctx, n, s, None), {})
 
 
-def _term_check(sig, closure, ctx, n, s, mangler):
-    match s:
-        case STop():
+def _proof(sig, closure, mangler, d, ren: dict):
+    """The proof a checker derivation (see lfr_check) denotes.
+
+    A binder the checker opened as x is shown under the pool name its
+    hint gets against the names in scope; `ren` maps the checker's names
+    of the enclosing binders to those shown.
+    """
+    def premise(d1):
+        return _proof(sig, closure, mangler, d1, ren)
+
+    match d:
+        case ("const", c):
+            return IConst(mangler.term_const(c))
+        case ("intro", s):
+            return IConst(mangler.sort_intro(s))
+        case ("var", x):
+            return IFVar(x + "^")
+        case ("fst", d1):
+            return IFst(premise(d1))
+        case ("snd", d1):
+            return ISnd(premise(d1))
+        case ("app", d_fn, arg, d_arg):
+            return IApp(IApp(premise(d_fn), inj_term(arg)), premise(d_arg))
+        case ("unit",):
             return IUnit()
-        case SInter(l, r):
-            return IPair(_term_check(sig, closure, ctx, n, l, mangler),
-                         _term_check(sig, closure, ctx, n, r, mangler))
-        case SPi(h, ds, dt, cod):
-            if not isinstance(n, Lam):
-                from .printer import pp_sort
-                _sfail("annotation-mismatch",
-                       f"term is not a function but was checked against "
-                       f"function sort {pp_sort(s)}")
-            x = pool_name(h, {e.name for e in ctx} | free_vars(n.body)
-                          | free_vars(cod))
-            xhat = x + "^"
-            ctx2 = list(ctx) + [CtxEntry(x, ds, dt)]
-            body = _term_check(sig, closure, ctx2, open_at(n.body, FVar(x)),
-                               open_at(cod, FVar(x)), mangler)
-            inner = ILam(xhat, close_lfi(body, xhat))
-            return ILam(x, close_lfi(inner, x))
-        case _:
-            if isinstance(n, Lam):
-                from .printer import pp_sort
-                _sfail("annotation-mismatch",
-                       f"function term checked against atomic sort {pp_sort(s)}")
-            pairs = _term_synth(sig, closure, ctx, n, mangler)
-            if not pairs:
-                from .printer import pp_term
-                _sfail("empty-synthesis",
-                       f"term {pp_term(n)} synthesizes no sorts")
-            for q, proof in pairs:
-                if isinstance(q, SPi):
-                    continue
-                if subsort_q(closure, q, s):
-                    coerce = trans_subsort_check(sig, ctx, q, s, mangler,
-                                                 closure)
-                    return meta_apply(coerce, [inj_term(n), proof])
-            from .printer import pp_sort, pp_term
-            shown = ", ".join(pp_sort(q) for q, _ in pairs)
-            _sfail("subsort-failure",
-                   f"term {pp_term(n)}: none of the synthesized sorts "
-                   f"[{shown}] is a subsort of {pp_sort(s)}")
+        case ("pair", d1, d2):
+            return IPair(premise(d1), premise(d2))
+        case ("lam", hint, x, avoid, body):
+            shown = pool_name(hint, {ren.get(v, v) for v in avoid})
+            inner = _proof(sig, closure, mangler, body, {**ren, x: shown})
+            inner = ILam(shown + "^", close_lfi(inner, x + "^"))
+            return ILam(shown, close_lfi(inner, x))
+        case ("sub", ctx, q, s, n, d1):
+            coerce = _coercion(sig, closure, ctx, q, s, mangler, ren)
+            return meta_apply(coerce, [inj_term(n), premise(d1)])
+    raise TypeError(f"_proof: not a derivation: {d!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -533,42 +453,45 @@ def _bfs_path(sig: Signature, a: str, b: str):
     return None
 
 
-def _rebuild_atom(head_name: str, args) -> object:
-    s = SConst(head_name)
-    for m in args:
-        s = SApp(s, m)
-    return s
-
-
 def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None,
-                        closure=None, trace=None) -> Metafunction:
+                        closure=None) -> Metafunction:
     """Coercion between atomic sorts; holes 0 subject, 1 proof."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    if alpha_eq(q1, q2):
-        if trace is not None:
-            trace.append("refl")
-        return Metafunction(2, IHole(1))
-    h1, sp1 = sort_spine(q1)
-    h2, _ = sort_spine(q2)
-    path = _bfs_path(sig, h1.name, h2.name)
-    if not path:
-        from .printer import pp_sort
-        _sfail("subsort-failure",
-               f"no declared path from {pp_sort(q1)} to {pp_sort(q2)}")
-    step_head = path[0]
-    q_step = _rebuild_atom(step_head, sp1)
-    t = IConst(mangler.coercion(h1.name, step_head))
-    for m in sp1:
-        t = IApp(t, inj_term(m))
-    t = IApp(t, trans_sort_synth(sig, ctx, q1, mangler, closure))
-    t = IApp(t, trans_sort_synth(sig, ctx, q_step, mangler, closure))
-    t = IApp(t, IHole(0))
-    t = IApp(t, IHole(1))
-    if trace is not None:
-        trace.append("climb")
-    rest = trans_subsort_check(sig, ctx, q_step, q2, mangler, closure, trace)
-    return Metafunction(2, plug_holes(rest.body, [IHole(0), t]))
+    return _coercion(sig, closure, ctx, q1, q2, mangler, {})
+
+
+def _coercion(sig, closure, ctx, q1, q2, mangler, ren) -> Metafunction:
+    """Wrap the proof in one coercion per step of the first shortest path.
+
+    Each step's two formation proofs are named through `ren` (see _proof).
+    """
+    def formation(q):
+        return _proof(sig, closure, mangler,
+                      _formations(sig, closure, ctx, q)[0], ren)
+
+    head, spine = sort_spine(q1)
+    head, goal = head.name, sort_spine(q2)[0].name
+    proof, q, form = IHole(1), q1, None
+    while not alpha_eq(q, q2):
+        path = _bfs_path(sig, head, goal)
+        if not path:
+            from .printer import pp_sort
+            _sfail("subsort-failure",
+                   f"no declared path from {pp_sort(q1)} to {pp_sort(q2)}")
+        step = path[0]
+        q_step = SConst(step)
+        for m in spine:
+            q_step = SApp(q_step, m)
+        if form is None:
+            form = formation(q)
+        form_step = formation(q_step)
+        t = IConst(mangler.coercion(head, step))
+        for m in spine:
+            t = IApp(t, inj_term(m))
+        proof = IApp(IApp(IApp(IApp(t, form), form_step), IHole(0)), proof)
+        q, head, form = q_step, step, form_step
+    return Metafunction(2, proof)
 
 
 # ---------------------------------------------------------------------------

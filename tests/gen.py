@@ -154,3 +154,14 @@ def wide_signature(n: int):
     for i in range(n):
         lines += [f"d{i} : nat -> nat.", f"d{i} :: q{n - 1} -> q{n - 1}."]
     return parse_signature("\n".join(lines))
+
+
+def chain_signature(n: int):
+    """A k :: pp z whose index z needs a coercion along the n-sort chain
+    q0 <: ... <: q(n-1)."""
+    lines = ["nat : type.", "z : nat."]
+    lines += [f"q{i} << nat." for i in range(n)]
+    lines += [f"q{i} <: q{i + 1}." for i in range(n - 1)]
+    lines += ["z :: q0.", "p : nat -> type.", f"pp << p :: q{n - 1} -> sort.",
+              "k : p z.", "k :: pp z."]
+    return parse_signature("\n".join(lines))

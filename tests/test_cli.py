@@ -61,6 +61,22 @@ class TestCheck:
         assert "oracle audit:" in out
         assert "0 disagreements" in out
 
+    def test_nested_binder_diagnostic_names_checker_binder(self, capsys):
+        # The checker opens the inner binder of [x] [y] s y as x', and the
+        # diagnostic shows the term under that name.
+        assert main(["check", str(golden_path("bad-nested"))]) == 1
+        err = capsys.readouterr().err
+        assert "bad-nested.lfr:13:1: error:" in err
+        assert "argument 1 of fs2: term s x': none of the synthesized " \
+            "sorts [odd] is a subsort of even" in err
+
+    def test_intersection_class_tries_every_side(self, capsys):
+        # The left side of double*'s class accepts z but not s (s z); the
+        # right side accepts both, so the sort is well formed.
+        assert main(["check", "--quiet", str(golden_path("class-inter"))]) == 0
+        assert main(["verify", "--quiet",
+                     str(golden_path("class-inter"))]) == 0
+
     def test_strict_rejects_repeated_refinement(self, tmp_path, capsys):
         p = tmp_path / "twice.lfr"
         p.write_text("nat : type.\nz : nat.\neven << nat.\n"
@@ -129,6 +145,26 @@ class TestTranslate:
         assert src.with_suffix(".lfi").exists()
         assert (tmp_path / "even-odd.lfi.prov").exists()
         assert "induced failure" in capsys.readouterr().err
+
+
+def _after_leading_comment(data: bytes) -> bytes:
+    lines = data.splitlines(keepends=True)
+    while lines and (lines[0].startswith(b"%") or not lines[0].strip()):
+        lines.pop(0)
+    return b"".join(lines)
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", ("even-odd", "double", "coerce", "cbv",
+                                      "nested"))
+    def test_translate_writes_pinned_bytes(self, name, tmp_path):
+        # Byte equality also pins binder names, which criterion 8's
+        # comparison up to alpha-equivalence does not.
+        dest = tmp_path / f"{name}.lfi"
+        assert main(["translate", "--quiet", str(golden_path(name)),
+                     "-o", str(dest)]) == 0
+        pinned = golden_path(name).with_suffix(".lfi").read_bytes()
+        assert dest.read_bytes() == _after_leading_comment(pinned)
 
 
 class TestVerify:
