@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 checking failure, 2 lexing or parsing failure
 (including unreadable input), 3 verification failure or search budget
-exhaustion.
+exhaustion, 4 internal error (input nested too deeply for the recursion
+limit, or a broken internal invariant).
 """
 
 from __future__ import annotations
@@ -238,6 +239,11 @@ def main(argv=None) -> int:
     except LfrError as e:
         print(e.format(), file=sys.stderr)
         return 1
+    except (RecursionError, TypeError) as e:
+        # Internal invariants raise TypeError; neither is a verdict on
+        # the input, so report it in one line instead of a traceback.
+        print(f"error: internal error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -21,6 +21,11 @@ tagged tuple per rule, holding the derivations of its premises.
 Synthesis sets are lists of (sort, derivation), and sort formation
 yields every (class, derivation) candidate.  Derivations hold no target
 syntax, so checking alone pays only for the tuples.
+
+Where the rules check one term against several sorts in one context (the
+function components one argument meets, the two sides of an intersection,
+the candidates of an intersection class), the term is synthesized once
+and the result shared; see _shared_synth.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from .syntax import (
     alpha_eq,
     ctx_lookup,
     erase_ctx,
-    erase_sig,
+    erase_sig,  # unused here; kept because bench/tracer.py wraps this binding
     free_vars,
     fresh_name,
     is_atomic_sort,
@@ -175,6 +180,18 @@ def set_subsort_audit(fn: Optional[Callable]) -> None:
     _subsort_audit = fn
 
 
+# The audit calls made since each unfinished shared synthesis began,
+# innermost last; empty between checks.
+_audit_records: list[list] = []
+
+
+def _audit(ctx, q, s, ok: bool) -> None:
+    if _subsort_audit is not None:
+        _subsort_audit(ctx, q, s, ok)
+        for calls in _audit_records:
+            calls.append((ctx, q, s, ok))
+
+
 # ---------------------------------------------------------------------------
 # Synthesis sets
 
@@ -236,6 +253,41 @@ def _asynth(sig, closure, ctx, r, trace) -> list:
     raise TypeError(f"asynth: not atomic: {r!r}")
 
 
+def _shared_synth(sig, closure, ctx, n, trace) -> Callable[[], list]:
+    """The synthesis of n in ctx, run on the first call and replayed after.
+
+    A replay cannot be told from running again: it appends the rule names
+    the run traced, passes the subsort comparisons it made to the audit
+    hook, and returns its synthesis set or raises its SortError.
+    """
+    memo: list = []
+
+    def synth() -> list:
+        if memo:
+            out, err, steps, audits = memo[0]
+            if trace is not None:
+                trace.extend(steps)
+            for call in audits:
+                _audit(*call)
+        else:
+            start = len(trace) if trace is not None else 0
+            audits = []
+            _audit_records.append(audits)
+            try:
+                out, err = _asynth(sig, closure, ctx, n, trace), None
+            except SortError as e:
+                out, err = None, e
+            finally:
+                _audit_records.pop()
+            memo.append((out, err,
+                         trace[start:] if trace is not None else None, audits))
+        if err is not None:
+            raise err.with_traceback(None)
+        return out
+
+    return synth
+
+
 def apply_delta(sig: Signature, ctx: Context, d: list, arg,
                 closure: Optional[SubsortClosure] = None,
                 trace: Optional[list] = None) -> list:
@@ -248,13 +300,15 @@ def apply_delta(sig: Signature, ctx: Context, d: list, arg,
 def _apply_delta(sig, closure, ctx, d, arg, trace) -> list:
     """Push an argument through every function component that accepts it."""
     out: list = []
+    synth = _shared_synth(sig, closure, ctx, arg, trace)
     for entry, d_fn in d:
         if not isinstance(entry, SPi):
             continue
         if entry.dom_type is None:
             raise TypeError("apply_delta: sort was not elaborated")
         try:
-            d_arg = _acheck(sig, closure, ctx, arg, entry.dom_sort, trace)
+            d_arg = _acheck(sig, closure, ctx, arg, entry.dom_sort, trace,
+                            synth)
             x = fresh_name(entry.hint, free_vars(entry.cod) | free_vars(arg))
             cod = hsubst_syntax(arg, x, entry.dom_type,
                                 open_at(entry.cod, FVar(x)))
@@ -274,16 +328,21 @@ def acheck(sig: Signature, ctx: Context, n, s,
     _acheck(sig, closure, ctx, n, s, trace)
 
 
-def _acheck(sig, closure, ctx, n, s, trace) -> tuple:
-    """The derivation of n against s; a SortError if there is none."""
+def _acheck(sig, closure, ctx, n, s, trace, synth=None) -> tuple:
+    """The derivation of n against s; a SortError if there is none.
+
+    synth, when given, is n's shared synthesis in ctx (see _shared_synth).
+    """
     match s:
         case STop():
             if trace is not None:
                 trace.append("⊤-I")
             return ("unit",)
         case SInter(l, r):
-            left = _acheck(sig, closure, ctx, n, l, trace)
-            right = _acheck(sig, closure, ctx, n, r, trace)
+            if synth is None:
+                synth = _shared_synth(sig, closure, ctx, n, trace)
+            left = _acheck(sig, closure, ctx, n, l, trace, synth)
+            right = _acheck(sig, closure, ctx, n, r, trace, synth)
             if trace is not None:
                 trace.append("∧-I")
             return ("pair", left, right)
@@ -309,7 +368,8 @@ def _acheck(sig, closure, ctx, n, s, trace) -> tuple:
             if isinstance(n, Lam):
                 _sfail("annotation-mismatch",
                        f"function term checked against atomic sort {_pp_sort(s)}")
-            d = _asynth(sig, closure, ctx, n, trace)
+            d = (synth() if synth is not None
+                 else _asynth(sig, closure, ctx, n, trace))
             if not d:
                 _sfail("empty-synthesis",
                        f"term {_pp_term(n)} synthesizes no sorts")
@@ -318,8 +378,7 @@ def _acheck(sig, closure, ctx, n, s, trace) -> tuple:
                 if isinstance(q, SPi):
                     continue
                 ok = subsort_q(closure, q, s)
-                if _subsort_audit is not None:
-                    _subsort_audit(ctx, q, s, ok)
+                _audit(ctx, q, s, ok)
                 if ok:
                     matched = ("sub", ctx, q, s, n, d_q)
                     break
@@ -354,8 +413,9 @@ def _synth_sort_class(sig, closure, ctx, s, trace):
     refined = TConst(fam.refines)
     ectx = erase_ctx(ctx)
     for i, arg in enumerate(args, start=1):
+        synth = _shared_synth(sig, closure, ctx, arg, trace)
         applied = [_class_apply(sig, closure, ctx, ectx, cls, d, arg, i,
-                                head.name, trace) for cls, d in cands]
+                                head.name, trace, synth) for cls, d in cands]
         cands = [c for taken, _ in applied for c in taken]
         if not cands:
             raise applied[0][1]
@@ -363,7 +423,8 @@ def _synth_sort_class(sig, closure, ctx, s, trace):
     return cands, refined
 
 
-def _class_apply(sig, closure, ctx, ectx, cls, d, arg, i, fam_name, trace):
+def _class_apply(sig, closure, ctx, ectx, cls, d, arg, i, fam_name, trace,
+                 synth):
     """Apply one spine argument to a class; intersections keep both sides.
 
     Returns the (class, derivation) pairs that accept the argument, left
@@ -377,7 +438,7 @@ def _class_apply(sig, closure, ctx, ectx, cls, d, arg, i, fam_name, trace):
                 raise TypeError("class was not elaborated")
             try:
                 lf_check_term(sig, ectx, arg, dt)
-                d_arg = _acheck(sig, closure, ctx, arg, ds, trace)
+                d_arg = _acheck(sig, closure, ctx, arg, ds, trace, synth)
             except MetricExhausted:
                 raise
             except (SortError, LfError) as e:
@@ -394,9 +455,10 @@ def _class_apply(sig, closure, ctx, ectx, cls, d, arg, i, fam_name, trace):
             return [(cod, ("app", d, arg, d_arg))], None
         case CInter(l, r):
             left, l_err = _class_apply(sig, closure, ctx, ectx, l, ("fst", d),
-                                       arg, i, fam_name, trace)
+                                       arg, i, fam_name, trace, synth)
             right, r_err = _class_apply(sig, closure, ctx, ectx, r,
-                                        ("snd", d), arg, i, fam_name, trace)
+                                        ("snd", d), arg, i, fam_name, trace,
+                                        synth)
             return left + right, r_err or l_err
         case CSort() | CTop():
             return [], SortError(SortDiagnostic(
@@ -504,13 +566,15 @@ def _elab_class(sig, closure, ctx, cls, kind, trace):
 
 def check_context(sig: Signature, entries: Context,
                   closure: Optional[SubsortClosure] = None) -> Context:
-    """Check each hypothesis and elaborate its sort against its type."""
+    """Check each hypothesis and elaborate its sort against its type.
+
+    The LF premise runs on sig itself, as in _class_apply.
+    """
     if closure is None:
         closure = build_closure(sig)
-    erased = erase_sig(sig)
     out: list[CtxEntry] = []
     for e in entries:
-        lf_check_type(erased, [(o.name, o.type) for o in out], e.type)
+        lf_check_type(sig, [(o.name, o.type) for o in out], e.type)
         s2 = _elab_sort(sig, closure, out, e.sort, e.type, None)
         out.append(CtxEntry(e.name, s2, e.type))
     return out

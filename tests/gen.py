@@ -165,3 +165,23 @@ def chain_signature(n: int):
     lines += ["z :: q0.", "p : nat -> type.", f"pp << p :: q{n - 1} -> sort.",
               "k : p z.", "k :: pp z."]
     return parse_signature("\n".join(lines))
+
+
+def deep_text(d: int) -> str:
+    """ROADMAP's Deep family: one constant indexed by s^d z, 13 lines.
+
+    `c :: pp (s^d z)` holds only when d is even; it is the last line, so a
+    rejection is reported at line 13.
+    """
+    index = "(s " * d + "z" + ")" * d
+    lines = ["nat : type.", "z : nat.", "s : nat -> nat.",
+             "even << nat.", "odd << nat.", "pos << nat.", "odd <: pos.",
+             "z :: even.", "s :: even -> odd ^ odd -> even ^ # -> pos.",
+             "p : nat -> type.", "pp << p :: even -> sort.",
+             f"c : p {index}.", f"c :: pp {index}."]
+    return "\n".join(lines) + "\n"
+
+
+def deep_signature(d: int):
+    """deep_text(d), parsed."""
+    return parse_signature(deep_text(d))

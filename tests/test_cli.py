@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from lfr import VerifyError, lfi_check_sig, parse_lfi
 from lfr.cli import main
 
-from conftest import GOLDEN_NAMES, checkout_env, golden_path
+from conftest import GOLDEN_DIR, GOLDEN_NAMES, checkout_env, golden_path
+from gen import deep_text
 
 
 GOOD = [n for n in GOLDEN_NAMES]
@@ -166,6 +168,28 @@ class TestPinnedOutput:
         pinned = golden_path(name).with_suffix(".lfi").read_bytes()
         assert dest.read_bytes() == _after_leading_comment(pinned)
 
+    @pytest.mark.parametrize("name", ("coherence", "class-inter", "deep-8",
+                                      "deep-9"))
+    def test_check_trace_and_audit_match_pin(self, name, tmp_path,
+                                             monkeypatch, capsys):
+        # The shared synthesis of an argument must replay what running it
+        # again would show: its rule names and its audited comparisons.
+        # A .trace pin holds the accepted run's stdout, an .err pin the
+        # rejected run's stderr.
+        trace = GOLDEN_DIR / f"{name}.trace"
+        pinned = trace if trace.exists() else trace.with_suffix(".err")
+        text = _after_leading_comment(pinned.read_bytes()).decode()
+        want = (0, text, "") if pinned == trace else (1, "", text)
+        if name.startswith("deep-"):
+            (tmp_path / f"{name}.lfr").write_text(deep_text(int(name[5:])))
+            monkeypatch.chdir(tmp_path)
+        else:
+            monkeypatch.chdir(GOLDEN_DIR)
+        rc = main(["check", "--trace", "--oracle-depth", "3", f"{name}.lfr"])
+        out, err = capsys.readouterr()
+        assert (rc, re.sub(r"(?m)^(ok: .*) in \d+\.\d+s$", r"\1", out),
+                err) == want
+
 
 class TestVerify:
     @pytest.mark.parametrize("name", GOOD)
@@ -235,3 +259,16 @@ class TestEntrypoint:
         # dropped it would exit 0 on both inputs.
         proc = run("bad-odd")
         assert proc.returncode == 1, proc.stderr
+
+    def test_too_deep_input_exits_four(self, tmp_path):
+        # Parsing 150 nested parentheses exceeds the default recursion
+        # limit; that is an internal error, not a verdict on the input.
+        src = tmp_path / "deep-150.lfr"
+        src.write_text(deep_text(150))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lfr.cli", "check", str(src)],
+            capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: internal error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr

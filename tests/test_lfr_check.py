@@ -45,7 +45,14 @@ from lfr.syntax import (
 )
 
 from conftest import GOLDEN_NAMES, checkout_env
-from gen import NAT, gen_eta_term, gen_sort, numeral, wide_signature
+from gen import (
+    NAT,
+    deep_signature,
+    gen_eta_term,
+    gen_sort,
+    numeral,
+    wide_signature,
+)
 from oracles import decl_check, decl_synth_all
 from principles import (
     check_identity,
@@ -354,6 +361,43 @@ class TestClosure:
         assert time.perf_counter() - start < 2.0
 
 
+class TestDeepTerms:
+    # ROADMAP's Deep family: `s :: even -> odd ^ odd -> even ^ # -> pos`
+    # meets every argument of s^d z with three function components.
+
+    def test_check_is_fast_in_depth(self):
+        # Synthesizing the argument once per component cost about 2^d
+        # synthesis calls (0.19 s at d=12, doubling per level); shared,
+        # d=100 takes about 0.04 s on a 2-vCPU shared host.
+        for d, rejected in ((100, False), (101, True)):
+            raw = deep_signature(d)
+            start = time.perf_counter()
+            try:
+                check_signature(raw)
+            except SortError as e:
+                assert rejected and e.span.line == 13
+            else:
+                assert not rejected
+            assert time.perf_counter() - start < 1.0
+
+    def test_substitutions_grow_linearly_in_depth(self, monkeypatch):
+        import lfr.lfr_check as lfr_check
+
+        calls = []
+        real = lfr_check.hsubst_syntax
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lfr_check, "hsubst_syntax", counted)
+        check_signature(deep_signature(40))
+        at_40 = len(calls)
+        calls.clear()
+        check_signature(deep_signature(80))
+        assert 0 < len(calls) <= 2 * at_40
+
+
 class TestContextChecking:
     def test_elaborates_entries_in_order(self, double_sig):
         raw = [
@@ -426,6 +470,31 @@ class TestDiagnostics:
                               capture_output=True, text=True,
                               env=checkout_env())
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("sorts, kind, message", [
+        # Every candidate of the class synthesizes w, and each rewraps
+        # the same failure.
+        ("pp << p :: (even -> sort) ^ (odd -> sort) ^ (pos -> sort).\n"
+         "k : p w.\nk :: pp w.",
+         "no-refinement-declared",
+         "argument 1 of pp: constant w has no refinement declaration"),
+        # Two components of s reject w; only # -> pos accepts it.
+        ("pp << p :: even -> sort.\nk : p (s w).\nk :: pp (s w).",
+         "subsort-failure",
+         "argument 1 of pp: term s w: none of the synthesized sorts [pos] "
+         "is a subsort of even"),
+    ], ids=["class", "sort"])
+    def test_unrefined_argument_under_three_components(self, sorts, kind,
+                                                        message):
+        text = ("nat : type. z : nat. s : nat -> nat. w : nat.\n"
+                "even << nat. odd << nat. pos << nat. odd <: pos.\n"
+                "z :: even. s :: even -> odd ^ odd -> even ^ # -> pos.\n"
+                "p : nat -> type.\n" + sorts)
+        with pytest.raises(SortError) as info:
+            check_signature(parse_signature(text))
+        assert (info.value.diag.kind, info.value.diag.message) == (kind,
+                                                                   message)
+        assert info.value.span.line == 7
 
     def test_no_diagnostic_on_success(self, nat_sig):
         trace = []
