@@ -21,12 +21,10 @@ from .lf import LfDiagnostic, LfError, lf_check_kind, lf_check_sig, lf_check_ter
 from .lfi import (
     LfiError,
     LfiSignature,
-    Metafunction,
     lfi_check,
     lfi_check_sig,
     lfi_equal,
     lfi_synth,
-    meta_apply,
 )
 from .lfr_check import (
     SortDiagnostic,
@@ -81,7 +79,9 @@ from .subst import (
 )
 from .syntax import Signature, alpha_eq
 from .translate import (
+    Metafunction,
     TransResult,
+    meta_apply,
     trans_ctx,
     trans_sig,
     trans_sort,

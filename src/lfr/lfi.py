@@ -4,10 +4,6 @@ Terms, types, and kinds mirror the source AST but add an irrelevant
 function space, pairs, and unit at both the type and the kind level.
 Definitional equality ignores the arguments of irrelevant applications;
 that single rule is what makes translated refinement proofs coherent.
-
-Metafunctions are binder trees with numbered holes plus a deferred
-"reverse application" node; they are how the translator builds types
-before the terms that fill them are known.
 """
 
 from __future__ import annotations
@@ -15,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .diagnostics import CheckError, SourceSpan, VerifyError
+from .diagnostics import CheckError, SourceSpan
 from .subst import SubstFailure, _Fuel
-from .syntax import Lam, fresh_name, open_at
+from .syntax import fresh_name
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -63,13 +59,6 @@ class ISnd:
 
 
 @dataclass(frozen=True)
-class IHole:
-    """Numbered placeholder for a term inside a metafunction body."""
-
-    index: int
-
-
-@dataclass(frozen=True)
 class ILam:
     hint: str = field(compare=False)
     body: "LfiTerm"
@@ -86,20 +75,8 @@ class IUnit:
     pass
 
 
-@dataclass(frozen=True)
-class IRevApp:
-    """Deferred application of a normal term to an atomic argument.
-
-    Reduced away by meta_apply once holes are filled; it never survives
-    into checked output.
-    """
-
-    fn: "LfiTerm"
-    arg: "LfiAtomic"
-
-
-LfiAtomic = Union[IConst, IFVar, IBVar, IApp, IIrrApp, IFst, ISnd, IHole]
-LfiTerm = Union[LfiAtomic, ILam, IPair, IUnit, IRevApp]
+LfiAtomic = Union[IConst, IFVar, IBVar, IApp, IIrrApp, IFst, ISnd]
+LfiTerm = Union[LfiAtomic, ILam, IPair, IUnit]
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +86,6 @@ LfiTerm = Union[LfiAtomic, ILam, IPair, IUnit, IRevApp]
 @dataclass(frozen=True)
 class ITConst:
     name: str
-
-
-@dataclass(frozen=True)
-class ITHole:
-    """Numbered placeholder for an atomic type family inside a metafunction."""
-
-    index: int
 
 
 @dataclass(frozen=True)
@@ -155,7 +125,7 @@ class ITUnitT:
     pass
 
 
-LfiAtomicType = Union[ITConst, ITHole, ITApp, ITIrrApp]
+LfiAtomicType = Union[ITConst, ITApp, ITIrrApp]
 LfiType = Union[LfiAtomicType, ITPi, ITIrrPi, ITProd, ITUnitT]
 
 
@@ -235,8 +205,6 @@ def lfi_erase_type(a: Union[LfiType, LfiSimple]) -> LfiSimple:
             return a
         case ITConst(n):
             return IBase(n)
-        case ITHole(k):
-            return IBase(f"?{k}")
         case ITApp(f, _) | ITIrrApp(f, _):
             return lfi_erase_type(f)
         case ITPi(_, d, c):
@@ -329,7 +297,7 @@ def _shift_lfi(t: LfiSyntax, by: int, cutoff: int = 0) -> LfiSyntax:
     match t:
         case IBVar(i):
             return IBVar(i + by) if i >= cutoff else t
-        case IConst() | IFVar() | IHole() | IUnit() | ITConst() | ITHole() | ITUnitT() | IKType() | IKUnit():
+        case IConst() | IFVar() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
             return t
         case IApp(f, a):
             return IApp(_shift_lfi(f, by, cutoff), _shift_lfi(a, by, cutoff))
@@ -343,8 +311,6 @@ def _shift_lfi(t: LfiSyntax, by: int, cutoff: int = 0) -> LfiSyntax:
             return ILam(h, _shift_lfi(b, by, cutoff + 1))
         case IPair(l, r):
             return IPair(_shift_lfi(l, by, cutoff), _shift_lfi(r, by, cutoff))
-        case IRevApp(f, a):
-            return IRevApp(_shift_lfi(f, by, cutoff), _shift_lfi(a, by, cutoff))
         case ITApp(f, a):
             return ITApp(_shift_lfi(f, by, cutoff), _shift_lfi(a, by, cutoff))
         case ITIrrApp(f, a):
@@ -370,7 +336,7 @@ def open_lfi(t: LfiSyntax, repl: LfiAtomic, k: int = 0) -> LfiSyntax:
     match t:
         case IBVar(i):
             return _shift_lfi(repl, k) if i == k else t
-        case IConst() | IFVar() | IHole() | IUnit() | ITConst() | ITHole() | ITUnitT() | IKType() | IKUnit():
+        case IConst() | IFVar() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
             return t
         case IApp(f, a):
             return IApp(open_lfi(f, repl, k), open_lfi(a, repl, k))
@@ -384,8 +350,6 @@ def open_lfi(t: LfiSyntax, repl: LfiAtomic, k: int = 0) -> LfiSyntax:
             return ILam(h, open_lfi(b, repl, k + 1))
         case IPair(l, r):
             return IPair(open_lfi(l, repl, k), open_lfi(r, repl, k))
-        case IRevApp(f, a):
-            return IRevApp(open_lfi(f, repl, k), open_lfi(a, repl, k))
         case ITApp(f, a):
             return ITApp(open_lfi(f, repl, k), open_lfi(a, repl, k))
         case ITIrrApp(f, a):
@@ -409,7 +373,7 @@ def close_lfi(t: LfiSyntax, name: str, k: int = 0) -> LfiSyntax:
     match t:
         case IFVar(n):
             return IBVar(k) if n == name else t
-        case IBVar() | IConst() | IHole() | IUnit() | ITConst() | ITHole() | ITUnitT() | IKType() | IKUnit():
+        case IBVar() | IConst() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
             return t
         case IApp(f, a):
             return IApp(close_lfi(f, name, k), close_lfi(a, name, k))
@@ -423,8 +387,6 @@ def close_lfi(t: LfiSyntax, name: str, k: int = 0) -> LfiSyntax:
             return ILam(h, close_lfi(b, name, k + 1))
         case IPair(l, r):
             return IPair(close_lfi(l, name, k), close_lfi(r, name, k))
-        case IRevApp(f, a):
-            return IRevApp(close_lfi(f, name, k), close_lfi(a, name, k))
         case ITApp(f, a):
             return ITApp(close_lfi(f, name, k), close_lfi(a, name, k))
         case ITIrrApp(f, a):
@@ -454,11 +416,9 @@ def _free(t: LfiSyntax, out: set[str]) -> None:
     match t:
         case IFVar(n):
             out.add(n)
-        case (IBVar() | IConst() | IHole() | IUnit() | ITConst() | ITHole()
-              | ITUnitT() | IKType() | IKUnit()):
+        case IBVar() | IConst() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
             pass
-        case (IApp(f, a) | IIrrApp(f, a) | IRevApp(f, a) | ITApp(f, a)
-              | ITIrrApp(f, a)):
+        case IApp(f, a) | IIrrApp(f, a) | ITApp(f, a) | ITIrrApp(f, a):
             _free(f, out)
             _free(a, out)
         case IFst(b) | ISnd(b):
@@ -476,7 +436,7 @@ def _free(t: LfiSyntax, out: set[str]) -> None:
 
 
 def is_lfi_atomic(t: LfiTerm) -> bool:
-    return isinstance(t, (IConst, IFVar, IBVar, IApp, IIrrApp, IFst, ISnd, IHole))
+    return isinstance(t, (IConst, IFVar, IBVar, IApp, IIrrApp, IFst, ISnd))
 
 
 def lfi_head(r: LfiAtomic):
@@ -506,7 +466,7 @@ def lfi_equal(x: LfiSyntax, y: LfiSyntax, respect_irrelevance: bool = True) -> b
     match x, y:
         case (IConst(a), IConst(b)) | (IFVar(a), IFVar(b)) | (ITConst(a), ITConst(b)):
             return a == b
-        case (IBVar(a), IBVar(b)) | (IHole(a), IHole(b)) | (ITHole(a), ITHole(b)):
+        case (IBVar(a), IBVar(b)):
             return a == b
         case (IUnit(), IUnit()) | (ITUnitT(), ITUnitT()) | (IKType(), IKType()) | (IKUnit(), IKUnit()):
             return True
@@ -530,9 +490,6 @@ def lfi_equal(x: LfiSyntax, y: LfiSyntax, respect_irrelevance: bool = True) -> b
               | (IKIrrPi(_, d1, c1), IKIrrPi(_, d2, c2))):
             return (lfi_equal(d1, d2, respect_irrelevance)
                     and lfi_equal(c1, c2, respect_irrelevance))
-        case (IRevApp(f1, a1), IRevApp(f2, a2)):
-            return (lfi_equal(f1, f2, respect_irrelevance)
-                    and lfi_equal(a1, a2, respect_irrelevance))
     return False
 
 
@@ -559,8 +516,6 @@ def _l_n(n0, x0, a0, n, fuel, path) -> LfiTerm:
                          _l_n(n0, x0, a0, r, fuel, path + ("right",)))
         case IUnit():
             return n
-        case IRevApp():
-            raise TypeError("lfi_hsubst: reverse application not eliminated")
         case _:
             if lfi_head(n) == IFVar(x0):
                 term, ty = _l_rn(n0, x0, a0, n, fuel, path)
@@ -573,7 +528,7 @@ def _l_n(n0, x0, a0, n, fuel, path) -> LfiTerm:
 def _l_rr(n0, x0, a0, r, fuel, path) -> LfiAtomic:
     fuel.tick(path)
     match r:
-        case IConst() | IFVar() | IBVar() | IHole():
+        case IConst() | IFVar() | IBVar():
             return r
         case IApp(f, a):
             return IApp(_l_rr(n0, x0, a0, f, fuel, path + ("fn",)),
@@ -632,9 +587,9 @@ def _l_beta(fn: ILam, arg: LfiTerm, dom: LfiSimple, cod: LfiSimple,
 def _l_syn(n0, x0, a0, t, fuel, path):
     match t:
         case (IConst() | IFVar() | IBVar() | IApp() | IIrrApp() | IFst() | ISnd()
-              | IHole() | ILam() | IPair() | IUnit() | IRevApp()):
+              | ILam() | IPair() | IUnit()):
             return _l_n(n0, x0, a0, t, fuel, path)
-        case ITConst() | ITHole() | ITUnitT() | IKType() | IKUnit():
+        case ITConst() | ITUnitT() | IKType() | IKUnit():
             return t
         case ITApp(f, a):
             return ITApp(_l_syn(n0, x0, a0, f, fuel, path + ("fn",)),
@@ -673,166 +628,6 @@ def _l_syn_under(n0, x0, a0, hint, body, fuel, path):
 
 
 # ---------------------------------------------------------------------------
-# Metafunctions
-
-
-@dataclass(frozen=True)
-class Metafunction:
-    """Body with numbered holes; arity fixes how many arguments fill them."""
-
-    arity: int
-    body: LfiSyntax
-
-
-def plug_holes(t: LfiSyntax, args: list) -> LfiSyntax:
-    """Single-pass hole replacement; holes inside replacements are kept."""
-    match t:
-        case IHole(k):
-            return args[k]
-        case ITHole(k):
-            return args[k]
-        case (IConst() | IFVar() | IBVar() | IUnit() | ITConst() | ITUnitT()
-              | IKType() | IKUnit()):
-            return t
-        case IApp(f, a):
-            return IApp(plug_holes(f, args), plug_holes(a, args))
-        case IIrrApp(f, a):
-            return IIrrApp(plug_holes(f, args), plug_holes(a, args))
-        case IFst(b):
-            return IFst(plug_holes(b, args))
-        case ISnd(b):
-            return ISnd(plug_holes(b, args))
-        case ILam(h, b):
-            return ILam(h, plug_holes(b, args))
-        case IPair(l, r):
-            return IPair(plug_holes(l, args), plug_holes(r, args))
-        case IRevApp(f, a):
-            return IRevApp(plug_holes(f, args), plug_holes(a, args))
-        case ITApp(f, a):
-            return ITApp(plug_holes(f, args), plug_holes(a, args))
-        case ITIrrApp(f, a):
-            return ITIrrApp(plug_holes(f, args), plug_holes(a, args))
-        case ITPi(h, d, c):
-            return ITPi(h, plug_holes(d, args), plug_holes(c, args))
-        case ITIrrPi(h, d, c):
-            return ITIrrPi(h, plug_holes(d, args), plug_holes(c, args))
-        case ITProd(l, r):
-            return ITProd(plug_holes(l, args), plug_holes(r, args))
-        case IKPi(h, d, c):
-            return IKPi(h, plug_holes(d, args), plug_holes(c, args))
-        case IKIrrPi(h, d, c):
-            return IKIrrPi(h, plug_holes(d, args), plug_holes(c, args))
-        case IKProd(l, r):
-            return IKProd(plug_holes(l, args), plug_holes(r, args))
-    raise TypeError(f"plug_holes: unexpected node {t!r}")
-
-
-def _beta_lfi(t: LfiSyntax, arg: LfiAtomic, d: int = 0) -> LfiSyntax:
-    """Substitute for a consumed binder: the index at depth d becomes the
-    (shifted) argument, and indices above it drop by one."""
-    match t:
-        case IBVar(i):
-            if i == d:
-                return _shift_lfi(arg, d)
-            return IBVar(i - 1) if i > d else t
-        case IConst() | IFVar() | IHole() | IUnit() | ITConst() | ITHole() | ITUnitT() | IKType() | IKUnit():
-            return t
-        case IApp(f, a):
-            return IApp(_beta_lfi(f, arg, d), _beta_lfi(a, arg, d))
-        case IIrrApp(f, a):
-            return IIrrApp(_beta_lfi(f, arg, d), _beta_lfi(a, arg, d))
-        case IFst(b):
-            return IFst(_beta_lfi(b, arg, d))
-        case ISnd(b):
-            return ISnd(_beta_lfi(b, arg, d))
-        case ILam(h, b):
-            return ILam(h, _beta_lfi(b, arg, d + 1))
-        case IPair(l, r):
-            return IPair(_beta_lfi(l, arg, d), _beta_lfi(r, arg, d))
-        case IRevApp(f, a):
-            return IRevApp(_beta_lfi(f, arg, d), _beta_lfi(a, arg, d))
-        case ITApp(f, a):
-            return ITApp(_beta_lfi(f, arg, d), _beta_lfi(a, arg, d))
-        case ITIrrApp(f, a):
-            return ITIrrApp(_beta_lfi(f, arg, d), _beta_lfi(a, arg, d))
-        case ITPi(h, dm, c):
-            return ITPi(h, _beta_lfi(dm, arg, d), _beta_lfi(c, arg, d + 1))
-        case ITIrrPi(h, dm, c):
-            return ITIrrPi(h, _beta_lfi(dm, arg, d), _beta_lfi(c, arg, d + 1))
-        case ITProd(l, r):
-            return ITProd(_beta_lfi(l, arg, d), _beta_lfi(r, arg, d))
-        case IKPi(h, dm, c):
-            return IKPi(h, _beta_lfi(dm, arg, d), _beta_lfi(c, arg, d + 1))
-        case IKIrrPi(h, dm, c):
-            return IKIrrPi(h, _beta_lfi(dm, arg, d), _beta_lfi(c, arg, d + 1))
-        case IKProd(l, r):
-            return IKProd(_beta_lfi(l, arg, d), _beta_lfi(r, arg, d))
-    raise TypeError(f"_beta_lfi: unexpected node {t!r}")
-
-
-def revapp(n, r):
-    """Apply a normal term to an atomic argument by ordinary substitution.
-
-    The argument is atomic, so no redex can appear in the result.  Anything
-    but a lambda on the left is a translator invariant violation.
-    """
-    if isinstance(n, Lam):
-        return open_at(n.body, r)
-    if isinstance(n, ILam):
-        return _beta_lfi(n.body, r)
-    raise VerifyError("reverse application of a non-function term")
-
-
-def eliminate_revapps(t: LfiSyntax) -> LfiSyntax:
-    match t:
-        case (IConst() | IFVar() | IBVar() | IHole() | IUnit() | ITConst()
-              | ITHole() | ITUnitT() | IKType() | IKUnit()):
-            return t
-        case IRevApp(f, a):
-            fn = eliminate_revapps(f)
-            arg = eliminate_revapps(a)
-            if not isinstance(fn, ILam):
-                raise VerifyError("reverse application of a non-function term")
-            return eliminate_revapps(_beta_lfi(fn.body, arg))
-        case IApp(f, a):
-            return IApp(eliminate_revapps(f), eliminate_revapps(a))
-        case IIrrApp(f, a):
-            return IIrrApp(eliminate_revapps(f), eliminate_revapps(a))
-        case IFst(b):
-            return IFst(eliminate_revapps(b))
-        case ISnd(b):
-            return ISnd(eliminate_revapps(b))
-        case ILam(h, b):
-            return ILam(h, eliminate_revapps(b))
-        case IPair(l, r):
-            return IPair(eliminate_revapps(l), eliminate_revapps(r))
-        case ITApp(f, a):
-            return ITApp(eliminate_revapps(f), eliminate_revapps(a))
-        case ITIrrApp(f, a):
-            return ITIrrApp(eliminate_revapps(f), eliminate_revapps(a))
-        case ITPi(h, d, c):
-            return ITPi(h, eliminate_revapps(d), eliminate_revapps(c))
-        case ITIrrPi(h, d, c):
-            return ITIrrPi(h, eliminate_revapps(d), eliminate_revapps(c))
-        case ITProd(l, r):
-            return ITProd(eliminate_revapps(l), eliminate_revapps(r))
-        case IKPi(h, d, c):
-            return IKPi(h, eliminate_revapps(d), eliminate_revapps(c))
-        case IKIrrPi(h, d, c):
-            return IKIrrPi(h, eliminate_revapps(d), eliminate_revapps(c))
-        case IKProd(l, r):
-            return IKProd(eliminate_revapps(l), eliminate_revapps(r))
-    raise TypeError(f"eliminate_revapps: unexpected node {t!r}")
-
-
-def meta_apply(f: Metafunction, args: list) -> LfiSyntax:
-    if len(args) != f.arity:
-        raise VerifyError(
-            f"metafunction of arity {f.arity} applied to {len(args)} arguments")
-    return eliminate_revapps(plug_holes(f.body, args))
-
-
-# ---------------------------------------------------------------------------
 # Checking
 
 
@@ -850,12 +645,9 @@ def _fmt_term(t: LfiTerm) -> str:
     return pp_lfi_term(t)
 
 
-def _inst_type(cod: LfiType, arg: LfiTerm, dom: LfiType) -> LfiType:
-    x = fresh_name("x", lfi_free_vars(cod) | lfi_free_vars(arg))
-    return lfi_hsubst(arg, x, dom, open_lfi(cod, IFVar(x)))
-
-
-def _inst_kind(cod: LfiKind, arg: LfiTerm, dom: LfiType) -> LfiKind:
+def _inst(cod: Union[LfiType, LfiKind], arg: LfiTerm, dom: LfiType
+          ) -> Union[LfiType, LfiKind]:
+    """A Pi type's or kind's codomain with its bound variable set to arg."""
     x = fresh_name("x", lfi_free_vars(cod) | lfi_free_vars(arg))
     return lfi_hsubst(arg, x, dom, open_lfi(cod, IFVar(x)))
 
@@ -880,14 +672,14 @@ def lfi_synth(sig: LfiSignature, ctx: LfiContext, r: LfiAtomic) -> LfiType:
             if not isinstance(fty, ITPi):
                 raise LfiError(f"applied term of non-function type {_fmt_type(fty)}")
             lfi_check(sig, ctx, a, fty.dom)
-            return _inst_type(fty.cod, a, fty.dom)
+            return _inst(fty.cod, a, fty.dom)
         case IIrrApp(f, a):
             fty = lfi_synth(sig, ctx, f)
             if not isinstance(fty, ITIrrPi):
                 raise LfiError(
                     f"irrelevant application at non-irrelevant type {_fmt_type(fty)}")
             lfi_check(sig, promote(ctx), a, fty.dom)
-            return _inst_type(fty.cod, a, fty.dom)
+            return _inst(fty.cod, a, fty.dom)
         case IFst(b):
             bty = lfi_synth(sig, ctx, b)
             if not isinstance(bty, ITProd):
@@ -974,10 +766,10 @@ def _kind_of_atomic(sig: LfiSignature, ctx: LfiContext, p: LfiAtomicType) -> Lfi
         match kind:
             case IKPi(_, d, c) if not irr:
                 lfi_check(sig, ctx, arg, d)
-                kind = _inst_kind(c, arg, d)
+                kind = _inst(c, arg, d)
             case IKIrrPi(_, d, c) if irr:
                 lfi_check(sig, promote(ctx), arg, d)
-                kind = _inst_kind(c, arg, d)
+                kind = _inst(c, arg, d)
             case _:
                 raise LfiError(
                     f"kind of {p.name} does not accept this argument shape")

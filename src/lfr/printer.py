@@ -59,10 +59,9 @@ def _wrap(cond: bool, s: str) -> str:
 
 def _forge_fvar(t):
     if isinstance(t, (L.IConst, L.IFVar, L.IBVar, L.IApp, L.IIrrApp, L.IFst,
-                      L.ISnd, L.IHole, L.ILam, L.IPair, L.IUnit, L.IRevApp,
-                      L.ITConst, L.ITHole, L.ITApp, L.ITIrrApp, L.ITPi,
-                      L.ITIrrPi, L.ITProd, L.ITUnitT, L.IKType, L.IKPi,
-                      L.IKIrrPi, L.IKProd, L.IKUnit)):
+                      L.ISnd, L.ILam, L.IPair, L.IUnit, L.ITConst, L.ITApp,
+                      L.ITIrrApp, L.ITPi, L.ITIrrPi, L.ITProd, L.ITUnitT,
+                      L.IKType, L.IKPi, L.IKIrrPi, L.IKProd, L.IKUnit)):
         return L.IFVar(_PROBE)
     return FVar(_PROBE)
 
@@ -258,8 +257,6 @@ def _pl_term(t, lvl: int, ext: bool) -> str:
             return n
         case L.IBVar(i):
             return f"?{i}"
-        case L.IHole(k):
-            return f"?h{k}"
         case L.IApp(f, a):
             s = f"{_pl_term(f, 3, False)} {_pl_term(a, 4, False)}"
             return _wrap(lvl >= 4, s)
@@ -278,8 +275,6 @@ def _pl_term(t, lvl: int, ext: bool) -> str:
             return f"<{_pl_term(l, 0, True)}, {_pl_term(r, 0, True)}>"
         case L.IUnit():
             return "<>"
-        case L.IRevApp(f, a):
-            return f"({_pl_term(f, 0, True)} @@ {_pl_term(a, 0, True)})"
     raise TypeError(f"pp_lfi_term: {t!r}")
 
 
@@ -287,8 +282,6 @@ def _pl_type(a, lvl: int, ext: bool) -> str:
     match a:
         case L.ITConst(n):
             return n
-        case L.ITHole(k):
-            return f"?T{k}"
         case L.ITApp(f, arg):
             s = f"{_pl_type(f, 3, False)} {_pl_term(arg, 4, False)}"
             return _wrap(lvl >= 4, s)

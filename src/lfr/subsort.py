@@ -111,13 +111,6 @@ def _algo_subsort(sig, closure, ctx, d, s) -> bool:
                        for q in d)
 
 
-def algo_apply(sig: Signature, ctx: Context, d: list, x: str, d1: list, a1,
-               closure: Optional[SubsortClosure] = None) -> list:
-    if closure is None:
-        closure = build_closure(sig)
-    return _algo_apply(sig, closure, ctx, d, x, d1, a1)
-
-
 def _algo_apply(sig, closure, ctx, d, x, d1, a1) -> list:
     """Push a variable known to refine d1 through the function components."""
     eta_x = eta_expand(a1, FVar(x))

@@ -545,9 +545,5 @@ def is_atomic_term(t: NormalTerm) -> bool:
     return isinstance(t, (BVar, FVar, Const, App))
 
 
-def is_atomic_type(t: NormalType) -> bool:
-    return isinstance(t, (TConst, TApp))
-
-
 def is_atomic_sort(s: NormalSort) -> bool:
     return isinstance(s, (SConst, SApp))

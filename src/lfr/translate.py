@@ -6,35 +6,37 @@ declaration becomes a coercion between proofs.  Formation proofs ride
 along irrelevantly, so provably-equal coercion paths cannot break
 equality of translated types.
 
-Sorts translate to metafunctions with one hole (the subject term);
-subsort coercions to metafunctions with two (subject and proof).  Proofs
-of terms and formation proofs of sorts are not derived here: the sort
-checker's judgments return derivations, and `_proof` maps each rule to
-its target term.  The emitted signature is self-contained and
-re-checkable by the target checker, which verify_translation does.
+A sort translates to its interpretation: a Python function of the
+subject term that builds the sort's predicate type.  Kinds, classes and
+subsort coercions translate to such functions too, of the family atoms
+or of the subject and the proof being coerced; `meta_apply` applies
+them.  Proofs of terms and formation proofs of sorts are not derived
+here: the sort checker's judgments return derivations, and `_proof`
+maps each rule to its target term.  The emitted signature is
+self-contained and re-checkable by the target checker, which
+verify_translation does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .diagnostics import VerifyError
 from .lfi import (
     IApp,
+    IBVar,
     IConst,
     IFst,
     IFVar,
-    IHole,
     IKIrrPi,
     IKPi,
     IKType,
     ILam,
     IPair,
-    IRevApp,
     ISnd,
     ITApp,
     ITConst,
-    ITHole,
     ITIrrApp,
     ITIrrPi,
     ITPi,
@@ -46,12 +48,10 @@ from .lfi import (
     LfiDecl,
     LfiError,
     LfiSignature,
-    Metafunction,
+    _shift_lfi,
     close_lfi,
     lfi_check,
     lfi_check_sig,
-    meta_apply,
-    plug_holes,
 )
 from .lfr_check import (
     SortError,
@@ -167,7 +167,6 @@ def inj_term(t):
         case FVar(n):
             return IFVar(n)
         case BVar(i):
-            from .lfi import IBVar
             return IBVar(i)
         case App(f, a):
             return IApp(inj_term(f), inj_term(a))
@@ -197,61 +196,91 @@ def inj_kind(k):
 
 
 # ---------------------------------------------------------------------------
-# Kind-level metafunctions
+# Interpretations
+
+
+@dataclass(frozen=True)
+class Metafunction:
+    """An interpretation: `fn` builds a target type, kind or proof from
+    `arity` arguments."""
+
+    arity: int
+    fn: Callable
+
+
+def meta_apply(f: Metafunction, args: list):
+    """Apply an interpretation; the one place where one is applied."""
+    if len(args) != f.arity:
+        raise VerifyError(
+            f"metafunction of arity {f.arity} applied to {len(args)} arguments")
+    return f.fn(*args)
+
+
+def _close_over(t, scope: list[str]):
+    """Bind the names of the enclosing binders (outermost first) in t."""
+    for k, name in enumerate(reversed(scope)):
+        t = close_lfi(t, name, k)
+    return t
+
+
+# ---------------------------------------------------------------------------
+# Kinds
 
 
 def trans_kind_pred(kind) -> Metafunction:
     """Kind of a sort's predicate family.
 
-    Holes: 0 the proof family atom, 1 the refined family atom.  At base
-    kind the predicate takes the formation proof irrelevantly and then
-    the subject.
+    Arguments: the proof family atom and the refined family atom, both
+    closed constants, so the names bound here cannot capture them.  At
+    base kind the predicate takes the formation proof irrelevantly and
+    then the subject.
     """
-    return Metafunction(2, _kind_pred_body(kind, set()))
+    return Metafunction(
+        2, lambda pf, fam: _kind_pred_body(kind, pf, fam, set()))
 
 
-def _kind_pred_body(kind, avoid: set[str]):
+def _kind_pred_body(kind, pf, fam, avoid: set[str]):
     match kind:
         case KType():
-            return IKIrrPi("_", ITHole(0), IKPi("x", ITHole(1), IKType()))
+            return IKIrrPi("_", pf, IKPi("x", fam, IKType()))
         case KPi(h, a, k2):
             y = pool_name(h, avoid | free_vars(k2))
             eta_y = inj_term(eta_expand(a, FVar(y)))
-            inner = _kind_pred_body(open_at(k2, FVar(y)), avoid | {y})
-            applied = plug_holes(inner, [ITApp(ITHole(0), eta_y),
-                                         ITApp(ITHole(1), eta_y)])
-            return IKPi(y, inj_type(a), close_lfi(applied, y))
+            inner = _kind_pred_body(open_at(k2, FVar(y)), ITApp(pf, eta_y),
+                                    ITApp(fam, eta_y), avoid | {y})
+            return IKPi(y, inj_type(a), close_lfi(inner, y))
     raise TypeError(f"trans_kind_pred: {kind!r}")
 
 
 def trans_kind_sub(kind) -> Metafunction:
     """Type of a coercion constant between two sorts over one kind.
 
-    Holes: 0 the refined family atom, 1 and 3 the two proof family
-    atoms, 2 and 4 the two predicate atoms.  Index arguments come first
-    and are bare; then the two formation proofs, the subject, and the
-    proof being coerced.
+    Arguments, all closed constants: the refined family atom, then the
+    proof family and predicate atoms of the first sort and of the second.
+    Index arguments come first and are bare; then the two formation
+    proofs, the subject, and the proof being coerced.
     """
-    return Metafunction(5, _kind_sub_body(kind, set()))
+    return Metafunction(5, lambda *atoms: _kind_sub_body(kind, atoms, set()))
 
 
-def _kind_sub_body(kind, avoid: set[str]):
+def _kind_sub_body(kind, atoms, avoid: set[str]):
     match kind:
         case KType():
+            fam, pf1, pred1, pf2, pred2 = atoms
             f1, f2, x = IFVar("$f1"), IFVar("$f2"), IFVar("$x")
             subject = pool_name("x", avoid | {"f1", "f2"})
-            t = ITPi("_", ITApp(ITIrrApp(ITHole(2), f1), x),
-                     ITApp(ITIrrApp(ITHole(4), f2), x))
-            t = ITPi(subject, ITHole(0), close_lfi(t, "$x"))
-            t = ITPi("f2", ITHole(3), close_lfi(t, "$f2"))
-            return ITPi("f1", ITHole(1), close_lfi(t, "$f1"))
+            t = ITPi("_", ITApp(ITIrrApp(pred1, f1), x),
+                     ITApp(ITIrrApp(pred2, f2), x))
+            t = ITPi(subject, fam, close_lfi(t, "$x"))
+            t = ITPi("f2", pf2, close_lfi(t, "$f2"))
+            return ITPi("f1", pf1, close_lfi(t, "$f1"))
         case KPi(h, a, k2):
             y = pool_name(h, avoid | free_vars(k2))
             eta_y = inj_term(eta_expand(a, FVar(y)))
-            inner = _kind_sub_body(open_at(k2, FVar(y)), avoid | {y})
-            applied = plug_holes(inner, [ITApp(ITHole(k), eta_y)
-                                         for k in range(5)])
-            return ITPi(y, inj_type(a), close_lfi(applied, y))
+            inner = _kind_sub_body(open_at(k2, FVar(y)),
+                                   [ITApp(t, eta_y) for t in atoms],
+                                   avoid | {y})
+            return ITPi(y, inj_type(a), close_lfi(inner, y))
     raise TypeError(f"trans_kind_sub: {kind!r}")
 
 
@@ -261,19 +290,27 @@ def _kind_sub_body(kind, avoid: set[str]):
 
 def trans_sort(sig: Signature, ctx: Context, s, a, mangler=None, closure=None
                ) -> Metafunction:
-    """Predicate type for a sort; hole 0 is the (injected) subject."""
+    """Predicate type for a sort, as a function of the (injected) subject."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return Metafunction(1, _sort_body(sig, closure, ctx, s, a, mangler))
+    return Metafunction(1, _sort_body(sig, closure, ctx, s, a, mangler, []))
 
 
-def _sort_body(sig, closure, ctx, s, a, mangler):
+def _sort_body(sig, closure, ctx, s, a, mangler, scope: list[str]):
+    """The sort's predicate type as a function of the subject.
+
+    Everything but the subject is built here, once, and bound over
+    `scope`, the names of the binders it sits under.  The function only
+    places the subject, which is read at the root of the type it builds,
+    so none of the subject's free names is captured.
+    """
     match s:
         case STop():
-            return ITUnitT()
+            return lambda n: ITUnitT()
         case SInter(l, r):
-            return ITProd(_sort_body(sig, closure, ctx, l, a, mangler),
-                          _sort_body(sig, closure, ctx, r, a, mangler))
+            left = _sort_body(sig, closure, ctx, l, a, mangler, scope)
+            right = _sort_body(sig, closure, ctx, r, a, mangler, scope)
+            return lambda n: ITProd(left(n), right(n))
         case SPi(h, ds, dt, cod):
             if dt is None:
                 raise TypeError("trans_sort: sort was not elaborated")
@@ -285,40 +322,54 @@ def _sort_body(sig, closure, ctx, s, a, mangler):
             xhat = x + "^"
             eta_x = inj_term(eta_expand(a.dom, FVar(x)))
             ctx2 = list(ctx) + [CtxEntry(x, ds, a.dom)]
-            dom_pred = meta_apply(
-                trans_sort(sig, ctx2, ds, a.dom, mangler, closure), [eta_x])
-            cod_meta = _sort_body(sig, closure, ctx2, open_at(cod, FVar(x)),
-                                  open_at(a.cod, FVar(x)), mangler)
-            body = plug_holes(cod_meta, [IRevApp(IHole(0), IFVar(x))])
-            inner = ITPi(xhat, dom_pred, close_lfi(body, xhat))
-            return ITPi(x, inj_type(a.dom), close_lfi(inner, x))
+            dom = _close_over(inj_type(a.dom), scope)
+            dom_pred = _close_over(meta_apply(
+                trans_sort(sig, ctx2, ds, a.dom, mangler, closure), [eta_x]),
+                scope + [x])
+            cod_body = _sort_body(sig, closure, ctx2, open_at(cod, FVar(x)),
+                                  open_at(a.cod, FVar(x)), mangler,
+                                  scope + [x, xhat])
+
+            def body(n):
+                if not isinstance(n, ILam):
+                    raise VerifyError(
+                        "reverse application of a non-function term")
+                # The subject applied to x, read under x and x^: the
+                # lambda's variable becomes x (index 1), and every outer
+                # index, now under one binder more, also goes up by one.
+                return ITPi(x, dom, ITPi(xhat, dom_pred,
+                                         cod_body(_shift_lfi(n.body, 1))))
+            return body
         case SConst() | SApp():
             head, args = sort_spine(s)
             pred = ITConst(mangler.predicate(head.name))
             for m in args:
                 pred = ITApp(pred, inj_term(m))
             qhat = trans_sort_synth(sig, ctx, s, mangler, closure)
-            return ITApp(ITIrrApp(pred, qhat), IHole(0))
+            pred = _close_over(ITIrrApp(pred, qhat), scope)
+            return lambda n: ITApp(pred, n)
     raise TypeError(f"trans_sort: not a sort: {s!r}")
 
 
 def trans_class_form(sig: Signature, ctx: Context, cls, mangler=None,
                      closure=None) -> Metafunction:
-    """Type of a sort's intro constant; hole 0 is the proof family atom."""
+    """Type of a sort's intro constant, as a function of the proof family
+    atom, a closed constant."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return Metafunction(1, _class_form_body(sig, closure, ctx, cls, mangler))
+    return Metafunction(1, lambda pf: _class_form_body(
+        sig, closure, ctx, cls, mangler, pf))
 
 
-def _class_form_body(sig, closure, ctx, cls, mangler):
+def _class_form_body(sig, closure, ctx, cls, mangler, pf):
     match cls:
         case CSort():
-            return ITHole(0)
+            return pf
         case CTop():
             return ITUnitT()
         case CInter(l, r):
-            return ITProd(_class_form_body(sig, closure, ctx, l, mangler),
-                          _class_form_body(sig, closure, ctx, r, mangler))
+            return ITProd(_class_form_body(sig, closure, ctx, l, mangler, pf),
+                          _class_form_body(sig, closure, ctx, r, mangler, pf))
         case CPi(h, ds, dt, body):
             if dt is None:
                 raise TypeError("trans_class_form: class was not elaborated")
@@ -330,9 +381,9 @@ def _class_form_body(sig, closure, ctx, cls, mangler):
             dom_pred = meta_apply(
                 trans_sort(sig, ctx2, ds, dt, mangler, closure), [eta_x])
             inner_body = _class_form_body(sig, closure, ctx2,
-                                          open_at(body, FVar(x)), mangler)
-            applied = plug_holes(inner_body, [ITApp(ITHole(0), eta_x)])
-            inner = ITPi(xhat, dom_pred, close_lfi(applied, xhat))
+                                          open_at(body, FVar(x)), mangler,
+                                          ITApp(pf, eta_x))
+            inner = ITPi(xhat, dom_pred, close_lfi(inner_body, xhat))
             return ITPi(x, inj_type(dt), close_lfi(inner, x))
     raise TypeError(f"trans_class_form: not a class: {cls!r}")
 
@@ -455,7 +506,7 @@ def _bfs_path(sig: Signature, a: str, b: str):
 
 def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None,
                         closure=None) -> Metafunction:
-    """Coercion between atomic sorts; holes 0 subject, 1 proof."""
+    """Coercion between atomic sorts, a function of subject and proof."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
     return _coercion(sig, closure, ctx, q1, q2, mangler, {})
@@ -472,7 +523,7 @@ def _coercion(sig, closure, ctx, q1, q2, mangler, ren) -> Metafunction:
 
     head, spine = sort_spine(q1)
     head, goal = head.name, sort_spine(q2)[0].name
-    proof, q, form = IHole(1), q1, None
+    steps, q, form = [], q1, None
     while not alpha_eq(q, q2):
         path = _bfs_path(sig, head, goal)
         if not path:
@@ -489,9 +540,14 @@ def _coercion(sig, closure, ctx, q1, q2, mangler, ren) -> Metafunction:
         t = IConst(mangler.coercion(head, step))
         for m in spine:
             t = IApp(t, inj_term(m))
-        proof = IApp(IApp(IApp(IApp(t, form), form_step), IHole(0)), proof)
+        steps.append(IApp(IApp(t, form), form_step))
         q, head, form = q_step, step, form_step
-    return Metafunction(2, proof)
+
+    def coerce(subject, proof):
+        for t in steps:
+            proof = IApp(IApp(t, subject), proof)
+        return proof
+    return Metafunction(2, coerce)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +591,10 @@ def trans_sig(sig: Signature) -> TransResult:
                 pf = mangler.sort_proof_fam(s)
                 lfi_sig.append(LfiDecl(pf, inj_kind(fam.kind), decl.span))
                 prov[pf] = label
-                form = trans_class_form(sig, [], cls, mangler, closure)
+                form = meta_apply(trans_class_form(sig, [], cls, mangler,
+                                                   closure), [ITConst(pf)])
                 intro = mangler.sort_intro(s)
-                lfi_sig.append(LfiDecl(
-                    intro, meta_apply(form, [ITConst(pf)]), decl.span))
+                lfi_sig.append(LfiDecl(intro, form, decl.span))
                 prov[intro] = label
                 pred = mangler.predicate(s)
                 pkind = meta_apply(trans_kind_pred(fam.kind),

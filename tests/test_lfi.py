@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import lfr.lfi
 from lfr import (
     LfiError,
     LfiSignature,
-    Metafunction,
-    VerifyError,
     lfi_check,
     lfi_check_sig,
     lfi_equal,
     lfi_synth,
-    meta_apply,
 )
 from lfr.lfi import (
     IApp,
@@ -24,14 +26,12 @@ from lfr.lfi import (
     IConst,
     IFst,
     IFVar,
-    IHole,
     IIrrApp,
     IKIrrPi,
     IKPi,
     IKType,
     ILam,
     IPair,
-    IRevApp,
     ISnd,
     ITApp,
     ITConst,
@@ -41,13 +41,10 @@ from lfr.lfi import (
     ITUnitT,
     IUnit,
     LfiCtxEntry,
-    _beta_lfi,
     _shift_lfi,
     close_lfi,
-    eliminate_revapps,
     lfi_hsubst,
     open_lfi,
-    plug_holes,
     promote,
 )
 
@@ -152,51 +149,6 @@ class TestDeBruijn:
         opened = open_lfi(t, IBVar(0))
         assert opened == ILam("y", IApp(IBVar(1), IBVar(0)))
 
-    def test_beta_decrements_outer_indices(self):
-        # Consuming a binder renumbers everything that pointed past it.
-        body = IPair(IBVar(0), IBVar(1))
-        out = _beta_lfi(body, IBVar(0))
-        assert out == IPair(IBVar(0), IBVar(0))
-
-    def test_beta_under_nested_binder(self):
-        body = ILam("y", IPair(IBVar(0), IBVar(1)))
-        out = _beta_lfi(body, IFVar("a"))
-        assert out == ILam("y", IPair(IBVar(0), IFVar("a")))
-
-
-class TestRevApp:
-    def test_simple_elimination(self):
-        t = IRevApp(ILam("x", IApp(IConst("s"), IBVar(0))), IConst("z"))
-        assert eliminate_revapps(t) == IApp(IConst("s"), IConst("z"))
-
-    def test_elimination_under_binder_keeps_indices(self):
-        t = ILam("y", IRevApp(ILam("x", IPair(IBVar(0), IBVar(1))), IBVar(0)))
-        out = eliminate_revapps(t)
-        assert out == ILam("y", IPair(IBVar(0), IBVar(0)))
-
-    def test_non_function_rejected(self):
-        t = IRevApp(IConst("f"), IConst("z"))
-        with pytest.raises(VerifyError):
-            eliminate_revapps(t)
-
-
-class TestMetafunctions:
-    def test_plug_holes(self):
-        body = ITApp(ITIrrApp(ITConst("p"), IHole(1)), IHole(0))
-        out = plug_holes(body, [IConst("a"), IConst("b")])
-        assert out == ITApp(ITIrrApp(ITConst("p"), IConst("b")), IConst("a"))
-
-    def test_meta_apply_eliminates_revapps(self):
-        f = Metafunction(1, IRevApp(ILam("x", IApp(IConst("s"), IBVar(0))),
-                                    IHole(0)))
-        assert meta_apply(f, [IConst("z")]) == IApp(IConst("s"), IConst("z"))
-
-    def test_shared_hole(self):
-        body = ITProd(ITApp(ITConst("p"), IHole(0)),
-                      ITApp(ITConst("q"), IHole(0)))
-        out = plug_holes(body, [IConst("a")])
-        assert out.left.arg == out.right.arg == IConst("a")
-
 
 class TestPromotion:
     def test_promote_makes_everything_relevant(self):
@@ -281,3 +233,52 @@ class TestSwitching:
         lfi_check(eo, [], ILam("x", IApp(IConst("s"), IBVar(0))), pi)
         with pytest.raises(LfiError):
             lfi_check(eo, [], IConst("z"), pi)
+
+
+# The project modules lfi.py may import from, and the names it may take
+# from each (None: any).  The printer is imported lazily, for messages.
+TRUST_BASE_IMPORTS = {
+    "diagnostics": None,
+    "subst": {"SubstFailure", "_Fuel"},
+    "syntax": {"fresh_name"},
+    "printer": None,
+}
+
+
+def _imports(tree: ast.Module):
+    """(module, names or None for the whole module, at top level) for each
+    import; a relative import is named within the lfr package."""
+    top_level = {id(node) for node in tree.body}
+    for node in ast.walk(tree):
+        top = id(node) in top_level
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.name, None, top
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if node.level == 0:
+                yield node.module, names, top
+            elif node.module:
+                yield "lfr." + node.module, names, top
+            else:
+                for name in names:
+                    yield "lfr." + name, None, top
+
+
+class TestTrustBase:
+    """The target checker certifies the translation, so it must not
+    depend on the source checker, the translator or subsorting."""
+
+    def test_lfi_imports_only_the_allowed_set(self):
+        tree = ast.parse(Path(lfr.lfi.__file__).read_text())
+        for module, names, top_level in _imports(tree):
+            package, _, sub = module.partition(".")
+            if package != "lfr":
+                assert package in sys.stdlib_module_names, module
+                continue
+            assert sub in TRUST_BASE_IMPORTS, module
+            allowed = TRUST_BASE_IMPORTS[sub]
+            if allowed is not None:
+                assert names is not None and names <= allowed, (module, names)
+            if sub == "printer":
+                assert not top_level, "the printer must be imported lazily"

@@ -29,17 +29,21 @@ from lfr import (
     verify_translation,
 )
 from lfr.lfi import (
+    IApp,
+    IBVar,
     IConst,
     IFVar,
+    ILam,
+    IPair,
     ITApp,
     ITConst,
     ITIrrApp,
+    ITProd,
     LfiDecl,
     lfi_erase_type,
     lfi_hsubst,
-    meta_apply,
 )
-from lfr.printer import print_lfi
+from lfr.printer import pp_lfi_type, print_lfi
 from lfr.subst import eta_expand, hsubst_syntax
 from lfr.syntax import (
     Const,
@@ -47,13 +51,24 @@ from lfr.syntax import (
     FVar,
     SApp,
     SConst,
+    SInter,
+    SPi,
     STop,
     TApp,
     TConst,
     TermConst,
+    TPi,
     TypeFam,
 )
-from lfr.translate import NameMangler, inj_kind, inj_term, inj_type, trans_ctx
+from lfr.translate import (
+    Metafunction,
+    NameMangler,
+    inj_kind,
+    inj_term,
+    inj_type,
+    meta_apply,
+    trans_ctx,
+)
 
 from conftest import golden_path
 from gen import (
@@ -450,3 +465,76 @@ class TestCoercions:
         goal_meta = trans_sort(sig, [], SConst("d"), NAT_TY, result.mangler)
         lfi_check(result.lfi_sig, [], coerced,
                   meta_apply(goal_meta, [IConst("z")]))
+
+
+def _even_to_odd(nat_sig):
+    """The sort even -> odd, the first component of s's sort in nat.lfr."""
+    return nat_sig.merged_ref_sort("s").left, nat_sig.term_const("s").type
+
+
+class TestMetafunctions:
+    def test_arguments_fill_in_order(self, nat_sig):
+        result = trans_sig(nat_sig)
+        f = trans_subsort_check(nat_sig, [], SConst("odd"), SConst("pos"),
+                                result.mangler)
+        out = meta_apply(f, [IConst("a"), IConst("b")])
+        assert out.arg == IConst("b")
+        assert out.fn.arg == IConst("a")
+
+    def test_meta_apply_calls_the_function(self):
+        f = Metafunction(1, lambda n: IApp(IConst("s"), n))
+        assert meta_apply(f, [IConst("z")]) == IApp(IConst("s"), IConst("z"))
+
+    def test_arity_mismatch_rejected(self, nat_sig):
+        f = trans_sort(nat_sig, [], SConst("even"), NAT_TY)
+        with pytest.raises(VerifyError):
+            meta_apply(f, [IConst("a"), IConst("b")])
+
+    def test_intersection_shares_the_subject(self, nat_sig):
+        f = trans_sort(nat_sig, [], SInter(SConst("even"), SConst("pos")),
+                       NAT_TY)
+        out = meta_apply(f, [IConst("a")])
+        assert isinstance(out, ITProd)
+        assert out.left.arg == out.right.arg == IConst("a")
+
+    def test_subject_names_are_not_captured(self, nat_sig):
+        # The subject's free x is not the binder x of the sort, which the
+        # printer therefore shows as x'.  Pinned from the hole-based
+        # translator, which filled the subject in after binding x.
+        s, a = nat_sig.merged_ref_sort("s"), nat_sig.term_const("s").type
+        subject = ILam("y", IApp(IApp(IConst("plus"), IFVar("x")), IBVar(0)))
+        out = meta_apply(trans_sort(nat_sig, [], s, a), [subject])
+        assert pp_lfi_type(out) == (
+            "({x' : nat} even [[ even^/i ]] x' -> odd [[ odd^/i ]] (plus x x'))"
+            " * (({x' : nat} odd [[ odd^/i ]] x' -> even [[ even^/i ]]"
+            " (plus x x')) * ({x' : nat} 1 -> pos [[ pos^/i ]] (plus x x')))")
+
+
+class TestSubjectApplication:
+    """A function sort applies the subject to its own bound variable."""
+
+    def test_subject_applied_to_bound_variable(self, nat_sig):
+        s, a = _even_to_odd(nat_sig)
+        subject = ILam("x", IApp(IConst("s"), IBVar(0)))
+        out = meta_apply(trans_sort(nat_sig, [], s, a), [subject])
+        # Under x and x^, x is index 1.
+        assert out.cod.cod.arg == IApp(IConst("s"), IBVar(1))
+        assert pp_lfi_type(out) == (
+            "{x : nat} even [[ even^/i ]] x -> odd [[ odd^/i ]] (s x)")
+
+    def test_nested_binders_keep_indices(self, nat_sig):
+        a = NAT_TY
+        for _ in range(2):
+            a = TPi("x", NAT_TY, a)
+        s = elaborate_sort(nat_sig, [], SPi("x", SConst("even"), None,
+                                            SPi("y", SConst("odd"), None,
+                                                SConst("pos"))), a)
+        subject = ILam("x", ILam("y", IPair(IBVar(0), IBVar(1))))
+        out = meta_apply(trans_sort(nat_sig, [], s, a), [subject])
+        # Under x, x^, y and y^: y is index 1 and x index 3.
+        assert out.cod.cod.cod.cod.arg == IPair(IBVar(1), IBVar(3))
+
+    def test_non_function_subject_rejected(self, nat_sig):
+        s, a = _even_to_odd(nat_sig)
+        with pytest.raises(VerifyError):
+            meta_apply(trans_sort(nat_sig, [], s, a), [IConst("f")])
