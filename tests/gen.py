@@ -8,18 +8,27 @@ for the high-volume acceptance runs.
 
 from __future__ import annotations
 
+from lfr import lfi as L
 from lfr import parse_signature
 from lfr.syntax import (
     App,
     Arrow,
     Base,
+    CInter,
     Const,
+    CPi,
+    CSort,
+    CTop,
     FVar,
+    KPi,
+    KType,
     Lam,
+    SApp,
     SConst,
     SInter,
     SPi,
     STop,
+    TApp,
     TConst,
     TPi,
     close_at,
@@ -32,6 +41,9 @@ NAT_CONSTS = (
     ("z", NAT),
     ("s", Arrow(NAT, NAT)),
 )
+# NAT_CONSTS and h, which takes a function, so that a term built with it
+# puts its argument's variables under a binder.
+HO_CONSTS = NAT_CONSTS + (("h", Arrow(Arrow(NAT, NAT), NAT)),)
 
 
 def unroll(alpha):
@@ -185,3 +197,225 @@ def deep_text(d: int) -> str:
 def deep_signature(d: int):
     """deep_text(d), parsed."""
     return parse_signature(deep_text(d))
+
+
+def _fresh_var(ctx, stem: str = "b") -> str:
+    taken = {n for n, _ in ctx}
+    name = f"{stem}{len(ctx)}"
+    while name in taken:
+        name += "'"
+    return name
+
+
+# ---------------------------------------------------------------------------
+# Dependent classifiers: every binder's variable may occur further in.
+
+
+def _nat_arg(choose, ctx, depth: int):
+    return gen_eta_term(choose, ctx, NAT, choose(0, max(depth, 0)), HO_CONSTS)
+
+
+def _binder(choose, ctx, depth: int, classifier):
+    """(name, domain type, body) for a Pi binder over ctx; the domain is a
+    simple-type mirror or, sometimes, a dependent family type."""
+    name = _fresh_var(ctx)
+    if choose(0, 2) == 0:
+        dom, alpha = gen_type(choose, ctx, depth - 1), Base("p")
+    else:
+        alpha = gen_simple(choose, 1)
+        dom = simple_to_type(alpha)
+    body = classifier(choose, ctx + [(name, alpha)], depth - 1)
+    return name, dom, close_at(body, name)
+
+
+def gen_type(choose, ctx, depth: int):
+    """A normal type over ctx: Pi binders ending in `p N1 N2`, N1 and N2
+    at nat."""
+    if depth <= 0 or choose(0, 2) == 0:
+        return TApp(TApp(TConst("p"), _nat_arg(choose, ctx, depth)),
+                    _nat_arg(choose, ctx, depth))
+    return TPi(*_binder(choose, ctx, depth, gen_type))
+
+
+def gen_kind(choose, ctx, depth: int):
+    """A kind over ctx: Pi binders ending in `type`."""
+    if depth <= 0 or choose(0, 2) == 0:
+        return KType()
+    return KPi(*_binder(choose, ctx, depth, gen_kind))
+
+
+def gen_dep_sort(choose, ctx, depth: int):
+    """A sort over ctx: `q N`, top, intersections and function sorts."""
+    k = 0 if depth <= 0 else choose(0, 3)
+    if k == 0:
+        return SApp(SConst("q"), _nat_arg(choose, ctx, depth))
+    if k == 1:
+        return STop()
+    if k == 2:
+        return SInter(gen_dep_sort(choose, ctx, depth - 1),
+                      gen_dep_sort(choose, ctx, depth - 1))
+    name, dom, cod = _binder(choose, ctx, depth, gen_dep_sort)
+    return SPi(name, gen_dep_sort(choose, ctx, depth - 1), dom, cod)
+
+
+def gen_class(choose, ctx, depth: int):
+    """A class over ctx: `sort`, top, intersections and function classes."""
+    k = 0 if depth <= 0 else choose(0, 3)
+    if k == 0:
+        return CSort()
+    if k == 1:
+        return CTop()
+    if k == 2:
+        return CInter(gen_class(choose, ctx, depth - 1),
+                      gen_class(choose, ctx, depth - 1))
+    name, dom, body = _binder(choose, ctx, depth, gen_class)
+    return CPi(name, gen_dep_sort(choose, ctx, depth - 1), dom, body)
+
+
+# ---------------------------------------------------------------------------
+# The target calculus: terms at extended simple types, types and kinds.
+
+LFI_NAT = L.IBase("nat")
+# h takes a function, so a term built with it puts its argument's
+# variables under a binder.
+LFI_CONSTS = (("z", LFI_NAT), ("s", L.IArrow(LFI_NAT, LFI_NAT)),
+              ("h", L.IArrow(L.IArrow(LFI_NAT, LFI_NAT), LFI_NAT)))
+
+
+def gen_lfi_simple(choose, depth: int):
+    """An extended simple type over nat: arrows of both kinds, products,
+    unit."""
+    k = 0 if depth <= 0 else choose(0, 4)
+    if k == 0:
+        return LFI_NAT
+    if k == 4:
+        return L.IUnitS()
+    ctor = (L.IArrow, L.IIrrArrow, L.IProdS)[k - 1]
+    return ctor(gen_lfi_simple(choose, depth - 1),
+                gen_lfi_simple(choose, depth - 1))
+
+
+def gen_lfi_usable(choose, depth: int):
+    """gen_lfi_simple, made to end in nat where it would not: a variable
+    of this type can head an atomic term, and a term of it contains one."""
+    alpha = gen_lfi_simple(choose, depth)
+    return alpha if _eliminations(alpha, LFI_NAT) else L.IArrow(alpha, LFI_NAT)
+
+
+def lfi_simple_to_type(alpha):
+    """The dependency-free target type with erasure alpha."""
+    match alpha:
+        case L.IBase(n):
+            return L.ITConst(n)
+        case L.IArrow(d, c):
+            return L.ITPi("x", lfi_simple_to_type(d), lfi_simple_to_type(c))
+        case L.IIrrArrow(d, c):
+            return L.ITIrrPi("x", lfi_simple_to_type(d), lfi_simple_to_type(c))
+        case L.IProdS(l, r):
+            return L.ITProd(lfi_simple_to_type(l), lfi_simple_to_type(r))
+        case L.IUnitS():
+            return L.ITUnitT()
+    raise TypeError(alpha)
+
+
+def _eliminations(ty, target) -> list:
+    """Every spine (application, irrelevant application, projection
+    steps) that takes a head of type ty to the base type target."""
+    match ty:
+        case L.IBase():
+            return [[]] if ty == target else []
+        case L.IArrow(d, c):
+            return [[("app", d)] + p for p in _eliminations(c, target)]
+        case L.IIrrArrow(d, c):
+            return [[("irr", d)] + p for p in _eliminations(c, target)]
+        case L.IProdS(l, r):
+            return ([[("fst",)] + p for p in _eliminations(l, target)]
+                    + [[("snd",)] + p for p in _eliminations(r, target)])
+    return []
+
+
+def gen_lfi_term(choose, ctx, alpha, depth: int, consts=LFI_CONSTS):
+    """An eta-long, beta-normal target term of extended simple type alpha.
+
+    Functions are lambdas, products pairs, unit `<>`; at base type a head
+    from ctx or consts is eliminated down to alpha, so every occurrence
+    of a variable is fully applied and hereditary substitution into the
+    term is defined.
+    """
+    match alpha:
+        case L.IArrow(d, c) | L.IIrrArrow(d, c):
+            name = _fresh_var(ctx, "v")
+            body = gen_lfi_term(choose, ctx + [(name, d)], c, depth, consts)
+            return L.ILam(name, L.close_lfi(body, name))
+        case L.IProdS(l, r):
+            return L.IPair(gen_lfi_term(choose, ctx, l, depth, consts),
+                           gen_lfi_term(choose, ctx, r, depth, consts))
+        case L.IUnitS():
+            return L.IUnit()
+    pool = ([(L.IFVar(n), t) for n, t in ctx]
+            + [(L.IConst(n), t) for n, t in consts])
+    cands = [(h, p) for h, t in pool for p in _eliminations(t, alpha)]
+    if depth <= 0:
+        cands = [(h, p) for h, p in cands
+                 if all(step[0] in ("fst", "snd") for step in p)]
+    # Variables head two atoms in three where they can, so that bound and
+    # substituted variables occur often.
+    var_cands = [c for c in cands if isinstance(c[0], L.IFVar)]
+    if var_cands and choose(0, 2):
+        cands = var_cands
+    r, path = cands[choose(0, len(cands) - 1)]
+    for step in path:
+        match step:
+            case ("app", d):
+                r = L.IApp(r, gen_lfi_term(choose, ctx, d, depth - 1, consts))
+            case ("irr", d):
+                r = L.IIrrApp(r, gen_lfi_term(choose, ctx, d, depth - 1,
+                                              consts))
+            case ("fst",):
+                r = L.IFst(r)
+            case ("snd",):
+                r = L.ISnd(r)
+    return r
+
+
+def _lfi_binder(choose, ctx, depth: int, classifier):
+    name = _fresh_var(ctx)
+    if choose(0, 1) == 0:
+        dom = gen_lfi_type(choose, ctx, depth - 1)
+        alpha = L.lfi_erase_type(dom)
+    else:
+        alpha = gen_lfi_simple(choose, 1)
+        dom = lfi_simple_to_type(alpha)
+    body = classifier(choose, ctx + [(name, alpha)], depth - 1)
+    return name, dom, L.close_lfi(body, name)
+
+
+def gen_lfi_type(choose, ctx, depth: int):
+    """A target type over ctx: both Pi forms, products, unit, and
+    `p [[N1]] N2` with N1 and N2 at nat."""
+    k = 0 if depth <= 0 else choose(0, 4)
+    if k == 0:
+        proof = gen_lfi_term(choose, ctx, LFI_NAT, choose(0, max(depth, 0)))
+        index = gen_lfi_term(choose, ctx, LFI_NAT, choose(0, max(depth, 0)))
+        return L.ITApp(L.ITIrrApp(L.ITConst("p"), proof), index)
+    if k == 3:
+        return L.ITProd(gen_lfi_type(choose, ctx, depth - 1),
+                        gen_lfi_type(choose, ctx, depth - 1))
+    if k == 4:
+        return L.ITUnitT()
+    ctor = L.ITPi if k == 1 else L.ITIrrPi
+    return ctor(*_lfi_binder(choose, ctx, depth, gen_lfi_type))
+
+
+def gen_lfi_kind(choose, ctx, depth: int):
+    """A target kind over ctx: both Pi forms, products, unit and `type`."""
+    k = 0 if depth <= 0 else choose(0, 4)
+    if k == 0:
+        return L.IKType()
+    if k == 3:
+        return L.IKProd(gen_lfi_kind(choose, ctx, depth - 1),
+                        gen_lfi_kind(choose, ctx, depth - 1))
+    if k == 4:
+        return L.IKUnit()
+    ctor = L.IKPi if k == 1 else L.IKIrrPi
+    return ctor(*_lfi_binder(choose, ctx, depth, gen_lfi_kind))

@@ -225,3 +225,168 @@ def decl_check(sig, ctx, n, sort, depth: int) -> bool:
                 if declarative_subsort_oracle(query, min(depth, 5)):
                     return True
             return False
+
+
+# ---------------------------------------------------------------------------
+# Named substitution for the target calculus and for every classifier.
+#
+# Syntax of either calculus is converted to named trees: each binder gets
+# a name no input uses, and each bound index becomes its binder's name.
+# Substitution is the textbook capture-avoiding one, which renames a
+# binder that would capture a free variable of the replacement.
+# Normalisation then contracts, leftmost-outermost, a lambda under either
+# application and a projection of a pair.  Results are compared up to
+# alpha-equivalence with alpha_key.  No binding operation of the package
+# is used, so agreement with hereditary substitution is evidence.
+
+import dataclasses  # noqa: E402
+import itertools  # noqa: E402
+
+from lfr import lfi as L  # noqa: E402
+
+
+@dataclass(frozen=True)
+class NVar:
+    name: str
+
+
+@dataclass(frozen=True)
+class NNode:
+    """Any other node: its constructor and leaf data as a tag, its children."""
+
+    tag: str
+    kids: tuple
+
+
+@dataclass(frozen=True)
+class NBind:
+    """A binder: its tag, its name, the children outside its scope, its body."""
+
+    tag: str
+    name: str
+    doms: tuple
+    body: object
+
+
+_binder_names = itertools.count()
+_REDEX_HEADS = {"App": "Lam", "IApp": "ILam", "IIrrApp": "ILam"}
+
+
+def named(t, env: tuple = ()):
+    """The named tree of t; env names t's dangling indices, innermost last."""
+    if t is None:
+        return NNode("none", ())
+    if isinstance(t, (s.BVar, L.IBVar)):
+        if t.index >= len(env):
+            raise ValueError(f"dangling index {t.index}")
+        return NVar(env[-1 - t.index])
+    if isinstance(t, (s.FVar, L.IFVar)):
+        return NVar(t.name)
+    cls = type(t).__name__
+    fields = [getattr(t, f.name) for f in dataclasses.fields(t)]
+    if any(f.name == "hint" for f in dataclasses.fields(t)):
+        x = f"%{next(_binder_names)}"
+        return NBind(cls, x, tuple(named(d, env) for d in fields[1:-1]),
+                     named(fields[-1], env + (x,)))
+    leaves = [f for f in fields if isinstance(f, str)]
+    return NNode(":".join([cls] + leaves),
+                 tuple(named(f, env) for f in fields if not isinstance(f, str)))
+
+
+def nfree(m) -> set[str]:
+    match m:
+        case NVar(x):
+            return {x}
+        case NNode(_, kids):
+            return set().union(*(nfree(k) for k in kids))
+        case NBind(_, x, doms, body):
+            return set().union(*(nfree(d) for d in doms)) | (nfree(body) - {x})
+    raise TypeError(m)
+
+
+def nsubst(n, x: str, m):
+    """Capture-avoiding [n/x]m."""
+    match m:
+        case NVar(y):
+            return n if y == x else m
+        case NNode(tag, kids):
+            return NNode(tag, tuple(nsubst(n, x, k) for k in kids))
+        case NBind(tag, y, doms, body):
+            doms = tuple(nsubst(n, x, d) for d in doms)
+            if y == x:
+                return NBind(tag, y, doms, body)
+            if y in nfree(n):
+                z = f"%{next(_binder_names)}"
+                body, y = nsubst(NVar(z), y, body), z
+            return NBind(tag, y, doms, nsubst(n, x, body))
+    raise TypeError(m)
+
+
+def nstep(m):
+    """One leftmost-outermost reduction step; None at normal form."""
+    match m:
+        case NNode(tag, (NBind(lam, x, (), body), arg)) if _REDEX_HEADS.get(tag) == lam:
+            return nsubst(arg, x, body)
+        case NNode("IFst", (NNode("IPair", (left, _)),)):
+            return left
+        case NNode("ISnd", (NNode("IPair", (_, right)),)):
+            return right
+        case NNode(tag, kids):
+            for i, k in enumerate(kids):
+                k2 = nstep(k)
+                if k2 is not None:
+                    return NNode(tag, kids[:i] + (k2,) + kids[i + 1:])
+            return None
+        case NBind(tag, x, doms, body):
+            for i, d in enumerate(doms):
+                d2 = nstep(d)
+                if d2 is not None:
+                    return NBind(tag, x, doms[:i] + (d2,) + doms[i + 1:], body)
+            body2 = nstep(body)
+            return None if body2 is None else NBind(tag, x, doms, body2)
+    return None
+
+
+def nnormalize(m, budget: int = 10000):
+    for _ in range(budget):
+        nxt = nstep(m)
+        if nxt is None:
+            return m
+        m = nxt
+    raise RuntimeError("oracle normalization budget exhausted")
+
+
+def alpha_key(m, bound: tuple = ()):
+    """A nameless rendering of m: equal keys iff alpha-equivalent trees."""
+    match m:
+        case NVar(x):
+            if x in bound:
+                return ("bound", bound[::-1].index(x))
+            return ("free", x)
+        case NNode(tag, kids):
+            return (tag,) + tuple(alpha_key(k, bound) for k in kids)
+        case NBind(tag, x, doms, body):
+            return ((tag,) + tuple(alpha_key(d, bound) for d in doms)
+                    + (alpha_key(body, bound + (x,)),))
+    raise TypeError(m)
+
+
+def named_subst(n0, x0: str, t):
+    """The key of [n0/x0]t, normalised; t of either calculus."""
+    return alpha_key(nnormalize(nsubst(named(n0), x0, named(t))))
+
+
+def named_inst(body, arg):
+    """The key of body with its dangling index 0 set to arg, normalised."""
+    x = f"%{next(_binder_names)}"
+    return alpha_key(nnormalize(nsubst(named(arg), x, named(body, (x,)))))
+
+
+def occurs(name: str, t) -> bool:
+    """Whether the free variable name occurs in t."""
+    return name in nfree(named(t))
+
+
+def result_key(t):
+    """The key of a package result, for comparison with the two above."""
+    return alpha_key(named(t))

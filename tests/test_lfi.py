@@ -32,10 +32,12 @@ from lfr.lfi import (
     IKType,
     ILam,
     IPair,
+    IProdS,
     ISnd,
     ITApp,
     ITConst,
     ITIrrApp,
+    ITIrrPi,
     ITPi,
     ITProd,
     ITUnitT,
@@ -47,6 +49,17 @@ from lfr.lfi import (
     open_lfi,
     promote,
 )
+from lfr.subst import MetricExhausted, SubstFailure
+
+from gen import (
+    LFI_NAT,
+    gen_lfi_kind,
+    gen_lfi_term,
+    gen_lfi_type,
+    gen_lfi_usable,
+    lfi_simple_to_type,
+)
+from oracles import named_inst, named_subst, occurs, result_key
 
 EVEN_PRED = ITConst("even")
 EVEN_INTRO = IConst("even^/i")
@@ -128,6 +141,150 @@ class TestSubstitution:
         t = IApp(IFVar("f"), num(0))
         out = lfi_hsubst(f, "f", IArrow(IBase("nat"), IBase("nat")), t)
         assert lfi_equal(out, num(1))
+
+
+X0 = "x0"
+LFI_CTX = [("a", LFI_NAT), ("f", IArrow(LFI_NAT, LFI_NAT))]
+
+
+def _lfi_subject(choose, ctx, var: str):
+    """A term, a type or a kind over ctx, drawn again (up to four times)
+    until the variable var occurs in it."""
+    for _ in range(5):
+        which = choose(0, 2)
+        if which == 0:
+            t = gen_lfi_term(choose, ctx, gen_lfi_usable(choose, 2),
+                             choose(1, 3))
+        else:
+            gen = gen_lfi_type if which == 1 else gen_lfi_kind
+            t = gen(choose, ctx, choose(1, 3))
+        if occurs(var, t):
+            break
+    return t
+
+
+@st.composite
+def lfi_subst_instances(draw):
+    """(alpha0, n0 at alpha0 over a, t over x0 : alpha0, a and f)."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    alpha0 = gen_lfi_usable(choose, 2)
+    n0 = gen_lfi_term(choose, LFI_CTX[:1], alpha0, choose(0, 2))
+    return alpha0, n0, _lfi_subject(choose, [(X0, alpha0)] + LFI_CTX, X0)
+
+
+@st.composite
+def lfi_inst_instances(draw):
+    """(cod, arg, dom): a term, type or kind under one binder of type dom,
+    and an argument at dom's erasure."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    beta = gen_lfi_usable(choose, 2)
+    body = _lfi_subject(choose, LFI_CTX + [("y", beta)], "y")
+    arg = gen_lfi_term(choose, LFI_CTX, beta, choose(0, 2))
+    return close_lfi(body, "y"), arg, lfi_simple_to_type(beta)
+
+
+class TestNamedOracle:
+    """lfi_hsubst and instantiation against named substitution followed by
+    normalisation (tests/oracles.py); subjects have nested binders, and
+    substituting a function or a pair for an applied or projected
+    variable leaves redexes the substitution must contract."""
+
+    @given(lfi_subst_instances())
+    def test_hsubst_matches_named_substitution(self, inst):
+        alpha0, n0, t = inst
+        assert (result_key(lfi_hsubst(n0, X0, alpha0, t))
+                == named_subst(n0, X0, t))
+
+    @given(lfi_inst_instances())
+    def test_inst_matches_named_substitution(self, inst):
+        cod, arg, dom = inst
+        assert result_key(lfr.lfi._inst(cod, arg, dom)) == named_inst(cod, arg)
+
+
+# Values recorded from the named implementation, which opened every binder
+# it substituted under; index-based substitution must reproduce them.
+I_NAT = ITConst("nat")
+I_NN = IArrow(IBase("nat"), IBase("nat"))
+
+
+def _ip(*args):
+    t = ITConst("p")
+    for a in args:
+        t = ITApp(t, a)
+    return t
+
+
+class TestPinnedFailures:
+    @pytest.mark.parametrize("n0, x0, alpha0, t, reason, path", [
+        (num(0), "f", I_NN, _ip(IApp(IFVar("f"), num(0))),
+         "non-function applied", ("arg",)),
+        (IConst("c"), "q", IProdS(IBase("nat"), IBase("nat")),
+         _ip(IFst(IFVar("q"))),
+         "head-type mismatch", ("arg",)),
+        (ILam("x", IBVar(0)), "f", I_NN,
+         ITPi("y", I_NAT, _ip(IIrrApp(IFVar("f"), IBVar(0)))),
+         "head-type mismatch", ("cod", "arg")),
+        (num(0), "f", I_NN, ILam("y", IApp(IFVar("f"), IBVar(0))),
+         "non-function applied", ("body",)),
+        (ILam("g", IApp(IFst(IBVar(0)), num(0))), "f",
+         IArrow(IProdS(I_NN, IBase("nat")), IBase("nat")),
+         IApp(IFVar("f"), IPair(num(0), num(0))),
+         "non-function applied", ("beta",)),
+        (ILam("x", IBVar(0)), "f", I_NN,
+         IKIrrPi("y", _ip(IFVar("f")), IKType()),
+         "head-type mismatch", ("dom", "arg")),
+        (IPair(num(0), num(0)), "q", IProdS(IBase("nat"), IBase("nat")),
+         ITIrrPi("y", I_NAT,
+                 ITProd(ITUnitT(), _ip(IApp(ISnd(IFVar("q")), IBVar(0))))),
+         "non-function applied", ("cod", "right", "arg")),
+    ])
+    def test_reason_and_path(self, n0, x0, alpha0, t, reason, path):
+        with pytest.raises(SubstFailure) as info:
+            lfi_hsubst(n0, x0, alpha0, t)
+        assert (info.value.reason, info.value.path) == (reason, path)
+
+    def test_instantiation_failure(self):
+        with pytest.raises(SubstFailure) as info:
+            lfr.lfi._inst(_ip(IApp(IBVar(0), num(0))), num(0),
+                          ITPi("x", I_NAT, I_NAT))
+        assert (info.value.reason, info.value.path) == ("non-function applied",
+                                                        ("arg",))
+
+
+I_TWICE = ILam("g", IApp(IBVar(0), IApp(IBVar(0), num(0))))
+I_SPLIT = ILam("u", IPair(IApp(IConst("s"), IBVar(0)), IBVar(0)))
+# {y :: nat} {v : nat} p [[ f [w] s w ]] (f [w] y) (k v).2
+I_DEP_TYPE = ITIrrPi("y", I_NAT, ITPi("v", I_NAT, ITApp(ITApp(
+    ITIrrApp(ITConst("p"), IApp(IFVar("f"), ILam("w", IApp(IConst("s"),
+                                                           IBVar(0))))),
+    IApp(IFVar("f"), ILam("w", IBVar(2)))),
+    ISnd(IApp(IFVar("k"), IBVar(0))))))
+
+
+class TestPinnedFuel:
+    """The smallest LFR_FUEL at which a fixed call still succeeds."""
+
+    @pytest.mark.parametrize("call, fuel", [
+        (lambda: lfi_hsubst(I_TWICE, "f", IArrow(I_NN, IBase("nat")),
+                            I_DEP_TYPE), 51),
+        (lambda: lfi_hsubst(I_SPLIT, "k",
+                            IArrow(IBase("nat"),
+                                   IProdS(IBase("nat"), IBase("nat"))),
+                            I_DEP_TYPE), 29),
+        (lambda: lfr.lfi._inst(I_DEP_TYPE.cod, num(1), I_NAT), 21),
+    ], ids=["beta", "projection", "instantiation"])
+    def test_smallest_fuel(self, monkeypatch, call, fuel):
+        monkeypatch.setenv("LFR_FUEL", str(fuel))
+        call()
+        monkeypatch.setenv("LFR_FUEL", str(fuel - 1))
+        with pytest.raises(MetricExhausted):
+            call()
 
 
 class TestDeBruijn:

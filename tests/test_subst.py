@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lfr import lf
 from lfr.subst import (
     MetricExhausted,
     SubstFailure,
@@ -20,22 +21,49 @@ from lfr.syntax import (
     App,
     Arrow,
     Base,
+    BVar,
     Const,
+    CPi,
+    CSort,
     CtxEntry,
     FVar,
+    KPi,
+    KType,
     Lam,
+    SApp,
     SConst,
     SPi,
+    STop,
+    TApp,
     TConst,
     TPi,
     alpha_eq,
+    close_at,
     free_vars,
     head,
     term_spine,
 )
 
-from gen import NAT, gen_eta_term, gen_simple, simple_to_type, unroll
-from oracles import from_syntax, oracle_subst
+from gen import (
+    HO_CONSTS,
+    NAT,
+    gen_class,
+    gen_dep_sort,
+    gen_eta_term,
+    gen_kind,
+    gen_simple,
+    gen_type,
+    simple_to_type,
+    unroll,
+)
+from oracles import (
+    from_syntax,
+    named_inst,
+    named_subst,
+    occurs,
+    oracle_subst,
+    result_key,
+)
 
 X0 = "x0"
 
@@ -78,6 +106,67 @@ class TestOracleAgreement:
                          gen_simple(rng.randint, 2), rng.randint(0, 3))
         assert X0 not in free_vars(n)
         assert alpha_eq(hsubst_n(n0, X0, alpha0, n), n)
+
+
+CLASSIFIER_CTX = [("a", NAT), ("f", Arrow(NAT, NAT))]
+CLASSIFIERS = (gen_type, gen_kind, gen_dep_sort, gen_class)
+
+
+def _classifier(choose, ctx, var: str):
+    """A type, kind, sort or class over ctx, drawn again (up to four
+    times) until the variable var occurs in it."""
+    for _ in range(5):
+        gen = CLASSIFIERS[choose(0, len(CLASSIFIERS) - 1)]
+        t = gen(choose, ctx, choose(1, 3))
+        if occurs(var, t):
+            break
+    return t
+
+
+@st.composite
+def classifier_instances(draw):
+    """(alpha0, n0 at alpha0 over a, a classifier over x0 : alpha0, a and
+    f whose Pi binders' variables occur inside)."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    alpha0 = gen_simple(choose, 2)
+    n0 = gen_eta_term(choose, CLASSIFIER_CTX[:1], alpha0, choose(0, 2),
+                      HO_CONSTS)
+    return alpha0, n0, _classifier(choose, [(X0, alpha0)] + CLASSIFIER_CTX,
+                                   X0)
+
+
+@st.composite
+def instantiation_instances(draw):
+    """(body, arg, dom): a classifier under one binder of type dom, and an
+    argument at dom."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    beta = gen_simple(choose, 2)
+    body = _classifier(choose, CLASSIFIER_CTX + [("y", beta)], "y")
+    arg = gen_eta_term(choose, CLASSIFIER_CTX, beta, choose(0, 2), HO_CONSTS)
+    return close_at(body, "y"), arg, simple_to_type(beta)
+
+
+class TestClassifierOracle:
+    """Substitution into classifiers against named substitution followed by
+    normalisation (tests/oracles.py)."""
+
+    @given(classifier_instances())
+    def test_hsubst_syntax_matches_named_substitution(self, inst):
+        alpha0, n0, t = inst
+        assert (result_key(hsubst_syntax(n0, X0, alpha0, t))
+                == named_subst(n0, X0, t))
+
+    @given(instantiation_instances())
+    def test_instantiation_matches_named_substitution(self, inst):
+        body, arg, dom = inst
+        out = lf._inst(body, arg, dom, "a codomain")
+        assert result_key(out) == named_inst(body, arg)
 
 
 @st.composite
@@ -267,3 +356,75 @@ class TestSyntaxSubstitution:
         inner = SPi("y", SConst("even"), TConst("nat"), SConst("odd"))
         out = hsubst_syntax(FVar("y"), "X", TConst("nat"), inner)
         assert alpha_eq(out, inner)
+
+
+# Values recorded from the named implementation, which opened every binder
+# it substituted under; index-based substitution must reproduce them.
+N_T = TConst("nat")
+NN_T = TPi("x", N_T, N_T)
+Z = Const("z")
+
+
+def _p(*args):
+    t = TConst("p")
+    for a in args:
+        t = TApp(t, a)
+    return t
+
+
+class TestPinnedFailures:
+    @pytest.mark.parametrize("n0, x0, alpha0, t, reason, path", [
+        (Z, "f", NN_T, _p(App(FVar("f"), Z)),
+         "non-function applied", ("arg",)),
+        (Z, "f", NN_T, TPi("y", N_T, _p(App(FVar("f"), BVar(0)))),
+         "non-function applied", ("cod", "arg")),
+        (Lam("x", BVar(0)), "f", NN_T, _p(FVar("f")),
+         "head-type mismatch", ("arg",)),
+        (Lam("x", BVar(0)), "f", NN_T,
+         SPi("y", SApp(SConst("q"), FVar("f")), N_T, STop()),
+         "head-type mismatch", ("dom", "arg")),
+        (Lam("g", App(BVar(0), Z)), "f", TPi("g", NN_T, N_T),
+         KPi("y", _p(App(FVar("f"), Z)), KType()),
+         "non-function applied", ("dom", "arg", "beta")),
+        (Z, "f", NN_T, Lam("y", App(FVar("f"), BVar(0))),
+         "non-function applied", ("body",)),
+        (Lam("x", BVar(0)), "f", NN_T,
+         CPi("y", STop(), N_T,
+             CPi("w", SApp(SConst("q"), App(App(FVar("f"), BVar(0)), Z)),
+                 N_T, CSort())),
+         "non-function applied", ("cod", "dom", "arg")),
+    ])
+    def test_reason_and_path(self, n0, x0, alpha0, t, reason, path):
+        with pytest.raises(SubstFailure) as info:
+            hsubst_syntax(n0, x0, alpha0, t)
+        assert (info.value.reason, info.value.path) == (reason, path)
+
+    def test_instantiation_failure_message(self):
+        from lfr.lf import LfError
+
+        with pytest.raises(LfError) as info:
+            lf._inst(_p(App(BVar(0), Z)), Z, NN_T, "a function codomain")
+        assert info.value.message == ("substitution into a function codomain "
+                                      "failed: non-function applied at arg")
+
+
+TWICE = Lam("g", App(BVar(0), App(BVar(0), Z)))
+# {y : nat} p (f [w] s w) (f [w] y)
+DEP_TYPE = TPi("y", N_T, _p(App(FVar("f"), Lam("w", App(Const("s"), BVar(0)))),
+                            App(FVar("f"), Lam("w", BVar(1)))))
+
+
+class TestPinnedFuel:
+    """The smallest LFR_FUEL at which a fixed call still succeeds."""
+
+    @pytest.mark.parametrize("call, fuel", [
+        (lambda: hsubst_syntax(TWICE, "f", TPi("g", NN_T, N_T), DEP_TYPE), 45),
+        (lambda: lf._inst(DEP_TYPE.cod, App(Const("s"), Z), N_T, "a codomain"),
+         15),
+    ], ids=["hsubst_syntax", "instantiation"])
+    def test_smallest_fuel(self, monkeypatch, call, fuel):
+        monkeypatch.setenv("LFR_FUEL", str(fuel))
+        call()
+        monkeypatch.setenv("LFR_FUEL", str(fuel - 1))
+        with pytest.raises(MetricExhausted):
+            call()
