@@ -8,6 +8,8 @@ for the high-volume acceptance runs.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from lfr import lfi as L
 from lfr import parse_signature
 from lfr.syntax import (
@@ -32,6 +34,7 @@ from lfr.syntax import (
     TConst,
     TPi,
     close_at,
+    open_at,
 )
 
 NAT = Base("nat")
@@ -108,6 +111,20 @@ def gen_eta_term(choose, ctx, alpha, depth: int, consts=NAT_CONSTS):
     n = r
     for b in reversed(binders):
         n = Lam(b, close_at(n, b))
+    return n
+
+
+def bury(n):
+    """`[x..] h ([w] M)` for the eta-long `[x..] M`: a term of the same
+    type whose variables x.. occur under one more binder, so a
+    substitution into them must shift what it puts there."""
+    names = []
+    while isinstance(n, Lam):
+        names.append(f"u{len(names)}")
+        n = open_at(n.body, FVar(names[-1]))
+    n = App(Const("h"), Lam("w", n))
+    for x in reversed(names):
+        n = Lam(x, close_at(n, x))
     return n
 
 
@@ -194,6 +211,22 @@ def deep_text(d: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def binders_text(m: int) -> str:
+    """tests/golden/cbv.lfr plus a rule whose m premises chain
+    `eval A Ei E(i+1)` under m + 2 dependent binders: the benchmark's
+    `binders` workload, with fixed names and the rule placed last."""
+    es = [f"E{i}" for i in range(m + 1)]
+    premises = "".join(f"\n    <- eval A {es[i]} {es[i + 1]}"
+                       for i in range(m))
+    goal = f"\n    eval A {es[0]} {es[m]}{premises}."
+    typ = ("ev-chain : {A : tp} " + " ".join(f"{{{e} : exp A}}" for e in es)
+           + goal)
+    ref = (f"ev-chain :: {{A :: #}} {{{es[0]} :: cmp A}} "
+           + " ".join(f"{{{e} :: val A}}" for e in es[1:]) + goal)
+    cbv = (Path(__file__).parent / "golden" / "cbv.lfr").read_text()
+    return f"{cbv}\n{typ}\n{ref}\n"
+
+
 def deep_signature(d: int):
     """deep_text(d), parsed."""
     return parse_signature(deep_text(d))
@@ -219,10 +252,10 @@ def _binder(choose, ctx, depth: int, classifier):
     """(name, domain type, body) for a Pi binder over ctx; the domain is a
     simple-type mirror or, sometimes, a dependent family type."""
     name = _fresh_var(ctx)
-    if choose(0, 2) == 0:
+    if choose(0, 3) == 0:
         dom, alpha = gen_type(choose, ctx, depth - 1), Base("p")
     else:
-        alpha = gen_simple(choose, 1)
+        alpha = NAT if choose(0, 1) else gen_simple(choose, 1)
         dom = simple_to_type(alpha)
     body = classifier(choose, ctx + [(name, alpha)], depth - 1)
     return name, dom, close_at(body, name)

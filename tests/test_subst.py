@@ -47,6 +47,7 @@ from lfr.syntax import (
 from gen import (
     HO_CONSTS,
     NAT,
+    bury,
     gen_class,
     gen_dep_sort,
     gen_eta_term,
@@ -108,6 +109,18 @@ class TestOracleAgreement:
         assert alpha_eq(hsubst_n(n0, X0, alpha0, n), n)
 
 
+N_T = TConst("nat")
+NN_T = TPi("x", N_T, N_T)
+Z = Const("z")
+
+
+def _p(*args):
+    t = TConst("p")
+    for a in args:
+        t = TApp(t, a)
+    return t
+
+
 CLASSIFIER_CTX = [("a", NAT), ("f", Arrow(NAT, NAT))]
 CLASSIFIERS = (gen_type, gen_kind, gen_dep_sort, gen_class)
 
@@ -126,7 +139,8 @@ def _classifier(choose, ctx, var: str):
 @st.composite
 def classifier_instances(draw):
     """(alpha0, n0 at alpha0 over a, a classifier over x0 : alpha0, a and
-    f whose Pi binders' variables occur inside)."""
+    f whose Pi binders' variables occur inside).  Three times in four, n0
+    puts its arguments under a binder of its own."""
 
     def choose(lo, hi):
         return draw(st.integers(lo, hi))
@@ -134,6 +148,8 @@ def classifier_instances(draw):
     alpha0 = gen_simple(choose, 2)
     n0 = gen_eta_term(choose, CLASSIFIER_CTX[:1], alpha0, choose(0, 2),
                       HO_CONSTS)
+    if choose(0, 3):
+        n0 = bury(n0)
     return alpha0, n0, _classifier(choose, [(X0, alpha0)] + CLASSIFIER_CTX,
                                    X0)
 
@@ -152,6 +168,34 @@ def instantiation_instances(draw):
     return close_at(body, "y"), arg, simple_to_type(beta)
 
 
+@st.composite
+def crossing_instances(draw):
+    """(n0, t): n0 = [u] [u'] h ([w] M) at nat -> nat -> nat, and t a type
+    binding y and v whose arguments apply x0 to terms over them, so that
+    substituting n0 moves those terms under w."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    inner = [("a", NAT), ("u", NAT), ("u'", NAT), ("w", NAT)]
+    body = Lam("w", close_at(gen_eta_term(choose, inner, NAT, choose(0, 2),
+                                          HO_CONSTS), "w"))
+    n0 = Lam("u", close_at(Lam("u'", close_at(App(Const("h"), body), "u'")),
+                           "u"))
+    ctx = [(X0, X0_TYPE), ("a", NAT), ("y", NAT), ("v", NAT)]
+
+    def arg():
+        return gen_eta_term(choose, ctx, NAT, choose(0, 2))
+
+    index = _p(App(App(FVar(X0), arg()), arg()),
+               App(App(FVar(X0), arg()), arg()))
+    t = TPi("y", N_T, close_at(TPi("v", N_T, close_at(index, "v")), "y"))
+    return n0, t
+
+
+X0_TYPE = Arrow(NAT, Arrow(NAT, NAT))
+
+
 class TestClassifierOracle:
     """Substitution into classifiers against named substitution followed by
     normalisation (tests/oracles.py)."""
@@ -160,6 +204,12 @@ class TestClassifierOracle:
     def test_hsubst_syntax_matches_named_substitution(self, inst):
         alpha0, n0, t = inst
         assert (result_key(hsubst_syntax(n0, X0, alpha0, t))
+                == named_subst(n0, X0, t))
+
+    @given(crossing_instances())
+    def test_substitution_moves_arguments_under_binders(self, inst):
+        n0, t = inst
+        assert (result_key(hsubst_syntax(n0, X0, X0_TYPE, t))
                 == named_subst(n0, X0, t))
 
     @given(instantiation_instances())
@@ -360,16 +410,6 @@ class TestSyntaxSubstitution:
 
 # Values recorded from the named implementation, which opened every binder
 # it substituted under; index-based substitution must reproduce them.
-N_T = TConst("nat")
-NN_T = TPi("x", N_T, N_T)
-Z = Const("z")
-
-
-def _p(*args):
-    t = TConst("p")
-    for a in args:
-        t = TApp(t, a)
-    return t
 
 
 class TestPinnedFailures:
