@@ -8,6 +8,11 @@ program are CheckError, and failures of generated output are VerifyError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Union
+
+# A message, or a function of no arguments that builds it when it is first
+# read, so that a failure a caller catches and drops costs no printing.
+Message = Union[str, Callable[[], str]]
 
 
 @dataclass(frozen=True)
@@ -29,10 +34,19 @@ class LfrError(Exception):
 
     severity = "error"
 
-    def __init__(self, message: str, span: SourceSpan | None = None):
-        super().__init__(message)
-        self.message = message
+    def __init__(self, message: Message, span: SourceSpan | None = None):
+        super().__init__()
+        self._message = message
         self.span = span
+
+    @property
+    def message(self) -> str:
+        if not isinstance(self._message, str):
+            self._message = self._message()
+        return self._message
+
+    def __str__(self) -> str:
+        return self.message
 
     def format(self) -> str:
         if self.span is not None:

@@ -81,9 +81,9 @@ def _ctx_lookup(ctx: list[tuple[str, object]], name: str):
 
 
 def _inst(body, arg, dom, what: str):
-    x = fresh_name("x", free_vars(body) | free_vars(arg))
+    """body, under one binder of type dom, with that binder set to arg."""
     try:
-        return hsubst_syntax(arg, x, dom, open_at(body, FVar(x)))
+        return hsubst_syntax(arg, 0, dom, body)
     except MetricExhausted:
         raise
     except SubstFailure as e:

@@ -4,6 +4,12 @@ Terms, types, and kinds mirror the source AST but add an irrelevant
 function space, pairs, and unit at both the type and the kind level.
 Definitional equality ignores the arguments of irrelevant applications;
 that single rule is what makes translated refinement proofs coherent.
+
+Hereditary substitution replaces a free name or a bound index and never
+opens a binder: it counts the binders it passes.  Instantiating a Pi
+type's codomain, and contracting a redex the substitution creates, are
+substitutions for index 0.  This module keeps its own substitution, so
+the certificates are checked by code the source checker does not share.
 """
 
 from __future__ import annotations
@@ -495,82 +501,101 @@ def lfi_equal(x: LfiSyntax, y: LfiSyntax, respect_irrelevance: bool = True) -> b
 
 # ---------------------------------------------------------------------------
 # Hereditary substitution, extended with pairs and irrelevant application
+#
+# The variable replaced is a free name (x0 a str) or a bound index (x0 an
+# int; instantiation replaces index 0).  Substitution descends binders
+# without opening them: k counts the binders passed, so the variable is
+# IFVar(x0) or IBVar(x0 + k) there, the replacement is n0 shifted by k,
+# and, when x0 is an index, the indices above x0 + k drop by one because
+# its binder is gone.  A beta step substitutes for the lambda's index 0.
 
 
-def lfi_hsubst(n0: LfiTerm, x0: str, alpha0: Union[LfiType, LfiSimple],
-               t: LfiSyntax) -> LfiSyntax:
+def lfi_hsubst(n0: LfiTerm, x0: Union[str, int],
+               alpha0: Union[LfiType, LfiSimple], t: LfiSyntax) -> LfiSyntax:
+    """[n0/x0]t, at the erased type of alpha0.
+
+    For a name, n0 is read where t is; for an index, where t's binder x0
+    has been removed.
+    """
     a0 = lfi_erase_type(alpha0)
     fuel = _Fuel()
-    return _l_syn(n0, x0, a0, t, fuel, ())
+    return _l_syn(n0, x0, a0, t, 0, fuel, ())
 
 
-def _l_n(n0, x0, a0, n, fuel, path) -> LfiTerm:
+def _hit(r, x0, k: int) -> bool:
+    """Whether r is the variable substituted for, k binders down."""
+    if isinstance(x0, str):
+        return isinstance(r, IFVar) and r.name == x0
+    return isinstance(r, IBVar) and r.index == x0 + k
+
+
+def _l_n(n0, x0, a0, n, k, fuel, path) -> LfiTerm:
     fuel.tick(path)
     match n:
         case ILam(h, b):
-            x = fresh_name(h, lfi_free_vars(b) | lfi_free_vars(n0) | {x0})
-            body = _l_n(n0, x0, a0, open_lfi(b, IFVar(x)), fuel, path + ("body",))
-            return ILam(h, close_lfi(body, x))
+            return ILam(h, _l_n(n0, x0, a0, b, k + 1, fuel, path + ("body",)))
         case IPair(l, r):
-            return IPair(_l_n(n0, x0, a0, l, fuel, path + ("left",)),
-                         _l_n(n0, x0, a0, r, fuel, path + ("right",)))
+            return IPair(_l_n(n0, x0, a0, l, k, fuel, path + ("left",)),
+                         _l_n(n0, x0, a0, r, k, fuel, path + ("right",)))
         case IUnit():
             return n
         case _:
-            if lfi_head(n) == IFVar(x0):
-                term, ty = _l_rn(n0, x0, a0, n, fuel, path)
+            if _hit(lfi_head(n), x0, k):
+                term, ty = _l_rn(n0, x0, a0, n, k, fuel, path)
                 if is_lfi_atomic(term) and isinstance(ty, IBase):
                     return term
                 raise SubstFailure("head-type mismatch", path)
-            return _l_rr(n0, x0, a0, n, fuel, path)
+            return _l_rr(n0, x0, a0, n, k, fuel, path)
 
 
-def _l_rr(n0, x0, a0, r, fuel, path) -> LfiAtomic:
+def _l_rr(n0, x0, a0, r, k, fuel, path) -> LfiAtomic:
     fuel.tick(path)
     match r:
+        case IBVar(i) if not isinstance(x0, str) and i > x0 + k:
+            return IBVar(i - 1)
         case IConst() | IFVar() | IBVar():
             return r
         case IApp(f, a):
-            return IApp(_l_rr(n0, x0, a0, f, fuel, path + ("fn",)),
-                        _l_n(n0, x0, a0, a, fuel, path + ("arg",)))
+            return IApp(_l_rr(n0, x0, a0, f, k, fuel, path + ("fn",)),
+                        _l_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
         case IIrrApp(f, a):
-            return IIrrApp(_l_rr(n0, x0, a0, f, fuel, path + ("fn",)),
-                           _l_n(n0, x0, a0, a, fuel, path + ("arg",)))
+            return IIrrApp(_l_rr(n0, x0, a0, f, k, fuel, path + ("fn",)),
+                           _l_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
         case IFst(b):
-            return IFst(_l_rr(n0, x0, a0, b, fuel, path + ("base",)))
+            return IFst(_l_rr(n0, x0, a0, b, k, fuel, path + ("base",)))
         case ISnd(b):
-            return ISnd(_l_rr(n0, x0, a0, b, fuel, path + ("base",)))
+            return ISnd(_l_rr(n0, x0, a0, b, k, fuel, path + ("base",)))
     raise TypeError(f"lfi_hsubst: not atomic: {r!r}")
 
 
-def _l_rn(n0, x0, a0, r, fuel, path) -> tuple[LfiTerm, LfiSimple]:
+def _l_rn(n0, x0, a0, r, k, fuel, path) -> tuple[LfiTerm, LfiSimple]:
     fuel.tick(path)
+    if _hit(r, x0, k):
+        return _shift_lfi(n0, k), a0
     match r:
-        case IFVar(name) if name == x0:
-            return n0, a0
         case IApp(f, a):
-            fn, fty = _l_rn(n0, x0, a0, f, fuel, path + ("fn",))
-            arg = _l_n(n0, x0, a0, a, fuel, path + ("arg",))
+            fn, fty = _l_rn(n0, x0, a0, f, k, fuel, path + ("fn",))
+            arg = _l_n(n0, x0, a0, a, k, fuel, path + ("arg",))
             if not isinstance(fn, ILam):
                 raise SubstFailure("non-function applied", path)
             if not isinstance(fty, IArrow):
                 raise SubstFailure("head-type mismatch", path)
-            return _l_beta(fn, arg, fty.dom, fty.cod, x0, fuel, path)
+            return _l_beta(fn, arg, fty.dom, fty.cod, fuel, path)
         case IIrrApp(f, a):
-            fn, fty = _l_rn(n0, x0, a0, f, fuel, path + ("fn",))
-            arg = _l_n(n0, x0, a0, a, fuel, path + ("arg",))
+            fn, fty = _l_rn(n0, x0, a0, f, k, fuel, path + ("fn",))
+            arg = _l_n(n0, x0, a0, a, k, fuel, path + ("arg",))
             if not isinstance(fn, ILam):
                 raise SubstFailure("non-function applied", path)
             if not isinstance(fty, IIrrArrow):
                 raise SubstFailure("head-type mismatch", path)
-            return _l_beta(fn, arg, fty.dom, fty.cod, x0, fuel, path)
+            return _l_beta(fn, arg, fty.dom, fty.cod, fuel, path)
         case IFst(b):
-            bn, bt = _l_rn(n0, x0, a0, b, fuel, path + ("base",))
+            bn, bt = _l_rn(n0, x0, a0, b, k, fuel, path + ("base",))
             if not isinstance(bn, IPair) or not isinstance(bt, IProdS):
                 raise SubstFailure("head-type mismatch", path)
             return bn.left, bt.left
         case ISnd(b):
-            bn, bt = _l_rn(n0, x0, a0, b, fuel, path + ("base",))
+            bn, bt = _l_rn(n0, x0, a0, b, k, fuel, path + ("base",))
             if not isinstance(bn, IPair) or not isinstance(bt, IProdS):
                 raise SubstFailure("head-type mismatch", path)
             return bn.right, bt.right
@@ -578,53 +603,42 @@ def _l_rn(n0, x0, a0, r, fuel, path) -> tuple[LfiTerm, LfiSimple]:
 
 
 def _l_beta(fn: ILam, arg: LfiTerm, dom: LfiSimple, cod: LfiSimple,
-            x0: str, fuel, path) -> tuple[LfiTerm, LfiSimple]:
-    y = fresh_name(fn.hint, lfi_free_vars(fn.body) | lfi_free_vars(arg) | {x0})
-    body = open_lfi(fn.body, IFVar(y))
-    return _l_n(arg, y, dom, body, fuel, path + ("beta",)), cod
+            fuel, path) -> tuple[LfiTerm, LfiSimple]:
+    return _l_n(arg, 0, dom, fn.body, 0, fuel, path + ("beta",)), cod
 
 
-def _l_syn(n0, x0, a0, t, fuel, path):
+def _l_syn(n0, x0, a0, t, k, fuel, path):
     match t:
         case (IConst() | IFVar() | IBVar() | IApp() | IIrrApp() | IFst() | ISnd()
               | ILam() | IPair() | IUnit()):
-            return _l_n(n0, x0, a0, t, fuel, path)
+            return _l_n(n0, x0, a0, t, k, fuel, path)
         case ITConst() | ITUnitT() | IKType() | IKUnit():
             return t
         case ITApp(f, a):
-            return ITApp(_l_syn(n0, x0, a0, f, fuel, path + ("fn",)),
-                         _l_n(n0, x0, a0, a, fuel, path + ("arg",)))
+            return ITApp(_l_syn(n0, x0, a0, f, k, fuel, path + ("fn",)),
+                         _l_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
         case ITIrrApp(f, a):
-            return ITIrrApp(_l_syn(n0, x0, a0, f, fuel, path + ("fn",)),
-                            _l_n(n0, x0, a0, a, fuel, path + ("arg",)))
+            return ITIrrApp(_l_syn(n0, x0, a0, f, k, fuel, path + ("fn",)),
+                            _l_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
         case ITPi(h, d, c):
-            d2 = _l_syn(n0, x0, a0, d, fuel, path + ("dom",))
-            x, c2 = _l_syn_under(n0, x0, a0, h, c, fuel, path)
-            return ITPi(h, d2, close_lfi(c2, x))
+            return ITPi(h, _l_syn(n0, x0, a0, d, k, fuel, path + ("dom",)),
+                        _l_syn(n0, x0, a0, c, k + 1, fuel, path + ("cod",)))
         case ITIrrPi(h, d, c):
-            d2 = _l_syn(n0, x0, a0, d, fuel, path + ("dom",))
-            x, c2 = _l_syn_under(n0, x0, a0, h, c, fuel, path)
-            return ITIrrPi(h, d2, close_lfi(c2, x))
+            return ITIrrPi(h, _l_syn(n0, x0, a0, d, k, fuel, path + ("dom",)),
+                           _l_syn(n0, x0, a0, c, k + 1, fuel, path + ("cod",)))
         case ITProd(l, r):
-            return ITProd(_l_syn(n0, x0, a0, l, fuel, path + ("left",)),
-                          _l_syn(n0, x0, a0, r, fuel, path + ("right",)))
+            return ITProd(_l_syn(n0, x0, a0, l, k, fuel, path + ("left",)),
+                          _l_syn(n0, x0, a0, r, k, fuel, path + ("right",)))
         case IKPi(h, d, c):
-            d2 = _l_syn(n0, x0, a0, d, fuel, path + ("dom",))
-            x, c2 = _l_syn_under(n0, x0, a0, h, c, fuel, path)
-            return IKPi(h, d2, close_lfi(c2, x))
+            return IKPi(h, _l_syn(n0, x0, a0, d, k, fuel, path + ("dom",)),
+                        _l_syn(n0, x0, a0, c, k + 1, fuel, path + ("cod",)))
         case IKIrrPi(h, d, c):
-            d2 = _l_syn(n0, x0, a0, d, fuel, path + ("dom",))
-            x, c2 = _l_syn_under(n0, x0, a0, h, c, fuel, path)
-            return IKIrrPi(h, d2, close_lfi(c2, x))
+            return IKIrrPi(h, _l_syn(n0, x0, a0, d, k, fuel, path + ("dom",)),
+                           _l_syn(n0, x0, a0, c, k + 1, fuel, path + ("cod",)))
         case IKProd(l, r):
-            return IKProd(_l_syn(n0, x0, a0, l, fuel, path + ("left",)),
-                          _l_syn(n0, x0, a0, r, fuel, path + ("right",)))
+            return IKProd(_l_syn(n0, x0, a0, l, k, fuel, path + ("left",)),
+                          _l_syn(n0, x0, a0, r, k, fuel, path + ("right",)))
     raise TypeError(f"lfi_hsubst: unexpected node {t!r}")
-
-
-def _l_syn_under(n0, x0, a0, hint, body, fuel, path):
-    x = fresh_name(hint, lfi_free_vars(body) | lfi_free_vars(n0) | {x0})
-    return x, _l_syn(n0, x0, a0, open_lfi(body, IFVar(x)), fuel, path + ("cod",))
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +662,7 @@ def _fmt_term(t: LfiTerm) -> str:
 def _inst(cod: Union[LfiType, LfiKind], arg: LfiTerm, dom: LfiType
           ) -> Union[LfiType, LfiKind]:
     """A Pi type's or kind's codomain with its bound variable set to arg."""
-    x = fresh_name("x", lfi_free_vars(cod) | lfi_free_vars(arg))
-    return lfi_hsubst(arg, x, dom, open_lfi(cod, IFVar(x)))
+    return lfi_hsubst(arg, 0, dom, cod)
 
 
 def lfi_synth(sig: LfiSignature, ctx: LfiContext, r: LfiAtomic) -> LfiType:

@@ -30,10 +30,9 @@ and the result shared; see _shared_synth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .diagnostics import CheckError, SourceSpan
+from .diagnostics import CheckError, Message, SourceSpan
 from .lf import LfError, lf_check_kind, lf_check_term, lf_check_type
 from .subst import MetricExhausted, SubstFailure, hsubst_syntax
 from .syntax import (
@@ -80,26 +79,42 @@ _KINDS = ("no-refinement-declared", "subsort-failure", "annotation-mismatch",
           "empty-synthesis")
 
 
-@dataclass
 class SortDiagnostic:
-    kind: str
-    message: str
-    span: Optional[SourceSpan] = field(default=None)
+    """A sort-checking failure: its kind, its message and its span.
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise TypeError(f"unknown sort diagnostic kind {self.kind!r}")
+    The message may be given as a function that builds it (see
+    diagnostics.Message): the checker rejects an argument in every
+    function component that does not take it, and most such rejections
+    are caught and dropped.
+    """
+
+    def __init__(self, kind: str, message: Message,
+                 span: Optional[SourceSpan] = None):
+        if kind not in _KINDS:
+            raise TypeError(f"unknown sort diagnostic kind {kind!r}")
+        self.kind = kind
+        self._message = message
+        self.span = span
+
+    @property
+    def message(self) -> str:
+        if not isinstance(self._message, str):
+            self._message = self._message()
+        return self._message
+
+    def __repr__(self) -> str:
+        return f"SortDiagnostic({self.kind!r}, {self.message!r}, {self.span!r})"
 
 
 class SortError(CheckError):
     """Sort checking failure carrying a structured diagnostic."""
 
     def __init__(self, diag: SortDiagnostic):
-        super().__init__(diag.message, diag.span)
+        super().__init__(lambda: diag.message, diag.span)
         self.diag = diag
 
 
-def _sfail(kind: str, message: str):
+def _sfail(kind: str, message: Message):
     raise SortError(SortDiagnostic(kind, message))
 
 
@@ -309,9 +324,7 @@ def _apply_delta(sig, closure, ctx, d, arg, trace) -> list:
         try:
             d_arg = _acheck(sig, closure, ctx, arg, entry.dom_sort, trace,
                             synth)
-            x = fresh_name(entry.hint, free_vars(entry.cod) | free_vars(arg))
-            cod = hsubst_syntax(arg, x, entry.dom_type,
-                                open_at(entry.cod, FVar(x)))
+            cod = hsubst_syntax(arg, 0, entry.dom_type, entry.cod)
         except MetricExhausted:
             raise
         except (SortError, SubstFailure):
@@ -349,8 +362,8 @@ def _acheck(sig, closure, ctx, n, s, trace, synth=None) -> tuple:
         case SPi(h, ds, dt, cod):
             if not isinstance(n, Lam):
                 _sfail("annotation-mismatch",
-                       f"term {_pp_term(n)} is not a function but was checked "
-                       f"against function sort {_pp_sort(s)}")
+                       lambda: f"term {_pp_term(n)} is not a function but was "
+                               f"checked against function sort {_pp_sort(s)}")
             if dt is None:
                 raise TypeError("acheck: sort was not elaborated")
             avoid = ({e.name for e in ctx} | free_vars(n.body)
@@ -367,12 +380,13 @@ def _acheck(sig, closure, ctx, n, s, trace, synth=None) -> tuple:
                 raise TypeError(f"acheck: not a sort: {s!r}")
             if isinstance(n, Lam):
                 _sfail("annotation-mismatch",
-                       f"function term checked against atomic sort {_pp_sort(s)}")
+                       lambda: f"function term checked against atomic sort "
+                               f"{_pp_sort(s)}")
             d = (synth() if synth is not None
                  else _asynth(sig, closure, ctx, n, trace))
             if not d:
                 _sfail("empty-synthesis",
-                       f"term {_pp_term(n)} synthesizes no sorts")
+                       lambda: f"term {_pp_term(n)} synthesizes no sorts")
             matched = None
             for q, d_q in d:
                 if isinstance(q, SPi):
@@ -383,10 +397,11 @@ def _acheck(sig, closure, ctx, n, s, trace, synth=None) -> tuple:
                     matched = ("sub", ctx, q, s, n, d_q)
                     break
             if matched is None:
-                shown = ", ".join(_pp_sort(q) for q, _ in d)
-                _sfail("subsort-failure",
-                       f"term {_pp_term(n)}: none of the synthesized sorts "
-                       f"[{shown}] is a subsort of {_pp_sort(s)}")
+                def message() -> str:
+                    shown = ", ".join(_pp_sort(q) for q, _ in d)
+                    return (f"term {_pp_term(n)}: none of the synthesized "
+                            f"sorts [{shown}] is a subsort of {_pp_sort(s)}")
+                _sfail("subsort-failure", message)
             if trace is not None:
                 trace.append("switch")
             return matched
@@ -443,9 +458,8 @@ def _class_apply(sig, closure, ctx, ectx, cls, d, arg, i, fam_name, trace,
                 raise
             except (SortError, LfError) as e:
                 return [], _rewrap_arg(e, i, fam_name)
-            x = fresh_name(h, free_vars(body) | free_vars(arg))
             try:
-                cod = hsubst_syntax(arg, x, dt, open_at(body, FVar(x)))
+                cod = hsubst_syntax(arg, 0, dt, body)
             except MetricExhausted:
                 raise
             except SubstFailure as e:
@@ -471,7 +485,8 @@ def _rewrap_arg(e, i: int, fam_name: str):
     """Prefix argument position info, preserving the diagnostic kind."""
     if isinstance(e, SortError):
         return SortError(SortDiagnostic(
-            e.diag.kind, f"argument {i} of {fam_name}: {e.diag.message}"))
+            e.diag.kind,
+            lambda: f"argument {i} of {fam_name}: {e.diag.message}"))
     return LfError(type(e.diag)(
         e.diag.kind, f"argument {i} of {fam_name}: {e.diag.message}",
         e.diag.expected, e.diag.actual))

@@ -43,36 +43,50 @@ from .syntax import (
     TermConst,
     TPi,
     TypeFam,
-    free_vars,
     fresh_name,
     open_at,
     used_names,
 )
-
-# "?" cannot occur in identifiers, so this probe name never collides.
-_PROBE = "?d"
 
 
 def _wrap(cond: bool, s: str) -> str:
     return f"({s})" if cond else s
 
 
-def _forge_fvar(t):
-    if isinstance(t, (L.IConst, L.IFVar, L.IBVar, L.IApp, L.IIrrApp, L.IFst,
-                      L.ISnd, L.ILam, L.IPair, L.IUnit, L.ITConst, L.ITApp,
-                      L.ITIrrApp, L.ITPi, L.ITIrrPi, L.ITProd, L.ITUnitT,
-                      L.IKType, L.IKPi, L.IKIrrPi, L.IKProd, L.IKUnit)):
-        return L.IFVar(_PROBE)
-    return FVar(_PROBE)
-
-
 def _uses_binder(cod) -> bool:
-    if isinstance(cod, (L.IKType, L.IKUnit, L.ITUnitT)):
-        return False
-    probe = _forge_fvar(cod)
-    if isinstance(probe, L.IFVar):
-        return _PROBE in L.lfi_free_vars(L.open_lfi(cod, probe))
-    return _PROBE in free_vars(open_at(cod, probe))
+    """Whether a binder's body, of either syntax, mentions its index 0.
+
+    When it does not, the body is printed as it is: it has no other
+    dangling index, so opening it would change nothing.
+    """
+    return _mentions(cod, 0)
+
+
+def _mentions(t, k: int) -> bool:
+    match t:
+        case BVar(i) | L.IBVar(i):
+            return i == k
+        case (FVar() | Const() | TConst() | SConst() | STop() | KType()
+              | CSort() | CTop() | L.IConst() | L.IFVar() | L.IUnit()
+              | L.ITConst() | L.ITUnitT() | L.IKType() | L.IKUnit()):
+            return False
+        case (App(f, a) | TApp(f, a) | SApp(f, a) | L.IApp(f, a)
+              | L.IIrrApp(f, a) | L.ITApp(f, a) | L.ITIrrApp(f, a)):
+            return _mentions(f, k) or _mentions(a, k)
+        case (SInter(l, r) | CInter(l, r) | L.IPair(l, r) | L.ITProd(l, r)
+              | L.IKProd(l, r)):
+            return _mentions(l, k) or _mentions(r, k)
+        case L.IFst(b) | L.ISnd(b):
+            return _mentions(b, k)
+        case Lam(_, b) | L.ILam(_, b):
+            return _mentions(b, k + 1)
+        case (TPi(_, d, c) | KPi(_, d, c) | L.ITPi(_, d, c) | L.ITIrrPi(_, d, c)
+              | L.IKPi(_, d, c) | L.IKIrrPi(_, d, c)):
+            return _mentions(d, k) or _mentions(c, k + 1)
+        case SPi(_, ds, dt, c) | CPi(_, ds, dt, c):
+            return (_mentions(ds, k) or (dt is not None and _mentions(dt, k))
+                    or _mentions(c, k + 1))
+    raise TypeError(f"_uses_binder: unexpected node {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +153,7 @@ def _p_type(a, lvl: int, ext: bool) -> str:
                 x = fresh_name(h, used_names(c))
                 s = f"{{{x} : {_p_type(d, 0, True)}}} {_p_type(open_at(c, FVar(x)), 0, True)}"
                 return _wrap(not ext, s)
-            s = f"{_p_type(d, 2, False)} -> {_p_type(open_at(c, FVar(_PROBE)), 1, ext)}"
+            s = f"{_p_type(d, 2, False)} -> {_p_type(c, 1, ext)}"
             return _wrap(lvl >= 2, s)
     raise TypeError(f"pp_type: {a!r}")
 
@@ -153,7 +167,7 @@ def _p_kind(k, lvl: int, ext: bool) -> str:
                 x = fresh_name(h, used_names(c))
                 s = f"{{{x} : {_p_type(d, 0, True)}}} {_p_kind(open_at(c, FVar(x)), 0, True)}"
                 return _wrap(not ext, s)
-            s = f"{_p_type(d, 2, False)} -> {_p_kind(open_at(c, FVar(_PROBE)), 1, ext)}"
+            s = f"{_p_type(d, 2, False)} -> {_p_kind(c, 1, ext)}"
             return _wrap(lvl >= 2, s)
     raise TypeError(f"pp_kind: {k!r}")
 
@@ -175,7 +189,7 @@ def _p_sort(s, lvl: int, ext: bool) -> str:
                 x = fresh_name(h, used_names(c))
                 out = f"{{{x} :: {_p_sort(d, 0, True)}}} {_p_sort(open_at(c, FVar(x)), 0, True)}"
                 return _wrap(not ext, out)
-            out = f"{_p_sort(d, 2, False)} -> {_p_sort(open_at(c, FVar(_PROBE)), 1, ext)}"
+            out = f"{_p_sort(d, 2, False)} -> {_p_sort(c, 1, ext)}"
             return _wrap(lvl >= 2, out)
     raise TypeError(f"pp_sort: {s!r}")
 
@@ -194,7 +208,7 @@ def _p_class(c, lvl: int, ext: bool) -> str:
                 x = fresh_name(h, used_names(b))
                 out = f"{{{x} :: {_p_sort(d, 0, True)}}} {_p_class(open_at(b, FVar(x)), 0, True)}"
                 return _wrap(not ext, out)
-            out = f"{_p_sort(d, 2, False)} -> {_p_class(open_at(b, FVar(_PROBE)), 1, ext)}"
+            out = f"{_p_sort(d, 2, False)} -> {_p_class(b, 1, ext)}"
             return _wrap(lvl >= 2, out)
     raise TypeError(f"pp_class: {c!r}")
 
@@ -293,14 +307,14 @@ def _pl_type(a, lvl: int, ext: bool) -> str:
                 x = fresh_name(h, _lfi_used(c))
                 s = f"{{{x} : {_pl_type(d, 0, True)}}} {_pl_type(L.open_lfi(c, L.IFVar(x)), 0, True)}"
                 return _wrap(not ext, s)
-            s = f"{_pl_type(d, 2, False)} -> {_pl_type(L.open_lfi(c, L.IFVar(_PROBE)), 1, ext)}"
+            s = f"{_pl_type(d, 2, False)} -> {_pl_type(c, 1, ext)}"
             return _wrap(lvl >= 2, s)
         case L.ITIrrPi(h, d, c):
             if _uses_binder(c):
                 x = fresh_name(h, _lfi_used(c))
                 s = f"{{{x} :: {_pl_type(d, 0, True)}}} {_pl_type(L.open_lfi(c, L.IFVar(x)), 0, True)}"
                 return _wrap(not ext, s)
-            s = f"{_pl_type(d, 2, False)} -:> {_pl_type(L.open_lfi(c, L.IFVar(_PROBE)), 1, ext)}"
+            s = f"{_pl_type(d, 2, False)} -:> {_pl_type(c, 1, ext)}"
             return _wrap(lvl >= 2, s)
         case L.ITProd(l, r):
             s = f"({_pl_type(l, 0, True)}) * ({_pl_type(r, 0, True)})"
@@ -319,14 +333,14 @@ def _pl_kind(k, lvl: int, ext: bool) -> str:
                 x = fresh_name(h, _lfi_used(c))
                 s = f"{{{x} : {_pl_type(d, 0, True)}}} {_pl_kind(L.open_lfi(c, L.IFVar(x)), 0, True)}"
                 return _wrap(not ext, s)
-            s = f"{_pl_type(d, 2, False)} -> {_pl_kind(L.open_lfi(c, L.IFVar(_PROBE)), 1, ext)}"
+            s = f"{_pl_type(d, 2, False)} -> {_pl_kind(c, 1, ext)}"
             return _wrap(lvl >= 2, s)
         case L.IKIrrPi(h, d, c):
             if _uses_binder(c):
                 x = fresh_name(h, _lfi_used(c))
                 s = f"{{{x} :: {_pl_type(d, 0, True)}}} {_pl_kind(L.open_lfi(c, L.IFVar(x)), 0, True)}"
                 return _wrap(not ext, s)
-            s = f"{_pl_type(d, 2, False)} -:> {_pl_kind(L.open_lfi(c, L.IFVar(_PROBE)), 1, ext)}"
+            s = f"{_pl_type(d, 2, False)} -:> {_pl_kind(c, 1, ext)}"
             return _wrap(lvl >= 2, s)
         case L.IKProd(l, r):
             s = f"({_pl_kind(l, 0, True)}) * ({_pl_kind(r, 0, True)})"

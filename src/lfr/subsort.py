@@ -120,9 +120,8 @@ def _algo_apply(sig, closure, ctx, d, x, d1, a1) -> list:
             continue
         if not _algo_subsort(sig, closure, ctx, d1, entry.dom_sort):
             continue
-        y = fresh_name(entry.hint, free_vars(entry.cod) | {x})
         try:
-            cod = hsubst_syntax(eta_x, y, a1, open_at(entry.cod, FVar(y)))
+            cod = hsubst_syntax(eta_x, 0, a1, entry.cod)
         except MetricExhausted:
             raise
         except SubstFailure:

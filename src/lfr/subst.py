@@ -7,6 +7,12 @@ smaller simple type, so canonical form is preserved and the process
 terminates.  A fuel counter guards that termination argument at runtime:
 it is a debug assertion, not a semantic limit, and can be raised with the
 LFR_FUEL environment variable.
+
+The variable replaced is a free name or a bound index, and substitution
+descends binders by counting them instead of opening them with fresh
+names, so it costs one walk of the term whatever its binder depth.
+Instantiating a binder (`hsubst_syntax(arg, 0, dom, body)`) and the
+beta step are substitutions for index 0.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ import os
 from typing import Optional, Union
 
 from .syntax import (
-    App, Arrow, AtomicTerm, Base, BVar, Class, CInter, Const, CPi, CSort,
-    CTop, CtxEntry, FVar, Kind, KPi, KType, Lam, NormalTerm, NormalType,
-    SApp, SConst, SimpleType, SInter, SPi, STop, Syntax, TApp, TConst, TPi,
-    close_at, free_vars, fresh_name, head, is_atomic_term, open_at, pool_name,
+    App, Arrow, AtomicTerm, Base, BVar, CInter, Const, CPi, CSort, CTop,
+    CtxEntry, FVar, KPi, KType, Lam, NormalTerm, NormalType, SApp, SConst,
+    SimpleType, SInter, SPi, STop, Syntax, TApp, TConst, TPi, close_at,
+    free_vars, head, is_atomic_term, pool_name,
 )
 
 Path = tuple[str, ...]
@@ -91,71 +97,101 @@ def _simple_subterm(small: SimpleType, big: SimpleType) -> bool:
 
 # ---------------------------------------------------------------------------
 # The three mutually recursive substitution judgments
+#
+# The variable replaced is a free name (x0 a str) or a bound index (x0 an
+# int; instantiation replaces index 0).  Substitution descends binders
+# without opening them: k counts the binders passed, so the variable is
+# FVar(x0) or BVar(x0 + k) there, the replacement is n0 shifted by k, and,
+# when x0 is an index, the indices above x0 + k drop by one because its
+# binder is gone.  A beta step substitutes for the lambda's index 0.
+
+Var = Union[str, int]
 
 
-def hsubst_n(n0: NormalTerm, x0: str, alpha0: Union[SimpleType, NormalType],
+def hsubst_n(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
              n: NormalTerm) -> NormalTerm:
     """Substitute n0 for x0 (of erased type alpha0) in the normal term n."""
-    return _subst_n(n0, x0, erase_type(alpha0), n, _Fuel(), ())
+    return _subst_n(n0, x0, erase_type(alpha0), n, 0, _Fuel(), ())
 
 
-def hsubst_rr(n0: NormalTerm, x0: str, alpha0: Union[SimpleType, NormalType],
+def hsubst_rr(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
               r: AtomicTerm) -> AtomicTerm:
     """Substitution in an atomic term whose head is not x0."""
-    return _subst_rr(n0, x0, erase_type(alpha0), r, _Fuel(), ())
+    return _subst_rr(n0, x0, erase_type(alpha0), r, 0, _Fuel(), ())
 
 
-def hsubst_rn(n0: NormalTerm, x0: str, alpha0: Union[SimpleType, NormalType],
+def hsubst_rn(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
               r: AtomicTerm) -> tuple[NormalTerm, SimpleType]:
     """Substitution in an atomic term headed by x0; returns term and type."""
-    return _subst_rn(n0, x0, erase_type(alpha0), r, _Fuel(), ())
+    return _subst_rn(n0, x0, erase_type(alpha0), r, 0, _Fuel(), ())
 
 
-def _subst_n(n0: NormalTerm, x0: str, a0: SimpleType, n: NormalTerm,
+def _hit(r, x0: Var, k: int) -> bool:
+    """Whether r is the variable substituted for, k binders down."""
+    if isinstance(x0, str):
+        return isinstance(r, FVar) and r.name == x0
+    return isinstance(r, BVar) and r.index == x0 + k
+
+
+def _shift(t: NormalTerm, by: int, cutoff: int = 0) -> NormalTerm:
+    """Raise the indices of t at or above cutoff by `by`."""
+    if by == 0:
+        return t
+    match t:
+        case BVar(i):
+            return BVar(i + by) if i >= cutoff else t
+        case FVar() | Const():
+            return t
+        case App(f, a):
+            return App(_shift(f, by, cutoff), _shift(a, by, cutoff))
+        case Lam(h, b):
+            return Lam(h, _shift(b, by, cutoff + 1))
+    raise TypeError(f"_shift: not a term: {t!r}")
+
+
+def _subst_n(n0: NormalTerm, x0: Var, a0: SimpleType, n: NormalTerm, k: int,
              fuel: _Fuel, path: Path) -> NormalTerm:
     fuel.tick(path)
     match n:
         case Lam(h, b):
-            x = fresh_name(h, free_vars(b) | free_vars(n0) | {x0})
-            body = _subst_n(n0, x0, a0, open_at(b, FVar(x)), fuel, path + ("body",))
-            return Lam(h, close_at(body, x))
+            return Lam(h, _subst_n(n0, x0, a0, b, k + 1, fuel, path + ("body",)))
         case _:
-            if head(n) == FVar(x0):
-                term, ty = _subst_rn(n0, x0, a0, n, fuel, path)
+            if _hit(head(n), x0, k):
+                term, ty = _subst_rn(n0, x0, a0, n, k, fuel, path)
                 if is_atomic_term(term) and isinstance(ty, Base):
                     return term
                 raise SubstFailure("head-type mismatch", path)
-            return _subst_rr(n0, x0, a0, n, fuel, path)
+            return _subst_rr(n0, x0, a0, n, k, fuel, path)
 
 
-def _subst_rr(n0: NormalTerm, x0: str, a0: SimpleType, r: AtomicTerm,
+def _subst_rr(n0: NormalTerm, x0: Var, a0: SimpleType, r: AtomicTerm, k: int,
               fuel: _Fuel, path: Path) -> AtomicTerm:
     fuel.tick(path)
     match r:
+        case BVar(i) if not isinstance(x0, str) and i > x0 + k:
+            return BVar(i - 1)
         case Const() | FVar() | BVar():
             return r
         case App(f, a):
-            return App(_subst_rr(n0, x0, a0, f, fuel, path + ("fn",)),
-                       _subst_n(n0, x0, a0, a, fuel, path + ("arg",)))
+            return App(_subst_rr(n0, x0, a0, f, k, fuel, path + ("fn",)),
+                       _subst_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
     raise TypeError(f"hsubst_rr: not atomic: {r!r}")
 
 
-def _subst_rn(n0: NormalTerm, x0: str, a0: SimpleType, r: AtomicTerm,
+def _subst_rn(n0: NormalTerm, x0: Var, a0: SimpleType, r: AtomicTerm, k: int,
               fuel: _Fuel, path: Path) -> tuple[NormalTerm, SimpleType]:
     fuel.tick(path)
+    if _hit(r, x0, k):
+        return _shift(n0, k), a0
     match r:
-        case FVar(name) if name == x0:
-            return n0, a0
         case App(f, a):
-            fn, fty = _subst_rn(n0, x0, a0, f, fuel, path + ("fn",))
-            arg = _subst_n(n0, x0, a0, a, fuel, path + ("arg",))
+            fn, fty = _subst_rn(n0, x0, a0, f, k, fuel, path + ("fn",))
+            arg = _subst_n(n0, x0, a0, a, k, fuel, path + ("arg",))
             if not isinstance(fn, Lam):
                 raise SubstFailure("non-function applied", path)
             if not isinstance(fty, Arrow):
                 raise SubstFailure("head-type mismatch", path)
-            y = fresh_name(fn.hint, free_vars(fn.body) | free_vars(arg) | {x0})
-            body = open_at(fn.body, FVar(y))
-            res = _subst_n(arg, y, fty.dom, body, fuel, path + ("beta",))
+            res = _subst_n(arg, 0, fty.dom, fn.body, 0, fuel, path + ("beta",))
             # The returned type is always a subterm of the original index;
             # this is the decreasing measure of the beta case.
             if not _simple_subterm(fty.cod, a0):
@@ -188,60 +224,52 @@ def treduce(x0: str, alpha0: Union[SimpleType, NormalType],
 # Substitution into types, sorts, kinds, classes, and contexts
 
 
-def hsubst_syntax(n0: NormalTerm, x0: str, alpha0: Union[SimpleType, NormalType],
+def hsubst_syntax(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
                   t):
-    """Substitute through any syntactic category, including contexts."""
+    """Substitute through any syntactic category, including contexts.
+
+    For a name, n0 is read where t is; for an index, where t's binder x0
+    has been removed.
+    """
     a0 = erase_type(alpha0)
     fuel = _Fuel()
     if isinstance(t, (list, tuple)):
         return [CtxEntry(e.name,
-                         _subst_syn(n0, x0, a0, e.sort, fuel, (e.name, "sort")),
-                         _subst_syn(n0, x0, a0, e.type, fuel, (e.name, "type")))
+                         _subst_syn(n0, x0, a0, e.sort, 0, fuel, (e.name, "sort")),
+                         _subst_syn(n0, x0, a0, e.type, 0, fuel, (e.name, "type")))
                 for e in t]
-    return _subst_syn(n0, x0, a0, t, fuel, ())
+    return _subst_syn(n0, x0, a0, t, 0, fuel, ())
 
 
-def _subst_syn(n0: NormalTerm, x0: str, a0: SimpleType, t: Syntax,
+def _subst_syn(n0: NormalTerm, x0: Var, a0: SimpleType, t: Syntax, k: int,
                fuel: _Fuel, path: Path):
+    def sub(u, step: str, binders: int = 0):
+        """u, a child of t at step, under `binders` more binders."""
+        return _subst_syn(n0, x0, a0, u, k + binders, fuel, path + (step,))
+
     match t:
         case BVar() | FVar() | Const() | App() | Lam():
-            return _subst_n(n0, x0, a0, t, fuel, path)
+            return _subst_n(n0, x0, a0, t, k, fuel, path)
         case TConst() | SConst() | STop() | KType() | CSort() | CTop():
             return t
         case TApp(f, a):
-            return TApp(_subst_syn(n0, x0, a0, f, fuel, path + ("fn",)),
-                        _subst_n(n0, x0, a0, a, fuel, path + ("arg",)))
+            return TApp(sub(f, "fn"), sub(a, "arg"))
         case SApp(f, a):
-            return SApp(_subst_syn(n0, x0, a0, f, fuel, path + ("fn",)),
-                        _subst_n(n0, x0, a0, a, fuel, path + ("arg",)))
+            return SApp(sub(f, "fn"), sub(a, "arg"))
         case TPi(h, d, c):
-            d2 = _subst_syn(n0, x0, a0, d, fuel, path + ("dom",))
-            x, c2 = _subst_under(n0, x0, a0, h, c, fuel, path)
-            return TPi(h, d2, close_at(c2, x))
+            return TPi(h, sub(d, "dom"), sub(c, "cod", 1))
         case SPi(h, ds, dt, c):
-            ds2 = _subst_syn(n0, x0, a0, ds, fuel, path + ("dom",))
-            dt2 = None if dt is None else _subst_syn(n0, x0, a0, dt, fuel, path + ("domtype",))
-            x, c2 = _subst_under(n0, x0, a0, h, c, fuel, path)
-            return SPi(h, ds2, dt2, close_at(c2, x))
+            return SPi(h, sub(ds, "dom"),
+                       None if dt is None else sub(dt, "domtype"),
+                       sub(c, "cod", 1))
         case KPi(h, d, c):
-            d2 = _subst_syn(n0, x0, a0, d, fuel, path + ("dom",))
-            x, c2 = _subst_under(n0, x0, a0, h, c, fuel, path)
-            return KPi(h, d2, close_at(c2, x))
+            return KPi(h, sub(d, "dom"), sub(c, "cod", 1))
         case CPi(h, ds, dt, c):
-            ds2 = _subst_syn(n0, x0, a0, ds, fuel, path + ("dom",))
-            dt2 = None if dt is None else _subst_syn(n0, x0, a0, dt, fuel, path + ("domtype",))
-            x, c2 = _subst_under(n0, x0, a0, h, c, fuel, path)
-            return CPi(h, ds2, dt2, close_at(c2, x))
+            return CPi(h, sub(ds, "dom"),
+                       None if dt is None else sub(dt, "domtype"),
+                       sub(c, "cod", 1))
         case SInter(l, r):
-            return SInter(_subst_syn(n0, x0, a0, l, fuel, path + ("left",)),
-                          _subst_syn(n0, x0, a0, r, fuel, path + ("right",)))
+            return SInter(sub(l, "left"), sub(r, "right"))
         case CInter(l, r):
-            return CInter(_subst_syn(n0, x0, a0, l, fuel, path + ("left",)),
-                          _subst_syn(n0, x0, a0, r, fuel, path + ("right",)))
+            return CInter(sub(l, "left"), sub(r, "right"))
     raise TypeError(f"hsubst_syntax: unexpected node {t!r}")
-
-
-def _subst_under(n0: NormalTerm, x0: str, a0: SimpleType, hint: str, body,
-                 fuel: _Fuel, path: Path):
-    x = fresh_name(hint, free_vars(body) | free_vars(n0) | {x0})
-    return x, _subst_syn(n0, x0, a0, open_at(body, FVar(x)), fuel, path + ("cod",))
