@@ -5,11 +5,10 @@ function space, pairs, and unit at both the type and the kind level.
 Definitional equality ignores the arguments of irrelevant applications;
 that single rule is what makes translated refinement proofs coherent.
 
-Hereditary substitution replaces a free name or a bound index and never
-opens a binder: it counts the binders it passes.  Instantiating a Pi
-type's codomain, and contracting a redex the substitution creates, are
-substitutions for index 0.  This module keeps its own substitution, so
-the certificates are checked by code the source checker does not share.
+Hereditary substitution replaces a free name or a bound index and counts
+the binders it descends instead of opening them; instantiation substitutes
+for index 0.  It is this module's own copy, so the certificates are
+checked by code the source checker does not share.
 """
 
 from __future__ import annotations
@@ -512,11 +511,8 @@ def lfi_equal(x: LfiSyntax, y: LfiSyntax, respect_irrelevance: bool = True) -> b
 
 def lfi_hsubst(n0: LfiTerm, x0: Union[str, int],
                alpha0: Union[LfiType, LfiSimple], t: LfiSyntax) -> LfiSyntax:
-    """[n0/x0]t, at the erased type of alpha0.
-
-    For a name, n0 is read where t is; for an index, where t's binder x0
-    has been removed.
-    """
+    """[n0/x0]t at the erased type of alpha0; for an index x0, n0 is read
+    where t's binder x0 has been removed."""
     a0 = lfi_erase_type(alpha0)
     fuel = _Fuel()
     return _l_syn(n0, x0, a0, t, 0, fuel, ())

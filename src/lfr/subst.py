@@ -8,11 +8,9 @@ terminates.  A fuel counter guards that termination argument at runtime:
 it is a debug assertion, not a semantic limit, and can be raised with the
 LFR_FUEL environment variable.
 
-The variable replaced is a free name or a bound index, and substitution
-descends binders by counting them instead of opening them with fresh
-names, so it costs one walk of the term whatever its binder depth.
-Instantiating a binder (`hsubst_syntax(arg, 0, dom, body)`) and the
-beta step are substitutions for index 0.
+The variable replaced is a free name or a bound index; substitution counts
+the binders it descends instead of opening them, and instantiation and the
+beta step substitute for index 0.
 """
 
 from __future__ import annotations
@@ -226,11 +224,8 @@ def treduce(x0: str, alpha0: Union[SimpleType, NormalType],
 
 def hsubst_syntax(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
                   t):
-    """Substitute through any syntactic category, including contexts.
-
-    For a name, n0 is read where t is; for an index, where t's binder x0
-    has been removed.
-    """
+    """Substitute through any syntactic category, including contexts; for
+    an index x0, n0 is read where t's binder x0 has been removed."""
     a0 = erase_type(alpha0)
     fuel = _Fuel()
     if isinstance(t, (list, tuple)):
