@@ -46,8 +46,10 @@ from lfr.lfi import (
     ITUnitT,
     IUnit,
     LfiCtxEntry,
+    LfiDecl,
     _shift_lfi,
     close_lfi,
+    lfi_check_type,
     lfi_hsubst,
     open_lfi,
     promote,
@@ -423,20 +425,76 @@ class TestChecking:
         assert isinstance(k.cod.cod, IKType)
 
     def test_signature_rejects_duplicate(self, eo):
-        from lfr.lfi import LfiDecl
-
         bad = LfiSignature(list(eo) + [LfiDecl("z", ITConst("nat"))])
         with pytest.raises(LfiError):
             lfi_check_sig(bad)
 
     def test_signature_rejects_family_and_constant_sharing_a_name(self):
-        from lfr.lfi import LfiDecl
-
         bad = LfiSignature([LfiDecl("nat", IKType()),
                             LfiDecl("nat", ITConst("nat"))])
         with pytest.raises(LfiError) as info:
             lfi_check_sig(bad)
         assert str(info.value) == "nat is declared twice"
+
+
+D_NAT = ITConst("nat")
+D_P, D_Q = ITConst("p"), ITConst("q")
+D_Z = IConst("z")
+# nat, z, s, the families p : nat -> type and q : nat -> nat -> type,
+# and k : p z.
+D_SIG = LfiSignature([
+    LfiDecl("nat", IKType()), LfiDecl("z", D_NAT),
+    LfiDecl("s", ITPi("x", D_NAT, D_NAT)),
+    LfiDecl("p", IKPi("x", D_NAT, IKType())),
+    LfiDecl("q", IKPi("x", D_NAT, IKPi("y", D_NAT, IKType()))),
+    LfiDecl("k", ITApp(D_P, D_Z)),
+])
+D_DEP = ITPi("x", D_NAT, ITPi("h", ITApp(D_P, IBVar(0)), D_NAT))
+
+
+class TestDiagnostics:
+    """The checker's messages for failures under binders: a bound
+    hypothesis is shown by its binder's hint, primed away from the
+    context's names and from the hypotheses bound outside it."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: lfi_check(
+            D_SIG, [], ILam("a", ILam("b", IConst("k"))),
+            ITPi("a", D_NAT, ITPi("b", ITApp(D_P, IBVar(0)), ITPi(
+                "a", D_NAT, ITApp(ITApp(D_Q, IBVar(2)), IBVar(0)))))),
+         "type mismatch: expected {a' : nat} q a a', synthesized p z"),
+        (lambda: lfi_check(D_SIG, [], ILam("u", IApp(IConst("s"), IBVar(0))),
+                           ITIrrPi("u", D_NAT, D_NAT)),
+         "irrelevant hypothesis u used in a relevant position"),
+        (lambda: lfi_check(D_SIG, [LfiCtxEntry("x", D_NAT)], ILam("x", D_Z),
+                           ITPi("y", D_NAT, ITApp(D_P, IBVar(0)))),
+         "type mismatch: expected p x', synthesized nat"),
+        (lambda: lfi_check(D_SIG, [], ILam("x", ILam("h", IApp(IBVar(0), D_Z))),
+                           D_DEP),
+         "applied term of non-function type p x"),
+        (lambda: lfi_check(D_SIG, [], ILam("x", ILam("h", IFst(IBVar(0)))),
+                           D_DEP),
+         "first projection of non-pair type p x"),
+        (lambda: lfi_check(D_SIG, [], ILam("x", ILam("y", D_Z)),
+                           ITPi("x", D_NAT, ITApp(D_P, IBVar(0)))),
+         "function checked against non-function type p x"),
+        (lambda: lfi_check_sig(LfiSignature(list(D_SIG) + [LfiDecl(
+            "bad", IKPi("x", D_NAT, IKPi("_", ITApp(D_Q, IBVar(0)),
+                                         IKType())))])),
+         "type family not fully applied: q x"),
+        (lambda: lfi_check(D_SIG, [], ILam("x", IBVar(1)),
+                           ITPi("x", D_NAT, D_NAT)),
+         "cannot synthesize a type for ?1"),
+        (lambda: lfi_check_type(D_SIG, [], ITPi(
+            "x", D_NAT, IApp(IConst("s"), IBVar(0)))),
+         "not a type: IApp(fn=IConst(name='s'), arg=IFVar(name='x'))"),
+    ], ids=["mismatch-two-deep", "irrelevant-used", "hint-meets-context",
+            "non-function", "non-pair", "function-at-atom",
+            "unfilled-family", "dangling-index", "not-a-type"])
+    def test_message(self, call, message):
+        with pytest.raises(LfiError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestSwitching:
