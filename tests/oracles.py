@@ -390,3 +390,258 @@ def occurs(name: str, t) -> bool:
 def result_key(t):
     """The key of a package result, for comparison with the two above."""
     return alpha_key(named(t))
+
+
+# ---------------------------------------------------------------------------
+# The target printer and checker that open every binder.
+#
+# Both name a bound variable when they pass its binder and open the body
+# with that name: the printer takes a name fresh for the names the body
+# uses, the checker one fresh for its context and for the free names of
+# the body and the goal.  The package carries the names of the enclosing
+# binders instead; it must print, accept and report exactly as these do.
+
+from lfr.lfi import LfiCtxEntry, LfiError, lfi_ctx_lookup, lfi_equal  # noqa: E402
+from lfr.lfi import lfi_hsubst, open_lfi, promote  # noqa: E402
+
+
+def _names_in(t, nodes) -> set[str]:
+    """The names of the nodes of the given classes that occur in t."""
+    if isinstance(t, nodes):
+        return {t.name}
+    if not dataclasses.is_dataclass(t):
+        return set()
+    return set().union(*(_names_in(getattr(t, f.name), nodes)
+                         for f in dataclasses.fields(t)))
+
+
+def _used(t) -> set[str]:
+    """The names of the variables and constants that occur in t."""
+    return _names_in(t, (L.IFVar, L.IConst, L.ITConst))
+
+
+def _free(t) -> set[str]:
+    return _names_in(t, L.IFVar)
+
+
+def _mentions(t, k: int) -> bool:
+    """Whether t mentions the index k, counted from t's root."""
+    if isinstance(t, L.IBVar):
+        return t.index == k
+    if not dataclasses.is_dataclass(t):
+        return False
+    kids = [getattr(t, f.name) for f in dataclasses.fields(t)]
+    body = len(kids) - 1 if hasattr(t, "hint") else None
+    return any(_mentions(v, k + (i == body)) for i, v in enumerate(kids))
+
+
+def _wrap(cond: bool, s: str) -> str:
+    return f"({s})" if cond else s
+
+
+def opened_pp_term(t) -> str:
+    return _opl_term(t, 0, True)
+
+
+def opened_pp_type(a) -> str:
+    return _opl_type(a, 0, True)
+
+
+def opened_pp_kind(k) -> str:
+    return _opl_kind(k, 0, True)
+
+
+def _opl_term(t, lvl: int, ext: bool) -> str:
+    match t:
+        case L.IConst(n) | L.IFVar(n):
+            return n
+        case L.IBVar(i):
+            return f"?{i}"
+        case L.IApp(f, a):
+            return _wrap(lvl >= 4, f"{_opl_term(f, 3, False)} {_opl_term(a, 4, False)}")
+        case L.IIrrApp(f, a):
+            return _wrap(lvl >= 4, f"{_opl_term(f, 3, False)} [[ {_opl_term(a, 0, True)} ]]")
+        case L.IFst(b):
+            return f"{_opl_term(b, 4, False)}.1"
+        case L.ISnd(b):
+            return f"{_opl_term(b, 4, False)}.2"
+        case L.ILam(h, b):
+            x = fresh_name(h, _used(b))
+            return _wrap(not ext, f"[{x}] {_opl_term(open_lfi(b, L.IFVar(x)), 0, True)}")
+        case L.IPair(l, r):
+            return f"<{_opl_term(l, 0, True)}, {_opl_term(r, 0, True)}>"
+        case L.IUnit():
+            return "<>"
+    raise TypeError(t)
+
+
+def _opl_binder(h, d, c, rest, colon, arrow, ext, lvl) -> str:
+    if _mentions(c, 0):
+        x = fresh_name(h, _used(c))
+        s = f"{{{x} {colon} {_opl_type(d, 0, True)}}} {rest(open_lfi(c, L.IFVar(x)), 0, True)}"
+        return _wrap(not ext, s)
+    return _wrap(lvl >= 2, f"{_opl_type(d, 2, False)} {arrow} {rest(c, 1, ext)}")
+
+
+def _opl_type(a, lvl: int, ext: bool) -> str:
+    match a:
+        case L.ITConst(n):
+            return n
+        case L.ITApp(f, arg):
+            return _wrap(lvl >= 4, f"{_opl_type(f, 3, False)} {_opl_term(arg, 4, False)}")
+        case L.ITIrrApp(f, arg):
+            return _wrap(lvl >= 4, f"{_opl_type(f, 3, False)} [[ {_opl_term(arg, 0, True)} ]]")
+        case L.ITPi(h, d, c):
+            return _opl_binder(h, d, c, _opl_type, ":", "->", ext, lvl)
+        case L.ITIrrPi(h, d, c):
+            return _opl_binder(h, d, c, _opl_type, "::", "-:>", ext, lvl)
+        case L.ITProd(l, r):
+            return _wrap(lvl >= 3, f"({_opl_type(l, 0, True)}) * ({_opl_type(r, 0, True)})")
+        case L.ITUnitT():
+            return "1"
+    raise TypeError(a)
+
+
+def _opl_kind(k, lvl: int, ext: bool) -> str:
+    match k:
+        case L.IKType():
+            return "type"
+        case L.IKPi(h, d, c):
+            return _opl_binder(h, d, c, _opl_kind, ":", "->", ext, lvl)
+        case L.IKIrrPi(h, d, c):
+            return _opl_binder(h, d, c, _opl_kind, "::", "-:>", ext, lvl)
+        case L.IKProd(l, r):
+            return _wrap(lvl >= 3, f"({_opl_kind(l, 0, True)}) * ({_opl_kind(r, 0, True)})")
+        case L.IKUnit():
+            return "1"
+    raise TypeError(k)
+
+
+def _opened(ctx, h: str, d, relevant: bool, *scope):
+    """The context grown by a hypothesis for the binder (h, d), and each
+    of scope opened with its name."""
+    avoid = {e.name for e in ctx}.union(*(_free(t) for t in scope))
+    x = fresh_name(h, avoid)
+    return ([*ctx, LfiCtxEntry(x, d, relevant)],
+            *(open_lfi(t, L.IFVar(x)) for t in scope))
+
+
+def opened_synth(sig, ctx, r):
+    match r:
+        case L.IConst(n):
+            ty = sig.const_type(n)
+            if ty is None:
+                raise LfiError(f"unbound constant {n}")
+            return ty
+        case L.IFVar(n):
+            entry = lfi_ctx_lookup(ctx, n)
+            if entry is None:
+                raise LfiError(f"unbound variable {n}")
+            if not entry.relevant:
+                raise LfiError(
+                    f"irrelevant hypothesis {n} used in a relevant position")
+            return entry.type
+        case L.IApp(f, a):
+            fty = opened_synth(sig, ctx, f)
+            if not isinstance(fty, L.ITPi):
+                raise LfiError(f"applied term of non-function type {opened_pp_type(fty)}")
+            opened_check(sig, ctx, a, fty.dom)
+            return lfi_hsubst(a, 0, fty.dom, fty.cod)
+        case L.IIrrApp(f, a):
+            fty = opened_synth(sig, ctx, f)
+            if not isinstance(fty, L.ITIrrPi):
+                raise LfiError(
+                    f"irrelevant application at non-irrelevant type {opened_pp_type(fty)}")
+            opened_check(sig, promote(ctx), a, fty.dom)
+            return lfi_hsubst(a, 0, fty.dom, fty.cod)
+        case L.IFst(b):
+            bty = opened_synth(sig, ctx, b)
+            if not isinstance(bty, L.ITProd):
+                raise LfiError(f"first projection of non-pair type {opened_pp_type(bty)}")
+            return bty.left
+        case L.ISnd(b):
+            bty = opened_synth(sig, ctx, b)
+            if not isinstance(bty, L.ITProd):
+                raise LfiError(f"second projection of non-pair type {opened_pp_type(bty)}")
+            return bty.right
+    raise LfiError(f"cannot synthesize a type for {opened_pp_term(r)}")
+
+
+def opened_check(sig, ctx, n, a) -> None:
+    match n:
+        case L.ILam(h, b):
+            if not isinstance(a, (L.ITPi, L.ITIrrPi)):
+                raise LfiError(
+                    f"function checked against non-function type {opened_pp_type(a)}")
+            opened_check(sig, *_opened(ctx, h, a.dom, isinstance(a, L.ITPi),
+                                       b, a.cod))
+        case L.IPair(l, r):
+            if not isinstance(a, L.ITProd):
+                raise LfiError(f"pair checked against non-product type {opened_pp_type(a)}")
+            opened_check(sig, ctx, l, a.left)
+            opened_check(sig, ctx, r, a.right)
+        case L.IUnit():
+            if not isinstance(a, L.ITUnitT):
+                raise LfiError(f"unit checked against {opened_pp_type(a)}")
+        case _:
+            if not L.is_lfi_atomic(n):
+                raise LfiError(f"cannot check {opened_pp_term(n)}")
+            syn = opened_synth(sig, ctx, n)
+            if not lfi_equal(syn, a):
+                raise LfiError(
+                    f"type mismatch: expected {opened_pp_type(a)}, "
+                    f"synthesized {opened_pp_type(syn)}")
+
+
+def opened_check_type(sig, ctx, a) -> None:
+    match a:
+        case L.ITPi(h, d, c) | L.ITIrrPi(h, d, c):
+            opened_check_type(sig, ctx, d)
+            opened_check_type(sig, *_opened(ctx, h, d, isinstance(a, L.ITPi), c))
+        case L.ITProd(l, r):
+            opened_check_type(sig, ctx, l)
+            opened_check_type(sig, ctx, r)
+        case L.ITUnitT():
+            pass
+        case L.ITConst() | L.ITApp() | L.ITIrrApp():
+            if not isinstance(_opened_kind_of(sig, ctx, a), L.IKType):
+                raise LfiError(f"type family not fully applied: {opened_pp_type(a)}")
+        case _:
+            raise LfiError(f"not a type: {a!r}")
+
+
+def _opened_kind_of(sig, ctx, p):
+    spine = []
+    while isinstance(p, (L.ITApp, L.ITIrrApp)):
+        spine.append((p.arg, isinstance(p, L.ITIrrApp)))
+        p = p.fn
+    if not isinstance(p, L.ITConst):
+        raise LfiError(f"type head is not a constant: {p!r}")
+    kind = sig.fam_kind(p.name)
+    if kind is None:
+        raise LfiError(f"unbound type family {p.name}")
+    for arg, irr in reversed(spine):
+        match kind:
+            case L.IKPi(_, d, c) if not irr:
+                opened_check(sig, ctx, arg, d)
+            case L.IKIrrPi(_, d, c) if irr:
+                opened_check(sig, promote(ctx), arg, d)
+            case _:
+                raise LfiError(
+                    f"kind of {p.name} does not accept this argument shape")
+        kind = lfi_hsubst(arg, 0, d, c)
+    return kind
+
+
+def opened_check_kind(sig, ctx, k) -> None:
+    match k:
+        case L.IKType() | L.IKUnit():
+            pass
+        case L.IKPi(h, d, c) | L.IKIrrPi(h, d, c):
+            opened_check_type(sig, ctx, d)
+            opened_check_kind(sig, *_opened(ctx, h, d, isinstance(k, L.IKPi), c))
+        case L.IKProd(l, r):
+            opened_check_kind(sig, ctx, l)
+            opened_check_kind(sig, ctx, r)
+        case _:
+            raise LfiError(f"not a kind: {k!r}")

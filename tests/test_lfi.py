@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -49,11 +50,13 @@ from lfr.lfi import (
     LfiDecl,
     _shift_lfi,
     close_lfi,
+    lfi_check_kind,
     lfi_check_type,
     lfi_hsubst,
     open_lfi,
     promote,
 )
+from lfr.printer import pp_lfi_kind, pp_lfi_term, pp_lfi_type
 from lfr.subst import MetricExhausted, SubstFailure
 from lfr.translate import verify_translation
 
@@ -66,7 +69,18 @@ from gen import (
     gen_lfi_usable,
     lfi_simple_to_type,
 )
-from oracles import named_inst, named_subst, occurs, result_key
+from oracles import (
+    named_inst,
+    named_subst,
+    occurs,
+    opened_check,
+    opened_check_kind,
+    opened_check_type,
+    opened_pp_kind,
+    opened_pp_term,
+    opened_pp_type,
+    result_key,
+)
 
 EVEN_PRED = ITConst("even")
 EVEN_INTRO = IConst("even^/i")
@@ -151,6 +165,7 @@ class TestSubstitution:
 
 
 X0 = "x0"
+I_NAT = ITConst("nat")
 LFI_CTX = [("a", LFI_NAT), ("f", IArrow(LFI_NAT, LFI_NAT))]
 
 
@@ -214,9 +229,119 @@ class TestNamedOracle:
         assert result_key(lfr.lfi._inst(cod, arg, dom)) == named_inst(cod, arg)
 
 
+# Binder hints that meet constants, context names and the names the
+# generators give outer binders (b3, b4, ... and v4, v5, ... over O_CTX).
+O_HINTS = ("x", "x'", "_", "z", "s", "p", "nat", "a", "c", "b3", "b4",
+           "v4", "v5")
+# LFI_CTX and c, a variable of the family p, so a term at p has a head.
+O_CTX = LFI_CTX + [("c", IBase("p"))]
+O_TYPES = {"a": I_NAT, "f": ITPi("x", I_NAT, I_NAT),
+           "c": ITApp(ITIrrApp(ITConst("p"), IConst("z")), IConst("z"))}
+O_SIG = LfiSignature([
+    LfiDecl("nat", IKType()), LfiDecl("z", I_NAT),
+    LfiDecl("s", ITPi("x", I_NAT, I_NAT)),
+    LfiDecl("h", ITPi("g", ITPi("x", I_NAT, I_NAT), I_NAT)),
+    LfiDecl("p", IKIrrPi("x", I_NAT, IKPi("y", I_NAT, IKType()))),
+])
+
+
+def _rehint(t, choose):
+    """t with every binder's hint drawn from O_HINTS."""
+    if not dataclasses.is_dataclass(t):
+        return t
+    fields = {f.name: _rehint(getattr(t, f.name), choose)
+              for f in dataclasses.fields(t) if f.name != "hint"}
+    if hasattr(t, "hint"):
+        fields["hint"] = O_HINTS[choose(0, len(O_HINTS) - 1)]
+    return dataclasses.replace(t, **fields)
+
+
+def _hints(t) -> list[str]:
+    if not dataclasses.is_dataclass(t):
+        return []
+    own = [t.hint] if hasattr(t, "hint") else []
+    return own + [h for f in dataclasses.fields(t)
+                  for h in _hints(getattr(t, f.name))]
+
+
+def _o_subject(choose, which: int):
+    """A term (with a type it has the erasure of), a type or a kind over
+    O_CTX, its binders rehinted."""
+    if which == 0:
+        a = gen_lfi_type(choose, O_CTX, choose(0, 3))
+        n = gen_lfi_term(choose, O_CTX, lfr.lfi.lfi_erase_type(a),
+                         choose(0, 2))
+        return _rehint(n, choose), _rehint(a, choose)
+    gen = gen_lfi_type if which == 1 else gen_lfi_kind
+    return (_rehint(gen(choose, O_CTX, choose(0, 3)), choose),)
+
+
+@st.composite
+def lfi_print_instances(draw):
+    """(which, t): a term, type or kind; sometimes with `a` closed into
+    dangling indices."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    which = choose(0, 2)
+    t = _o_subject(choose, which)[0]
+    if choose(0, 1):
+        t = close_lfi(t, "a")
+    return which, t
+
+
+@st.composite
+def lfi_check_instances(draw):
+    """(which, ctx, subject): O_CTX with random relevance, plus hypotheses
+    named like the subject's binders."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    which = choose(0, 2)
+    subject = _o_subject(choose, which)
+    ctx = [LfiCtxEntry(x, O_TYPES[x], choose(0, 3) > 0) for x, _ in O_CTX]
+    for h in dict.fromkeys(h for t in subject for h in _hints(t)):
+        if choose(0, 1):
+            ctx.append(LfiCtxEntry(h, I_NAT, choose(0, 1) > 0))
+    return which, ctx, subject
+
+
+def _outcome(call, *args):
+    try:
+        call(*args)
+    except LfiError as e:
+        return str(e)
+    return None
+
+
+class TestOpenedOracle:
+    """The printer and the checker against copies that open every binder
+    with a name (tests/oracles.py): the same bytes, the same verdicts,
+    the same messages."""
+
+    PRINTERS = ((pp_lfi_term, opened_pp_term), (pp_lfi_type, opened_pp_type),
+                (pp_lfi_kind, opened_pp_kind))
+    CHECKERS = ((lfi_check, opened_check), (lfi_check_type, opened_check_type),
+                (lfi_check_kind, opened_check_kind))
+
+    @given(lfi_print_instances())
+    def test_printer_matches(self, inst):
+        which, t = inst
+        ours, theirs = self.PRINTERS[which]
+        assert ours(t) == theirs(t)
+
+    @given(lfi_check_instances())
+    def test_checker_matches(self, inst):
+        which, ctx, subject = inst
+        ours, theirs = self.CHECKERS[which]
+        assert (_outcome(ours, O_SIG, ctx, *subject)
+                == _outcome(theirs, O_SIG, ctx, *subject))
+
+
 # Values recorded from the named implementation, which opened every binder
 # it substituted under; index-based substitution must reproduce them.
-I_NAT = ITConst("nat")
 I_NN = IArrow(IBase("nat"), IBase("nat"))
 
 
