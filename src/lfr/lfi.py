@@ -374,70 +374,47 @@ def open_lfi(t: LfiSyntax, repl: LfiAtomic, k: int = 0) -> LfiSyntax:
     raise TypeError(f"open_lfi: unexpected node {t!r}")
 
 
-def close_lfi(t: LfiSyntax, name: str, k: int = 0) -> LfiSyntax:
+def close_lfi(t: LfiSyntax, names: Union[str, dict[str, int]], k: int = 0
+              ) -> LfiSyntax:
+    """Bind a free name as index k.  Given a map from names to offsets,
+    bind each name n as index k + offset, all in one walk."""
+    if isinstance(names, str):
+        names = {names: 0}
     match t:
         case IFVar(n):
-            return IBVar(k) if n == name else t
+            offset = names.get(n)
+            return t if offset is None else IBVar(k + offset)
         case IBVar() | IConst() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
             return t
         case IApp(f, a):
-            return IApp(close_lfi(f, name, k), close_lfi(a, name, k))
+            return IApp(close_lfi(f, names, k), close_lfi(a, names, k))
         case IIrrApp(f, a):
-            return IIrrApp(close_lfi(f, name, k), close_lfi(a, name, k))
+            return IIrrApp(close_lfi(f, names, k), close_lfi(a, names, k))
         case IFst(b):
-            return IFst(close_lfi(b, name, k))
+            return IFst(close_lfi(b, names, k))
         case ISnd(b):
-            return ISnd(close_lfi(b, name, k))
+            return ISnd(close_lfi(b, names, k))
         case ILam(h, b):
-            return ILam(h, close_lfi(b, name, k + 1))
+            return ILam(h, close_lfi(b, names, k + 1))
         case IPair(l, r):
-            return IPair(close_lfi(l, name, k), close_lfi(r, name, k))
+            return IPair(close_lfi(l, names, k), close_lfi(r, names, k))
         case ITApp(f, a):
-            return ITApp(close_lfi(f, name, k), close_lfi(a, name, k))
+            return ITApp(close_lfi(f, names, k), close_lfi(a, names, k))
         case ITIrrApp(f, a):
-            return ITIrrApp(close_lfi(f, name, k), close_lfi(a, name, k))
+            return ITIrrApp(close_lfi(f, names, k), close_lfi(a, names, k))
         case ITPi(h, d, c):
-            return ITPi(h, close_lfi(d, name, k), close_lfi(c, name, k + 1))
+            return ITPi(h, close_lfi(d, names, k), close_lfi(c, names, k + 1))
         case ITIrrPi(h, d, c):
-            return ITIrrPi(h, close_lfi(d, name, k), close_lfi(c, name, k + 1))
+            return ITIrrPi(h, close_lfi(d, names, k), close_lfi(c, names, k + 1))
         case ITProd(l, r):
-            return ITProd(close_lfi(l, name, k), close_lfi(r, name, k))
+            return ITProd(close_lfi(l, names, k), close_lfi(r, names, k))
         case IKPi(h, d, c):
-            return IKPi(h, close_lfi(d, name, k), close_lfi(c, name, k + 1))
+            return IKPi(h, close_lfi(d, names, k), close_lfi(c, names, k + 1))
         case IKIrrPi(h, d, c):
-            return IKIrrPi(h, close_lfi(d, name, k), close_lfi(c, name, k + 1))
+            return IKIrrPi(h, close_lfi(d, names, k), close_lfi(c, names, k + 1))
         case IKProd(l, r):
-            return IKProd(close_lfi(l, name, k), close_lfi(r, name, k))
+            return IKProd(close_lfi(l, names, k), close_lfi(r, names, k))
     raise TypeError(f"close_lfi: unexpected node {t!r}")
-
-
-def lfi_free_vars(t: LfiSyntax) -> set[str]:
-    out: set[str] = set()
-    _free(t, out)
-    return out
-
-
-def _free(t: LfiSyntax, out: set[str]) -> None:
-    match t:
-        case IFVar(n):
-            out.add(n)
-        case IBVar() | IConst() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
-            pass
-        case IApp(f, a) | IIrrApp(f, a) | ITApp(f, a) | ITIrrApp(f, a):
-            _free(f, out)
-            _free(a, out)
-        case IFst(b) | ISnd(b):
-            _free(b, out)
-        case ILam(_, b):
-            _free(b, out)
-        case IPair(l, r) | ITProd(l, r) | IKProd(l, r):
-            _free(l, out)
-            _free(r, out)
-        case ITPi(_, d, c) | ITIrrPi(_, d, c) | IKPi(_, d, c) | IKIrrPi(_, d, c):
-            _free(d, out)
-            _free(c, out)
-        case _:
-            raise TypeError(f"lfi_free_vars: unexpected node {t!r}")
 
 
 def is_lfi_atomic(t: LfiTerm) -> bool:
@@ -645,14 +622,47 @@ class LfiError(CheckError):
     """Target-calculus checking failure."""
 
 
-def _fmt_type(a: LfiType) -> str:
+# The checker descends binders without opening them.  `stack` holds a
+# (hint, domain, relevant) triple for each binder passed, innermost last:
+# IBVar(i) is the hypothesis stack[-1 - i], and its domain, read i + 1
+# binders further out, is shifted by i + 1.  IFVar names a hypothesis of
+# the context.  A bound hypothesis gets a name only for a message: its
+# hint, primed away from the context's names and from the names of the
+# hypotheses bound outside it.
+Stack = tuple[tuple[str, LfiType, bool], ...]
+
+
+def _names(ctx: LfiContext, stack: Stack) -> list[str]:
+    """The names messages give the hypotheses on stack, outermost first."""
+    avoid = {e.name for e in ctx}
+    out = []
+    for h, _, _ in stack:
+        x = fresh_name(h, avoid)
+        avoid.add(x)
+        out.append(x)
+    return out
+
+
+def _named(t: LfiSyntax, ctx: LfiContext, stack: Stack) -> LfiSyntax:
+    """t with every hypothesis on stack opened as its name."""
+    names = _names(ctx, stack)
+    for j, x in enumerate(names):
+        t = open_lfi(t, IFVar(x), len(names) - 1 - j)
+    return t
+
+
+def _fmt_type(a: LfiType, ctx: LfiContext, stack: Stack) -> str:
     from .printer import pp_lfi_type
-    return pp_lfi_type(a)
+    return pp_lfi_type(_named(a, ctx, stack))
 
 
-def _fmt_term(t: LfiTerm) -> str:
+def _fmt_term(t: LfiTerm, ctx: LfiContext, stack: Stack) -> str:
     from .printer import pp_lfi_term
-    return pp_lfi_term(t)
+    return pp_lfi_term(_named(t, ctx, stack))
+
+
+def _promote(stack: Stack) -> Stack:
+    return tuple((h, d, True) for h, d, _ in stack)
 
 
 def _inst(cod: Union[LfiType, LfiKind], arg: LfiTerm, dom: LfiType
@@ -662,6 +672,23 @@ def _inst(cod: Union[LfiType, LfiKind], arg: LfiTerm, dom: LfiType
 
 
 def lfi_synth(sig: LfiSignature, ctx: LfiContext, r: LfiAtomic) -> LfiType:
+    return _synth(sig, ctx, (), r)
+
+
+def lfi_check(sig: LfiSignature, ctx: LfiContext, n: LfiTerm, a: LfiType) -> None:
+    _check(sig, ctx, (), n, a)
+
+
+def lfi_check_type(sig: LfiSignature, ctx: LfiContext, a: LfiType) -> None:
+    _check_type(sig, ctx, (), a)
+
+
+def lfi_check_kind(sig: LfiSignature, ctx: LfiContext, k: LfiKind) -> None:
+    _check_kind(sig, ctx, (), k)
+
+
+def _synth(sig: LfiSignature, ctx: LfiContext, stack: Stack, r: LfiAtomic
+           ) -> LfiType:
     match r:
         case IConst(n):
             ty = sig.const_type(n)
@@ -676,33 +703,44 @@ def lfi_synth(sig: LfiSignature, ctx: LfiContext, r: LfiAtomic) -> LfiType:
                 raise LfiError(
                     f"irrelevant hypothesis {n} used in a relevant position")
             return entry.type
+        case IBVar(i) if i < len(stack):
+            _, d, relevant = stack[-1 - i]
+            if not relevant:
+                raise LfiError(
+                    f"irrelevant hypothesis {_names(ctx, stack)[-1 - i]} "
+                    f"used in a relevant position")
+            return _shift_lfi(d, i + 1)
         case IApp(f, a):
-            fty = lfi_synth(sig, ctx, f)
+            fty = _synth(sig, ctx, stack, f)
             if not isinstance(fty, ITPi):
-                raise LfiError(f"applied term of non-function type {_fmt_type(fty)}")
-            lfi_check(sig, ctx, a, fty.dom)
+                raise LfiError(f"applied term of non-function type "
+                               f"{_fmt_type(fty, ctx, stack)}")
+            _check(sig, ctx, stack, a, fty.dom)
             return _inst(fty.cod, a, fty.dom)
         case IIrrApp(f, a):
-            fty = lfi_synth(sig, ctx, f)
+            fty = _synth(sig, ctx, stack, f)
             if not isinstance(fty, ITIrrPi):
-                raise LfiError(
-                    f"irrelevant application at non-irrelevant type {_fmt_type(fty)}")
-            lfi_check(sig, promote(ctx), a, fty.dom)
+                raise LfiError(f"irrelevant application at non-irrelevant type "
+                               f"{_fmt_type(fty, ctx, stack)}")
+            _check(sig, promote(ctx), _promote(stack), a, fty.dom)
             return _inst(fty.cod, a, fty.dom)
         case IFst(b):
-            bty = lfi_synth(sig, ctx, b)
+            bty = _synth(sig, ctx, stack, b)
             if not isinstance(bty, ITProd):
-                raise LfiError(f"first projection of non-pair type {_fmt_type(bty)}")
+                raise LfiError(f"first projection of non-pair type "
+                               f"{_fmt_type(bty, ctx, stack)}")
             return bty.left
         case ISnd(b):
-            bty = lfi_synth(sig, ctx, b)
+            bty = _synth(sig, ctx, stack, b)
             if not isinstance(bty, ITProd):
-                raise LfiError(f"second projection of non-pair type {_fmt_type(bty)}")
+                raise LfiError(f"second projection of non-pair type "
+                               f"{_fmt_type(bty, ctx, stack)}")
             return bty.right
-    raise LfiError(f"cannot synthesize a type for {_fmt_term(r)}")
+    raise LfiError(f"cannot synthesize a type for {_fmt_term(r, ctx, stack)}")
 
 
-def lfi_check(sig: LfiSignature, ctx: LfiContext, n: LfiTerm, a: LfiType) -> None:
+def _check(sig: LfiSignature, ctx: LfiContext, stack: Stack, n: LfiTerm,
+           a: LfiType) -> None:
     match n:
         case ILam(h, b):
             match a:
@@ -711,50 +749,50 @@ def lfi_check(sig: LfiSignature, ctx: LfiContext, n: LfiTerm, a: LfiType) -> Non
                 case ITIrrPi(_, d, c):
                     relevant = False
                 case _:
-                    raise LfiError(
-                        f"function checked against non-function type {_fmt_type(a)}")
-            x = fresh_name(h, {e.name for e in ctx} | lfi_free_vars(b) | lfi_free_vars(c))
-            lfi_check(sig, ctx + [LfiCtxEntry(x, d, relevant)],
-                      open_lfi(b, IFVar(x)), open_lfi(c, IFVar(x)))
+                    raise LfiError(f"function checked against non-function "
+                                   f"type {_fmt_type(a, ctx, stack)}")
+            _check(sig, ctx, stack + ((h, d, relevant),), b, c)
         case IPair(l, r):
             if not isinstance(a, ITProd):
-                raise LfiError(f"pair checked against non-product type {_fmt_type(a)}")
-            lfi_check(sig, ctx, l, a.left)
-            lfi_check(sig, ctx, r, a.right)
+                raise LfiError(f"pair checked against non-product type "
+                               f"{_fmt_type(a, ctx, stack)}")
+            _check(sig, ctx, stack, l, a.left)
+            _check(sig, ctx, stack, r, a.right)
         case IUnit():
             if not isinstance(a, ITUnitT):
-                raise LfiError(f"unit checked against {_fmt_type(a)}")
+                raise LfiError(f"unit checked against {_fmt_type(a, ctx, stack)}")
         case _:
             if not is_lfi_atomic(n):
-                raise LfiError(f"cannot check {_fmt_term(n)}")
-            syn = lfi_synth(sig, ctx, n)
+                raise LfiError(f"cannot check {_fmt_term(n, ctx, stack)}")
+            syn = _synth(sig, ctx, stack, n)
             if not lfi_equal(syn, a):
                 raise LfiError(
-                    f"type mismatch: expected {_fmt_type(a)}, synthesized {_fmt_type(syn)}")
+                    f"type mismatch: expected {_fmt_type(a, ctx, stack)}, "
+                    f"synthesized {_fmt_type(syn, ctx, stack)}")
 
 
-def lfi_check_type(sig: LfiSignature, ctx: LfiContext, a: LfiType) -> None:
+def _check_type(sig: LfiSignature, ctx: LfiContext, stack: Stack, a: LfiType
+                ) -> None:
     match a:
         case ITPi(h, d, c) | ITIrrPi(h, d, c):
-            lfi_check_type(sig, ctx, d)
-            relevant = isinstance(a, ITPi)
-            x = fresh_name(h, {e.name for e in ctx} | lfi_free_vars(c))
-            lfi_check_type(sig, ctx + [LfiCtxEntry(x, d, relevant)],
-                           open_lfi(c, IFVar(x)))
+            _check_type(sig, ctx, stack, d)
+            _check_type(sig, ctx, stack + ((h, d, isinstance(a, ITPi)),), c)
         case ITProd(l, r):
-            lfi_check_type(sig, ctx, l)
-            lfi_check_type(sig, ctx, r)
+            _check_type(sig, ctx, stack, l)
+            _check_type(sig, ctx, stack, r)
         case ITUnitT():
             pass
         case ITConst() | ITApp() | ITIrrApp():
-            k = _kind_of_atomic(sig, ctx, a)
+            k = _kind_of_atomic(sig, ctx, stack, a)
             if not isinstance(k, IKType):
-                raise LfiError(f"type family not fully applied: {_fmt_type(a)}")
+                raise LfiError(f"type family not fully applied: "
+                               f"{_fmt_type(a, ctx, stack)}")
         case _:
-            raise LfiError(f"not a type: {a!r}")
+            raise LfiError(f"not a type: {_named(a, ctx, stack)!r}")
 
 
-def _kind_of_atomic(sig: LfiSignature, ctx: LfiContext, p: LfiAtomicType) -> LfiKind:
+def _kind_of_atomic(sig: LfiSignature, ctx: LfiContext, stack: Stack,
+                    p: LfiAtomicType) -> LfiKind:
     spine: list[tuple[LfiTerm, bool]] = []
     while True:
         match p:
@@ -767,17 +805,17 @@ def _kind_of_atomic(sig: LfiSignature, ctx: LfiContext, p: LfiAtomicType) -> Lfi
             case _:
                 break
     if not isinstance(p, ITConst):
-        raise LfiError(f"type head is not a constant: {p!r}")
+        raise LfiError(f"type head is not a constant: {_named(p, ctx, stack)!r}")
     kind = sig.fam_kind(p.name)
     if kind is None:
         raise LfiError(f"unbound type family {p.name}")
     for arg, irr in reversed(spine):
         match kind:
             case IKPi(_, d, c) if not irr:
-                lfi_check(sig, ctx, arg, d)
+                _check(sig, ctx, stack, arg, d)
                 kind = _inst(c, arg, d)
             case IKIrrPi(_, d, c) if irr:
-                lfi_check(sig, promote(ctx), arg, d)
+                _check(sig, promote(ctx), _promote(stack), arg, d)
                 kind = _inst(c, arg, d)
             case _:
                 raise LfiError(
@@ -785,21 +823,19 @@ def _kind_of_atomic(sig: LfiSignature, ctx: LfiContext, p: LfiAtomicType) -> Lfi
     return kind
 
 
-def lfi_check_kind(sig: LfiSignature, ctx: LfiContext, k: LfiKind) -> None:
+def _check_kind(sig: LfiSignature, ctx: LfiContext, stack: Stack, k: LfiKind
+                ) -> None:
     match k:
         case IKType() | IKUnit():
             pass
         case IKPi(h, d, c) | IKIrrPi(h, d, c):
-            lfi_check_type(sig, ctx, d)
-            relevant = isinstance(k, IKPi)
-            x = fresh_name(h, {e.name for e in ctx} | lfi_free_vars(c))
-            lfi_check_kind(sig, ctx + [LfiCtxEntry(x, d, relevant)],
-                           open_lfi(c, IFVar(x)))
+            _check_type(sig, ctx, stack, d)
+            _check_kind(sig, ctx, stack + ((h, d, isinstance(k, IKPi)),), c)
         case IKProd(l, r):
-            lfi_check_kind(sig, ctx, l)
-            lfi_check_kind(sig, ctx, r)
+            _check_kind(sig, ctx, stack, l)
+            _check_kind(sig, ctx, stack, r)
         case _:
-            raise LfiError(f"not a kind: {k!r}")
+            raise LfiError(f"not a kind: {_named(k, ctx, stack)!r}")
 
 
 def lfi_check_sig(sig: LfiSignature) -> None:

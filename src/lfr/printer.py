@@ -12,8 +12,6 @@ makes a bare binder (maximal scope) safe to print.
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import lfi as L
 from .syntax import (
     App,
@@ -54,7 +52,7 @@ def _wrap(cond: bool, s: str) -> str:
 
 
 def _uses_binder(cod) -> bool:
-    """Whether a binder's body, of either syntax, mentions its index 0.
+    """Whether a binder's body mentions its index 0.
 
     When it does not, the body is printed as it is: it has no other
     dangling index, so opening it would change nothing.
@@ -64,24 +62,17 @@ def _uses_binder(cod) -> bool:
 
 def _mentions(t, k: int) -> bool:
     match t:
-        case BVar(i) | L.IBVar(i):
+        case BVar(i):
             return i == k
-        case (FVar() | Const() | TConst() | SConst() | STop() | KType()
-              | CSort() | CTop() | L.IConst() | L.IFVar() | L.IUnit()
-              | L.ITConst() | L.ITUnitT() | L.IKType() | L.IKUnit()):
+        case FVar() | Const() | TConst() | SConst() | STop() | KType() | CSort() | CTop():
             return False
-        case (App(f, a) | TApp(f, a) | SApp(f, a) | L.IApp(f, a)
-              | L.IIrrApp(f, a) | L.ITApp(f, a) | L.ITIrrApp(f, a)):
+        case App(f, a) | TApp(f, a) | SApp(f, a):
             return _mentions(f, k) or _mentions(a, k)
-        case (SInter(l, r) | CInter(l, r) | L.IPair(l, r) | L.ITProd(l, r)
-              | L.IKProd(l, r)):
+        case SInter(l, r) | CInter(l, r):
             return _mentions(l, k) or _mentions(r, k)
-        case L.IFst(b) | L.ISnd(b):
-            return _mentions(b, k)
-        case Lam(_, b) | L.ILam(_, b):
+        case Lam(_, b):
             return _mentions(b, k + 1)
-        case (TPi(_, d, c) | KPi(_, d, c) | L.ITPi(_, d, c) | L.ITIrrPi(_, d, c)
-              | L.IKPi(_, d, c) | L.IKIrrPi(_, d, c)):
+        case TPi(_, d, c) | KPi(_, d, c):
             return _mentions(d, k) or _mentions(c, k + 1)
         case SPi(_, ds, dt, c) | CPi(_, ds, dt, c):
             return (_mentions(ds, k) or (dt is not None and _mentions(dt, k))
@@ -236,114 +227,142 @@ def pp_signature(sig: Signature) -> str:
 # Target syntax
 
 
-def _lfi_used(t) -> set[str]:
-    out: set[str] = set()
-    _lfi_used_walk(t, out)
+# The target printer carries `env`, the names of the enclosing binders,
+# innermost last, and prints IBVar(i) as env[-1 - i]; an index past env
+# dangles and prints as ?i.  A dependent binder takes its hint, primed
+# away from the constants and free names its body uses and from the names
+# env gives the body's free indices.  `memo` holds those per node, once
+# for each term, type or kind printed.
+
+_NONE: frozenset = frozenset()
+
+
+def _scope(t, memo: dict) -> tuple[frozenset, frozenset]:
+    """(names of the constants and free variables, free indices) of t."""
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit
+    match t:
+        case L.IConst(n) | L.IFVar(n) | L.ITConst(n):
+            out = (frozenset((n,)), _NONE)
+        case L.IBVar(i):
+            out = (_NONE, frozenset((i,)))
+        case L.IUnit() | L.ITUnitT() | L.IKType() | L.IKUnit():
+            out = (_NONE, _NONE)
+        case L.IFst(b) | L.ISnd(b):
+            out = _scope(b, memo)
+        case L.ILam(_, b):
+            out = _under_binder(_scope(b, memo))
+        case (L.IApp(l, r) | L.IIrrApp(l, r) | L.ITApp(l, r) | L.ITIrrApp(l, r)
+              | L.IPair(l, r) | L.ITProd(l, r) | L.IKProd(l, r)):
+            out = _join(_scope(l, memo), _scope(r, memo))
+        case (L.ITPi(_, d, c) | L.ITIrrPi(_, d, c) | L.IKPi(_, d, c)
+              | L.IKIrrPi(_, d, c)):
+            out = _join(_scope(d, memo), _under_binder(_scope(c, memo)))
+        case _:
+            raise TypeError(f"pp_lfi: unexpected node {t!r}")
+    memo[id(t)] = out
     return out
 
 
-def _lfi_used_walk(t, out: set[str]) -> None:
-    if isinstance(t, (L.IFVar, L.IConst, L.ITConst)):
-        out.add(t.name)
-        return
-    if dataclasses.is_dataclass(t):
-        for f in dataclasses.fields(t):
-            v = getattr(t, f.name)
-            if dataclasses.is_dataclass(v):
-                _lfi_used_walk(v, out)
+def _join(a: tuple, b: tuple) -> tuple:
+    return (a[0] | b[0] if b[0] else a[0]), (a[1] | b[1] if b[1] else a[1])
+
+
+def _under_binder(scope: tuple) -> tuple:
+    """A binder body's scope as seen outside the binder."""
+    names, idx = scope
+    return names, frozenset(i - 1 for i in idx if i)
+
+
+def _binder_name(h: str, body, env: tuple, memo: dict) -> str:
+    names, idx = _scope(body, memo)
+    return fresh_name(h, names | {env[-i] for i in idx if 0 < i <= len(env)})
 
 
 def pp_lfi_term(t) -> str:
-    return _pl_term(t, 0, True)
+    return _pl_term(t, 0, True, (), {})
 
 
 def pp_lfi_type(a) -> str:
-    return _pl_type(a, 0, True)
+    return _pl_type(a, 0, True, (), {})
 
 
 def pp_lfi_kind(k) -> str:
-    return _pl_kind(k, 0, True)
+    return _pl_kind(k, 0, True, (), {})
 
 
-def _pl_term(t, lvl: int, ext: bool) -> str:
+def _pl_term(t, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match t:
         case L.IConst(n) | L.IFVar(n):
             return n
         case L.IBVar(i):
-            return f"?{i}"
+            return env[-1 - i] if i < len(env) else f"?{i}"
         case L.IApp(f, a):
-            s = f"{_pl_term(f, 3, False)} {_pl_term(a, 4, False)}"
+            s = f"{_pl_term(f, 3, False, env, memo)} {_pl_term(a, 4, False, env, memo)}"
             return _wrap(lvl >= 4, s)
         case L.IIrrApp(f, a):
-            s = f"{_pl_term(f, 3, False)} [[ {_pl_term(a, 0, True)} ]]"
+            s = f"{_pl_term(f, 3, False, env, memo)} [[ {_pl_term(a, 0, True, env, memo)} ]]"
             return _wrap(lvl >= 4, s)
         case L.IFst(b):
-            return f"{_pl_term(b, 4, False)}.1"
+            return f"{_pl_term(b, 4, False, env, memo)}.1"
         case L.ISnd(b):
-            return f"{_pl_term(b, 4, False)}.2"
+            return f"{_pl_term(b, 4, False, env, memo)}.2"
         case L.ILam(h, b):
-            x = fresh_name(h, _lfi_used(b))
-            s = f"[{x}] {_pl_term(L.open_lfi(b, L.IFVar(x)), 0, True)}"
+            x = _binder_name(h, b, env, memo)
+            s = f"[{x}] {_pl_term(b, 0, True, env + (x,), memo)}"
             return _wrap(not ext, s)
         case L.IPair(l, r):
-            return f"<{_pl_term(l, 0, True)}, {_pl_term(r, 0, True)}>"
+            return f"<{_pl_term(l, 0, True, env, memo)}, {_pl_term(r, 0, True, env, memo)}>"
         case L.IUnit():
             return "<>"
     raise TypeError(f"pp_lfi_term: {t!r}")
 
 
-def _pl_type(a, lvl: int, ext: bool) -> str:
+def _pl_pi(pi, h: str, d, c, body, lvl: int, ext: bool, env: tuple,
+           memo: dict) -> str:
+    """A Pi type or kind; `body` prints its codomain."""
+    colon, arrow = ((":", "->") if isinstance(pi, (L.ITPi, L.IKPi))
+                    else ("::", "-:>"))
+    if 0 in _scope(c, memo)[1]:
+        x = _binder_name(h, c, env, memo)
+        s = (f"{{{x} {colon} {_pl_type(d, 0, True, env, memo)}}} "
+             f"{body(c, 0, True, env + (x,), memo)}")
+        return _wrap(not ext, s)
+    # The codomain does not mention the binder, so its name is never shown.
+    s = (f"{_pl_type(d, 2, False, env, memo)} {arrow} "
+         f"{body(c, 1, ext, env + (h,), memo)}")
+    return _wrap(lvl >= 2, s)
+
+
+def _pl_type(a, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match a:
         case L.ITConst(n):
             return n
         case L.ITApp(f, arg):
-            s = f"{_pl_type(f, 3, False)} {_pl_term(arg, 4, False)}"
+            s = f"{_pl_type(f, 3, False, env, memo)} {_pl_term(arg, 4, False, env, memo)}"
             return _wrap(lvl >= 4, s)
         case L.ITIrrApp(f, arg):
-            s = f"{_pl_type(f, 3, False)} [[ {_pl_term(arg, 0, True)} ]]"
+            s = f"{_pl_type(f, 3, False, env, memo)} [[ {_pl_term(arg, 0, True, env, memo)} ]]"
             return _wrap(lvl >= 4, s)
-        case L.ITPi(h, d, c):
-            if _uses_binder(c):
-                x = fresh_name(h, _lfi_used(c))
-                s = f"{{{x} : {_pl_type(d, 0, True)}}} {_pl_type(L.open_lfi(c, L.IFVar(x)), 0, True)}"
-                return _wrap(not ext, s)
-            s = f"{_pl_type(d, 2, False)} -> {_pl_type(c, 1, ext)}"
-            return _wrap(lvl >= 2, s)
-        case L.ITIrrPi(h, d, c):
-            if _uses_binder(c):
-                x = fresh_name(h, _lfi_used(c))
-                s = f"{{{x} :: {_pl_type(d, 0, True)}}} {_pl_type(L.open_lfi(c, L.IFVar(x)), 0, True)}"
-                return _wrap(not ext, s)
-            s = f"{_pl_type(d, 2, False)} -:> {_pl_type(c, 1, ext)}"
-            return _wrap(lvl >= 2, s)
+        case L.ITPi(h, d, c) | L.ITIrrPi(h, d, c):
+            return _pl_pi(a, h, d, c, _pl_type, lvl, ext, env, memo)
         case L.ITProd(l, r):
-            s = f"({_pl_type(l, 0, True)}) * ({_pl_type(r, 0, True)})"
+            s = f"({_pl_type(l, 0, True, env, memo)}) * ({_pl_type(r, 0, True, env, memo)})"
             return _wrap(lvl >= 3, s)
         case L.ITUnitT():
             return "1"
     raise TypeError(f"pp_lfi_type: {a!r}")
 
 
-def _pl_kind(k, lvl: int, ext: bool) -> str:
+def _pl_kind(k, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match k:
         case L.IKType():
             return "type"
-        case L.IKPi(h, d, c):
-            if _uses_binder(c):
-                x = fresh_name(h, _lfi_used(c))
-                s = f"{{{x} : {_pl_type(d, 0, True)}}} {_pl_kind(L.open_lfi(c, L.IFVar(x)), 0, True)}"
-                return _wrap(not ext, s)
-            s = f"{_pl_type(d, 2, False)} -> {_pl_kind(c, 1, ext)}"
-            return _wrap(lvl >= 2, s)
-        case L.IKIrrPi(h, d, c):
-            if _uses_binder(c):
-                x = fresh_name(h, _lfi_used(c))
-                s = f"{{{x} :: {_pl_type(d, 0, True)}}} {_pl_kind(L.open_lfi(c, L.IFVar(x)), 0, True)}"
-                return _wrap(not ext, s)
-            s = f"{_pl_type(d, 2, False)} -:> {_pl_kind(c, 1, ext)}"
-            return _wrap(lvl >= 2, s)
+        case L.IKPi(h, d, c) | L.IKIrrPi(h, d, c):
+            return _pl_pi(k, h, d, c, _pl_kind, lvl, ext, env, memo)
         case L.IKProd(l, r):
-            s = f"({_pl_kind(l, 0, True)}) * ({_pl_kind(r, 0, True)})"
+            s = f"({_pl_kind(l, 0, True, env, memo)}) * ({_pl_kind(r, 0, True, env, memo)})"
             return _wrap(lvl >= 3, s)
         case L.IKUnit():
             return "1"

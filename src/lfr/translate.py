@@ -217,10 +217,10 @@ def meta_apply(f: Metafunction, args: list):
 
 
 def _close_over(t, scope: list[str]):
-    """Bind the names of the enclosing binders (outermost first) in t."""
-    for k, name in enumerate(reversed(scope)):
-        t = close_lfi(t, name, k)
-    return t
+    """Bind the names of the enclosing binders (outermost first) in t; a
+    name bound twice refers to its inner binder."""
+    return close_lfi(t, {name: len(scope) - 1 - k
+                         for k, name in enumerate(scope)})
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +469,8 @@ def _proof(sig, closure, mangler, d, ren: dict):
         case ("lam", hint, x, avoid, body):
             shown = pool_name(hint, {ren.get(v, v) for v in avoid})
             inner = _proof(sig, closure, mangler, body, {**ren, x: shown})
-            inner = ILam(shown + "^", close_lfi(inner, x + "^"))
-            return ILam(shown, close_lfi(inner, x))
+            return ILam(shown, ILam(shown + "^",
+                                    close_lfi(inner, {x: 1, x + "^": 0})))
         case ("sub", ctx, q, s, n, d1):
             coerce = _coercion(sig, closure, ctx, q, s, mangler, ren)
             return meta_apply(coerce, [inj_term(n), premise(d1)])

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,7 +58,7 @@ from lfr.lfi import (
     open_lfi,
     promote,
 )
-from lfr.printer import pp_lfi_kind, pp_lfi_term, pp_lfi_type
+from lfr.printer import pp_lfi_kind, pp_lfi_term, pp_lfi_type, print_lfi
 from lfr.subst import MetricExhausted, SubstFailure
 from lfr.translate import verify_translation
 
@@ -419,56 +421,68 @@ class TestPinnedFuel:
             call()
 
 
+@functools.cache
+def _binder_walks(m: int) -> tuple[Counter, int]:
+    """(visits of each binder walk, visits while lfi_hsubst runs) during
+    verify_translation and print_lfi on binders_text(m)."""
+    sig = check_signature(parse_signature(binders_text(m)))
+    result = trans_sig(sig)
+    visits: Counter = Counter()
+    inside = depth = 0
+
+    def counted(name, walk):
+        def visit(*args):
+            nonlocal inside
+            visits[name] += 1
+            inside += depth > 0
+            return walk(*args)
+        return visit
+
+    def hsubst(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            return real_hsubst(*args)
+        finally:
+            depth -= 1
+
+    real_hsubst = lfr.lfi.lfi_hsubst
+    with pytest.MonkeyPatch.context() as patch:
+        for name in TestBinderScaling.WALKS:
+            patch.setattr(lfr.lfi, name, counted(name, getattr(lfr.lfi, name)))
+        patch.setattr(lfr.lfi, "lfi_hsubst", hsubst)
+        verify_translation(sig, result)
+        print_lfi(result.lfi_sig)
+    return visits, inside
+
+
 class TestBinderScaling:
-    """Re-checking a rule under many dependent binders.  Substitution
-    descends binders by index, so it opens, closes and scans none; the
-    count is of node visits, so it does not depend on the host."""
+    """Re-checking and printing a rule under many dependent binders.  The
+    checker, the printer and substitution descend binders by index, so
+    none of them opens one; what is left are the translator's closes.
+    The count is of node visits, so it does not depend on the host."""
 
-    WALKS = ("open_lfi", "close_lfi", "_free")
+    WALKS = ("open_lfi", "close_lfi")
+    # open_lfi, close_lfi and lfi_free_vars visits when the checker and
+    # the printer opened every binder with a name.
+    NAMED = {8: 143_315, 16: 387_867}
 
-    def _visits(self, monkeypatch, m: int) -> tuple[int, int]:
-        """(all visits, visits while lfi_hsubst runs) of the binder walks
-        during verify_translation on binders_text(m)."""
-        sig = check_signature(parse_signature(binders_text(m)))
-        result = trans_sig(sig)
-        total = inside = depth = 0
-
-        def counted(walk):
-            def visit(*args):
-                nonlocal total, inside
-                total += 1
-                inside += depth > 0
-                return walk(*args)
-            return visit
-
-        def hsubst(*args):
-            nonlocal depth
-            depth += 1
-            try:
-                return real_hsubst(*args)
-            finally:
-                depth -= 1
-
-        real_hsubst = lfr.lfi.lfi_hsubst
-        with monkeypatch.context() as patch:
-            for name in self.WALKS:
-                patch.setattr(lfr.lfi, name, counted(getattr(lfr.lfi, name)))
-            patch.setattr(lfr.lfi, "lfi_hsubst", hsubst)
-            verify_translation(sig, result)
-        return total, inside
-
-    def test_substitution_walks_no_binder(self, monkeypatch):
+    def test_substitution_walks_no_binder(self):
         # The named implementation made 784 725 of its 974 423 visits at
         # m=8 inside lfi_hsubst.
-        _, inside = self._visits(monkeypatch, 8)
-        assert inside == 0
+        assert _binder_walks(8)[1] == 0
 
-    def test_visits_grow_gently_in_premises(self, monkeypatch):
-        # What is left is lfi_check's own binder opening; doubling m
-        # multiplied the visits by 4.9 with the named implementation and
-        # by about 2.7 without it.
-        at_8, _ = self._visits(monkeypatch, 8)
-        at_16, _ = self._visits(monkeypatch, 16)
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_no_binder_is_opened(self, m):
+        visits, _ = _binder_walks(m)
+        assert visits["open_lfi"] == 0
+        assert visits["close_lfi"] < 0.1 * self.NAMED[m]
+
+    def test_visits_grow_gently_in_premises(self):
+        # Doubling m multiplied the visits by 4.9 when substitution opened
+        # binders too, and by about 2.7 when only the checker did.
+        at_8 = sum(_binder_walks(8)[0].values())
+        at_16 = sum(_binder_walks(16)[0].values())
         assert at_16 <= 3.5 * at_8
 
 
