@@ -160,19 +160,28 @@ class TransResult:
 # Injection of the simply-typed skeleton
 
 
-def inj_term(t):
+def inj_term(t, memo: dict | None = None):
+    """The target term with t's structure.  `memo`, when given, maps the id
+    of each node injected so far to the node and its injection, so that a
+    node met again is not walked again."""
+    if memo is not None and id(t) in memo:
+        return memo[id(t)][1]
     match t:
         case Const(n):
-            return IConst(n)
+            out = IConst(n)
         case FVar(n):
-            return IFVar(n)
+            out = IFVar(n)
         case BVar(i):
-            return IBVar(i)
+            out = IBVar(i)
         case App(f, a):
-            return IApp(inj_term(f), inj_term(a))
+            out = IApp(inj_term(f, memo), inj_term(a, memo))
         case Lam(h, b):
-            return ILam(h, inj_term(b))
-    raise TypeError(f"inj_term: {t!r}")
+            out = ILam(h, inj_term(b, memo))
+        case _:
+            raise TypeError(f"inj_term: {t!r}")
+    if memo is not None:
+        memo[id(t)] = (t, out)
+    return out
 
 
 def inj_type(a):
@@ -439,15 +448,20 @@ def trans_term_check(sig: Signature, ctx: Context, n, s, mangler=None,
                   _acheck(sig, closure, ctx, n, s, None), {})
 
 
-def _proof(sig, closure, mangler, d, ren: dict):
+def _proof(sig, closure, mangler, d, ren: dict, injected: dict | None = None):
     """The proof a checker derivation (see lfr_check) denotes.
 
     A binder the checker opened as x is shown under the pool name its
     hint gets against the names in scope; `ren` maps the checker's names
-    of the enclosing binders to those shown.
+    of the enclosing binders to those shown.  `injected` is inj_term's
+    memo for the whole tree: the arguments of an argument's premises are
+    its own subterms, so each is injected once.
     """
+    if injected is None:
+        injected = {}
+
     def premise(d1):
-        return _proof(sig, closure, mangler, d1, ren)
+        return _proof(sig, closure, mangler, d1, ren, injected)
 
     match d:
         case ("const", c):
@@ -461,19 +475,21 @@ def _proof(sig, closure, mangler, d, ren: dict):
         case ("snd", d1):
             return ISnd(premise(d1))
         case ("app", d_fn, arg, d_arg):
-            return IApp(IApp(premise(d_fn), inj_term(arg)), premise(d_arg))
+            return IApp(IApp(premise(d_fn), inj_term(arg, injected)),
+                        premise(d_arg))
         case ("unit",):
             return IUnit()
         case ("pair", d1, d2):
             return IPair(premise(d1), premise(d2))
         case ("lam", hint, x, avoid, body):
             shown = pool_name(hint, {ren.get(v, v) for v in avoid})
-            inner = _proof(sig, closure, mangler, body, {**ren, x: shown})
+            inner = _proof(sig, closure, mangler, body, {**ren, x: shown},
+                           injected)
             return ILam(shown, ILam(shown + "^",
                                     close_lfi(inner, {x: 1, x + "^": 0})))
         case ("sub", ctx, q, s, n, d1):
             coerce = _coercion(sig, closure, ctx, q, s, mangler, ren)
-            return meta_apply(coerce, [inj_term(n), premise(d1)])
+            return meta_apply(coerce, [inj_term(n, injected), premise(d1)])
     raise TypeError(f"_proof: not a derivation: {d!r}")
 
 
