@@ -7,7 +7,9 @@ that single rule is what makes translated refinement proofs coherent.
 
 Hereditary substitution replaces a free name or a bound index and counts
 the binders it descends instead of opening them; instantiation substitutes
-for index 0.  It is this module's own copy, so the certificates are
+for index 0.  The checker descends binders by index too, keeping a stack
+of the hypotheses they bind, and names those hypotheses only to build a
+message.  Both are this module's own code, so the certificates are
 checked by code the source checker does not share.
 """
 

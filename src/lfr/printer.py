@@ -8,6 +8,10 @@ Each position carries a precedence level and an "extends" flag.  Levels:
 side, 3 application head, 4 spine argument.  The flag records whether
 the reparse of this position runs to a closing delimiter, which is what
 makes a bare binder (maximal scope) safe to print.
+
+The source printer opens each binder it prints with a fresh name.  The
+target printer opens none: it carries the names of the enclosing
+binders and looks a bound index up in them.
 """
 
 from __future__ import annotations

@@ -228,6 +228,8 @@ def meta_apply(f: Metafunction, args: list):
 def _close_over(t, scope: list[str]):
     """Bind the names of the enclosing binders (outermost first) in t; a
     name bound twice refers to its inner binder."""
+    if not scope:
+        return t
     return close_lfi(t, {name: len(scope) - 1 - k
                          for k, name in enumerate(scope)})
 

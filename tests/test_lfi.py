@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import lfr.lfi
 from lfr import (
@@ -33,9 +33,12 @@ from lfr.lfi import (
     IFst,
     IFVar,
     IIrrApp,
+    IIrrArrow,
     IKIrrPi,
     IKPi,
+    IKProd,
     IKType,
+    IKUnit,
     ILam,
     IPair,
     IProdS,
@@ -231,14 +234,18 @@ class TestNamedOracle:
         assert result_key(lfr.lfi._inst(cod, arg, dom)) == named_inst(cod, arg)
 
 
-# Binder hints that meet constants, context names and the names the
-# generators give outer binders (b3, b4, ... and v4, v5, ... over O_CTX).
-O_HINTS = ("x", "x'", "_", "z", "s", "p", "nat", "a", "c", "b3", "b4",
-           "v4", "v5")
-# LFI_CTX and c, a variable of the family p, so a term at p has a head.
-O_CTX = LFI_CTX + [("c", IBase("p"))]
+# Few binder hints, so that nested binders often share one; they meet a
+# constant, a context name and a name the generators give a binder.
+O_HINTS = ("x", "x'", "z", "a", "b5")
+# LFI_CTX; g, which takes its argument irrelevantly; c and e, into the
+# family p, so that a term at p has a head, and one that takes an argument.
+O_CTX = LFI_CTX + [("g", IIrrArrow(LFI_NAT, LFI_NAT)), ("c", IBase("p")),
+                   ("e", IArrow(LFI_NAT, IBase("p")))]
 O_TYPES = {"a": I_NAT, "f": ITPi("x", I_NAT, I_NAT),
-           "c": ITApp(ITIrrApp(ITConst("p"), IConst("z")), IConst("z"))}
+           "g": ITIrrPi("x", I_NAT, I_NAT),
+           "c": ITApp(ITIrrApp(ITConst("p"), IConst("z")), IConst("z")),
+           "e": ITPi("x", I_NAT, ITApp(ITIrrApp(ITConst("p"), IConst("z")),
+                                       IBVar(0)))}
 O_SIG = LfiSignature([
     LfiDecl("nat", IKType()), LfiDecl("z", I_NAT),
     LfiDecl("s", ITPi("x", I_NAT, I_NAT)),
@@ -247,14 +254,14 @@ O_SIG = LfiSignature([
 ])
 
 
-def _rehint(t, choose):
-    """t with every binder's hint drawn from O_HINTS."""
+def _rehint(t, hint):
+    """t with each binder's hint replaced by a call of hint()."""
     if not dataclasses.is_dataclass(t):
         return t
-    fields = {f.name: _rehint(getattr(t, f.name), choose)
+    fields = {f.name: _rehint(getattr(t, f.name), hint)
               for f in dataclasses.fields(t) if f.name != "hint"}
     if hasattr(t, "hint"):
-        fields["hint"] = O_HINTS[choose(0, len(O_HINTS) - 1)]
+        fields["hint"] = hint()
     return dataclasses.replace(t, **fields)
 
 
@@ -268,14 +275,37 @@ def _hints(t) -> list[str]:
 
 def _o_subject(choose, which: int):
     """A term (with a type it has the erasure of), a type or a kind over
-    O_CTX, its binders rehinted."""
+    O_CTX, under up to three binders of nat, each relevant or not.  The
+    binders are rehinted from O_HINTS: all with one hint, or each with
+    its own."""
+    def hint():
+        return O_HINTS[choose(0, len(O_HINTS) - 1)]
+
+    if choose(0, 1):
+        shared = hint()
+        hint = lambda: shared  # noqa: E731
+    outer = [(f"w{i}", choose(0, 1)) for i in range(choose(0, 3))]
+    ctx = O_CTX + [(x, LFI_NAT) for x, _ in outer]
     if which == 0:
-        a = gen_lfi_type(choose, O_CTX, choose(0, 3))
-        n = gen_lfi_term(choose, O_CTX, lfr.lfi.lfi_erase_type(a),
-                         choose(0, 2))
-        return _rehint(n, choose), _rehint(a, choose)
-    gen = gen_lfi_type if which == 1 else gen_lfi_kind
-    return (_rehint(gen(choose, O_CTX, choose(0, 3)), choose),)
+        a = gen_lfi_type(choose, ctx, choose(0, 3))
+        subject = [gen_lfi_term(choose, ctx, lfr.lfi.lfi_erase_type(a),
+                                choose(0, 2)), a]
+    else:
+        gen = gen_lfi_type if which == 1 else gen_lfi_kind
+        subject = [gen(choose, ctx, choose(0, 3))]
+    for x, relevant in reversed(outer):
+        subject = [_bind(x, relevant, t) for t in subject]
+    return tuple(_rehint(t, hint) for t in subject)
+
+
+def _bind(x: str, relevant: bool, t):
+    """t under a binder of x at nat: a lambda, or a Pi at t's level."""
+    body = close_lfi(t, x)
+    if lfr.lfi.is_lfi_atomic(t) or isinstance(t, (ILam, IPair, IUnit)):
+        return ILam(x, body)
+    pis = ((IKPi, IKIrrPi) if isinstance(t, (IKType, IKPi, IKIrrPi, IKProd, IKUnit))
+           else (ITPi, ITIrrPi))
+    return pis[not relevant](x, I_NAT, body)
 
 
 @st.composite
@@ -328,12 +358,14 @@ class TestOpenedOracle:
     CHECKERS = ((lfi_check, opened_check), (lfi_check_type, opened_check_type),
                 (lfi_check_kind, opened_check_kind))
 
+    @settings(max_examples=400)
     @given(lfi_print_instances())
     def test_printer_matches(self, inst):
         which, t = inst
         ours, theirs = self.PRINTERS[which]
         assert ours(t) == theirs(t)
 
+    @settings(max_examples=400)
     @given(lfi_check_instances())
     def test_checker_matches(self, inst):
         which, ctx, subject = inst
@@ -557,6 +589,13 @@ class TestChecking:
             # A proof-irrelevant hypothesis cannot appear relevantly.
             lfi_synth(eo, ctx, IFVar("p"))
 
+    def test_bound_irrelevant_hypothesis_usable_only_irrelevantly(self):
+        sig = LfiSignature(list(D_SIG) + [LfiDecl("g", ITIrrPi("x", D_NAT, D_NAT))])
+        goal = ITIrrPi("u", D_NAT, D_NAT)
+        lfi_check(sig, [], ILam("u", IIrrApp(IConst("g"), IBVar(0))), goal)
+        with pytest.raises(LfiError):
+            lfi_check(sig, [], ILam("u", IApp(IConst("s"), IBVar(0))), goal)
+
     def test_kind_level_products_and_irrelevant_pi(self, eo):
         assert isinstance(eo.fam_kind("even"), IKIrrPi)
         k = eo.fam_kind("even")
@@ -605,6 +644,9 @@ class TestDiagnostics:
         (lambda: lfi_check(D_SIG, [], ILam("u", IApp(IConst("s"), IBVar(0))),
                            ITIrrPi("u", D_NAT, D_NAT)),
          "irrelevant hypothesis u used in a relevant position"),
+        (lambda: lfi_check_kind(D_SIG, [], IKIrrPi(
+            "u", D_NAT, IKPi("_", ITApp(D_P, IBVar(0)), IKType()))),
+         "irrelevant hypothesis u used in a relevant position"),
         (lambda: lfi_check(D_SIG, [LfiCtxEntry("x", D_NAT)], ILam("x", D_Z),
                            ITPi("y", D_NAT, ITApp(D_P, IBVar(0)))),
          "type mismatch: expected p x', synthesized nat"),
@@ -627,9 +669,10 @@ class TestDiagnostics:
         (lambda: lfi_check_type(D_SIG, [], ITPi(
             "x", D_NAT, IApp(IConst("s"), IBVar(0)))),
          "not a type: IApp(fn=IConst(name='s'), arg=IFVar(name='x'))"),
-    ], ids=["mismatch-two-deep", "irrelevant-used", "hint-meets-context",
-            "non-function", "non-pair", "function-at-atom",
-            "unfilled-family", "dangling-index", "not-a-type"])
+    ], ids=["mismatch-two-deep", "irrelevant-used", "irrelevant-in-kind",
+            "hint-meets-context", "non-function", "non-pair",
+            "function-at-atom", "unfilled-family", "dangling-index",
+            "not-a-type"])
     def test_message(self, call, message):
         with pytest.raises(LfiError) as info:
             call()
