@@ -9,7 +9,9 @@ Hereditary substitution replaces a free name or a bound index and counts
 the binders it descends instead of opening them; instantiation substitutes
 for index 0.  The checker descends binders by index too, keeping a stack
 of the hypotheses they bind, and names those hypotheses only to build a
-message.  Both are this module's own code, so the certificates are
+message.  One walk, `_map_vars`, rebuilds a tree around its variables;
+shifting, opening, closing and naming for messages are leaf functions
+over it.  All of this is this module's own code, so the certificates are
 checked by code the source checker does not share.
 """
 
@@ -296,84 +298,49 @@ def lfi_ctx_lookup(ctx: LfiContext, name: str) -> Optional[LfiCtxEntry]:
 # Binding operations
 
 
+def _map_vars(t: LfiSyntax, f, k: int = 0) -> LfiSyntax:
+    """t rebuilt with f(v, depth) in place of each variable v, an IBVar or
+    an IFVar, where depth is k plus the binders passed to reach v.
+
+    This is the one walk that rebuilds target syntax around its variables:
+    opening, closing, shifting and naming are leaf functions over it.
+    """
+    match t:
+        case IBVar() | IFVar():
+            return f(t, k)
+        case IConst() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
+            return t
+        case (IApp(l, r) | IIrrApp(l, r) | IPair(l, r) | ITApp(l, r)
+              | ITIrrApp(l, r) | ITProd(l, r) | IKProd(l, r)):
+            return type(t)(_map_vars(l, f, k), _map_vars(r, f, k))
+        case IFst(b) | ISnd(b):
+            return type(t)(_map_vars(b, f, k))
+        case ILam(h, b):
+            return ILam(h, _map_vars(b, f, k + 1))
+        case ITPi(h, d, c) | ITIrrPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
+            return type(t)(h, _map_vars(d, f, k), _map_vars(c, f, k + 1))
+    raise TypeError(f"_map_vars: unexpected node {t!r}")
+
+
 def _shift_lfi(t: LfiSyntax, by: int, cutoff: int = 0) -> LfiSyntax:
     """Shift free bound-variable indices; needed when a replacement that
     mentions an enclosing binder is inserted under further binders."""
     if by == 0:
         return t
-    match t:
-        case IBVar(i):
-            return IBVar(i + by) if i >= cutoff else t
-        case IConst() | IFVar() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
-            return t
-        case IApp(f, a):
-            return IApp(_shift_lfi(f, by, cutoff), _shift_lfi(a, by, cutoff))
-        case IIrrApp(f, a):
-            return IIrrApp(_shift_lfi(f, by, cutoff), _shift_lfi(a, by, cutoff))
-        case IFst(b):
-            return IFst(_shift_lfi(b, by, cutoff))
-        case ISnd(b):
-            return ISnd(_shift_lfi(b, by, cutoff))
-        case ILam(h, b):
-            return ILam(h, _shift_lfi(b, by, cutoff + 1))
-        case IPair(l, r):
-            return IPair(_shift_lfi(l, by, cutoff), _shift_lfi(r, by, cutoff))
-        case ITApp(f, a):
-            return ITApp(_shift_lfi(f, by, cutoff), _shift_lfi(a, by, cutoff))
-        case ITIrrApp(f, a):
-            return ITIrrApp(_shift_lfi(f, by, cutoff), _shift_lfi(a, by, cutoff))
-        case ITPi(h, d, c):
-            return ITPi(h, _shift_lfi(d, by, cutoff), _shift_lfi(c, by, cutoff + 1))
-        case ITIrrPi(h, d, c):
-            return ITIrrPi(h, _shift_lfi(d, by, cutoff), _shift_lfi(c, by, cutoff + 1))
-        case ITProd(l, r):
-            return ITProd(_shift_lfi(l, by, cutoff), _shift_lfi(r, by, cutoff))
-        case IKPi(h, d, c):
-            return IKPi(h, _shift_lfi(d, by, cutoff), _shift_lfi(c, by, cutoff + 1))
-        case IKIrrPi(h, d, c):
-            return IKIrrPi(h, _shift_lfi(d, by, cutoff), _shift_lfi(c, by, cutoff + 1))
-        case IKProd(l, r):
-            return IKProd(_shift_lfi(l, by, cutoff), _shift_lfi(r, by, cutoff))
-    raise TypeError(f"_shift_lfi: unexpected node {t!r}")
+
+    def leaf(v, depth):
+        return IBVar(v.index + by) if isinstance(v, IBVar) and v.index >= depth else v
+    return _map_vars(t, leaf, cutoff)
 
 
 def open_lfi(t: LfiSyntax, repl: LfiAtomic, k: int = 0) -> LfiSyntax:
     # repl's free indices are read at the position of the call, so k also
     # measures how many binders the replacement has been carried under.
-    match t:
-        case IBVar(i):
-            return _shift_lfi(repl, k) if i == k else t
-        case IConst() | IFVar() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
-            return t
-        case IApp(f, a):
-            return IApp(open_lfi(f, repl, k), open_lfi(a, repl, k))
-        case IIrrApp(f, a):
-            return IIrrApp(open_lfi(f, repl, k), open_lfi(a, repl, k))
-        case IFst(b):
-            return IFst(open_lfi(b, repl, k))
-        case ISnd(b):
-            return ISnd(open_lfi(b, repl, k))
-        case ILam(h, b):
-            return ILam(h, open_lfi(b, repl, k + 1))
-        case IPair(l, r):
-            return IPair(open_lfi(l, repl, k), open_lfi(r, repl, k))
-        case ITApp(f, a):
-            return ITApp(open_lfi(f, repl, k), open_lfi(a, repl, k))
-        case ITIrrApp(f, a):
-            return ITIrrApp(open_lfi(f, repl, k), open_lfi(a, repl, k))
-        case ITPi(h, d, c):
-            return ITPi(h, open_lfi(d, repl, k), open_lfi(c, repl, k + 1))
-        case ITIrrPi(h, d, c):
-            return ITIrrPi(h, open_lfi(d, repl, k), open_lfi(c, repl, k + 1))
-        case ITProd(l, r):
-            return ITProd(open_lfi(l, repl, k), open_lfi(r, repl, k))
-        case IKPi(h, d, c):
-            return IKPi(h, open_lfi(d, repl, k), open_lfi(c, repl, k + 1))
-        case IKIrrPi(h, d, c):
-            return IKIrrPi(h, open_lfi(d, repl, k), open_lfi(c, repl, k + 1))
-        case IKProd(l, r):
-            return IKProd(open_lfi(l, repl, k), open_lfi(r, repl, k))
-    raise TypeError(f"open_lfi: unexpected node {t!r}")
+    def leaf(v, depth):
+        if isinstance(v, IBVar) and v.index == depth:
+            return _shift_lfi(repl, depth)
+        return v
+    return _map_vars(t, leaf, k)
 
 
 def close_lfi(t: LfiSyntax, names: Union[str, dict[str, int]], k: int = 0
@@ -382,41 +349,11 @@ def close_lfi(t: LfiSyntax, names: Union[str, dict[str, int]], k: int = 0
     bind each name n as index k + offset, all in one walk."""
     if isinstance(names, str):
         names = {names: 0}
-    match t:
-        case IFVar(n):
-            offset = names.get(n)
-            return t if offset is None else IBVar(k + offset)
-        case IBVar() | IConst() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
-            return t
-        case IApp(f, a):
-            return IApp(close_lfi(f, names, k), close_lfi(a, names, k))
-        case IIrrApp(f, a):
-            return IIrrApp(close_lfi(f, names, k), close_lfi(a, names, k))
-        case IFst(b):
-            return IFst(close_lfi(b, names, k))
-        case ISnd(b):
-            return ISnd(close_lfi(b, names, k))
-        case ILam(h, b):
-            return ILam(h, close_lfi(b, names, k + 1))
-        case IPair(l, r):
-            return IPair(close_lfi(l, names, k), close_lfi(r, names, k))
-        case ITApp(f, a):
-            return ITApp(close_lfi(f, names, k), close_lfi(a, names, k))
-        case ITIrrApp(f, a):
-            return ITIrrApp(close_lfi(f, names, k), close_lfi(a, names, k))
-        case ITPi(h, d, c):
-            return ITPi(h, close_lfi(d, names, k), close_lfi(c, names, k + 1))
-        case ITIrrPi(h, d, c):
-            return ITIrrPi(h, close_lfi(d, names, k), close_lfi(c, names, k + 1))
-        case ITProd(l, r):
-            return ITProd(close_lfi(l, names, k), close_lfi(r, names, k))
-        case IKPi(h, d, c):
-            return IKPi(h, close_lfi(d, names, k), close_lfi(c, names, k + 1))
-        case IKIrrPi(h, d, c):
-            return IKIrrPi(h, close_lfi(d, names, k), close_lfi(c, names, k + 1))
-        case IKProd(l, r):
-            return IKProd(close_lfi(l, names, k), close_lfi(r, names, k))
-    raise TypeError(f"close_lfi: unexpected node {t!r}")
+
+    def leaf(v, depth):
+        offset = names.get(v.name) if isinstance(v, IFVar) else None
+        return v if offset is None else IBVar(depth + offset)
+    return _map_vars(t, leaf, k)
 
 
 def is_lfi_atomic(t: LfiTerm) -> bool:
@@ -648,9 +585,12 @@ def _names(ctx: LfiContext, stack: Stack) -> list[str]:
 def _named(t: LfiSyntax, ctx: LfiContext, stack: Stack) -> LfiSyntax:
     """t with every hypothesis on stack opened as its name."""
     names = _names(ctx, stack)
-    for j, x in enumerate(names):
-        t = open_lfi(t, IFVar(x), len(names) - 1 - j)
-    return t
+
+    def leaf(v, depth):
+        # Index depth + i is the hypothesis stack[-1 - i].
+        i = v.index - depth if isinstance(v, IBVar) else -1
+        return IFVar(names[-1 - i]) if 0 <= i < len(names) else v
+    return _map_vars(t, leaf)
 
 
 def _fmt_type(a: LfiType, ctx: LfiContext, stack: Stack) -> str:

@@ -9,9 +9,9 @@ side, 3 application head, 4 spine argument.  The flag records whether
 the reparse of this position runs to a closing delimiter, which is what
 makes a bare binder (maximal scope) safe to print.
 
-The source printer opens each binder it prints with a fresh name.  The
-target printer opens none: it carries the names of the enclosing
-binders and looks a bound index up in them.
+Neither printer opens a binder: both carry the names of the enclosing
+binders and look a bound index up in them, and one `_pi` prints the Pi
+forms of both languages.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from .syntax import (
     TPi,
     TypeFam,
     fresh_name,
-    open_at,
-    used_names,
 )
 
 
@@ -55,33 +53,83 @@ def _wrap(cond: bool, s: str) -> str:
     return f"({s})" if cond else s
 
 
-def _uses_binder(cod) -> bool:
-    """Whether a binder's body mentions its index 0.
+# ---------------------------------------------------------------------------
+# Binder names
+#
+# The printers carry `env`, the names of the enclosing binders, innermost
+# last, and print a bound index i as env[-1 - i]; an index past env
+# dangles and prints as ?i.  A dependent binder takes its hint, primed
+# away from the constants and free names its body uses and from the names
+# env gives the body's free indices.  `memo` holds those per node, once
+# for each top-level term, type, kind, sort or class printed.  A sort's
+# or class's Pi counts its domain type among the names its body uses,
+# though it is not printed.
 
-    When it does not, the body is printed as it is: it has no other
-    dangling index, so opening it would change nothing.
-    """
-    return _mentions(cod, 0)
+_NONE: frozenset = frozenset()
 
 
-def _mentions(t, k: int) -> bool:
+def _scope(t, memo: dict) -> tuple[frozenset, frozenset]:
+    """(names of the constants and free variables, free indices) of t."""
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit
     match t:
-        case BVar(i):
-            return i == k
-        case FVar() | Const() | TConst() | SConst() | STop() | KType() | CSort() | CTop():
-            return False
-        case App(f, a) | TApp(f, a) | SApp(f, a):
-            return _mentions(f, k) or _mentions(a, k)
-        case SInter(l, r) | CInter(l, r):
-            return _mentions(l, k) or _mentions(r, k)
-        case Lam(_, b):
-            return _mentions(b, k + 1)
-        case TPi(_, d, c) | KPi(_, d, c):
-            return _mentions(d, k) or _mentions(c, k + 1)
+        case (L.IConst(n) | L.IFVar(n) | L.ITConst(n) | FVar(n) | Const(n)
+              | TConst(n) | SConst(n)):
+            out = (frozenset((n,)), _NONE)
+        case L.IBVar(i) | BVar(i):
+            out = (_NONE, frozenset((i,)))
+        case (L.IUnit() | L.ITUnitT() | L.IKType() | L.IKUnit() | STop() | KType()
+              | CSort() | CTop()):
+            out = (_NONE, _NONE)
+        case L.IFst(b) | L.ISnd(b):
+            out = _scope(b, memo)
+        case L.ILam(_, b) | Lam(_, b):
+            out = _under_binder(_scope(b, memo))
+        case (L.IApp(l, r) | L.IIrrApp(l, r) | L.ITApp(l, r) | L.ITIrrApp(l, r)
+              | L.IPair(l, r) | L.ITProd(l, r) | L.IKProd(l, r) | App(l, r)
+              | TApp(l, r) | SApp(l, r) | SInter(l, r) | CInter(l, r)):
+            out = _join(_scope(l, memo), _scope(r, memo))
+        case (L.ITPi(_, d, c) | L.ITIrrPi(_, d, c) | L.IKPi(_, d, c)
+              | L.IKIrrPi(_, d, c) | TPi(_, d, c) | KPi(_, d, c)):
+            out = _join(_scope(d, memo), _under_binder(_scope(c, memo)))
         case SPi(_, ds, dt, c) | CPi(_, ds, dt, c):
-            return (_mentions(ds, k) or (dt is not None and _mentions(dt, k))
-                    or _mentions(c, k + 1))
-    raise TypeError(f"_uses_binder: unexpected node {t!r}")
+            out = _join(_scope(ds, memo), _under_binder(_scope(c, memo)))
+            if dt is not None:
+                out = _join(out, _scope(dt, memo))
+        case _:
+            raise TypeError(f"printer: unexpected node {t!r}")
+    memo[id(t)] = out
+    return out
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    return (a[0] | b[0] if b[0] else a[0]), (a[1] | b[1] if b[1] else a[1])
+
+
+def _under_binder(scope: tuple) -> tuple:
+    """A binder body's scope as seen outside the binder."""
+    names, idx = scope
+    return names, frozenset(i - 1 for i in idx if i)
+
+
+def _binder_name(h: str, body, env: tuple, memo: dict) -> str:
+    names, idx = _scope(body, memo)
+    return fresh_name(h, names | {env[-i] for i in idx if 0 < i <= len(env)})
+
+
+def _pi(h: str, d, c, colon: str, arrow: str, dom, body, lvl: int, ext: bool,
+        env: tuple, memo: dict) -> str:
+    """A Pi of either language: `dom` prints its domain, `body` its
+    codomain; `{x colon D} C` when C mentions x, `D arrow C` when not."""
+    if 0 in _scope(c, memo)[1]:
+        x = _binder_name(h, c, env, memo)
+        s = (f"{{{x} {colon} {dom(d, 0, True, env, memo)}}} "
+             f"{body(c, 0, True, env + (x,), memo)}")
+        return _wrap(not ext, s)
+    # The codomain does not mention the binder, so its name is never shown.
+    s = f"{dom(d, 2, False, env, memo)} {arrow} {body(c, 1, ext, env + (h,), memo)}"
+    return _wrap(lvl >= 2, s)
 
 
 # ---------------------------------------------------------------------------
@@ -89,23 +137,23 @@ def _mentions(t, k: int) -> bool:
 
 
 def pp_term(t) -> str:
-    return _p_term(t, 0, True)
+    return _p_term(t, 0, True, (), {})
 
 
 def pp_type(a) -> str:
-    return _p_type(a, 0, True)
+    return _p_type(a, 0, True, (), {})
 
 
 def pp_sort(s) -> str:
-    return _p_sort(s, 0, True)
+    return _p_sort(s, 0, True, (), {})
 
 
 def pp_kind(k) -> str:
-    return _p_kind(k, 0, True)
+    return _p_kind(k, 0, True, (), {})
 
 
 def pp_class(c) -> str:
-    return _p_class(c, 0, True)
+    return _p_class(c, 0, True, (), {})
 
 
 def pp_simple(a) -> str:
@@ -120,91 +168,71 @@ def pp_simple(a) -> str:
     raise TypeError(f"pp_simple: {a!r}")
 
 
-def _p_term(t, lvl: int, ext: bool) -> str:
+def _p_term(t, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match t:
         case FVar(n) | Const(n):
             return n
         case BVar(i):
-            return f"?{i}"
+            return env[-1 - i] if i < len(env) else f"?{i}"
         case App(f, a):
-            s = f"{_p_term(f, 3, False)} {_p_term(a, 4, False)}"
+            s = f"{_p_term(f, 3, False, env, memo)} {_p_term(a, 4, False, env, memo)}"
             return _wrap(lvl >= 4, s)
         case Lam(h, b):
-            x = fresh_name(h, used_names(b))
-            s = f"[{x}] {_p_term(open_at(b, FVar(x)), 0, True)}"
+            x = _binder_name(h, b, env, memo)
+            s = f"[{x}] {_p_term(b, 0, True, env + (x,), memo)}"
             return _wrap(not ext, s)
     raise TypeError(f"pp_term: {t!r}")
 
 
-def _p_type(a, lvl: int, ext: bool) -> str:
+def _p_type(a, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match a:
         case TConst(n):
             return n
         case TApp(f, arg):
-            s = f"{_p_type(f, 3, False)} {_p_term(arg, 4, False)}"
+            s = f"{_p_type(f, 3, False, env, memo)} {_p_term(arg, 4, False, env, memo)}"
             return _wrap(lvl >= 4, s)
         case TPi(h, d, c):
-            if _uses_binder(c):
-                x = fresh_name(h, used_names(c))
-                s = f"{{{x} : {_p_type(d, 0, True)}}} {_p_type(open_at(c, FVar(x)), 0, True)}"
-                return _wrap(not ext, s)
-            s = f"{_p_type(d, 2, False)} -> {_p_type(c, 1, ext)}"
-            return _wrap(lvl >= 2, s)
+            return _pi(h, d, c, ":", "->", _p_type, _p_type, lvl, ext, env, memo)
     raise TypeError(f"pp_type: {a!r}")
 
 
-def _p_kind(k, lvl: int, ext: bool) -> str:
+def _p_kind(k, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match k:
         case KType():
             return "type"
         case KPi(h, d, c):
-            if _uses_binder(c):
-                x = fresh_name(h, used_names(c))
-                s = f"{{{x} : {_p_type(d, 0, True)}}} {_p_kind(open_at(c, FVar(x)), 0, True)}"
-                return _wrap(not ext, s)
-            s = f"{_p_type(d, 2, False)} -> {_p_kind(c, 1, ext)}"
-            return _wrap(lvl >= 2, s)
+            return _pi(h, d, c, ":", "->", _p_type, _p_kind, lvl, ext, env, memo)
     raise TypeError(f"pp_kind: {k!r}")
 
 
-def _p_sort(s, lvl: int, ext: bool) -> str:
+def _p_sort(s, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match s:
         case SConst(n):
             return n
         case STop():
             return "#"
         case SApp(f, arg):
-            out = f"{_p_sort(f, 3, False)} {_p_term(arg, 4, False)}"
+            out = f"{_p_sort(f, 3, False, env, memo)} {_p_term(arg, 4, False, env, memo)}"
             return _wrap(lvl >= 4, out)
         case SInter(l, r):
-            out = f"{_p_sort(l, 1, False)} ^ {_p_sort(r, 0, ext)}"
+            out = f"{_p_sort(l, 1, False, env, memo)} ^ {_p_sort(r, 0, ext, env, memo)}"
             return _wrap(lvl >= 1, out)
         case SPi(h, d, _, c):
-            if _uses_binder(c):
-                x = fresh_name(h, used_names(c))
-                out = f"{{{x} :: {_p_sort(d, 0, True)}}} {_p_sort(open_at(c, FVar(x)), 0, True)}"
-                return _wrap(not ext, out)
-            out = f"{_p_sort(d, 2, False)} -> {_p_sort(c, 1, ext)}"
-            return _wrap(lvl >= 2, out)
+            return _pi(h, d, c, "::", "->", _p_sort, _p_sort, lvl, ext, env, memo)
     raise TypeError(f"pp_sort: {s!r}")
 
 
-def _p_class(c, lvl: int, ext: bool) -> str:
+def _p_class(c, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match c:
         case CSort():
             return "sort"
         case CTop():
             return "#"
         case CInter(l, r):
-            out = f"{_p_class(l, 1, False)} ^ {_p_class(r, 0, ext)}"
+            out = f"{_p_class(l, 1, False, env, memo)} ^ {_p_class(r, 0, ext, env, memo)}"
             return _wrap(lvl >= 1, out)
         case CPi(h, d, _, b):
-            if _uses_binder(b):
-                x = fresh_name(h, used_names(b))
-                out = f"{{{x} :: {_p_sort(d, 0, True)}}} {_p_class(open_at(b, FVar(x)), 0, True)}"
-                return _wrap(not ext, out)
-            out = f"{_p_sort(d, 2, False)} -> {_p_class(b, 1, ext)}"
-            return _wrap(lvl >= 2, out)
+            return _pi(h, d, b, "::", "->", _p_sort, _p_class, lvl, ext, env, memo)
     raise TypeError(f"pp_class: {c!r}")
 
 
@@ -229,59 +257,6 @@ def pp_signature(sig: Signature) -> str:
 
 # ---------------------------------------------------------------------------
 # Target syntax
-
-
-# The target printer carries `env`, the names of the enclosing binders,
-# innermost last, and prints IBVar(i) as env[-1 - i]; an index past env
-# dangles and prints as ?i.  A dependent binder takes its hint, primed
-# away from the constants and free names its body uses and from the names
-# env gives the body's free indices.  `memo` holds those per node, once
-# for each term, type or kind printed.
-
-_NONE: frozenset = frozenset()
-
-
-def _scope(t, memo: dict) -> tuple[frozenset, frozenset]:
-    """(names of the constants and free variables, free indices) of t."""
-    hit = memo.get(id(t))
-    if hit is not None:
-        return hit
-    match t:
-        case L.IConst(n) | L.IFVar(n) | L.ITConst(n):
-            out = (frozenset((n,)), _NONE)
-        case L.IBVar(i):
-            out = (_NONE, frozenset((i,)))
-        case L.IUnit() | L.ITUnitT() | L.IKType() | L.IKUnit():
-            out = (_NONE, _NONE)
-        case L.IFst(b) | L.ISnd(b):
-            out = _scope(b, memo)
-        case L.ILam(_, b):
-            out = _under_binder(_scope(b, memo))
-        case (L.IApp(l, r) | L.IIrrApp(l, r) | L.ITApp(l, r) | L.ITIrrApp(l, r)
-              | L.IPair(l, r) | L.ITProd(l, r) | L.IKProd(l, r)):
-            out = _join(_scope(l, memo), _scope(r, memo))
-        case (L.ITPi(_, d, c) | L.ITIrrPi(_, d, c) | L.IKPi(_, d, c)
-              | L.IKIrrPi(_, d, c)):
-            out = _join(_scope(d, memo), _under_binder(_scope(c, memo)))
-        case _:
-            raise TypeError(f"pp_lfi: unexpected node {t!r}")
-    memo[id(t)] = out
-    return out
-
-
-def _join(a: tuple, b: tuple) -> tuple:
-    return (a[0] | b[0] if b[0] else a[0]), (a[1] | b[1] if b[1] else a[1])
-
-
-def _under_binder(scope: tuple) -> tuple:
-    """A binder body's scope as seen outside the binder."""
-    names, idx = scope
-    return names, frozenset(i - 1 for i in idx if i)
-
-
-def _binder_name(h: str, body, env: tuple, memo: dict) -> str:
-    names, idx = _scope(body, memo)
-    return fresh_name(h, names | {env[-i] for i in idx if 0 < i <= len(env)})
 
 
 def pp_lfi_term(t) -> str:
@@ -323,22 +298,6 @@ def _pl_term(t, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     raise TypeError(f"pp_lfi_term: {t!r}")
 
 
-def _pl_pi(pi, h: str, d, c, body, lvl: int, ext: bool, env: tuple,
-           memo: dict) -> str:
-    """A Pi type or kind; `body` prints its codomain."""
-    colon, arrow = ((":", "->") if isinstance(pi, (L.ITPi, L.IKPi))
-                    else ("::", "-:>"))
-    if 0 in _scope(c, memo)[1]:
-        x = _binder_name(h, c, env, memo)
-        s = (f"{{{x} {colon} {_pl_type(d, 0, True, env, memo)}}} "
-             f"{body(c, 0, True, env + (x,), memo)}")
-        return _wrap(not ext, s)
-    # The codomain does not mention the binder, so its name is never shown.
-    s = (f"{_pl_type(d, 2, False, env, memo)} {arrow} "
-         f"{body(c, 1, ext, env + (h,), memo)}")
-    return _wrap(lvl >= 2, s)
-
-
 def _pl_type(a, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match a:
         case L.ITConst(n):
@@ -349,8 +308,10 @@ def _pl_type(a, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
         case L.ITIrrApp(f, arg):
             s = f"{_pl_type(f, 3, False, env, memo)} [[ {_pl_term(arg, 0, True, env, memo)} ]]"
             return _wrap(lvl >= 4, s)
-        case L.ITPi(h, d, c) | L.ITIrrPi(h, d, c):
-            return _pl_pi(a, h, d, c, _pl_type, lvl, ext, env, memo)
+        case L.ITPi(h, d, c):
+            return _pi(h, d, c, ":", "->", _pl_type, _pl_type, lvl, ext, env, memo)
+        case L.ITIrrPi(h, d, c):
+            return _pi(h, d, c, "::", "-:>", _pl_type, _pl_type, lvl, ext, env, memo)
         case L.ITProd(l, r):
             s = f"({_pl_type(l, 0, True, env, memo)}) * ({_pl_type(r, 0, True, env, memo)})"
             return _wrap(lvl >= 3, s)
@@ -363,8 +324,10 @@ def _pl_kind(k, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match k:
         case L.IKType():
             return "type"
-        case L.IKPi(h, d, c) | L.IKIrrPi(h, d, c):
-            return _pl_pi(k, h, d, c, _pl_kind, lvl, ext, env, memo)
+        case L.IKPi(h, d, c):
+            return _pi(h, d, c, ":", "->", _pl_type, _pl_kind, lvl, ext, env, memo)
+        case L.IKIrrPi(h, d, c):
+            return _pi(h, d, c, "::", "-:>", _pl_type, _pl_kind, lvl, ext, env, memo)
         case L.IKProd(l, r):
             s = f"({_pl_kind(l, 0, True, env, memo)}) * ({_pl_kind(r, 0, True, env, memo)})"
             return _wrap(lvl >= 3, s)

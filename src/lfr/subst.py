@@ -22,7 +22,7 @@ from .syntax import (
     App, Arrow, AtomicTerm, Base, BVar, CInter, Const, CPi, CSort, CTop,
     CtxEntry, FVar, KPi, KType, Lam, NormalTerm, NormalType, SApp, SConst,
     SimpleType, SInter, SPi, STop, Syntax, TApp, TConst, TPi, close_at,
-    free_vars, head, is_atomic_term, pool_name,
+    free_vars, head, is_atomic_term, map_vars, pool_name,
 )
 
 Path = tuple[str, ...]
@@ -135,16 +135,10 @@ def _shift(t: NormalTerm, by: int, cutoff: int = 0) -> NormalTerm:
     """Raise the indices of t at or above cutoff by `by`."""
     if by == 0:
         return t
-    match t:
-        case BVar(i):
-            return BVar(i + by) if i >= cutoff else t
-        case FVar() | Const():
-            return t
-        case App(f, a):
-            return App(_shift(f, by, cutoff), _shift(a, by, cutoff))
-        case Lam(h, b):
-            return Lam(h, _shift(b, by, cutoff + 1))
-    raise TypeError(f"_shift: not a term: {t!r}")
+
+    def leaf(v, depth):
+        return BVar(v.index + by) if isinstance(v, BVar) and v.index >= depth else v
+    return map_vars(t, leaf, cutoff)
 
 
 def _subst_n(n0: NormalTerm, x0: Var, a0: SimpleType, n: NormalTerm, k: int,

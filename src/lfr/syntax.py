@@ -5,7 +5,9 @@ application node can only have an atomic head, so beta-redexes are not
 representable.  Binding is locally nameless: bound variables are de Bruijn
 indices (BVar), free variables are named (FVar).  Binder name hints are
 carried for printing only and are excluded from equality, which makes
-structural equality coincide with alpha-equivalence.
+structural equality coincide with alpha-equivalence.  One walk, `map_vars`,
+rebuilds a tree around its variables; opening, closing and shifting are
+leaf functions over it.
 """
 
 from __future__ import annotations
@@ -343,75 +345,44 @@ def erase_sig(sig: Signature) -> Signature:
 # ---------------------------------------------------------------------------
 # Binding operations
 
-_LEAVES = (BVar, FVar, Const, TConst, SConst, STop, KType, CSort, CTop)
+
+def map_vars(t: Syntax, f, k: int = 0) -> Syntax:
+    """t rebuilt with f(v, depth) in place of each variable v, a BVar or
+    an FVar, where depth is k plus the binders passed to reach v.
+
+    This is the one walk that rebuilds source syntax around its variables:
+    opening, closing and shifting are leaf functions over it.
+    """
+    match t:
+        case BVar() | FVar():
+            return f(t, k)
+        case Const() | TConst() | SConst() | STop() | KType() | CSort() | CTop():
+            return t
+        case App(l, r) | TApp(l, r) | SApp(l, r) | SInter(l, r) | CInter(l, r):
+            return type(t)(map_vars(l, f, k), map_vars(r, f, k))
+        case Lam(h, b):
+            return Lam(h, map_vars(b, f, k + 1))
+        case TPi(h, d, c) | KPi(h, d, c):
+            return type(t)(h, map_vars(d, f, k), map_vars(c, f, k + 1))
+        case SPi(h, ds, dt, c) | CPi(h, ds, dt, c):
+            return type(t)(h, map_vars(ds, f, k),
+                           None if dt is None else map_vars(dt, f, k),
+                           map_vars(c, f, k + 1))
+    raise TypeError(f"map_vars: unexpected node {t!r}")
 
 
 def open_at(t: Syntax, repl: AtomicTerm, k: int = 0) -> Syntax:
     """Replace bound index k with the locally closed atomic term repl."""
-    match t:
-        case BVar(i):
-            return repl if i == k else t
-        case FVar() | Const() | TConst() | SConst() | STop() | KType() | CSort() | CTop():
-            return t
-        case App(f, a):
-            return App(open_at(f, repl, k), open_at(a, repl, k))
-        case Lam(h, b):
-            return Lam(h, open_at(b, repl, k + 1))
-        case TApp(f, a):
-            return TApp(open_at(f, repl, k), open_at(a, repl, k))
-        case TPi(h, d, c):
-            return TPi(h, open_at(d, repl, k), open_at(c, repl, k + 1))
-        case SApp(f, a):
-            return SApp(open_at(f, repl, k), open_at(a, repl, k))
-        case SPi(h, ds, dt, c):
-            return SPi(h, open_at(ds, repl, k),
-                       None if dt is None else open_at(dt, repl, k),
-                       open_at(c, repl, k + 1))
-        case SInter(l, r):
-            return SInter(open_at(l, repl, k), open_at(r, repl, k))
-        case KPi(h, d, c):
-            return KPi(h, open_at(d, repl, k), open_at(c, repl, k + 1))
-        case CPi(h, ds, dt, c):
-            return CPi(h, open_at(ds, repl, k),
-                       None if dt is None else open_at(dt, repl, k),
-                       open_at(c, repl, k + 1))
-        case CInter(l, r):
-            return CInter(open_at(l, repl, k), open_at(r, repl, k))
-    raise TypeError(f"open_at: unexpected node {t!r}")
+    def leaf(v, depth):
+        return repl if isinstance(v, BVar) and v.index == depth else v
+    return map_vars(t, leaf, k)
 
 
 def close_at(t: Syntax, name: str, k: int = 0) -> Syntax:
     """Turn free occurrences of name back into bound index k."""
-    match t:
-        case FVar(n):
-            return BVar(k) if n == name else t
-        case BVar() | Const() | TConst() | SConst() | STop() | KType() | CSort() | CTop():
-            return t
-        case App(f, a):
-            return App(close_at(f, name, k), close_at(a, name, k))
-        case Lam(h, b):
-            return Lam(h, close_at(b, name, k + 1))
-        case TApp(f, a):
-            return TApp(close_at(f, name, k), close_at(a, name, k))
-        case TPi(h, d, c):
-            return TPi(h, close_at(d, name, k), close_at(c, name, k + 1))
-        case SApp(f, a):
-            return SApp(close_at(f, name, k), close_at(a, name, k))
-        case SPi(h, ds, dt, c):
-            return SPi(h, close_at(ds, name, k),
-                       None if dt is None else close_at(dt, name, k),
-                       close_at(c, name, k + 1))
-        case SInter(l, r):
-            return SInter(close_at(l, name, k), close_at(r, name, k))
-        case KPi(h, d, c):
-            return KPi(h, close_at(d, name, k), close_at(c, name, k + 1))
-        case CPi(h, ds, dt, c):
-            return CPi(h, close_at(ds, name, k),
-                       None if dt is None else close_at(dt, name, k),
-                       close_at(c, name, k + 1))
-        case CInter(l, r):
-            return CInter(close_at(l, name, k), close_at(r, name, k))
-    raise TypeError(f"close_at: unexpected node {t!r}")
+    def leaf(v, depth):
+        return BVar(depth) if isinstance(v, FVar) and v.name == name else v
+    return map_vars(t, leaf, k)
 
 
 def alpha_eq(x: Syntax, y: Syntax) -> bool:
@@ -449,39 +420,6 @@ def _collect_free(t: Syntax, out: set[str]) -> None:
             _collect_free(r, out)
         case _:
             raise TypeError(f"free_vars: unexpected node {t!r}")
-
-
-def used_names(t: Syntax) -> set[str]:
-    """Free variables plus every constant name mentioned in t."""
-    out: set[str] = set()
-    _collect_names(t, out)
-    return out
-
-
-def _collect_names(t: Syntax, out: set[str]) -> None:
-    match t:
-        case FVar(n) | Const(n) | TConst(n) | SConst(n):
-            out.add(n)
-        case BVar() | STop() | KType() | CSort() | CTop():
-            pass
-        case App(f, a) | TApp(f, a) | SApp(f, a):
-            _collect_names(f, out)
-            _collect_names(a, out)
-        case Lam(_, b):
-            _collect_names(b, out)
-        case TPi(_, d, c) | KPi(_, d, c):
-            _collect_names(d, out)
-            _collect_names(c, out)
-        case SPi(_, ds, dt, c) | CPi(_, ds, dt, c):
-            _collect_names(ds, out)
-            if dt is not None:
-                _collect_names(dt, out)
-            _collect_names(c, out)
-        case SInter(l, r) | CInter(l, r):
-            _collect_names(l, out)
-            _collect_names(r, out)
-        case _:
-            raise TypeError(f"used_names: unexpected node {t!r}")
 
 
 def fresh_name(hint: str, avoid: set[str]) -> str:

@@ -8,6 +8,7 @@ for the high-volume acceptance runs.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from lfr import lfi as L
@@ -112,6 +113,18 @@ def gen_eta_term(choose, ctx, alpha, depth: int, consts=NAT_CONSTS):
     for b in reversed(binders):
         n = Lam(b, close_at(n, b))
     return n
+
+
+def rehint(t, hint):
+    """t, of either language, with each binder's hint replaced by a call
+    of hint()."""
+    if not dataclasses.is_dataclass(t):
+        return t
+    fields = {f.name: rehint(getattr(t, f.name), hint)
+              for f in dataclasses.fields(t) if f.name != "hint"}
+    if hasattr(t, "hint"):
+        fields["hint"] = hint()
+    return dataclasses.replace(t, **fields)
 
 
 def bury(n):

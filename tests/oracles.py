@@ -425,8 +425,9 @@ def _free(t) -> set[str]:
 
 
 def _mentions(t, k: int) -> bool:
-    """Whether t mentions the index k, counted from t's root."""
-    if isinstance(t, L.IBVar):
+    """Whether t, of either language, mentions the index k, counted from
+    t's root."""
+    if isinstance(t, (L.IBVar, s.BVar)):
         return t.index == k
     if not dataclasses.is_dataclass(t):
         return False
@@ -439,15 +440,15 @@ def _wrap(cond: bool, s: str) -> str:
     return f"({s})" if cond else s
 
 
-def opened_pp_term(t) -> str:
+def opened_pp_lfi_term(t) -> str:
     return _opl_term(t, 0, True)
 
 
-def opened_pp_type(a) -> str:
+def opened_pp_lfi_type(a) -> str:
     return _opl_type(a, 0, True)
 
 
-def opened_pp_kind(k) -> str:
+def opened_pp_lfi_kind(k) -> str:
     return _opl_kind(k, 0, True)
 
 
@@ -544,27 +545,27 @@ def opened_synth(sig, ctx, r):
         case L.IApp(f, a):
             fty = opened_synth(sig, ctx, f)
             if not isinstance(fty, L.ITPi):
-                raise LfiError(f"applied term of non-function type {opened_pp_type(fty)}")
+                raise LfiError(f"applied term of non-function type {opened_pp_lfi_type(fty)}")
             opened_check(sig, ctx, a, fty.dom)
             return lfi_hsubst(a, 0, fty.dom, fty.cod)
         case L.IIrrApp(f, a):
             fty = opened_synth(sig, ctx, f)
             if not isinstance(fty, L.ITIrrPi):
                 raise LfiError(
-                    f"irrelevant application at non-irrelevant type {opened_pp_type(fty)}")
+                    f"irrelevant application at non-irrelevant type {opened_pp_lfi_type(fty)}")
             opened_check(sig, promote(ctx), a, fty.dom)
             return lfi_hsubst(a, 0, fty.dom, fty.cod)
         case L.IFst(b):
             bty = opened_synth(sig, ctx, b)
             if not isinstance(bty, L.ITProd):
-                raise LfiError(f"first projection of non-pair type {opened_pp_type(bty)}")
+                raise LfiError(f"first projection of non-pair type {opened_pp_lfi_type(bty)}")
             return bty.left
         case L.ISnd(b):
             bty = opened_synth(sig, ctx, b)
             if not isinstance(bty, L.ITProd):
-                raise LfiError(f"second projection of non-pair type {opened_pp_type(bty)}")
+                raise LfiError(f"second projection of non-pair type {opened_pp_lfi_type(bty)}")
             return bty.right
-    raise LfiError(f"cannot synthesize a type for {opened_pp_term(r)}")
+    raise LfiError(f"cannot synthesize a type for {opened_pp_lfi_term(r)}")
 
 
 def opened_check(sig, ctx, n, a) -> None:
@@ -572,25 +573,25 @@ def opened_check(sig, ctx, n, a) -> None:
         case L.ILam(h, b):
             if not isinstance(a, (L.ITPi, L.ITIrrPi)):
                 raise LfiError(
-                    f"function checked against non-function type {opened_pp_type(a)}")
+                    f"function checked against non-function type {opened_pp_lfi_type(a)}")
             opened_check(sig, *_opened(ctx, h, a.dom, isinstance(a, L.ITPi),
                                        b, a.cod))
         case L.IPair(l, r):
             if not isinstance(a, L.ITProd):
-                raise LfiError(f"pair checked against non-product type {opened_pp_type(a)}")
+                raise LfiError(f"pair checked against non-product type {opened_pp_lfi_type(a)}")
             opened_check(sig, ctx, l, a.left)
             opened_check(sig, ctx, r, a.right)
         case L.IUnit():
             if not isinstance(a, L.ITUnitT):
-                raise LfiError(f"unit checked against {opened_pp_type(a)}")
+                raise LfiError(f"unit checked against {opened_pp_lfi_type(a)}")
         case _:
             if not L.is_lfi_atomic(n):
-                raise LfiError(f"cannot check {opened_pp_term(n)}")
+                raise LfiError(f"cannot check {opened_pp_lfi_term(n)}")
             syn = opened_synth(sig, ctx, n)
             if not lfi_equal(syn, a):
                 raise LfiError(
-                    f"type mismatch: expected {opened_pp_type(a)}, "
-                    f"synthesized {opened_pp_type(syn)}")
+                    f"type mismatch: expected {opened_pp_lfi_type(a)}, "
+                    f"synthesized {opened_pp_lfi_type(syn)}")
 
 
 def opened_check_type(sig, ctx, a) -> None:
@@ -605,7 +606,7 @@ def opened_check_type(sig, ctx, a) -> None:
             pass
         case L.ITConst() | L.ITApp() | L.ITIrrApp():
             if not isinstance(_opened_kind_of(sig, ctx, a), L.IKType):
-                raise LfiError(f"type family not fully applied: {opened_pp_type(a)}")
+                raise LfiError(f"type family not fully applied: {opened_pp_lfi_type(a)}")
         case _:
             raise LfiError(f"not a type: {a!r}")
 
@@ -645,3 +646,108 @@ def opened_check_kind(sig, ctx, k) -> None:
             opened_check_kind(sig, ctx, r)
         case _:
             raise LfiError(f"not a kind: {k!r}")
+
+
+# ---------------------------------------------------------------------------
+# The source printer that opens every binder.
+#
+# It names a bound variable when it passes the binder, with the binder's
+# hint primed away from the names the body uses (the domain types of the
+# body's sort and class Pis included, though they are not printed), and
+# opens the body with that name.  The package's printer carries the names
+# of the enclosing binders instead; it must print exactly as this does.
+
+
+def used_names(t) -> set[str]:
+    """The names of the free variables and constants that occur in t."""
+    return _names_in(t, (s.FVar, s.Const, s.TConst, s.SConst))
+
+
+def opened_pp_term(t) -> str:
+    return _op_term(t, 0, True)
+
+
+def opened_pp_type(a) -> str:
+    return _op_type(a, 0, True)
+
+
+def opened_pp_kind(k) -> str:
+    return _op_kind(k, 0, True)
+
+
+def opened_pp_sort(q) -> str:
+    return _op_sort(q, 0, True)
+
+
+def opened_pp_class(c) -> str:
+    return _op_class(c, 0, True)
+
+
+def _op_binder(h, d, c, dom, rest, colon, ext, lvl) -> str:
+    if _mentions(c, 0):
+        x = fresh_name(h, used_names(c))
+        out = f"{{{x} {colon} {dom(d, 0, True)}}} {rest(open_at(c, s.FVar(x)), 0, True)}"
+        return _wrap(not ext, out)
+    return _wrap(lvl >= 2, f"{dom(d, 2, False)} -> {rest(c, 1, ext)}")
+
+
+def _op_term(t, lvl: int, ext: bool) -> str:
+    match t:
+        case s.FVar(n) | s.Const(n):
+            return n
+        case s.BVar(i):
+            return f"?{i}"
+        case s.App(f, a):
+            return _wrap(lvl >= 4, f"{_op_term(f, 3, False)} {_op_term(a, 4, False)}")
+        case s.Lam(h, b):
+            x = fresh_name(h, used_names(b))
+            return _wrap(not ext, f"[{x}] {_op_term(open_at(b, s.FVar(x)), 0, True)}")
+    raise TypeError(t)
+
+
+def _op_type(a, lvl: int, ext: bool) -> str:
+    match a:
+        case s.TConst(n):
+            return n
+        case s.TApp(f, arg):
+            return _wrap(lvl >= 4, f"{_op_type(f, 3, False)} {_op_term(arg, 4, False)}")
+        case s.TPi(h, d, c):
+            return _op_binder(h, d, c, _op_type, _op_type, ":", ext, lvl)
+    raise TypeError(a)
+
+
+def _op_kind(k, lvl: int, ext: bool) -> str:
+    match k:
+        case s.KType():
+            return "type"
+        case s.KPi(h, d, c):
+            return _op_binder(h, d, c, _op_type, _op_kind, ":", ext, lvl)
+    raise TypeError(k)
+
+
+def _op_sort(q, lvl: int, ext: bool) -> str:
+    match q:
+        case s.SConst(n):
+            return n
+        case s.STop():
+            return "#"
+        case s.SApp(f, arg):
+            return _wrap(lvl >= 4, f"{_op_sort(f, 3, False)} {_op_term(arg, 4, False)}")
+        case s.SInter(l, r):
+            return _wrap(lvl >= 1, f"{_op_sort(l, 1, False)} ^ {_op_sort(r, 0, ext)}")
+        case s.SPi(h, d, _, c):
+            return _op_binder(h, d, c, _op_sort, _op_sort, "::", ext, lvl)
+    raise TypeError(q)
+
+
+def _op_class(c, lvl: int, ext: bool) -> str:
+    match c:
+        case s.CSort():
+            return "sort"
+        case s.CTop():
+            return "#"
+        case s.CInter(l, r):
+            return _wrap(lvl >= 1, f"{_op_class(l, 1, False)} ^ {_op_class(r, 0, ext)}")
+        case s.CPi(h, d, _, b):
+            return _op_binder(h, d, b, _op_sort, _op_class, "::", ext, lvl)
+    raise TypeError(c)

@@ -73,6 +73,7 @@ from gen import (
     gen_lfi_type,
     gen_lfi_usable,
     lfi_simple_to_type,
+    rehint,
 )
 from oracles import (
     named_inst,
@@ -81,9 +82,9 @@ from oracles import (
     opened_check,
     opened_check_kind,
     opened_check_type,
-    opened_pp_kind,
-    opened_pp_term,
-    opened_pp_type,
+    opened_pp_lfi_kind,
+    opened_pp_lfi_term,
+    opened_pp_lfi_type,
     result_key,
 )
 
@@ -254,17 +255,6 @@ O_SIG = LfiSignature([
 ])
 
 
-def _rehint(t, hint):
-    """t with each binder's hint replaced by a call of hint()."""
-    if not dataclasses.is_dataclass(t):
-        return t
-    fields = {f.name: _rehint(getattr(t, f.name), hint)
-              for f in dataclasses.fields(t) if f.name != "hint"}
-    if hasattr(t, "hint"):
-        fields["hint"] = hint()
-    return dataclasses.replace(t, **fields)
-
-
 def _hints(t) -> list[str]:
     if not dataclasses.is_dataclass(t):
         return []
@@ -295,7 +285,7 @@ def _o_subject(choose, which: int):
         subject = [gen(choose, ctx, choose(0, 3))]
     for x, relevant in reversed(outer):
         subject = [_bind(x, relevant, t) for t in subject]
-    return tuple(_rehint(t, hint) for t in subject)
+    return tuple(rehint(t, hint) for t in subject)
 
 
 def _bind(x: str, relevant: bool, t):
@@ -353,8 +343,9 @@ class TestOpenedOracle:
     with a name (tests/oracles.py): the same bytes, the same verdicts,
     the same messages."""
 
-    PRINTERS = ((pp_lfi_term, opened_pp_term), (pp_lfi_type, opened_pp_type),
-                (pp_lfi_kind, opened_pp_kind))
+    PRINTERS = ((pp_lfi_term, opened_pp_lfi_term),
+                (pp_lfi_type, opened_pp_lfi_type),
+                (pp_lfi_kind, opened_pp_lfi_kind))
     CHECKERS = ((lfi_check, opened_check), (lfi_check_type, opened_check_type),
                 (lfi_check_kind, opened_check_kind))
 
@@ -462,13 +453,15 @@ def _binder_walks(m: int) -> tuple[Counter, int]:
     visits: Counter = Counter()
     inside = depth = 0
 
-    def counted(name, walk):
-        def visit(*args):
-            nonlocal inside
+    def visit(t, leaf, k=0):
+        # open_lfi and close_lfi are leaf functions over _map_vars; a
+        # visit belongs to the walk whose leaf it carries.
+        nonlocal inside
+        name = leaf.__qualname__.partition(".")[0]
+        if name in TestBinderScaling.WALKS:
             visits[name] += 1
             inside += depth > 0
-            return walk(*args)
-        return visit
+        return walk(t, leaf, k)
 
     def hsubst(*args):
         nonlocal depth
@@ -478,10 +471,9 @@ def _binder_walks(m: int) -> tuple[Counter, int]:
         finally:
             depth -= 1
 
-    real_hsubst = lfr.lfi.lfi_hsubst
+    real_hsubst, walk = lfr.lfi.lfi_hsubst, lfr.lfi._map_vars
     with pytest.MonkeyPatch.context() as patch:
-        for name in TestBinderScaling.WALKS:
-            patch.setattr(lfr.lfi, name, counted(name, getattr(lfr.lfi, name)))
+        patch.setattr(lfr.lfi, "_map_vars", visit)
         patch.setattr(lfr.lfi, "lfi_hsubst", hsubst)
         verify_translation(sig, result)
         print_lfi(result.lfi_sig)

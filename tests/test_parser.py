@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfr import (
     LexError,
@@ -16,21 +17,46 @@ from lfr import (
     print_lfi,
 )
 from lfr.lfi import lfi_equal
+from lfr.printer import pp_class, pp_kind, pp_sort, pp_term, pp_type
 from lfr.syntax import (
     App,
+    Arrow,
+    BVar,
     Const,
+    CPi,
     FVar,
     Lam,
+    SApp,
     SConst,
     SInter,
     SPi,
     STop,
+    TApp,
     TConst,
     TPi,
     alpha_eq,
+    close_at,
 )
 
 from conftest import GOLDEN_NAMES, golden_path
+from gen import (
+    HO_CONSTS,
+    NAT,
+    gen_class,
+    gen_dep_sort,
+    gen_eta_term,
+    gen_kind,
+    gen_simple,
+    gen_type,
+    rehint,
+)
+from oracles import (
+    opened_pp_class,
+    opened_pp_kind,
+    opened_pp_sort,
+    opened_pp_term,
+    opened_pp_type,
+)
 
 
 def decls_alpha_eq(a, b) -> bool:
@@ -66,6 +92,83 @@ class TestRoundTrip:
         for d1, d2 in zip(sig, again):
             assert lfi_equal(d1.classifier, d2.classifier,
                              respect_irrelevance=False)
+
+
+# Binder hints that meet the generators' constants (z, s, h, p, q), the
+# free names f and a, and the names the generators give binders.
+HINTS = ("x", "x'", "z", "p", "a", "v2", "b2", "b3")
+
+
+@st.composite
+def source_instances(draw):
+    """(which, t): a term, type, kind, sort or class over f and a, whose
+    binders are rehinted from HINTS, all alike or each on its own; sorts
+    and classes carry elaborated domain types.  Sometimes `a` is closed
+    into dangling indices."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    ctx = [("f", Arrow(NAT, NAT)), ("a", NAT)]
+    which = choose(0, 4)
+    if which == 0:
+        t = gen_eta_term(choose, ctx, gen_simple(choose, 2), choose(0, 3),
+                         HO_CONSTS)
+    else:
+        gen = (gen_type, gen_kind, gen_dep_sort, gen_class)[which - 1]
+        t = gen(choose, ctx, choose(0, 3))
+    if which >= 3 and choose(0, 1):
+        # Under a binder of w that only the next Pi's domain type may
+        # mention: w's binder is dependent, and its name primed, because
+        # of a type that is never printed.
+        pi = SPi if which == 3 else CPi
+        dom_type = gen_type(choose, ctx + [("w", NAT)], choose(0, 2))
+        inner = pi("y", gen_dep_sort(choose, ctx, 1), dom_type, t)
+        t = pi("w", SConst("q"), TConst("nat"), close_at(inner, "w"))
+
+    def hint():
+        return HINTS[choose(0, len(HINTS) - 1)]
+
+    if choose(0, 1):
+        shared = hint()
+        hint = lambda: shared  # noqa: E731
+    t = rehint(t, hint)
+    if choose(0, 1):
+        t = close_at(t, "a")
+    return which, t
+
+
+class TestOpenedPrinter:
+    """The source printer against a copy that opens every binder with a
+    name (tests/oracles.py): the same bytes."""
+
+    PRINTERS = ((pp_term, opened_pp_term), (pp_type, opened_pp_type),
+                (pp_kind, opened_pp_kind), (pp_sort, opened_pp_sort),
+                (pp_class, opened_pp_class))
+
+    @settings(max_examples=400)
+    @given(source_instances())
+    def test_printer_matches(self, inst):
+        which, t = inst
+        ours, theirs = self.PRINTERS[which]
+        assert ours(t) == theirs(t)
+
+    def test_unprinted_domain_type_counts(self):
+        # The inner Pi's domain type mentions the constant p, so the outer
+        # binder is primed although p is never printed.
+        inner = SPi("y", SApp(SConst("q"), BVar(0)),
+                    TApp(TConst("p"), Const("z")), SConst("q"))
+        s = SPi("p", SConst("q"), TConst("nat"), inner)
+        assert pp_sort(s) == opened_pp_sort(s) == "{p' :: q} q p' -> q"
+
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_checked_goldens_match(self, name, checked_goldens):
+        classifiers = {"type": 1, "kind": 2, "sort": 3, "cls": 4}
+        for d in checked_goldens[name]:
+            for field, which in classifiers.items():
+                if hasattr(d, field):
+                    ours, theirs = self.PRINTERS[which]
+                    assert ours(getattr(d, field)) == theirs(getattr(d, field))
 
 
 class TestExpressions:

@@ -8,7 +8,7 @@ import typing
 import pytest
 from hypothesis import given, strategies as st
 
-from lfr import syntax as syn
+from lfr import lfi, syntax as syn
 from lfr.syntax import (
     App,
     Arrow,
@@ -43,10 +43,10 @@ from lfr.syntax import (
     sort_spine,
     term_spine,
     type_spine,
-    used_names,
 )
 
 from gen import gen_eta_term, gen_simple, gen_sort
+from oracles import used_names
 
 
 @st.composite
@@ -159,6 +159,81 @@ class TestBinding:
     def test_free_vars_after_close(self, t):
         for x in sorted(free_vars(t)):
             assert x not in free_vars(close_at(t, x))
+
+
+VARIABLES = (BVar, FVar, lfi.IBVar, lfi.IFVar)
+
+
+def _variables(t, depth: int = 0) -> list:
+    """(variable, depth) for each variable of t, in field order; the last
+    field of a node with a hint is its binder's body."""
+    if isinstance(t, VARIABLES):
+        return [(t, depth)]
+    if not dataclasses.is_dataclass(t):
+        return []
+    kids = [getattr(t, f.name) for f in dataclasses.fields(t)]
+    body = len(kids) - 1 if hasattr(t, "hint") else None
+    return [p for i, v in enumerate(kids) for p in _variables(v, depth + (i == body))]
+
+
+def _sample(tp, depth: int = 0):
+    """A value of the annotation tp that holds a variable where one fits."""
+    if tp in (str, int):
+        return tp()
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return tp(*(_sample(hints[f.name], depth + 1)
+                    for f in dataclasses.fields(tp)))
+    members = [m for m in typing.get_args(tp) if m is not type(None)]
+    for m in members:
+        if m in VARIABLES:
+            return _sample(m, depth)
+    if depth < 4:
+        for m in members:
+            v = _sample(m, depth)
+            if _variables(v):
+                return v
+    return next(_sample(m, depth) for m in members
+                if set(typing.get_type_hints(m).values()) <= {str, int})
+
+
+# Each AST's one variable walk, and the dataclasses of its module that are
+# not syntax.
+WALKS = {
+    syn: (syn.map_vars, {"Base", "Arrow", "TypeFam", "TermConst", "SortFam",
+                         "SubDecl", "ConstRef", "CtxEntry"}),
+    lfi: (lfi._map_vars, {"IBase", "IArrow", "IIrrArrow", "IProdS", "IUnitS",
+                          "LfiDecl", "LfiCtxEntry"}),
+}
+SYNTAX = {syn: typing.get_args(syn.Syntax), lfi: typing.get_args(lfi.LfiSyntax)}
+
+
+class TestMapVars:
+    """Each AST's one variable walk covers every constructor: given the
+    identity leaf it rebuilds an equal node, and it calls the leaf at each
+    variable, in field order, at that variable's depth."""
+
+    @pytest.mark.parametrize("module", SYNTAX, ids=["source", "target"])
+    def test_syntax_union_names_every_constructor(self, module):
+        classes = {c.__name__ for c in vars(module).values()
+                   if isinstance(c, type) and dataclasses.is_dataclass(c)
+                   and c.__module__ == module.__name__}
+        union = {c.__name__ for c in SYNTAX[module]}
+        assert classes == union | WALKS[module][1]
+
+    @pytest.mark.parametrize(
+        "module, cls", [(m, c) for m, cs in SYNTAX.items() for c in cs],
+        ids=lambda x: getattr(x, "__name__", ""))
+    def test_identity_leaf_rebuilds(self, module, cls):
+        node = _sample(cls)
+        seen = []
+
+        def leaf(v, depth):
+            seen.append((v, depth))
+            return v
+
+        assert repr(WALKS[module][0](node, leaf, 2)) == repr(node)
+        assert seen == _variables(node, 2)
 
 
 class TestSpines:
