@@ -7,17 +7,16 @@ program are CheckError, and failures of generated output are VerifyError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 # A message, or a function of no arguments that builds it when it is first
 # read, so that a failure a caller catches and drops costs no printing.
 Message = Union[str, Callable[[], str]]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Region of a source file; lines and columns are 1-based, end inclusive."""
+class SourceSpan(NamedTuple):
+    """Region of a source file.  Lines and columns are 1-based; the end is
+    exclusive, so `nat` at 1:1 ends at column 4."""
 
     file: str
     line: int

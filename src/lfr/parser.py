@@ -13,8 +13,9 @@ projections `.1` and `.2`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import lfi as L
 from .diagnostics import LexError, ParseError, SourceSpan
@@ -47,118 +48,76 @@ from .syntax import (
     close_at,
 )
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _IDENT_START | set("0123456789_'/*-")
-
 # Longest match first.
 _SYMBOLS = ["[[", "]]", "-:>", "->", "<-", "<<", "<:", "<>", "::",
             "{", "}", "(", ")", "[", "]", "^", "#", "*", ",", "<", ">",
             ":", "."]
 
+# The characters, as a regular-expression class, that continue an
+# identifier.  `-` continues one too, but only before another identifier
+# character, so that `a->b` is three tokens.
+_NAME_CHARS = "A-Za-z0-9_'/*"
 
-@dataclass(frozen=True)
-class Token:
+
+def _scanner(target_mode: bool) -> re.Pattern:
+    """Whitespace and `%` comments, then one token, as four groups: the
+    skipped text and a SYM, IDENT or NUM token.  The last alternative
+    matches the empty string where no token starts: at the end of the
+    input, or at a character that starts no token.  In target mode `^` is
+    an identifier character instead of a symbol."""
+    syms = [s for s in _SYMBOLS if not (target_mode and s == "^")]
+    hat = "^" if target_mode else ""
+    return re.compile(
+        r"((?:[ \t\r\n]+|%(?!infix)[^\n]*)*)"
+        rf"(?:(%infix|\.[12](?![{_NAME_CHARS}-])|"
+        + "|".join(map(re.escape, syms)) + ")"
+        rf"|([A-Za-z](?:[{_NAME_CHARS}{hat}]|-(?=[{_NAME_CHARS}-]))*)"
+        r"|([0-9]+)"
+        r"|)")
+
+
+_SCANNERS = (_scanner(False), _scanner(True))
+
+
+class Token(NamedTuple):
     kind: str  # IDENT | NUM | SYM | EOF
     text: str
     span: SourceSpan
 
 
-class _Lexer:
-    def __init__(self, text: str, filename: str, target_mode: bool):
-        self.text = text
-        self.filename = filename
-        self.target_mode = target_mode
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int) -> None:
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _span(self, start_line: int, start_col: int) -> SourceSpan:
-        return SourceSpan(self.filename, start_line, start_col, self.line, self.col)
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        text = self.text
-        while True:
-            while self.pos < len(text) and text[self.pos] in " \t\r\n":
-                self._advance(1)
-            if self.pos >= len(text):
-                out.append(Token("EOF", "", self._span(self.line, self.col)))
-                return out
-            line, col = self.line, self.col
-            ch = text[self.pos]
-            if ch == "%":
-                if text.startswith("%infix", self.pos):
-                    self._advance(len("%infix"))
-                    out.append(Token("SYM", "%infix", self._span(line, col)))
-                    continue
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance(1)
-                continue
-            if ch in _IDENT_START:
-                out.append(self._ident(line, col))
-                continue
-            if ch.isdigit():
-                start = self.pos
-                while self.pos < len(text) and text[self.pos].isdigit():
-                    self._advance(1)
-                out.append(Token("NUM", text[start:self.pos], self._span(line, col)))
-                continue
-            if ch == ".":
-                nxt = text[self.pos + 1:self.pos + 2]
-                after = text[self.pos + 2:self.pos + 3]
-                if nxt in ("1", "2") and not (after and (after in _IDENT_CONT or after.isdigit())):
-                    self._advance(2)
-                    out.append(Token("SYM", "." + nxt, self._span(line, col)))
-                    continue
-                self._advance(1)
-                out.append(Token("SYM", ".", self._span(line, col)))
-                continue
-            sym = self._symbol()
-            if sym is None:
-                raise LexError(f"unexpected character {ch!r}",
-                               self._span(line, col))
-            self._advance(len(sym))
-            out.append(Token("SYM", sym, self._span(line, col)))
-
-    def _ident(self, line: int, col: int) -> Token:
-        text = self.text
-        start = self.pos
-        self._advance(1)
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "^" and self.target_mode:
-                self._advance(1)
-                continue
-            if ch == "-":
-                nxt = text[self.pos + 1:self.pos + 2]
-                if nxt in (">", ":"):
-                    break
-                if nxt and nxt in _IDENT_CONT:
-                    self._advance(1)
-                    continue
-                break
-            if ch in _IDENT_CONT:
-                self._advance(1)
-                continue
+def tokenize(text: str, filename: str = "<input>",
+             target_mode: bool = False) -> list[Token]:
+    """The tokens of text, ending with one EOF token."""
+    out: list[Token] = []
+    line, line_start, pos = 1, 0, 0
+    # The matches are contiguous up to the first one that has no token,
+    # which is the end of the input or a lexing error; scanning one match
+    # at a time stops there and holds no list of them all.
+    for m in _SCANNERS[target_mode].finditer(text):
+        skip, sym, ident, num = m.groups()
+        if skip:
+            newlines = skip.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + skip.rindex("\n") + 1
+            pos += len(skip)
+        col = pos - line_start + 1
+        if sym:
+            kind, tok = "SYM", sym
+        elif ident:
+            kind, tok = "IDENT", ident
+        elif num:
+            kind, tok = "NUM", num
+        else:
+            span = SourceSpan(filename, line, col, line, col)
+            if pos < len(text):
+                raise LexError(f"unexpected character {text[pos]!r}", span)
+            out.append(Token("EOF", "", span))
             break
-        return Token("IDENT", text[start:self.pos], self._span(line, col))
-
-    def _symbol(self) -> Optional[str]:
-        for sym in _SYMBOLS:
-            if self.text.startswith(sym, self.pos):
-                if sym == "^" and self.target_mode:
-                    return None
-                return sym
-        return None
+        out.append(Token(kind, tok, SourceSpan(filename, line, col, line,
+                                               col + len(tok))))
+        pos += len(tok)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +247,7 @@ class _Parser:
         return t
 
     def at(self, text: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == "SYM" and t.text == text
 
     def expect(self, text: str) -> Token:
@@ -572,7 +531,7 @@ def _default_class(kind):
 
 
 def parse_signature(text: str, filename: str = "<input>") -> Signature:
-    tokens = _Lexer(text, filename, target_mode=False).tokens()
+    tokens = tokenize(text, filename, target_mode=False)
     p = _Parser(tokens, filename, target_mode=False)
     elab = _SourceElab()
     sig = Signature()
@@ -689,7 +648,7 @@ def parse_class(text: str, consts: frozenset[str] | set[str] = frozenset(),
 
 
 def _expr_parser(text, filename, consts):
-    tokens = _Lexer(text, filename, target_mode=False).tokens()
+    tokens = tokenize(text, filename, target_mode=False)
     p = _Parser(tokens, filename, target_mode=False)
     elab = _SourceElab()
     elab.term_consts = set(consts)
@@ -796,7 +755,7 @@ class _TargetElab:
 
 
 def parse_lfi(text: str, filename: str = "<input>") -> L.LfiSignature:
-    tokens = _Lexer(text, filename, target_mode=True).tokens()
+    tokens = tokenize(text, filename, target_mode=True)
     p = _Parser(tokens, filename, target_mode=True)
     elab = _TargetElab()
     sig = L.LfiSignature()

@@ -751,3 +751,128 @@ def _op_class(c, lvl: int, ext: bool) -> str:
         case s.CPi(h, d, _, b):
             return _op_binder(h, d, b, _op_sort, _op_class, "::", ext, lvl)
     raise TypeError(c)
+
+
+# ---------------------------------------------------------------------------
+# The lexer that moves one character at a time.
+#
+# It tests each character against explicit sets and counts lines and
+# columns as it advances; the package scans with one regular expression
+# per mode and counts newlines between tokens.  Both must give the same
+# tokens with the same spans, and the same LexError message and span.
+# Digits are ASCII: `str.isdigit` also accepts `²` and `①`, which `int`
+# then rejects.
+
+from lfr.diagnostics import LexError, SourceSpan  # noqa: E402
+
+_LEX_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_LEX_DIGITS = set("0123456789")
+_LEX_IDENT_CONT = _LEX_IDENT_START | _LEX_DIGITS | set("_'/*-")
+_LEX_SYMBOLS = ["[[", "]]", "-:>", "->", "<-", "<<", "<:", "<>", "::",
+                "{", "}", "(", ")", "[", "]", "^", "#", "*", ",", "<", ">",
+                ":", "."]
+
+
+class ReferenceLexer:
+    def __init__(self, text: str, filename: str, target_mode: bool):
+        self.text = text
+        self.filename = filename
+        self.target_mode = target_mode
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def _advance(self, n: int) -> None:
+        for _ in range(n):
+            if self.text[self.pos] == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def _span(self, start_line: int, start_col: int) -> SourceSpan:
+        return SourceSpan(self.filename, start_line, start_col, self.line, self.col)
+
+    def tokens(self) -> list[tuple[str, str, SourceSpan]]:
+        """(kind, text, span) for each token, ending with EOF."""
+        out = []
+        text = self.text
+        while True:
+            while self.pos < len(text) and text[self.pos] in " \t\r\n":
+                self._advance(1)
+            if self.pos >= len(text):
+                out.append(("EOF", "", self._span(self.line, self.col)))
+                return out
+            line, col = self.line, self.col
+            ch = text[self.pos]
+            if ch == "%":
+                if text.startswith("%infix", self.pos):
+                    self._advance(len("%infix"))
+                    out.append(("SYM", "%infix", self._span(line, col)))
+                    continue
+                while self.pos < len(text) and text[self.pos] != "\n":
+                    self._advance(1)
+                continue
+            if ch in _LEX_IDENT_START:
+                out.append(self._ident(line, col))
+                continue
+            if ch in _LEX_DIGITS:
+                start = self.pos
+                while self.pos < len(text) and text[self.pos] in _LEX_DIGITS:
+                    self._advance(1)
+                out.append(("NUM", text[start:self.pos], self._span(line, col)))
+                continue
+            if ch == ".":
+                nxt = text[self.pos + 1:self.pos + 2]
+                after = text[self.pos + 2:self.pos + 3]
+                if nxt in ("1", "2") and not (after and after in _LEX_IDENT_CONT):
+                    self._advance(2)
+                    out.append(("SYM", "." + nxt, self._span(line, col)))
+                    continue
+                self._advance(1)
+                out.append(("SYM", ".", self._span(line, col)))
+                continue
+            sym = self._symbol()
+            if sym is None:
+                raise LexError(f"unexpected character {ch!r}",
+                               self._span(line, col))
+            self._advance(len(sym))
+            out.append(("SYM", sym, self._span(line, col)))
+
+    def _ident(self, line: int, col: int) -> tuple[str, str, SourceSpan]:
+        text = self.text
+        start = self.pos
+        self._advance(1)
+        while self.pos < len(text):
+            ch = text[self.pos]
+            if ch == "^" and self.target_mode:
+                self._advance(1)
+                continue
+            if ch == "-":
+                nxt = text[self.pos + 1:self.pos + 2]
+                if nxt in (">", ":"):
+                    break
+                if nxt and nxt in _LEX_IDENT_CONT:
+                    self._advance(1)
+                    continue
+                break
+            if ch in _LEX_IDENT_CONT:
+                self._advance(1)
+                continue
+            break
+        return ("IDENT", text[start:self.pos], self._span(line, col))
+
+    def _symbol(self) -> str | None:
+        for sym in _LEX_SYMBOLS:
+            if self.text.startswith(sym, self.pos):
+                if sym == "^" and self.target_mode:
+                    return None
+                return sym
+        return None
+
+
+def reference_tokens(text: str, filename: str = "<input>",
+                     target_mode: bool = False):
+    """The reference lexer's tokens as (kind, text, span) triples."""
+    return ReferenceLexer(text, filename, target_mode).tokens()

@@ -17,6 +17,7 @@ from lfr import (
     print_lfi,
 )
 from lfr.lfi import lfi_equal
+from lfr.parser import tokenize
 from lfr.printer import pp_class, pp_kind, pp_sort, pp_term, pp_type
 from lfr.syntax import (
     App,
@@ -38,7 +39,7 @@ from lfr.syntax import (
     close_at,
 )
 
-from conftest import GOLDEN_NAMES, golden_path
+from conftest import GOLDEN_DIR, GOLDEN_NAMES, golden_path
 from gen import (
     HO_CONSTS,
     NAT,
@@ -56,6 +57,7 @@ from oracles import (
     opened_pp_sort,
     opened_pp_term,
     opened_pp_type,
+    reference_tokens,
 )
 
 
@@ -300,6 +302,75 @@ class TestErrors:
     def test_comments_are_skipped(self):
         sig = parse_signature("% comment\nnat : type. % trailing\n")
         assert sig.type_fam("nat") is not None
+
+
+# Fragments the two lexer modes treat differently or at a boundary:
+# comments and `%infix`, `-` inside and after names, projections,
+# `^`, carriage returns and tabs, and characters that start no token.
+LEX_FRAGMENTS = ("%infix", "%", "% c\n", "-", "->", "-:>", ".1", ".2", ".",
+                 "^", "\r", "\t", "\n", " ", "\u00e9", "\u00df", "x", "Q",
+                 "a'", "_", "/", "*", "0", "12", "\u00b2", "\u2460", "[[",
+                 "]]", "{", "}", "(", ")", "<-", "<<", "<:", "<>", "::", ":",
+                 "#", ",", "<", ">", "@")
+LEX_TEXTS = tuple(p.read_text() for p in sorted(GOLDEN_DIR.glob("*.lf[ri]")))
+
+
+@st.composite
+def lexer_inputs(draw):
+    """A string of fragments, or a golden file with a few inserted."""
+    fragments = st.sampled_from(LEX_FRAGMENTS)
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(fragments, max_size=30)))
+    text = draw(st.sampled_from(LEX_TEXTS))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(fragments) + text[i:]
+    return text
+
+
+def _lexed(lex, text: str, target_mode: bool):
+    try:
+        return [(k, t, tuple(span))
+                for k, t, span in lex(text, "f.lfr", target_mode)]
+    except LexError as e:
+        return ("LexError", e.message, tuple(e.span))
+
+
+class TestLexer:
+    @settings(max_examples=400)
+    @given(lexer_inputs(), st.booleans())
+    def test_scanner_matches_reference_lexer(self, text, target_mode):
+        assert _lexed(tokenize, text, target_mode) == \
+            _lexed(reference_tokens, text, target_mode)
+
+    def test_spans_end_one_past_the_last_character(self):
+        text = "nat : type. % trailing\r\n% whole line\n\tz :: nat.1"
+        assert [(t.kind, t.text, tuple(t.span))
+                for t in tokenize(text, "f.lfr")] == [
+            ("IDENT", "nat", ("f.lfr", 1, 1, 1, 4)),
+            ("SYM", ":", ("f.lfr", 1, 5, 1, 6)),
+            ("IDENT", "type", ("f.lfr", 1, 7, 1, 11)),
+            ("SYM", ".", ("f.lfr", 1, 11, 1, 12)),
+            ("IDENT", "z", ("f.lfr", 3, 2, 3, 3)),
+            ("SYM", "::", ("f.lfr", 3, 4, 3, 6)),
+            ("IDENT", "nat", ("f.lfr", 3, 7, 3, 10)),
+            ("SYM", ".1", ("f.lfr", 3, 10, 3, 12)),
+            ("EOF", "", ("f.lfr", 3, 12, 3, 12)),
+        ]
+
+    def test_error_span_is_empty_at_the_character(self):
+        with pytest.raises(LexError) as info:
+            tokenize("a\r\n @", "f.lfr")
+        assert info.value.message == "unexpected character '@'"
+        assert info.value.span == ("f.lfr", 2, 2, 2, 2)
+        assert str(info.value.span) == "f.lfr:2:2"
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u2460", "\u0663"])
+    def test_numbers_are_ascii_digits(self, digit):
+        with pytest.raises(LexError) as info:
+            tokenize(f"c : 1{digit}.")
+        assert info.value.message == f"unexpected character {digit!r}"
+        assert info.value.span.col == 6
 
 
 class TestLfiSyntax:
