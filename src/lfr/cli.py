@@ -14,7 +14,6 @@ limit, or a broken internal invariant).
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -181,10 +180,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every
-    later `main` call in the process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="lfr",
         description="Sort checker and proof-irrelevant compiler for "

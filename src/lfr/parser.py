@@ -85,8 +85,7 @@ class Token(NamedTuple):
     span: SourceSpan
 
 
-def tokenize(text: str, filename: str = "<input>",
-             target_mode: bool = False) -> list[Token]:
+def tokenize(text: str, filename: str, target_mode: bool) -> list[Token]:
     """The tokens of text, ending with one EOF token."""
     out: list[Token] = []
     line, line_start, pos = 1, 0, 0

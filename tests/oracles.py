@@ -872,7 +872,6 @@ class ReferenceLexer:
         return None
 
 
-def reference_tokens(text: str, filename: str = "<input>",
-                     target_mode: bool = False):
+def reference_tokens(text: str, filename: str, target_mode: bool):
     """The reference lexer's tokens as (kind, text, span) triples."""
     return ReferenceLexer(text, filename, target_mode).tokens()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from lfr import VerifyError, lfi_check_sig, parse_lfi
-from lfr.cli import _build_parser, main
+from lfr.cli import main
 
 from conftest import GOLDEN_DIR, GOLDEN_NAMES, checkout_env, golden_path
 from gen import deep_text
@@ -108,41 +108,6 @@ class TestCheck:
         assert proc.stderr == \
             f"{src}:{where}: error: unexpected character {digit!r}\n"
         assert "Traceback" not in proc.stderr
-
-
-class TestRepeatedCalls:
-    """main builds its argument parser once per process; no call may see
-    what an earlier call parsed."""
-
-    def _run(self, calls, capsys, fresh: bool):
-        results = []
-        for argv in calls:
-            if fresh:
-                _build_parser.cache_clear()
-            rc = main(argv)
-            results.append((rc, *capsys.readouterr()))
-        return results
-
-    def test_calls_in_sequence_match_fresh_calls(self, tmp_path, capsys):
-        src = tmp_path / "even-odd.lfr"
-        src.write_text(golden_path("even-odd").read_text())
-        nat = str(golden_path("nat"))
-        calls = [
-            ["check", "--trace", "--quiet", nat],
-            ["check", "--quiet", nat],
-            ["translate", "--quiet", str(src), "-o", str(tmp_path / "a.lfi")],
-            ["translate", "--quiet", "--no-verify", str(src)],
-            ["check", "--quiet", "--strict", str(golden_path("bad-odd"))],
-            ["verify", "--quiet", nat],
-        ]
-        default = src.with_suffix(".lfi")
-        assert not default.exists()
-        shared = self._run(calls, capsys, fresh=False)
-        assert shared[0][1].startswith("rule trace (")
-        assert shared[1] == (0, "", "")
-        assert default.exists()
-        assert [r[0] for r in shared] == [0, 0, 0, 0, 1, 0]
-        assert shared == self._run(calls, capsys, fresh=True)
 
 
 class TestTranslate:

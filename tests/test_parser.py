@@ -346,7 +346,7 @@ class TestLexer:
     def test_spans_end_one_past_the_last_character(self):
         text = "nat : type. % trailing\r\n% whole line\n\tz :: nat.1"
         assert [(t.kind, t.text, tuple(t.span))
-                for t in tokenize(text, "f.lfr")] == [
+                for t in tokenize(text, "f.lfr", False)] == [
             ("IDENT", "nat", ("f.lfr", 1, 1, 1, 4)),
             ("SYM", ":", ("f.lfr", 1, 5, 1, 6)),
             ("IDENT", "type", ("f.lfr", 1, 7, 1, 11)),
@@ -360,7 +360,7 @@ class TestLexer:
 
     def test_error_span_is_empty_at_the_character(self):
         with pytest.raises(LexError) as info:
-            tokenize("a\r\n @", "f.lfr")
+            tokenize("a\r\n @", "f.lfr", False)
         assert info.value.message == "unexpected character '@'"
         assert info.value.span == ("f.lfr", 2, 2, 2, 2)
         assert str(info.value.span) == "f.lfr:2:2"
@@ -368,7 +368,7 @@ class TestLexer:
     @pytest.mark.parametrize("digit", ["\u00b2", "\u2460", "\u0663"])
     def test_numbers_are_ascii_digits(self, digit):
         with pytest.raises(LexError) as info:
-            tokenize(f"c : 1{digit}.")
+            tokenize(f"c : 1{digit}.", "f.lfr", False)
         assert info.value.message == f"unexpected character {digit!r}"
         assert info.value.span.col == 6
 
