@@ -86,3 +86,22 @@ def cbv_sig(checked_goldens):
 @pytest.fixture(scope="session")
 def coherence_sig(checked_goldens):
     return checked_goldens["coherence"]
+
+
+# Families indexed by terms, so that diagnostics under binders print the
+# binders' names: pe and qe refine p and q, k is refined at a dependent
+# sort, and g takes a proof-like argument of the dependent type p x.
+DEP_TEXT = (
+    "nat : type. z : nat. s : nat -> nat.\n"
+    "even << nat. odd << nat. pos << nat. odd <: pos.\n"
+    "z :: even. s :: even -> odd ^ odd -> even ^ # -> pos.\n"
+    "p : nat -> type. q : nat -> nat -> type.\n"
+    "r : {x : nat} p x -> type.\n"
+    "k : {x : nat} p x. g : {x : nat} p x -> nat.\n"
+    "pe << p :: even -> sort. qe << q :: even -> even -> sort.\n"
+    "k :: {x :: even} pe x.\n")
+
+
+@pytest.fixture(scope="session")
+def dep_sig():
+    return check_signature(parse_signature(DEP_TEXT))

@@ -19,6 +19,7 @@ from lfr.syntax import (
     App,
     Arrow,
     Base,
+    BVar,
     Const,
     ConstRef,
     FVar,
@@ -179,3 +180,70 @@ class TestRefinementRestriction:
         except SortError:
             return
         lf_check_term(erase_sig(nat_sig), erase_ctx(ctx), n, NAT_T)
+
+
+P_T, Q_T = TConst("p"), TConst("q")
+
+
+def _s(t):
+    return App(Const("s"), t)
+
+
+# p (s a) under {a : nat} {b : nat}, and the term [a] [b] k b.
+_TWO_DEEP = TPi("a", NAT_T, TPi("b", NAT_T, TApp(P_T, _s(BVar(1)))))
+_K_B = Lam("a", Lam("b", App(Const("k"), BVar(0))))
+# {a : nat} {b : p a} q a (k a): k a has type p a, not nat.
+_BAD_INDEX = TPi("a", NAT_T, TPi("b", TApp(P_T, BVar(0)), TApp(
+    TApp(Q_T, BVar(1)), App(Const("k"), BVar(1)))))
+
+
+class TestDiagnostics:
+    """Messages for failures under binders: a bound variable is shown by
+    its binder's hint, primed away from the context's names and from the
+    names of the binders outside it."""
+
+    @pytest.mark.parametrize("call, diag", [
+        (lambda sig: lf_check_term(sig, [], _K_B, _TWO_DEEP),
+         ("type mismatch", "type mismatch: expected p (s a), synthesized p b",
+          "p (s a)", "p b")),
+        (lambda sig: lf_check_term(sig, [("a", NAT_T), ("b'", NAT_T)], _K_B,
+                                   _TWO_DEEP),
+         ("type mismatch", "type mismatch: expected p (s a'), synthesized p b",
+          "p (s a')", "p b")),
+        (lambda sig: lf_check_term(
+            sig, [], Lam("a", App(Const("g"), BVar(0))),
+            TPi("a", NAT_T, TPi("h", TApp(P_T, BVar(0)), NAT_T))),
+         ("type mismatch", "atomic term g a at function type p a -> nat; "
+          "terms must be eta-long", "p a -> nat", "g a")),
+        (lambda sig: lf_check_term(
+            sig, [], Lam("a", Lam("b", Lam("c", BVar(0)))),
+            TPi("a", NAT_T, TPi("b", TApp(P_T, BVar(0)), TApp(P_T, BVar(1))))),
+         ("non-atomic at atomic type",
+          "function term checked against atomic type p a", "p a", None)),
+        (lambda sig: lf_check_term(
+            sig, [], Lam("a", Lam("h", App(BVar(0), Z))),
+            TPi("a", NAT_T, TPi("h", TApp(P_T, BVar(0)), NAT_T))),
+         ("type mismatch", "applied term of non-function type p a", None,
+          "p a")),
+        (lambda sig: lf_check_type(sig, [], TPi("a", NAT_T, TPi(
+            "b", TApp(P_T, BVar(0)), TApp(Q_T, BVar(1))))),
+         ("ill-formed kind", "type family not fully applied: q a", None,
+          "q a")),
+        (lambda sig: lf_check_kind(sig, [], KPi("a", NAT_T, KPi(
+            "b", TApp(P_T, BVar(0)), KPi("c", TApp(Q_T, BVar(1)), KType())))),
+         ("ill-formed kind", "type family not fully applied: q a", None,
+          "q a")),
+        (lambda sig: lf_check_type(sig, [], _BAD_INDEX),
+         ("type mismatch", "type mismatch: expected nat, synthesized p a",
+          "nat", "p a")),
+        (lambda sig: lf_check_type(sig, [("a", NAT_T)], _BAD_INDEX),
+         ("type mismatch", "type mismatch: expected nat, synthesized p a'",
+          "nat", "p a'")),
+    ], ids=["term-two-deep", "hint-meets-context", "not-eta-long",
+            "function-at-atom", "non-function", "type-two-deep",
+            "kind-two-deep", "index-two-deep", "index-meets-context"])
+    def test_message(self, dep_sig, call, diag):
+        with pytest.raises(LfError) as info:
+            call(dep_sig)
+        d = info.value.diag
+        assert (d.kind, d.message, d.expected, d.actual) == diag

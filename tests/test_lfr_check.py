@@ -41,10 +41,11 @@ from lfr.syntax import (
     SubDecl,
     TApp,
     TConst,
+    TPi,
     alpha_eq,
 )
 
-from conftest import GOLDEN_NAMES, checkout_env
+from conftest import DEP_TEXT, GOLDEN_NAMES, checkout_env
 from gen import (
     NAT,
     deep_signature,
@@ -500,6 +501,119 @@ class TestDiagnostics:
         trace = []
         acheck(nat_sig, [], numeral(2), EVEN, trace=trace)
         assert "switch" in trace and "const" in trace
+
+
+P_T = TConst("p")
+PE, QE = SConst("pe"), SConst("qe")
+
+
+def _s(t):
+    return App(Const("s"), t)
+
+
+def _pe(t):
+    return SApp(PE, t)
+
+
+# {x :: even} {h :: pe x} pe (s (s x)), and the term [x] [h] k x, which
+# synthesizes pe x only.
+_PE_SS = SPi("x", EVEN, NAT_T, SPi("h", _pe(BVar(0)), TApp(P_T, BVar(0)),
+                                   _pe(_s(_s(BVar(1))))))
+_K_X = Lam("x", Lam("h", App(Const("k"), BVar(1))))
+
+
+class TestBinderDiagnostics:
+    """Kinds and messages of failures under function sorts and classes:
+    a bound variable is shown by its binder's hint, primed away from the
+    context's names and from the names of the binders outside it."""
+
+    @pytest.mark.parametrize("call, kind, message", [
+        (lambda sig: acheck(sig, [], _K_X, _PE_SS), "subsort-failure",
+         "term k x: none of the synthesized sorts [pe x] is a subsort of "
+         "pe (s (s x))"),
+        (lambda sig: acheck(sig, [CtxEntry("x", EVEN, NAT_T)], _K_X, _PE_SS),
+         "subsort-failure",
+         "term k x': none of the synthesized sorts [pe x'] is a subsort of "
+         "pe (s (s x'))"),
+        (lambda sig: acheck(sig, [], Lam("x", App(Const("k"), BVar(0))),
+                            SPi("x", EVEN, NAT_T, SPi(
+                                "h", _pe(BVar(0)), TApp(P_T, BVar(0)),
+                                _pe(BVar(1))))),
+         "annotation-mismatch",
+         "term k x is not a function but was checked against function sort "
+         "pe x -> pe x"),
+        (lambda sig: acheck(sig, [], Lam("x", BVar(0)),
+                            SPi("x", STop(), NAT_T, EVEN)),
+         "empty-synthesis", "term x synthesizes no sorts"),
+        (lambda sig: acheck(sig, [], Lam("x", Lam("y", BVar(0))),
+                            SPi("x", EVEN, NAT_T, _pe(BVar(0)))),
+         "annotation-mismatch", "function term checked against atomic sort pe x"),
+        (lambda sig: elaborate_sort(
+            sig, [], SPi("x", EVEN, None, SPi("h", _pe(BVar(0)), None,
+                                               _pe(BVar(1)))),
+            TPi("x", NAT_T, TApp(P_T, BVar(0)))),
+         "annotation-mismatch",
+         "function sort pe x -> pe x cannot refine non-function type p x"),
+        (lambda sig: elaborate_sort(
+            sig, [], SPi("x", EVEN, None, _pe(BVar(0))),
+            TPi("x", NAT_T, TApp(P_T, _s(BVar(0))))),
+         "annotation-mismatch", "sort pe x refines p x, not p (s x)"),
+        (lambda sig: elaborate_sort(
+            sig, [CtxEntry("x", EVEN, NAT_T)], SPi("x", EVEN, None,
+                                                  _pe(BVar(0))),
+            TPi("x", NAT_T, TApp(P_T, _s(BVar(0))))),
+         "annotation-mismatch", "sort pe x' refines p x', not p (s x')"),
+        (lambda sig: elaborate_sort(
+            sig, [], SPi("x", EVEN, None, SApp(QE, BVar(0))),
+            TPi("x", NAT_T, TApp(TConst("q"), BVar(0)))),
+         "annotation-mismatch", "sort qe x is not fully applied"),
+        (lambda sig: elaborate_sort(
+            sig, [], SPi("x", EVEN, None, SPi("x", EVEN, None,
+                                               _pe(_s(BVar(0))))),
+            TPi("x", NAT_T, TPi("x", NAT_T, TApp(P_T, _s(BVar(0)))))),
+         "subsort-failure",
+         "argument 1 of pe: term s x': none of the synthesized sorts "
+         "[odd, pos] is a subsort of even"),
+    ], ids=["check-two-deep", "check-hint-meets-context", "not-a-function",
+            "empty-synthesis", "function-at-atom", "pi-at-atom",
+            "refines-other-type", "refines-hint-meets-context",
+            "not-fully-applied", "inner-hint-primed"])
+    def test_message(self, dep_sig, call, kind, message):
+        with pytest.raises(SortError) as info:
+            call(dep_sig)
+        assert (info.value.diag.kind, info.value.diag.message) == (kind,
+                                                                   message)
+
+    @pytest.mark.parametrize("decl, kind, message", [
+        ("rr << r :: {x :: even} {h :: pe (s (s x))} sort.",
+         "annotation-mismatch",
+         "sort pe (s (s x)) refines p (s (s x)), not p x"),
+        ("rr << r :: {x :: even} {h :: pe (s x)} sort.", "subsort-failure",
+         "argument 1 of pe: term s x: none of the synthesized sorts "
+         "[odd, pos] is a subsort of even"),
+        ("rr << q :: {x :: even} {y :: pe x} sort.", "annotation-mismatch",
+         "sort pe x refines p x, not nat"),
+    ], ids=["refines-other-type", "argument", "domain-at-other-type"])
+    def test_class_message(self, decl, kind, message):
+        with pytest.raises(SortError) as info:
+            check_signature(parse_signature(DEP_TEXT + decl))
+        assert (info.value.diag.kind, info.value.diag.message,
+                info.value.span.line) == (kind, message, 9)
+
+    def test_audit_sees_binders_by_name(self, dep_sig):
+        calls = []
+        set_subsort_audit(lambda ctx, q, goal, ok: calls.append(
+            ([(e.name, e.sort, e.type) for e in ctx], q, goal, ok)))
+        try:
+            acheck(dep_sig, [CtxEntry("x", EVEN, NAT_T)],
+                   Lam("x", App(Const("k"), BVar(0))),
+                   SPi("x", EVEN, NAT_T, _pe(BVar(0))))
+        finally:
+            set_subsort_audit(None)
+        x = FVar("x'")
+        assert calls == [
+            ([("x", EVEN, NAT_T), ("x'", EVEN, NAT_T)], EVEN, EVEN, True),
+            ([("x", EVEN, NAT_T), ("x'", EVEN, NAT_T)], _pe(x), _pe(x), True)]
 
 
 def _catch(f):
