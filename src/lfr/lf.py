@@ -3,7 +3,9 @@
 Terms are checked against types, atomic terms synthesize, and types are
 checked against kinds.  Because the syntax only admits canonical forms,
 definitional equality is alpha-equivalence and instantiation goes
-through hereditary substitution.
+through hereditary substitution.  The checkers descend binders by index,
+keeping a stack of the binders passed, and name them only to build a
+message; the sort checker shares that stack.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .diagnostics import CheckError, SourceSpan
+from .printer import pp_term, pp_type
 from .subst import MetricExhausted, SubstFailure, hsubst_syntax
 from .syntax import (
     App,
@@ -28,10 +31,11 @@ from .syntax import (
     TPi,
     TypeFam,
     alpha_eq,
-    free_vars,
-    fresh_name,
+    binder_names,
     is_atomic_term,
-    open_at,
+    named,
+    shift,
+    type_spine,
 )
 
 _KINDS = ("type mismatch", "unbound name", "non-atomic at atomic type",
@@ -63,21 +67,18 @@ def _fail(kind: str, message: str, expected=None, actual=None):
     raise LfError(LfDiagnostic(kind, message, expected, actual))
 
 
-def _pp_ty(a) -> str:
-    from .printer import pp_type
-    return pp_type(a)
+# `stack` holds an entry for each binder passed, innermost last, whose
+# first two fields are its hint and its domain type (the sort checker's
+# entries add the domain sort).  BVar(i) has the type of stack[-1 - i],
+# shifted by i + 1; FVar names a hypothesis of the context.
 
 
-def _pp_tm(t) -> str:
-    from .printer import pp_term
-    return pp_term(t)
+def _pp_ty(a, ctx, stack) -> str:
+    return pp_type(named(a, binder_names((n for n, _ in ctx), stack)))
 
 
-def _ctx_lookup(ctx: list[tuple[str, object]], name: str):
-    for n, ty in reversed(ctx):
-        if n == name:
-            return ty
-    return None
+def _pp_tm(t, ctx, stack) -> str:
+    return pp_term(named(t, binder_names((n for n, _ in ctx), stack)))
 
 
 def _inst(body, arg, dom, what: str):
@@ -91,6 +92,22 @@ def _inst(body, arg, dom, what: str):
 
 
 def lf_synth_term(sig: Signature, ctx: list[tuple[str, object]], r):
+    return _synth(sig, ctx, (), r)
+
+
+def lf_check_term(sig: Signature, ctx: list[tuple[str, object]], n, a) -> None:
+    _check(sig, ctx, (), n, a)
+
+
+def lf_check_type(sig: Signature, ctx: list[tuple[str, object]], a) -> None:
+    _check_type(sig, ctx, (), a)
+
+
+def lf_check_kind(sig: Signature, ctx: list[tuple[str, object]], k) -> None:
+    _check_kind(sig, ctx, (), k)
+
+
+def _synth(sig: Signature, ctx, stack, r):
     match r:
         case Const(n):
             decl = sig.term_const(n)
@@ -98,93 +115,83 @@ def lf_synth_term(sig: Signature, ctx: list[tuple[str, object]], r):
                 _fail("unbound name", f"unbound constant {n}")
             return decl.type
         case FVar(n):
-            ty = _ctx_lookup(ctx, n)
+            ty = next((ty for x, ty in reversed(ctx) if x == n), None)
             if ty is None:
                 _fail("unbound name", f"unbound variable {n}")
             return ty
+        case BVar(i) if i < len(stack):
+            return shift(stack[-1 - i][1], i + 1)
         case App(f, a):
-            fty = lf_synth_term(sig, ctx, f)
+            fty = _synth(sig, ctx, stack, f)
             if not isinstance(fty, TPi):
-                _fail("type mismatch",
-                      f"applied term of non-function type {_pp_ty(fty)}",
-                      actual=_pp_ty(fty))
-            lf_check_term(sig, ctx, a, fty.dom)
+                _fail("type mismatch", f"applied term of non-function type "
+                      f"{_pp_ty(fty, ctx, stack)}",
+                      actual=_pp_ty(fty, ctx, stack))
+            _check(sig, ctx, stack, a, fty.dom)
             return _inst(fty.cod, a, fty.dom, "a function codomain")
-        case BVar(i):
-            raise TypeError(f"lf_synth_term: unopened bound variable {i}")
     raise TypeError(f"lf_synth_term: not atomic: {r!r}")
 
 
-def lf_check_term(sig: Signature, ctx: list[tuple[str, object]], n, a) -> None:
+def _check(sig: Signature, ctx, stack, n, a) -> None:
     match n:
         case Lam(h, b):
             if not isinstance(a, TPi):
-                _fail("non-atomic at atomic type",
-                      f"function term checked against atomic type {_pp_ty(a)}",
-                      expected=_pp_ty(a))
-            x = fresh_name(h, {nm for nm, _ in ctx} | free_vars(b) | free_vars(a.cod))
-            lf_check_term(sig, ctx + [(x, a.dom)],
-                          open_at(b, FVar(x)), open_at(a.cod, FVar(x)))
+                _fail("non-atomic at atomic type", f"function term checked "
+                      f"against atomic type {_pp_ty(a, ctx, stack)}",
+                      expected=_pp_ty(a, ctx, stack))
+            _check(sig, ctx, stack + ((h, a.dom),), b, a.cod)
         case _:
             if not is_atomic_term(n):
                 raise TypeError(f"lf_check_term: not a normal term: {n!r}")
             if isinstance(a, TPi):
-                _fail("type mismatch",
-                      f"atomic term {_pp_tm(n)} at function type {_pp_ty(a)}; "
-                      f"terms must be eta-long",
-                      expected=_pp_ty(a), actual=_pp_tm(n))
-            syn = lf_synth_term(sig, ctx, n)
+                a, n = _pp_ty(a, ctx, stack), _pp_tm(n, ctx, stack)
+                _fail("type mismatch", f"atomic term {n} at function type "
+                      f"{a}; terms must be eta-long", expected=a, actual=n)
+            syn = _synth(sig, ctx, stack, n)
             if not alpha_eq(syn, a):
-                _fail("type mismatch",
-                      f"type mismatch: expected {_pp_ty(a)}, "
-                      f"synthesized {_pp_ty(syn)}",
-                      expected=_pp_ty(a), actual=_pp_ty(syn))
+                a, syn = _pp_ty(a, ctx, stack), _pp_ty(syn, ctx, stack)
+                _fail("type mismatch", f"type mismatch: expected {a}, "
+                      f"synthesized {syn}", expected=a, actual=syn)
 
 
-def lf_check_type(sig: Signature, ctx: list[tuple[str, object]], a) -> None:
+def _check_type(sig: Signature, ctx, stack, a) -> None:
     match a:
         case TPi(h, d, c):
-            lf_check_type(sig, ctx, d)
-            x = fresh_name(h, {nm for nm, _ in ctx} | free_vars(c))
-            lf_check_type(sig, ctx + [(x, d)], open_at(c, FVar(x)))
+            _check_type(sig, ctx, stack, d)
+            _check_type(sig, ctx, stack + ((h, d),), c)
         case TConst() | TApp():
-            kind = _synth_spine_kind(sig, ctx, a)
+            kind = _synth_spine_kind(sig, ctx, stack, a)
             if not isinstance(kind, KType):
-                _fail("ill-formed kind",
-                      f"type family not fully applied: {_pp_ty(a)}",
-                      actual=_pp_ty(a))
+                _fail("ill-formed kind", f"type family not fully applied: "
+                      f"{_pp_ty(a, ctx, stack)}", actual=_pp_ty(a, ctx, stack))
         case _:
             raise TypeError(f"lf_check_type: not a type: {a!r}")
 
 
-def _synth_spine_kind(sig: Signature, ctx, a):
-    spine = []
-    while isinstance(a, TApp):
-        spine.append(a.arg)
-        a = a.fn
+def _synth_spine_kind(sig: Signature, ctx, stack, a):
+    a, spine = type_spine(a)
     if not isinstance(a, TConst):
         raise TypeError(f"_synth_spine_kind: type head is not a constant: {a!r}")
     decl = sig.type_fam(a.name)
     if decl is None:
         _fail("unbound name", f"unbound type family {a.name}")
     kind = decl.kind
-    for arg in reversed(spine):
+    for arg in spine:
         if not isinstance(kind, KPi):
             _fail("ill-formed kind",
                   f"type family {a.name} applied to too many arguments")
-        lf_check_term(sig, ctx, arg, kind.dom)
+        _check(sig, ctx, stack, arg, kind.dom)
         kind = _inst(kind.cod, arg, kind.dom, "a kind codomain")
     return kind
 
 
-def lf_check_kind(sig: Signature, ctx: list[tuple[str, object]], k) -> None:
+def _check_kind(sig: Signature, ctx, stack, k) -> None:
     match k:
         case KType():
             pass
         case KPi(h, d, c):
-            lf_check_type(sig, ctx, d)
-            x = fresh_name(h, {nm for nm, _ in ctx} | free_vars(c))
-            lf_check_kind(sig, ctx + [(x, d)], open_at(c, FVar(x)))
+            _check_type(sig, ctx, stack, d)
+            _check_kind(sig, ctx, stack + ((h, d),), c)
         case _:
             raise TypeError(f"lf_check_kind: not a kind: {k!r}")
 

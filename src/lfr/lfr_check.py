@@ -9,18 +9,27 @@ checker establishes that invariant declaration by declaration.
 The judgments the translation reads also return a derivation: one
 tagged tuple per rule, holding the derivations of its premises.
 
-    ("const", c)  ("var", x)        synthesis from a constant or variable
+    ("const", c)                    synthesis from a constant
+    ("var", i)  ("var", x)          synthesis from the variable of the
+                                    i-th enclosing binder, or from the
+                                    context's hypothesis x
     ("intro", s)                    formation from sort family s's class
     ("fst", d)  ("snd", d)          one side of an intersection
     ("app", d, m, d_m)              d applied to m, which d_m checks
     ("unit",)  ("pair", d1, d2)     checking against # and against ^
-    ("lam", hint, x, avoid, d)      a function checked with its binder
-                                    opened as x = fresh_name(hint, avoid)
-    ("sub", ctx, q, s, n, d)        n synthesizes q by d, and q <= s
+    ("lam", hint, d)                a function checked under its binder,
+                                    the function sort's, hinted hint
+    ("sub", ctx, stack, q, s, n, d) n synthesizes q by d, and q <= s,
+                                    all read under the binders on stack
 
 Synthesis sets are lists of (sort, derivation), and sort formation
 yields every (class, derivation) candidate.  Derivations hold no target
 syntax, so checking alone pays only for the tuples.
+
+The judgments descend binders by index, as lf.py's do, and share its
+stack: an entry (hint, type, sort) for each binder passed, innermost
+last.  BVar(i) has the sort of stack[-1 - i], shifted by i + 1.  A bound
+variable gets a name only for a message or for the subsort audit.
 
 Where the rules check one term against several sorts in one context (the
 function components one argument meets, the two sides of an intersection,
@@ -33,7 +42,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .diagnostics import CheckError, Message, SourceSpan
-from .lf import LfError, lf_check_kind, lf_check_term, lf_check_type
+from .printer import pp_sort, pp_term, pp_type
+from .lf import LfError, _check as _lf_check, lf_check_kind, lf_check_type
+from .lf import lf_check_term  # noqa: F401  (bound for bench/tracer.py)
 from .subst import MetricExhausted, SubstFailure, hsubst_syntax
 from .syntax import (
     App,
@@ -64,14 +75,13 @@ from .syntax import (
     TPi,
     TypeFam,
     alpha_eq,
+    binder_names,
     ctx_lookup,
     erase_ctx,
     erase_sig,  # unused here; kept because bench/tracer.py wraps this binding
-    free_vars,
-    fresh_name,
     is_atomic_sort,
-    open_at,
-    close_at,
+    named,
+    shift,
     sort_spine,
 )
 
@@ -118,14 +128,9 @@ def _sfail(kind: str, message: Message):
     raise SortError(SortDiagnostic(kind, message))
 
 
-def _pp_sort(s) -> str:
-    from .printer import pp_sort
-    return pp_sort(s)
-
-
-def _pp_term(t) -> str:
-    from .printer import pp_term
-    return pp_term(t)
+def _pp(pp, t, ctx: Context, stack) -> str:
+    """t printed by pp, the binders on stack named as messages name them."""
+    return pp(named(t, binder_names((e.name for e in ctx), stack)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +191,8 @@ def subsort_q(closure: SubsortClosure, q1, q2) -> bool:
 
 
 # Called with (ctx, synthesized_atom, goal_atom, result) at every switch
-# point; used to cross-check the algorithm against the declarative rules.
+# point, the binders on the stack opened into ctx by name; used to
+# cross-check the algorithm against the declarative rules.
 _subsort_audit: Optional[Callable] = None
 
 
@@ -200,11 +206,17 @@ def set_subsort_audit(fn: Optional[Callable]) -> None:
 _audit_records: list[list] = []
 
 
-def _audit(ctx, q, s, ok: bool) -> None:
+def _audit(ctx, stack, q, s, ok: bool) -> None:
     if _subsort_audit is not None:
-        _subsort_audit(ctx, q, s, ok)
+        names = binder_names((e.name for e in ctx), stack)
+        # The j-th binder's sort and type are read under the j outside it.
+        opened = [*ctx, *(CtxEntry(x, named(sort, names[:j]),
+                                   named(ty, names[:j]))
+                          for j, (x, (_, ty, sort))
+                          in enumerate(zip(names, stack)))]
+        _subsort_audit(opened, named(q, names), named(s, names), ok)
         for calls in _audit_records:
-            calls.append((ctx, q, s, ok))
+            calls.append((ctx, stack, q, s, ok))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +248,10 @@ def asynth(sig: Signature, ctx: Context, r, closure: Optional[SubsortClosure] = 
            trace: Optional[list] = None) -> list:
     if closure is None:
         closure = build_closure(sig)
-    return [q for q, _ in _asynth(sig, closure, ctx, r, trace)]
+    return [q for q, _ in _asynth(sig, closure, ctx, (), r, trace)]
 
 
-def _asynth(sig, closure, ctx, r, trace) -> list:
+def _asynth(sig, closure, ctx, stack, r, trace) -> list:
     match r:
         case Const(n):
             merged = sig.merged_ref_sort(n)
@@ -257,19 +269,21 @@ def _asynth(sig, closure, ctx, r, trace) -> list:
             if trace is not None:
                 trace.append("var")
             return _split(entry.sort, ("var", n), trace)
+        case BVar(i) if i < len(stack):
+            if trace is not None:
+                trace.append("var")
+            return _split(shift(stack[-1 - i][2], i + 1), ("var", i), trace)
         case App(f, a):
-            d = _asynth(sig, closure, ctx, f, trace)
-            out = _apply_delta(sig, closure, ctx, d, a, trace)
+            d = _asynth(sig, closure, ctx, stack, f, trace)
+            out = _apply_delta(sig, closure, ctx, stack, d, a, trace)
             if trace is not None:
                 trace.append("Π-E")
             return out
-        case BVar(i):
-            raise TypeError(f"asynth: unopened bound variable {i}")
     raise TypeError(f"asynth: not atomic: {r!r}")
 
 
-def _shared_synth(sig, closure, ctx, n, trace) -> Callable[[], list]:
-    """The synthesis of n in ctx, run on the first call and replayed after.
+def _shared_synth(sig, closure, ctx, stack, n, trace) -> Callable[[], list]:
+    """The synthesis of n, run on the first call and replayed after.
 
     A replay cannot be told from running again: it appends the rule names
     the run traced, passes the subsort comparisons it made to the audit
@@ -289,7 +303,7 @@ def _shared_synth(sig, closure, ctx, n, trace) -> Callable[[], list]:
             audits = []
             _audit_records.append(audits)
             try:
-                out, err = _asynth(sig, closure, ctx, n, trace), None
+                out, err = _asynth(sig, closure, ctx, stack, n, trace), None
             except SortError as e:
                 out, err = None, e
             finally:
@@ -303,27 +317,18 @@ def _shared_synth(sig, closure, ctx, n, trace) -> Callable[[], list]:
     return synth
 
 
-def apply_delta(sig: Signature, ctx: Context, d: list, arg,
-                closure: Optional[SubsortClosure] = None,
-                trace: Optional[list] = None) -> list:
-    if closure is None:
-        closure = build_closure(sig)
-    out = _apply_delta(sig, closure, ctx, [(q, None) for q in d], arg, trace)
-    return [q for q, _ in out]
-
-
-def _apply_delta(sig, closure, ctx, d, arg, trace) -> list:
+def _apply_delta(sig, closure, ctx, stack, d, arg, trace) -> list:
     """Push an argument through every function component that accepts it."""
     out: list = []
-    synth = _shared_synth(sig, closure, ctx, arg, trace)
+    synth = _shared_synth(sig, closure, ctx, stack, arg, trace)
     for entry, d_fn in d:
         if not isinstance(entry, SPi):
             continue
         if entry.dom_type is None:
             raise TypeError("apply_delta: sort was not elaborated")
         try:
-            d_arg = _acheck(sig, closure, ctx, arg, entry.dom_sort, trace,
-                            synth)
+            d_arg = _acheck(sig, closure, ctx, stack, arg, entry.dom_sort,
+                            trace, synth)
             cod = hsubst_syntax(arg, 0, entry.dom_type, entry.cod)
         except MetricExhausted:
             raise
@@ -338,13 +343,13 @@ def acheck(sig: Signature, ctx: Context, n, s,
            trace: Optional[list] = None) -> None:
     if closure is None:
         closure = build_closure(sig)
-    _acheck(sig, closure, ctx, n, s, trace)
+    _acheck(sig, closure, ctx, (), n, s, trace)
 
 
-def _acheck(sig, closure, ctx, n, s, trace, synth=None) -> tuple:
+def _acheck(sig, closure, ctx, stack, n, s, trace, synth=None) -> tuple:
     """The derivation of n against s; a SortError if there is none.
 
-    synth, when given, is n's shared synthesis in ctx (see _shared_synth).
+    synth, when given, is n's shared synthesis (see _shared_synth).
     """
     match s:
         case STop():
@@ -353,54 +358,54 @@ def _acheck(sig, closure, ctx, n, s, trace, synth=None) -> tuple:
             return ("unit",)
         case SInter(l, r):
             if synth is None:
-                synth = _shared_synth(sig, closure, ctx, n, trace)
-            left = _acheck(sig, closure, ctx, n, l, trace, synth)
-            right = _acheck(sig, closure, ctx, n, r, trace, synth)
+                synth = _shared_synth(sig, closure, ctx, stack, n, trace)
+            left = _acheck(sig, closure, ctx, stack, n, l, trace, synth)
+            right = _acheck(sig, closure, ctx, stack, n, r, trace, synth)
             if trace is not None:
                 trace.append("∧-I")
             return ("pair", left, right)
         case SPi(h, ds, dt, cod):
             if not isinstance(n, Lam):
                 _sfail("annotation-mismatch",
-                       lambda: f"term {_pp_term(n)} is not a function but was "
-                               f"checked against function sort {_pp_sort(s)}")
+                       lambda: f"term {_pp(pp_term, n, ctx, stack)} is not a "
+                               f"function but was checked against function "
+                               f"sort {_pp(pp_sort, s, ctx, stack)}")
             if dt is None:
                 raise TypeError("acheck: sort was not elaborated")
-            avoid = ({e.name for e in ctx} | free_vars(n.body)
-                     | free_vars(cod))
-            x = fresh_name(h, avoid)
-            body = _acheck(sig, closure, ctx + [CtxEntry(x, ds, dt)],
-                           open_at(n.body, FVar(x)), open_at(cod, FVar(x)),
-                           trace)
+            body = _acheck(sig, closure, ctx, stack + ((h, dt, ds),), n.body,
+                           cod, trace)
             if trace is not None:
                 trace.append("Π-I")
-            return ("lam", h, x, avoid, body)
+            return ("lam", h, body)
         case _:
             if not is_atomic_sort(s):
                 raise TypeError(f"acheck: not a sort: {s!r}")
             if isinstance(n, Lam):
                 _sfail("annotation-mismatch",
                        lambda: f"function term checked against atomic sort "
-                               f"{_pp_sort(s)}")
+                               f"{_pp(pp_sort, s, ctx, stack)}")
             d = (synth() if synth is not None
-                 else _asynth(sig, closure, ctx, n, trace))
+                 else _asynth(sig, closure, ctx, stack, n, trace))
             if not d:
                 _sfail("empty-synthesis",
-                       lambda: f"term {_pp_term(n)} synthesizes no sorts")
+                       lambda: f"term {_pp(pp_term, n, ctx, stack)} "
+                               f"synthesizes no sorts")
             matched = None
             for q, d_q in d:
                 if isinstance(q, SPi):
                     continue
                 ok = subsort_q(closure, q, s)
-                _audit(ctx, q, s, ok)
+                _audit(ctx, stack, q, s, ok)
                 if ok:
-                    matched = ("sub", ctx, q, s, n, d_q)
+                    matched = ("sub", ctx, stack, q, s, n, d_q)
                     break
             if matched is None:
                 def message() -> str:
-                    shown = ", ".join(_pp_sort(q) for q, _ in d)
-                    return (f"term {_pp_term(n)}: none of the synthesized "
-                            f"sorts [{shown}] is a subsort of {_pp_sort(s)}")
+                    shown = ", ".join(_pp(pp_sort, q, ctx, stack)
+                                      for q, _ in d)
+                    return (f"term {_pp(pp_term, n, ctx, stack)}: none of the "
+                            f"synthesized sorts [{shown}] is a subsort of "
+                            f"{_pp(pp_sort, s, ctx, stack)}")
                 _sfail("subsort-failure", message)
             if trace is not None:
                 trace.append("switch")
@@ -411,7 +416,7 @@ def _acheck(sig, closure, ctx, n, s, trace, synth=None) -> tuple:
 # Sort and class formation
 
 
-def _synth_sort_class(sig, closure, ctx, s, trace):
+def _synth_sort_class(sig, closure, ctx, stack, s, trace):
     """Every (class, derivation) an atomic sort's spine leads to, in order,
     and the type the sort refines.
 
@@ -428,9 +433,10 @@ def _synth_sort_class(sig, closure, ctx, s, trace):
     refined = TConst(fam.refines)
     ectx = erase_ctx(ctx)
     for i, arg in enumerate(args, start=1):
-        synth = _shared_synth(sig, closure, ctx, arg, trace)
-        applied = [_class_apply(sig, closure, ctx, ectx, cls, d, arg, i,
-                                head.name, trace, synth) for cls, d in cands]
+        synth = _shared_synth(sig, closure, ctx, stack, arg, trace)
+        applied = [_class_apply(sig, closure, ctx, stack, ectx, cls, d, arg,
+                                i, head.name, trace, synth)
+                   for cls, d in cands]
         cands = [c for taken, _ in applied for c in taken]
         if not cands:
             raise applied[0][1]
@@ -438,8 +444,8 @@ def _synth_sort_class(sig, closure, ctx, s, trace):
     return cands, refined
 
 
-def _class_apply(sig, closure, ctx, ectx, cls, d, arg, i, fam_name, trace,
-                 synth):
+def _class_apply(sig, closure, ctx, stack, ectx, cls, d, arg, i, fam_name,
+                 trace, synth):
     """Apply one spine argument to a class; intersections keep both sides.
 
     Returns the (class, derivation) pairs that accept the argument, left
@@ -452,8 +458,9 @@ def _class_apply(sig, closure, ctx, ectx, cls, d, arg, i, fam_name, trace,
             if dt is None:
                 raise TypeError("class was not elaborated")
             try:
-                lf_check_term(sig, ectx, arg, dt)
-                d_arg = _acheck(sig, closure, ctx, arg, ds, trace, synth)
+                _lf_check(sig, ectx, stack, arg, dt)
+                d_arg = _acheck(sig, closure, ctx, stack, arg, ds, trace,
+                                synth)
             except MetricExhausted:
                 raise
             except (SortError, LfError) as e:
@@ -468,9 +475,10 @@ def _class_apply(sig, closure, ctx, ectx, cls, d, arg, i, fam_name, trace,
                     f"argument {i} of {fam_name}: substitution failed: {e}"))
             return [(cod, ("app", d, arg, d_arg))], None
         case CInter(l, r):
-            left, l_err = _class_apply(sig, closure, ctx, ectx, l, ("fst", d),
-                                       arg, i, fam_name, trace, synth)
-            right, r_err = _class_apply(sig, closure, ctx, ectx, r,
+            left, l_err = _class_apply(sig, closure, ctx, stack, ectx, l,
+                                       ("fst", d), arg, i, fam_name, trace,
+                                       synth)
+            right, r_err = _class_apply(sig, closure, ctx, stack, ectx, r,
                                         ("snd", d), arg, i, fam_name, trace,
                                         synth)
             return left + right, r_err or l_err
@@ -498,62 +506,53 @@ def elaborate_sort(sig: Signature, ctx: Context, s, a,
     """Check that a sort refines a type; fill in function domain types."""
     if closure is None:
         closure = build_closure(sig)
-    return _elab_sort(sig, closure, ctx, s, a, trace)
+    return _elab_sort(sig, closure, ctx, (), s, a, trace)
 
 
-def _elab_sort(sig, closure, ctx, s, a, trace):
+def _elab_sort(sig, closure, ctx, stack, s, a, trace):
     match s:
         case STop():
             if trace is not None:
                 trace.append("⊤-F")
             return s
         case SInter(l, r):
-            out = SInter(_elab_sort(sig, closure, ctx, l, a, trace),
-                         _elab_sort(sig, closure, ctx, r, a, trace))
+            out = SInter(_elab_sort(sig, closure, ctx, stack, l, a, trace),
+                         _elab_sort(sig, closure, ctx, stack, r, a, trace))
             if trace is not None:
                 trace.append("∧-F")
             return out
         case SPi(h, ds, _, cod):
             if not isinstance(a, TPi):
-                from .printer import pp_type
                 _sfail("annotation-mismatch",
-                       f"function sort {_pp_sort(s)} cannot refine "
-                       f"non-function type {pp_type(a)}")
-            ds2 = _elab_sort(sig, closure, ctx, ds, a.dom, trace)
-            x = fresh_name(h, {e.name for e in ctx} | free_vars(cod)
-                           | free_vars(a.cod))
-            cod2 = _elab_sort(sig, closure, ctx + [CtxEntry(x, ds2, a.dom)],
-                              open_at(cod, FVar(x)), open_at(a.cod, FVar(x)),
-                              trace)
+                       lambda: f"function sort {_pp(pp_sort, s, ctx, stack)} "
+                               f"cannot refine non-function type "
+                               f"{_pp(pp_type, a, ctx, stack)}")
+            ds2 = _elab_sort(sig, closure, ctx, stack, ds, a.dom, trace)
+            cod2 = _elab_sort(sig, closure, ctx, stack + ((h, a.dom, ds2),),
+                              cod, a.cod, trace)
             if trace is not None:
                 trace.append("Π-F")
-            return SPi(h, ds2, a.dom, close_at(cod2, x))
+            return SPi(h, ds2, a.dom, cod2)
         case SConst() | SApp():
-            cands, refined = _synth_sort_class(sig, closure, ctx, s, trace)
+            cands, refined = _synth_sort_class(sig, closure, ctx, stack, s,
+                                               trace)
             if not any(isinstance(cls, CSort) for cls, _ in cands):
                 _sfail("annotation-mismatch",
-                       f"sort {_pp_sort(s)} is not fully applied")
+                       lambda: f"sort {_pp(pp_sort, s, ctx, stack)} is not "
+                               f"fully applied")
             if not alpha_eq(refined, a):
-                from .printer import pp_type
                 _sfail("annotation-mismatch",
-                       f"sort {_pp_sort(s)} refines {pp_type(refined)}, "
-                       f"not {pp_type(a)}")
+                       lambda: f"sort {_pp(pp_sort, s, ctx, stack)} refines "
+                               f"{_pp(pp_type, refined, ctx, stack)}, not "
+                               f"{_pp(pp_type, a, ctx, stack)}")
             if trace is not None:
                 trace.append("Q-F")
             return s
     raise TypeError(f"elaborate_sort: not a sort: {s!r}")
 
 
-def check_class(sig: Signature, ctx: Context, cls, kind,
-                closure: Optional[SubsortClosure] = None,
-                trace: Optional[list] = None):
+def _elab_class(sig, closure, ctx, stack, cls, kind, trace):
     """Check that a class refines a kind; fill in function domain types."""
-    if closure is None:
-        closure = build_closure(sig)
-    return _elab_class(sig, closure, ctx, cls, kind, trace)
-
-
-def _elab_class(sig, closure, ctx, cls, kind, trace):
     match cls:
         case CSort():
             if not isinstance(kind, KType):
@@ -563,20 +562,19 @@ def _elab_class(sig, closure, ctx, cls, kind, trace):
         case CTop():
             return cls
         case CInter(l, r):
-            return CInter(_elab_class(sig, closure, ctx, l, kind, trace),
-                          _elab_class(sig, closure, ctx, r, kind, trace))
+            return CInter(
+                _elab_class(sig, closure, ctx, stack, l, kind, trace),
+                _elab_class(sig, closure, ctx, stack, r, kind, trace))
         case CPi(h, ds, _, body):
             if not isinstance(kind, KPi):
                 _sfail("annotation-mismatch",
                        "function class cannot refine a non-function kind")
-            ds2 = _elab_sort(sig, closure, ctx, ds, kind.dom, trace)
-            x = fresh_name(h, {e.name for e in ctx} | free_vars(body)
-                           | free_vars(kind.cod))
-            body2 = _elab_class(sig, closure, ctx + [CtxEntry(x, ds2, kind.dom)],
-                                open_at(body, FVar(x)), open_at(kind.cod, FVar(x)),
+            ds2 = _elab_sort(sig, closure, ctx, stack, ds, kind.dom, trace)
+            body2 = _elab_class(sig, closure, ctx,
+                                stack + ((h, kind.dom, ds2),), body, kind.cod,
                                 trace)
-            return CPi(h, ds2, kind.dom, close_at(body2, x))
-    raise TypeError(f"check_class: not a class: {cls!r}")
+            return CPi(h, ds2, kind.dom, body2)
+    raise TypeError(f"_elab_class: not a class: {cls!r}")
 
 
 def check_context(sig: Signature, entries: Context,
@@ -590,7 +588,7 @@ def check_context(sig: Signature, entries: Context,
     out: list[CtxEntry] = []
     for e in entries:
         lf_check_type(sig, [(o.name, o.type) for o in out], e.type)
-        s2 = _elab_sort(sig, closure, out, e.sort, e.type, None)
+        s2 = _elab_sort(sig, closure, out, (), e.sort, e.type, None)
         out.append(CtxEntry(e.name, s2, e.type))
     return out
 
@@ -630,8 +628,8 @@ def check_signature(raw: Signature, strict: bool = False,
                         raise CheckError(
                             f"sort {n} refines unknown type family {ref}",
                             decl.span)
-                    cls2 = _elab_class(checked, closure, [], cls, fam.kind,
-                                       trace)
+                    cls2 = _elab_class(checked, closure, [], (), cls,
+                                       fam.kind, trace)
                     checked.append(SortFam(n, ref, cls2, decl.span))
                 case SubDecl(s1, s2):
                     f1 = checked.sort_fam(s1)
@@ -655,11 +653,12 @@ def check_signature(raw: Signature, strict: bool = False,
                     if const is None:
                         raise CheckError(
                             f"refinement for unknown constant {c}", decl.span)
-                    if strict and checked.const_refs(c):
+                    if strict and checked.merged_ref_sort(c) is not None:
                         raise CheckError(
                             f"{c} already has a refinement declaration",
                             decl.span)
-                    s2 = _elab_sort(checked, closure, [], s, const.type, trace)
+                    s2 = _elab_sort(checked, closure, [], (), s, const.type,
+                                    trace)
                     checked.append(ConstRef(c, s2, decl.span))
                 case _:
                     raise CheckError(f"unexpected declaration {decl!r}",

@@ -119,6 +119,15 @@ def tokenize(text: str, filename: str, target_mode: bool) -> list[Token]:
     return out
 
 
+def _numeral(t: Token) -> int:
+    """The value of a NUM token; one int() refuses is a located error."""
+    try:
+        return int(t.text)
+    except ValueError:
+        raise ParseError(f"numeral of {len(t.text)} digits is too long",
+                         t.span) from None
+
+
 # ---------------------------------------------------------------------------
 # Raw expressions
 
@@ -376,7 +385,7 @@ class _Parser:
             return RIdent(t.text, t.span)
         if t.kind == "NUM":
             self.next()
-            return RNum(int(t.text), t.span)
+            return RNum(_numeral(t), t.span)
         if self.at("#"):
             self.next()
             return RTop(t.span)
@@ -551,7 +560,7 @@ def parse_signature(text: str, filename: str = "<input>") -> Signature:
                     f"infix operator {op.text} must name a declared constant",
                     op.span)
             p.expect(".")
-            p.infix[op.text] = int(prec_tok.text)
+            p.infix[op.text] = _numeral(prec_tok)
             continue
         name = p.expect_ident("a declaration name")
         if p.at(":"):
@@ -608,56 +617,30 @@ def parse_signature(text: str, filename: str = "<input>") -> Signature:
 def parse_term(text: str, consts: frozenset[str] | set[str] = frozenset(),
                filename: str = "<term>"):
     """Parse one term; identifiers in `consts` become constants."""
-    p, elab = _expr_parser(text, filename, consts)
-    e = p.parse_expr()
-    _expect_eof(p)
-    return elab.term(e, [])
+    return _parse_one(text, filename, consts, _SourceElab.term)
 
 
 def parse_type(text: str, consts: frozenset[str] | set[str] = frozenset(),
                filename: str = "<type>"):
-    p, elab = _expr_parser(text, filename, consts)
-    e = p.parse_expr()
-    _expect_eof(p)
-    return elab.type(e, [])
-
-
-def parse_kind(text: str, consts: frozenset[str] | set[str] = frozenset(),
-               filename: str = "<kind>"):
-    p, elab = _expr_parser(text, filename, consts)
-    e = p.parse_expr()
-    _expect_eof(p)
-    return elab.kind(e, [])
+    return _parse_one(text, filename, consts, _SourceElab.type)
 
 
 def parse_sort(text: str, consts: frozenset[str] | set[str] = frozenset(),
                filename: str = "<sort>"):
-    p, elab = _expr_parser(text, filename, consts)
-    e = p.parse_expr()
-    _expect_eof(p)
-    return elab.sort(e, [])
+    return _parse_one(text, filename, consts, _SourceElab.sort)
 
 
-def parse_class(text: str, consts: frozenset[str] | set[str] = frozenset(),
-                filename: str = "<class>"):
-    p, elab = _expr_parser(text, filename, consts)
-    e = p.parse_expr()
-    _expect_eof(p)
-    return elab.cls(e, [])
-
-
-def _expr_parser(text, filename, consts):
-    tokens = tokenize(text, filename, target_mode=False)
-    p = _Parser(tokens, filename, target_mode=False)
+def _parse_one(text, filename, consts, elaborate):
+    """One expression, the whole of text, elaborated by `elaborate`."""
+    p = _Parser(tokenize(text, filename, target_mode=False), filename,
+                target_mode=False)
     elab = _SourceElab()
     elab.term_consts = set(consts)
-    return p, elab
-
-
-def _expect_eof(p: _Parser) -> None:
+    e = p.parse_expr()
     t = p.peek()
     if t.kind != "EOF":
         raise ParseError(f"unexpected trailing input {t.text!r}", t.span)
+    return elaborate(elab, e, [])
 
 
 # ---------------------------------------------------------------------------

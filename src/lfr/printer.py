@@ -19,8 +19,6 @@ from __future__ import annotations
 from . import lfi as L
 from .syntax import (
     App,
-    Arrow,
-    Base,
     BVar,
     CInter,
     Const,
@@ -154,18 +152,6 @@ def pp_kind(k) -> str:
 
 def pp_class(c) -> str:
     return _p_class(c, 0, True, (), {})
-
-
-def pp_simple(a) -> str:
-    match a:
-        case Base(n):
-            return n
-        case Arrow(d, c):
-            dom = pp_simple(d)
-            if isinstance(d, Arrow):
-                dom = f"({dom})"
-            return f"{dom} -> {pp_simple(c)}"
-    raise TypeError(f"pp_simple: {a!r}")
 
 
 def _p_term(t, lvl: int, ext: bool, env: tuple, memo: dict) -> str:

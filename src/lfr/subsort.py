@@ -66,7 +66,7 @@ def intrinsic_subsort(q: SubsortQuery,
     subject = eta_expand(q.a, FVar(_FRESH_SUBJECT))
     ctx = list(q.ctx) + [CtxEntry(_FRESH_SUBJECT, q.s, q.a)]
     try:
-        _acheck(q.sig, closure, ctx, subject, q.t, None)
+        _acheck(q.sig, closure, ctx, (), subject, q.t, None)
         return True
     except MetricExhausted:
         raise

@@ -22,7 +22,7 @@ from .syntax import (
     App, Arrow, AtomicTerm, Base, BVar, CInter, Const, CPi, CSort, CTop,
     CtxEntry, FVar, KPi, KType, Lam, NormalTerm, NormalType, SApp, SConst,
     SimpleType, SInter, SPi, STop, Syntax, TApp, TConst, TPi, close_at,
-    free_vars, head, is_atomic_term, map_vars, pool_name,
+    free_vars, head, is_atomic_term, pool_name, shift,
 )
 
 Path = tuple[str, ...]
@@ -131,16 +131,6 @@ def _hit(r, x0: Var, k: int) -> bool:
     return isinstance(r, BVar) and r.index == x0 + k
 
 
-def _shift(t: NormalTerm, by: int, cutoff: int = 0) -> NormalTerm:
-    """Raise the indices of t at or above cutoff by `by`."""
-    if by == 0:
-        return t
-
-    def leaf(v, depth):
-        return BVar(v.index + by) if isinstance(v, BVar) and v.index >= depth else v
-    return map_vars(t, leaf, cutoff)
-
-
 def _subst_n(n0: NormalTerm, x0: Var, a0: SimpleType, n: NormalTerm, k: int,
              fuel: _Fuel, path: Path) -> NormalTerm:
     fuel.tick(path)
@@ -174,7 +164,7 @@ def _subst_rn(n0: NormalTerm, x0: Var, a0: SimpleType, r: AtomicTerm, k: int,
               fuel: _Fuel, path: Path) -> tuple[NormalTerm, SimpleType]:
     fuel.tick(path)
     if _hit(r, x0, k):
-        return _shift(n0, k), a0
+        return shift(n0, k), a0
     match r:
         case App(f, a):
             fn, fty = _subst_rn(n0, x0, a0, f, k, fuel, path + ("fn",))
@@ -241,24 +231,14 @@ def _subst_syn(n0: NormalTerm, x0: Var, a0: SimpleType, t: Syntax, k: int,
             return _subst_n(n0, x0, a0, t, k, fuel, path)
         case TConst() | SConst() | STop() | KType() | CSort() | CTop():
             return t
-        case TApp(f, a):
-            return TApp(sub(f, "fn"), sub(a, "arg"))
-        case SApp(f, a):
-            return SApp(sub(f, "fn"), sub(a, "arg"))
-        case TPi(h, d, c):
-            return TPi(h, sub(d, "dom"), sub(c, "cod", 1))
-        case SPi(h, ds, dt, c):
-            return SPi(h, sub(ds, "dom"),
-                       None if dt is None else sub(dt, "domtype"),
-                       sub(c, "cod", 1))
-        case KPi(h, d, c):
-            return KPi(h, sub(d, "dom"), sub(c, "cod", 1))
-        case CPi(h, ds, dt, c):
-            return CPi(h, sub(ds, "dom"),
-                       None if dt is None else sub(dt, "domtype"),
-                       sub(c, "cod", 1))
-        case SInter(l, r):
-            return SInter(sub(l, "left"), sub(r, "right"))
-        case CInter(l, r):
-            return CInter(sub(l, "left"), sub(r, "right"))
+        case TApp(f, a) | SApp(f, a):
+            return type(t)(sub(f, "fn"), sub(a, "arg"))
+        case TPi(h, d, c) | KPi(h, d, c):
+            return type(t)(h, sub(d, "dom"), sub(c, "cod", 1))
+        case SPi(h, ds, dt, c) | CPi(h, ds, dt, c):
+            return type(t)(h, sub(ds, "dom"),
+                           None if dt is None else sub(dt, "domtype"),
+                           sub(c, "cod", 1))
+        case SInter(l, r) | CInter(l, r):
+            return type(t)(sub(l, "left"), sub(r, "right"))
     raise TypeError(f"hsubst_syntax: unexpected node {t!r}")

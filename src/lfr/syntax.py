@@ -6,8 +6,8 @@ representable.  Binding is locally nameless: bound variables are de Bruijn
 indices (BVar), free variables are named (FVar).  Binder name hints are
 carried for printing only and are excluded from equality, which makes
 structural equality coincide with alpha-equivalence.  One walk, `map_vars`,
-rebuilds a tree around its variables; opening, closing and shifting are
-leaf functions over it.
+rebuilds a tree around its variables; opening, closing, shifting and
+naming for messages are leaf functions over it.
 """
 
 from __future__ import annotations
@@ -283,9 +283,6 @@ class Signature:
     def sort_fam(self, name: str) -> Optional[SortFam]:
         return self._sort_fams.get(name)
 
-    def const_refs(self, name: str) -> list[ConstRef]:
-        return list(self._const_refs.get(name, []))
-
     def merged_ref_sort(self, name: str) -> Optional[NormalSort]:
         """Sort of a refined constant; repeat declarations intersect."""
         refs = self._const_refs.get(name)
@@ -385,6 +382,18 @@ def close_at(t: Syntax, name: str, k: int = 0) -> Syntax:
     return map_vars(t, leaf, k)
 
 
+def shift(t: Syntax, by: int, cutoff: int = 0) -> Syntax:
+    """Raise the indices of t at or above cutoff by `by`."""
+    if by == 0:
+        return t
+
+    def leaf(v, depth):
+        if isinstance(v, BVar) and v.index >= depth:
+            return BVar(v.index + by)
+        return v
+    return map_vars(t, leaf, cutoff)
+
+
 def alpha_eq(x: Syntax, y: Syntax) -> bool:
     """Alpha-equivalence; binder hints are already ignored by equality."""
     return x == y
@@ -429,6 +438,30 @@ def fresh_name(hint: str, avoid: set[str]) -> str:
     return name
 
 
+def binder_names(ctx_names: Iterable[str], stack) -> list[str]:
+    """The names messages give the binders on a checker's stack, outermost
+    first: each entry's hint (its first field), primed away from the
+    context's names and from the names of the binders outside it."""
+    avoid, out = set(ctx_names), []
+    for entry in stack:
+        out.append(fresh_name(entry[0], avoid))
+        avoid.add(out[-1])
+    return out
+
+
+def named(t: Syntax, names: Sequence[str]) -> Syntax:
+    """t read under binders named `names`, outermost first, with each of
+    them opened as its name."""
+    if not names:
+        return t
+
+    def leaf(v, depth):
+        # Index depth + i is the binder names[-1 - i].
+        i = v.index - depth if isinstance(v, BVar) else -1
+        return FVar(names[-1 - i]) if 0 <= i < len(names) else v
+    return map_vars(t, leaf)
+
+
 _NAME_POOL = ("x", "y", "z", "u", "v", "w")
 
 
@@ -452,31 +485,18 @@ def head(r: AtomicTerm) -> Union[BVar, FVar, Const]:
     return r
 
 
-def term_spine(r: AtomicTerm) -> tuple[Union[BVar, FVar, Const], list[NormalTerm]]:
-    args: list[NormalTerm] = []
-    while isinstance(r, App):
+def spine(r):
+    """The head of an atomic term, type or sort, and its arguments in
+    order."""
+    args = []
+    while isinstance(r, (App, TApp, SApp)):
         args.append(r.arg)
         r = r.fn
     args.reverse()
     return r, args
 
 
-def type_spine(p: AtomicType) -> tuple[TConst, list[NormalTerm]]:
-    args: list[NormalTerm] = []
-    while isinstance(p, TApp):
-        args.append(p.arg)
-        p = p.fn
-    args.reverse()
-    return p, args
-
-
-def sort_spine(q: AtomicSort) -> tuple[SConst, list[NormalTerm]]:
-    args: list[NormalTerm] = []
-    while isinstance(q, SApp):
-        args.append(q.arg)
-        q = q.fn
-    args.reverse()
-    return q, args
+term_spine = type_spine = sort_spine = spine
 
 
 def is_atomic_term(t: NormalTerm) -> bool:

@@ -38,7 +38,6 @@ from .lfi import (
     ITApp,
     ITConst,
     ITIrrApp,
-    ITIrrPi,
     ITPi,
     ITProd,
     ITUnitT,
@@ -57,11 +56,13 @@ from .lfr_check import (
     SortError,
     _acheck,
     _asynth,
+    _pp,
     _sfail,
     _synth_sort_class,
     build_closure,
     subsort_q,  # noqa: F401  (bound here for bench/tracer.py to wrap)
 )
+from .printer import pp_sort
 from .subst import MetricExhausted, eta_expand
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
@@ -160,27 +161,45 @@ class TransResult:
 # Injection of the simply-typed skeleton
 
 
-def inj_term(t, memo: dict | None = None):
-    """The target term with t's structure.  `memo`, when given, maps the id
-    of each node injected so far to the node and its injection, so that a
-    node met again is not walked again."""
-    if memo is not None and id(t) in memo:
-        return memo[id(t)][1]
+def inj_term(t):
+    """The target term with t's structure."""
+    match t:
+        case Const(n):
+            return IConst(n)
+        case FVar(n):
+            return IFVar(n)
+        case BVar(i):
+            return IBVar(i)
+        case App(f, a):
+            return IApp(inj_term(f), inj_term(a))
+        case Lam(h, b):
+            return ILam(h, inj_term(b))
+    raise TypeError(f"inj_term: {t!r}")
+
+
+def _inj_arg(t, memo: dict, k: int = 0):
+    """inj_term of a term a derivation holds, read under the proof binders
+    of the enclosing `lam` derivations (see _proof): past t's own k
+    binders, the checker's index i is x, at target index k + 2i + 1.
+    `memo` maps (id, k) of each node injected to the node and its
+    injection, so that a node met again is not walked again."""
+    key = (id(t), k)
+    if key in memo:
+        return memo[key][1]
     match t:
         case Const(n):
             out = IConst(n)
         case FVar(n):
             out = IFVar(n)
         case BVar(i):
-            out = IBVar(i)
+            out = IBVar(i if i < k else 2 * i - k + 1)
         case App(f, a):
-            out = IApp(inj_term(f, memo), inj_term(a, memo))
+            out = IApp(_inj_arg(f, memo, k), _inj_arg(a, memo, k))
         case Lam(h, b):
-            out = ILam(h, inj_term(b, memo))
+            out = ILam(h, _inj_arg(b, memo, k + 1))
         case _:
             raise TypeError(f"inj_term: {t!r}")
-    if memo is not None:
-        memo[id(t)] = (t, out)
+    memo[key] = (t, out)
     return out
 
 
@@ -246,21 +265,11 @@ def trans_kind_pred(kind) -> Metafunction:
     base kind the predicate takes the formation proof irrelevantly and
     then the subject.
     """
+    def base(atoms, avoid):
+        pf, fam = atoms
+        return IKIrrPi("_", pf, IKPi("x", fam, IKType()))
     return Metafunction(
-        2, lambda pf, fam: _kind_pred_body(kind, pf, fam, set()))
-
-
-def _kind_pred_body(kind, pf, fam, avoid: set[str]):
-    match kind:
-        case KType():
-            return IKIrrPi("_", pf, IKPi("x", fam, IKType()))
-        case KPi(h, a, k2):
-            y = pool_name(h, avoid | free_vars(k2))
-            eta_y = inj_term(eta_expand(a, FVar(y)))
-            inner = _kind_pred_body(open_at(k2, FVar(y)), ITApp(pf, eta_y),
-                                    ITApp(fam, eta_y), avoid | {y})
-            return IKPi(y, inj_type(a), close_lfi(inner, y))
-    raise TypeError(f"trans_kind_pred: {kind!r}")
+        2, lambda *atoms: _over_indices(kind, atoms, set(), IKPi, base))
 
 
 def trans_kind_sub(kind) -> Metafunction:
@@ -271,28 +280,33 @@ def trans_kind_sub(kind) -> Metafunction:
     Index arguments come first and are bare; then the two formation
     proofs, the subject, and the proof being coerced.
     """
-    return Metafunction(5, lambda *atoms: _kind_sub_body(kind, atoms, set()))
+    def base(atoms, avoid):
+        fam, pf1, pred1, pf2, pred2 = atoms
+        f1, f2, x = IFVar("$f1"), IFVar("$f2"), IFVar("$x")
+        subject = pool_name("x", avoid | {"f1", "f2"})
+        t = ITPi("_", ITApp(ITIrrApp(pred1, f1), x),
+                 ITApp(ITIrrApp(pred2, f2), x))
+        t = ITPi(subject, fam, close_lfi(t, "$x"))
+        t = ITPi("f2", pf2, close_lfi(t, "$f2"))
+        return ITPi("f1", pf1, close_lfi(t, "$f1"))
+    return Metafunction(
+        5, lambda *atoms: _over_indices(kind, atoms, set(), ITPi, base))
 
 
-def _kind_sub_body(kind, atoms, avoid: set[str]):
+def _over_indices(kind, atoms, avoid: set[str], pi, base):
+    """One `pi` for each index argument of kind, with every atom applied
+    to it, around base(applied atoms, names bound)."""
     match kind:
         case KType():
-            fam, pf1, pred1, pf2, pred2 = atoms
-            f1, f2, x = IFVar("$f1"), IFVar("$f2"), IFVar("$x")
-            subject = pool_name("x", avoid | {"f1", "f2"})
-            t = ITPi("_", ITApp(ITIrrApp(pred1, f1), x),
-                     ITApp(ITIrrApp(pred2, f2), x))
-            t = ITPi(subject, fam, close_lfi(t, "$x"))
-            t = ITPi("f2", pf2, close_lfi(t, "$f2"))
-            return ITPi("f1", pf1, close_lfi(t, "$f1"))
+            return base(atoms, avoid)
         case KPi(h, a, k2):
             y = pool_name(h, avoid | free_vars(k2))
             eta_y = inj_term(eta_expand(a, FVar(y)))
-            inner = _kind_sub_body(open_at(k2, FVar(y)),
-                                   [ITApp(t, eta_y) for t in atoms],
-                                   avoid | {y})
-            return ITPi(y, inj_type(a), close_lfi(inner, y))
-    raise TypeError(f"trans_kind_sub: {kind!r}")
+            inner = _over_indices(open_at(k2, FVar(y)),
+                                  [ITApp(t, eta_y) for t in atoms],
+                                  avoid | {y}, pi, base)
+            return pi(y, inj_type(a), close_lfi(inner, y))
+    raise TypeError(f"_over_indices: not a kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +376,10 @@ def _sort_body(sig, closure, ctx, s, a, mangler, scope: list[str]):
     raise TypeError(f"trans_sort: not a sort: {s!r}")
 
 
-def trans_class_form(sig: Signature, ctx: Context, cls, mangler=None,
-                     closure=None) -> Metafunction:
+def trans_class_form(sig: Signature, ctx: Context, cls, mangler,
+                     closure) -> Metafunction:
     """Type of a sort's intro constant, as a function of the proof family
     atom, a closed constant."""
-    mangler = mangler or NameMangler(sig)
-    closure = closure or build_closure(sig)
     return Metafunction(1, lambda pf: _class_form_body(
         sig, closure, ctx, cls, mangler, pf))
 
@@ -404,27 +416,25 @@ def trans_sort_synth_all(sig: Signature, ctx: Context, q, mangler=None,
     """Every formation proof of an atomic sort, in elimination order."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return [_proof(sig, closure, mangler, d, {})
-            for d in _formations(sig, closure, ctx, q)]
+    return [_proof(sig, closure, mangler, d, _names_of(ctx), {})
+            for d in _formations(sig, closure, ctx, (), q)]
 
 
-def trans_sort_synth(sig: Signature, ctx: Context, q, mangler=None,
-                     closure=None):
+def trans_sort_synth(sig: Signature, ctx: Context, q, mangler, closure):
     """The formation proof the translator itself uses (first in order)."""
-    mangler = mangler or NameMangler(sig)
-    closure = closure or build_closure(sig)
     return _proof(sig, closure, mangler,
-                  _formations(sig, closure, ctx, q)[0], {})
+                  _formations(sig, closure, ctx, (), q)[0], _names_of(ctx),
+                  {})
 
 
-def _formations(sig, closure, ctx, q) -> list:
+def _formations(sig, closure, ctx, stack, q) -> list:
     """The checker's derivations that q is a sort, in elimination order."""
-    cands, _ = _synth_sort_class(sig, closure, ctx, q, None)
+    cands, _ = _synth_sort_class(sig, closure, ctx, stack, q, None)
     derivs = [d for cls, d in cands if isinstance(cls, CSort)]
     if not derivs:
-        from .printer import pp_sort
         _sfail("annotation-mismatch",
-               f"no formation proof for sort {pp_sort(q)}")
+               lambda: f"no formation proof for sort "
+                       f"{_pp(pp_sort, q, ctx, stack)}")
     return derivs
 
 
@@ -437,8 +447,8 @@ def trans_term_synth(sig: Signature, ctx: Context, r, mangler=None,
     """Synthesis set paired with the proof for each component."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return [(q, _proof(sig, closure, mangler, d, {}))
-            for q, d in _asynth(sig, closure, ctx, r, None)]
+    return [(q, _proof(sig, closure, mangler, d, _names_of(ctx), {}))
+            for q, d in _asynth(sig, closure, ctx, (), r, None)]
 
 
 def trans_term_check(sig: Signature, ctx: Context, n, s, mangler=None,
@@ -447,29 +457,35 @@ def trans_term_check(sig: Signature, ctx: Context, n, s, mangler=None,
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
     return _proof(sig, closure, mangler,
-                  _acheck(sig, closure, ctx, n, s, None), {})
+                  _acheck(sig, closure, ctx, (), n, s, None), _names_of(ctx),
+                  {})
 
 
-def _proof(sig, closure, mangler, d, ren: dict, injected: dict | None = None):
+def _names_of(ctx: Context) -> frozenset[str]:
+    return frozenset(e.name for e in ctx)
+
+
+def _proof(sig, closure, mangler, d, scope: frozenset[str], injected: dict):
     """The proof a checker derivation (see lfr_check) denotes.
 
-    A binder the checker opened as x is shown under the pool name its
-    hint gets against the names in scope; `ren` maps the checker's names
-    of the enclosing binders to those shown.  `injected` is inj_term's
-    memo for the whole tree: the arguments of an argument's premises are
-    its own subterms, so each is injected once.
+    A `lam` proof binds the checker's binder twice, as x and then x^, so
+    the checker's index i is x^ at target index 2i and x at 2i + 1.  Its
+    binder is shown under the pool name its hint gets against `scope`,
+    the names shown so far: the context's and those of the enclosing
+    binders.  `injected` is _inj_arg's memo for the whole tree: the
+    arguments of an argument's premises are its own subterms, so each is
+    injected once.
     """
-    if injected is None:
-        injected = {}
-
     def premise(d1):
-        return _proof(sig, closure, mangler, d1, ren, injected)
+        return _proof(sig, closure, mangler, d1, scope, injected)
 
     match d:
         case ("const", c):
             return IConst(mangler.term_const(c))
         case ("intro", s):
             return IConst(mangler.sort_intro(s))
+        case ("var", int(i)):
+            return IBVar(2 * i)
         case ("var", x):
             return IFVar(x + "^")
         case ("fst", d1):
@@ -477,21 +493,20 @@ def _proof(sig, closure, mangler, d, ren: dict, injected: dict | None = None):
         case ("snd", d1):
             return ISnd(premise(d1))
         case ("app", d_fn, arg, d_arg):
-            return IApp(IApp(premise(d_fn), inj_term(arg, injected)),
+            return IApp(IApp(premise(d_fn), _inj_arg(arg, injected)),
                         premise(d_arg))
         case ("unit",):
             return IUnit()
         case ("pair", d1, d2):
             return IPair(premise(d1), premise(d2))
-        case ("lam", hint, x, avoid, body):
-            shown = pool_name(hint, {ren.get(v, v) for v in avoid})
-            inner = _proof(sig, closure, mangler, body, {**ren, x: shown},
+        case ("lam", hint, body):
+            shown = pool_name(hint, scope)
+            inner = _proof(sig, closure, mangler, body, scope | {shown},
                            injected)
-            return ILam(shown, ILam(shown + "^",
-                                    close_lfi(inner, {x: 1, x + "^": 0})))
-        case ("sub", ctx, q, s, n, d1):
-            coerce = _coercion(sig, closure, ctx, q, s, mangler, ren)
-            return meta_apply(coerce, [inj_term(n, injected), premise(d1)])
+            return ILam(shown, ILam(shown + "^", inner))
+        case ("sub", ctx, stack, q, s, n, d1):
+            coerce = _coercion(sig, closure, ctx, stack, q, s, mangler, scope)
+            return meta_apply(coerce, [_inj_arg(n, injected), premise(d1)])
     raise TypeError(f"_proof: not a derivation: {d!r}")
 
 
@@ -527,17 +542,23 @@ def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None,
     """Coercion between atomic sorts, a function of subject and proof."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return _coercion(sig, closure, ctx, q1, q2, mangler, {})
+    return _coercion(sig, closure, ctx, (), q1, q2, mangler, _names_of(ctx))
 
 
-def _coercion(sig, closure, ctx, q1, q2, mangler, ren) -> Metafunction:
+def _coercion(sig, closure, ctx, stack, q1, q2, mangler, scope
+              ) -> Metafunction:
     """Wrap the proof in one coercion per step of the first shortest path.
 
-    Each step's two formation proofs are named through `ren` (see _proof).
+    q1 and q2 are read under the binders on stack, and each step's two
+    formation proofs under the same binders, shown against `scope` (see
+    _proof).
     """
+    injected: dict = {}
+
     def formation(q):
         return _proof(sig, closure, mangler,
-                      _formations(sig, closure, ctx, q)[0], ren)
+                      _formations(sig, closure, ctx, stack, q)[0], scope,
+                      injected)
 
     head, spine = sort_spine(q1)
     head, goal = head.name, sort_spine(q2)[0].name
@@ -545,9 +566,10 @@ def _coercion(sig, closure, ctx, q1, q2, mangler, ren) -> Metafunction:
     while not alpha_eq(q, q2):
         path = _bfs_path(sig, head, goal)
         if not path:
-            from .printer import pp_sort
             _sfail("subsort-failure",
-                   f"no declared path from {pp_sort(q1)} to {pp_sort(q2)}")
+                   lambda: f"no declared path from "
+                           f"{_pp(pp_sort, q1, ctx, stack)} to "
+                           f"{_pp(pp_sort, q2, ctx, stack)}")
         step = path[0]
         q_step = SConst(step)
         for m in spine:
@@ -557,7 +579,7 @@ def _coercion(sig, closure, ctx, q1, q2, mangler, ren) -> Metafunction:
         form_step = formation(q_step)
         t = IConst(mangler.coercion(head, step))
         for m in spine:
-            t = IApp(t, inj_term(m))
+            t = IApp(t, _inj_arg(m, injected))
         steps.append(IApp(IApp(t, form), form_step))
         q, head, form = q_step, step, form_step
 

@@ -875,3 +875,280 @@ class ReferenceLexer:
 def reference_tokens(text: str, filename: str, target_mode: bool):
     """The reference lexer's tokens as (kind, text, span) triples."""
     return ReferenceLexer(text, filename, target_mode).tokens()
+
+
+# ---------------------------------------------------------------------------
+# The source checkers that open every binder.
+#
+# lf.py's three checkers and the sort checker's judgments as they were
+# before they descended binders by index: at each binder they name the
+# variable with the hint primed away from the context's names and from
+# the free names of the body and the codomain, and open both with it.
+# Verdicts, diagnostic kinds and messages must agree with the package's.
+# Derivations, traces and the sharing of a synthesis are left out: none
+# of them changes a verdict or a message.
+
+from lfr.lf import LfDiagnostic, LfError  # noqa: E402
+from lfr.lfr_check import (  # noqa: E402
+    SortDiagnostic,
+    SortError,
+    _rewrap_arg,
+    split,
+    subsort_q,
+)
+from lfr.printer import pp_sort, pp_term, pp_type  # noqa: E402
+from lfr.subst import MetricExhausted  # noqa: E402
+from lfr.syntax import close_at  # noqa: E402
+
+
+def _lf_fail(kind, message, expected=None, actual=None):
+    raise LfError(LfDiagnostic(kind, message, expected, actual))
+
+
+def _lf_inst(body, arg, dom, what: str):
+    try:
+        return hsubst_syntax(arg, 0, dom, body)
+    except MetricExhausted:
+        raise
+    except _SubstFailure as e:
+        _lf_fail("type mismatch", f"substitution into {what} failed: {e}")
+
+
+def _opened_source(ctx_names, h: str, *scope):
+    """A name for the binder hinted h, fresh for the context and for the
+    free names of scope, and each of scope opened with it."""
+    x = fresh_name(h, set(ctx_names).union(*(free_vars(t) for t in scope)))
+    return (x, *(open_at(t, s.FVar(x)) for t in scope))
+
+
+def opened_lf_synth(sig, ctx, r):
+    match r:
+        case s.Const(n):
+            decl = sig.term_const(n)
+            if decl is None:
+                _lf_fail("unbound name", f"unbound constant {n}")
+            return decl.type
+        case s.FVar(n):
+            for name, ty in reversed(ctx):
+                if name == n:
+                    return ty
+            _lf_fail("unbound name", f"unbound variable {n}")
+        case s.App(f, a):
+            fty = opened_lf_synth(sig, ctx, f)
+            if not isinstance(fty, s.TPi):
+                _lf_fail("type mismatch",
+                         f"applied term of non-function type {pp_type(fty)}",
+                         actual=pp_type(fty))
+            opened_lf_check(sig, ctx, a, fty.dom)
+            return _lf_inst(fty.cod, a, fty.dom, "a function codomain")
+    raise TypeError(r)
+
+
+def opened_lf_check(sig, ctx, n, a) -> None:
+    if isinstance(n, s.Lam):
+        if not isinstance(a, s.TPi):
+            _lf_fail("non-atomic at atomic type",
+                     f"function term checked against atomic type "
+                     f"{pp_type(a)}", expected=pp_type(a))
+        x, b, c = _opened_source([nm for nm, _ in ctx], n.hint, n.body, a.cod)
+        opened_lf_check(sig, ctx + [(x, a.dom)], b, c)
+        return
+    if isinstance(a, s.TPi):
+        _lf_fail("type mismatch", f"atomic term {pp_term(n)} at function "
+                 f"type {pp_type(a)}; terms must be eta-long",
+                 expected=pp_type(a), actual=pp_term(n))
+    syn = opened_lf_synth(sig, ctx, n)
+    if syn != a:
+        _lf_fail("type mismatch", f"type mismatch: expected {pp_type(a)}, "
+                 f"synthesized {pp_type(syn)}", expected=pp_type(a),
+                 actual=pp_type(syn))
+
+
+def opened_lf_check_type(sig, ctx, a) -> None:
+    if isinstance(a, s.TPi):
+        opened_lf_check_type(sig, ctx, a.dom)
+        x, c = _opened_source([nm for nm, _ in ctx], a.hint, a.cod)
+        opened_lf_check_type(sig, ctx + [(x, a.dom)], c)
+        return
+    p, spine = s.type_spine(a)
+    decl = sig.type_fam(p.name)
+    if decl is None:
+        _lf_fail("unbound name", f"unbound type family {p.name}")
+    kind = decl.kind
+    for arg in spine:
+        if not isinstance(kind, s.KPi):
+            _lf_fail("ill-formed kind",
+                     f"type family {p.name} applied to too many arguments")
+        opened_lf_check(sig, ctx, arg, kind.dom)
+        kind = _lf_inst(kind.cod, arg, kind.dom, "a kind codomain")
+    if not isinstance(kind, s.KType):
+        _lf_fail("ill-formed kind",
+                 f"type family not fully applied: {pp_type(a)}",
+                 actual=pp_type(a))
+
+
+def opened_lf_check_kind(sig, ctx, k) -> None:
+    if isinstance(k, s.KPi):
+        opened_lf_check_type(sig, ctx, k.dom)
+        x, c = _opened_source([nm for nm, _ in ctx], k.hint, k.cod)
+        opened_lf_check_kind(sig, ctx + [(x, k.dom)], c)
+
+
+def _sort_fail(kind, message):
+    raise SortError(SortDiagnostic(kind, message))
+
+
+def opened_asynth(sig, closure, ctx, r) -> list:
+    match r:
+        case s.Const(n):
+            merged = sig.merged_ref_sort(n)
+            if merged is None:
+                _sort_fail("no-refinement-declared",
+                           f"constant {n} has no refinement declaration")
+            return split(merged)
+        case s.FVar(n):
+            entry = ctx_lookup(ctx, n)
+            if entry is None:
+                _sort_fail("no-refinement-declared",
+                           f"variable {n} is not in the context")
+            return split(entry.sort)
+        case s.App(f, a):
+            out = []
+            for q in opened_asynth(sig, closure, ctx, f):
+                if not isinstance(q, s.SPi):
+                    continue
+                try:
+                    opened_acheck(sig, closure, ctx, a, q.dom_sort)
+                    cod = hsubst_syntax(a, 0, q.dom_type, q.cod)
+                except MetricExhausted:
+                    raise
+                except (SortError, _SubstFailure):
+                    continue
+                out.extend(split(cod))
+            return out
+    raise TypeError(r)
+
+
+def opened_acheck(sig, closure, ctx, n, sort) -> None:
+    match sort:
+        case s.STop():
+            return
+        case s.SInter(l, r):
+            opened_acheck(sig, closure, ctx, n, l)
+            opened_acheck(sig, closure, ctx, n, r)
+            return
+        case s.SPi(h, ds, dt, cod):
+            if not isinstance(n, s.Lam):
+                _sort_fail("annotation-mismatch",
+                           f"term {pp_term(n)} is not a function but was "
+                           f"checked against function sort {pp_sort(sort)}")
+            x, b, c = _opened_source([e.name for e in ctx], h, n.body, cod)
+            opened_acheck(sig, closure, ctx + [s.CtxEntry(x, ds, dt)], b, c)
+            return
+    if isinstance(n, s.Lam):
+        _sort_fail("annotation-mismatch",
+                   f"function term checked against atomic sort "
+                   f"{pp_sort(sort)}")
+    d = opened_asynth(sig, closure, ctx, n)
+    if not d:
+        _sort_fail("empty-synthesis",
+                   f"term {pp_term(n)} synthesizes no sorts")
+    if not any(not isinstance(q, s.SPi) and subsort_q(closure, q, sort)
+               for q in d):
+        shown = ", ".join(pp_sort(q) for q in d)
+        _sort_fail("subsort-failure",
+                   f"term {pp_term(n)}: none of the synthesized sorts "
+                   f"[{shown}] is a subsort of {pp_sort(sort)}")
+
+
+def _opened_class_apply(sig, closure, ctx, cls, arg, i, fam):
+    """The classes cls takes arg to, left side first, and the error of
+    the last side that does not take it."""
+    match cls:
+        case s.CPi(_, ds, dt, body):
+            try:
+                opened_lf_check(sig, [(e.name, e.type) for e in ctx], arg, dt)
+                opened_acheck(sig, closure, ctx, arg, ds)
+            except MetricExhausted:
+                raise
+            except (SortError, LfError) as e:
+                return [], _rewrap_arg(e, i, fam)
+            try:
+                return [hsubst_syntax(arg, 0, dt, body)], None
+            except MetricExhausted:
+                raise
+            except _SubstFailure as e:
+                return [], SortError(SortDiagnostic(
+                    "annotation-mismatch",
+                    f"argument {i} of {fam}: substitution failed: {e}"))
+        case s.CInter(l, r):
+            left, l_err = _opened_class_apply(sig, closure, ctx, l, arg, i,
+                                              fam)
+            right, r_err = _opened_class_apply(sig, closure, ctx, r, arg, i,
+                                               fam)
+            return left + right, r_err or l_err
+    return [], SortError(SortDiagnostic(
+        "annotation-mismatch", f"sort {fam} applied to too many arguments"))
+
+
+def opened_elab_sort(sig, closure, ctx, sort, a):
+    match sort:
+        case s.STop():
+            return sort
+        case s.SInter(l, r):
+            return s.SInter(opened_elab_sort(sig, closure, ctx, l, a),
+                            opened_elab_sort(sig, closure, ctx, r, a))
+        case s.SPi(h, ds, _, cod):
+            if not isinstance(a, s.TPi):
+                _sort_fail("annotation-mismatch",
+                           f"function sort {pp_sort(sort)} cannot refine "
+                           f"non-function type {pp_type(a)}")
+            ds2 = opened_elab_sort(sig, closure, ctx, ds, a.dom)
+            x, c, ac = _opened_source([e.name for e in ctx], h, cod, a.cod)
+            cod2 = opened_elab_sort(
+                sig, closure, ctx + [s.CtxEntry(x, ds2, a.dom)], c, ac)
+            return s.SPi(h, ds2, a.dom, close_at(cod2, x))
+    head, args = s.sort_spine(sort)
+    fam = sig.sort_fam(head.name)
+    if fam is None:
+        _sort_fail("no-refinement-declared", f"unknown sort {head.name}")
+    classes, refined = [fam.cls], s.TConst(fam.refines)
+    for i, arg in enumerate(args, start=1):
+        applied = [_opened_class_apply(sig, closure, ctx, c, arg, i, head.name)
+                   for c in classes]
+        classes = [c for taken, _ in applied for c in taken]
+        if not classes:
+            raise applied[0][1]
+        refined = s.TApp(refined, arg)
+    if not any(isinstance(c, s.CSort) for c in classes):
+        _sort_fail("annotation-mismatch",
+                   f"sort {pp_sort(sort)} is not fully applied")
+    if refined != a:
+        _sort_fail("annotation-mismatch", f"sort {pp_sort(sort)} refines "
+                   f"{pp_type(refined)}, not {pp_type(a)}")
+    return sort
+
+
+def opened_elab_class(sig, closure, ctx, cls, kind):
+    match cls:
+        case s.CSort():
+            if not isinstance(kind, s.KType):
+                _sort_fail("annotation-mismatch",
+                           "'sort' refines the kind 'type' only")
+            return cls
+        case s.CTop():
+            return cls
+        case s.CInter(l, r):
+            return s.CInter(opened_elab_class(sig, closure, ctx, l, kind),
+                            opened_elab_class(sig, closure, ctx, r, kind))
+        case s.CPi(h, ds, _, body):
+            if not isinstance(kind, s.KPi):
+                _sort_fail("annotation-mismatch",
+                           "function class cannot refine a non-function kind")
+            ds2 = opened_elab_sort(sig, closure, ctx, ds, kind.dom)
+            x, b, kc = _opened_source([e.name for e in ctx], h, body,
+                                      kind.cod)
+            body2 = opened_elab_class(
+                sig, closure, ctx + [s.CtxEntry(x, ds2, kind.dom)], b, kc)
+            return s.CPi(h, ds2, kind.dom, close_at(body2, x))
+    raise TypeError(cls)

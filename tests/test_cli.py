@@ -109,6 +109,23 @@ class TestCheck:
             f"{src}:{where}: error: unexpected character {digit!r}\n"
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("text, where", [
+        ("nat : type.\nc : {0}.\n", "2:5"),
+        ("nat : type.\nc : nat -> nat -> nat.\n%infix right {0} c.\n",
+         "3:14"),
+    ], ids=["type", "precedence"])
+    def test_long_numeral_is_a_parse_error(self, tmp_path, text, where):
+        # int() refuses more than sys.get_int_max_str_digits() digits.
+        digits = "1" * (sys.get_int_max_str_digits() + 700)
+        src = tmp_path / "long.lfr"
+        src.write_text(text.format(digits))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lfr.cli", "check", str(src)],
+            capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == 2
+        assert proc.stderr == (f"{src}:{where}: error: numeral of "
+                               f"{len(digits)} digits is too long\n")
+
 
 class TestTranslate:
     def _src(self, tmp_path, name="even-odd"):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lfr import (
     CheckError,
+    parse_signature,
     lf_check_kind,
     lf_check_sig,
     lf_check_term,
@@ -38,7 +41,17 @@ from lfr.syntax import (
 )
 
 from conftest import GOLDEN_NAMES
-from gen import NAT, gen_eta_term, gen_simple, simple_to_type
+from gen import (
+    HO_CONSTS,
+    NAT,
+    gen_eta_term,
+    gen_kind,
+    gen_simple,
+    gen_type,
+    rehint,
+    simple_to_type,
+)
+from oracles import opened_lf_check, opened_lf_check_kind, opened_lf_check_type
 
 Z = Const("z")
 NAT_T = TConst("nat")
@@ -247,3 +260,69 @@ class TestDiagnostics:
             call(dep_sig)
         d = info.value.diag
         assert (d.kind, d.message, d.expected, d.actual) == diag
+
+
+_LF_BASE = ("nat : type. z : nat. s : nat -> nat. h : (nat -> nat) -> nat.\n"
+            "t : nat -> type.\n")
+# gen_type's atoms are p N1 N2 with N1, N2 at nat: well typed in the
+# first signature, a mismatch at N2 in the second, and not fully applied
+# in the third.
+LF_SIGS = tuple(parse_signature(_LF_BASE + p) for p in (
+    "p : nat -> nat -> type.", "p : {y : nat} t y -> type.",
+    "p : nat -> nat -> nat -> type."))
+HINTS = ("x", "x'", "y", "b1", "_")
+
+
+def lf_instances(seed: int):
+    """(sig, ctx, which, subject): a type, a kind, or an eta-long term with
+    a type it may not have, over a context of x and x' and sometimes y;
+    binder hints are drawn from names the context uses."""
+    choose = random.Random(seed).randint
+    names = ["x", "x'"] + (["y"] if choose(0, 1) else [])
+    gctx = [(x, NAT) for x in names]
+    ctx = [(x, NAT_T) for x in names]
+    which = choose(0, 2)
+    if which == 0:
+        subject = (gen_type(choose, gctx, choose(0, 3)),)
+    elif which == 1:
+        subject = (gen_kind(choose, gctx, choose(0, 3)),)
+    elif choose(0, 1):
+        alpha = gen_simple(choose, 2)
+        n = gen_eta_term(choose, gctx, alpha, choose(0, 3), HO_CONSTS)
+        other = alpha if choose(0, 1) else gen_simple(choose, 2)
+        subject = (n, simple_to_type(other))
+    else:
+        # A variable of a dependent type, expanded: its arguments' types
+        # mention the binders before them.
+        a = gen_type(choose, gctx, choose(1, 3))
+        ctx.append(("f", a))
+        subject = (eta_expand(a, FVar("f")), a)
+    subject = tuple(rehint(u, lambda: HINTS[choose(0, len(HINTS) - 1)])
+                    for u in subject)
+    return LF_SIGS[choose(0, 2)], ctx, which, subject
+
+
+def _lf_outcome(call, *args):
+    try:
+        call(*args)
+    except LfError as e:
+        d = e.diag
+        return d.kind, d.message, d.expected, d.actual
+    return None
+
+
+class TestOpenedReference:
+    """The checkers against copies that open every binder with a name
+    (tests/oracles.py): the same verdicts, kinds and messages."""
+
+    CHECKERS = ((lf_check_type, opened_lf_check_type),
+                (lf_check_kind, opened_lf_check_kind),
+                (lf_check_term, opened_lf_check))
+
+    @settings(max_examples=400)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_checkers_match(self, seed):
+        sig, ctx, which, subject = lf_instances(seed)
+        ours, theirs = self.CHECKERS[which]
+        assert (_lf_outcome(ours, sig, ctx, *subject)
+                == _lf_outcome(theirs, sig, ctx, *subject))

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import lfr.lf
+import lfr.lfr_check
 
 from lfr import (
     CheckError,
@@ -22,15 +27,24 @@ from lfr import (
     split,
     subsort_q,
 )
-from lfr.lfr_check import SortError, set_subsort_audit
+from lfr.lf import LfError
+from lfr.lfr_check import SortError, _elab_class, set_subsort_audit
+from lfr.subst import erase_type, eta_expand
 from lfr.syntax import (
     App,
+    Arrow,
     Base,
     BVar,
+    CInter,
     Const,
     ConstRef,
+    CPi,
+    CSort,
+    CTop,
     CtxEntry,
     FVar,
+    KPi,
+    KType,
     Lam,
     SApp,
     SConst,
@@ -47,14 +61,25 @@ from lfr.syntax import (
 
 from conftest import DEP_TEXT, GOLDEN_NAMES, checkout_env
 from gen import (
+    HO_CONSTS,
     NAT,
     deep_signature,
+    gen_class,
+    gen_dep_sort,
     gen_eta_term,
     gen_sort,
+    gen_type,
     numeral,
+    rehint,
     wide_signature,
 )
-from oracles import decl_check, decl_synth_all
+from oracles import (
+    decl_check,
+    decl_synth_all,
+    opened_acheck,
+    opened_elab_class,
+    opened_elab_sort,
+)
 from principles import (
     check_identity,
     identity_instances,
@@ -622,3 +647,150 @@ def _catch(f):
     except SortError as e:
         return e
     return None
+
+
+# gen_dep_sort's atoms are q N, with q refining t; pp refines the p of
+# gen_type's atoms, and k gives terms at the type t N.
+REF_SIG = check_signature(parse_signature(
+    "nat : type. z : nat. s : nat -> nat. h : (nat -> nat) -> nat.\n"
+    "even << nat. odd << nat. pos << nat. odd <: pos.\n"
+    "z :: even. s :: even -> odd ^ odd -> even ^ # -> pos.\n"
+    "h :: (even -> odd) -> even ^ # -> pos.\n"
+    "t : nat -> type. k : {y : nat} t y.\n"
+    "q << t :: (even -> sort) ^ (pos -> sort).\n"
+    "k :: {y :: even} q y.\n"
+    "p : nat -> nat -> type.\n"
+    "pp << p :: # -> # -> sort.\n"))
+REF_CONSTS = HO_CONSTS + (("k", Arrow(NAT, Base("t"))),)
+HINTS = ("x", "x'", "y", "b1", "_")
+
+
+def _refining(choose, a):
+    """A sort that refines the type a, or at nat one of four."""
+    match a:
+        case TPi(h, d, c):
+            return SPi(h, _refining(choose, d), d, _refining(choose, c))
+        case TApp(TApp(_, m), n):
+            return SApp(SApp(SConst("pp"), m), n)
+        case TApp(_, n):
+            return SApp(SConst("q"), n)
+    return (EVEN, ODD, POS, STop())[choose(0, 3)]
+
+
+def _fit(choose, t):
+    """A generated sort or class with most function domains replaced by a
+    sort that refines the domain type, so that most elaborate."""
+    match t:
+        case SPi(h, ds, dt, c) | CPi(h, ds, dt, c):
+            if choose(0, 3):
+                ds = _refining(choose, dt)
+            return type(t)(h, ds, dt, _fit(choose, c))
+        case SInter(l, r) | CInter(l, r):
+            return type(t)(_fit(choose, l), _fit(choose, r))
+    return t
+
+
+def _refined(t):
+    """The type or kind a fitted sort or class is meant to refine; None
+    for a sort any type can carry."""
+    match t:
+        case SPi(h, _, dt, c):
+            return TPi(h, dt, _refined(c) or TApp(TConst("t"), Const("z")))
+        case CPi(h, _, dt, c):
+            return KPi(h, dt, _refined(c))
+        case SApp(_, n):
+            return TApp(TConst("t"), n)
+        case SInter(l, r) | CInter(l, r):
+            return _refined(l) or _refined(r)
+        case CSort() | CTop():
+            return KType()
+    return None
+
+
+def reference_instances(seed: int):
+    """(which, ctx, subject): a sort with a type, a class with a kind, or
+    an eta-long term with an elaborated sort, over a context of x and x'
+    and sometimes y; binder hints are drawn from names the context uses."""
+    choose = random.Random(seed).randint
+
+    def hint():
+        return HINTS[choose(0, len(HINTS) - 1)]
+
+    names = ["x", "x'"] + (["y"] if choose(0, 1) else [])
+    gctx = [(x, NAT) for x in names]
+    ctx = [CtxEntry(x, (EVEN, ODD, STop())[choose(0, 2)], NAT_T)
+           for x in names]
+    which = choose(0, 3)
+    if which == 3:
+        # A variable at a sort that refines a dependent type, expanded:
+        # the sorts of its arguments mention the binders before them.
+        a = rehint(gen_type(choose, gctx, choose(1, 3)), hint)
+        s = elaborate_sort(REF_SIG, ctx, _refining(choose, a), a)
+        return 2, ctx + [CtxEntry("f", s, a)], (eta_expand(a, FVar("f")), s)
+    gen = gen_class if which == 1 else gen_dep_sort
+    s = rehint(_fit(choose, gen(choose, gctx, choose(0, 3))), hint)
+    a = _refined(s) or TApp(TConst("t"), Const("z"))
+    if which == 0 and not choose(0, 3):
+        a = rehint(gen_type(choose, gctx, choose(0, 2)), hint)
+    if which < 2:
+        return which, ctx, (s, a)
+    try:
+        s = elaborate_sort(REF_SIG, ctx, s, a)
+    except (SortError, LfError):
+        return 0, ctx, (s, a)
+    n = gen_eta_term(choose, gctx, erase_type(a), choose(0, 3), REF_CONSTS)
+    return 2, ctx, (rehint(n, hint), s)
+
+
+def _ref_outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except SortError as e:
+        return e.diag.kind, e.diag.message
+    except LfError as e:
+        return "lf", e.diag.kind, e.diag.message
+
+
+class TestOpenedReference:
+    """Elaboration and checking against copies that open every binder
+    with a name (tests/oracles.py): the same verdicts, results, kinds and
+    messages."""
+
+    OURS = (
+        lambda ctx, s, a: elaborate_sort(REF_SIG, ctx, s, a),
+        lambda ctx, c, k: _elab_class(REF_SIG, build_closure(REF_SIG), ctx,
+                                      (), c, k, None),
+        lambda ctx, n, s: acheck(REF_SIG, ctx, n, s))
+    THEIRS = (opened_elab_sort, opened_elab_class, opened_acheck)
+
+    @settings(max_examples=400)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_judgments_match(self, seed):
+        which, ctx, subject = reference_instances(seed)
+        ours = _ref_outcome(self.OURS[which], ctx, *subject)
+        theirs = _ref_outcome(self.THEIRS[which], REF_SIG,
+                              build_closure(REF_SIG), ctx, *subject)
+        assert ours == theirs
+
+
+# The operations a judgment needs to open a binder: opening, closing,
+# collecting free names, and picking a fresh name.
+OPENING = {"open_at", "close_at", "free_vars", "fresh_name", "pool_name"}
+
+
+class TestBinderDiscipline:
+    """The source judgments descend binders by index and name them only
+    for messages, through syntax.binder_names: neither checker module
+    takes an operation that opening a binder needs."""
+
+    @pytest.mark.parametrize("module", (lfr.lf, lfr.lfr_check),
+                             ids=("lf", "lfr_check"))
+    def test_takes_no_opening_operation(self, module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        taken = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                taken |= {a.name.rpartition(".")[2] for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                taken.add(node.attr)
+        assert not taken & OPENING
