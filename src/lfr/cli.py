@@ -6,14 +6,15 @@ Subcommands:
   verify     compile in memory and re-check the result
 
 Exit codes: 0 success, 1 checking failure, 2 lexing or parsing failure
-(including unreadable input), 3 verification failure or search budget
-exhaustion, 4 internal error (input nested too deeply for the recursion
-limit, or a broken internal invariant).
+(including unreadable input) or a non-integer LFR_FUEL, 3 verification
+failure or search budget exhaustion, 4 internal error (input nested too
+deeply for the recursion limit, or a broken internal invariant).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -222,6 +223,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # Substitution reads the budget afresh for each walk; check it once
+    # here, so that a bad value is a usage error and not a traceback.
+    fuel = os.environ.get("LFR_FUEL")
+    if fuel is not None:
+        try:
+            int(fuel)
+        except ValueError:
+            print(f"error: LFR_FUEL must be an integer, got {fuel!r}",
+                  file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except MetricExhausted as e:

@@ -5,14 +5,17 @@ function space, pairs, and unit at both the type and the kind level.
 Definitional equality ignores the arguments of irrelevant applications;
 that single rule is what makes translated refinement proofs coherent.
 
-Hereditary substitution replaces a free name or a bound index and counts
-the binders it descends instead of opening them; instantiation substitutes
-for index 0.  The checker descends binders by index too, keeping a stack
-of the hypotheses they bind, and names those hypotheses only to build a
-message.  One walk, `_map_vars`, rebuilds a tree around its variables;
-shifting, opening, closing and naming for messages are leaf functions
-over it.  All of this is this module's own code, so the certificates are
-checked by code the source checker does not share.
+Hereditary substitution replaces a free name, or a block of bound indices
+at once, and counts the binders it descends instead of opening them.  The
+checker applies a head to its whole spine: each argument is checked
+against its domain set to the arguments before it, and the codomain is
+set to all of them in one walk.  The checker descends binders by index
+too, keeping a stack of the hypotheses they bind, and names those
+hypotheses only to build a message.  One walk, `_map_vars`, rebuilds a
+tree around its variables; shifting, opening, closing and naming for
+messages are leaf functions over it.  All of this is this module's own
+code, so the certificates are checked by code the source checker does
+not share.
 """
 
 from __future__ import annotations
@@ -417,139 +420,118 @@ def lfi_equal(x: LfiSyntax, y: LfiSyntax, respect_irrelevance: bool = True) -> b
 # ---------------------------------------------------------------------------
 # Hereditary substitution, extended with pairs and irrelevant application
 #
-# The variable replaced is a free name (x0 a str) or a bound index (x0 an
-# int; instantiation replaces index 0).  Substitution descends binders
-# without opening them: k counts the binders passed, so the variable is
-# IFVar(x0) or IBVar(x0 + k) there, the replacement is n0 shifted by k,
-# and, when x0 is an index, the indices above x0 + k drop by one because
-# its binder is gone.  A beta step substitutes for the lambda's index 0.
+# One walk replaces a block of variables at once: a free name (x0 a str,
+# a block of one) or the bound indices x0 .. x0 + n - 1 (x0 an int).  sub
+# holds a (replacement, erased type) pair for each, innermost first: sub[j]
+# is for index x0 + j.  Substitution descends binders without opening
+# them: k counts the binders passed, so the block is IFVar(x0) or
+# IBVar(x0 + k + j) there, a replacement is shifted by k, and, when x0 is
+# an index, the indices above the block drop by n because its binders are
+# gone.  Instantiating a Pi type with a spine replaces all of its indices
+# in one walk; a beta step replaces the lambda's index 0.
 
 
 def lfi_hsubst(n0: LfiTerm, x0: Union[str, int],
                alpha0: Union[LfiType, LfiSimple], t: LfiSyntax) -> LfiSyntax:
     """[n0/x0]t at the erased type of alpha0; for an index x0, n0 is read
     where t's binder x0 has been removed."""
-    a0 = lfi_erase_type(alpha0)
-    fuel = _Fuel()
-    return _l_syn(n0, x0, a0, t, 0, fuel, ())
+    return _hsubst(((n0, lfi_erase_type(alpha0)),), x0, t)
 
 
-def _hit(r, x0, k: int) -> bool:
-    """Whether r is the variable substituted for, k binders down."""
+def _inst(t: LfiSyntax, spine: list[tuple[LfiTerm, LfiSimple]]) -> LfiSyntax:
+    """t, under a binder for each (argument, erased domain) pair of spine,
+    outermost first, with those binders set to the arguments."""
+    return _hsubst(spine[::-1], 0, t) if spine else t
+
+
+def _hsubst(sub, x0, t: LfiSyntax) -> LfiSyntax:
+    return _l_syn(sub, x0, t, 0, _Fuel(), ())
+
+
+def _hit(r, sub, x0, k: int):
+    """The pair of sub that replaces r, k binders down, or None."""
     if isinstance(x0, str):
-        return isinstance(r, IFVar) and r.name == x0
-    return isinstance(r, IBVar) and r.index == x0 + k
+        return sub[0] if isinstance(r, IFVar) and r.name == x0 else None
+    j = r.index - x0 - k if isinstance(r, IBVar) else -1
+    return sub[j] if 0 <= j < len(sub) else None
 
 
-def _l_n(n0, x0, a0, n, k, fuel, path) -> LfiTerm:
+def _l_n(sub, x0, n, k, fuel, path) -> LfiTerm:
     fuel.tick(path)
     match n:
         case ILam(h, b):
-            return ILam(h, _l_n(n0, x0, a0, b, k + 1, fuel, path + ("body",)))
+            return ILam(h, _l_n(sub, x0, b, k + 1, fuel, path + ("body",)))
         case IPair(l, r):
-            return IPair(_l_n(n0, x0, a0, l, k, fuel, path + ("left",)),
-                         _l_n(n0, x0, a0, r, k, fuel, path + ("right",)))
+            return IPair(_l_n(sub, x0, l, k, fuel, path + ("left",)),
+                         _l_n(sub, x0, r, k, fuel, path + ("right",)))
         case IUnit():
             return n
         case _:
-            if _hit(lfi_head(n), x0, k):
-                term, ty = _l_rn(n0, x0, a0, n, k, fuel, path)
+            if _hit(lfi_head(n), sub, x0, k) is not None:
+                term, ty = _l_rn(sub, x0, n, k, fuel, path)
                 if is_lfi_atomic(term) and isinstance(ty, IBase):
                     return term
                 raise SubstFailure("head-type mismatch", path)
-            return _l_rr(n0, x0, a0, n, k, fuel, path)
+            return _l_rr(sub, x0, n, k, fuel, path)
 
 
-def _l_rr(n0, x0, a0, r, k, fuel, path) -> LfiAtomic:
+def _l_rr(sub, x0, r, k, fuel, path) -> LfiAtomic:
     fuel.tick(path)
     match r:
-        case IBVar(i) if not isinstance(x0, str) and i > x0 + k:
-            return IBVar(i - 1)
+        case IBVar(i) if not isinstance(x0, str) and i >= x0 + k + len(sub):
+            return IBVar(i - len(sub))
         case IConst() | IFVar() | IBVar():
             return r
-        case IApp(f, a):
-            return IApp(_l_rr(n0, x0, a0, f, k, fuel, path + ("fn",)),
-                        _l_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
-        case IIrrApp(f, a):
-            return IIrrApp(_l_rr(n0, x0, a0, f, k, fuel, path + ("fn",)),
-                           _l_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
-        case IFst(b):
-            return IFst(_l_rr(n0, x0, a0, b, k, fuel, path + ("base",)))
-        case ISnd(b):
-            return ISnd(_l_rr(n0, x0, a0, b, k, fuel, path + ("base",)))
+        case IApp(f, a) | IIrrApp(f, a):
+            return type(r)(_l_rr(sub, x0, f, k, fuel, path + ("fn",)),
+                           _l_n(sub, x0, a, k, fuel, path + ("arg",)))
+        case IFst(b) | ISnd(b):
+            return type(r)(_l_rr(sub, x0, b, k, fuel, path + ("base",)))
     raise TypeError(f"lfi_hsubst: not atomic: {r!r}")
 
 
-def _l_rn(n0, x0, a0, r, k, fuel, path) -> tuple[LfiTerm, LfiSimple]:
+def _l_rn(sub, x0, r, k, fuel, path) -> tuple[LfiTerm, LfiSimple]:
     fuel.tick(path)
-    if _hit(r, x0, k):
-        return _shift_lfi(n0, k), a0
+    hit = _hit(r, sub, x0, k)
+    if hit is not None:
+        return _shift_lfi(hit[0], k), hit[1]
     match r:
-        case IApp(f, a):
-            fn, fty = _l_rn(n0, x0, a0, f, k, fuel, path + ("fn",))
-            arg = _l_n(n0, x0, a0, a, k, fuel, path + ("arg",))
+        case IApp(f, a) | IIrrApp(f, a):
+            fn, fty = _l_rn(sub, x0, f, k, fuel, path + ("fn",))
+            arg = _l_n(sub, x0, a, k, fuel, path + ("arg",))
             if not isinstance(fn, ILam):
                 raise SubstFailure("non-function applied", path)
-            if not isinstance(fty, IArrow):
+            if not isinstance(fty, IArrow if isinstance(r, IApp) else IIrrArrow):
                 raise SubstFailure("head-type mismatch", path)
-            return _l_beta(fn, arg, fty.dom, fty.cod, fuel, path)
-        case IIrrApp(f, a):
-            fn, fty = _l_rn(n0, x0, a0, f, k, fuel, path + ("fn",))
-            arg = _l_n(n0, x0, a0, a, k, fuel, path + ("arg",))
-            if not isinstance(fn, ILam):
-                raise SubstFailure("non-function applied", path)
-            if not isinstance(fty, IIrrArrow):
-                raise SubstFailure("head-type mismatch", path)
-            return _l_beta(fn, arg, fty.dom, fty.cod, fuel, path)
-        case IFst(b):
-            bn, bt = _l_rn(n0, x0, a0, b, k, fuel, path + ("base",))
+            # The beta step: the lambda's index 0 is a block of one.
+            body = _l_n(((arg, fty.dom),), 0, fn.body, 0, fuel, path + ("beta",))
+            return body, fty.cod
+        case IFst(b) | ISnd(b):
+            bn, bt = _l_rn(sub, x0, b, k, fuel, path + ("base",))
             if not isinstance(bn, IPair) or not isinstance(bt, IProdS):
                 raise SubstFailure("head-type mismatch", path)
-            return bn.left, bt.left
-        case ISnd(b):
-            bn, bt = _l_rn(n0, x0, a0, b, k, fuel, path + ("base",))
-            if not isinstance(bn, IPair) or not isinstance(bt, IProdS):
-                raise SubstFailure("head-type mismatch", path)
+            if isinstance(r, IFst):
+                return bn.left, bt.left
             return bn.right, bt.right
     raise SubstFailure("head-type mismatch", path)
 
 
-def _l_beta(fn: ILam, arg: LfiTerm, dom: LfiSimple, cod: LfiSimple,
-            fuel, path) -> tuple[LfiTerm, LfiSimple]:
-    return _l_n(arg, 0, dom, fn.body, 0, fuel, path + ("beta",)), cod
-
-
-def _l_syn(n0, x0, a0, t, k, fuel, path):
+def _l_syn(sub, x0, t, k, fuel, path):
     match t:
         case (IConst() | IFVar() | IBVar() | IApp() | IIrrApp() | IFst() | ISnd()
               | ILam() | IPair() | IUnit()):
-            return _l_n(n0, x0, a0, t, k, fuel, path)
+            return _l_n(sub, x0, t, k, fuel, path)
         case ITConst() | ITUnitT() | IKType() | IKUnit():
             return t
-        case ITApp(f, a):
-            return ITApp(_l_syn(n0, x0, a0, f, k, fuel, path + ("fn",)),
-                         _l_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
-        case ITIrrApp(f, a):
-            return ITIrrApp(_l_syn(n0, x0, a0, f, k, fuel, path + ("fn",)),
-                            _l_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
-        case ITPi(h, d, c):
-            return ITPi(h, _l_syn(n0, x0, a0, d, k, fuel, path + ("dom",)),
-                        _l_syn(n0, x0, a0, c, k + 1, fuel, path + ("cod",)))
-        case ITIrrPi(h, d, c):
-            return ITIrrPi(h, _l_syn(n0, x0, a0, d, k, fuel, path + ("dom",)),
-                           _l_syn(n0, x0, a0, c, k + 1, fuel, path + ("cod",)))
-        case ITProd(l, r):
-            return ITProd(_l_syn(n0, x0, a0, l, k, fuel, path + ("left",)),
-                          _l_syn(n0, x0, a0, r, k, fuel, path + ("right",)))
-        case IKPi(h, d, c):
-            return IKPi(h, _l_syn(n0, x0, a0, d, k, fuel, path + ("dom",)),
-                        _l_syn(n0, x0, a0, c, k + 1, fuel, path + ("cod",)))
-        case IKIrrPi(h, d, c):
-            return IKIrrPi(h, _l_syn(n0, x0, a0, d, k, fuel, path + ("dom",)),
-                           _l_syn(n0, x0, a0, c, k + 1, fuel, path + ("cod",)))
-        case IKProd(l, r):
-            return IKProd(_l_syn(n0, x0, a0, l, k, fuel, path + ("left",)),
-                          _l_syn(n0, x0, a0, r, k, fuel, path + ("right",)))
+        case ITApp(f, a) | ITIrrApp(f, a):
+            return type(t)(_l_syn(sub, x0, f, k, fuel, path + ("fn",)),
+                           _l_n(sub, x0, a, k, fuel, path + ("arg",)))
+        case ITPi(h, d, c) | ITIrrPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
+            return type(t)(h, _l_syn(sub, x0, d, k, fuel, path + ("dom",)),
+                           _l_syn(sub, x0, c, k + 1, fuel, path + ("cod",)))
+        case ITProd(l, r) | IKProd(l, r):
+            return type(t)(_l_syn(sub, x0, l, k, fuel, path + ("left",)),
+                           _l_syn(sub, x0, r, k, fuel, path + ("right",)))
     raise TypeError(f"lfi_hsubst: unexpected node {t!r}")
 
 
@@ -607,10 +589,38 @@ def _promote(stack: Stack) -> Stack:
     return tuple((h, d, True) for h, d, _ in stack)
 
 
-def _inst(cod: Union[LfiType, LfiKind], arg: LfiTerm, dom: LfiType
-          ) -> Union[LfiType, LfiKind]:
-    """A Pi type's or kind's codomain with its bound variable set to arg."""
-    return lfi_hsubst(arg, 0, dom, cod)
+def _unspine(r, apps) -> tuple:
+    """(head, [(argument, irrelevant), ...] outermost first) of r, through
+    the relevant and the irrelevant application classes apps."""
+    spine = []
+    while isinstance(r, apps):
+        spine.append((r.arg, isinstance(r, apps[1])))
+        r = r.fn
+    return r, spine[::-1]
+
+
+_NOT_A_PI = ("applied term of non-function type",
+             "irrelevant application at non-irrelevant type")
+
+
+def _apply(sig: LfiSignature, ctx: LfiContext, stack: Stack, ty, spine,
+           pis, mismatch):
+    """ty, a Pi type or kind, applied to spine's (argument, irrelevant)
+    pairs, outermost first.  Each argument is checked against its domain
+    set to the arguments before it, and the codomain is set to all of them
+    at once.  pis are ty's relevant and irrelevant Pi; mismatch(ty,
+    irrelevant) is the error when ty does not take the next argument."""
+    done: list[tuple[LfiTerm, LfiSimple]] = []
+    for arg, irr in spine:
+        if not isinstance(ty, pis[irr]):
+            raise mismatch(_inst(ty, done), irr)
+        if irr:
+            _check(sig, promote(ctx), _promote(stack), arg, _inst(ty.dom, done))
+        else:
+            _check(sig, ctx, stack, arg, _inst(ty.dom, done))
+        done.append((arg, lfi_erase_type(ty.dom)))
+        ty = ty.cod
+    return _inst(ty, done)
 
 
 def lfi_synth(sig: LfiSignature, ctx: LfiContext, r: LfiAtomic) -> LfiType:
@@ -652,20 +662,11 @@ def _synth(sig: LfiSignature, ctx: LfiContext, stack: Stack, r: LfiAtomic
                     f"irrelevant hypothesis {_names(ctx, stack)[-1 - i]} "
                     f"used in a relevant position")
             return _shift_lfi(d, i + 1)
-        case IApp(f, a):
-            fty = _synth(sig, ctx, stack, f)
-            if not isinstance(fty, ITPi):
-                raise LfiError(f"applied term of non-function type "
-                               f"{_fmt_type(fty, ctx, stack)}")
-            _check(sig, ctx, stack, a, fty.dom)
-            return _inst(fty.cod, a, fty.dom)
-        case IIrrApp(f, a):
-            fty = _synth(sig, ctx, stack, f)
-            if not isinstance(fty, ITIrrPi):
-                raise LfiError(f"irrelevant application at non-irrelevant type "
-                               f"{_fmt_type(fty, ctx, stack)}")
-            _check(sig, promote(ctx), _promote(stack), a, fty.dom)
-            return _inst(fty.cod, a, fty.dom)
+        case IApp() | IIrrApp():
+            head, spine = _unspine(r, (IApp, IIrrApp))
+            return _apply(sig, ctx, stack, _synth(sig, ctx, stack, head), spine,
+                          (ITPi, ITIrrPi), lambda ty, irr: LfiError(
+                              f"{_NOT_A_PI[irr]} {_fmt_type(ty, ctx, stack)}"))
         case IFst(b):
             bty = _synth(sig, ctx, stack, b)
             if not isinstance(bty, ITProd):
@@ -735,34 +736,15 @@ def _check_type(sig: LfiSignature, ctx: LfiContext, stack: Stack, a: LfiType
 
 def _kind_of_atomic(sig: LfiSignature, ctx: LfiContext, stack: Stack,
                     p: LfiAtomicType) -> LfiKind:
-    spine: list[tuple[LfiTerm, bool]] = []
-    while True:
-        match p:
-            case ITApp(f, a):
-                spine.append((a, False))
-                p = f
-            case ITIrrApp(f, a):
-                spine.append((a, True))
-                p = f
-            case _:
-                break
+    p, spine = _unspine(p, (ITApp, ITIrrApp))
     if not isinstance(p, ITConst):
         raise LfiError(f"type head is not a constant: {_named(p, ctx, stack)!r}")
     kind = sig.fam_kind(p.name)
     if kind is None:
         raise LfiError(f"unbound type family {p.name}")
-    for arg, irr in reversed(spine):
-        match kind:
-            case IKPi(_, d, c) if not irr:
-                _check(sig, ctx, stack, arg, d)
-                kind = _inst(c, arg, d)
-            case IKIrrPi(_, d, c) if irr:
-                _check(sig, promote(ctx), _promote(stack), arg, d)
-                kind = _inst(c, arg, d)
-            case _:
-                raise LfiError(
-                    f"kind of {p.name} does not accept this argument shape")
-    return kind
+    return _apply(sig, ctx, stack, kind, spine, (IKPi, IKIrrPi),
+                  lambda ty, irr: LfiError(
+                      f"kind of {p.name} does not accept this argument shape"))
 
 
 def _check_kind(sig: LfiSignature, ctx: LfiContext, stack: Stack, k: LfiKind

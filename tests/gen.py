@@ -424,44 +424,47 @@ def gen_lfi_term(choose, ctx, alpha, depth: int, consts=LFI_CONSTS):
     return r
 
 
-def _lfi_binder(choose, ctx, depth: int, classifier):
+def _lfi_binder(choose, ctx, depth: int, classifier, consts):
     name = _fresh_var(ctx)
     if choose(0, 1) == 0:
-        dom = gen_lfi_type(choose, ctx, depth - 1)
+        dom = gen_lfi_type(choose, ctx, depth - 1, consts)
         alpha = L.lfi_erase_type(dom)
     else:
         alpha = gen_lfi_simple(choose, 1)
         dom = lfi_simple_to_type(alpha)
-    body = classifier(choose, ctx + [(name, alpha)], depth - 1)
+    body = classifier(choose, ctx + [(name, alpha)], depth - 1, consts)
     return name, dom, L.close_lfi(body, name)
 
 
-def gen_lfi_type(choose, ctx, depth: int):
+def gen_lfi_type(choose, ctx, depth: int, consts=LFI_CONSTS):
     """A target type over ctx: both Pi forms, products, unit, and
-    `p [[N1]] N2` with N1 and N2 at nat."""
+    `p [[N1]] N2` with N1 and N2 at nat; its terms' heads come from ctx
+    and consts."""
     k = 0 if depth <= 0 else choose(0, 4)
     if k == 0:
-        proof = gen_lfi_term(choose, ctx, LFI_NAT, choose(0, max(depth, 0)))
-        index = gen_lfi_term(choose, ctx, LFI_NAT, choose(0, max(depth, 0)))
+        proof = gen_lfi_term(choose, ctx, LFI_NAT, choose(0, max(depth, 0)),
+                             consts)
+        index = gen_lfi_term(choose, ctx, LFI_NAT, choose(0, max(depth, 0)),
+                             consts)
         return L.ITApp(L.ITIrrApp(L.ITConst("p"), proof), index)
     if k == 3:
-        return L.ITProd(gen_lfi_type(choose, ctx, depth - 1),
-                        gen_lfi_type(choose, ctx, depth - 1))
+        return L.ITProd(gen_lfi_type(choose, ctx, depth - 1, consts),
+                        gen_lfi_type(choose, ctx, depth - 1, consts))
     if k == 4:
         return L.ITUnitT()
     ctor = L.ITPi if k == 1 else L.ITIrrPi
-    return ctor(*_lfi_binder(choose, ctx, depth, gen_lfi_type))
+    return ctor(*_lfi_binder(choose, ctx, depth, gen_lfi_type, consts))
 
 
-def gen_lfi_kind(choose, ctx, depth: int):
+def gen_lfi_kind(choose, ctx, depth: int, consts=LFI_CONSTS):
     """A target kind over ctx: both Pi forms, products, unit and `type`."""
     k = 0 if depth <= 0 else choose(0, 4)
     if k == 0:
         return L.IKType()
     if k == 3:
-        return L.IKProd(gen_lfi_kind(choose, ctx, depth - 1),
-                        gen_lfi_kind(choose, ctx, depth - 1))
+        return L.IKProd(gen_lfi_kind(choose, ctx, depth - 1, consts),
+                        gen_lfi_kind(choose, ctx, depth - 1, consts))
     if k == 4:
         return L.IKUnit()
     ctor = L.IKPi if k == 1 else L.IKIrrPi
-    return ctor(*_lfi_binder(choose, ctx, depth, gen_lfi_kind))
+    return ctor(*_lfi_binder(choose, ctx, depth, gen_lfi_kind, consts))

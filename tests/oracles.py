@@ -376,10 +376,14 @@ def named_subst(n0, x0: str, t):
     return alpha_key(nnormalize(nsubst(named(n0), x0, named(t))))
 
 
-def named_inst(body, arg):
-    """The key of body with its dangling index 0 set to arg, normalised."""
-    x = f"%{next(_binder_names)}"
-    return alpha_key(nnormalize(nsubst(named(arg), x, named(body, (x,)))))
+def named_inst(body, *args):
+    """The key of body with its dangling indices set to args, outermost
+    first (the last is index 0), normalised."""
+    xs = tuple(f"%{next(_binder_names)}" for _ in args)
+    m = named(body, xs)
+    for x, arg in zip(xs, args):
+        m = nsubst(named(arg), x, m)
+    return alpha_key(nnormalize(m))
 
 
 def occurs(name: str, t) -> bool:

@@ -243,6 +243,19 @@ class TestVerify:
         assert main(["verify", str(golden_path("double"))]) == 3
         assert "search budget exhausted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "translate", "verify"])
+    def test_non_integer_budget_is_a_usage_error(self, command, monkeypatch,
+                                                 tmp_path, capsys):
+        # One line and no traceback, before any stage runs: translate
+        # writes nothing next to its input.
+        src = tmp_path / "double.lfr"
+        src.write_text(golden_path("double").read_text())
+        monkeypatch.setenv("LFR_FUEL", "abc")
+        assert main([command, str(src)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: LFR_FUEL must be an integer, got 'abc'\n")
+        assert list(tmp_path.iterdir()) == [src]
+
 
 REPO = Path(__file__).resolve().parent.parent
 

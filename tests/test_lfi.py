@@ -57,6 +57,7 @@ from lfr.lfi import (
     close_lfi,
     lfi_check_kind,
     lfi_check_type,
+    lfi_erase_type,
     lfi_hsubst,
     open_lfi,
     promote,
@@ -66,6 +67,7 @@ from lfr.subst import MetricExhausted, SubstFailure
 from lfr.translate import verify_translation
 
 from gen import (
+    LFI_CONSTS,
     LFI_NAT,
     binders_text,
     gen_lfi_kind,
@@ -175,16 +177,17 @@ I_NAT = ITConst("nat")
 LFI_CTX = [("a", LFI_NAT), ("f", IArrow(LFI_NAT, LFI_NAT))]
 
 
-def _lfi_subject(choose, ctx, var: str):
-    """A term, a type or a kind over ctx, drawn again (up to four times)
-    until the variable var occurs in it."""
+def _lfi_subject(choose, ctx, var: str, which=None):
+    """A term, a type or a kind (which is 0, 1 or 2, or None to draw one)
+    over ctx, drawn again (up to four times) until the variable var
+    occurs in it."""
     for _ in range(5):
-        which = choose(0, 2)
-        if which == 0:
+        level = choose(0, 2) if which is None else which
+        if level == 0:
             t = gen_lfi_term(choose, ctx, gen_lfi_usable(choose, 2),
                              choose(1, 3))
         else:
-            gen = gen_lfi_type if which == 1 else gen_lfi_kind
+            gen = gen_lfi_type if level == 1 else gen_lfi_kind
             t = gen(choose, ctx, choose(1, 3))
         if occurs(var, t):
             break
@@ -232,7 +235,64 @@ class TestNamedOracle:
     @given(lfi_inst_instances())
     def test_inst_matches_named_substitution(self, inst):
         cod, arg, dom = inst
-        assert result_key(lfr.lfi._inst(cod, arg, dom)) == named_inst(cod, arg)
+        assert (result_key(lfr.lfi._inst(cod, [(arg, lfi_erase_type(dom))]))
+                == named_inst(cod, arg))
+
+
+@st.composite
+def lfi_spine_instances(draw):
+    """(pi, spine): a Pi type or kind over O_CTX with two to four binders,
+    each relevant or not, whose domains mention the binders before them,
+    and an (argument, erased domain) pair for each binder.  An argument
+    at a function or a product type is a lambda or a pair, so where its
+    variable heads a spine, substitution reduces a redex or projects.
+    The hypothesis a is closed into a dangling index, one binder out, in
+    pi and in the arguments."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    ctx, doms, spine = list(O_CTX), [], []
+    for i in range(choose(2, 4)):
+        dom = gen_lfi_type(choose, ctx, choose(0, 2))
+        beta = lfi_erase_type(dom)
+        spine.append((gen_lfi_term(choose, O_CTX, beta, choose(0, 2)), beta))
+        doms.append(dom)
+        ctx.append((f"y{i}", beta))
+    which = choose(1, 2)
+    t = _lfi_subject(choose, ctx, ctx[-1][0], which)
+    pis = (ITPi, ITIrrPi) if which == 1 else (IKPi, IKIrrPi)
+    for (y, _), dom in reversed(list(zip(ctx[len(O_CTX):], doms))):
+        t = pis[choose(0, 1)](y, dom, close_lfi(t, y))
+    return close_lfi(t, "a"), [(close_lfi(n, "a"), beta) for n, beta in spine]
+
+
+class TestSpineInstantiation:
+    """Instantiating every binder of a Pi type or kind in one walk against
+    folding the one-argument instantiation over the spine, and against
+    named substitution: the domains, each set to the arguments before it,
+    and the codomain, set to all of them."""
+
+    @given(lfi_spine_instances())
+    def test_one_walk_matches_folding(self, inst):
+        pi, spine = inst
+        folded = body = pi
+        for i, (arg, beta) in enumerate(spine):
+            dom = lfr.lfi._inst(body.dom, spine[:i])
+            assert dom == folded.dom
+            assert pp_lfi_type(dom) == pp_lfi_type(folded.dom)
+            folded = lfr.lfi._inst(folded.cod, [(arg, beta)])
+            body = body.cod
+        out = lfr.lfi._inst(body, spine)
+        assert out == folded
+        pp = pp_lfi_type if isinstance(pi, (ITPi, ITIrrPi)) else pp_lfi_kind
+        assert pp(out) == pp(folded)
+        # Named substitution, with the dangling index opened as a again:
+        # in body it is index len(spine).
+        a = IFVar("a")
+        assert (result_key(open_lfi(out, a))
+                == named_inst(open_lfi(body, a, len(spine)),
+                              *(open_lfi(n, a) for n, _ in spine)))
 
 
 # Few binder hints, so that nested binders often share one; they meet a
@@ -247,12 +307,35 @@ O_TYPES = {"a": I_NAT, "f": ITPi("x", I_NAT, I_NAT),
            "c": ITApp(ITIrrApp(ITConst("p"), IConst("z")), IConst("z")),
            "e": ITPi("x", I_NAT, ITApp(ITIrrApp(ITConst("p"), IConst("z")),
                                        IBVar(0)))}
+
+
+def _p(proof, index):
+    """p [[proof]] index."""
+    return ITApp(ITIrrApp(ITConst("p"), proof), index)
+
+
+# d : {x : nat} {u :: p [[z]] x} {y : nat} {v : p [[x]] y} {t : p [[y]] (s x)}
+#     ({w : nat} p [[x]] w) * nat
+# Three of its domains and its codomain depend on the binders before them,
+# so an argument at any of its five places can be ill-typed.
+O_D = ITPi("x", I_NAT, ITIrrPi("u", _p(IConst("z"), IBVar(0)), ITPi(
+    "y", I_NAT, ITPi("v", _p(IBVar(2), IBVar(0)), ITPi(
+        "t", _p(IBVar(1), IApp(IConst("s"), IBVar(3))),
+        ITProd(ITPi("w", I_NAT, _p(IBVar(5), IBVar(0))), I_NAT))))))
 O_SIG = LfiSignature([
     LfiDecl("nat", IKType()), LfiDecl("z", I_NAT),
     LfiDecl("s", ITPi("x", I_NAT, I_NAT)),
     LfiDecl("h", ITPi("g", ITPi("x", I_NAT, I_NAT), I_NAT)),
     LfiDecl("p", IKIrrPi("x", I_NAT, IKPi("y", I_NAT, IKType()))),
+    LfiDecl("d", O_D),
 ])
+# The generators' heads: d at its erasure, and d once more as if its
+# codomain were a function, so that a spine of d applies a pair midway.
+O_BASE = IBase("p")
+O_CONSTS = LFI_CONSTS + (
+    ("d", lfi_erase_type(O_D)),
+    ("d", IArrow(LFI_NAT, IIrrArrow(O_BASE, IArrow(LFI_NAT, IArrow(
+        O_BASE, IArrow(O_BASE, IArrow(LFI_NAT, O_BASE))))))))
 
 
 def _hints(t) -> list[str]:
@@ -265,9 +348,9 @@ def _hints(t) -> list[str]:
 
 def _o_subject(choose, which: int):
     """A term (with a type it has the erasure of), a type or a kind over
-    O_CTX, under up to three binders of nat, each relevant or not.  The
-    binders are rehinted from O_HINTS: all with one hint, or each with
-    its own."""
+    O_CTX and O_CONSTS, under up to three binders of nat, each relevant
+    or not.  The binders are rehinted from O_HINTS: all with one hint, or
+    each with its own."""
     def hint():
         return O_HINTS[choose(0, len(O_HINTS) - 1)]
 
@@ -277,12 +360,12 @@ def _o_subject(choose, which: int):
     outer = [(f"w{i}", choose(0, 1)) for i in range(choose(0, 3))]
     ctx = O_CTX + [(x, LFI_NAT) for x, _ in outer]
     if which == 0:
-        a = gen_lfi_type(choose, ctx, choose(0, 3))
-        subject = [gen_lfi_term(choose, ctx, lfr.lfi.lfi_erase_type(a),
-                                choose(0, 2)), a]
+        a = gen_lfi_type(choose, ctx, choose(0, 3), O_CONSTS)
+        subject = [gen_lfi_term(choose, ctx, lfi_erase_type(a),
+                                choose(0, 2), O_CONSTS), a]
     else:
         gen = gen_lfi_type if which == 1 else gen_lfi_kind
-        subject = [gen(choose, ctx, choose(0, 3))]
+        subject = [gen(choose, ctx, choose(0, 3), O_CONSTS)]
     for x, relevant in reversed(outer):
         subject = [_bind(x, relevant, t) for t in subject]
     return tuple(rehint(t, hint) for t in subject)
@@ -338,6 +421,24 @@ def _outcome(call, *args):
     return None
 
 
+def _e(n):
+    """e n : p [[z]] n."""
+    return IApp(IFVar("e"), n)
+
+
+def _d_spine(end=(ISnd,), **args):
+    """snd (d a [[e a]] z (e z) (e (s a))), well-typed at nat, with the
+    arguments named in args replaced; end wraps the spine."""
+    spine = {"x": IFVar("a"), "u": _e(IFVar("a")), "y": IConst("z"),
+             "v": _e(IConst("z")), "t": _e(IApp(IConst("s"), IFVar("a")))}
+    r = IConst("d")
+    for name, arg in {**spine, **args}.items():
+        r = (IIrrApp if name == "u" else IApp)(r, arg)
+    for wrap in end:
+        r = wrap(r)
+    return r
+
+
 class TestOpenedOracle:
     """The printer and the checker against copies that open every binder
     with a name (tests/oracles.py): the same bytes, the same verdicts,
@@ -363,6 +464,41 @@ class TestOpenedOracle:
         ours, theirs = self.CHECKERS[which]
         assert (_outcome(ours, O_SIG, ctx, *subject)
                 == _outcome(theirs, O_SIG, ctx, *subject))
+
+    def test_signature_is_well_formed(self):
+        lfi_check_sig(O_SIG)
+
+    @pytest.mark.parametrize("spine, goal, message", [
+        (_d_spine(), I_NAT, None),
+        (_d_spine(x=IFVar("c")), I_NAT,
+         "type mismatch: expected nat, synthesized p [[ z ]] z"),
+        (_d_spine(u=_e(IConst("z"))), I_NAT,
+         "type mismatch: expected p [[ z ]] a, synthesized p [[ z ]] z"),
+        (_d_spine(y=_e(IConst("z"))), I_NAT,
+         "type mismatch: expected nat, synthesized p [[ z ]] z"),
+        (_d_spine(v=_e(IFVar("a"))), I_NAT,
+         "type mismatch: expected p [[ a ]] z, synthesized p [[ z ]] a"),
+        (_d_spine(t=IFVar("c")), I_NAT,
+         "type mismatch: expected p [[ z ]] (s a), synthesized p [[ z ]] z"),
+        (IApp(_d_spine(end=()), IConst("z")), _p(IConst("z"), IConst("z")),
+         "applied term of non-function type ({w : nat} p [[ a ]] w) * (nat)"),
+        (IApp(IFst(_d_spine(end=())), IConst("z")), _p(IConst("z"), IConst("z")),
+         None),
+        (IApp(IFst(_d_spine(end=())), IFVar("c")), _p(IConst("z"), IConst("z")),
+         "type mismatch: expected nat, synthesized p [[ z ]] z"),
+        (IIrrApp(IConst("d"), IFVar("a")), I_NAT,
+         "irrelevant application at non-irrelevant type {x : nat} "
+         "p [[ z ]] x -:> {y : nat} p [[ x ]] y -> p [[ y ]] (s x) -> "
+         "({w : nat} p [[ x ]] w) * (nat)"),
+    ], ids=["well-typed", "ill-typed-1", "ill-typed-2", "ill-typed-3",
+            "ill-typed-4", "ill-typed-5", "pair-applied", "projected",
+            "after-projection", "irrelevant-at-relevant"])
+    def test_checker_matches_on_spines_of_d(self, spine, goal, message):
+        # Every argument of d is checked against its domain set to the
+        # arguments before it; a projection ends one spine and starts one.
+        ctx = [LfiCtxEntry(x, O_TYPES[x]) for x, _ in O_CTX]
+        assert _outcome(lfi_check, O_SIG, ctx, spine, goal) == message
+        assert _outcome(opened_check, O_SIG, ctx, spine, goal) == message
 
 
 # Values recorded from the named implementation, which opened every binder
@@ -408,8 +544,7 @@ class TestPinnedFailures:
 
     def test_instantiation_failure(self):
         with pytest.raises(SubstFailure) as info:
-            lfr.lfi._inst(_ip(IApp(IBVar(0), num(0))), num(0),
-                          ITPi("x", I_NAT, I_NAT))
+            lfr.lfi._inst(_ip(IApp(IBVar(0), num(0))), [(num(0), I_NN)])
         assert (info.value.reason, info.value.path) == ("non-function applied",
                                                         ("arg",))
 
@@ -434,7 +569,7 @@ class TestPinnedFuel:
                             IArrow(IBase("nat"),
                                    IProdS(IBase("nat"), IBase("nat"))),
                             I_DEP_TYPE), 29),
-        (lambda: lfr.lfi._inst(I_DEP_TYPE.cod, num(1), I_NAT), 21),
+        (lambda: lfr.lfi._inst(I_DEP_TYPE.cod, [(num(1), IBase("nat"))]), 21),
     ], ids=["beta", "projection", "instantiation"])
     def test_smallest_fuel(self, monkeypatch, call, fuel):
         monkeypatch.setenv("LFR_FUEL", str(fuel))
@@ -445,13 +580,20 @@ class TestPinnedFuel:
 
 
 @functools.cache
-def _binder_walks(m: int) -> tuple[Counter, int]:
-    """(visits of each binder walk, visits while lfi_hsubst runs) during
-    verify_translation and print_lfi on binders_text(m)."""
+def _binder_walks(m: int) -> tuple[Counter, int, int]:
+    """(visits of each binder walk, visits while a substitution walk runs,
+    fuel ticks of those walks) during verify_translation and print_lfi on
+    binders_text(m).  A walk ticks once at each node it visits."""
     sig = check_signature(parse_signature(binders_text(m)))
     result = trans_sig(sig)
     visits: Counter = Counter()
-    inside = depth = 0
+    inside = depth = ticks = 0
+
+    class Fuel(lfr.lfi._Fuel):
+        def tick(self, path):
+            nonlocal ticks
+            ticks += 1
+            super().tick(path)
 
     def visit(t, leaf, k=0):
         # open_lfi and close_lfi are leaf functions over _map_vars; a
@@ -471,13 +613,15 @@ def _binder_walks(m: int) -> tuple[Counter, int]:
         finally:
             depth -= 1
 
-    real_hsubst, walk = lfr.lfi.lfi_hsubst, lfr.lfi._map_vars
+    # lfi_hsubst and a spine's instantiation both enter the one walk here.
+    real_hsubst, walk = lfr.lfi._hsubst, lfr.lfi._map_vars
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lfr.lfi, "_map_vars", visit)
-        patch.setattr(lfr.lfi, "lfi_hsubst", hsubst)
+        patch.setattr(lfr.lfi, "_hsubst", hsubst)
+        patch.setattr(lfr.lfi, "_Fuel", Fuel)
         verify_translation(sig, result)
         print_lfi(result.lfi_sig)
-    return visits, inside
+    return visits, inside, ticks
 
 
 class TestBinderScaling:
@@ -498,9 +642,17 @@ class TestBinderScaling:
 
     @pytest.mark.parametrize("m", [8, 16])
     def test_no_binder_is_opened(self, m):
-        visits, _ = _binder_walks(m)
+        visits, _, _ = _binder_walks(m)
         assert visits["open_lfi"] == 0
         assert visits["close_lfi"] < 0.1 * self.NAMED[m]
+
+    def test_substitution_grows_gently_in_premises(self):
+        # Substituting each argument of a spine through the whole rest of
+        # its head's Pi type made 33 509 / 81 189 / 261 413 ticks at
+        # m=8 / 16 / 32; one walk per spine makes under a quarter.
+        at_8, at_32 = _binder_walks(8)[2], _binder_walks(32)[2]
+        assert at_8 <= 33_509 / 4
+        assert at_32 <= 4 ** 1.3 * at_8
 
     def test_visits_grow_gently_in_premises(self):
         # Doubling m multiplied the visits by 4.9 when substitution opened

@@ -18,3 +18,8 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statement at lines {lines}"
+
+
+def test_sources_are_found():
+    # An empty glob would leave the check above nothing to run.
+    assert {"__init__.py", "cli.py", "lfi.py"} <= {p.name for p in SOURCES}
