@@ -6,9 +6,11 @@ Subcommands:
   verify     compile in memory and re-check the result
 
 Exit codes: 0 success, 1 checking failure, 2 lexing or parsing failure
-(including unreadable input) or a non-integer LFR_FUEL, 3 verification
-failure or search budget exhaustion, 4 internal error (input nested too
-deeply for the recursion limit, or a broken internal invariant).
+(including unreadable input and input that is not UTF-8) or a usage
+error (bad options, a negative --oracle-depth, a non-integer LFR_FUEL,
+or an output path translate cannot write), 3 verification failure or
+search budget exhaustion, 4 internal error (input nested too deeply for
+the recursion limit, or a broken internal invariant).
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .diagnostics import CheckError, LexError, LfrError, ParseError, VerifyError
+from .diagnostics import (
+    CheckError,
+    LexError,
+    LfrError,
+    ParseError,
+    SourceSpan,
+    VerifyError,
+)
 from .lfr_check import check_signature, set_subsort_audit
 from .parser import parse_signature
 from .printer import pp_lfi_decl
@@ -83,9 +92,29 @@ def _decl_line(decl) -> tuple[str, str]:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        # e.object is the whole file: place the byte among the characters
+        # before it, with newlines read as the lexer reads them.
+        before = e.object[:e.start].decode("utf-8")
+        before = before.replace("\r\n", "\n").replace("\r", "\n")
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise LexError(f"invalid UTF-8 byte {e.object[e.start]:#04x}",
+                       SourceSpan(path, line, col, line, col))
+
+
+def _search_depth(text: str) -> int:
+    """An --oracle-depth: a non-negative integer."""
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = -1
+    if depth < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return depth
 
 
 def _check_file(path: str, strict: bool, oracle_depth: int | None,
@@ -151,11 +180,16 @@ def cmd_translate(args) -> int:
     result = trans_sig(sig)
     out_path = Path(args.out) if args.out else Path(args.file).with_suffix(".lfi")
     prov_path = Path(str(out_path) + ".prov")
-    out_path.write_text(
-        "\n".join(pp_lfi_decl(d) for d in result.lfi_sig) + "\n")
-    prov_path.write_text(
-        "\n".join(f"{d.name}\t{result.provenance[d.name]}"
-                  for d in result.lfi_sig) + "\n")
+    for path, lines in (
+            (out_path, (pp_lfi_decl(d) for d in result.lfi_sig)),
+            (prov_path, (f"{d.name}\t{result.provenance[d.name]}"
+                         for d in result.lfi_sig))):
+        try:
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        except OSError as e:
+            print(f"error: cannot write {path}: {e.strerror or e}",
+                  file=sys.stderr)
+            return 2
     if not args.quiet:
         print(report.render())
         print(f"wrote {out_path} ({len(result.lfi_sig)} declarations) "
@@ -197,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="parse and sort-check a signature")
     common(pc)
-    pc.add_argument("--oracle-depth", type=int, default=None, metavar="N",
+    pc.add_argument("--oracle-depth", type=_search_depth, default=None,
+                    metavar="N",
                     help="audit every atomic subsort comparison against the "
                          "declarative oracle at this search depth")
     pc.add_argument("--trace", action="store_true",

@@ -346,16 +346,10 @@ def open_lfi(t: LfiSyntax, repl: LfiAtomic, k: int = 0) -> LfiSyntax:
     return _map_vars(t, leaf, k)
 
 
-def close_lfi(t: LfiSyntax, names: Union[str, dict[str, int]], k: int = 0
-              ) -> LfiSyntax:
-    """Bind a free name as index k.  Given a map from names to offsets,
-    bind each name n as index k + offset, all in one walk."""
-    if isinstance(names, str):
-        names = {names: 0}
-
+def close_lfi(t: LfiSyntax, name: str, k: int = 0) -> LfiSyntax:
+    """Bind a free name as index k."""
     def leaf(v, depth):
-        offset = names.get(v.name) if isinstance(v, IFVar) else None
-        return v if offset is None else IBVar(depth + offset)
+        return IBVar(depth) if isinstance(v, IFVar) and v.name == name else v
     return _map_vars(t, leaf, k)
 
 

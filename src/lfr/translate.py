@@ -15,6 +15,12 @@ here: the sort checker's judgments return derivations, and `_proof`
 maps each rule to its target term.  The emitted signature is
 self-contained and re-checkable by the target checker, which
 verify_translation does.
+
+The interpretations descend the source binders by index, as the
+checkers do.  Each source binder of a function sort or class becomes the
+target binders x and x^, built with their indices in place, so no binder
+is opened, scanned for free names or closed again; a binder's name is
+only shown, drawn from the name pool against the names shown so far.
 """
 
 from __future__ import annotations
@@ -47,8 +53,7 @@ from .lfi import (
     LfiDecl,
     LfiError,
     LfiSignature,
-    _shift_lfi,
-    close_lfi,
+    _map_vars,
     lfi_check,
     lfi_check_sig,
 )
@@ -63,10 +68,11 @@ from .lfr_check import (
     subsort_q,  # noqa: F401  (bound here for bench/tracer.py to wrap)
 )
 from .printer import pp_sort
-from .subst import MetricExhausted, eta_expand
+from .subst import erase_type, eta_expand
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,
+    Arrow,
     BVar,
     CInter,
     Const,
@@ -75,7 +81,6 @@ from .syntax import (
     CSort,
     CTop,
     Context,
-    CtxEntry,
     FVar,
     KPi,
     KType,
@@ -94,8 +99,6 @@ from .syntax import (
     TPi,
     TypeFam,
     alpha_eq,
-    free_vars,
-    open_at,
     pool_name,
     sort_spine,
 )
@@ -159,31 +162,41 @@ class TransResult:
 
 # ---------------------------------------------------------------------------
 # Injection of the simply-typed skeleton
+#
+# Target syntax is built at a place (levels, depth, shown): for each
+# source binder passed, outermost first, the target level of its x (its
+# x^, if any, is just inside), its type and its shown name; the number of
+# target binders; and the names shown so far, the context's and the
+# binders'.  A domain's predicate sits under x alone.
+At = tuple[tuple[tuple[int, object, str], ...], int, frozenset[str]]
+
+
+def _root(ctx: Context = ()) -> At:
+    return ((), 0, frozenset(e.name for e in ctx))
+
+
+def _bind(at: At, x: str, a=None, binders: int = 2) -> At:
+    """at under one more source binder, of type a and shown as x."""
+    levels, depth, shown = at
+    return levels + ((depth, a, x),), depth + binders, shown | {x}
 
 
 def inj_term(t):
-    """The target term with t's structure."""
-    match t:
-        case Const(n):
-            return IConst(n)
-        case FVar(n):
-            return IFVar(n)
-        case BVar(i):
-            return IBVar(i)
-        case App(f, a):
-            return IApp(inj_term(f), inj_term(a))
-        case Lam(h, b):
-            return ILam(h, inj_term(b))
-    raise TypeError(f"inj_term: {t!r}")
+    """The target term, type or kind with t's structure."""
+    return _inj_arg(t, {})
 
 
-def _inj_arg(t, memo: dict, k: int = 0):
-    """inj_term of a term a derivation holds, read under the proof binders
-    of the enclosing `lam` derivations (see _proof): past t's own k
-    binders, the checker's index i is x, at target index k + 2i + 1.
-    `memo` maps (id, k) of each node injected to the node and its
-    injection, so that a node met again is not walked again."""
-    key = (id(t), k)
+inj_type = inj_kind = inj_term
+
+
+def _inj_arg(t, memo: dict, at: At = _root(), k: int = 0):
+    """inj_term of t read at `at`: past t's own k binders, the checker's
+    index i is its binder's x, and an index past the binders passed keeps
+    its distance to them.  `memo` maps (id, k, depth) of a node injected,
+    where a depth has one set of levels, to the node and its injection,
+    so that a node met again is not walked again."""
+    levels, depth, _ = at
+    key = (id(t), k, depth)
     if key in memo:
         return memo[key][1]
     match t:
@@ -191,36 +204,53 @@ def _inj_arg(t, memo: dict, k: int = 0):
             out = IConst(n)
         case FVar(n):
             out = IFVar(n)
+        case BVar(i) if i < k:
+            out = IBVar(i)
+        case BVar(i) if i - k < len(levels):
+            out = IBVar(k + depth - 1 - levels[k - 1 - i][0])
         case BVar(i):
-            out = IBVar(i if i < k else 2 * i - k + 1)
-        case App(f, a):
-            out = IApp(_inj_arg(f, memo, k), _inj_arg(a, memo, k))
+            out = IBVar(i + depth - len(levels))
+        case App(f, a) | TApp(f, a):
+            out = (IApp if isinstance(t, App) else ITApp)(
+                _inj_arg(f, memo, at, k), _inj_arg(a, memo, at, k))
         case Lam(h, b):
-            out = ILam(h, _inj_arg(b, memo, k + 1))
+            out = ILam(h, _inj_arg(b, memo, at, k + 1))
+        case TConst(n):
+            out = ITConst(n)
+        case KType():
+            out = IKType()
+        case TPi(h, d, c) | KPi(h, d, c):
+            out = (ITPi if isinstance(t, TPi) else IKPi)(
+                h, _inj_arg(d, memo, at, k), _inj_arg(c, memo, at, k + 1))
         case _:
             raise TypeError(f"inj_term: {t!r}")
     memo[key] = (t, out)
     return out
 
 
-def inj_type(a):
-    match a:
-        case TConst(n):
-            return ITConst(n)
-        case TApp(f, arg):
-            return ITApp(inj_type(f), inj_term(arg))
-        case TPi(h, d, c):
-            return ITPi(h, inj_type(d), inj_type(c))
-    raise TypeError(f"inj_type: {a!r}")
+def _eta(a, head, avoid: set[str]):
+    """inj_term(eta_expand(a, r)) for the atomic r whose injection, read
+    where the result is, is head, and with avoid = free_vars(r): the
+    lambdas take the hints eta_expand picks, and head moves past them."""
+    lams, avoid, a = [], set(avoid), erase_type(a)
+    while isinstance(a, Arrow):
+        lams.append((len(lams), a.dom, pool_name("x", avoid)))
+        avoid.add(lams[-1][2])
+        a = a.cod
+    if isinstance(head, IBVar):
+        head = IBVar(head.index + len(lams))
+    t = _applied(head, (lams, len(lams), avoid), IApp)
+    for *_, x in reversed(lams):
+        t = ILam(x, t)
+    return t
 
 
-def inj_kind(k):
-    match k:
-        case KType():
-            return IKType()
-        case KPi(h, d, c):
-            return IKPi(h, inj_type(d), inj_kind(c))
-    raise TypeError(f"inj_kind: {k!r}")
+def _applied(t, at: At, app=ITApp):
+    """t applied to the variable of each binder passed, eta-long."""
+    levels, depth, _ = at
+    for level, a, x in levels:
+        t = app(t, _eta(a, IBVar(depth - 1 - level), {x}))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +274,6 @@ def meta_apply(f: Metafunction, args: list):
     return f.fn(*args)
 
 
-def _close_over(t, scope: list[str]):
-    """Bind the names of the enclosing binders (outermost first) in t; a
-    name bound twice refers to its inner binder."""
-    if not scope:
-        return t
-    return close_lfi(t, {name: len(scope) - 1 - k
-                         for k, name in enumerate(scope)})
-
-
 # ---------------------------------------------------------------------------
 # Kinds
 
@@ -265,11 +286,12 @@ def trans_kind_pred(kind) -> Metafunction:
     base kind the predicate takes the formation proof irrelevantly and
     then the subject.
     """
-    def base(atoms, avoid):
+    def base(atoms, indexed, avoid):
         pf, fam = atoms
-        return IKIrrPi("_", pf, IKPi("x", fam, IKType()))
+        return IKIrrPi("_", indexed(pf, 0),
+                       IKPi("x", indexed(fam, 1), IKType()))
     return Metafunction(
-        2, lambda *atoms: _over_indices(kind, atoms, set(), IKPi, base))
+        2, lambda *atoms: _over_indices(kind, atoms, IKPi, base))
 
 
 def trans_kind_sub(kind) -> Metafunction:
@@ -280,32 +302,33 @@ def trans_kind_sub(kind) -> Metafunction:
     Index arguments come first and are bare; then the two formation
     proofs, the subject, and the proof being coerced.
     """
-    def base(atoms, avoid):
+    def base(atoms, indexed, avoid):
         fam, pf1, pred1, pf2, pred2 = atoms
-        f1, f2, x = IFVar("$f1"), IFVar("$f2"), IFVar("$x")
         subject = pool_name("x", avoid | {"f1", "f2"})
-        t = ITPi("_", ITApp(ITIrrApp(pred1, f1), x),
-                 ITApp(ITIrrApp(pred2, f2), x))
-        t = ITPi(subject, fam, close_lfi(t, "$x"))
-        t = ITPi("f2", pf2, close_lfi(t, "$f2"))
-        return ITPi("f1", pf1, close_lfi(t, "$f1"))
+        # Under f1, f2, the subject and the proof: f1 is 3, f2 2, x 1.
+        t = ITPi("_", ITApp(ITIrrApp(indexed(pred1, 3), IBVar(2)), IBVar(0)),
+                 ITApp(ITIrrApp(indexed(pred2, 4), IBVar(2)), IBVar(1)))
+        t = ITPi(subject, indexed(fam, 2), t)
+        t = ITPi("f2", indexed(pf2, 1), t)
+        return ITPi("f1", indexed(pf1, 0), t)
     return Metafunction(
-        5, lambda *atoms: _over_indices(kind, atoms, set(), ITPi, base))
+        5, lambda *atoms: _over_indices(kind, atoms, ITPi, base))
 
 
-def _over_indices(kind, atoms, avoid: set[str], pi, base):
-    """One `pi` for each index argument of kind, with every atom applied
-    to it, around base(applied atoms, names bound)."""
+def _over_indices(kind, atoms, pi, base, at: At = _root()):
+    """One `pi` for each index argument of kind, around base(atoms,
+    indexed, names bound), where indexed(t, extra) is t applied to every
+    index, read under `extra` binders more.  Each index is one target
+    binder, so the domains inject as they are."""
     match kind:
         case KType():
-            return base(atoms, avoid)
+            levels, depth, shown = at
+            return base(atoms, lambda t, extra: _applied(
+                t, (levels, depth + extra, shown)), shown)
         case KPi(h, a, k2):
-            y = pool_name(h, avoid | free_vars(k2))
-            eta_y = inj_term(eta_expand(a, FVar(y)))
-            inner = _over_indices(open_at(k2, FVar(y)),
-                                  [ITApp(t, eta_y) for t in atoms],
-                                  avoid | {y}, pi, base)
-            return pi(y, inj_type(a), close_lfi(inner, y))
+            y = pool_name(h, at[2])
+            return pi(y, inj_type(a), _over_indices(k2, atoms, pi, base,
+                                                    _bind(at, y, a, 1)))
     raise TypeError(f"_over_indices: not a kind: {kind!r}")
 
 
@@ -318,62 +341,82 @@ def trans_sort(sig: Signature, ctx: Context, s, a, mangler=None, closure=None
     """Predicate type for a sort, as a function of the (injected) subject."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return Metafunction(1, _sort_body(sig, closure, ctx, s, a, mangler, []))
+    body = _sort_body(sig, closure, ctx, (), s, a, mangler, _root(ctx))
+    return Metafunction(1, lambda n: body(n, 0))
 
 
-def _sort_body(sig, closure, ctx, s, a, mangler, scope: list[str]):
+def _sort_body(sig, closure, ctx, stack, s, a, mangler, at: At):
     """The sort's predicate type as a function of the subject.
 
-    Everything but the subject is built here, once, and bound over
-    `scope`, the names of the binders it sits under.  The function only
-    places the subject, which is read at the root of the type it builds,
-    so none of the subject's free names is captured.
+    s and a are read under the binders on `stack` (the sort checker's),
+    and the type is built at `at`, all but the subject once, here.  The
+    function takes the subject and the number of its lambdas enclosing
+    function sorts stripped, and places it (see _place) at the root of
+    the type, so none of its free names is captured.
     """
     match s:
         case STop():
-            return lambda n: ITUnitT()
+            return lambda n, p: ITUnitT()
         case SInter(l, r):
-            left = _sort_body(sig, closure, ctx, l, a, mangler, scope)
-            right = _sort_body(sig, closure, ctx, r, a, mangler, scope)
-            return lambda n: ITProd(left(n), right(n))
+            left, right = (_sort_body(sig, closure, ctx, stack, side, a,
+                                      mangler, at) for side in (l, r))
+            return lambda n, p: ITProd(left(n, p), right(n, p))
         case SPi(h, ds, dt, cod):
             if dt is None:
                 raise TypeError("trans_sort: sort was not elaborated")
             if not isinstance(a, TPi):
                 _sfail("annotation-mismatch",
                        "function sort at non-function type")
-            x = pool_name(h, {e.name for e in ctx} | free_vars(cod)
-                          | free_vars(a.cod) | free_vars(ds))
-            xhat = x + "^"
-            eta_x = inj_term(eta_expand(a.dom, FVar(x)))
-            ctx2 = list(ctx) + [CtxEntry(x, ds, a.dom)]
-            dom = _close_over(inj_type(a.dom), scope)
-            dom_pred = _close_over(meta_apply(
-                trans_sort(sig, ctx2, ds, a.dom, mangler, closure), [eta_x]),
-                scope + [x])
-            cod_body = _sort_body(sig, closure, ctx2, open_at(cod, FVar(x)),
-                                  open_at(a.cod, FVar(x)), mangler,
-                                  scope + [x, xhat])
+            wrap, stack, at = _binder(sig, closure, ctx, stack, h, ds, a.dom,
+                                      mangler, at)
+            cod_body = _sort_body(sig, closure, ctx, stack, cod, a.cod,
+                                  mangler, at)
 
-            def body(n):
+            def body(n, p):
                 if not isinstance(n, ILam):
                     raise VerifyError(
                         "reverse application of a non-function term")
-                # The subject applied to x, read under x and x^: the
-                # lambda's variable becomes x (index 1), and every outer
-                # index, now under one binder more, also goes up by one.
-                return ITPi(x, dom, ITPi(xhat, dom_pred,
-                                         cod_body(_shift_lfi(n.body, 1))))
+                # The subject applied to x: the lambda's variable becomes x
+                # when the subject is placed.
+                return wrap(cod_body(n.body, p + 1))
             return body
         case SConst() | SApp():
             head, args = sort_spine(s)
+            injected: dict = {}
             pred = ITConst(mangler.predicate(head.name))
             for m in args:
-                pred = ITApp(pred, inj_term(m))
-            qhat = trans_sort_synth(sig, ctx, s, mangler, closure)
-            pred = _close_over(ITIrrApp(pred, qhat), scope)
-            return lambda n: ITApp(pred, n)
+                pred = ITApp(pred, _inj_arg(m, injected, at))
+            form = _formations(sig, closure, ctx, stack, s)[0]
+            pred = ITIrrApp(pred, _proof(sig, closure, mangler, form, at,
+                                         injected))
+            return lambda n, p: ITApp(pred, _place(n, p))
     raise TypeError(f"trans_sort: not a sort: {s!r}")
+
+
+def _binder(sig, closure, ctx, stack, h, ds, a, mangler, at: At):
+    """For the binder of a function sort or class over ds at type a, read
+    at `at`: the function that binds x and x^ around a type, and the stack
+    and place its body is read at.  x^'s type, ds's predicate of x, sits
+    under x alone."""
+    levels, depth, shown = at
+    x = pool_name(h, shown)
+    dom = _inj_arg(a, {}, at)
+    dom_pred = _sort_body(sig, closure, ctx, stack, ds, a, mangler,
+                          (levels, depth + 1, shown | {x})
+                          )(_eta(a, IBVar(0), {x}), 0)
+    return (lambda t: ITPi(x, dom, ITPi(x + "^", dom_pred, t)),
+            stack + ((h, a, ds),), _bind(at, x, a))
+
+
+def _place(n, p: int):
+    """The subject n, p of whose lambdas function sorts stripped, placed
+    under their 2p binders x and x^: the variable of the j-th stripped
+    lambda, innermost first, is x at index 2j + 1, and an index past
+    them moves up by p."""
+    def leaf(v, k):
+        j = v.index - k if isinstance(v, IBVar) else -1
+        return v if j < 0 else IBVar(k + (2 * j + 1 if j < p else j + p))
+    return _map_vars(n, leaf) if p else n
 
 
 def trans_class_form(sig: Signature, ctx: Context, cls, mangler,
@@ -381,33 +424,28 @@ def trans_class_form(sig: Signature, ctx: Context, cls, mangler,
     """Type of a sort's intro constant, as a function of the proof family
     atom, a closed constant."""
     return Metafunction(1, lambda pf: _class_form_body(
-        sig, closure, ctx, cls, mangler, pf))
+        sig, closure, ctx, (), cls, mangler, pf, _root(ctx)))
 
 
-def _class_form_body(sig, closure, ctx, cls, mangler, pf):
+def _class_form_body(sig, closure, ctx, stack, cls, mangler, pf, at: At):
+    """cls read under the binders on `stack`, built at `at`; at `sort`,
+    pf is applied to their variables."""
     match cls:
         case CSort():
-            return pf
+            return _applied(pf, at)
         case CTop():
             return ITUnitT()
         case CInter(l, r):
-            return ITProd(_class_form_body(sig, closure, ctx, l, mangler, pf),
-                          _class_form_body(sig, closure, ctx, r, mangler, pf))
+            return ITProd(*(_class_form_body(sig, closure, ctx, stack, side,
+                                             mangler, pf, at)
+                            for side in (l, r)))
         case CPi(h, ds, dt, body):
             if dt is None:
                 raise TypeError("trans_class_form: class was not elaborated")
-            x = pool_name(h, {e.name for e in ctx} | free_vars(body)
-                          | free_vars(ds))
-            xhat = x + "^"
-            eta_x = inj_term(eta_expand(dt, FVar(x)))
-            ctx2 = list(ctx) + [CtxEntry(x, ds, dt)]
-            dom_pred = meta_apply(
-                trans_sort(sig, ctx2, ds, dt, mangler, closure), [eta_x])
-            inner_body = _class_form_body(sig, closure, ctx2,
-                                          open_at(body, FVar(x)), mangler,
-                                          ITApp(pf, eta_x))
-            inner = ITPi(xhat, dom_pred, close_lfi(inner_body, xhat))
-            return ITPi(x, inj_type(dt), close_lfi(inner, x))
+            wrap, stack, at = _binder(sig, closure, ctx, stack, h, ds, dt,
+                                      mangler, at)
+            return wrap(_class_form_body(sig, closure, ctx, stack, body,
+                                         mangler, pf, at))
     raise TypeError(f"trans_class_form: not a class: {cls!r}")
 
 
@@ -416,15 +454,8 @@ def trans_sort_synth_all(sig: Signature, ctx: Context, q, mangler=None,
     """Every formation proof of an atomic sort, in elimination order."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return [_proof(sig, closure, mangler, d, _names_of(ctx), {})
+    return [_proof(sig, closure, mangler, d, _root(ctx), {})
             for d in _formations(sig, closure, ctx, (), q)]
-
-
-def trans_sort_synth(sig: Signature, ctx: Context, q, mangler, closure):
-    """The formation proof the translator itself uses (first in order)."""
-    return _proof(sig, closure, mangler,
-                  _formations(sig, closure, ctx, (), q)[0], _names_of(ctx),
-                  {})
 
 
 def _formations(sig, closure, ctx, stack, q) -> list:
@@ -447,7 +478,7 @@ def trans_term_synth(sig: Signature, ctx: Context, r, mangler=None,
     """Synthesis set paired with the proof for each component."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return [(q, _proof(sig, closure, mangler, d, _names_of(ctx), {}))
+    return [(q, _proof(sig, closure, mangler, d, _root(ctx), {}))
             for q, d in _asynth(sig, closure, ctx, (), r, None)]
 
 
@@ -457,27 +488,23 @@ def trans_term_check(sig: Signature, ctx: Context, n, s, mangler=None,
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
     return _proof(sig, closure, mangler,
-                  _acheck(sig, closure, ctx, (), n, s, None), _names_of(ctx),
-                  {})
+                  _acheck(sig, closure, ctx, (), n, s, None), _root(ctx), {})
 
 
-def _names_of(ctx: Context) -> frozenset[str]:
-    return frozenset(e.name for e in ctx)
-
-
-def _proof(sig, closure, mangler, d, scope: frozenset[str], injected: dict):
-    """The proof a checker derivation (see lfr_check) denotes.
+def _proof(sig, closure, mangler, d, at: At, injected: dict):
+    """The proof a checker derivation (see lfr_check) denotes, at `at`.
 
     A `lam` proof binds the checker's binder twice, as x and then x^, so
-    the checker's index i is x^ at target index 2i and x at 2i + 1.  Its
-    binder is shown under the pool name its hint gets against `scope`,
-    the names shown so far: the context's and those of the enclosing
-    binders.  `injected` is _inj_arg's memo for the whole tree: the
-    arguments of an argument's premises are its own subterms, so each is
-    injected once.
+    from the root the checker's index i is x^ at target index 2i and x at
+    2i + 1.  Its binder is shown under the pool name its hint gets against
+    the names shown so far.  `injected` is _inj_arg's memo for the whole
+    tree: the arguments of an argument's premises are its own subterms, so
+    each is injected once.
     """
+    levels, depth, shown = at
+
     def premise(d1):
-        return _proof(sig, closure, mangler, d1, scope, injected)
+        return _proof(sig, closure, mangler, d1, at, injected)
 
     match d:
         case ("const", c):
@@ -485,28 +512,27 @@ def _proof(sig, closure, mangler, d, scope: frozenset[str], injected: dict):
         case ("intro", s):
             return IConst(mangler.sort_intro(s))
         case ("var", int(i)):
-            return IBVar(2 * i)
+            return IBVar(depth - 2 - levels[-1 - i][0])
         case ("var", x):
             return IFVar(x + "^")
-        case ("fst", d1):
-            return IFst(premise(d1))
-        case ("snd", d1):
-            return ISnd(premise(d1))
+        case ("fst" | "snd") as side, d1:
+            return (IFst if side == "fst" else ISnd)(premise(d1))
         case ("app", d_fn, arg, d_arg):
-            return IApp(IApp(premise(d_fn), _inj_arg(arg, injected)),
+            return IApp(IApp(premise(d_fn), _inj_arg(arg, injected, at)),
                         premise(d_arg))
         case ("unit",):
             return IUnit()
         case ("pair", d1, d2):
             return IPair(premise(d1), premise(d2))
         case ("lam", hint, body):
-            shown = pool_name(hint, scope)
-            inner = _proof(sig, closure, mangler, body, scope | {shown},
+            x = pool_name(hint, shown)
+            inner = _proof(sig, closure, mangler, body, _bind(at, x),
                            injected)
-            return ILam(shown, ILam(shown + "^", inner))
+            return ILam(x, ILam(x + "^", inner))
         case ("sub", ctx, stack, q, s, n, d1):
-            coerce = _coercion(sig, closure, ctx, stack, q, s, mangler, scope)
-            return meta_apply(coerce, [_inj_arg(n, injected), premise(d1)])
+            coerce = _coercion(sig, closure, ctx, stack, q, s, mangler, at)
+            return meta_apply(coerce, [_inj_arg(n, injected, at),
+                                       premise(d1)])
     raise TypeError(f"_proof: not a derivation: {d!r}")
 
 
@@ -516,24 +542,18 @@ def _proof(sig, closure, mangler, d, scope: frozenset[str], injected: dict):
 
 def _bfs_path(sig: Signature, a: str, b: str):
     """Shortest head path along declared edges; ties by declaration order."""
-    if a == b:
-        return []
-    parent: dict[str, str] = {}
-    queue = [a]
-    seen = {a}
-    while queue:
-        node = queue.pop(0)
+    parent, queue = {a: a}, [a]
+    for node in queue:
+        if node == b:
+            path = []
+            while node != a:
+                path.append(node)
+                node = parent[node]
+            return path[::-1]
         for nxt in sig.sub_edges.get(node, []):
-            if nxt in seen:
-                continue
-            parent[nxt] = node
-            if nxt == b:
-                path = [b]
-                while path[-1] != a:
-                    path.append(parent[path[-1]])
-                return list(reversed(path))[1:]
-            seen.add(nxt)
-            queue.append(nxt)
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
     return None
 
 
@@ -542,22 +562,21 @@ def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None,
     """Coercion between atomic sorts, a function of subject and proof."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    return _coercion(sig, closure, ctx, (), q1, q2, mangler, _names_of(ctx))
+    return _coercion(sig, closure, ctx, (), q1, q2, mangler, _root(ctx))
 
 
-def _coercion(sig, closure, ctx, stack, q1, q2, mangler, scope
+def _coercion(sig, closure, ctx, stack, q1, q2, mangler, at: At
               ) -> Metafunction:
     """Wrap the proof in one coercion per step of the first shortest path.
 
     q1 and q2 are read under the binders on stack, and each step's two
-    formation proofs under the same binders, shown against `scope` (see
-    _proof).
+    formation proofs under the same binders, all built at `at`.
     """
     injected: dict = {}
 
     def formation(q):
         return _proof(sig, closure, mangler,
-                      _formations(sig, closure, ctx, stack, q)[0], scope,
+                      _formations(sig, closure, ctx, stack, q)[0], at,
                       injected)
 
     head, spine = sort_spine(q1)
@@ -579,7 +598,7 @@ def _coercion(sig, closure, ctx, stack, q1, q2, mangler, scope
         form_step = formation(q_step)
         t = IConst(mangler.coercion(head, step))
         for m in spine:
-            t = IApp(t, _inj_arg(m, injected))
+            t = IApp(t, _inj_arg(m, injected, at))
         steps.append(IApp(IApp(t, form), form_step))
         q, head, form = q_step, step, form_step
 
@@ -600,12 +619,11 @@ def trans_ctx(sig: Signature, ctx: Context, mangler=None, closure=None
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
     out: LfiContext = []
-    prefix: list[CtxEntry] = []
-    for e in ctx:
+    for i, e in enumerate(ctx):
         out.append(LfiCtxEntry(e.name, inj_type(e.type), True))
-        prefix = prefix + [e]
-        smeta = trans_sort(sig, prefix, e.sort, e.type, mangler, closure)
-        sty = meta_apply(smeta, [inj_term(eta_expand(e.type, FVar(e.name)))])
+        smeta = trans_sort(sig, ctx[:i + 1], e.sort, e.type, mangler,
+                           closure)
+        sty = meta_apply(smeta, [_eta(e.type, IFVar(e.name), {e.name})])
         out.append(LfiCtxEntry(e.name + "^", sty, True))
     return out
 
@@ -617,43 +635,36 @@ def trans_sig(sig: Signature) -> TransResult:
     lfi_sig = LfiSignature()
     prov: dict[str, str] = {}
     emitted_refs: set[str] = set()
+
+    def emit(name: str, classifier, label: str) -> None:
+        lfi_sig.append(LfiDecl(name, classifier, decl.span))
+        prov[name] = label
+
     for decl in sig:
         match decl:
             case TypeFam(a, k):
-                lfi_sig.append(LfiDecl(a, inj_kind(k), decl.span))
-                prov[a] = f"{a} : _."
+                emit(a, inj_kind(k), f"{a} : _.")
             case TermConst(c, ty):
-                lfi_sig.append(LfiDecl(c, inj_type(ty), decl.span))
-                prov[c] = f"{c} : _."
+                emit(c, inj_type(ty), f"{c} : _.")
             case SortFam(s, ref, cls):
                 fam = sig.type_fam(ref)
                 label = f"{s} << {ref}."
                 pf = mangler.sort_proof_fam(s)
-                lfi_sig.append(LfiDecl(pf, inj_kind(fam.kind), decl.span))
-                prov[pf] = label
+                emit(pf, inj_kind(fam.kind), label)
                 form = meta_apply(trans_class_form(sig, [], cls, mangler,
                                                    closure), [ITConst(pf)])
-                intro = mangler.sort_intro(s)
-                lfi_sig.append(LfiDecl(intro, form, decl.span))
-                prov[intro] = label
+                emit(mangler.sort_intro(s), form, label)
                 pred = mangler.predicate(s)
-                pkind = meta_apply(trans_kind_pred(fam.kind),
-                                   [ITConst(pf), ITConst(ref)])
-                lfi_sig.append(LfiDecl(pred, pkind, decl.span))
-                prov[pred] = label
+                emit(pred, meta_apply(trans_kind_pred(fam.kind),
+                                      [ITConst(pf), ITConst(ref)]), label)
             case SubDecl(s1, s2):
                 f1 = sig.sort_fam(s1)
                 kind = sig.type_fam(f1.refines).kind
-                ty = meta_apply(trans_kind_sub(kind), [
-                    ITConst(f1.refines),
-                    ITConst(mangler.sort_proof_fam(s1)),
-                    ITConst(mangler.predicate(s1)),
-                    ITConst(mangler.sort_proof_fam(s2)),
-                    ITConst(mangler.predicate(s2)),
-                ])
-                name = mangler.coercion(s1, s2)
-                lfi_sig.append(LfiDecl(name, ty, decl.span))
-                prov[name] = f"{s1} <: {s2}."
+                ty = meta_apply(trans_kind_sub(kind), [ITConst(n) for n in (
+                    f1.refines, mangler.sort_proof_fam(s1),
+                    mangler.predicate(s1), mangler.sort_proof_fam(s2),
+                    mangler.predicate(s2))])
+                emit(mangler.coercion(s1, s2), ty, f"{s1} <: {s2}.")
             case ConstRef(c, _):
                 if c in emitted_refs:
                     continue
@@ -662,11 +673,8 @@ def trans_sig(sig: Signature) -> TransResult:
                 merged = sig.merged_ref_sort(c)
                 smeta = trans_sort(sig, [], merged, const.type, mangler,
                                    closure)
-                subject = inj_term(eta_expand(const.type, Const(c)))
-                chat = mangler.term_const(c)
-                lfi_sig.append(LfiDecl(
-                    chat, meta_apply(smeta, [subject]), decl.span))
-                prov[chat] = f"{c} :: _."
+                ty = meta_apply(smeta, [_eta(const.type, IConst(c), set())])
+                emit(mangler.term_const(c), ty, f"{c} :: _.")
     return TransResult(lfi_sig, prov, mangler)
 
 
@@ -679,20 +687,13 @@ def verify_translation(sig: Signature, result: TransResult) -> None:
     """
     try:
         lfi_check_sig(result.lfi_sig)
-    except MetricExhausted:
-        raise
     except LfiError as e:
         raise VerifyError(
             f"translated signature failed re-checking: {e.message}")
     closure = build_closure(sig)
-    seen: set[str] = set()
-    for decl in sig:
-        if not isinstance(decl, ConstRef) or decl.const in seen:
-            continue
-        seen.add(decl.const)
-        const = sig.term_const(decl.const)
-        merged = sig.merged_ref_sort(decl.const)
-        subject = eta_expand(const.type, Const(decl.const))
+    for c in dict.fromkeys(d.const for d in sig if isinstance(d, ConstRef)):
+        const, merged = sig.term_const(c), sig.merged_ref_sort(c)
+        subject = eta_expand(const.type, Const(c))
         try:
             nhat = trans_term_check(sig, [], subject, merged, result.mangler,
                                     closure)
@@ -700,9 +701,7 @@ def verify_translation(sig: Signature, result: TransResult) -> None:
                                closure)
             goal = meta_apply(smeta, [inj_term(subject)])
             lfi_check(result.lfi_sig, [], nhat, goal)
-        except MetricExhausted:
-            raise
         except (LfiError, SortError) as e:
             raise VerifyError(
-                f"translated proof for {decl.const} failed re-checking: "
+                f"translated proof for {c} failed re-checking: "
                 f"{e.message}")

@@ -318,6 +318,68 @@ def gen_class(choose, ctx, depth: int):
     return CPi(name, gen_dep_sort(choose, ctx, depth - 1), dom, body)
 
 
+# A signature for the dependent classifiers: gen_dep_sort's atoms are
+# q N, with q refining t; pp refines the p of gen_type's atoms, and k
+# gives terms at the type t N.
+REF_TEXT = (
+    "nat : type. z : nat. s : nat -> nat. h : (nat -> nat) -> nat.\n"
+    "even << nat. odd << nat. pos << nat. odd <: pos.\n"
+    "z :: even. s :: even -> odd ^ odd -> even ^ # -> pos.\n"
+    "h :: (even -> odd) -> even ^ # -> pos.\n"
+    "t : nat -> type. k : {y : nat} t y.\n"
+    "q << t :: (even -> sort) ^ (pos -> sort).\n"
+    "k :: {y :: even} q y.\n"
+    "p : nat -> nat -> type.\n"
+    "pp << p :: # -> # -> sort.\n")
+REF_CONSTS = HO_CONSTS + (("k", Arrow(NAT, Base("t"))),)
+# Binder hints that the context x, x' (and y) uses, that the name pool
+# draws for, and that nothing else uses.
+HINTS = ("x", "x'", "y", "b1", "_")
+
+
+def refining(choose, a):
+    """A sort that refines the type a, or at nat one of four."""
+    match a:
+        case TPi(h, d, c):
+            return SPi(h, refining(choose, d), d, refining(choose, c))
+        case TApp(TApp(_, m), n):
+            return SApp(SApp(SConst("pp"), m), n)
+        case TApp(_, n):
+            return SApp(SConst("q"), n)
+    return (SConst("even"), SConst("odd"), SConst("pos"),
+            STop())[choose(0, 3)]
+
+
+def sort_fit(choose, t):
+    """A generated sort or class with most function domains replaced by a
+    sort that refines the domain type, so that most elaborate."""
+    match t:
+        case SPi(h, ds, dt, c) | CPi(h, ds, dt, c):
+            if choose(0, 3):
+                ds = refining(choose, dt)
+            return type(t)(h, ds, dt, sort_fit(choose, c))
+        case SInter(l, r) | CInter(l, r):
+            return type(t)(sort_fit(choose, l), sort_fit(choose, r))
+    return t
+
+
+def refined(t):
+    """The type or kind a fitted sort or class is meant to refine; None
+    for a sort any type can carry."""
+    match t:
+        case SPi(h, _, dt, c):
+            return TPi(h, dt, refined(c) or TApp(TConst("t"), Const("z")))
+        case CPi(h, _, dt, c):
+            return KPi(h, dt, refined(c))
+        case SApp(_, n):
+            return TApp(TConst("t"), n)
+        case SInter(l, r) | CInter(l, r):
+            return refined(l) or refined(r)
+        case CSort() | CTop():
+            return KType()
+    return None
+
+
 # ---------------------------------------------------------------------------
 # The target calculus: terms at extended simple types, types and kinds.
 

@@ -1156,3 +1156,168 @@ def opened_elab_class(sig, closure, ctx, cls, kind):
                 sig, closure, ctx + [s.CtxEntry(x, ds2, kind.dom)], b, kc)
             return s.CPi(h, ds2, kind.dom, close_at(body2, x))
     raise TypeError(cls)
+
+
+# ---------------------------------------------------------------------------
+# The translator that opens every binder.
+#
+# translate.py's sort, class and kind interpretations as they were before
+# they descended binders by index: at each binder they name the variable
+# from the name pool, primed away from the context's names, the names of
+# the enclosing binders and the free names of what lies inside, open the
+# rest with that name, and bind the names again around what they built.
+# The package must build the same target syntax, binder hints included.
+# A formation proof is the package's proof of the sort checker's first
+# derivation, read in an opened context with no binders; the mangler,
+# meta_apply and the injections are the package's too.
+
+from lfr.diagnostics import VerifyError  # noqa: E402
+from lfr.lfi import _shift_lfi, close_lfi  # noqa: E402
+from lfr.lfr_check import _sfail  # noqa: E402
+from lfr.subst import eta_expand  # noqa: E402
+from lfr.syntax import pool_name  # noqa: E402
+from lfr.translate import (  # noqa: E402
+    Metafunction,
+    _formations,
+    _proof,
+    _root,
+    inj_term,
+    inj_type,
+    meta_apply,
+)
+
+
+def _close_over(t, scope: list[str]):
+    """Bind the names of the enclosing binders (outermost first) in t; a
+    name bound twice refers to its inner binder."""
+    offsets = {name: len(scope) - 1 - k for k, name in enumerate(scope)}
+    for name, offset in offsets.items():
+        t = close_lfi(t, name, offset)
+    return t
+
+
+def opened_trans_kind_pred(kind) -> Metafunction:
+    def base(atoms, avoid):
+        pf, fam = atoms
+        return L.IKIrrPi("_", pf, L.IKPi("x", fam, L.IKType()))
+    return Metafunction(2, lambda *atoms: _opened_over_indices(
+        kind, atoms, set(), L.IKPi, base))
+
+
+def opened_trans_kind_sub(kind) -> Metafunction:
+    def base(atoms, avoid):
+        fam, pf1, pred1, pf2, pred2 = atoms
+        f1, f2, x = L.IFVar("$f1"), L.IFVar("$f2"), L.IFVar("$x")
+        subject = pool_name("x", avoid | {"f1", "f2"})
+        t = L.ITPi("_", L.ITApp(L.ITIrrApp(pred1, f1), x),
+                   L.ITApp(L.ITIrrApp(pred2, f2), x))
+        t = L.ITPi(subject, fam, close_lfi(t, "$x"))
+        t = L.ITPi("f2", pf2, close_lfi(t, "$f2"))
+        return L.ITPi("f1", pf1, close_lfi(t, "$f1"))
+    return Metafunction(5, lambda *atoms: _opened_over_indices(
+        kind, atoms, set(), L.ITPi, base))
+
+
+def _opened_over_indices(kind, atoms, avoid: set[str], pi, base):
+    match kind:
+        case s.KType():
+            return base(atoms, avoid)
+        case s.KPi(h, a, k2):
+            y = pool_name(h, avoid | free_vars(k2))
+            eta_y = inj_term(eta_expand(a, s.FVar(y)))
+            inner = _opened_over_indices(open_at(k2, s.FVar(y)),
+                                         [L.ITApp(t, eta_y) for t in atoms],
+                                         avoid | {y}, pi, base)
+            return pi(y, inj_type(a), close_lfi(inner, y))
+    raise TypeError(kind)
+
+
+def opened_trans_sort(sig, ctx, sort, a, mangler, closure) -> Metafunction:
+    return Metafunction(1, _opened_sort_body(sig, closure, ctx, sort, a,
+                                             mangler, []))
+
+
+def _opened_sort_body(sig, closure, ctx, sort, a, mangler, scope: list[str]):
+    match sort:
+        case s.STop():
+            return lambda n: L.ITUnitT()
+        case s.SInter(l, r):
+            left = _opened_sort_body(sig, closure, ctx, l, a, mangler, scope)
+            right = _opened_sort_body(sig, closure, ctx, r, a, mangler, scope)
+            return lambda n: L.ITProd(left(n), right(n))
+        case s.SPi(h, ds, _, cod):
+            if not isinstance(a, s.TPi):
+                _sfail("annotation-mismatch",
+                       "function sort at non-function type")
+            x = pool_name(h, {e.name for e in ctx} | free_vars(cod)
+                          | free_vars(a.cod) | free_vars(ds))
+            eta_x = inj_term(eta_expand(a.dom, s.FVar(x)))
+            ctx2 = list(ctx) + [s.CtxEntry(x, ds, a.dom)]
+            dom = _close_over(inj_type(a.dom), scope)
+            dom_pred = _close_over(meta_apply(
+                opened_trans_sort(sig, ctx2, ds, a.dom, mangler, closure),
+                [eta_x]), scope + [x])
+            cod_body = _opened_sort_body(
+                sig, closure, ctx2, open_at(cod, s.FVar(x)),
+                open_at(a.cod, s.FVar(x)), mangler, scope + [x, x + "^"])
+
+            def body(n):
+                if not isinstance(n, L.ILam):
+                    raise VerifyError(
+                        "reverse application of a non-function term")
+                return L.ITPi(x, dom, L.ITPi(x + "^", dom_pred,
+                                             cod_body(_shift_lfi(n.body, 1))))
+            return body
+        case s.SConst() | s.SApp():
+            head, args = s.sort_spine(sort)
+            pred = L.ITConst(mangler.predicate(head.name))
+            for m in args:
+                pred = L.ITApp(pred, inj_term(m))
+            qhat = _proof(sig, closure, mangler,
+                          _formations(sig, closure, ctx, (), sort)[0],
+                          _root(ctx), {})
+            pred = _close_over(L.ITIrrApp(pred, qhat), scope)
+            return lambda n: L.ITApp(pred, n)
+    raise TypeError(sort)
+
+
+def opened_trans_class_form(sig, ctx, cls, mangler, closure) -> Metafunction:
+    return Metafunction(1, lambda pf: _opened_class_form_body(
+        sig, closure, ctx, cls, mangler, pf))
+
+
+def _opened_class_form_body(sig, closure, ctx, cls, mangler, pf):
+    match cls:
+        case s.CSort():
+            return pf
+        case s.CTop():
+            return L.ITUnitT()
+        case s.CInter(l, r):
+            return L.ITProd(
+                _opened_class_form_body(sig, closure, ctx, l, mangler, pf),
+                _opened_class_form_body(sig, closure, ctx, r, mangler, pf))
+        case s.CPi(h, ds, dt, body):
+            x = pool_name(h, {e.name for e in ctx} | free_vars(body)
+                          | free_vars(ds))
+            eta_x = inj_term(eta_expand(dt, s.FVar(x)))
+            ctx2 = list(ctx) + [s.CtxEntry(x, ds, dt)]
+            dom_pred = meta_apply(
+                opened_trans_sort(sig, ctx2, ds, dt, mangler, closure), [eta_x])
+            inner_body = _opened_class_form_body(
+                sig, closure, ctx2, open_at(body, s.FVar(x)), mangler,
+                L.ITApp(pf, eta_x))
+            inner = L.ITPi(x + "^", dom_pred, close_lfi(inner_body, x + "^"))
+            return L.ITPi(x, inj_type(dt), close_lfi(inner, x))
+    raise TypeError(cls)
+
+
+def opened_trans_ctx(sig, ctx, mangler, closure) -> list:
+    out = []
+    for i, e in enumerate(ctx):
+        out.append(LfiCtxEntry(e.name, inj_type(e.type), True))
+        smeta = opened_trans_sort(sig, ctx[:i + 1], e.sort, e.type, mangler,
+                                  closure)
+        sty = meta_apply(smeta, [inj_term(eta_expand(e.type,
+                                                     s.FVar(e.name)))])
+        out.append(LfiCtxEntry(e.name + "^", sty, True))
+    return out

@@ -109,6 +109,39 @@ class TestCheck:
             f"{src}:{where}: error: unexpected character {digit!r}\n"
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("data, where, byte", [
+        (b"nat : type.\n\xff\n", "2:1", "0xff"),
+        (b"nat : type.\r\nc : nat. % caf\xc3\xa9 \xe9t\xe9\n", "2:17",
+         "0xe9"),
+    ], ids=["line-start", "after-multibyte"])
+    def test_non_utf8_input_is_a_lexing_error(self, tmp_path, data, where,
+                                              byte):
+        # The byte's place counts the characters before it, and a CRLF as
+        # one line break, as the lexer reads them.
+        src = tmp_path / "latin1.lfr"
+        src.write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lfr.cli", "check", str(src)],
+            capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == 2
+        assert proc.stderr == \
+            f"{src}:{where}: error: invalid UTF-8 byte {byte}\n"
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("depth", ["-5", "-1", "two"])
+    def test_bad_oracle_depth_is_a_usage_error(self, depth, capsys):
+        # A negative depth would audit with a search that finds nothing.
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", "--oracle-depth", depth, str(golden_path("nat"))])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument --oracle-depth: expected a non-negative integer, "
+                f"got {depth!r}") in err
+
+    def test_zero_oracle_depth_is_accepted(self, capsys):
+        assert main(["check", "--quiet", "--oracle-depth", "0",
+                     str(golden_path("nat"))]) == 0
+
     @pytest.mark.parametrize("text, where", [
         ("nat : type.\nc : {0}.\n", "2:5"),
         ("nat : type.\nc : nat -> nat -> nat.\n%infix right {0} c.\n",
@@ -185,6 +218,32 @@ class TestTranslate:
         assert src.with_suffix(".lfi").exists()
         assert (tmp_path / "even-odd.lfi.prov").exists()
         assert "induced failure" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("dest, reason", [
+        ("missing/x.lfi", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, dest,
+                                                reason):
+        src = self._src(tmp_path)
+        out = tmp_path / dest
+        proc = subprocess.run(
+            [sys.executable, "-m", "lfr.cli", "translate", str(src), "-o",
+             str(out)],
+            capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write {out}: {reason}\n"
+        assert proc.stdout == ""
+
+    def test_unwritable_sidecar_is_a_usage_error(self, tmp_path, capsys):
+        # The output is written, and its sidecar's path is a directory.
+        src = self._src(tmp_path)
+        (tmp_path / "even-odd.lfi.prov").mkdir()
+        assert main(["translate", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path / 'even-odd.lfi.prov'}: "
+            f"Is a directory\n")
 
 
 def _after_leading_comment(data: bytes) -> bytes:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import lfr.lf
 import lfr.lfr_check
+import lfr.translate
 
 from lfr import (
     CheckError,
@@ -32,19 +33,11 @@ from lfr.lfr_check import SortError, _elab_class, set_subsort_audit
 from lfr.subst import erase_type, eta_expand
 from lfr.syntax import (
     App,
-    Arrow,
-    Base,
     BVar,
-    CInter,
     Const,
     ConstRef,
-    CPi,
-    CSort,
-    CTop,
     CtxEntry,
     FVar,
-    KPi,
-    KType,
     Lam,
     SApp,
     SConst,
@@ -61,8 +54,10 @@ from lfr.syntax import (
 
 from conftest import DEP_TEXT, GOLDEN_NAMES, checkout_env
 from gen import (
-    HO_CONSTS,
+    HINTS,
     NAT,
+    REF_CONSTS,
+    REF_TEXT,
     deep_signature,
     gen_class,
     gen_dep_sort,
@@ -70,7 +65,10 @@ from gen import (
     gen_sort,
     gen_type,
     numeral,
+    refined,
+    refining,
     rehint,
+    sort_fit,
     wide_signature,
 )
 from oracles import (
@@ -649,62 +647,7 @@ def _catch(f):
     return None
 
 
-# gen_dep_sort's atoms are q N, with q refining t; pp refines the p of
-# gen_type's atoms, and k gives terms at the type t N.
-REF_SIG = check_signature(parse_signature(
-    "nat : type. z : nat. s : nat -> nat. h : (nat -> nat) -> nat.\n"
-    "even << nat. odd << nat. pos << nat. odd <: pos.\n"
-    "z :: even. s :: even -> odd ^ odd -> even ^ # -> pos.\n"
-    "h :: (even -> odd) -> even ^ # -> pos.\n"
-    "t : nat -> type. k : {y : nat} t y.\n"
-    "q << t :: (even -> sort) ^ (pos -> sort).\n"
-    "k :: {y :: even} q y.\n"
-    "p : nat -> nat -> type.\n"
-    "pp << p :: # -> # -> sort.\n"))
-REF_CONSTS = HO_CONSTS + (("k", Arrow(NAT, Base("t"))),)
-HINTS = ("x", "x'", "y", "b1", "_")
-
-
-def _refining(choose, a):
-    """A sort that refines the type a, or at nat one of four."""
-    match a:
-        case TPi(h, d, c):
-            return SPi(h, _refining(choose, d), d, _refining(choose, c))
-        case TApp(TApp(_, m), n):
-            return SApp(SApp(SConst("pp"), m), n)
-        case TApp(_, n):
-            return SApp(SConst("q"), n)
-    return (EVEN, ODD, POS, STop())[choose(0, 3)]
-
-
-def _fit(choose, t):
-    """A generated sort or class with most function domains replaced by a
-    sort that refines the domain type, so that most elaborate."""
-    match t:
-        case SPi(h, ds, dt, c) | CPi(h, ds, dt, c):
-            if choose(0, 3):
-                ds = _refining(choose, dt)
-            return type(t)(h, ds, dt, _fit(choose, c))
-        case SInter(l, r) | CInter(l, r):
-            return type(t)(_fit(choose, l), _fit(choose, r))
-    return t
-
-
-def _refined(t):
-    """The type or kind a fitted sort or class is meant to refine; None
-    for a sort any type can carry."""
-    match t:
-        case SPi(h, _, dt, c):
-            return TPi(h, dt, _refined(c) or TApp(TConst("t"), Const("z")))
-        case CPi(h, _, dt, c):
-            return KPi(h, dt, _refined(c))
-        case SApp(_, n):
-            return TApp(TConst("t"), n)
-        case SInter(l, r) | CInter(l, r):
-            return _refined(l) or _refined(r)
-        case CSort() | CTop():
-            return KType()
-    return None
+REF_SIG = check_signature(parse_signature(REF_TEXT))
 
 
 def reference_instances(seed: int):
@@ -725,11 +668,11 @@ def reference_instances(seed: int):
         # A variable at a sort that refines a dependent type, expanded:
         # the sorts of its arguments mention the binders before them.
         a = rehint(gen_type(choose, gctx, choose(1, 3)), hint)
-        s = elaborate_sort(REF_SIG, ctx, _refining(choose, a), a)
+        s = elaborate_sort(REF_SIG, ctx, refining(choose, a), a)
         return 2, ctx + [CtxEntry("f", s, a)], (eta_expand(a, FVar("f")), s)
     gen = gen_class if which == 1 else gen_dep_sort
-    s = rehint(_fit(choose, gen(choose, gctx, choose(0, 3))), hint)
-    a = _refined(s) or TApp(TConst("t"), Const("z"))
+    s = rehint(sort_fit(choose, gen(choose, gctx, choose(0, 3))), hint)
+    a = refined(s) or TApp(TConst("t"), Const("z"))
     if which == 0 and not choose(0, 3):
         a = rehint(gen_type(choose, gctx, choose(0, 2)), hint)
     if which < 2:
@@ -776,16 +719,22 @@ class TestOpenedReference:
 # The operations a judgment needs to open a binder: opening, closing,
 # collecting free names, and picking a fresh name.
 OPENING = {"open_at", "close_at", "free_vars", "fresh_name", "pool_name"}
+# The translator shows its binders under pool names, but opens none of
+# them in either language.
+TRANSLATOR_OPENING = OPENING - {"fresh_name", "pool_name"} | {"close_lfi"}
 
 
 class TestBinderDiscipline:
     """The source judgments descend binders by index and name them only
-    for messages, through syntax.binder_names: neither checker module
-    takes an operation that opening a binder needs."""
+    for messages, through syntax.binder_names, and the translator builds
+    its binders by index and only shows their names: none of these
+    modules takes an operation that opening a binder needs."""
 
-    @pytest.mark.parametrize("module", (lfr.lf, lfr.lfr_check),
-                             ids=("lf", "lfr_check"))
-    def test_takes_no_opening_operation(self, module):
+    @pytest.mark.parametrize("module, forbidden",
+                             ((lfr.lf, OPENING), (lfr.lfr_check, OPENING),
+                              (lfr.translate, TRANSLATOR_OPENING)),
+                             ids=("lf", "lfr_check", "translate"))
+    def test_takes_no_opening_operation(self, module, forbidden):
         tree = ast.parse(Path(module.__file__).read_text())
         taken = set()
         for node in ast.walk(tree):
@@ -793,4 +742,4 @@ class TestBinderDiscipline:
                 taken |= {a.name.rpartition(".")[2] for a in node.names}
             elif isinstance(node, ast.Attribute):
                 taken.add(node.attr)
-        assert not taken & OPENING
+        assert not taken & forbidden
