@@ -8,9 +8,10 @@ Subcommands:
 Exit codes: 0 success, 1 checking failure, 2 lexing or parsing failure
 (including unreadable input and input that is not UTF-8) or a usage
 error (bad options, a negative --oracle-depth, a non-integer LFR_FUEL,
-or an output path translate cannot write), 3 verification failure or
-search budget exhaustion, 4 internal error (input nested too deeply for
-the recursion limit, or a broken internal invariant).
+or an output path translate cannot write or that names its input), 3
+verification failure or search budget exhaustion, 4 internal error
+(input nested too deeply for the recursion limit, or a broken internal
+invariant).
 """
 
 from __future__ import annotations
@@ -91,13 +92,15 @@ def _decl_line(decl) -> tuple[str, str]:
 
 
 def _read(path: str) -> str:
+    """The text of path; one leading byte-order mark is dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
     except UnicodeDecodeError as e:
-        # e.object is the whole file: place the byte among the characters
-        # before it, with newlines read as the lexer reads them.
+        # e.object is the whole file after its byte-order mark: place the
+        # byte among the characters before it, with newlines read as the
+        # lexer reads them.
         before = e.object[:e.start].decode("utf-8")
         before = before.replace("\r\n", "\n").replace("\r", "\n")
         line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
@@ -175,11 +178,24 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _is_file(path: Path, other: str) -> bool:
+    """Whether path names the existing file other."""
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return False
+
+
 def cmd_translate(args) -> int:
-    sig, report = _check_file(args.file, args.strict, None)
-    result = trans_sig(sig)
     out_path = Path(args.out) if args.out else Path(args.file).with_suffix(".lfi")
     prov_path = Path(str(out_path) + ".prov")
+    for path in (out_path, prov_path):
+        if _is_file(path, args.file):
+            print(f"error: cannot write {path}: it is the input file",
+                  file=sys.stderr)
+            return 2
+    sig, report = _check_file(args.file, args.strict, None)
+    result = trans_sig(sig)
     for path, lines in (
             (out_path, (pp_lfi_decl(d) for d in result.lfi_sig)),
             (prov_path, (f"{d.name}\t{result.provenance[d.name]}"

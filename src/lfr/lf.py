@@ -3,9 +3,11 @@
 Terms are checked against types, atomic terms synthesize, and types are
 checked against kinds.  Because the syntax only admits canonical forms,
 definitional equality is alpha-equivalence and instantiation goes
-through hereditary substitution.  The checkers descend binders by index,
-keeping a stack of the binders passed, and name them only to build a
-message; the sort checker shares that stack.
+through hereditary substitution.  A head is applied to its whole spine:
+each argument is checked against its domain set to the arguments before
+it, and the codomain is set to all of them in one walk.  The checkers
+descend binders by index, keeping a stack of the binders passed, and name
+them only to build a message; the sort checker shares that stack.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Optional
 
 from .diagnostics import CheckError, SourceSpan
 from .printer import pp_term, pp_type
-from .subst import MetricExhausted, SubstFailure, hsubst_syntax
+from .subst import MetricExhausted, SubstFailure, erase_type, inst_spine
+from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,
     BVar,
@@ -35,7 +38,7 @@ from .syntax import (
     is_atomic_term,
     named,
     shift,
-    type_spine,
+    spine,
 )
 
 _KINDS = ("type mismatch", "unbound name", "non-atomic at atomic type",
@@ -81,10 +84,11 @@ def _pp_tm(t, ctx, stack) -> str:
     return pp_term(named(t, binder_names((n for n, _ in ctx), stack)))
 
 
-def _inst(body, arg, dom, what: str):
-    """body, under one binder of type dom, with that binder set to arg."""
+def _inst(t, done, what: str):
+    """t, under a binder for each (argument, erased domain) pair of done,
+    outermost first, with those binders set to the arguments."""
     try:
-        return hsubst_syntax(arg, 0, dom, body)
+        return inst_spine(t, done)
     except MetricExhausted:
         raise
     except SubstFailure as e:
@@ -121,14 +125,20 @@ def _synth(sig: Signature, ctx, stack, r):
             return ty
         case BVar(i) if i < len(stack):
             return shift(stack[-1 - i][1], i + 1)
-        case App(f, a):
-            fty = _synth(sig, ctx, stack, f)
-            if not isinstance(fty, TPi):
-                _fail("type mismatch", f"applied term of non-function type "
-                      f"{_pp_ty(fty, ctx, stack)}",
-                      actual=_pp_ty(fty, ctx, stack))
-            _check(sig, ctx, stack, a, fty.dom)
-            return _inst(fty.cod, a, fty.dom, "a function codomain")
+        case App():
+            h, args = spine(r)
+            ty, done = _synth(sig, ctx, stack, h), []
+            for arg in args:
+                if not isinstance(ty, TPi):
+                    shown = _pp_ty(_inst(ty, done, "a function codomain"),
+                                   ctx, stack)
+                    _fail("type mismatch", f"applied term of non-function "
+                          f"type {shown}", actual=shown)
+                _check(sig, ctx, stack, arg,
+                       _inst(ty.dom, done, "a function codomain"))
+                done.append((arg, erase_type(ty.dom)))
+                ty = ty.cod
+            return _inst(ty, done, "a function codomain")
     raise TypeError(f"lf_synth_term: not atomic: {r!r}")
 
 
@@ -169,20 +179,23 @@ def _check_type(sig: Signature, ctx, stack, a) -> None:
 
 
 def _synth_spine_kind(sig: Signature, ctx, stack, a):
-    a, spine = type_spine(a)
+    a, args = spine(a)
     if not isinstance(a, TConst):
         raise TypeError(f"_synth_spine_kind: type head is not a constant: {a!r}")
     decl = sig.type_fam(a.name)
     if decl is None:
         _fail("unbound name", f"unbound type family {a.name}")
-    kind = decl.kind
-    for arg in spine:
+    kind, done = decl.kind, []
+    for arg in args:
         if not isinstance(kind, KPi):
             _fail("ill-formed kind",
                   f"type family {a.name} applied to too many arguments")
-        _check(sig, ctx, stack, arg, kind.dom)
-        kind = _inst(kind.cod, arg, kind.dom, "a kind codomain")
-    return kind
+        _check(sig, ctx, stack, arg, _inst(kind.dom, done, "a kind codomain"))
+        done.append((arg, erase_type(kind.dom)))
+        kind = kind.cod
+    # A kind ends in `type`, which no substitution changes.
+    return kind if isinstance(kind, KType) else _inst(kind, done,
+                                                      "a kind codomain")
 
 
 def _check_kind(sig: Signature, ctx, stack, k) -> None:

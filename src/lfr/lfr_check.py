@@ -45,7 +45,8 @@ from .diagnostics import CheckError, Message, SourceSpan
 from .printer import pp_sort, pp_term, pp_type
 from .lf import LfError, _check as _lf_check, lf_check_kind, lf_check_type
 from .lf import lf_check_term  # noqa: F401  (bound for bench/tracer.py)
-from .subst import MetricExhausted, SubstFailure, hsubst_syntax
+from .subst import MetricExhausted, SubstFailure, erase_type, inst_spine
+from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,
     BVar,
@@ -225,23 +226,24 @@ def _audit(ctx, stack, q, s, ok: bool) -> None:
 
 def split(s, trace: Optional[list] = None) -> list:
     """Flatten a sort into its atomic and function components."""
-    return [q for q, _ in _split(s, None, trace)]
+    return [q for q, _, _ in _split(s, None, (), trace)]
 
 
-def _split(s, d, trace) -> list:
-    """split, pairing each component with its projection out of d."""
+def _split(s, d, done, trace) -> list:
+    """split, pairing each component with its projection out of d and the
+    arguments done it is read under (see _apply_delta)."""
     match s:
         case SInter(l, r):
             if trace is not None:
                 trace.append("∧-E₁")
-            left = _split(l, ("fst", d), trace)
+            left = _split(l, ("fst", d), done, trace)
             if trace is not None:
                 trace.append("∧-E₂")
-            return left + _split(r, ("snd", d), trace)
+            return left + _split(r, ("snd", d), done, trace)
         case STop():
             return []
         case _:
-            return [(s, d)]
+            return [(s, d, done)]
 
 
 def asynth(sig: Signature, ctx: Context, r, closure: Optional[SubsortClosure] = None,
@@ -252,6 +254,23 @@ def asynth(sig: Signature, ctx: Context, r, closure: Optional[SubsortClosure] = 
 
 
 def _asynth(sig, closure, ctx, stack, r, trace) -> list:
+    """The synthesis set of r: its head's components, applied to its whole
+    spine.  A component is read under the arguments it has taken (see
+    _apply_delta), and is set to them once, when the spine ends."""
+    out = []
+    for q, d, done in _pending(sig, closure, ctx, stack, r, trace):
+        try:
+            out.append((inst_spine(q, done), d))
+        except MetricExhausted:
+            raise
+        except SubstFailure:
+            continue
+    return out
+
+
+def _pending(sig, closure, ctx, stack, r, trace) -> list:
+    """The (sort, derivation, done) components of r, before they are set
+    to the arguments done they have taken."""
     match r:
         case Const(n):
             merged = sig.merged_ref_sort(n)
@@ -260,7 +279,7 @@ def _asynth(sig, closure, ctx, stack, r, trace) -> list:
                        f"constant {n} has no refinement declaration")
             if trace is not None:
                 trace.append("const")
-            return _split(merged, ("const", n), trace)
+            return _split(merged, ("const", n), (), trace)
         case FVar(n):
             entry = ctx_lookup(ctx, n)
             if entry is None:
@@ -268,13 +287,14 @@ def _asynth(sig, closure, ctx, stack, r, trace) -> list:
                        f"variable {n} is not in the context")
             if trace is not None:
                 trace.append("var")
-            return _split(entry.sort, ("var", n), trace)
+            return _split(entry.sort, ("var", n), (), trace)
         case BVar(i) if i < len(stack):
             if trace is not None:
                 trace.append("var")
-            return _split(shift(stack[-1 - i][2], i + 1), ("var", i), trace)
+            return _split(shift(stack[-1 - i][2], i + 1), ("var", i), (),
+                          trace)
         case App(f, a):
-            d = _asynth(sig, closure, ctx, stack, f, trace)
+            d = _pending(sig, closure, ctx, stack, f, trace)
             out = _apply_delta(sig, closure, ctx, stack, d, a, trace)
             if trace is not None:
                 trace.append("Π-E")
@@ -317,24 +337,31 @@ def _shared_synth(sig, closure, ctx, stack, n, trace) -> Callable[[], list]:
     return synth
 
 
-def _apply_delta(sig, closure, ctx, stack, d, arg, trace) -> list:
-    """Push an argument through every function component that accepts it."""
+def _apply_delta(sig, closure, ctx, stack, cands, arg, trace) -> list:
+    """Push an argument through every function component that accepts it.
+
+    A component (sort, derivation, done) is read under a binder for each
+    (argument, erased domain) pair of done, outermost first, standing for
+    those arguments.  Only its domain is set to them; its codomain takes
+    the argument as one more pair, since substitution never changes the
+    shape of an intersection, a top or a function sort.
+    """
     out: list = []
     synth = _shared_synth(sig, closure, ctx, stack, arg, trace)
-    for entry, d_fn in d:
+    for entry, d_fn, done in cands:
         if not isinstance(entry, SPi):
             continue
         if entry.dom_type is None:
             raise TypeError("apply_delta: sort was not elaborated")
         try:
-            d_arg = _acheck(sig, closure, ctx, stack, arg, entry.dom_sort,
-                            trace, synth)
-            cod = hsubst_syntax(arg, 0, entry.dom_type, entry.cod)
+            d_arg = _acheck(sig, closure, ctx, stack, arg,
+                            inst_spine(entry.dom_sort, done), trace, synth)
         except MetricExhausted:
             raise
         except (SortError, SubstFailure):
             continue
-        out.extend(_split(cod, ("app", d_fn, arg, d_arg), trace))
+        out.extend(_split(entry.cod, ("app", d_fn, arg, d_arg),
+                          done + ((arg, erase_type(entry.dom_type)),), trace))
     return out
 
 
@@ -417,11 +444,13 @@ def _acheck(sig, closure, ctx, stack, n, s, trace, synth=None) -> tuple:
 
 
 def _synth_sort_class(sig, closure, ctx, stack, s, trace):
-    """Every (class, derivation) an atomic sort's spine leads to, in order,
-    and the type the sort refines.
+    """The derivation of every candidate class an atomic sort's spine
+    leads to `sort`, in order, and the type the sort refines.
 
-    When no candidate takes an argument, the error is the first
-    candidate's: the one a left-first search would report.
+    A class ends in `sort`, which no substitution changes, so a candidate
+    is never set to the arguments it took; only its domains are (see
+    _class_apply).  When no candidate takes an argument, the error is the
+    first candidate's: the one a left-first search would report.
     """
     head, args = sort_spine(s)
     if not isinstance(head, SConst):
@@ -429,58 +458,57 @@ def _synth_sort_class(sig, closure, ctx, stack, s, trace):
     fam = sig.sort_fam(head.name)
     if fam is None:
         _sfail("no-refinement-declared", f"unknown sort {head.name}")
-    cands = [(fam.cls, ("intro", head.name))]
+    cands = [(fam.cls, ("intro", head.name), ())]
     refined = TConst(fam.refines)
     ectx = erase_ctx(ctx)
     for i, arg in enumerate(args, start=1):
         synth = _shared_synth(sig, closure, ctx, stack, arg, trace)
-        applied = [_class_apply(sig, closure, ctx, stack, ectx, cls, d, arg,
-                                i, head.name, trace, synth)
-                   for cls, d in cands]
+        applied = [_class_apply(sig, closure, ctx, stack, ectx, cls, d, done,
+                                arg, i, head.name, trace, synth)
+                   for cls, d, done in cands]
         cands = [c for taken, _ in applied for c in taken]
         if not cands:
             raise applied[0][1]
         refined = TApp(refined, arg)
-    return cands, refined
+    return [d for cls, d, _ in cands if isinstance(cls, CSort)], refined
 
 
-def _class_apply(sig, closure, ctx, stack, ectx, cls, d, arg, i, fam_name,
-                 trace, synth):
+def _class_apply(sig, closure, ctx, stack, ectx, cls, d, done, arg, i,
+                 fam_name, trace, synth):
     """Apply one spine argument to a class; intersections keep both sides.
 
-    Returns the (class, derivation) pairs that accept the argument, left
-    side first, and the error of the last side that does not (or None).
-    The LF premise runs on sig itself: LF looks up only type families and
-    term constants, which a signature shares with its erasure.
+    The class is read under the arguments done, as a component is in
+    _apply_delta: only the domain is set to them.  Returns the (class,
+    derivation, done) triples that accept the argument, left side first,
+    and the error of the last side that does not (or None).  The LF
+    premise runs on sig itself: LF looks up only type families and term
+    constants, which a signature shares with its erasure.
     """
     match cls:
         case CPi(h, ds, dt, body):
             if dt is None:
                 raise TypeError("class was not elaborated")
             try:
-                _lf_check(sig, ectx, stack, arg, dt)
-                d_arg = _acheck(sig, closure, ctx, stack, arg, ds, trace,
-                                synth)
+                _lf_check(sig, ectx, stack, arg, inst_spine(dt, done))
+                d_arg = _acheck(sig, closure, ctx, stack, arg,
+                                inst_spine(ds, done), trace, synth)
             except MetricExhausted:
                 raise
             except (SortError, LfError) as e:
                 return [], _rewrap_arg(e, i, fam_name)
-            try:
-                cod = hsubst_syntax(arg, 0, dt, body)
-            except MetricExhausted:
-                raise
             except SubstFailure as e:
                 return [], SortError(SortDiagnostic(
                     "annotation-mismatch",
                     f"argument {i} of {fam_name}: substitution failed: {e}"))
-            return [(cod, ("app", d, arg, d_arg))], None
+            return [(body, ("app", d, arg, d_arg),
+                     done + ((arg, erase_type(dt)),))], None
         case CInter(l, r):
             left, l_err = _class_apply(sig, closure, ctx, stack, ectx, l,
-                                       ("fst", d), arg, i, fam_name, trace,
-                                       synth)
+                                       ("fst", d), done, arg, i, fam_name,
+                                       trace, synth)
             right, r_err = _class_apply(sig, closure, ctx, stack, ectx, r,
-                                        ("snd", d), arg, i, fam_name, trace,
-                                        synth)
+                                        ("snd", d), done, arg, i, fam_name,
+                                        trace, synth)
             return left + right, r_err or l_err
         case CSort() | CTop():
             return [], SortError(SortDiagnostic(
@@ -534,9 +562,9 @@ def _elab_sort(sig, closure, ctx, stack, s, a, trace):
                 trace.append("Π-F")
             return SPi(h, ds2, a.dom, cod2)
         case SConst() | SApp():
-            cands, refined = _synth_sort_class(sig, closure, ctx, stack, s,
-                                               trace)
-            if not any(isinstance(cls, CSort) for cls, _ in cands):
+            derivs, refined = _synth_sort_class(sig, closure, ctx, stack, s,
+                                                trace)
+            if not derivs:
                 _sfail("annotation-mismatch",
                        lambda: f"sort {_pp(pp_sort, s, ctx, stack)} is not "
                                f"fully applied")

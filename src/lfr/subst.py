@@ -8,9 +8,11 @@ terminates.  A fuel counter guards that termination argument at runtime:
 it is a debug assertion, not a semantic limit, and can be raised with the
 LFR_FUEL environment variable.
 
-The variable replaced is a free name or a bound index; substitution counts
-the binders it descends instead of opening them, and instantiation and the
-beta step substitute for index 0.
+The variables replaced are a free name, or a block of bound indices at
+once; substitution counts the binders it descends instead of opening them.
+Instantiating a classifier with a whole spine substitutes for all of its
+binders in one walk (inst_spine), and a beta step substitutes for the
+lambda's index 0.
 """
 
 from __future__ import annotations
@@ -96,87 +98,96 @@ def _simple_subterm(small: SimpleType, big: SimpleType) -> bool:
 # ---------------------------------------------------------------------------
 # The three mutually recursive substitution judgments
 #
-# The variable replaced is a free name (x0 a str) or a bound index (x0 an
-# int; instantiation replaces index 0).  Substitution descends binders
-# without opening them: k counts the binders passed, so the variable is
-# FVar(x0) or BVar(x0 + k) there, the replacement is n0 shifted by k, and,
-# when x0 is an index, the indices above x0 + k drop by one because its
-# binder is gone.  A beta step substitutes for the lambda's index 0.
+# One walk replaces a block of variables at once: a free name (x0 a str, a
+# block of one) or the bound indices x0 .. x0 + n - 1 (x0 an int).  sub
+# holds a (replacement, erased type) pair for each, innermost first: sub[j]
+# is for index x0 + j.  Substitution descends binders without opening
+# them: k counts the binders passed, so the block is FVar(x0) or
+# BVar(x0 + k + j) there, a replacement is shifted by k, and, when x0 is an
+# index, the indices above the block drop by n because its binders are
+# gone.  Instantiating a Pi type, sort, class or kind with a spine replaces
+# all of its indices in one walk; a beta step replaces the lambda's index 0.
 
 Var = Union[str, int]
+Sub = tuple[tuple[NormalTerm, SimpleType], ...]
 
 
 def hsubst_n(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
              n: NormalTerm) -> NormalTerm:
     """Substitute n0 for x0 (of erased type alpha0) in the normal term n."""
-    return _subst_n(n0, x0, erase_type(alpha0), n, 0, _Fuel(), ())
+    return _subst_n(((n0, erase_type(alpha0)),), x0, n, 0, _Fuel(), ())
 
 
 def hsubst_rr(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
               r: AtomicTerm) -> AtomicTerm:
     """Substitution in an atomic term whose head is not x0."""
-    return _subst_rr(n0, x0, erase_type(alpha0), r, 0, _Fuel(), ())
+    return _subst_rr(((n0, erase_type(alpha0)),), x0, r, 0, _Fuel(), ())
 
 
 def hsubst_rn(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
               r: AtomicTerm) -> tuple[NormalTerm, SimpleType]:
     """Substitution in an atomic term headed by x0; returns term and type."""
-    return _subst_rn(n0, x0, erase_type(alpha0), r, 0, _Fuel(), ())
+    return _subst_rn(((n0, erase_type(alpha0)),), x0, r, 0, _Fuel(), ())
 
 
-def _hit(r, x0: Var, k: int) -> bool:
-    """Whether r is the variable substituted for, k binders down."""
+def _hit(r, sub: Sub, x0: Var, k: int):
+    """The pair of sub that replaces r, k binders down, or None."""
     if isinstance(x0, str):
-        return isinstance(r, FVar) and r.name == x0
-    return isinstance(r, BVar) and r.index == x0 + k
+        return sub[0] if isinstance(r, FVar) and r.name == x0 else None
+    j = r.index - x0 - k if isinstance(r, BVar) else -1
+    return sub[j] if 0 <= j < len(sub) else None
 
 
-def _subst_n(n0: NormalTerm, x0: Var, a0: SimpleType, n: NormalTerm, k: int,
-             fuel: _Fuel, path: Path) -> NormalTerm:
+def _subst_n(sub: Sub, x0: Var, n: NormalTerm, k: int, fuel: _Fuel,
+             path: Path) -> NormalTerm:
     fuel.tick(path)
     match n:
         case Lam(h, b):
-            return Lam(h, _subst_n(n0, x0, a0, b, k + 1, fuel, path + ("body",)))
+            return Lam(h, _subst_n(sub, x0, b, k + 1, fuel, path + ("body",)))
         case _:
-            if _hit(head(n), x0, k):
-                term, ty = _subst_rn(n0, x0, a0, n, k, fuel, path)
+            if _hit(head(n), sub, x0, k) is not None:
+                term, ty = _subst_rn(sub, x0, n, k, fuel, path)
                 if is_atomic_term(term) and isinstance(ty, Base):
                     return term
                 raise SubstFailure("head-type mismatch", path)
-            return _subst_rr(n0, x0, a0, n, k, fuel, path)
+            return _subst_rr(sub, x0, n, k, fuel, path)
 
 
-def _subst_rr(n0: NormalTerm, x0: Var, a0: SimpleType, r: AtomicTerm, k: int,
-              fuel: _Fuel, path: Path) -> AtomicTerm:
+def _subst_rr(sub: Sub, x0: Var, r: AtomicTerm, k: int, fuel: _Fuel,
+              path: Path) -> AtomicTerm:
     fuel.tick(path)
     match r:
-        case BVar(i) if not isinstance(x0, str) and i > x0 + k:
-            return BVar(i - 1)
+        case BVar(i) if not isinstance(x0, str) and i >= x0 + k + len(sub):
+            return BVar(i - len(sub))
         case Const() | FVar() | BVar():
             return r
         case App(f, a):
-            return App(_subst_rr(n0, x0, a0, f, k, fuel, path + ("fn",)),
-                       _subst_n(n0, x0, a0, a, k, fuel, path + ("arg",)))
+            return App(_subst_rr(sub, x0, f, k, fuel, path + ("fn",)),
+                       _subst_n(sub, x0, a, k, fuel, path + ("arg",)))
     raise TypeError(f"hsubst_rr: not atomic: {r!r}")
 
 
-def _subst_rn(n0: NormalTerm, x0: Var, a0: SimpleType, r: AtomicTerm, k: int,
-              fuel: _Fuel, path: Path) -> tuple[NormalTerm, SimpleType]:
+def _subst_rn(sub: Sub, x0: Var, r: AtomicTerm, k: int, fuel: _Fuel,
+              path: Path) -> tuple[NormalTerm, SimpleType]:
     fuel.tick(path)
-    if _hit(r, x0, k):
-        return shift(n0, k), a0
+    hit = _hit(r, sub, x0, k)
+    if hit is not None:
+        return shift(hit[0], k), hit[1]
     match r:
         case App(f, a):
-            fn, fty = _subst_rn(n0, x0, a0, f, k, fuel, path + ("fn",))
-            arg = _subst_n(n0, x0, a0, a, k, fuel, path + ("arg",))
+            fn, fty = _subst_rn(sub, x0, f, k, fuel, path + ("fn",))
+            arg = _subst_n(sub, x0, a, k, fuel, path + ("arg",))
             if not isinstance(fn, Lam):
                 raise SubstFailure("non-function applied", path)
             if not isinstance(fty, Arrow):
                 raise SubstFailure("head-type mismatch", path)
-            res = _subst_n(arg, 0, fty.dom, fn.body, 0, fuel, path + ("beta",))
-            # The returned type is always a subterm of the original index;
-            # this is the decreasing measure of the beta case.
-            if not _simple_subterm(fty.cod, a0):
+            # The beta step: the lambda's index 0 is a block of one.
+            res = _subst_n(((arg, fty.dom),), 0, fn.body, 0, fuel,
+                           path + ("beta",))
+            # The returned type is always a subterm of the replaced
+            # variable's type; this is the decreasing measure of the beta
+            # case.
+            if not _simple_subterm(fty.cod, _hit(head(r), sub, x0, k)[1]):
                 raise TypeError("hereditary substitution: result type is not "
                                 "a subterm of the index type")
             return res, fty.cod
@@ -210,35 +221,40 @@ def hsubst_syntax(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType]
                   t):
     """Substitute through any syntactic category, including contexts; for
     an index x0, n0 is read where t's binder x0 has been removed."""
-    a0 = erase_type(alpha0)
+    sub = ((n0, erase_type(alpha0)),)
     fuel = _Fuel()
     if isinstance(t, (list, tuple)):
         return [CtxEntry(e.name,
-                         _subst_syn(n0, x0, a0, e.sort, 0, fuel, (e.name, "sort")),
-                         _subst_syn(n0, x0, a0, e.type, 0, fuel, (e.name, "type")))
+                         _subst_syn(sub, x0, e.sort, 0, fuel, (e.name, "sort")),
+                         _subst_syn(sub, x0, e.type, 0, fuel, (e.name, "type")))
                 for e in t]
-    return _subst_syn(n0, x0, a0, t, 0, fuel, ())
+    return _subst_syn(sub, x0, t, 0, fuel, ())
 
 
-def _subst_syn(n0: NormalTerm, x0: Var, a0: SimpleType, t: Syntax, k: int,
-               fuel: _Fuel, path: Path):
-    def sub(u, step: str, binders: int = 0):
+def inst_spine(t, spine) -> Syntax:
+    """t, under a binder for each (argument, erased domain) pair of spine,
+    outermost first, with those binders set to the arguments."""
+    return _subst_syn(tuple(spine[::-1]), 0, t, 0, _Fuel(), ()) if spine else t
+
+
+def _subst_syn(sub: Sub, x0: Var, t: Syntax, k: int, fuel: _Fuel, path: Path):
+    def sub_at(u, step: str, binders: int = 0):
         """u, a child of t at step, under `binders` more binders."""
-        return _subst_syn(n0, x0, a0, u, k + binders, fuel, path + (step,))
+        return _subst_syn(sub, x0, u, k + binders, fuel, path + (step,))
 
     match t:
         case BVar() | FVar() | Const() | App() | Lam():
-            return _subst_n(n0, x0, a0, t, k, fuel, path)
+            return _subst_n(sub, x0, t, k, fuel, path)
         case TConst() | SConst() | STop() | KType() | CSort() | CTop():
             return t
         case TApp(f, a) | SApp(f, a):
-            return type(t)(sub(f, "fn"), sub(a, "arg"))
+            return type(t)(sub_at(f, "fn"), sub_at(a, "arg"))
         case TPi(h, d, c) | KPi(h, d, c):
-            return type(t)(h, sub(d, "dom"), sub(c, "cod", 1))
+            return type(t)(h, sub_at(d, "dom"), sub_at(c, "cod", 1))
         case SPi(h, ds, dt, c) | CPi(h, ds, dt, c):
-            return type(t)(h, sub(ds, "dom"),
-                           None if dt is None else sub(dt, "domtype"),
-                           sub(c, "cod", 1))
+            return type(t)(h, sub_at(ds, "dom"),
+                           None if dt is None else sub_at(dt, "domtype"),
+                           sub_at(c, "cod", 1))
         case SInter(l, r) | CInter(l, r):
-            return type(t)(sub(l, "left"), sub(r, "right"))
+            return type(t)(sub_at(l, "left"), sub_at(r, "right"))
     raise TypeError(f"hsubst_syntax: unexpected node {t!r}")

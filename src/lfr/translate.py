@@ -460,8 +460,7 @@ def trans_sort_synth_all(sig: Signature, ctx: Context, q, mangler=None,
 
 def _formations(sig, closure, ctx, stack, q) -> list:
     """The checker's derivations that q is a sort, in elimination order."""
-    cands, _ = _synth_sort_class(sig, closure, ctx, stack, q, None)
-    derivs = [d for cls, d in cands if isinstance(cls, CSort)]
+    derivs, _ = _synth_sort_class(sig, closure, ctx, stack, q, None)
     if not derivs:
         _sfail("annotation-mismatch",
                lambda: f"no formation proof for sort "

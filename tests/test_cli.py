@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfr import VerifyError, lfi_check_sig, parse_lfi
 from lfr.cli import main
+from lfr.parser import tokenize
 
 from conftest import GOLDEN_DIR, GOLDEN_NAMES, checkout_env, golden_path
 from gen import deep_text
@@ -127,6 +132,45 @@ class TestCheck:
         assert proc.stderr == \
             f"{src}:{where}: error: invalid UTF-8 byte {byte}\n"
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("data", [
+        b"nat : type.\nz : nat.\n@\n",
+        b"@nat : type.\n",
+        b"\xff\n",
+        b"nat : type\n",
+    ], ids=["lexing-line-3", "lexing-1-1", "invalid-byte-1-1", "parsing"])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, data,
+                                                capsys):
+        # Editors may save UTF-8 with a byte-order mark.  It is dropped
+        # before lexing, so the first real character is still 1:1 and
+        # every diagnostic is the one the file without the mark gets.
+        plain, marked = tmp_path / "plain.lfr", tmp_path / "marked.lfr"
+        plain.write_bytes(data)
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        assert main(["check", str(plain)]) == 2
+        expected = capsys.readouterr().err.replace(str(plain), str(marked))
+        assert main(["check", str(marked)]) == 2
+        assert capsys.readouterr().err == expected
+
+    def test_signature_with_leading_byte_order_mark_checks(self, tmp_path,
+                                                           capsys):
+        src = tmp_path / "nat.lfr"
+        src.write_bytes(b"\xef\xbb\xbf" + golden_path("nat").read_bytes())
+        assert main(["check", "--quiet", str(src)]) == 0
+        assert main(["verify", "--quiet", str(src)]) == 0
+
+    @pytest.mark.parametrize("data, where", [
+        (b"nat : type.\n\xef\xbb\xbfz : nat.\n", "2:1"),
+        (b"nat : \xef\xbb\xbftype.\n", "1:7"),
+        (b"\xef\xbb\xbf\xef\xbb\xbfnat : type.\n", "1:1"),
+    ], ids=["line-start", "mid-line", "second-leading"])
+    def test_byte_order_mark_elsewhere_is_a_lexing_error(self, tmp_path, data,
+                                                         where, capsys):
+        src = tmp_path / "bom.lfr"
+        src.write_bytes(data)
+        assert main(["check", str(src)]) == 2
+        assert capsys.readouterr().err == (
+            f"{src}:{where}: error: unexpected character '\\ufeff'\n")
 
     @pytest.mark.parametrize("depth", ["-5", "-1", "two"])
     def test_bad_oracle_depth_is_a_usage_error(self, depth, capsys):
@@ -245,6 +289,36 @@ class TestTranslate:
             f"error: cannot write {tmp_path / 'even-odd.lfi.prov'}: "
             f"Is a directory\n")
 
+    @pytest.mark.parametrize("src_name, out", [
+        ("nat.lfi", None),
+        ("nat.lfr", "nat.lfr"),
+        ("nat.lfi.prov", "nat.lfi"),
+    ], ids=["default-output", "output", "sidecar"])
+    def test_output_naming_the_input_is_a_usage_error(self, tmp_path,
+                                                      src_name, out, capsys):
+        # The translation would overwrite the signature it came from.
+        src = tmp_path / src_name
+        src.write_text(golden_path("nat").read_text())
+        args = ["translate", str(src)]
+        if out is not None:
+            args += ["-o", str(tmp_path / out)]
+        named = src.with_suffix(".lfi") if out is None else src
+        assert main(args) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {named}: it is the input file\n")
+        assert list(tmp_path.iterdir()) == [src]
+        assert src.read_text() == golden_path("nat").read_text()
+
+    def test_output_naming_the_input_through_a_link(self, tmp_path, capsys):
+        src = tmp_path / "nat.lfr"
+        src.write_text(golden_path("nat").read_text())
+        link = tmp_path / "link.lfi"
+        link.symlink_to(src)
+        assert main(["translate", str(src), "-o", str(link)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {link}: it is the input file\n")
+        assert src.read_text() == golden_path("nat").read_text()
+
 
 def _after_leading_comment(data: bytes) -> bytes:
     lines = data.splitlines(keepends=True)
@@ -314,6 +388,71 @@ class TestVerify:
         assert capsys.readouterr() == (
             "", "error: LFR_FUEL must be an integer, got 'abc'\n")
         assert list(tmp_path.iterdir()) == [src]
+
+
+def _token_lines(text: str) -> list[list[str]]:
+    """The tokens of a source signature, line by line."""
+    lines: dict[int, list[str]] = {}
+    for tok in tokenize(text, "<golden>", False)[:-1]:
+        lines.setdefault(tok.span.line, []).append(tok.text)
+    return list(lines.values())
+
+
+FUZZ_SOURCES = {p.stem: _token_lines(p.read_text())
+                for p in sorted(GOLDEN_DIR.glob("*.lfr"))}
+FUZZ_VOCABULARY = sorted({tok for lines in FUZZ_SOURCES.values()
+                          for line in lines for tok in line}
+                         | {"(", ")", "{", "}", "[", "]", ".", "0", "99",
+                            "%infix", "left", "right", "none"})
+
+
+@st.composite
+def mangled_sources(draw):
+    """A golden signature with a few tokens deleted, duplicated or swapped,
+    or a random stream of tokens from the goldens' vocabulary."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.lists(st.sampled_from(FUZZ_VOCABULARY),
+                                       max_size=12), min_size=1, max_size=4))
+    else:
+        lines = [list(line) for line in
+                 FUZZ_SOURCES[draw(st.sampled_from(sorted(FUZZ_SOURCES)))]]
+        for _ in range(draw(st.integers(1, 3))):
+            places = [(i, j) for i, line in enumerate(lines)
+                      for j in range(len(line))]
+            if not places:
+                break
+            i, j = draw(st.sampled_from(places))
+            edit = draw(st.sampled_from(("delete", "duplicate", "swap")))
+            if edit == "delete":
+                del lines[i][j]
+            elif edit == "duplicate":
+                lines[i].insert(j, lines[i][j])
+            else:
+                k, m = draw(st.sampled_from(places))
+                lines[i][j], lines[k][m] = lines[k][m], lines[i][j]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+class TestFuzz:
+    """Mangled signatures end in a documented exit code, never in an
+    exception that escapes the command."""
+
+    @settings(max_examples=200)
+    @given(mangled_sources(), st.sampled_from(("check", "translate",
+                                               "verify")))
+    def test_every_input_gets_an_exit_code(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "fuzz.lfr"
+            src.write_text(text, encoding="utf-8")
+            args = [command, str(src)]
+            if command == "translate":
+                args += ["-o", str(Path(tmp) / "fuzz.lfi")]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(args)
+        assert code in range(5), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 REPO = Path(__file__).resolve().parent.parent

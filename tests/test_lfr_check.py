@@ -407,14 +407,17 @@ class TestDeepTerms:
     def test_substitutions_grow_linearly_in_depth(self, monkeypatch):
         import lfr.lfr_check as lfr_check
 
+        # The walks that instantiate a classifier with the arguments of a
+        # spine; one with no arguments returns at once.
         calls = []
-        real = lfr_check.hsubst_syntax
+        real = lfr_check.inst_spine
 
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
+        def counted(t, done):
+            if done:
+                calls.append(1)
+            return real(t, done)
 
-        monkeypatch.setattr(lfr_check, "hsubst_syntax", counted)
+        monkeypatch.setattr(lfr_check, "inst_spine", counted)
         check_signature(deep_signature(40))
         at_40 = len(calls)
         calls.clear()

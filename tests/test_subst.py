@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfr import lf
+import lfr.subst
+from lfr import (
+    check_signature,
+    lf,
+    parse_signature,
+    trans_sig,
+    verify_translation,
+)
+from lfr.printer import pp_class, pp_kind, pp_sort, pp_type
 from lfr.subst import (
     MetricExhausted,
     SubstFailure,
@@ -15,6 +25,7 @@ from lfr.subst import (
     hsubst_rn,
     hsubst_rr,
     hsubst_syntax,
+    inst_spine,
     treduce,
 )
 from lfr.syntax import (
@@ -41,12 +52,14 @@ from lfr.syntax import (
     close_at,
     free_vars,
     head,
+    open_at,
     term_spine,
 )
 
 from gen import (
     HO_CONSTS,
     NAT,
+    binders_text,
     bury,
     gen_class,
     gen_dep_sort,
@@ -215,8 +228,207 @@ class TestClassifierOracle:
     @given(instantiation_instances())
     def test_instantiation_matches_named_substitution(self, inst):
         body, arg, dom = inst
-        out = lf._inst(body, arg, dom, "a codomain")
+        out = lf._inst(body, [(arg, erase_type(dom))], "a codomain")
         assert result_key(out) == named_inst(body, arg)
+
+
+# Spines: a classifier of each kind, its Pi constructor, its printer, and
+# the fields of its domain, in the order substitution walks them.
+SPINE_KINDS = ((gen_type, TPi, pp_type, ("dom",)),
+               (gen_kind, KPi, pp_kind, ("dom",)),
+               (gen_dep_sort, SPi, pp_sort, ("dom_sort", "dom_type")),
+               (gen_class, CPi, pp_class, ("dom_sort", "dom_type")))
+# The step a substitution path takes into each domain field.
+DOMAIN_STEPS = {"dom": "dom", "dom_sort": "dom", "dom_type": "domtype"}
+# CLASSIFIER_CTX and c, so that an argument at the family p has a head.
+SPINE_CTX = CLASSIFIER_CTX + [("c", Base("p"))]
+
+
+def _spine_pi(choose):
+    """(pi, fields, pp, spine): a dependent Pi type, kind, function sort
+    or function class over SPINE_CTX with two to four binders, and an
+    (argument, erased domain) pair for each binder.  A domain type is a
+    simple-type mirror or a family type over the binders before it, and
+    a domain sort is drawn over them too; the codomain is drawn again (up
+    to four times) until the last binder's variable occurs in it.  An
+    argument at a function type is a lambda, so where its variable heads
+    a spine substitution reduces a redex; three times in four it puts its
+    own arguments under a binder."""
+    gen, pi_of, pp, fields = SPINE_KINDS[choose(0, 3)]
+    ctx, binders, spine = list(SPINE_CTX), [], []
+    for i in range(choose(2, 4)):
+        if choose(0, 2):
+            alpha = NAT if choose(0, 1) else gen_simple(choose, 1)
+            dom = simple_to_type(alpha)
+        else:
+            dom = gen_type(choose, ctx, choose(0, 2))
+            alpha = erase_type(dom)
+        arg = gen_eta_term(choose, SPINE_CTX, alpha, choose(0, 2), HO_CONSTS)
+        if choose(0, 3):
+            arg = bury(arg)
+        y = f"y{i}"
+        binders.append((y, dom, gen_dep_sort(choose, ctx, choose(0, 2))))
+        spine.append((arg, alpha))
+        ctx.append((y, alpha))
+    for _ in range(5):
+        t = gen(choose, ctx, choose(1, 3))
+        if occurs(binders[-1][0], t):
+            break
+    for y, dom, dom_sort in reversed(binders):
+        t = (pi_of(y, dom, close_at(t, y)) if fields == ("dom",)
+             else pi_of(y, dom_sort, dom, close_at(t, y)))
+    return t, fields, pp, spine
+
+
+def _dangling(pi, spine):
+    """pi and the arguments with the hypothesis a closed into a dangling
+    index, one binder out, so the indices above the block occur too."""
+    return (close_at(pi, "a"),
+            [(close_at(arg, "a"), alpha) for arg, alpha in spine])
+
+
+@st.composite
+def spine_instances(draw):
+    """(pi, fields, pp, spine), as _spine_pi draws them, with a dangling."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    pi, fields, pp, spine = _spine_pi(choose)
+    pi, spine = _dangling(pi, spine)
+    return pi, fields, pp, spine
+
+
+@st.composite
+def ill_typed_spine_instances(draw):
+    """(pi, fields, spine): a spine instance whose first argument has the
+    wrong simple type: a lambda where its domain is a base type, an
+    atomic term where it is a function type."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    pi, fields, _, spine = _spine_pi(choose)
+    alpha = spine[0][1]
+    wrong = Arrow(NAT, NAT) if isinstance(alpha, Base) else NAT
+    spine[0] = (gen_eta_term(choose, SPINE_CTX, wrong, choose(0, 2),
+                             HO_CONSTS), alpha)
+    pi, spine = _dangling(pi, spine)
+    return pi, fields, spine
+
+
+def _pieces(pi, fields, n: int):
+    """The domains of pi's binders after the first, field by field, and
+    then the codomain under all n: (binders outside, field or None,
+    piece), in the order substitution walks pi."""
+    out, t = [], pi
+    for i in range(n):
+        if i:
+            out.extend((i, f, getattr(t, f)) for f in fields)
+        t = t.cod
+    return out + [(n, None, t)]
+
+
+def _folded(pi, spine):
+    """pi's codomain set to spine by folding hsubst_syntax over it, or the
+    (reason, path) of the first failure."""
+    try:
+        for arg, alpha in spine:
+            pi = hsubst_syntax(arg, 0, alpha, pi.cod)
+    except SubstFailure as e:
+        return e.reason, e.path
+    return pi
+
+
+def _one_walk(pi, fields, spine):
+    """pi's codomain set to spine in one walk, after each domain past the
+    first is set to the arguments before it, or the (reason, path) of the
+    first failure.  The path is read in the codomain of pi, where folding
+    substitutes the first argument."""
+    n = len(spine)
+    for i, field, piece in _pieces(pi, fields, n):
+        try:
+            out = inst_spine(piece, spine[:i])
+        except SubstFailure as e:
+            if field is None:
+                return e.reason, ("cod",) * (n - 1) + e.path
+            return e.reason, (("cod",) * (i - 1) + (DOMAIN_STEPS[field],)
+                              + e.path)
+    return out
+
+
+class TestSpineInstantiation:
+    """Instantiating every binder of a Pi type, kind, function sort or
+    function class in one walk against folding hsubst_syntax over the
+    spine one argument at a time, and against named substitution: each
+    domain, set to the arguments before it, and the codomain, set to all
+    of them."""
+
+    @given(spine_instances())
+    def test_one_walk_matches_folding(self, inst):
+        pi, fields, pp, spine = inst
+        folded = body = pi
+        for i, (arg, alpha) in enumerate(spine):
+            for f in fields:
+                dom = inst_spine(getattr(body, f), spine[:i])
+                assert dom == getattr(folded, f)
+                shown = pp_sort if f == "dom_sort" else pp_type
+                assert shown(dom) == shown(getattr(folded, f))
+            folded = hsubst_syntax(arg, 0, alpha, folded.cod)
+            body = body.cod
+        out = inst_spine(body, spine)
+        assert out == folded
+        assert pp(out) == pp(folded)
+        # Named substitution, with the dangling index opened as a again:
+        # in body it is index len(spine).
+        a = FVar("a")
+        assert (result_key(open_at(out, a))
+                == named_inst(open_at(body, a, len(spine)),
+                              *(open_at(arg, a) for arg, _ in spine)))
+
+    @given(ill_typed_spine_instances())
+    def test_failure_matches_folding(self, inst):
+        # Folding fails while it substitutes the first argument, at the
+        # first occurrence of its variable that the argument cannot take;
+        # the one walk meets that occurrence in the same piece, at the
+        # same place within it, and fails for the same reason.
+        pi, fields, spine = inst
+        assert _one_walk(pi, fields, spine) == _folded(pi, spine)
+
+
+@functools.cache
+def _source_ticks(m: int) -> int:
+    """Fuel ticks of the source side's substitution walks during
+    verify_translation on binders_text(m); a walk ticks once at each node
+    it visits.  lfi.py binds _Fuel under its own name, so patching
+    lfr.subst's leaves the target's walks out."""
+    sig = check_signature(parse_signature(binders_text(m)))
+    result = trans_sig(sig)
+    ticks = 0
+
+    class Fuel(lfr.subst._Fuel):
+        def tick(self, path):
+            nonlocal ticks
+            ticks += 1
+            super().tick(path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lfr.subst, "_Fuel", Fuel)
+        verify_translation(sig, result)
+    return ticks
+
+
+class TestSpineScaling:
+    """Re-checking a rule under many dependent binders: the LF and sort
+    checkers instantiate a head's classifier once per spine."""
+
+    def test_substitution_grows_gently_in_premises(self):
+        # Substituting each argument of a spine through the whole rest of
+        # its head's classifier made 3 348 / 7 572 / 23 700 ticks at
+        # m=8 / 16 / 32; one walk per spine makes under a quarter.
+        at_8, at_32 = _source_ticks(8), _source_ticks(32)
+        assert at_8 <= 3_348 / 4
+        assert at_32 <= 4 ** 1.3 * at_8
 
 
 @st.composite
@@ -443,7 +655,8 @@ class TestPinnedFailures:
         from lfr.lf import LfError
 
         with pytest.raises(LfError) as info:
-            lf._inst(_p(App(BVar(0), Z)), Z, NN_T, "a function codomain")
+            lf._inst(_p(App(BVar(0), Z)), [(Z, erase_type(NN_T))],
+                     "a function codomain")
         assert info.value.message == ("substitution into a function codomain "
                                       "failed: non-function applied at arg")
 
@@ -459,8 +672,8 @@ class TestPinnedFuel:
 
     @pytest.mark.parametrize("call, fuel", [
         (lambda: hsubst_syntax(TWICE, "f", TPi("g", NN_T, N_T), DEP_TYPE), 45),
-        (lambda: lf._inst(DEP_TYPE.cod, App(Const("s"), Z), N_T, "a codomain"),
-         15),
+        (lambda: lf._inst(DEP_TYPE.cod, [(App(Const("s"), Z), NAT)],
+                          "a codomain"), 15),
     ], ids=["hsubst_syntax", "instantiation"])
     def test_smallest_fuel(self, monkeypatch, call, fuel):
         monkeypatch.setenv("LFR_FUEL", str(fuel))
