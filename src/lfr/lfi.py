@@ -12,10 +12,9 @@ against its domain set to the arguments before it, and the codomain is
 set to all of them in one walk.  The checker descends binders by index
 too, keeping a stack of the hypotheses they bind, and names those
 hypotheses only to build a message.  One walk, `_map_vars`, rebuilds a
-tree around its variables; shifting, opening, closing and naming for
-messages are leaf functions over it.  All of this is this module's own
-code, so the certificates are checked by code the source checker does
-not share.
+tree around its variables; shifting and naming for messages are leaf
+functions over it.  All of this is this module's own code, so the
+certificates are checked by code the source checker does not share.
 """
 
 from __future__ import annotations
@@ -306,7 +305,7 @@ def _map_vars(t: LfiSyntax, f, k: int = 0) -> LfiSyntax:
     an IFVar, where depth is k plus the binders passed to reach v.
 
     This is the one walk that rebuilds target syntax around its variables:
-    opening, closing, shifting and naming are leaf functions over it.
+    shifting and naming are leaf functions over it.
     """
     match t:
         case IBVar() | IFVar():
@@ -334,23 +333,6 @@ def _shift_lfi(t: LfiSyntax, by: int, cutoff: int = 0) -> LfiSyntax:
     def leaf(v, depth):
         return IBVar(v.index + by) if isinstance(v, IBVar) and v.index >= depth else v
     return _map_vars(t, leaf, cutoff)
-
-
-def open_lfi(t: LfiSyntax, repl: LfiAtomic, k: int = 0) -> LfiSyntax:
-    # repl's free indices are read at the position of the call, so k also
-    # measures how many binders the replacement has been carried under.
-    def leaf(v, depth):
-        if isinstance(v, IBVar) and v.index == depth:
-            return _shift_lfi(repl, depth)
-        return v
-    return _map_vars(t, leaf, k)
-
-
-def close_lfi(t: LfiSyntax, name: str, k: int = 0) -> LfiSyntax:
-    """Bind a free name as index k."""
-    def leaf(v, depth):
-        return IBVar(depth) if isinstance(v, IFVar) and v.name == name else v
-    return _map_vars(t, leaf, k)
 
 
 def is_lfi_atomic(t: LfiTerm) -> bool:

@@ -22,6 +22,7 @@ from .diagnostics import LexError, ParseError, SourceSpan
 from .printer import print_lfi  # noqa: F401  (re-exported for convenience)
 from .syntax import (
     App,
+    BVar,
     Const,
     ConstRef,
     CPi,
@@ -45,7 +46,6 @@ from .syntax import (
     TermConst,
     TPi,
     TypeFam,
-    close_at,
 )
 
 # Longest match first.
@@ -428,6 +428,10 @@ def _is_kind_expr(e) -> bool:
 
 # ---------------------------------------------------------------------------
 # Elaboration into the source AST
+#
+# A scope lists the names of the binders around an expression, innermost
+# last, None for an arrow's.  A bound name becomes its index as it is
+# read, and each binder is built around its body as the body comes back.
 
 
 class _SourceElab:
@@ -435,11 +439,11 @@ class _SourceElab:
         self.term_consts: set[str] = set()
         self.fam_kinds: dict[str, KType | KPi] = {}
 
-    def term(self, e, scope: list[str]):
+    def term(self, e, scope: list):
         match e:
             case RIdent(n):
                 if n in scope:
-                    return FVar(n)
+                    return BVar(scope[::-1].index(n))
                 if n in self.term_consts:
                     return Const(n)
                 if n[:1].isupper():
@@ -456,10 +460,10 @@ class _SourceElab:
                         "canonical form", _raw_span(e))
                 return App(fn, self.term(a, scope))
             case RLam(x, b):
-                return Lam(x, close_at(self.term(b, scope + [x]), x))
+                return Lam(x, self.term(b, scope + [x]))
         raise ParseError("expected a term", _raw_span(e))
 
-    def type(self, e, scope: list[str]):
+    def type(self, e, scope: list):
         match e:
             case RIdent(n):
                 return TConst(n)
@@ -469,26 +473,26 @@ class _SourceElab:
                     raise ParseError("expected an atomic type", _raw_span(e))
                 return TApp(fn, self.term(a, scope))
             case RArrow(d, c):
-                return TPi("x", self.type(d, scope), self.type(c, scope))
+                return TPi("x", self.type(d, scope),
+                           self.type(c, scope + [None]))
             case RPi(x, ":", d, b):
-                return TPi(x, self.type(d, scope),
-                           close_at(self.type(b, scope + [x]), x))
+                return TPi(x, self.type(d, scope), self.type(b, scope + [x]))
             case RPi(_, "::", _, _):
                 raise ParseError("type binders use ':', not '::'", e.span)
         raise ParseError("expected a type", _raw_span(e))
 
-    def kind(self, e, scope: list[str]):
+    def kind(self, e, scope: list):
         match e:
             case RIdent("type"):
                 return KType()
             case RArrow(d, c):
-                return KPi("x", self.type(d, scope), self.kind(c, scope))
+                return KPi("x", self.type(d, scope),
+                           self.kind(c, scope + [None]))
             case RPi(x, ":", d, b):
-                return KPi(x, self.type(d, scope),
-                           close_at(self.kind(b, scope + [x]), x))
+                return KPi(x, self.type(d, scope), self.kind(b, scope + [x]))
         raise ParseError("expected a kind", _raw_span(e))
 
-    def sort(self, e, scope: list[str]):
+    def sort(self, e, scope: list):
         match e:
             case RIdent(n):
                 return SConst(n)
@@ -502,15 +506,16 @@ class _SourceElab:
             case RInter(l, r):
                 return SInter(self.sort(l, scope), self.sort(r, scope))
             case RArrow(d, c):
-                return SPi("x", self.sort(d, scope), None, self.sort(c, scope))
+                return SPi("x", self.sort(d, scope), None,
+                           self.sort(c, scope + [None]))
             case RPi(x, "::", d, b):
                 return SPi(x, self.sort(d, scope), None,
-                           close_at(self.sort(b, scope + [x]), x))
+                           self.sort(b, scope + [x]))
             case RPi(_, ":", _, _):
                 raise ParseError("sort binders use '::', not ':'", e.span)
         raise ParseError("expected a sort", _raw_span(e))
 
-    def cls(self, e, scope: list[str]):
+    def cls(self, e, scope: list):
         match e:
             case RIdent("sort"):
                 return CSort()
@@ -519,10 +524,11 @@ class _SourceElab:
             case RInter(l, r):
                 return CInter(self.cls(l, scope), self.cls(r, scope))
             case RArrow(d, c):
-                return CPi("x", self.sort(d, scope), None, self.cls(c, scope))
+                return CPi("x", self.sort(d, scope), None,
+                           self.cls(c, scope + [None]))
             case RPi(x, "::", d, b):
                 return CPi(x, self.sort(d, scope), None,
-                           close_at(self.cls(b, scope + [x]), x))
+                           self.cls(b, scope + [x]))
             case RPi(_, ":", _, _):
                 raise ParseError("class binders use '::', not ':'", e.span)
         raise ParseError("expected a class", _raw_span(e))
@@ -651,11 +657,11 @@ class _TargetElab:
     def __init__(self):
         self.consts: set[str] = set()
 
-    def term(self, e, scope: list[str]):
+    def term(self, e, scope: list):
         match e:
             case RIdent(n):
                 if n in scope:
-                    return L.IFVar(n)
+                    return L.IBVar(scope[::-1].index(n))
                 if n in self.consts:
                     return L.IConst(n)
                 return L.IFVar(n)
@@ -678,14 +684,14 @@ class _TargetElab:
                                      _raw_span(e))
                 return (L.IFst if which == 1 else L.ISnd)(base)
             case RLam(x, b):
-                return L.ILam(x, L.close_lfi(self.term(b, scope + [x]), x))
+                return L.ILam(x, self.term(b, scope + [x]))
             case RPair(l, r):
                 return L.IPair(self.term(l, scope), self.term(r, scope))
             case RUnitTerm():
                 return L.IUnit()
         raise ParseError("expected a term", _raw_span(e))
 
-    def type(self, e, scope: list[str]):
+    def type(self, e, scope: list):
         match e:
             case RIdent(n):
                 return L.ITConst(n)
@@ -702,35 +708,39 @@ class _TargetElab:
                     raise ParseError("expected an atomic type", _raw_span(e))
                 return L.ITIrrApp(fn, self.term(a, scope))
             case RArrow(d, c):
-                return L.ITPi("x", self.type(d, scope), self.type(c, scope))
+                return L.ITPi("x", self.type(d, scope),
+                              self.type(c, scope + [None]))
             case RIrrArrow(d, c):
-                return L.ITIrrPi("x", self.type(d, scope), self.type(c, scope))
+                return L.ITIrrPi("x", self.type(d, scope),
+                                 self.type(c, scope + [None]))
             case RPi(x, ":", d, b):
                 return L.ITPi(x, self.type(d, scope),
-                              L.close_lfi(self.type(b, scope + [x]), x))
+                              self.type(b, scope + [x]))
             case RPi(x, "::", d, b):
                 return L.ITIrrPi(x, self.type(d, scope),
-                                 L.close_lfi(self.type(b, scope + [x]), x))
+                                 self.type(b, scope + [x]))
             case RProd(l, r):
                 return L.ITProd(self.type(l, scope), self.type(r, scope))
         raise ParseError("expected a type", _raw_span(e))
 
-    def kind(self, e, scope: list[str]):
+    def kind(self, e, scope: list):
         match e:
             case RIdent("type"):
                 return L.IKType()
             case RNum(1):
                 return L.IKUnit()
             case RArrow(d, c):
-                return L.IKPi("x", self.type(d, scope), self.kind(c, scope))
+                return L.IKPi("x", self.type(d, scope),
+                              self.kind(c, scope + [None]))
             case RIrrArrow(d, c):
-                return L.IKIrrPi("x", self.type(d, scope), self.kind(c, scope))
+                return L.IKIrrPi("x", self.type(d, scope),
+                                 self.kind(c, scope + [None]))
             case RPi(x, ":", d, b):
                 return L.IKPi(x, self.type(d, scope),
-                              L.close_lfi(self.kind(b, scope + [x]), x))
+                              self.kind(b, scope + [x]))
             case RPi(x, "::", d, b):
                 return L.IKIrrPi(x, self.type(d, scope),
-                                 L.close_lfi(self.kind(b, scope + [x]), x))
+                                 self.kind(b, scope + [x]))
             case RProd(l, r):
                 return L.IKProd(self.kind(l, scope), self.kind(r, scope))
         raise ParseError("expected a kind", _raw_span(e))

@@ -278,7 +278,10 @@ def _pl_term(t, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
             s = f"[{x}] {_pl_term(b, 0, True, env + (x,), memo)}"
             return _wrap(not ext, s)
         case L.IPair(l, r):
-            return f"<{_pl_term(l, 0, True, env, memo)}, {_pl_term(r, 0, True, env, memo)}>"
+            left = _pl_term(l, 0, True, env, memo)
+            # A space keeps `<` and a left side `<...` from lexing as `<<`.
+            sep = " " if left.startswith("<") else ""
+            return f"<{sep}{left}, {_pl_term(r, 0, True, env, memo)}>"
         case L.IUnit():
             return "<>"
     raise TypeError(f"pp_lfi_term: {t!r}")

@@ -23,9 +23,9 @@ from .lfr_check import (
     split,
     subsort_q,
 )
-from .subst import MetricExhausted, SubstFailure, eta_expand, hsubst_syntax
+from .subst import MetricExhausted, SubstFailure, eta_expand
+from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
-    Context,
     CtxEntry,
     FVar,
     Signature,
@@ -33,10 +33,7 @@ from .syntax import (
     SPi,
     STop,
     alpha_eq,
-    free_vars,
-    fresh_name,
     is_atomic_sort,
-    open_at,
 )
 
 # "$" cannot appear in identifiers, so this name never collides.
@@ -83,51 +80,35 @@ def binter(d: list):
     return reduce(SInter, d, STop())
 
 
-def algo_subsort(sig: Signature, ctx: Context, d: list, s,
+def algo_subsort(sig: Signature, d: list, s,
                  closure: Optional[SubsortClosure] = None) -> bool:
     if closure is None:
         closure = build_closure(sig)
-    return _algo_subsort(sig, closure, ctx, d, s)
+    return _algo_subsort(closure, d, s)
 
 
-def _algo_subsort(sig, closure, ctx, d, s) -> bool:
+def _algo_subsort(closure, d, s) -> bool:
     match s:
         case STop():
             return True
         case SInter(l, r):
-            return (_algo_subsort(sig, closure, ctx, d, l)
-                    and _algo_subsort(sig, closure, ctx, d, r))
-        case SPi(h, s1, a1, t):
+            return _algo_subsort(closure, d, l) and _algo_subsort(closure, d, r)
+        case SPi(_, s1, a1, t):
             if a1 is None:
                 raise TypeError("algo_subsort: sort was not elaborated")
-            x = fresh_name(h, {e.name for e in ctx} | free_vars(t))
-            d2 = _algo_apply(sig, closure, ctx, d, x, split(s1), a1)
-            return _algo_subsort(sig, closure, ctx + [CtxEntry(x, s1, a1)],
-                                 d2, open_at(t, FVar(x)))
+            # Push a variable known to refine s1 through the function
+            # components: the codomains of those that take it are read,
+            # as t is, under one binder for it.
+            d1 = split(s1)
+            d2 = [q for f in d if isinstance(f, SPi)
+                  and _algo_subsort(closure, d1, f.dom_sort)
+                  for q in split(f.cod)]
+            return _algo_subsort(closure, d2, t)
         case _:
             if not is_atomic_sort(s):
                 raise TypeError(f"algo_subsort: not a sort: {s!r}")
             return any(not isinstance(q, SPi) and subsort_q(closure, q, s)
                        for q in d)
-
-
-def _algo_apply(sig, closure, ctx, d, x, d1, a1) -> list:
-    """Push a variable known to refine d1 through the function components."""
-    eta_x = eta_expand(a1, FVar(x))
-    out: list = []
-    for entry in d:
-        if not isinstance(entry, SPi):
-            continue
-        if not _algo_subsort(sig, closure, ctx, d1, entry.dom_sort):
-            continue
-        try:
-            cod = hsubst_syntax(eta_x, 0, a1, entry.cod)
-        except MetricExhausted:
-            raise
-        except SubstFailure:
-            continue
-        out.extend(split(cod))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +151,9 @@ def declarative_subsort_oracle(q: SubsortQuery, depth: int = 6) -> bool:
             if go(s.left, t, d - 1) or go(s.right, t, d - 1):
                 return True
         if isinstance(s, SPi) and isinstance(t, SPi):
-            if go(t.dom_sort, s.dom_sort, d - 1):
-                x = fresh_name(s.hint, free_vars(s.cod) | free_vars(t.cod))
-                if go(open_at(s.cod, FVar(x)), open_at(t.cod, FVar(x)), d - 1):
-                    return True
+            # Both codomains are read under the one binder they share.
+            if go(t.dom_sort, s.dom_sort, d - 1) and go(s.cod, t.cod, d - 1):
+                return True
         for m in _middle_pool(s, t):
             if m == s or m == t:
                 continue

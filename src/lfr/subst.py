@@ -18,13 +18,13 @@ lambda's index 0.
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Union
 
 from .syntax import (
     App, Arrow, AtomicTerm, Base, BVar, CInter, Const, CPi, CSort, CTop,
     CtxEntry, FVar, KPi, KType, Lam, NormalTerm, NormalType, SApp, SConst,
-    SimpleType, SInter, SPi, STop, Syntax, TApp, TConst, TPi, close_at,
-    free_vars, head, is_atomic_term, pool_name, shift,
+    SimpleType, SInter, SPi, STop, Syntax, TApp, TConst, TPi, free_vars,
+    head, is_atomic_term, pool_name, shift,
 )
 
 Path = tuple[str, ...]
@@ -76,16 +76,28 @@ def erase_type(a: Union[NormalType, SimpleType]) -> SimpleType:
 
 
 def eta_expand(alpha: Union[SimpleType, NormalType], r: AtomicTerm) -> NormalTerm:
-    """Eta-long form of the atomic term r at simple type alpha."""
-    alpha = erase_type(alpha)
-    match alpha:
-        case Base():
-            return r
-        case Arrow(d, c):
-            x = pool_name("x", free_vars(r))
-            body = eta_expand(c, App(r, eta_expand(d, FVar(x))))
-            return Lam(x, close_at(body, x))
-    raise TypeError(f"eta_expand: not a simple type: {alpha!r}")
+    """Eta-long form of the atomic term r at simple type alpha.  Each
+    lambda's hint is the first pool name free in neither r nor the
+    lambdas outside it."""
+    return _eta(erase_type(alpha), r, free_vars(r))
+
+
+def _eta(alpha: SimpleType, r: AtomicTerm, avoid: set[str]) -> NormalTerm:
+    """eta_expand(alpha, r) for avoid = free_vars(r): the lambdas are
+    built by index, and r, read where the result is, moves past them."""
+    doms, hints = [], []
+    while isinstance(alpha, Arrow):
+        doms.append(alpha.dom)
+        hints.append(pool_name("x", avoid))
+        avoid.add(hints[-1])
+        alpha = alpha.cod
+    n = len(doms)
+    t = shift(r, n)
+    for i, (d, x) in enumerate(zip(doms, hints)):
+        t = App(t, _eta(d, BVar(n - 1 - i), {x}))
+    for x in reversed(hints):
+        t = Lam(x, t)
+    return t
 
 
 def _simple_subterm(small: SimpleType, big: SimpleType) -> bool:
@@ -192,25 +204,6 @@ def _subst_rn(sub: Sub, x0: Var, r: AtomicTerm, k: int, fuel: _Fuel,
                                 "a subterm of the index type")
             return res, fty.cod
     raise SubstFailure("head-type mismatch", path)
-
-
-def treduce(x0: str, alpha0: Union[SimpleType, NormalType],
-            r: AtomicTerm) -> Optional[SimpleType]:
-    """Predict the type hsubst_rn would return, without substituting.
-
-    None when the spine consumes more arrows than alpha0 provides.
-    """
-    a0 = erase_type(alpha0)
-    match r:
-        case FVar(name) if name == x0:
-            return a0
-        case App(f, _):
-            fty = treduce(x0, a0, f)
-            if isinstance(fty, Arrow):
-                return fty.cod
-            return None
-        case _:
-            return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ representable.  Binding is locally nameless: bound variables are de Bruijn
 indices (BVar), free variables are named (FVar).  Binder name hints are
 carried for printing only and are excluded from equality, which makes
 structural equality coincide with alpha-equivalence.  One walk, `map_vars`,
-rebuilds a tree around its variables; opening, closing, shifting and
-naming for messages are leaf functions over it.
+rebuilds a tree around its variables; shifting and naming for messages
+are leaf functions over it.  Names stand for bound variables only where
+text is read (the parser's scope) and where messages are printed.
 """
 
 from __future__ import annotations
@@ -348,7 +349,7 @@ def map_vars(t: Syntax, f, k: int = 0) -> Syntax:
     an FVar, where depth is k plus the binders passed to reach v.
 
     This is the one walk that rebuilds source syntax around its variables:
-    opening, closing and shifting are leaf functions over it.
+    shifting and naming are leaf functions over it.
     """
     match t:
         case BVar() | FVar():
@@ -366,20 +367,6 @@ def map_vars(t: Syntax, f, k: int = 0) -> Syntax:
                            None if dt is None else map_vars(dt, f, k),
                            map_vars(c, f, k + 1))
     raise TypeError(f"map_vars: unexpected node {t!r}")
-
-
-def open_at(t: Syntax, repl: AtomicTerm, k: int = 0) -> Syntax:
-    """Replace bound index k with the locally closed atomic term repl."""
-    def leaf(v, depth):
-        return repl if isinstance(v, BVar) and v.index == depth else v
-    return map_vars(t, leaf, k)
-
-
-def close_at(t: Syntax, name: str, k: int = 0) -> Syntax:
-    """Turn free occurrences of name back into bound index k."""
-    def leaf(v, depth):
-        return BVar(depth) if isinstance(v, FVar) and v.name == name else v
-    return map_vars(t, leaf, k)
 
 
 def shift(t: Syntax, by: int, cutoff: int = 0) -> Syntax:

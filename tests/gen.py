@@ -34,9 +34,9 @@ from lfr.syntax import (
     TApp,
     TConst,
     TPi,
-    close_at,
-    open_at,
 )
+
+from oracles import close_at, close_lfi, open_at
 
 NAT = Base("nat")
 
@@ -381,6 +381,82 @@ def refined(t):
 
 
 # ---------------------------------------------------------------------------
+# Dependent function sorts over a family p : nat -> type, for subsorting.
+
+FAM_TEXT = (
+    "nat : type. z : nat. s : nat -> nat.\n"
+    "even << nat. odd << nat. pos << nat. odd <: pos.\n"
+    "z :: even. s :: even -> odd ^ odd -> even ^ # -> pos.\n"
+    "p : nat -> type.\n"
+    "pa << p. pb << p. pc << p. pa <: pb. pc <: pb.\n")
+
+
+def gen_fam_type(choose, ctx, depth: int, level: int = 0):
+    """A Pi type over ctx built from nat and p, ending in nat or `p N`.
+    A domain is nat, nat -> nat or such a type; N may mention the
+    variables bound at nat or nat -> nat, which ctx lists.  The binders
+    are named b<level>, one level per binder, so none shadows another."""
+    if depth <= 0 or choose(0, 2) == 0:
+        if choose(0, 3) == 0:
+            return TConst("nat")
+        return TApp(TConst("p"), gen_eta_term(choose, ctx, NAT, choose(0, 2)))
+    name = f"b{level}"
+    k = choose(0, 2)
+    if k == 2:
+        dom, inner = gen_fam_type(choose, ctx, depth - 1, level + 1), ctx
+    else:
+        alpha = (NAT, Arrow(NAT, NAT))[k]
+        dom, inner = simple_to_type(alpha), ctx + [(name, alpha)]
+    cod = gen_fam_type(choose, inner, depth - 1, level + 1)
+    return TPi(name, dom, close_at(cod, name))
+
+
+def gen_refining(choose, a, depth: int):
+    """A sort that refines the type a: top (#), intersections (^) down to
+    depth, and the structure of a below it: at a Pi a function sort whose
+    domain refines the domain type, at nat one of even, odd and pos, and
+    at `p N` one of pa N, pb N and pc N, so a codomain mentions its bound
+    variable where N does."""
+    k = choose(0, 5) if depth > 0 else 5
+    if k == 0:
+        return STop()
+    if k == 1:
+        return SInter(gen_refining(choose, a, depth - 1),
+                      gen_refining(choose, a, depth - 1))
+    match a:
+        case TPi(h, d, c):
+            return SPi(h, gen_refining(choose, d, depth - 1), d,
+                       gen_refining(choose, c, depth - 1))
+        case TApp(_, n):
+            return SApp(SConst(("pa", "pb", "pc")[choose(0, 2)]), n)
+    return SConst(("even", "odd", "pos")[choose(0, 2)])
+
+
+# A step up or down one declared FAM_TEXT edge.
+_UP = {"odd": "pos", "pa": "pb", "pc": "pb"}
+_DOWN = {"pos": "odd", "pb": "pa"}
+
+
+def gen_above(choose, s, up: bool = True):
+    """A sort that s is a subsort of, by the rules (below it, if not up):
+    an atom may take a step along a FAM_TEXT edge, an intersection may
+    drop a side, and a function sort goes the other way in its domain."""
+    match s:
+        case SInter(l, r):
+            if up and choose(0, 2) == 0:
+                return gen_above(choose, (l, r)[choose(0, 1)], up)
+            return SInter(gen_above(choose, l, up), gen_above(choose, r, up))
+        case SPi(h, ds, dt, c):
+            return SPi(h, gen_above(choose, ds, not up), dt,
+                       gen_above(choose, c, up))
+        case SApp(f, m):
+            return SApp(gen_above(choose, f, up), m)
+        case SConst(n) if choose(0, 1):
+            return SConst((_UP if up else _DOWN).get(n, n))
+    return s
+
+
+# ---------------------------------------------------------------------------
 # The target calculus: terms at extended simple types, types and kinds.
 
 LFI_NAT = L.IBase("nat")
@@ -454,7 +530,7 @@ def gen_lfi_term(choose, ctx, alpha, depth: int, consts=LFI_CONSTS):
         case L.IArrow(d, c) | L.IIrrArrow(d, c):
             name = _fresh_var(ctx, "v")
             body = gen_lfi_term(choose, ctx + [(name, d)], c, depth, consts)
-            return L.ILam(name, L.close_lfi(body, name))
+            return L.ILam(name, close_lfi(body, name))
         case L.IProdS(l, r):
             return L.IPair(gen_lfi_term(choose, ctx, l, depth, consts),
                            gen_lfi_term(choose, ctx, r, depth, consts))
@@ -495,7 +571,7 @@ def _lfi_binder(choose, ctx, depth: int, classifier, consts):
         alpha = gen_lfi_simple(choose, 1)
         dom = lfi_simple_to_type(alpha)
     body = classifier(choose, ctx + [(name, alpha)], depth - 1, consts)
-    return name, dom, L.close_lfi(body, name)
+    return name, dom, close_lfi(body, name)
 
 
 def gen_lfi_type(choose, ctx, depth: int, consts=LFI_CONSTS):

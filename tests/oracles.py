@@ -140,6 +140,48 @@ def oracle_subst(n0: s.NormalTerm, x0: str, n: s.NormalTerm) -> LTerm:
 
 
 # ---------------------------------------------------------------------------
+# Opening and closing a binder with a name, in both languages.
+#
+# The package reads and builds every binder by index and names bound
+# variables only to print them; the tests that build syntax by name, and
+# the reference copies below that open every binder, use these.  Each is
+# a leaf function over the package's one variable walk.
+
+from lfr import lfi as L  # noqa: E402
+
+
+def open_at(t: s.Syntax, repl: s.AtomicTerm, k: int = 0) -> s.Syntax:
+    """Replace bound index k with the locally closed atomic term repl."""
+    def leaf(v, depth):
+        return repl if isinstance(v, s.BVar) and v.index == depth else v
+    return s.map_vars(t, leaf, k)
+
+
+def close_at(t: s.Syntax, name: str, k: int = 0) -> s.Syntax:
+    """Turn free occurrences of name back into bound index k."""
+    def leaf(v, depth):
+        return s.BVar(depth) if isinstance(v, s.FVar) and v.name == name else v
+    return s.map_vars(t, leaf, k)
+
+
+def open_lfi(t, repl, k: int = 0):
+    """Replace bound index k of target syntax with the atomic term repl,
+    whose free indices are read at the position of the call."""
+    def leaf(v, depth):
+        if isinstance(v, L.IBVar) and v.index == depth:
+            return L._shift_lfi(repl, depth)
+        return v
+    return L._map_vars(t, leaf, k)
+
+
+def close_lfi(t, name: str, k: int = 0):
+    """Bind a free name of target syntax as index k."""
+    def leaf(v, depth):
+        return L.IBVar(depth) if isinstance(v, L.IFVar) and v.name == name else v
+    return L._map_vars(t, leaf, k)
+
+
+# ---------------------------------------------------------------------------
 # Declarative sort checking, as bounded proof search.
 #
 # This follows the declarative bidirectional rules directly, branching on
@@ -150,7 +192,7 @@ def oracle_subst(n0: s.NormalTerm, x0: str, n: s.NormalTerm) -> LTerm:
 from lfr.subsort import SubsortQuery, declarative_subsort_oracle  # noqa: E402
 from lfr.subst import SubstFailure as _SubstFailure  # noqa: E402
 from lfr.subst import hsubst_syntax  # noqa: E402
-from lfr.syntax import ctx_lookup, fresh_name, free_vars, open_at  # noqa: E402
+from lfr.syntax import ctx_lookup, fresh_name, free_vars  # noqa: E402
 
 
 def decl_synth_all(sig, ctx, r, depth: int) -> list:
@@ -228,6 +270,121 @@ def decl_check(sig, ctx, n, sort, depth: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Subsorting that opens every binder with a name.
+#
+# subsort.py's algorithm and declarative oracle as they were before they
+# read function sorts by index: at a function sort the algorithm names the
+# variable fresh for its context and the goal's codomain, substitutes its
+# eta-expansion into each component's codomain and opens the goal's with
+# it, and the oracle's Pi rule opens both codomains with one fresh name.
+# The package must give the same answers.
+
+from lfr.lfr_check import build_closure, subsort_q  # noqa: E402
+from lfr.lfr_check import split as _split_sort  # noqa: E402
+from lfr.subsort import (  # noqa: E402
+    _assoc,
+    _dist_inter_pi,
+    _dist_inter_pi_merge,
+    _dist_top_pi,
+    _middle_pool,
+)
+from lfr.subst import MetricExhausted as _MetricExhausted  # noqa: E402
+from lfr.subst import erase_type as _erase_type  # noqa: E402
+
+
+def named_eta_expand(alpha, r):
+    """subst.eta_expand as it was before it built its lambdas by index:
+    each lambda's variable takes the first pool name free in r, and the
+    body is closed over it."""
+    alpha = _erase_type(alpha)
+    if isinstance(alpha, s.Base):
+        return r
+    x = s.pool_name("x", free_vars(r))
+    body = named_eta_expand(alpha.cod,
+                            s.App(r, named_eta_expand(alpha.dom, s.FVar(x))))
+    return s.Lam(x, close_at(body, x))
+
+
+def named_algo_subsort(sig, ctx, d: list, t, closure=None) -> bool:
+    """algo_subsort, opening each function sort's codomain by name."""
+    if closure is None:
+        closure = build_closure(sig)
+    match t:
+        case s.STop():
+            return True
+        case s.SInter(l, r):
+            return (named_algo_subsort(sig, ctx, d, l, closure)
+                    and named_algo_subsort(sig, ctx, d, r, closure))
+        case s.SPi(h, s1, a1, cod):
+            x = fresh_name(h, {e.name for e in ctx} | free_vars(cod))
+            d2 = _named_algo_apply(sig, closure, ctx, d, x,
+                                   _split_sort(s1), a1)
+            return named_algo_subsort(sig, list(ctx) + [s.CtxEntry(x, s1, a1)],
+                                      d2, open_at(cod, s.FVar(x)), closure)
+    return any(not isinstance(q, s.SPi) and subsort_q(closure, q, t)
+               for q in d)
+
+
+def _named_algo_apply(sig, closure, ctx, d, x, d1, a1) -> list:
+    eta_x = named_eta_expand(a1, s.FVar(x))
+    out: list = []
+    for entry in d:
+        if not isinstance(entry, s.SPi):
+            continue
+        if not named_algo_subsort(sig, ctx, d1, entry.dom_sort, closure):
+            continue
+        try:
+            cod = hsubst_syntax(eta_x, 0, a1, entry.cod)
+        except _MetricExhausted:
+            raise
+        except _SubstFailure:
+            continue
+        out.extend(_split_sort(cod))
+    return out
+
+
+def named_subsort_oracle(q: SubsortQuery, depth: int = 6) -> bool:
+    """declarative_subsort_oracle, whose Pi rule opens both codomains
+    with one name fresh for them."""
+    closure = build_closure(q.sig)
+    memo: dict = {}
+
+    def go(a, b, d: int) -> bool:
+        key = (a, b, d)
+        if key not in memo:
+            memo[key] = False
+            memo[key] = rules(a, b, d)
+        return memo[key]
+
+    def rules(a, b, d: int) -> bool:
+        if a == b or isinstance(b, s.STop):
+            return True
+        if s.is_atomic_sort(a) and s.is_atomic_sort(b):
+            return subsort_q(closure, a, b)
+        if (_dist_top_pi(a, b) or _dist_inter_pi(a, b) or _assoc(a, b)
+                or _dist_inter_pi_merge(a, b)):
+            return True
+        if d <= 0:
+            return False
+        if isinstance(b, s.SInter):
+            if go(a, b.left, d - 1) and go(a, b.right, d - 1):
+                return True
+        if isinstance(a, s.SInter):
+            if go(a.left, b, d - 1) or go(a.right, b, d - 1):
+                return True
+        if isinstance(a, s.SPi) and isinstance(b, s.SPi):
+            if go(b.dom_sort, a.dom_sort, d - 1):
+                x = fresh_name(a.hint, free_vars(a.cod) | free_vars(b.cod))
+                if go(open_at(a.cod, s.FVar(x)), open_at(b.cod, s.FVar(x)),
+                      d - 1):
+                    return True
+        return any(m != a and m != b and go(a, m, d - 1) and go(m, b, d - 1)
+                   for m in _middle_pool(a, b))
+
+    return go(q.s, q.t, depth)
+
+
+# ---------------------------------------------------------------------------
 # Named substitution for the target calculus and for every classifier.
 #
 # Syntax of either calculus is converted to named trees: each binder gets
@@ -241,8 +398,6 @@ def decl_check(sig, ctx, n, sort, depth: int) -> bool:
 
 import dataclasses  # noqa: E402
 import itertools  # noqa: E402
-
-from lfr import lfi as L  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -406,7 +561,7 @@ def result_key(t):
 # binders instead; it must print, accept and report exactly as these do.
 
 from lfr.lfi import LfiCtxEntry, LfiError, lfi_ctx_lookup, lfi_equal  # noqa: E402
-from lfr.lfi import lfi_hsubst, open_lfi, promote  # noqa: E402
+from lfr.lfi import lfi_hsubst, promote  # noqa: E402
 
 
 def _names_in(t, nodes) -> set[str]:
@@ -474,7 +629,9 @@ def _opl_term(t, lvl: int, ext: bool) -> str:
             x = fresh_name(h, _used(b))
             return _wrap(not ext, f"[{x}] {_opl_term(open_lfi(b, L.IFVar(x)), 0, True)}")
         case L.IPair(l, r):
-            return f"<{_opl_term(l, 0, True)}, {_opl_term(r, 0, True)}>"
+            left = _opl_term(l, 0, True)
+            sep = " " if left.startswith("<") else ""
+            return f"<{sep}{left}, {_opl_term(r, 0, True)}>"
         case L.IUnit():
             return "<>"
     raise TypeError(t)
@@ -902,7 +1059,6 @@ from lfr.lfr_check import (  # noqa: E402
 )
 from lfr.printer import pp_sort, pp_term, pp_type  # noqa: E402
 from lfr.subst import MetricExhausted  # noqa: E402
-from lfr.syntax import close_at  # noqa: E402
 
 
 def _lf_fail(kind, message, expected=None, actual=None):
@@ -1172,7 +1328,7 @@ def opened_elab_class(sig, closure, ctx, cls, kind):
 # meta_apply and the injections are the package's too.
 
 from lfr.diagnostics import VerifyError  # noqa: E402
-from lfr.lfi import _shift_lfi, close_lfi  # noqa: E402
+from lfr.lfi import _shift_lfi  # noqa: E402
 from lfr.lfr_check import _sfail  # noqa: E402
 from lfr.subst import eta_expand  # noqa: E402
 from lfr.syntax import pool_name  # noqa: E402

@@ -29,10 +29,10 @@ from lfr.syntax import (
     TApp,
     TConst,
     fresh_name,
-    open_at,
 )
 
 from gen import gen_eta_term, gen_sort, numeral, rng_chooser
+from oracles import open_at
 
 # Internal subject name; "$" cannot appear in source identifiers.
 _SUBJECT = "$id"

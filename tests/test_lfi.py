@@ -54,12 +54,10 @@ from lfr.lfi import (
     LfiCtxEntry,
     LfiDecl,
     _shift_lfi,
-    close_lfi,
     lfi_check_kind,
     lfi_check_type,
     lfi_erase_type,
     lfi_hsubst,
-    open_lfi,
     promote,
 )
 from lfr.printer import pp_lfi_kind, pp_lfi_term, pp_lfi_type, print_lfi
@@ -78,6 +76,7 @@ from gen import (
     rehint,
 )
 from oracles import (
+    close_lfi,
     named_inst,
     named_subst,
     occurs,
@@ -87,6 +86,7 @@ from oracles import (
     opened_pp_lfi_kind,
     opened_pp_lfi_term,
     opened_pp_lfi_type,
+    open_lfi,
     result_key,
 )
 

@@ -14,6 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import lfr.lf
 import lfr.lfr_check
+import lfr.parser
+import lfr.subsort
+import lfr.subst
 import lfr.translate
 
 from lfr import (
@@ -721,28 +724,53 @@ class TestOpenedReference:
 
 # The operations a judgment needs to open a binder: opening, closing,
 # collecting free names, and picking a fresh name.
-OPENING = {"open_at", "close_at", "free_vars", "fresh_name", "pool_name"}
+OPENING = {"open_at", "close_at", "open_lfi", "close_lfi", "free_vars",
+           "fresh_name", "pool_name"}
 # The translator shows its binders under pool names, but opens none of
 # them in either language.
-TRANSLATOR_OPENING = OPENING - {"fresh_name", "pool_name"} | {"close_lfi"}
+TRANSLATOR_OPENING = OPENING - {"fresh_name", "pool_name"}
+# Eta-expansion scans its input's free names once, for the hints of the
+# lambdas it builds by index.
+SUBST_OPENING = OPENING - {"free_vars", "pool_name"}
+# Opening or closing a binder, in either language.
+BINDING = {"open_at", "close_at", "open_lfi", "close_lfi"}
+
+
+def _taken(tree: ast.Module) -> set[str]:
+    """The names a module's tree imports, and the attributes it reads."""
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            taken |= {a.name.rpartition(".")[2] for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            taken.add(node.attr)
+    return taken
 
 
 class TestBinderDiscipline:
     """The source judgments descend binders by index and name them only
-    for messages, through syntax.binder_names, and the translator builds
-    its binders by index and only shows their names: none of these
-    modules takes an operation that opening a binder needs."""
+    for messages, through syntax.binder_names; the translator builds its
+    binders by index and only shows their names; the parsers turn a bound
+    name into its index as they read it; subsorting reads both codomains
+    under the binder they share; and substitution and eta-expansion count
+    binders.  None of these modules takes an operation that opening a
+    binder needs, and no module in the package opens or closes one."""
 
     @pytest.mark.parametrize("module, forbidden",
                              ((lfr.lf, OPENING), (lfr.lfr_check, OPENING),
-                              (lfr.translate, TRANSLATOR_OPENING)),
-                             ids=("lf", "lfr_check", "translate"))
+                              (lfr.translate, TRANSLATOR_OPENING),
+                              (lfr.parser, OPENING), (lfr.subsort, OPENING),
+                              (lfr.subst, SUBST_OPENING)),
+                             ids=("lf", "lfr_check", "translate", "parser",
+                                  "subsort", "subst"))
     def test_takes_no_opening_operation(self, module, forbidden):
         tree = ast.parse(Path(module.__file__).read_text())
-        taken = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                taken |= {a.name.rpartition(".")[2] for a in node.names}
-            elif isinstance(node, ast.Attribute):
-                taken.add(node.attr)
-        assert not taken & forbidden
+        assert not _taken(tree) & forbidden
+
+    @pytest.mark.parametrize("path", sorted(
+        Path(lfr.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+    def test_no_module_opens_or_closes(self, path):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not (defined | _taken(tree)) & BINDING

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,9 +18,21 @@ from lfr import (
     pp_signature,
     print_lfi,
 )
+import lfr.lfi
+import lfr.syntax
+from lfr import lfi as L
 from lfr.lfi import lfi_equal
 from lfr.parser import tokenize
-from lfr.printer import pp_class, pp_kind, pp_sort, pp_term, pp_type
+from lfr.printer import (
+    pp_class,
+    pp_kind,
+    pp_lfi_kind,
+    pp_lfi_term,
+    pp_lfi_type,
+    pp_sort,
+    pp_term,
+    pp_type,
+)
 from lfr.syntax import (
     App,
     Arrow,
@@ -27,6 +41,8 @@ from lfr.syntax import (
     CPi,
     FVar,
     Lam,
+    KPi,
+    KType,
     SApp,
     SConst,
     SInter,
@@ -36,22 +52,28 @@ from lfr.syntax import (
     TConst,
     TPi,
     alpha_eq,
-    close_at,
 )
 
 from conftest import GOLDEN_DIR, GOLDEN_NAMES, golden_path
 from gen import (
     HO_CONSTS,
+    LFI_NAT,
     NAT,
+    binders_text,
     gen_class,
     gen_dep_sort,
     gen_eta_term,
     gen_kind,
+    gen_lfi_kind,
+    gen_lfi_simple,
+    gen_lfi_term,
+    gen_lfi_type,
     gen_simple,
     gen_type,
     rehint,
 )
 from oracles import (
+    close_at,
     opened_pp_class,
     opened_pp_kind,
     opened_pp_sort,
@@ -99,6 +121,188 @@ class TestRoundTrip:
 # Binder hints that meet the generators' constants (z, s, h, p, q), the
 # free names f and a, and the names the generators give binders.
 HINTS = ("x", "x'", "z", "p", "a", "v2", "b2", "b3")
+
+
+def _visits(module, walk: str, parse, *args) -> int:
+    """The nodes module.walk visits while parse(*args) runs."""
+    count, real = 0, getattr(module, walk)
+
+    def counted(*a, **k):
+        nonlocal count
+        count += 1
+        return real(*a, **k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, walk, counted)
+        parse(*args)
+    return count
+
+
+class TestScope:
+    """A bound name becomes its index when it is read, and each binder is
+    built around its body; nothing is closed afterwards."""
+
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    def test_source_parse_walks_no_binder(self, m):
+        # Closing each binder over its body once the body was read made
+        # 3 122 / 7 426 / 23 714 map_vars visits at m = 8 / 16 / 32.
+        assert _visits(lfr.syntax, "map_vars", parse_signature,
+                       binders_text(m)) == 0
+
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in GOLDEN_DIR.glob("*.lfi")))
+    def test_target_parse_walks_no_binder(self, name):
+        text = (GOLDEN_DIR / f"{name}.lfi").read_text()
+        assert _visits(lfr.lfi, "_map_vars", parse_lfi, text) == 0
+
+    def test_arrow_under_a_dependent_binder(self):
+        # The arrow binds a variable too, so x is index 1 in its codomain.
+        a = parse_type("{x : nat} nat -> p x", consts={"nat", "p"})
+        assert a == TPi("x", TConst("nat"),
+                        TPi("x", TConst("nat"), TApp(TConst("p"), BVar(1))))
+        s = parse_sort("{x :: even} odd -> q x", consts={"even", "odd", "q"})
+        assert s.cod.cod == SApp(SConst("q"), BVar(1))
+
+    def test_kind_and_class_arrows_bind(self):
+        sig = parse_signature(
+            "nat : type. p : {x : nat} nat -> p2 x -> type. "
+            "q << p :: {x :: #} # -> q2 x -> sort.")
+        kind, cls = sig.decls[1].kind, sig.decls[2].cls
+        assert kind.cod.cod == KPi("x", TApp(TConst("p2"), BVar(1)), KType())
+        assert cls.cod.cod.dom_sort == SApp(SConst("q2"), BVar(1))
+
+    def test_shadowing_takes_the_innermost_binder(self):
+        assert parse_term("[x] [x] x") == Lam("x", Lam("x", BVar(0)))
+        assert parse_term("[x] [y] [x] y") == Lam("x", Lam("y", Lam(
+            "x", BVar(1))))
+        a = parse_type("{x : nat} {x : nat} p x", consts={"nat", "p"})
+        assert a.cod.cod == TApp(TConst("p"), BVar(0))
+
+    def test_unbound_names_stay_free(self):
+        assert parse_term("[x] f x") == Lam("x", App(FVar("f"), BVar(0)))
+
+    def test_target_binders(self):
+        sig = parse_lfi("nat : type. p : nat -:> nat -> type. "
+                        "c : {x :: nat} {y : nat} nat -:> p [[x]] y. "
+                        "d : (nat -> nat) -> p [[z]] ([x] x).")
+        inner = L.ITApp(L.ITIrrApp(L.ITConst("p"), L.IBVar(2)), L.IBVar(1))
+        assert sig.decls[2].classifier == L.ITIrrPi(
+            "x", L.ITConst("nat"), L.ITPi("y", L.ITConst("nat"), L.ITIrrPi(
+                "x", L.ITConst("nat"), inner)))
+        assert sig.decls[1].classifier == L.IKIrrPi(
+            "x", L.ITConst("nat"), L.IKPi("x", L.ITConst("nat"), L.IKType()))
+        # z is not declared, so it stays free; the lambda binds under the
+        # arrow's binder.
+        d = sig.decls[3].classifier
+        assert d.cod == L.ITApp(L.ITIrrApp(L.ITConst("p"), L.IFVar("z")),
+                                L.ILam("x", L.IBVar(0)))
+
+
+def forget_domain_types(t):
+    """t with each sort or class binder's domain type left out, as the
+    printer leaves it out."""
+    if not dataclasses.is_dataclass(t):
+        return t
+    fields = {f.name: forget_domain_types(getattr(t, f.name))
+              for f in dataclasses.fields(t)}
+    if "dom_type" in fields:
+        fields["dom_type"] = None
+    return dataclasses.replace(t, **fields)
+
+
+# Declarations that make the generators' constants constants.
+SOURCE_CONSTS = "nat : type. z : nat. s : nat -> nat. h : (nat -> nat) -> nat. "
+TARGET_CONSTS = ("nat : type. z : nat. s : nat -> nat. "
+                 "h : (nat -> nat) -> nat. p : nat -:> nat -> type. ")
+
+
+def _has_type_tail(k) -> bool:
+    """Whether some tail of the target kind k is `type`, which is how the
+    parser tells a kind from a type."""
+    match k:
+        case L.IKType():
+            return True
+        case L.IKPi(_, _, c) | L.IKIrrPi(_, _, c):
+            return _has_type_tail(c)
+        case L.IKProd(left, right):
+            return _has_type_tail(left) or _has_type_tail(right)
+    return False
+
+
+@st.composite
+def printed_instances(draw):
+    """(language, which, t) for generated syntax over the free names f and
+    a, whose binders are rehinted from HINTS: a source term, type, kind,
+    sort or class, or a target term, type or kind."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    language, which = choose(0, 1), choose(0, 4)
+    if language == 0:
+        ctx = [("f", Arrow(NAT, NAT)), ("a", NAT)]
+        if which == 0:
+            t = gen_eta_term(choose, ctx, gen_simple(choose, 2),
+                             choose(0, 3), HO_CONSTS)
+        else:
+            gen = (gen_type, gen_kind, gen_dep_sort, gen_class)[which - 1]
+            t = gen(choose, ctx, choose(0, 3))
+    else:
+        which %= 3
+        ctx = [("f", L.IArrow(LFI_NAT, LFI_NAT)), ("a", LFI_NAT)]
+        if which == 0:
+            t = gen_lfi_term(choose, ctx, gen_lfi_simple(choose, 2),
+                             choose(0, 2))
+        else:
+            t = (gen_lfi_type, gen_lfi_kind)[which - 1](choose, ctx,
+                                                        choose(0, 3))
+    return language, which, rehint(t, lambda: HINTS[choose(0, len(HINTS) - 1)])
+
+
+def _reparse_source(which: int, t):
+    consts = {"z", "s", "h"}
+    if which == 0:
+        return parse_term(pp_term(t), consts)
+    if which == 1:
+        return parse_type(pp_type(t), consts)
+    if which == 3:
+        return parse_sort(pp_sort(t), consts)
+    if which == 2:
+        return parse_signature(SOURCE_CONSTS + f"c : {pp_kind(t)}.").decls[-1].kind
+    text = SOURCE_CONSTS + f"q << nat :: {pp_class(t)}."
+    return parse_signature(text).decls[-1].cls
+
+
+def _reparse_target(which: int, t):
+    if which == 0:
+        # A term is read as the argument of a type family.
+        text = pp_lfi_type(L.ITApp(L.ITConst("q"), t))
+        return parse_lfi(TARGET_CONSTS + f"c : {text}.").decls[-1].classifier.arg
+    text = (pp_lfi_type if which == 1 else pp_lfi_kind)(t)
+    return parse_lfi(TARGET_CONSTS + f"c : {text}.").decls[-1].classifier
+
+
+class TestPrintParse:
+    """Parsing what the printers print gives back the same syntax, up to
+    binder hints and the domain types the source printer leaves out."""
+
+    @settings(max_examples=400)
+    @given(printed_instances())
+    def test_parse_after_print(self, inst):
+        language, which, t = inst
+        if language == 0:
+            assert _reparse_source(which, t) == forget_domain_types(t)
+        elif which < 2 or _has_type_tail(t):
+            # A kind with no `type` tail reads as a type.
+            assert _reparse_target(which, t) == t
+
+    def test_pair_with_a_pair_or_unit_on_the_left(self):
+        # `<<>, z>` lexed as `<<`, the subsort symbol, and a translated
+        # proof of # ^ even printed so.
+        for left in (L.IUnit(), L.IPair(L.IUnit(), L.IUnit())):
+            t = L.IPair(left, L.IConst("z"))
+            assert pp_lfi_term(t).startswith("< <")
+            assert _reparse_target(0, t) == t
 
 
 @st.composite

@@ -26,7 +26,6 @@ from lfr.subst import (
     hsubst_rr,
     hsubst_syntax,
     inst_spine,
-    treduce,
 )
 from lfr.syntax import (
     App,
@@ -49,10 +48,8 @@ from lfr.syntax import (
     TConst,
     TPi,
     alpha_eq,
-    close_at,
     free_vars,
     head,
-    open_at,
     term_spine,
 )
 
@@ -71,10 +68,13 @@ from gen import (
     unroll,
 )
 from oracles import (
+    close_at,
     from_syntax,
+    named_eta_expand,
     named_inst,
     named_subst,
     occurs,
+    open_at,
     oracle_subst,
     result_key,
 )
@@ -497,33 +497,6 @@ class TestEtaCommutation:
         assert alpha_eq(hsubst_n(n0, X0, alpha0, expanded), direct)
 
 
-class TestTreduce:
-    def test_base_clause(self):
-        assert treduce("x", NAT, FVar("x")) == NAT
-
-    def test_arrow_step(self):
-        assert treduce("f", Arrow(NAT, NAT), App(FVar("f"), Const("z"))) == NAT
-
-    def test_undefined_when_arrows_run_out(self):
-        assert treduce("f", NAT, App(FVar("f"), Const("z"))) is None
-
-    @given(st.integers(0, 2 ** 32 - 1))
-    def test_predicts_hsubst_rn_type(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        alpha0 = gen_simple(rng.randint, 2)
-        n0 = gen_eta_term(rng.randint, [], alpha0, rng.randint(0, 2))
-        args, _ = unroll(alpha0)
-        r = FVar(X0)
-        for beta in args[:rng.randint(0, len(args))]:
-            r = App(r, gen_eta_term(rng.randint, [], beta, rng.randint(0, 2)))
-        predicted = treduce(X0, alpha0, r)
-        assert predicted is not None
-        _, actual = hsubst_rn(n0, X0, alpha0, r)
-        assert predicted == actual
-
-
 class TestEtaExpand:
     def test_base_is_identity(self):
         assert eta_expand(NAT, FVar("x")) == FVar("x")
@@ -545,6 +518,22 @@ class TestEtaExpand:
         h, args = term_spine(t.body)
         assert h == FVar("g")
         assert isinstance(args[0], Lam)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_matches_named_expansion(self, seed):
+        # The same terms with the same hints as a copy that names each
+        # lambda's variable and closes the body over it; the heads' free
+        # names x and y take pool names away.
+        import random
+
+        rng = random.Random(seed)
+        alpha = gen_simple(rng.randint, 3)
+        if rng.randint(0, 1):
+            alpha = simple_to_type(alpha)
+        r = (FVar("f"), FVar("x"), App(FVar("y"), FVar("x")),
+             Const("c"))[rng.randint(0, 3)]
+        assert repr(eta_expand(alpha, r)) == repr(named_eta_expand(alpha, r))
 
 
 class TestEraseType:

@@ -31,14 +31,12 @@ from lfr.syntax import (
     TPi,
     TypeFam,
     alpha_eq,
-    close_at,
     ctx_lookup,
     erase_ctx,
     erase_sig,
     free_vars,
     fresh_name,
     head,
-    open_at,
     pool_name,
     sort_spine,
     term_spine,
@@ -46,7 +44,7 @@ from lfr.syntax import (
 )
 
 from gen import gen_eta_term, gen_simple, gen_sort
-from oracles import used_names
+from oracles import close_at, open_at, used_names
 
 
 @st.composite
