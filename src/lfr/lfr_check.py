@@ -9,7 +9,8 @@ checker establishes that invariant declaration by declaration.
 The judgments the translation reads also return a derivation: one
 tagged tuple per rule, holding the derivations of its premises.
 
-    ("const", c)                    synthesis from a constant
+    ("const", c, k)                 synthesis from a constant, whose
+                                    sort fuses its first k refinements
     ("var", i)  ("var", x)          synthesis from the variable of the
                                     i-th enclosing binder, or from the
                                     context's hypothesis x
@@ -279,7 +280,8 @@ def _pending(sig, closure, ctx, stack, r, trace) -> list:
                        f"constant {n} has no refinement declaration")
             if trace is not None:
                 trace.append("const")
-            return _split(merged, ("const", n), (), trace)
+            return _split(merged, ("const", n, len(sig.const_refs[n])), (),
+                          trace)
         case FVar(n):
             entry = ctx_lookup(ctx, n)
             if entry is None:
@@ -562,21 +564,28 @@ def _elab_sort(sig, closure, ctx, stack, s, a, trace):
                 trace.append("Π-F")
             return SPi(h, ds2, a.dom, cod2)
         case SConst() | SApp():
-            derivs, refined = _synth_sort_class(sig, closure, ctx, stack, s,
-                                                trace)
-            if not derivs:
-                _sfail("annotation-mismatch",
-                       lambda: f"sort {_pp(pp_sort, s, ctx, stack)} is not "
-                               f"fully applied")
-            if not alpha_eq(refined, a):
-                _sfail("annotation-mismatch",
-                       lambda: f"sort {_pp(pp_sort, s, ctx, stack)} refines "
-                               f"{_pp(pp_type, refined, ctx, stack)}, not "
-                               f"{_pp(pp_type, a, ctx, stack)}")
+            _form_atom(sig, closure, ctx, stack, s, a, trace)
             if trace is not None:
                 trace.append("Q-F")
             return s
     raise TypeError(f"elaborate_sort: not a sort: {s!r}")
+
+
+def _form_atom(sig, closure, ctx, stack, s, a, trace) -> list:
+    """The derivations that the atom s is a sort refining a (any type if a
+    is None), in elimination order, recorded with sig for the translator."""
+    derivs, refined = _synth_sort_class(sig, closure, ctx, stack, s, trace)
+    if not derivs:
+        _sfail("annotation-mismatch",
+               lambda: f"sort {_pp(pp_sort, s, ctx, stack)} is not fully "
+                       f"applied")
+    if a is not None and not alpha_eq(refined, a):
+        _sfail("annotation-mismatch",
+               lambda: f"sort {_pp(pp_sort, s, ctx, stack)} refines "
+                       f"{_pp(pp_type, refined, ctx, stack)}, not "
+                       f"{_pp(pp_type, a, ctx, stack)}")
+    sig.formations[id(s)] = s, derivs
+    return derivs
 
 
 def _elab_class(sig, closure, ctx, stack, cls, kind, trace):

@@ -240,7 +240,8 @@ class Signature:
     Uniqueness per namespace is the checker's job; lookups here return the
     first matching declaration.  Subsort declarations are also kept as an
     edge map, sub to its declared supersorts in declaration order, which
-    `lfr_check.SubsortClosure` and the translator's coercion search read.
+    `lfr_check.SubsortClosure` and the translator's coercion search read;
+    `const_refs` maps a constant to its refinement declarations, in order.
     """
 
     def __init__(self, decls: Iterable[Declaration] = ()):
@@ -248,9 +249,10 @@ class Signature:
         self._type_fams: dict[str, TypeFam] = {}
         self._term_consts: dict[str, TermConst] = {}
         self._sort_fams: dict[str, SortFam] = {}
-        self._const_refs: dict[str, list[ConstRef]] = {}
+        self.const_refs: dict[str, list[ConstRef]] = {}
         self.sub_decls: list[SubDecl] = []
         self.sub_edges: dict[str, list[str]] = {}
+        self.formations: dict[int, tuple] = {}   # see lfr_check._form_atom
         for d in decls:
             self.append(d)
 
@@ -264,7 +266,7 @@ class Signature:
             case SortFam(name=n):
                 self._sort_fams.setdefault(n, decl)
             case ConstRef(const=c):
-                self._const_refs.setdefault(c, []).append(decl)
+                self.const_refs.setdefault(c, []).append(decl)
             case SubDecl(sub=a, sup=b):
                 self.sub_decls.append(decl)
                 self.sub_edges.setdefault(a, []).append(b)
@@ -286,7 +288,7 @@ class Signature:
 
     def merged_ref_sort(self, name: str) -> Optional[NormalSort]:
         """Sort of a refined constant; repeat declarations intersect."""
-        refs = self._const_refs.get(name)
+        refs = self.const_refs.get(name)
         if not refs:
             return None
         sort = refs[0].sort

@@ -59,8 +59,12 @@ from .lfi import (
 )
 from .lfr_check import (
     SortError,
+    SubsortClosure,
     _acheck,
     _asynth,
+    _elab_class,
+    _elab_sort,
+    _form_atom,
     _pp,
     _sfail,
     _synth_sort_class,
@@ -158,6 +162,8 @@ class TransResult:
     lfi_sig: LfiSignature
     provenance: dict[str, str]
     mangler: NameMangler
+    closure: SubsortClosure
+    sorts: dict[str, Metafunction]    # each refined constant's trans_sort
 
 
 # ---------------------------------------------------------------------------
@@ -341,38 +347,32 @@ def trans_sort(sig: Signature, ctx: Context, s, a, mangler=None, closure=None
     """Predicate type for a sort, as a function of the (injected) subject."""
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
-    body = _sort_body(sig, closure, ctx, (), s, a, mangler, _root(ctx))
-    return Metafunction(1, lambda n: body(n, 0))
+    s = _elab_sort(sig, closure, ctx, (), s, a, None)
+    return Metafunction(1, _sort_body(sig, closure, s, a, mangler,
+                                      _root(ctx)))
 
 
-def _sort_body(sig, closure, ctx, stack, s, a, mangler, at: At):
+def _sort_body(sig, closure, s, a, mangler, at: At):
     """The sort's predicate type as a function of the subject.
 
-    s and a are read under the binders on `stack` (the sort checker's),
-    and the type is built at `at`, all but the subject once, here.  The
-    function takes the subject and the number of its lambdas enclosing
-    function sorts stripped, and places it (see _place) at the root of
-    the type, so none of its free names is captured.
-    """
+    The type is built at `at`, all but the subject once, here; an atom's
+    formation proof is of the first derivation the sort checker recorded
+    when it elaborated the atom.  The function takes the subject and the
+    number (by default 0) of its lambdas enclosing function sorts stripped,
+    and places it (see _place) at the root of the type, so none of its
+    free names is captured."""
     match s:
         case STop():
-            return lambda n, p: ITUnitT()
+            return lambda n, p=0: ITUnitT()
         case SInter(l, r):
-            left, right = (_sort_body(sig, closure, ctx, stack, side, a,
-                                      mangler, at) for side in (l, r))
-            return lambda n, p: ITProd(left(n, p), right(n, p))
-        case SPi(h, ds, dt, cod):
-            if dt is None:
-                raise TypeError("trans_sort: sort was not elaborated")
-            if not isinstance(a, TPi):
-                _sfail("annotation-mismatch",
-                       "function sort at non-function type")
-            wrap, stack, at = _binder(sig, closure, ctx, stack, h, ds, a.dom,
-                                      mangler, at)
-            cod_body = _sort_body(sig, closure, ctx, stack, cod, a.cod,
-                                  mangler, at)
+            left, right = (_sort_body(sig, closure, side, a, mangler, at)
+                           for side in (l, r))
+            return lambda n, p=0: ITProd(left(n, p), right(n, p))
+        case SPi(h, ds, _, cod):
+            wrap, at = _binder(sig, closure, h, ds, a.dom, mangler, at)
+            cod_body = _sort_body(sig, closure, cod, a.cod, mangler, at)
 
-            def body(n, p):
+            def body(n, p=0):
                 if not isinstance(n, ILam):
                     raise VerifyError(
                         "reverse application of a non-function term")
@@ -386,26 +386,28 @@ def _sort_body(sig, closure, ctx, stack, s, a, mangler, at: At):
             pred = ITConst(mangler.predicate(head.name))
             for m in args:
                 pred = ITApp(pred, _inj_arg(m, injected, at))
-            form = _formations(sig, closure, ctx, stack, s)[0]
-            pred = ITIrrApp(pred, _proof(sig, closure, mangler, form, at,
+            atom, derivs = sig.formations.get(id(s), (None, None))
+            if atom is not s:
+                raise TypeError("trans_sort: sort was not elaborated")
+            pred = ITIrrApp(pred, _proof(sig, closure, mangler, derivs[0], at,
                                          injected))
-            return lambda n, p: ITApp(pred, _place(n, p))
+            return lambda n, p=0: ITApp(pred, _place(n, p))
     raise TypeError(f"trans_sort: not a sort: {s!r}")
 
 
-def _binder(sig, closure, ctx, stack, h, ds, a, mangler, at: At):
+def _binder(sig, closure, h, ds, a, mangler, at: At):
     """For the binder of a function sort or class over ds at type a, read
-    at `at`: the function that binds x and x^ around a type, and the stack
-    and place its body is read at.  x^'s type, ds's predicate of x, sits
-    under x alone."""
+    at `at`: the function that binds x and x^ around a type, and the place
+    its body is read at.  x^'s type, ds's predicate of x, sits under x
+    alone."""
     levels, depth, shown = at
     x = pool_name(h, shown)
     dom = _inj_arg(a, {}, at)
-    dom_pred = _sort_body(sig, closure, ctx, stack, ds, a, mangler,
-                          (levels, depth + 1, shown | {x})
-                          )(_eta(a, IBVar(0), {x}), 0)
+    dom_pred = _sort_body(sig, closure, ds, a, mangler,
+                          (levels, depth + 1, shown | {x}))
+    dom_pred = dom_pred(_eta(a, IBVar(0), {x}))
     return (lambda t: ITPi(x, dom, ITPi(x + "^", dom_pred, t)),
-            stack + ((h, a, ds),), _bind(at, x, a))
+            _bind(at, x, a))
 
 
 def _place(n, p: int):
@@ -419,33 +421,29 @@ def _place(n, p: int):
     return _map_vars(n, leaf) if p else n
 
 
-def trans_class_form(sig: Signature, ctx: Context, cls, mangler,
+def trans_class_form(sig: Signature, ctx: Context, cls, kind, mangler,
                      closure) -> Metafunction:
     """Type of a sort's intro constant, as a function of the proof family
-    atom, a closed constant."""
+    atom, a closed constant; cls is elaborated against kind first."""
+    cls = _elab_class(sig, closure, ctx, (), cls, kind, None)
     return Metafunction(1, lambda pf: _class_form_body(
-        sig, closure, ctx, (), cls, mangler, pf, _root(ctx)))
+        sig, closure, cls, mangler, pf, _root(ctx)))
 
 
-def _class_form_body(sig, closure, ctx, stack, cls, mangler, pf, at: At):
-    """cls read under the binders on `stack`, built at `at`; at `sort`,
-    pf is applied to their variables."""
+def _class_form_body(sig, closure, cls, mangler, pf, at: At):
+    """cls built at `at`; at `sort`, pf is applied to the variables of the
+    binders passed."""
     match cls:
         case CSort():
             return _applied(pf, at)
         case CTop():
             return ITUnitT()
         case CInter(l, r):
-            return ITProd(*(_class_form_body(sig, closure, ctx, stack, side,
-                                             mangler, pf, at)
-                            for side in (l, r)))
+            return ITProd(*(_class_form_body(sig, closure, side, mangler, pf,
+                                             at) for side in (l, r)))
         case CPi(h, ds, dt, body):
-            if dt is None:
-                raise TypeError("trans_class_form: class was not elaborated")
-            wrap, stack, at = _binder(sig, closure, ctx, stack, h, ds, dt,
-                                      mangler, at)
-            return wrap(_class_form_body(sig, closure, ctx, stack, body,
-                                         mangler, pf, at))
+            wrap, at = _binder(sig, closure, h, ds, dt, mangler, at)
+            return wrap(_class_form_body(sig, closure, body, mangler, pf, at))
     raise TypeError(f"trans_class_form: not a class: {cls!r}")
 
 
@@ -455,17 +453,7 @@ def trans_sort_synth_all(sig: Signature, ctx: Context, q, mangler=None,
     mangler = mangler or NameMangler(sig)
     closure = closure or build_closure(sig)
     return [_proof(sig, closure, mangler, d, _root(ctx), {})
-            for d in _formations(sig, closure, ctx, (), q)]
-
-
-def _formations(sig, closure, ctx, stack, q) -> list:
-    """The checker's derivations that q is a sort, in elimination order."""
-    derivs, _ = _synth_sort_class(sig, closure, ctx, stack, q, None)
-    if not derivs:
-        _sfail("annotation-mismatch",
-               lambda: f"no formation proof for sort "
-                       f"{_pp(pp_sort, q, ctx, stack)}")
-    return derivs
+            for d in _form_atom(sig, closure, ctx, (), q, None, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +494,12 @@ def _proof(sig, closure, mangler, d, at: At, injected: dict):
         return _proof(sig, closure, mangler, d1, at, injected)
 
     match d:
-        case ("const", c):
-            return IConst(mangler.term_const(c))
+        case ("const", c, k):
+            # c^ fuses all c's refinements: its first k, one fst per later one.
+            out = IConst(mangler.term_const(c))
+            for _ in range(len(sig.const_refs[c]) - k):
+                out = IFst(out)
+            return out
         case ("intro", s):
             return IConst(mangler.sort_intro(s))
         case ("var", int(i)):
@@ -574,9 +566,12 @@ def _coercion(sig, closure, ctx, stack, q1, q2, mangler, at: At
     injected: dict = {}
 
     def formation(q):
-        return _proof(sig, closure, mangler,
-                      _formations(sig, closure, ctx, stack, q)[0], at,
-                      injected)
+        derivs, _ = _synth_sort_class(sig, closure, ctx, stack, q, None)
+        if not derivs:
+            _sfail("annotation-mismatch",
+                   lambda: f"no formation proof for sort "
+                           f"{_pp(pp_sort, q, ctx, stack)}")
+        return _proof(sig, closure, mangler, derivs[0], at, injected)
 
     head, spine = sort_spine(q1)
     head, goal = head.name, sort_spine(q2)[0].name
@@ -633,7 +628,7 @@ def trans_sig(sig: Signature) -> TransResult:
     closure = build_closure(sig)
     lfi_sig = LfiSignature()
     prov: dict[str, str] = {}
-    emitted_refs: set[str] = set()
+    sorts: dict[str, Metafunction] = {}
 
     def emit(name: str, classifier, label: str) -> None:
         lfi_sig.append(LfiDecl(name, classifier, decl.span))
@@ -650,9 +645,8 @@ def trans_sig(sig: Signature) -> TransResult:
                 label = f"{s} << {ref}."
                 pf = mangler.sort_proof_fam(s)
                 emit(pf, inj_kind(fam.kind), label)
-                form = meta_apply(trans_class_form(sig, [], cls, mangler,
-                                                   closure), [ITConst(pf)])
-                emit(mangler.sort_intro(s), form, label)
+                emit(mangler.sort_intro(s), _class_form_body(
+                    sig, closure, cls, mangler, ITConst(pf), _root()), label)
                 pred = mangler.predicate(s)
                 emit(pred, meta_apply(trans_kind_pred(fam.kind),
                                       [ITConst(pf), ITConst(ref)]), label)
@@ -665,42 +659,37 @@ def trans_sig(sig: Signature) -> TransResult:
                     mangler.predicate(s2))])
                 emit(mangler.coercion(s1, s2), ty, f"{s1} <: {s2}.")
             case ConstRef(c, _):
-                if c in emitted_refs:
+                if c in sorts:
                     continue
-                emitted_refs.add(c)
                 const = sig.term_const(c)
-                merged = sig.merged_ref_sort(c)
-                smeta = trans_sort(sig, [], merged, const.type, mangler,
-                                   closure)
+                smeta = sorts[c] = Metafunction(1, _sort_body(
+                    sig, closure, sig.merged_ref_sort(c), const.type, mangler,
+                    _root()))
                 ty = meta_apply(smeta, [_eta(const.type, IConst(c), set())])
                 emit(mangler.term_const(c), ty, f"{c} :: _.")
-    return TransResult(lfi_sig, prov, mangler)
+    return TransResult(lfi_sig, prov, mangler, closure, sorts)
 
 
 def verify_translation(sig: Signature, result: TransResult) -> None:
     """Re-check everything the translation emitted or can derive.
 
-    The emitted signature is checked declaration by declaration, then
-    each refined constant's proof term is rebuilt and checked against
-    its translated sort.
-    """
+    The emitted signature is checked declaration by declaration, then each
+    refined constant's proof is derived afresh and checked against the
+    sort interpretation trans_sig kept, at its first refinement."""
     try:
         lfi_check_sig(result.lfi_sig)
     except LfiError as e:
         raise VerifyError(
             f"translated signature failed re-checking: {e.message}")
-    closure = build_closure(sig)
-    for c in dict.fromkeys(d.const for d in sig if isinstance(d, ConstRef)):
+    for c, smeta in result.sorts.items():
         const, merged = sig.term_const(c), sig.merged_ref_sort(c)
         subject = eta_expand(const.type, Const(c))
         try:
             nhat = trans_term_check(sig, [], subject, merged, result.mangler,
-                                    closure)
-            smeta = trans_sort(sig, [], merged, const.type, result.mangler,
-                               closure)
+                                    result.closure)
             goal = meta_apply(smeta, [inj_term(subject)])
             lfi_check(result.lfi_sig, [], nhat, goal)
         except (LfiError, SortError) as e:
             raise VerifyError(
                 f"translated proof for {c} failed re-checking: "
-                f"{e.message}")
+                f"{e.message}", sig.const_refs[c][0].span)

@@ -1328,19 +1328,31 @@ def opened_elab_class(sig, closure, ctx, cls, kind):
 # meta_apply and the injections are the package's too.
 
 from lfr.diagnostics import VerifyError  # noqa: E402
-from lfr.lfi import _shift_lfi  # noqa: E402
-from lfr.lfr_check import _sfail  # noqa: E402
+from lfr.lfi import _shift_lfi, lfi_check, lfi_check_sig  # noqa: E402
+from lfr.lfr_check import _pp, _sfail, _synth_sort_class  # noqa: E402
 from lfr.subst import eta_expand  # noqa: E402
 from lfr.syntax import pool_name  # noqa: E402
 from lfr.translate import (  # noqa: E402
     Metafunction,
-    _formations,
     _proof,
     _root,
     inj_term,
     inj_type,
     meta_apply,
+    trans_sort,
+    trans_term_check,
 )
+
+
+def _formations(sig, closure, ctx, stack, q) -> list:
+    """The checker's derivations that q is a sort, in elimination order,
+    derived afresh."""
+    derivs, _ = _synth_sort_class(sig, closure, ctx, stack, q, None)
+    if not derivs:
+        _sfail("annotation-mismatch",
+               lambda: f"no formation proof for sort "
+                       f"{_pp(pp_sort, q, ctx, stack)}")
+    return derivs
 
 
 def _close_over(t, scope: list[str]):
@@ -1437,7 +1449,8 @@ def _opened_sort_body(sig, closure, ctx, sort, a, mangler, scope: list[str]):
     raise TypeError(sort)
 
 
-def opened_trans_class_form(sig, ctx, cls, mangler, closure) -> Metafunction:
+def opened_trans_class_form(sig, ctx, cls, kind, mangler, closure
+                            ) -> Metafunction:
     return Metafunction(1, lambda pf: _opened_class_form_body(
         sig, closure, ctx, cls, mangler, pf))
 
@@ -1477,3 +1490,31 @@ def opened_trans_ctx(sig, ctx, mangler, closure) -> list:
                                                      s.FVar(e.name)))])
         out.append(LfiCtxEntry(e.name + "^", sty, True))
     return out
+
+
+# translate.verify_translation as it was before it reused what trans_sig
+# kept: it builds a subsort closure of its own and translates each refined
+# constant's sort again to make the goal.  The package's verify must pass
+# exactly when this one does, and fail with the same message.
+
+def retranslating_verify(sig, result) -> None:
+    try:
+        lfi_check_sig(result.lfi_sig)
+    except LfiError as e:
+        raise VerifyError(
+            f"translated signature failed re-checking: {e.message}")
+    closure = build_closure(sig)
+    for c in dict.fromkeys(d.const for d in sig if isinstance(d, s.ConstRef)):
+        const, merged = sig.term_const(c), sig.merged_ref_sort(c)
+        subject = eta_expand(const.type, s.Const(c))
+        try:
+            nhat = trans_term_check(sig, [], subject, merged, result.mangler,
+                                    closure)
+            smeta = trans_sort(sig, [], merged, const.type, result.mangler,
+                               closure)
+            goal = meta_apply(smeta, [inj_term(subject)])
+            lfi_check(result.lfi_sig, [], nhat, goal)
+        except (LfiError, SortError) as e:
+            raise VerifyError(
+                f"translated proof for {c} failed re-checking: "
+                f"{e.message}")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import re
 import subprocess
@@ -15,10 +17,11 @@ from hypothesis import given, settings, strategies as st
 
 from lfr import VerifyError, lfi_check_sig, parse_lfi
 from lfr.cli import main
+from lfr.lfi import ITUnitT, LfiDecl
 from lfr.parser import tokenize
 
 from conftest import GOLDEN_DIR, GOLDEN_NAMES, checkout_env, golden_path
-from gen import deep_text
+from gen import binders_text, deep_text
 
 
 GOOD = [n for n in GOLDEN_NAMES]
@@ -362,6 +365,68 @@ class TestPinnedOutput:
                 err) == want
 
 
+def _bench_workloads():
+    """bench/workloads.py of this checkout, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # for its dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workload_text(name: str) -> str:
+    """The text of an input of the benchmark's workloads at seed 1."""
+    workloads = _bench_workloads()
+    inputs = (i for w in workloads.WORKLOADS
+              for i in workloads.make_workload(w, 1, GOLDEN_DIR))
+    return next(i.text for i in inputs if i.name == name)
+
+
+class TestPinnedDigests:
+    """lfr translate writes the .lfi and .prov files it wrote when the
+    translator and verify derived every formation again, pinned by
+    sha256: the benchmark's inputs at seed 1 and two generated ones."""
+
+    PINNED = {
+        "wide": (
+            "b326a2ac3591737cd1963364b4ee9d9008d32199c2a1015e2f06f9883ee7dc91",
+            "8f7f0a2dc07a162f671119024611b26a4eac489da1aeb733fa2c42306f322c0b"),
+        "deep-12": (
+            "8e4825868dd4a8875260e533874b10594c4e2b4a48aacedb6adeab313dd1bee0",
+            "d51008b694c57e986055b01670af6c8f6b9d0949161654e1eb5522df7b11abeb"),
+        "binders": (
+            "cf3494bbe15e7aeb1331b99c09c09a1ad50e7f8a1e78f9d6232dcb453d02eaf4",
+            "6cd5d1c855b3f4d61aa6cf089ea447e41a21cc099327bddd51166fdc2b49180b"),
+        "binders_text(16)": (
+            "2178bb16d139a5087642685e61de6cda571069442fc1fe0937d75d348644f949",
+            "ba253b1013e822843461ea7d05c07a93e2b7ed3ca97cf5e16dbe15e55454ee4e"),
+        "deep_text(8)": (
+            "67ee367f779c680e5b705683c195d56149c92cac929960b7e3a8bca3685c6964",
+            "928a94e06cd1623df486a556026fe8f409350a61e2989d34c874970a44762bc1"),
+    }
+    TEXTS = {"binders_text(16)": lambda: binders_text(16),
+             "deep_text(8)": lambda: deep_text(8)}
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_translate_writes_pinned_digests(self, name, tmp_path):
+        text = self.TEXTS.get(name, lambda: _workload_text(name))()
+        src, dest = tmp_path / "in.lfr", tmp_path / "out.lfi"
+        src.write_text(text)
+        assert main(["translate", "--quiet", str(src), "-o", str(dest)]) == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (dest, tmp_path / "out.lfi.prov"))
+        assert digests == self.PINNED[name]
+
+    def test_rejected_depth_writes_nothing(self, tmp_path, capsys):
+        # deep_text(9) is rejected at its last line, before translation.
+        src = tmp_path / "in.lfr"
+        src.write_text(deep_text(9))
+        assert main(["translate", "--quiet", str(src)]) == 1
+        assert capsys.readouterr().err.startswith(f"{src}:13:1: error: ")
+        assert list(tmp_path.iterdir()) == [src]
+
+
 class TestVerify:
     @pytest.mark.parametrize("name", GOOD)
     def test_goldens_verify(self, name, capsys):
@@ -370,6 +435,28 @@ class TestVerify:
 
     def test_rejected_signature_fails_before_translation(self, capsys):
         assert main(["verify", str(golden_path("bad-odd"))]) == 1
+
+    def test_proof_failure_is_located(self, monkeypatch, capsys):
+        # z^ at the predicate of top: the emitted signature still checks,
+        # and the re-check of z's proof fails at z's refinement.
+        import lfr.cli as cli
+        import lfr.translate
+
+        def tampered(sig):
+            result = lfr.translate.trans_sig(sig)
+            result.lfi_sig = type(result.lfi_sig)(
+                [LfiDecl(d.name, ITUnitT(), d.span) if d.name == "z^" else d
+                 for d in result.lfi_sig])
+            return result
+
+        monkeypatch.setattr(cli, "trans_sig", tampered)
+        path = golden_path("even-odd")
+        line = next(i for i, text in enumerate(
+            path.read_text().splitlines(), 1) if text.startswith("z ::"))
+        assert main(["verify", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"{path}:{line}:1: error: translated proof for z failed "
+            f"re-checking: ")
 
     def test_exhausted_budget_exits_three(self, monkeypatch, capsys):
         monkeypatch.setenv("LFR_FUEL", "2")

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lfr.lfi
+import lfr.lfr_check
 import lfr.syntax
 import lfr.translate
 
@@ -44,7 +48,9 @@ from lfr.lfi import (
     ITConst,
     ITIrrApp,
     ITProd,
+    ITUnitT,
     LfiDecl,
+    LfiError,
     lfi_erase_type,
     lfi_hsubst,
 )
@@ -54,6 +60,7 @@ from lfr.printer import pp_lfi_type, print_lfi
 from lfr.subst import eta_expand, hsubst_syntax
 from lfr.syntax import (
     Const,
+    ConstRef,
     CSort,
     CTop,
     CtxEntry,
@@ -62,6 +69,7 @@ from lfr.syntax import (
     SConst,
     SInter,
     SPi,
+    Signature,
     STop,
     TApp,
     TConst,
@@ -82,7 +90,7 @@ from lfr.translate import (
     trans_kind_sub,
 )
 
-from conftest import golden_path
+from conftest import GOLDEN_NAMES, golden_path
 from gen import (
     HINTS,
     NAT,
@@ -103,6 +111,7 @@ from gen import (
     rehint,
     simple_to_type,
     sort_fit,
+    wide_signature,
 )
 from oracles import (
     opened_trans_class_form,
@@ -110,6 +119,7 @@ from oracles import (
     opened_trans_kind_pred,
     opened_trans_kind_sub,
     opened_trans_sort,
+    retranslating_verify,
 )
 from principles import elaborate_quiet
 
@@ -170,6 +180,190 @@ class TestVerification:
             verify_translation(sig, broken)
         # The untouched result still verifies.
         verify_translation(sig, result)
+
+
+def _tampered(result, name: str, classifier):
+    """A copy of result whose emitted signature gives name classifier."""
+    decls = [LfiDecl(d.name, classifier, d.span) if d.name == name else d
+             for d in result.lfi_sig.decls]
+    return dataclasses.replace(result, lfi_sig=type(result.lfi_sig)(decls))
+
+
+def _refined(sig) -> list[str]:
+    return list(dict.fromkeys(d.const for d in sig if isinstance(d, ConstRef)))
+
+
+class TestTamperedProofs:
+    """Giving a refined constant c's proof constant c^ another predicate
+    that is well formed where c^ is declared, the one of top (1) or the one
+    of c's sort intersected with itself (P * P), is caught by the re-check
+    of c's proof, which names c.  Where a later declaration's formation
+    proof uses c^ at c's sort, no other predicate keeps the emitted
+    signature well formed, and the signature re-check catches it first."""
+
+    USED_LATER = {"double": {"z", "s"}, "cbv": {"lam", "app"}}
+
+    @pytest.mark.parametrize("other", ["top", "twice"])
+    @pytest.mark.parametrize("name", ["even-odd", "coerce", "double", "cbv"])
+    def test_every_refined_constant(self, name, other, checked_goldens,
+                                    translated_goldens):
+        sig, result = checked_goldens[name], translated_goldens[name]
+        used_later = set()
+        for c in _refined(sig):
+            c_hat = result.mangler.term_const(c)
+            p = next(d.classifier for d in result.lfi_sig if d.name == c_hat)
+            broken = _tampered(result, c_hat,
+                               ITUnitT() if other == "top" else ITProd(p, p))
+            try:
+                lfi_check_sig(broken.lfi_sig)
+                failure = f"translated proof for {c} failed re-checking"
+            except LfiError:
+                used_later.add(c)
+                failure = "translated signature failed re-checking"
+            with pytest.raises(VerifyError, match=re.escape(failure)):
+                verify_translation(sig, broken)
+        assert used_later == self.USED_LATER.get(name, set())
+
+
+def _verdict(verify, sig, result):
+    """None if verify passes result, else its VerifyError's message."""
+    try:
+        verify(sig, result)
+    except VerifyError as e:
+        return e.message
+    return None
+
+
+def generated_signature(seed: int):
+    """REF_TEXT plus a constant f at a generated type, refined at a
+    generated sort, and sometimes one more refinement of f or of z after
+    it; None where that does not check.  A later refinement of z changes
+    z's sort after f's formations took it."""
+    choose = random.Random(seed).randint
+    if choose(0, 1):
+        a = gen_type(choose, [], choose(1, 3))
+        s = refining(choose, a)
+    else:
+        s = sort_fit(choose, gen_dep_sort(choose, [], choose(1, 4)))
+        a = refined(s) or TApp(TConst("t"), Const("z"))
+    decls = [*parse_signature(REF_TEXT), TermConst("f", a), ConstRef("f", s)]
+    match choose(0, 2):
+        case 1:
+            decls.append(ConstRef("z", SConst("pos")))
+        case 2:
+            decls.append(ConstRef("f", refining(choose, a)))
+    try:
+        return check_signature(Signature(decls))
+    except (SortError, LfError):
+        return None
+
+
+def _fresh_goldens() -> dict:
+    """Each golden checked and translated anew: the reference verify
+    translates sorts again, which records their formations again."""
+    return {name: (sig, trans_sig(sig)) for name, sig in (
+        (name, check_signature(parse_signature(golden_path(name).read_text())))
+        for name in GOLDEN_NAMES)}
+
+
+FRESH_GOLDENS = _fresh_goldens()
+
+
+class TestReferenceVerify:
+    """verify_translation, which reuses the sort interpretations trans_sig
+    kept, passes exactly when the copy in tests/oracles.py that translates
+    every sort again passes, and fails with the same message."""
+
+    def _agree(self, sig, result):
+        ours = _verdict(verify_translation, sig, result)
+        assert ours == _verdict(retranslating_verify, sig, result)
+        return ours
+
+    def test_goldens(self):
+        for sig, result in _fresh_goldens().values():
+            assert self._agree(sig, result) is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: wide_signature(5), lambda: chain_signature(4),
+        lambda: deep_signature(6), lambda: deep_signature(20),
+        lambda: parse_signature(binders_text(3))],
+        ids=["wide", "chain", "deep-6", "deep-20", "binders"])
+    def test_generated_families(self, make):
+        sig = check_signature(make())
+        assert self._agree(sig, trans_sig(sig)) is None
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_generated_signatures(self, seed):
+        sig = generated_signature(seed)
+        assume(sig is not None)
+        assert self._agree(sig, trans_sig(sig)) is None
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(GOLDEN_NAMES), st.integers(0, 999),
+           st.integers(0, 999), st.booleans())
+    def test_tampered_results(self, name, i, j, drop):
+        # A declaration dropped, or given another's classifier.
+        sig, result = FRESH_GOLDENS[name]
+        decls = result.lfi_sig.decls
+        victim = decls[i % len(decls)]
+        if drop:
+            broken = dataclasses.replace(result, lfi_sig=type(result.lfi_sig)(
+                [d for d in decls if d is not victim]))
+        else:
+            broken = _tampered(result, victim.name,
+                               decls[j % len(decls)].classifier)
+        self._agree(sig, broken)
+
+
+def _judgments(sig) -> Counter:
+    """(stage, judgment, caller) of each entry into sort formation, into
+    trans_sort and into the sort checker's _acheck from the translator,
+    while trans_sig and then verify_translation run on sig."""
+    calls: Counter = Counter()
+    stage = "translate"
+
+    def counted(real, name):
+        def count(*args):
+            calls[stage, name, sys._getframe(1).f_code.co_qualname] += 1
+            return real(*args)
+        return count
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((lfr.lfr_check, "_synth_sort_class"),
+                             (lfr.translate, "_synth_sort_class"),
+                             (lfr.translate, "trans_sort"),
+                             (lfr.translate, "_acheck")):
+            patch.setattr(module, name, counted(getattr(module, name), name))
+        result = trans_sig(sig)
+        stage = "verify"
+        verify_translation(sig, result)
+    return calls
+
+
+class TestCheckOnce:
+    """trans_sig takes the formation proof of every atomic sort from the
+    derivations the sort checker recorded, so it enters sort formation
+    only for the steps of a subsort coercion; verify_translation derives
+    each refined constant's proof once and translates no sort again.  The
+    counts do not depend on the host.
+
+    When trans_sig and verify derived every formation afresh, translate
+    entered _synth_sort_class 151 / 8 / 603 times on binders m=32, Deep
+    d=40 and Wide n=200, and verify 149 / 7 / 603 times, with 5 / 3 / 402
+    trans_sort calls."""
+
+    @pytest.mark.parametrize("make, coercion_steps, refined", [
+        (lambda: parse_signature(binders_text(32)), 64, 5),
+        (lambda: deep_signature(40), 0, 3),
+        (lambda: wide_signature(200), 0, 402),
+    ], ids=["binders-32", "deep-40", "wide-200"])
+    def test_judgment_counts(self, make, coercion_steps, refined):
+        expected = Counter({
+            ("translate", "_synth_sort_class",
+             "_coercion.<locals>.formation"): coercion_steps,
+            ("verify", "_acheck", "trans_term_check"): refined})
+        assert _judgments(check_signature(make())) == +expected
 
 
 class TestInjectionScaling:
@@ -687,7 +881,7 @@ def opened_instance(seed: int):
             s = refining(choose, a)
         if which == 1:
             return which, ctx, (_elab_class(REF_SIG, REF_CLOSURE, ctx, (), s,
-                                            a, None), None)
+                                            a, None), a)
         subject = inj_term(eta_expand(a, FVar(("f", "x", "y")[choose(0, 2)])))
         return which, ctx, (elaborate_sort(REF_SIG, ctx, s, a), a, subject)
     except (SortError, LfError):
@@ -706,7 +900,7 @@ def _translated(which, ctx, subject, sort, class_form, kind_pred, kind_sub,
                 out = meta_apply(sort(REF_SIG, ctx, s, a, mangler,
                                       REF_CLOSURE), [n])
             case 1:
-                out = meta_apply(class_form(REF_SIG, ctx, subject[0], mangler,
+                out = meta_apply(class_form(REF_SIG, ctx, *subject, mangler,
                                             REF_CLOSURE), [ITConst("q^")])
             case 2:
                 atoms = [ITConst(n) for n in ("t", "q^", "q", "r^", "r")]
