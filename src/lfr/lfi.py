@@ -516,7 +516,11 @@ def _l_syn(sub, x0, t, k, fuel, path):
 
 
 class LfiError(CheckError):
-    """Target-calculus checking failure."""
+    """Target-calculus checking failure.  lfi_check_sig names the failing
+    declaration in `decl` and, where the failure has no span, gives it the
+    declaration's."""
+
+    decl: Optional[str] = None
 
 
 # The checker descends binders without opening them.  `stack` holds a
@@ -742,10 +746,16 @@ def lfi_check_sig(sig: LfiSignature) -> None:
     """Re-check a whole signature declaration by declaration."""
     checked = LfiSignature()
     for decl in sig:
-        if decl.name in checked._fams or decl.name in checked._consts:
-            raise LfiError(f"{decl.name} is declared twice")
-        if decl.is_family():
-            lfi_check_kind(checked, [], decl.classifier)
-        else:
-            lfi_check_type(checked, [], decl.classifier)
+        try:
+            if decl.name in checked._fams or decl.name in checked._consts:
+                raise LfiError(f"{decl.name} is declared twice")
+            if decl.is_family():
+                lfi_check_kind(checked, [], decl.classifier)
+            else:
+                lfi_check_type(checked, [], decl.classifier)
+        except LfiError as e:
+            e.decl = decl.name
+            if e.span is None:
+                e.span = decl.span
+            raise
         checked.append(decl)

@@ -20,8 +20,12 @@ tagged tuple per rule, holding the derivations of its premises.
     ("unit",)  ("pair", d1, d2)     checking against # and against ^
     ("lam", hint, d)                a function checked under its binder,
                                     the function sort's, hinted hint
-    ("sub", ctx, stack, q, s, n, d) n synthesizes q by d, and q <= s,
-                                    all read under the binders on stack
+    ("sub", ctx, stack, q, path, n, d)
+                                    n synthesizes q by d, and the goal is
+                                    q with its head taken along declared
+                                    edges through the heads on path (see
+                                    subsort_path), all read under the
+                                    binders on stack
 
 Synthesis sets are lists of (sort, derivation), and sort formation
 yields every (class, derivation) candidate.  Derivations hold no target
@@ -139,57 +143,51 @@ def _pp(pp, t, ctx: Context, stack) -> str:
 # The declared subsort preorder
 
 
-class SubsortClosure:
-    """Reflexive-transitive closure of a signature's declared subsort edges.
+def build_closure(sig: Signature, head: str) -> dict[str, Optional[str]]:
+    """The sorts above head by sig's declared edges, each mapped to its
+    parent on a shortest path from head (head itself to None).
 
-    A live view of `sig.sub_edges`: the sorts above a head are found by
-    search on its first query and remembered until the signature gains a
-    subsort declaration, so declarations appended later are seen.
+    The one search of the subsort preorder: breadth first, edges in
+    declaration order, so each path is the shortest one whose steps are
+    declared earliest.  The tree is kept in sig.subsorts until sig gains a
+    subsort declaration.
     """
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self._reach: dict[str, set[str]] = {}
-        self._edge_count = len(sig.sub_decls)
-
-    def related(self, s1: str, s2: str) -> bool:
-        if s1 == s2:
-            return True
-        if self._edge_count != len(self.sig.sub_decls):
-            self._reach = {}
-            self._edge_count = len(self.sig.sub_decls)
-        reach = self._reach.get(s1)
-        if reach is None:
-            reach = self._reach[s1] = self._search(s1)
-        return s2 in reach
-
-    def _search(self, start: str) -> set[str]:
-        edges = self.sig.sub_edges
-        seen: set[str] = set()
-        frontier = [start]
-        while frontier:
-            for nxt in edges.get(frontier.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
+    tree = sig.subsorts.get(head)
+    if tree is None:
+        tree = sig.subsorts[head] = {head: None}
+        queue = [head]
+        for node in queue:
+            for nxt in sig.sub_edges.get(node, ()):
+                if nxt not in tree:
+                    tree[nxt] = node
+                    queue.append(nxt)
+    return tree
 
 
-def build_closure(sig: Signature) -> SubsortClosure:
-    return SubsortClosure(sig)
-
-
-def subsort_q(closure: SubsortClosure, q1, q2) -> bool:
+def subsort_q(sig: Signature, q1, q2) -> bool:
     """Atomic subsorting: related heads, alpha-equal spines."""
     h1, sp1 = sort_spine(q1)
     h2, sp2 = sort_spine(q2)
     if not (isinstance(h1, SConst) and isinstance(h2, SConst)):
         return False
-    if not closure.related(h1.name, h2.name):
+    if h1.name != h2.name and h2.name not in build_closure(sig, h1.name):
         return False
     if len(sp1) != len(sp2):
         return False
     return all(alpha_eq(a1, a2) for a1, a2 in zip(sp1, sp2))
+
+
+def subsort_path(sig: Signature, q1, q2) -> tuple[str, ...]:
+    """The heads after q1's on build_closure's path up to q2's head, for
+    atomic sorts q1 <= q2: the coercion steps."""
+    head, goal = sort_spine(q1)[0].name, sort_spine(q2)[0].name
+    if head == goal:
+        return ()
+    tree, path = build_closure(sig, head), []
+    while goal != head:
+        path.append(goal)
+        goal = tree[goal]
+    return tuple(reversed(path))
 
 
 # Called with (ctx, synthesized_atom, goal_atom, result) at every switch
@@ -247,19 +245,17 @@ def _split(s, d, done, trace) -> list:
             return [(s, d, done)]
 
 
-def asynth(sig: Signature, ctx: Context, r, closure: Optional[SubsortClosure] = None,
+def asynth(sig: Signature, ctx: Context, r,
            trace: Optional[list] = None) -> list:
-    if closure is None:
-        closure = build_closure(sig)
-    return [q for q, _ in _asynth(sig, closure, ctx, (), r, trace)]
+    return [q for q, _ in _asynth(sig, ctx, (), r, trace)]
 
 
-def _asynth(sig, closure, ctx, stack, r, trace) -> list:
+def _asynth(sig, ctx, stack, r, trace) -> list:
     """The synthesis set of r: its head's components, applied to its whole
     spine.  A component is read under the arguments it has taken (see
     _apply_delta), and is set to them once, when the spine ends."""
     out = []
-    for q, d, done in _pending(sig, closure, ctx, stack, r, trace):
+    for q, d, done in _pending(sig, ctx, stack, r, trace):
         try:
             out.append((inst_spine(q, done), d))
         except MetricExhausted:
@@ -269,7 +265,7 @@ def _asynth(sig, closure, ctx, stack, r, trace) -> list:
     return out
 
 
-def _pending(sig, closure, ctx, stack, r, trace) -> list:
+def _pending(sig, ctx, stack, r, trace) -> list:
     """The (sort, derivation, done) components of r, before they are set
     to the arguments done they have taken."""
     match r:
@@ -296,15 +292,15 @@ def _pending(sig, closure, ctx, stack, r, trace) -> list:
             return _split(shift(stack[-1 - i][2], i + 1), ("var", i), (),
                           trace)
         case App(f, a):
-            d = _pending(sig, closure, ctx, stack, f, trace)
-            out = _apply_delta(sig, closure, ctx, stack, d, a, trace)
+            d = _pending(sig, ctx, stack, f, trace)
+            out = _apply_delta(sig, ctx, stack, d, a, trace)
             if trace is not None:
                 trace.append("Π-E")
             return out
     raise TypeError(f"asynth: not atomic: {r!r}")
 
 
-def _shared_synth(sig, closure, ctx, stack, n, trace) -> Callable[[], list]:
+def _shared_synth(sig, ctx, stack, n, trace) -> Callable[[], list]:
     """The synthesis of n, run on the first call and replayed after.
 
     A replay cannot be told from running again: it appends the rule names
@@ -325,7 +321,7 @@ def _shared_synth(sig, closure, ctx, stack, n, trace) -> Callable[[], list]:
             audits = []
             _audit_records.append(audits)
             try:
-                out, err = _asynth(sig, closure, ctx, stack, n, trace), None
+                out, err = _asynth(sig, ctx, stack, n, trace), None
             except SortError as e:
                 out, err = None, e
             finally:
@@ -339,7 +335,7 @@ def _shared_synth(sig, closure, ctx, stack, n, trace) -> Callable[[], list]:
     return synth
 
 
-def _apply_delta(sig, closure, ctx, stack, cands, arg, trace) -> list:
+def _apply_delta(sig, ctx, stack, cands, arg, trace) -> list:
     """Push an argument through every function component that accepts it.
 
     A component (sort, derivation, done) is read under a binder for each
@@ -349,14 +345,14 @@ def _apply_delta(sig, closure, ctx, stack, cands, arg, trace) -> list:
     shape of an intersection, a top or a function sort.
     """
     out: list = []
-    synth = _shared_synth(sig, closure, ctx, stack, arg, trace)
+    synth = _shared_synth(sig, ctx, stack, arg, trace)
     for entry, d_fn, done in cands:
         if not isinstance(entry, SPi):
             continue
         if entry.dom_type is None:
             raise TypeError("apply_delta: sort was not elaborated")
         try:
-            d_arg = _acheck(sig, closure, ctx, stack, arg,
+            d_arg = _acheck(sig, ctx, stack, arg,
                             inst_spine(entry.dom_sort, done), trace, synth)
         except MetricExhausted:
             raise
@@ -368,14 +364,11 @@ def _apply_delta(sig, closure, ctx, stack, cands, arg, trace) -> list:
 
 
 def acheck(sig: Signature, ctx: Context, n, s,
-           closure: Optional[SubsortClosure] = None,
            trace: Optional[list] = None) -> None:
-    if closure is None:
-        closure = build_closure(sig)
-    _acheck(sig, closure, ctx, (), n, s, trace)
+    _acheck(sig, ctx, (), n, s, trace)
 
 
-def _acheck(sig, closure, ctx, stack, n, s, trace, synth=None) -> tuple:
+def _acheck(sig, ctx, stack, n, s, trace, synth=None) -> tuple:
     """The derivation of n against s; a SortError if there is none.
 
     synth, when given, is n's shared synthesis (see _shared_synth).
@@ -387,9 +380,9 @@ def _acheck(sig, closure, ctx, stack, n, s, trace, synth=None) -> tuple:
             return ("unit",)
         case SInter(l, r):
             if synth is None:
-                synth = _shared_synth(sig, closure, ctx, stack, n, trace)
-            left = _acheck(sig, closure, ctx, stack, n, l, trace, synth)
-            right = _acheck(sig, closure, ctx, stack, n, r, trace, synth)
+                synth = _shared_synth(sig, ctx, stack, n, trace)
+            left = _acheck(sig, ctx, stack, n, l, trace, synth)
+            right = _acheck(sig, ctx, stack, n, r, trace, synth)
             if trace is not None:
                 trace.append("∧-I")
             return ("pair", left, right)
@@ -401,7 +394,7 @@ def _acheck(sig, closure, ctx, stack, n, s, trace, synth=None) -> tuple:
                                f"sort {_pp(pp_sort, s, ctx, stack)}")
             if dt is None:
                 raise TypeError("acheck: sort was not elaborated")
-            body = _acheck(sig, closure, ctx, stack + ((h, dt, ds),), n.body,
+            body = _acheck(sig, ctx, stack + ((h, dt, ds),), n.body,
                            cod, trace)
             if trace is not None:
                 trace.append("Π-I")
@@ -414,7 +407,7 @@ def _acheck(sig, closure, ctx, stack, n, s, trace, synth=None) -> tuple:
                        lambda: f"function term checked against atomic sort "
                                f"{_pp(pp_sort, s, ctx, stack)}")
             d = (synth() if synth is not None
-                 else _asynth(sig, closure, ctx, stack, n, trace))
+                 else _asynth(sig, ctx, stack, n, trace))
             if not d:
                 _sfail("empty-synthesis",
                        lambda: f"term {_pp(pp_term, n, ctx, stack)} "
@@ -423,10 +416,11 @@ def _acheck(sig, closure, ctx, stack, n, s, trace, synth=None) -> tuple:
             for q, d_q in d:
                 if isinstance(q, SPi):
                     continue
-                ok = subsort_q(closure, q, s)
+                ok = subsort_q(sig, q, s)
                 _audit(ctx, stack, q, s, ok)
                 if ok:
-                    matched = ("sub", ctx, stack, q, s, n, d_q)
+                    matched = ("sub", ctx, stack, q, subsort_path(sig, q, s),
+                               n, d_q)
                     break
             if matched is None:
                 def message() -> str:
@@ -445,7 +439,7 @@ def _acheck(sig, closure, ctx, stack, n, s, trace, synth=None) -> tuple:
 # Sort and class formation
 
 
-def _synth_sort_class(sig, closure, ctx, stack, s, trace):
+def _synth_sort_class(sig, ctx, stack, s, trace):
     """The derivation of every candidate class an atomic sort's spine
     leads to `sort`, in order, and the type the sort refines.
 
@@ -464,8 +458,8 @@ def _synth_sort_class(sig, closure, ctx, stack, s, trace):
     refined = TConst(fam.refines)
     ectx = erase_ctx(ctx)
     for i, arg in enumerate(args, start=1):
-        synth = _shared_synth(sig, closure, ctx, stack, arg, trace)
-        applied = [_class_apply(sig, closure, ctx, stack, ectx, cls, d, done,
+        synth = _shared_synth(sig, ctx, stack, arg, trace)
+        applied = [_class_apply(sig, ctx, stack, ectx, cls, d, done,
                                 arg, i, head.name, trace, synth)
                    for cls, d, done in cands]
         cands = [c for taken, _ in applied for c in taken]
@@ -475,7 +469,7 @@ def _synth_sort_class(sig, closure, ctx, stack, s, trace):
     return [d for cls, d, _ in cands if isinstance(cls, CSort)], refined
 
 
-def _class_apply(sig, closure, ctx, stack, ectx, cls, d, done, arg, i,
+def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
                  fam_name, trace, synth):
     """Apply one spine argument to a class; intersections keep both sides.
 
@@ -492,7 +486,7 @@ def _class_apply(sig, closure, ctx, stack, ectx, cls, d, done, arg, i,
                 raise TypeError("class was not elaborated")
             try:
                 _lf_check(sig, ectx, stack, arg, inst_spine(dt, done))
-                d_arg = _acheck(sig, closure, ctx, stack, arg,
+                d_arg = _acheck(sig, ctx, stack, arg,
                                 inst_spine(ds, done), trace, synth)
             except MetricExhausted:
                 raise
@@ -505,10 +499,10 @@ def _class_apply(sig, closure, ctx, stack, ectx, cls, d, done, arg, i,
             return [(body, ("app", d, arg, d_arg),
                      done + ((arg, erase_type(dt)),))], None
         case CInter(l, r):
-            left, l_err = _class_apply(sig, closure, ctx, stack, ectx, l,
+            left, l_err = _class_apply(sig, ctx, stack, ectx, l,
                                        ("fst", d), done, arg, i, fam_name,
                                        trace, synth)
-            right, r_err = _class_apply(sig, closure, ctx, stack, ectx, r,
+            right, r_err = _class_apply(sig, ctx, stack, ectx, r,
                                         ("snd", d), done, arg, i, fam_name,
                                         trace, synth)
             return left + right, r_err or l_err
@@ -531,23 +525,20 @@ def _rewrap_arg(e, i: int, fam_name: str):
 
 
 def elaborate_sort(sig: Signature, ctx: Context, s, a,
-                   closure: Optional[SubsortClosure] = None,
                    trace: Optional[list] = None):
     """Check that a sort refines a type; fill in function domain types."""
-    if closure is None:
-        closure = build_closure(sig)
-    return _elab_sort(sig, closure, ctx, (), s, a, trace)
+    return _elab_sort(sig, ctx, (), s, a, trace)
 
 
-def _elab_sort(sig, closure, ctx, stack, s, a, trace):
+def _elab_sort(sig, ctx, stack, s, a, trace):
     match s:
         case STop():
             if trace is not None:
                 trace.append("⊤-F")
             return s
         case SInter(l, r):
-            out = SInter(_elab_sort(sig, closure, ctx, stack, l, a, trace),
-                         _elab_sort(sig, closure, ctx, stack, r, a, trace))
+            out = SInter(_elab_sort(sig, ctx, stack, l, a, trace),
+                         _elab_sort(sig, ctx, stack, r, a, trace))
             if trace is not None:
                 trace.append("∧-F")
             return out
@@ -557,24 +548,24 @@ def _elab_sort(sig, closure, ctx, stack, s, a, trace):
                        lambda: f"function sort {_pp(pp_sort, s, ctx, stack)} "
                                f"cannot refine non-function type "
                                f"{_pp(pp_type, a, ctx, stack)}")
-            ds2 = _elab_sort(sig, closure, ctx, stack, ds, a.dom, trace)
-            cod2 = _elab_sort(sig, closure, ctx, stack + ((h, a.dom, ds2),),
+            ds2 = _elab_sort(sig, ctx, stack, ds, a.dom, trace)
+            cod2 = _elab_sort(sig, ctx, stack + ((h, a.dom, ds2),),
                               cod, a.cod, trace)
             if trace is not None:
                 trace.append("Π-F")
             return SPi(h, ds2, a.dom, cod2)
         case SConst() | SApp():
-            _form_atom(sig, closure, ctx, stack, s, a, trace)
+            _form_atom(sig, ctx, stack, s, a, trace)
             if trace is not None:
                 trace.append("Q-F")
             return s
     raise TypeError(f"elaborate_sort: not a sort: {s!r}")
 
 
-def _form_atom(sig, closure, ctx, stack, s, a, trace) -> list:
+def _form_atom(sig, ctx, stack, s, a, trace) -> list:
     """The derivations that the atom s is a sort refining a (any type if a
     is None), in elimination order, recorded with sig for the translator."""
-    derivs, refined = _synth_sort_class(sig, closure, ctx, stack, s, trace)
+    derivs, refined = _synth_sort_class(sig, ctx, stack, s, trace)
     if not derivs:
         _sfail("annotation-mismatch",
                lambda: f"sort {_pp(pp_sort, s, ctx, stack)} is not fully "
@@ -588,7 +579,7 @@ def _form_atom(sig, closure, ctx, stack, s, a, trace) -> list:
     return derivs
 
 
-def _elab_class(sig, closure, ctx, stack, cls, kind, trace):
+def _elab_class(sig, ctx, stack, cls, kind, trace):
     """Check that a class refines a kind; fill in function domain types."""
     match cls:
         case CSort():
@@ -600,32 +591,29 @@ def _elab_class(sig, closure, ctx, stack, cls, kind, trace):
             return cls
         case CInter(l, r):
             return CInter(
-                _elab_class(sig, closure, ctx, stack, l, kind, trace),
-                _elab_class(sig, closure, ctx, stack, r, kind, trace))
+                _elab_class(sig, ctx, stack, l, kind, trace),
+                _elab_class(sig, ctx, stack, r, kind, trace))
         case CPi(h, ds, _, body):
             if not isinstance(kind, KPi):
                 _sfail("annotation-mismatch",
                        "function class cannot refine a non-function kind")
-            ds2 = _elab_sort(sig, closure, ctx, stack, ds, kind.dom, trace)
-            body2 = _elab_class(sig, closure, ctx,
+            ds2 = _elab_sort(sig, ctx, stack, ds, kind.dom, trace)
+            body2 = _elab_class(sig, ctx,
                                 stack + ((h, kind.dom, ds2),), body, kind.cod,
                                 trace)
             return CPi(h, ds2, kind.dom, body2)
     raise TypeError(f"_elab_class: not a class: {cls!r}")
 
 
-def check_context(sig: Signature, entries: Context,
-                  closure: Optional[SubsortClosure] = None) -> Context:
+def check_context(sig: Signature, entries: Context) -> Context:
     """Check each hypothesis and elaborate its sort against its type.
 
     The LF premise runs on sig itself, as in _class_apply.
     """
-    if closure is None:
-        closure = build_closure(sig)
     out: list[CtxEntry] = []
     for e in entries:
         lf_check_type(sig, [(o.name, o.type) for o in out], e.type)
-        s2 = _elab_sort(sig, closure, out, (), e.sort, e.type, None)
+        s2 = _elab_sort(sig, out, (), e.sort, e.type, None)
         out.append(CtxEntry(e.name, s2, e.type))
     return out
 
@@ -643,7 +631,6 @@ def check_signature(raw: Signature, strict: bool = False,
     declaration; by default repeats merge as an intersection.
     """
     checked = Signature()
-    closure = build_closure(checked)
     for decl in raw:
         try:
             match decl:
@@ -665,8 +652,7 @@ def check_signature(raw: Signature, strict: bool = False,
                         raise CheckError(
                             f"sort {n} refines unknown type family {ref}",
                             decl.span)
-                    cls2 = _elab_class(checked, closure, [], (), cls,
-                                       fam.kind, trace)
+                    cls2 = _elab_class(checked, [], (), cls, fam.kind, trace)
                     checked.append(SortFam(n, ref, cls2, decl.span))
                 case SubDecl(s1, s2):
                     f1 = checked.sort_fam(s1)
@@ -694,8 +680,7 @@ def check_signature(raw: Signature, strict: bool = False,
                         raise CheckError(
                             f"{c} already has a refinement declaration",
                             decl.span)
-                    s2 = _elab_sort(checked, closure, [], (), s, const.type,
-                                    trace)
+                    s2 = _elab_sort(checked, [], (), s, const.type, trace)
                     checked.append(ConstRef(c, s2, decl.span))
                 case _:
                     raise CheckError(f"unexpected declaration {decl!r}",

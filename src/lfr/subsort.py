@@ -13,16 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
 
-from .lfr_check import (
-    SortError,
-    SubsortClosure,
-    _acheck,
-    build_closure,
-    split,
-    subsort_q,
-)
+from .lfr_check import SortError, _acheck, split, subsort_q
 from .subst import MetricExhausted, SubstFailure, eta_expand
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
@@ -55,15 +47,12 @@ class SubsortQuery:
         return SubsortQuery(sig, tuple(ctx), s, t, a)
 
 
-def intrinsic_subsort(q: SubsortQuery,
-                      closure: Optional[SubsortClosure] = None) -> bool:
+def intrinsic_subsort(q: SubsortQuery) -> bool:
     """S <= T iff the eta-expansion of a fresh S-variable checks at T."""
-    if closure is None:
-        closure = build_closure(q.sig)
     subject = eta_expand(q.a, FVar(_FRESH_SUBJECT))
     ctx = list(q.ctx) + [CtxEntry(_FRESH_SUBJECT, q.s, q.a)]
     try:
-        _acheck(q.sig, closure, ctx, (), subject, q.t, None)
+        _acheck(q.sig, ctx, (), subject, q.t, None)
         return True
     except MetricExhausted:
         raise
@@ -80,19 +69,12 @@ def binter(d: list):
     return reduce(SInter, d, STop())
 
 
-def algo_subsort(sig: Signature, d: list, s,
-                 closure: Optional[SubsortClosure] = None) -> bool:
-    if closure is None:
-        closure = build_closure(sig)
-    return _algo_subsort(closure, d, s)
-
-
-def _algo_subsort(closure, d, s) -> bool:
+def algo_subsort(sig: Signature, d: list, s) -> bool:
     match s:
         case STop():
             return True
         case SInter(l, r):
-            return _algo_subsort(closure, d, l) and _algo_subsort(closure, d, r)
+            return algo_subsort(sig, d, l) and algo_subsort(sig, d, r)
         case SPi(_, s1, a1, t):
             if a1 is None:
                 raise TypeError("algo_subsort: sort was not elaborated")
@@ -101,13 +83,13 @@ def _algo_subsort(closure, d, s) -> bool:
             # as t is, under one binder for it.
             d1 = split(s1)
             d2 = [q for f in d if isinstance(f, SPi)
-                  and _algo_subsort(closure, d1, f.dom_sort)
+                  and algo_subsort(sig, d1, f.dom_sort)
                   for q in split(f.cod)]
-            return _algo_subsort(closure, d2, t)
+            return algo_subsort(sig, d2, t)
         case _:
             if not is_atomic_sort(s):
                 raise TypeError(f"algo_subsort: not a sort: {s!r}")
-            return any(not isinstance(q, SPi) and subsort_q(closure, q, s)
+            return any(not isinstance(q, SPi) and subsort_q(sig, q, s)
                        for q in d)
 
 
@@ -121,7 +103,6 @@ def declarative_subsort_oracle(q: SubsortQuery, depth: int = 6) -> bool:
     One-sided by construction: a True answer means a derivation exists;
     False only means none was found within the depth bound.
     """
-    closure = build_closure(q.sig)
     memo: dict = {}
 
     def go(s, t, d: int) -> bool:
@@ -138,7 +119,7 @@ def declarative_subsort_oracle(q: SubsortQuery, depth: int = 6) -> bool:
         if isinstance(t, STop):
             return True
         if is_atomic_sort(s) and is_atomic_sort(t):
-            return subsort_q(closure, s, t)
+            return subsort_q(q.sig, s, t)
         if _dist_top_pi(s, t) or _dist_inter_pi(s, t) or _assoc(s, t) \
                 or _dist_inter_pi_merge(s, t):
             return True

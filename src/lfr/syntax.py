@@ -240,8 +240,9 @@ class Signature:
     Uniqueness per namespace is the checker's job; lookups here return the
     first matching declaration.  Subsort declarations are also kept as an
     edge map, sub to its declared supersorts in declaration order, which
-    `lfr_check.SubsortClosure` and the translator's coercion search read;
-    `const_refs` maps a constant to its refinement declarations, in order.
+    only `lfr_check.build_closure` searches; `subsorts` is its memo, dropped
+    whenever an edge is added.  `const_refs` maps a constant to its
+    refinement declarations, in order.
     """
 
     def __init__(self, decls: Iterable[Declaration] = ()):
@@ -252,6 +253,7 @@ class Signature:
         self.const_refs: dict[str, list[ConstRef]] = {}
         self.sub_decls: list[SubDecl] = []
         self.sub_edges: dict[str, list[str]] = {}
+        self.subsorts: dict[str, dict] = {}      # see lfr_check.build_closure
         self.formations: dict[int, tuple] = {}   # see lfr_check._form_atom
         for d in decls:
             self.append(d)
@@ -270,6 +272,7 @@ class Signature:
             case SubDecl(sub=a, sup=b):
                 self.sub_decls.append(decl)
                 self.sub_edges.setdefault(a, []).append(b)
+                self.subsorts.clear()
 
     def __iter__(self) -> Iterator[Declaration]:
         return iter(self.decls)

@@ -12,7 +12,9 @@ subsort coercions translate to such functions too, of the family atoms
 or of the subject and the proof being coerced; `meta_apply` applies
 them.  Proofs of terms and formation proofs of sorts are not derived
 here: the sort checker's judgments return derivations, and `_proof`
-maps each rule to its target term.  The emitted signature is
+maps each rule to its target term.  A subsort switch becomes one
+coercion per declared edge on the path the checker recorded with it, so
+nothing here searches the subsort preorder.  The emitted signature is
 self-contained and re-checkable by the target checker, which
 verify_translation does.
 
@@ -59,7 +61,6 @@ from .lfi import (
 )
 from .lfr_check import (
     SortError,
-    SubsortClosure,
     _acheck,
     _asynth,
     _elab_class,
@@ -68,8 +69,9 @@ from .lfr_check import (
     _pp,
     _sfail,
     _synth_sort_class,
-    build_closure,
-    subsort_q,  # noqa: F401  (bound here for bench/tracer.py to wrap)
+    build_closure,  # noqa: F401  (bound here for bench/tracer.py to wrap)
+    subsort_path,
+    subsort_q,
 )
 from .printer import pp_sort
 from .subst import erase_type, eta_expand
@@ -102,7 +104,6 @@ from .syntax import (
     TermConst,
     TPi,
     TypeFam,
-    alpha_eq,
     pool_name,
     sort_spine,
 )
@@ -162,7 +163,6 @@ class TransResult:
     lfi_sig: LfiSignature
     provenance: dict[str, str]
     mangler: NameMangler
-    closure: SubsortClosure
     sorts: dict[str, Metafunction]    # each refined constant's trans_sort
 
 
@@ -342,17 +342,15 @@ def _over_indices(kind, atoms, pi, base, at: At = _root()):
 # Sorts, classes, formation proofs
 
 
-def trans_sort(sig: Signature, ctx: Context, s, a, mangler=None, closure=None
+def trans_sort(sig: Signature, ctx: Context, s, a, mangler=None
                ) -> Metafunction:
     """Predicate type for a sort, as a function of the (injected) subject."""
     mangler = mangler or NameMangler(sig)
-    closure = closure or build_closure(sig)
-    s = _elab_sort(sig, closure, ctx, (), s, a, None)
-    return Metafunction(1, _sort_body(sig, closure, s, a, mangler,
-                                      _root(ctx)))
+    s = _elab_sort(sig, ctx, (), s, a, None)
+    return Metafunction(1, _sort_body(sig, s, a, mangler, _root(ctx)))
 
 
-def _sort_body(sig, closure, s, a, mangler, at: At):
+def _sort_body(sig, s, a, mangler, at: At):
     """The sort's predicate type as a function of the subject.
 
     The type is built at `at`, all but the subject once, here; an atom's
@@ -365,12 +363,12 @@ def _sort_body(sig, closure, s, a, mangler, at: At):
         case STop():
             return lambda n, p=0: ITUnitT()
         case SInter(l, r):
-            left, right = (_sort_body(sig, closure, side, a, mangler, at)
+            left, right = (_sort_body(sig, side, a, mangler, at)
                            for side in (l, r))
             return lambda n, p=0: ITProd(left(n, p), right(n, p))
         case SPi(h, ds, _, cod):
-            wrap, at = _binder(sig, closure, h, ds, a.dom, mangler, at)
-            cod_body = _sort_body(sig, closure, cod, a.cod, mangler, at)
+            wrap, at = _binder(sig, h, ds, a.dom, mangler, at)
+            cod_body = _sort_body(sig, cod, a.cod, mangler, at)
 
             def body(n, p=0):
                 if not isinstance(n, ILam):
@@ -389,13 +387,13 @@ def _sort_body(sig, closure, s, a, mangler, at: At):
             atom, derivs = sig.formations.get(id(s), (None, None))
             if atom is not s:
                 raise TypeError("trans_sort: sort was not elaborated")
-            pred = ITIrrApp(pred, _proof(sig, closure, mangler, derivs[0], at,
+            pred = ITIrrApp(pred, _proof(sig, mangler, derivs[0], at,
                                          injected))
             return lambda n, p=0: ITApp(pred, _place(n, p))
     raise TypeError(f"trans_sort: not a sort: {s!r}")
 
 
-def _binder(sig, closure, h, ds, a, mangler, at: At):
+def _binder(sig, h, ds, a, mangler, at: At):
     """For the binder of a function sort or class over ds at type a, read
     at `at`: the function that binds x and x^ around a type, and the place
     its body is read at.  x^'s type, ds's predicate of x, sits under x
@@ -403,7 +401,7 @@ def _binder(sig, closure, h, ds, a, mangler, at: At):
     levels, depth, shown = at
     x = pool_name(h, shown)
     dom = _inj_arg(a, {}, at)
-    dom_pred = _sort_body(sig, closure, ds, a, mangler,
+    dom_pred = _sort_body(sig, ds, a, mangler,
                           (levels, depth + 1, shown | {x}))
     dom_pred = dom_pred(_eta(a, IBVar(0), {x}))
     return (lambda t: ITPi(x, dom, ITPi(x + "^", dom_pred, t)),
@@ -421,16 +419,16 @@ def _place(n, p: int):
     return _map_vars(n, leaf) if p else n
 
 
-def trans_class_form(sig: Signature, ctx: Context, cls, kind, mangler,
-                     closure) -> Metafunction:
+def trans_class_form(sig: Signature, ctx: Context, cls, kind, mangler
+                     ) -> Metafunction:
     """Type of a sort's intro constant, as a function of the proof family
     atom, a closed constant; cls is elaborated against kind first."""
-    cls = _elab_class(sig, closure, ctx, (), cls, kind, None)
+    cls = _elab_class(sig, ctx, (), cls, kind, None)
     return Metafunction(1, lambda pf: _class_form_body(
-        sig, closure, cls, mangler, pf, _root(ctx)))
+        sig, cls, mangler, pf, _root(ctx)))
 
 
-def _class_form_body(sig, closure, cls, mangler, pf, at: At):
+def _class_form_body(sig, cls, mangler, pf, at: At):
     """cls built at `at`; at `sort`, pf is applied to the variables of the
     binders passed."""
     match cls:
@@ -439,46 +437,41 @@ def _class_form_body(sig, closure, cls, mangler, pf, at: At):
         case CTop():
             return ITUnitT()
         case CInter(l, r):
-            return ITProd(*(_class_form_body(sig, closure, side, mangler, pf,
-                                             at) for side in (l, r)))
+            return ITProd(*(_class_form_body(sig, side, mangler, pf, at)
+                            for side in (l, r)))
         case CPi(h, ds, dt, body):
-            wrap, at = _binder(sig, closure, h, ds, dt, mangler, at)
-            return wrap(_class_form_body(sig, closure, body, mangler, pf, at))
+            wrap, at = _binder(sig, h, ds, dt, mangler, at)
+            return wrap(_class_form_body(sig, body, mangler, pf, at))
     raise TypeError(f"trans_class_form: not a class: {cls!r}")
 
 
-def trans_sort_synth_all(sig: Signature, ctx: Context, q, mangler=None,
-                         closure=None) -> list:
+def trans_sort_synth_all(sig: Signature, ctx: Context, q, mangler=None
+                         ) -> list:
     """Every formation proof of an atomic sort, in elimination order."""
     mangler = mangler or NameMangler(sig)
-    closure = closure or build_closure(sig)
-    return [_proof(sig, closure, mangler, d, _root(ctx), {})
-            for d in _form_atom(sig, closure, ctx, (), q, None, None)]
+    return [_proof(sig, mangler, d, _root(ctx), {})
+            for d in _form_atom(sig, ctx, (), q, None, None)]
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-def trans_term_synth(sig: Signature, ctx: Context, r, mangler=None,
-                     closure=None) -> list:
+def trans_term_synth(sig: Signature, ctx: Context, r, mangler=None) -> list:
     """Synthesis set paired with the proof for each component."""
     mangler = mangler or NameMangler(sig)
-    closure = closure or build_closure(sig)
-    return [(q, _proof(sig, closure, mangler, d, _root(ctx), {}))
-            for q, d in _asynth(sig, closure, ctx, (), r, None)]
+    return [(q, _proof(sig, mangler, d, _root(ctx), {}))
+            for q, d in _asynth(sig, ctx, (), r, None)]
 
 
-def trans_term_check(sig: Signature, ctx: Context, n, s, mangler=None,
-                     closure=None):
+def trans_term_check(sig: Signature, ctx: Context, n, s, mangler=None):
     """Proof term witnessing that n inhabits s."""
     mangler = mangler or NameMangler(sig)
-    closure = closure or build_closure(sig)
-    return _proof(sig, closure, mangler,
-                  _acheck(sig, closure, ctx, (), n, s, None), _root(ctx), {})
+    return _proof(sig, mangler,
+                  _acheck(sig, ctx, (), n, s, None), _root(ctx), {})
 
 
-def _proof(sig, closure, mangler, d, at: At, injected: dict):
+def _proof(sig, mangler, d, at: At, injected: dict):
     """The proof a checker derivation (see lfr_check) denotes, at `at`.
 
     A `lam` proof binds the checker's binder twice, as x and then x^, so
@@ -491,7 +484,7 @@ def _proof(sig, closure, mangler, d, at: At, injected: dict):
     levels, depth, shown = at
 
     def premise(d1):
-        return _proof(sig, closure, mangler, d1, at, injected)
+        return _proof(sig, mangler, d1, at, injected)
 
     match d:
         case ("const", c, k):
@@ -517,11 +510,10 @@ def _proof(sig, closure, mangler, d, at: At, injected: dict):
             return IPair(premise(d1), premise(d2))
         case ("lam", hint, body):
             x = pool_name(hint, shown)
-            inner = _proof(sig, closure, mangler, body, _bind(at, x),
-                           injected)
+            inner = _proof(sig, mangler, body, _bind(at, x), injected)
             return ILam(x, ILam(x + "^", inner))
-        case ("sub", ctx, stack, q, s, n, d1):
-            coerce = _coercion(sig, closure, ctx, stack, q, s, mangler, at)
+        case ("sub", ctx, stack, q, path, n, d1):
+            coerce = _coercion(sig, ctx, stack, q, path, mangler, at)
             return meta_apply(coerce, [_inj_arg(n, injected, at),
                                        premise(d1)])
     raise TypeError(f"_proof: not a derivation: {d!r}")
@@ -531,70 +523,47 @@ def _proof(sig, closure, mangler, d, at: At, injected: dict):
 # Subsort coercions
 
 
-def _bfs_path(sig: Signature, a: str, b: str):
-    """Shortest head path along declared edges; ties by declaration order."""
-    parent, queue = {a: a}, [a]
-    for node in queue:
-        if node == b:
-            path = []
-            while node != a:
-                path.append(node)
-                node = parent[node]
-            return path[::-1]
-        for nxt in sig.sub_edges.get(node, []):
-            if nxt not in parent:
-                parent[nxt] = node
-                queue.append(nxt)
-    return None
-
-
-def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None,
-                        closure=None) -> Metafunction:
+def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None
+                        ) -> Metafunction:
     """Coercion between atomic sorts, a function of subject and proof."""
-    mangler = mangler or NameMangler(sig)
-    closure = closure or build_closure(sig)
-    return _coercion(sig, closure, ctx, (), q1, q2, mangler, _root(ctx))
+    if not subsort_q(sig, q1, q2):
+        _sfail("subsort-failure",
+               lambda: f"no declared path from {_pp(pp_sort, q1, ctx, ())} "
+                       f"to {_pp(pp_sort, q2, ctx, ())}")
+    return _coercion(sig, ctx, (), q1, subsort_path(sig, q1, q2),
+                     mangler or NameMangler(sig), _root(ctx))
 
 
-def _coercion(sig, closure, ctx, stack, q1, q2, mangler, at: At
-              ) -> Metafunction:
-    """Wrap the proof in one coercion per step of the first shortest path.
+def _coercion(sig, ctx, stack, q1, path, mangler, at: At) -> Metafunction:
+    """Wrap the proof in one coercion per step of path, the heads q1's head
+    is taken through (see lfr_check.subsort_path).
 
-    q1 and q2 are read under the binders on stack, and each step's two
-    formation proofs under the same binders, all built at `at`.
+    q1 is read under the binders on stack, and each step's two formation
+    proofs under the same binders, all built at `at`.
     """
     injected: dict = {}
 
     def formation(q):
-        derivs, _ = _synth_sort_class(sig, closure, ctx, stack, q, None)
+        derivs, _ = _synth_sort_class(sig, ctx, stack, q, None)
         if not derivs:
             _sfail("annotation-mismatch",
                    lambda: f"no formation proof for sort "
                            f"{_pp(pp_sort, q, ctx, stack)}")
-        return _proof(sig, closure, mangler, derivs[0], at, injected)
+        return _proof(sig, mangler, derivs[0], at, injected)
 
     head, spine = sort_spine(q1)
-    head, goal = head.name, sort_spine(q2)[0].name
-    steps, q, form = [], q1, None
-    while not alpha_eq(q, q2):
-        path = _bfs_path(sig, head, goal)
-        if not path:
-            _sfail("subsort-failure",
-                   lambda: f"no declared path from "
-                           f"{_pp(pp_sort, q1, ctx, stack)} to "
-                           f"{_pp(pp_sort, q2, ctx, stack)}")
-        step = path[0]
+    head, steps = head.name, []
+    form = formation(q1) if path else None
+    for step in path:
         q_step = SConst(step)
         for m in spine:
             q_step = SApp(q_step, m)
-        if form is None:
-            form = formation(q)
         form_step = formation(q_step)
         t = IConst(mangler.coercion(head, step))
         for m in spine:
             t = IApp(t, _inj_arg(m, injected, at))
         steps.append(IApp(IApp(t, form), form_step))
-        q, head, form = q_step, step, form_step
+        head, form = step, form_step
 
     def coerce(subject, proof):
         for t in steps:
@@ -607,16 +576,13 @@ def _coercion(sig, closure, ctx, stack, q1, q2, mangler, at: At
 # Contexts and signatures
 
 
-def trans_ctx(sig: Signature, ctx: Context, mangler=None, closure=None
-              ) -> LfiContext:
+def trans_ctx(sig: Signature, ctx: Context, mangler=None) -> LfiContext:
     """Each hypothesis becomes itself plus a relevant proof hypothesis."""
     mangler = mangler or NameMangler(sig)
-    closure = closure or build_closure(sig)
     out: LfiContext = []
     for i, e in enumerate(ctx):
         out.append(LfiCtxEntry(e.name, inj_type(e.type), True))
-        smeta = trans_sort(sig, ctx[:i + 1], e.sort, e.type, mangler,
-                           closure)
+        smeta = trans_sort(sig, ctx[:i + 1], e.sort, e.type, mangler)
         sty = meta_apply(smeta, [_eta(e.type, IFVar(e.name), {e.name})])
         out.append(LfiCtxEntry(e.name + "^", sty, True))
     return out
@@ -625,7 +591,6 @@ def trans_ctx(sig: Signature, ctx: Context, mangler=None, closure=None
 def trans_sig(sig: Signature) -> TransResult:
     """Translate a checked signature; repeats of a constant fuse first."""
     mangler = NameMangler(sig)
-    closure = build_closure(sig)
     lfi_sig = LfiSignature()
     prov: dict[str, str] = {}
     sorts: dict[str, Metafunction] = {}
@@ -646,7 +611,7 @@ def trans_sig(sig: Signature) -> TransResult:
                 pf = mangler.sort_proof_fam(s)
                 emit(pf, inj_kind(fam.kind), label)
                 emit(mangler.sort_intro(s), _class_form_body(
-                    sig, closure, cls, mangler, ITConst(pf), _root()), label)
+                    sig, cls, mangler, ITConst(pf), _root()), label)
                 pred = mangler.predicate(s)
                 emit(pred, meta_apply(trans_kind_pred(fam.kind),
                                       [ITConst(pf), ITConst(ref)]), label)
@@ -663,11 +628,10 @@ def trans_sig(sig: Signature) -> TransResult:
                     continue
                 const = sig.term_const(c)
                 smeta = sorts[c] = Metafunction(1, _sort_body(
-                    sig, closure, sig.merged_ref_sort(c), const.type, mangler,
-                    _root()))
+                    sig, sig.merged_ref_sort(c), const.type, mangler, _root()))
                 ty = meta_apply(smeta, [_eta(const.type, IConst(c), set())])
                 emit(mangler.term_const(c), ty, f"{c} :: _.")
-    return TransResult(lfi_sig, prov, mangler, closure, sorts)
+    return TransResult(lfi_sig, prov, mangler, sorts)
 
 
 def verify_translation(sig: Signature, result: TransResult) -> None:
@@ -680,13 +644,13 @@ def verify_translation(sig: Signature, result: TransResult) -> None:
         lfi_check_sig(result.lfi_sig)
     except LfiError as e:
         raise VerifyError(
-            f"translated signature failed re-checking: {e.message}")
+            f"translated signature failed re-checking at {e.decl}: "
+            f"{e.message}", e.span)
     for c, smeta in result.sorts.items():
         const, merged = sig.term_const(c), sig.merged_ref_sort(c)
         subject = eta_expand(const.type, Const(c))
         try:
-            nhat = trans_term_check(sig, [], subject, merged, result.mangler,
-                                    result.closure)
+            nhat = trans_term_check(sig, [], subject, merged, result.mangler)
             goal = meta_apply(smeta, [inj_term(subject)])
             lfi_check(result.lfi_sig, [], nhat, goal)
         except (LfiError, SortError) as e:

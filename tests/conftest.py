@@ -102,6 +102,26 @@ DEP_TEXT = (
     "k :: {x :: even} pe x.\n")
 
 
+# dbl/z's formation needs z, refined at a, at c (at d): a subsort path
+# that a declaration after dbl/z's refinement shortens (or ties earlier).
+# The coercion must take the path the checker found at dbl/z, whose edges
+# are all declared before it.
+LATER_EDGE_TEXTS = {
+    "shorter": (
+        "nat : type. z : nat. a << nat. b << nat. c << nat. z :: a.\n"
+        "a <: b. b <: c.\n"
+        "double : nat -> nat -> type. dbl/z : double z z.\n"
+        "double* << double :: # -> c -> sort. dbl/z :: double* z z.\n"
+        "a <: c.\n"),
+    "tie": (
+        "nat : type. z : nat. a << nat. b << nat. c << nat. d << nat.\n"
+        "z :: a. a <: c. a <: b. b <: d.\n"
+        "double : nat -> nat -> type. dbl/z : double z z.\n"
+        "double* << double :: # -> d -> sort. dbl/z :: double* z z.\n"
+        "c <: d.\n"),
+}
+
+
 @pytest.fixture(scope="session")
 def dep_sig():
     return check_signature(parse_signature(DEP_TEXT))

@@ -279,7 +279,7 @@ def decl_check(sig, ctx, n, sort, depth: int) -> bool:
 # it, and the oracle's Pi rule opens both codomains with one fresh name.
 # The package must give the same answers.
 
-from lfr.lfr_check import build_closure, subsort_q  # noqa: E402
+from lfr.lfr_check import subsort_q  # noqa: E402
 from lfr.lfr_check import split as _split_sort  # noqa: E402
 from lfr.subsort import (  # noqa: E402
     _assoc,
@@ -305,33 +305,30 @@ def named_eta_expand(alpha, r):
     return s.Lam(x, close_at(body, x))
 
 
-def named_algo_subsort(sig, ctx, d: list, t, closure=None) -> bool:
+def named_algo_subsort(sig, ctx, d: list, t) -> bool:
     """algo_subsort, opening each function sort's codomain by name."""
-    if closure is None:
-        closure = build_closure(sig)
     match t:
         case s.STop():
             return True
         case s.SInter(l, r):
-            return (named_algo_subsort(sig, ctx, d, l, closure)
-                    and named_algo_subsort(sig, ctx, d, r, closure))
+            return (named_algo_subsort(sig, ctx, d, l)
+                    and named_algo_subsort(sig, ctx, d, r))
         case s.SPi(h, s1, a1, cod):
             x = fresh_name(h, {e.name for e in ctx} | free_vars(cod))
-            d2 = _named_algo_apply(sig, closure, ctx, d, x,
-                                   _split_sort(s1), a1)
+            d2 = _named_algo_apply(sig, ctx, d, x, _split_sort(s1), a1)
             return named_algo_subsort(sig, list(ctx) + [s.CtxEntry(x, s1, a1)],
-                                      d2, open_at(cod, s.FVar(x)), closure)
-    return any(not isinstance(q, s.SPi) and subsort_q(closure, q, t)
+                                      d2, open_at(cod, s.FVar(x)))
+    return any(not isinstance(q, s.SPi) and subsort_q(sig, q, t)
                for q in d)
 
 
-def _named_algo_apply(sig, closure, ctx, d, x, d1, a1) -> list:
+def _named_algo_apply(sig, ctx, d, x, d1, a1) -> list:
     eta_x = named_eta_expand(a1, s.FVar(x))
     out: list = []
     for entry in d:
         if not isinstance(entry, s.SPi):
             continue
-        if not named_algo_subsort(sig, ctx, d1, entry.dom_sort, closure):
+        if not named_algo_subsort(sig, ctx, d1, entry.dom_sort):
             continue
         try:
             cod = hsubst_syntax(eta_x, 0, a1, entry.cod)
@@ -346,7 +343,6 @@ def _named_algo_apply(sig, closure, ctx, d, x, d1, a1) -> list:
 def named_subsort_oracle(q: SubsortQuery, depth: int = 6) -> bool:
     """declarative_subsort_oracle, whose Pi rule opens both codomains
     with one name fresh for them."""
-    closure = build_closure(q.sig)
     memo: dict = {}
 
     def go(a, b, d: int) -> bool:
@@ -360,7 +356,7 @@ def named_subsort_oracle(q: SubsortQuery, depth: int = 6) -> bool:
         if a == b or isinstance(b, s.STop):
             return True
         if s.is_atomic_sort(a) and s.is_atomic_sort(b):
-            return subsort_q(closure, a, b)
+            return subsort_q(q.sig, a, b)
         if (_dist_top_pi(a, b) or _dist_inter_pi(a, b) or _assoc(a, b)
                 or _dist_inter_pi_merge(a, b)):
             return True
@@ -382,6 +378,46 @@ def named_subsort_oracle(q: SubsortQuery, depth: int = 6) -> bool:
                    for m in _middle_pool(a, b))
 
     return go(q.s, q.t, depth)
+
+
+# ---------------------------------------------------------------------------
+# The translator's own subsort path search.
+#
+# Before the sort checker's switch recorded the path it read off
+# lfr_check.build_closure, the translator searched the declared edges again
+# for each coercion: a breadth-first search from the current head to the
+# goal's, one step along it, and a new search from there.  The package's
+# recorded path must be the heads this walk passes.
+
+def _bfs_path(edges, a: str, b: str):
+    """Shortest head path along the declared (sub, sup) edges; ties by
+    declaration order."""
+    parent, queue = {a: a}, [a]
+    for node in queue:
+        if node == b:
+            path = []
+            while node != a:
+                path.append(node)
+                node = parent[node]
+            return path[::-1]
+        for sub, nxt in edges:
+            if sub == node and nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return None
+
+
+def stepwise_path(edges, a: str, b: str):
+    """The heads the translator's coercion walk passed from a to b, or None
+    where b is not above a."""
+    path: list[str] = []
+    while a != b:
+        steps = _bfs_path(edges, a, b)
+        if not steps:
+            return None
+        a = steps[0]
+        path.append(a)
+    return tuple(path)
 
 
 # ---------------------------------------------------------------------------
@@ -1158,7 +1194,7 @@ def _sort_fail(kind, message):
     raise SortError(SortDiagnostic(kind, message))
 
 
-def opened_asynth(sig, closure, ctx, r) -> list:
+def opened_asynth(sig, ctx, r) -> list:
     match r:
         case s.Const(n):
             merged = sig.merged_ref_sort(n)
@@ -1174,11 +1210,11 @@ def opened_asynth(sig, closure, ctx, r) -> list:
             return split(entry.sort)
         case s.App(f, a):
             out = []
-            for q in opened_asynth(sig, closure, ctx, f):
+            for q in opened_asynth(sig, ctx, f):
                 if not isinstance(q, s.SPi):
                     continue
                 try:
-                    opened_acheck(sig, closure, ctx, a, q.dom_sort)
+                    opened_acheck(sig, ctx, a, q.dom_sort)
                     cod = hsubst_syntax(a, 0, q.dom_type, q.cod)
                 except MetricExhausted:
                     raise
@@ -1189,13 +1225,13 @@ def opened_asynth(sig, closure, ctx, r) -> list:
     raise TypeError(r)
 
 
-def opened_acheck(sig, closure, ctx, n, sort) -> None:
+def opened_acheck(sig, ctx, n, sort) -> None:
     match sort:
         case s.STop():
             return
         case s.SInter(l, r):
-            opened_acheck(sig, closure, ctx, n, l)
-            opened_acheck(sig, closure, ctx, n, r)
+            opened_acheck(sig, ctx, n, l)
+            opened_acheck(sig, ctx, n, r)
             return
         case s.SPi(h, ds, dt, cod):
             if not isinstance(n, s.Lam):
@@ -1203,17 +1239,17 @@ def opened_acheck(sig, closure, ctx, n, sort) -> None:
                            f"term {pp_term(n)} is not a function but was "
                            f"checked against function sort {pp_sort(sort)}")
             x, b, c = _opened_source([e.name for e in ctx], h, n.body, cod)
-            opened_acheck(sig, closure, ctx + [s.CtxEntry(x, ds, dt)], b, c)
+            opened_acheck(sig, ctx + [s.CtxEntry(x, ds, dt)], b, c)
             return
     if isinstance(n, s.Lam):
         _sort_fail("annotation-mismatch",
                    f"function term checked against atomic sort "
                    f"{pp_sort(sort)}")
-    d = opened_asynth(sig, closure, ctx, n)
+    d = opened_asynth(sig, ctx, n)
     if not d:
         _sort_fail("empty-synthesis",
                    f"term {pp_term(n)} synthesizes no sorts")
-    if not any(not isinstance(q, s.SPi) and subsort_q(closure, q, sort)
+    if not any(not isinstance(q, s.SPi) and subsort_q(sig, q, sort)
                for q in d):
         shown = ", ".join(pp_sort(q) for q in d)
         _sort_fail("subsort-failure",
@@ -1221,14 +1257,14 @@ def opened_acheck(sig, closure, ctx, n, sort) -> None:
                    f"[{shown}] is a subsort of {pp_sort(sort)}")
 
 
-def _opened_class_apply(sig, closure, ctx, cls, arg, i, fam):
+def _opened_class_apply(sig, ctx, cls, arg, i, fam):
     """The classes cls takes arg to, left side first, and the error of
     the last side that does not take it."""
     match cls:
         case s.CPi(_, ds, dt, body):
             try:
                 opened_lf_check(sig, [(e.name, e.type) for e in ctx], arg, dt)
-                opened_acheck(sig, closure, ctx, arg, ds)
+                opened_acheck(sig, ctx, arg, ds)
             except MetricExhausted:
                 raise
             except (SortError, LfError) as e:
@@ -1242,31 +1278,29 @@ def _opened_class_apply(sig, closure, ctx, cls, arg, i, fam):
                     "annotation-mismatch",
                     f"argument {i} of {fam}: substitution failed: {e}"))
         case s.CInter(l, r):
-            left, l_err = _opened_class_apply(sig, closure, ctx, l, arg, i,
-                                              fam)
-            right, r_err = _opened_class_apply(sig, closure, ctx, r, arg, i,
-                                               fam)
+            left, l_err = _opened_class_apply(sig, ctx, l, arg, i, fam)
+            right, r_err = _opened_class_apply(sig, ctx, r, arg, i, fam)
             return left + right, r_err or l_err
     return [], SortError(SortDiagnostic(
         "annotation-mismatch", f"sort {fam} applied to too many arguments"))
 
 
-def opened_elab_sort(sig, closure, ctx, sort, a):
+def opened_elab_sort(sig, ctx, sort, a):
     match sort:
         case s.STop():
             return sort
         case s.SInter(l, r):
-            return s.SInter(opened_elab_sort(sig, closure, ctx, l, a),
-                            opened_elab_sort(sig, closure, ctx, r, a))
+            return s.SInter(opened_elab_sort(sig, ctx, l, a),
+                            opened_elab_sort(sig, ctx, r, a))
         case s.SPi(h, ds, _, cod):
             if not isinstance(a, s.TPi):
                 _sort_fail("annotation-mismatch",
                            f"function sort {pp_sort(sort)} cannot refine "
                            f"non-function type {pp_type(a)}")
-            ds2 = opened_elab_sort(sig, closure, ctx, ds, a.dom)
+            ds2 = opened_elab_sort(sig, ctx, ds, a.dom)
             x, c, ac = _opened_source([e.name for e in ctx], h, cod, a.cod)
             cod2 = opened_elab_sort(
-                sig, closure, ctx + [s.CtxEntry(x, ds2, a.dom)], c, ac)
+                sig, ctx + [s.CtxEntry(x, ds2, a.dom)], c, ac)
             return s.SPi(h, ds2, a.dom, close_at(cod2, x))
     head, args = s.sort_spine(sort)
     fam = sig.sort_fam(head.name)
@@ -1274,7 +1308,7 @@ def opened_elab_sort(sig, closure, ctx, sort, a):
         _sort_fail("no-refinement-declared", f"unknown sort {head.name}")
     classes, refined = [fam.cls], s.TConst(fam.refines)
     for i, arg in enumerate(args, start=1):
-        applied = [_opened_class_apply(sig, closure, ctx, c, arg, i, head.name)
+        applied = [_opened_class_apply(sig, ctx, c, arg, i, head.name)
                    for c in classes]
         classes = [c for taken, _ in applied for c in taken]
         if not classes:
@@ -1289,7 +1323,7 @@ def opened_elab_sort(sig, closure, ctx, sort, a):
     return sort
 
 
-def opened_elab_class(sig, closure, ctx, cls, kind):
+def opened_elab_class(sig, ctx, cls, kind):
     match cls:
         case s.CSort():
             if not isinstance(kind, s.KType):
@@ -1299,17 +1333,17 @@ def opened_elab_class(sig, closure, ctx, cls, kind):
         case s.CTop():
             return cls
         case s.CInter(l, r):
-            return s.CInter(opened_elab_class(sig, closure, ctx, l, kind),
-                            opened_elab_class(sig, closure, ctx, r, kind))
+            return s.CInter(opened_elab_class(sig, ctx, l, kind),
+                            opened_elab_class(sig, ctx, r, kind))
         case s.CPi(h, ds, _, body):
             if not isinstance(kind, s.KPi):
                 _sort_fail("annotation-mismatch",
                            "function class cannot refine a non-function kind")
-            ds2 = opened_elab_sort(sig, closure, ctx, ds, kind.dom)
+            ds2 = opened_elab_sort(sig, ctx, ds, kind.dom)
             x, b, kc = _opened_source([e.name for e in ctx], h, body,
                                       kind.cod)
             body2 = opened_elab_class(
-                sig, closure, ctx + [s.CtxEntry(x, ds2, kind.dom)], b, kc)
+                sig, ctx + [s.CtxEntry(x, ds2, kind.dom)], b, kc)
             return s.CPi(h, ds2, kind.dom, close_at(body2, x))
     raise TypeError(cls)
 
@@ -1344,10 +1378,10 @@ from lfr.translate import (  # noqa: E402
 )
 
 
-def _formations(sig, closure, ctx, stack, q) -> list:
+def _formations(sig, ctx, stack, q) -> list:
     """The checker's derivations that q is a sort, in elimination order,
     derived afresh."""
-    derivs, _ = _synth_sort_class(sig, closure, ctx, stack, q, None)
+    derivs, _ = _synth_sort_class(sig, ctx, stack, q, None)
     if not derivs:
         _sfail("annotation-mismatch",
                lambda: f"no formation proof for sort "
@@ -1400,18 +1434,17 @@ def _opened_over_indices(kind, atoms, avoid: set[str], pi, base):
     raise TypeError(kind)
 
 
-def opened_trans_sort(sig, ctx, sort, a, mangler, closure) -> Metafunction:
-    return Metafunction(1, _opened_sort_body(sig, closure, ctx, sort, a,
-                                             mangler, []))
+def opened_trans_sort(sig, ctx, sort, a, mangler) -> Metafunction:
+    return Metafunction(1, _opened_sort_body(sig, ctx, sort, a, mangler, []))
 
 
-def _opened_sort_body(sig, closure, ctx, sort, a, mangler, scope: list[str]):
+def _opened_sort_body(sig, ctx, sort, a, mangler, scope: list[str]):
     match sort:
         case s.STop():
             return lambda n: L.ITUnitT()
         case s.SInter(l, r):
-            left = _opened_sort_body(sig, closure, ctx, l, a, mangler, scope)
-            right = _opened_sort_body(sig, closure, ctx, r, a, mangler, scope)
+            left = _opened_sort_body(sig, ctx, l, a, mangler, scope)
+            right = _opened_sort_body(sig, ctx, r, a, mangler, scope)
             return lambda n: L.ITProd(left(n), right(n))
         case s.SPi(h, ds, _, cod):
             if not isinstance(a, s.TPi):
@@ -1423,10 +1456,10 @@ def _opened_sort_body(sig, closure, ctx, sort, a, mangler, scope: list[str]):
             ctx2 = list(ctx) + [s.CtxEntry(x, ds, a.dom)]
             dom = _close_over(inj_type(a.dom), scope)
             dom_pred = _close_over(meta_apply(
-                opened_trans_sort(sig, ctx2, ds, a.dom, mangler, closure),
+                opened_trans_sort(sig, ctx2, ds, a.dom, mangler),
                 [eta_x]), scope + [x])
             cod_body = _opened_sort_body(
-                sig, closure, ctx2, open_at(cod, s.FVar(x)),
+                sig, ctx2, open_at(cod, s.FVar(x)),
                 open_at(a.cod, s.FVar(x)), mangler, scope + [x, x + "^"])
 
             def body(n):
@@ -1441,21 +1474,19 @@ def _opened_sort_body(sig, closure, ctx, sort, a, mangler, scope: list[str]):
             pred = L.ITConst(mangler.predicate(head.name))
             for m in args:
                 pred = L.ITApp(pred, inj_term(m))
-            qhat = _proof(sig, closure, mangler,
-                          _formations(sig, closure, ctx, (), sort)[0],
+            qhat = _proof(sig, mangler, _formations(sig, ctx, (), sort)[0],
                           _root(ctx), {})
             pred = _close_over(L.ITIrrApp(pred, qhat), scope)
             return lambda n: L.ITApp(pred, n)
     raise TypeError(sort)
 
 
-def opened_trans_class_form(sig, ctx, cls, kind, mangler, closure
-                            ) -> Metafunction:
+def opened_trans_class_form(sig, ctx, cls, kind, mangler) -> Metafunction:
     return Metafunction(1, lambda pf: _opened_class_form_body(
-        sig, closure, ctx, cls, mangler, pf))
+        sig, ctx, cls, mangler, pf))
 
 
-def _opened_class_form_body(sig, closure, ctx, cls, mangler, pf):
+def _opened_class_form_body(sig, ctx, cls, mangler, pf):
     match cls:
         case s.CSort():
             return pf
@@ -1463,29 +1494,28 @@ def _opened_class_form_body(sig, closure, ctx, cls, mangler, pf):
             return L.ITUnitT()
         case s.CInter(l, r):
             return L.ITProd(
-                _opened_class_form_body(sig, closure, ctx, l, mangler, pf),
-                _opened_class_form_body(sig, closure, ctx, r, mangler, pf))
+                _opened_class_form_body(sig, ctx, l, mangler, pf),
+                _opened_class_form_body(sig, ctx, r, mangler, pf))
         case s.CPi(h, ds, dt, body):
             x = pool_name(h, {e.name for e in ctx} | free_vars(body)
                           | free_vars(ds))
             eta_x = inj_term(eta_expand(dt, s.FVar(x)))
             ctx2 = list(ctx) + [s.CtxEntry(x, ds, dt)]
             dom_pred = meta_apply(
-                opened_trans_sort(sig, ctx2, ds, dt, mangler, closure), [eta_x])
+                opened_trans_sort(sig, ctx2, ds, dt, mangler), [eta_x])
             inner_body = _opened_class_form_body(
-                sig, closure, ctx2, open_at(body, s.FVar(x)), mangler,
+                sig, ctx2, open_at(body, s.FVar(x)), mangler,
                 L.ITApp(pf, eta_x))
             inner = L.ITPi(x + "^", dom_pred, close_lfi(inner_body, x + "^"))
             return L.ITPi(x, inj_type(dt), close_lfi(inner, x))
     raise TypeError(cls)
 
 
-def opened_trans_ctx(sig, ctx, mangler, closure) -> list:
+def opened_trans_ctx(sig, ctx, mangler) -> list:
     out = []
     for i, e in enumerate(ctx):
         out.append(LfiCtxEntry(e.name, inj_type(e.type), True))
-        smeta = opened_trans_sort(sig, ctx[:i + 1], e.sort, e.type, mangler,
-                                  closure)
+        smeta = opened_trans_sort(sig, ctx[:i + 1], e.sort, e.type, mangler)
         sty = meta_apply(smeta, [inj_term(eta_expand(e.type,
                                                      s.FVar(e.name)))])
         out.append(LfiCtxEntry(e.name + "^", sty, True))
@@ -1493,28 +1523,26 @@ def opened_trans_ctx(sig, ctx, mangler, closure) -> list:
 
 
 # translate.verify_translation as it was before it reused what trans_sig
-# kept: it builds a subsort closure of its own and translates each refined
-# constant's sort again to make the goal.  The package's verify must pass
-# exactly when this one does, and fail with the same message.
+# kept: it translates each refined constant's sort again to make the goal.
+# The package's verify must pass exactly when this one does, and fail with
+# the same message at the same span.
 
 def retranslating_verify(sig, result) -> None:
     try:
         lfi_check_sig(result.lfi_sig)
     except LfiError as e:
         raise VerifyError(
-            f"translated signature failed re-checking: {e.message}")
-    closure = build_closure(sig)
+            f"translated signature failed re-checking at {e.decl}: "
+            f"{e.message}", e.span)
     for c in dict.fromkeys(d.const for d in sig if isinstance(d, s.ConstRef)):
         const, merged = sig.term_const(c), sig.merged_ref_sort(c)
         subject = eta_expand(const.type, s.Const(c))
         try:
-            nhat = trans_term_check(sig, [], subject, merged, result.mangler,
-                                    closure)
-            smeta = trans_sort(sig, [], merged, const.type, result.mangler,
-                               closure)
+            nhat = trans_term_check(sig, [], subject, merged, result.mangler)
+            smeta = trans_sort(sig, [], merged, const.type, result.mangler)
             goal = meta_apply(smeta, [inj_term(subject)])
             lfi_check(result.lfi_sig, [], nhat, goal)
         except (LfiError, SortError) as e:
             raise VerifyError(
                 f"translated proof for {c} failed re-checking: "
-                f"{e.message}")
+                f"{e.message}", sig.const_refs[c][0].span)

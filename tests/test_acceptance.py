@@ -15,7 +15,6 @@ import pytest
 from lfr import (
     SortError,
     acheck,
-    build_closure,
     lfi_check,
     lfi_check_sig,
     lfi_equal,

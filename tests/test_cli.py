@@ -20,7 +20,8 @@ from lfr.cli import main
 from lfr.lfi import ITUnitT, LfiDecl
 from lfr.parser import tokenize
 
-from conftest import GOLDEN_DIR, GOLDEN_NAMES, checkout_env, golden_path
+from conftest import (GOLDEN_DIR, GOLDEN_NAMES, LATER_EDGE_TEXTS, checkout_env,
+                      golden_path)
 from gen import binders_text, deep_text
 
 
@@ -457,6 +458,34 @@ class TestVerify:
         assert capsys.readouterr().err.startswith(
             f"{path}:{line}:1: error: translated proof for z failed "
             f"re-checking: ")
+
+    @pytest.mark.parametrize("name", sorted(LATER_EDGE_TEXTS))
+    @pytest.mark.parametrize("command", ["check", "translate", "verify"])
+    def test_edge_declared_later_is_not_used(self, command, name, tmp_path):
+        path = tmp_path / f"{name}.lfr"
+        path.write_text(LATER_EDGE_TEXTS[name])
+        assert main([command, "--quiet", str(path)]) == 0
+
+    def test_signature_failure_is_located(self, monkeypatch, capsys):
+        # z^ at the predicate of top: the emitted signature fails at
+        # dbl/z^, whose formation proof uses z^ at even.
+        import lfr.cli as cli
+        import lfr.translate
+
+        def tampered(sig):
+            result = lfr.translate.trans_sig(sig)
+            result.lfi_sig = type(result.lfi_sig)(
+                [LfiDecl(d.name, ITUnitT(), d.span) if d.name == "z^" else d
+                 for d in result.lfi_sig])
+            return result
+
+        monkeypatch.setattr(cli, "trans_sig", tampered)
+        path = golden_path("double")
+        line = path.read_text().splitlines().index("dbl/z :: double* z z.") + 1
+        assert main(["verify", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"{path}:{line}:1: error: translated signature failed re-checking "
+            f"at dbl/z^: ")
 
     def test_exhausted_budget_exits_three(self, monkeypatch, capsys):
         monkeypatch.setenv("LFR_FUEL", "2")

@@ -23,3 +23,29 @@ def test_no_assert_statements(path):
 def test_sources_are_found():
     # An empty glob would leave the check above nothing to run.
     assert {"__init__.py", "cli.py", "lfi.py"} <= {p.name for p in SOURCES}
+
+
+def _trees():
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+
+
+def test_no_closure_parameter():
+    # The subsort preorder is reached through the signature alone.
+    found = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+             for arg in (*node.args.posonlyargs, *node.args.args,
+                         *node.args.kwonlyargs, node.args.vararg,
+                         node.args.kwarg)
+             if arg is not None and arg.arg == "closure"]
+    assert found == []
+
+
+def test_one_module_reads_the_subsort_edges():
+    # lfr_check.build_closure is the one search of the declared edges;
+    # syntax.py only keeps them.
+    readers = {name for name, tree in _trees().items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "sub_edges"}
+    assert readers - {"syntax.py"} == {"lfr_check.py"}

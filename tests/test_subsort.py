@@ -12,7 +12,6 @@ from lfr import (
     acheck,
     algo_subsort,
     binter,
-    build_closure,
     check_signature,
     declarative_subsort_oracle,
     intrinsic_subsort,

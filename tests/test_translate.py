@@ -21,7 +21,6 @@ from lfr import (
     SortError,
     VerifyError,
     acheck,
-    build_closure,
     check_signature,
     elaborate_sort,
     lfi_check,
@@ -90,7 +89,7 @@ from lfr.translate import (
     trans_kind_sub,
 )
 
-from conftest import GOLDEN_NAMES, golden_path
+from conftest import GOLDEN_NAMES, LATER_EDGE_TEXTS, golden_path
 from gen import (
     HINTS,
     NAT,
@@ -224,13 +223,28 @@ class TestTamperedProofs:
                 verify_translation(sig, broken)
         assert used_later == self.USED_LATER.get(name, set())
 
+    def test_signature_failure_is_located(self, checked_goldens,
+                                          translated_goldens):
+        # z^ at the predicate of top: dbl/z^'s formation proof uses z^ at
+        # even, so the emitted signature fails at dbl/z^, which is placed
+        # at dbl/z's refinement.
+        sig, result = checked_goldens["double"], translated_goldens["double"]
+        with pytest.raises(VerifyError) as info:
+            verify_translation(sig, _tampered(result, "z^", ITUnitT()))
+        assert info.value.message.startswith(
+            "translated signature failed re-checking at dbl/z^: ")
+        assert info.value.span == sig.const_refs["dbl/z"][0].span
+        lines = golden_path("double").read_text().splitlines()
+        assert lines[info.value.span.line - 1] == "dbl/z :: double* z z."
+
 
 def _verdict(verify, sig, result):
-    """None if verify passes result, else its VerifyError's message."""
+    """None if verify passes result, else its VerifyError's message and
+    span."""
     try:
         verify(sig, result)
     except VerifyError as e:
-        return e.message
+        return e.message, e.span
     return None
 
 
@@ -486,9 +500,9 @@ class TestMangler:
 NAT_TY = TConst("nat")
 
 
-def _accepts(sig, ctx, n, s, closure) -> bool:
+def _accepts(sig, ctx, n, s) -> bool:
     try:
-        acheck(sig, ctx, n, s, closure=closure)
+        acheck(sig, ctx, n, s)
         return True
     except SortError:
         return False
@@ -521,31 +535,28 @@ class TestSoundness:
         choose = lambda lo, hi: data.draw(st.integers(lo, hi))
         ctx, n, alpha, s = _gen_instance(choose, nat_sig)
         assume(s is not None)
-        closure = build_closure(nat_sig)
-        assume(_accepts(nat_sig, ctx, n, s, closure))
+        assume(_accepts(nat_sig, ctx, n, s))
         result = translated_goldens["nat"]
-        proof = trans_term_check(nat_sig, ctx, n, s, result.mangler, closure)
+        proof = trans_term_check(nat_sig, ctx, n, s, result.mangler)
         smeta = trans_sort(nat_sig, ctx, s, simple_to_type(alpha),
-                           result.mangler, closure)
+                           result.mangler)
         goal = meta_apply(smeta, [inj_term(n)])
-        ictx = trans_ctx(nat_sig, ctx, result.mangler, closure)
+        ictx = trans_ctx(nat_sig, ctx, result.mangler)
         lfi_check(result.lfi_sig, ictx, proof, goal)
 
     def test_synthesized_proofs_recheck(self, nat_sig, translated_goldens):
         rng = random.Random(20260816)
-        closure = build_closure(nat_sig)
         result = translated_goldens["nat"]
         seen = 0
         for _ in range(120):
             ctx, n, alpha, _ = _gen_instance(rng.randint, nat_sig)
             if alpha != NAT:
                 continue
-            pairs = trans_term_synth(nat_sig, ctx, n, result.mangler, closure)
-            ictx = trans_ctx(nat_sig, ctx, result.mangler, closure)
+            pairs = trans_term_synth(nat_sig, ctx, n, result.mangler)
+            ictx = trans_ctx(nat_sig, ctx, result.mangler)
             subject = inj_term(eta_expand(NAT, n))
             for q, proof in pairs:
-                smeta = trans_sort(nat_sig, ctx, q, NAT_TY, result.mangler,
-                                   closure)
+                smeta = trans_sort(nat_sig, ctx, q, NAT_TY, result.mangler)
                 lfi_check(result.lfi_sig, ictx, proof,
                           meta_apply(smeta, [subject]))
                 seen += 1
@@ -554,16 +565,15 @@ class TestSoundness:
     def test_fidelity(self, nat_sig, translated_goldens):
         # The compiler produces a proof exactly when the checker accepts.
         rng = random.Random(7254)
-        closure = build_closure(nat_sig)
         result = translated_goldens["nat"]
         accepted = rejected = 0
         for _ in range(200):
             ctx, n, alpha, s = _gen_instance(rng.randint, nat_sig)
             if s is None:
                 continue
-            ok = _accepts(nat_sig, ctx, n, s, closure)
+            ok = _accepts(nat_sig, ctx, n, s)
             try:
-                trans_term_check(nat_sig, ctx, n, s, result.mangler, closure)
+                trans_term_check(nat_sig, ctx, n, s, result.mangler)
                 translated = True
             except SortError:
                 translated = False
@@ -578,18 +588,17 @@ class TestCompositionality:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_index_substitution(self, double_sig, k):
-        closure = build_closure(double_sig)
         result = trans_sig(double_sig)
         ctx = [CtxEntry("x", STop(), NAT_TY)]
         s = SApp(SApp(SConst("double*"), FVar("x")), numeral(2))
         a = TApp(TApp(TConst("double"), FVar("x")), numeral(2))
-        smeta = trans_sort(double_sig, ctx, s, a, result.mangler, closure)
+        smeta = trans_sort(double_sig, ctx, s, a, result.mangler)
         open_hat = meta_apply(smeta, [IFVar("w")])
         lhs = lfi_hsubst(inj_term(numeral(k)), "x", ITConst("nat"), open_hat)
 
         s2 = hsubst_syntax(numeral(k), "x", NAT_TY, s)
         a2 = hsubst_syntax(numeral(k), "x", NAT_TY, a)
-        smeta2 = trans_sort(double_sig, [], s2, a2, result.mangler, closure)
+        smeta2 = trans_sort(double_sig, [], s2, a2, result.mangler)
         rhs = meta_apply(smeta2, [IFVar("w")])
         assert lfi_equal(lhs, rhs)
 
@@ -597,25 +606,24 @@ class TestCompositionality:
     def test_substitution_carries_the_proof(self, double_sig, k):
         # A hypothesis at a real sort contributes a proof variable; the
         # translated substitution replaces it with the argument's proof.
-        closure = build_closure(double_sig)
         result = trans_sig(double_sig)
         ctx = [CtxEntry("y", SConst("even"), NAT_TY)]
         s = SApp(SApp(SConst("double*"), Const("z")), FVar("y"))
         a = TApp(TApp(TConst("double"), Const("z")), FVar("y"))
-        smeta = trans_sort(double_sig, ctx, s, a, result.mangler, closure)
+        smeta = trans_sort(double_sig, ctx, s, a, result.mangler)
         open_hat = meta_apply(smeta, [IFVar("w")])
 
-        ictx = trans_ctx(double_sig, ctx, result.mangler, closure)
+        ictx = trans_ctx(double_sig, ctx, result.mangler)
         proof_ty = ictx[-1].type
         arg = numeral(2 * k)
         arg_proof = trans_term_check(double_sig, [], arg, SConst("even"),
-                                     result.mangler, closure)
+                                     result.mangler)
         lhs = lfi_hsubst(inj_term(arg), "y", ITConst("nat"), open_hat)
         lhs = lfi_hsubst(arg_proof, "y^", lfi_erase_type(proof_ty), lhs)
 
         s2 = hsubst_syntax(arg, "y", NAT_TY, s)
         a2 = hsubst_syntax(arg, "y", NAT_TY, a)
-        smeta2 = trans_sort(double_sig, [], s2, a2, result.mangler, closure)
+        smeta2 = trans_sort(double_sig, [], s2, a2, result.mangler)
         rhs = meta_apply(smeta2, [IFVar("w")])
         assert lfi_equal(lhs, rhs)
 
@@ -737,6 +745,18 @@ class TestCoercions:
         assert {"a-b", "b-d"} <= names
         assert not {"a-c", "c-d"} & names
 
+    @pytest.mark.parametrize("name, steps", [
+        ("shorter", ["a-b", "b-c"]), ("tie", ["a-b", "b-d"])])
+    def test_coercion_takes_the_checked_path(self, name, steps):
+        sig = check_signature(parse_signature(LATER_EDGE_TEXTS[name]))
+        result = trans_sig(sig)
+        verify_translation(sig, result)
+        proof = next(d.classifier for d in result.lfi_sig
+                     if d.name == "dbl/z^")
+        # The first step is the innermost coercion.
+        assert re.findall(r"\b[a-d]-[a-d]\b", pp_lfi_type(proof)) == \
+            steps[::-1]
+
     def test_long_chain_coerces_in_linear_time(self):
         # A coercion along 399 `<:` steps: re-plugging the rest of the
         # chain at every step took about 0.9 s here, one wrap per step
@@ -836,7 +856,6 @@ class TestSubjectApplication:
 # Against the translator that opens every binder (tests/oracles.py)
 
 REF_SIG = check_signature(parse_signature(REF_TEXT))
-REF_CLOSURE = build_closure(REF_SIG)
 # The coercion type's own binders are f1, f2 and x.
 REF_HINTS = HINTS + ("f1", "f2")
 
@@ -880,8 +899,7 @@ def opened_instance(seed: int):
             a = rehint(gen_type(choose, gctx, choose(1, 4)), hint)
             s = refining(choose, a)
         if which == 1:
-            return which, ctx, (_elab_class(REF_SIG, REF_CLOSURE, ctx, (), s,
-                                            a, None), a)
+            return which, ctx, (_elab_class(REF_SIG, ctx, (), s, a, None), a)
         subject = inj_term(eta_expand(a, FVar(("f", "x", "y")[choose(0, 2)])))
         return which, ctx, (elaborate_sort(REF_SIG, ctx, s, a), a, subject)
     except (SortError, LfError):
@@ -897,17 +915,16 @@ def _translated(which, ctx, subject, sort, class_form, kind_pred, kind_sub,
         match which:
             case 0:
                 s, a, n = subject
-                out = meta_apply(sort(REF_SIG, ctx, s, a, mangler,
-                                      REF_CLOSURE), [n])
+                out = meta_apply(sort(REF_SIG, ctx, s, a, mangler), [n])
             case 1:
-                out = meta_apply(class_form(REF_SIG, ctx, *subject, mangler,
-                                            REF_CLOSURE), [ITConst("q^")])
+                out = meta_apply(class_form(REF_SIG, ctx, *subject, mangler),
+                                 [ITConst("q^")])
             case 2:
                 atoms = [ITConst(n) for n in ("t", "q^", "q", "r^", "r")]
                 out = (meta_apply(kind_pred(subject), atoms[1:3]),
                        meta_apply(kind_sub(subject), atoms))
             case _:
-                out = trans_context(REF_SIG, ctx, mangler, REF_CLOSURE)
+                out = trans_context(REF_SIG, ctx, mangler)
     except (SortError, VerifyError) as e:
         return type(e).__name__, e.diag.kind if hasattr(e, "diag") else None
     return "ok", repr(out)
