@@ -11,10 +11,13 @@ checker applies a head to its whole spine: each argument is checked
 against its domain set to the arguments before it, and the codomain is
 set to all of them in one walk.  The checker descends binders by index
 too, keeping a stack of the hypotheses they bind, and names those
-hypotheses only to build a message.  One walk, `_map_vars`, rebuilds a
-tree around its variables; shifting and naming for messages are leaf
-functions over it.  All of this is this module's own code, so the
-certificates are checked by code the source checker does not share.
+hypotheses only to build a message.  A closed application, one checked
+with no hypothesis in scope, has a type that depends on the signature
+alone, so the signature keeps it and the term is checked once.  One walk,
+`_map_vars`, rebuilds a tree around its variables; shifting and naming
+for messages are leaf functions over it.  All of this is this module's
+own code, so the certificates are checked by code the source checker
+does not share.
 """
 
 from __future__ import annotations
@@ -248,6 +251,10 @@ class LfiSignature:
         self.decls: list[LfiDecl] = []
         self._fams: dict[str, LfiKind] = {}
         self._consts: dict[str, LfiType] = {}
+        # The type _synth gave each closed application, keyed by its id
+        # (the entry holds the term, so the id stays unique).  A name is
+        # never bound again, so an entry holds as the signature grows.
+        self.closed: dict[int, tuple[LfiAtomic, LfiType]] = {}
         for d in decls:
             self.append(d)
 
@@ -361,6 +368,8 @@ def lfi_equal(x: LfiSyntax, y: LfiSyntax, respect_irrelevance: bool = True) -> b
     difference between the two modes is observable on translated output
     and is exactly the coherence property.
     """
+    if x is y:
+        return True
     if type(x) is not type(y):
         return False
     match x, y:
@@ -643,10 +652,18 @@ def _synth(sig: LfiSignature, ctx: LfiContext, stack: Stack, r: LfiAtomic
                     f"used in a relevant position")
             return _shift_lfi(d, i + 1)
         case IApp() | IIrrApp():
+            # With no hypothesis in scope, r succeeds only if it has no
+            # free variable, and then its type depends on sig alone.
+            closed = not stack and not ctx
+            if closed and (hit := sig.closed.get(id(r))) is not None:
+                return hit[1]
             head, spine = _unspine(r, (IApp, IIrrApp))
-            return _apply(sig, ctx, stack, _synth(sig, ctx, stack, head), spine,
-                          (ITPi, ITIrrPi), lambda ty, irr: LfiError(
-                              f"{_NOT_A_PI[irr]} {_fmt_type(ty, ctx, stack)}"))
+            ty = _apply(sig, ctx, stack, _synth(sig, ctx, stack, head), spine,
+                        (ITPi, ITIrrPi), lambda ty, irr: LfiError(
+                            f"{_NOT_A_PI[irr]} {_fmt_type(ty, ctx, stack)}"))
+            if closed:
+                sig.closed[id(r)] = r, ty
+            return ty
         case IFst(b):
             bty = _synth(sig, ctx, stack, b)
             if not isinstance(bty, ITProd):

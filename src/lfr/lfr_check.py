@@ -20,12 +20,11 @@ tagged tuple per rule, holding the derivations of its premises.
     ("unit",)  ("pair", d1, d2)     checking against # and against ^
     ("lam", hint, d)                a function checked under its binder,
                                     the function sort's, hinted hint
-    ("sub", ctx, stack, q, path, n, d)
-                                    n synthesizes q by d, and the goal is
+    ("sub", q, path, forms, n, d)   n synthesizes q by d, and the goal is
                                     q with its head taken along declared
                                     edges through the heads on path (see
-                                    subsort_path), all read under the
-                                    binders on stack
+                                    subsort_path); forms are the steps'
+                                    formations (see coercion_forms)
 
 Synthesis sets are lists of (sort, derivation), and sort formation
 yields every (class, derivation) candidate.  Derivations hold no target
@@ -188,6 +187,31 @@ def subsort_path(sig: Signature, q1, q2) -> tuple[str, ...]:
         path.append(goal)
         goal = tree[goal]
     return tuple(reversed(path))
+
+
+def coercion_forms(sig: Signature, ctx: Context, stack, q, path) -> tuple:
+    """The first formation derivation of q and of q's spine under each
+    head on path, read under the binders on stack; none for an empty path.
+
+    A coercion along path converts between these sorts.  They are formed
+    where the switch is taken, so by the edges and refinements declared
+    before the declaration it serves, as the path is.
+    """
+    if not path:
+        return ()
+    head, spine = sort_spine(q)
+    forms = []
+    for step in (head.name, *path):
+        q_step = SConst(step)
+        for m in spine:
+            q_step = SApp(q_step, m)
+        derivs, _ = _synth_sort_class(sig, ctx, stack, q_step, None)
+        if not derivs:
+            _sfail("annotation-mismatch",
+                   lambda: f"no formation proof for sort "
+                           f"{_pp(pp_sort, q_step, ctx, stack)}")
+        forms.append(derivs[0])
+    return tuple(forms)
 
 
 # Called with (ctx, synthesized_atom, goal_atom, result) at every switch
@@ -419,7 +443,9 @@ def _acheck(sig, ctx, stack, n, s, trace, synth=None) -> tuple:
                 ok = subsort_q(sig, q, s)
                 _audit(ctx, stack, q, s, ok)
                 if ok:
-                    matched = ("sub", ctx, stack, q, subsort_path(sig, q, s),
+                    path = subsort_path(sig, q, s)
+                    matched = ("sub", q, path,
+                               coercion_forms(sig, ctx, stack, q, path),
                                n, d_q)
                     break
             if matched is None:

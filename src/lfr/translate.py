@@ -68,8 +68,8 @@ from .lfr_check import (
     _form_atom,
     _pp,
     _sfail,
-    _synth_sort_class,
     build_closure,  # noqa: F401  (bound here for bench/tracer.py to wrap)
+    coercion_forms,
     subsort_path,
     subsort_q,
 )
@@ -512,8 +512,8 @@ def _proof(sig, mangler, d, at: At, injected: dict):
             x = pool_name(hint, shown)
             inner = _proof(sig, mangler, body, _bind(at, x), injected)
             return ILam(x, ILam(x + "^", inner))
-        case ("sub", ctx, stack, q, path, n, d1):
-            coerce = _coercion(sig, ctx, stack, q, path, mangler, at)
+        case ("sub", q, path, forms, n, d1):
+            coerce = _coercion(sig, q, path, forms, mangler, at)
             return meta_apply(coerce, [_inj_arg(n, injected, at),
                                        premise(d1)])
     raise TypeError(f"_proof: not a derivation: {d!r}")
@@ -530,35 +530,23 @@ def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None
         _sfail("subsort-failure",
                lambda: f"no declared path from {_pp(pp_sort, q1, ctx, ())} "
                        f"to {_pp(pp_sort, q2, ctx, ())}")
-    return _coercion(sig, ctx, (), q1, subsort_path(sig, q1, q2),
+    path = subsort_path(sig, q1, q2)
+    return _coercion(sig, q1, path, coercion_forms(sig, ctx, (), q1, path),
                      mangler or NameMangler(sig), _root(ctx))
 
 
-def _coercion(sig, ctx, stack, q1, path, mangler, at: At) -> Metafunction:
+def _coercion(sig, q1, path, forms, mangler, at: At) -> Metafunction:
     """Wrap the proof in one coercion per step of path, the heads q1's head
     is taken through (see lfr_check.subsort_path).
 
-    q1 is read under the binders on stack, and each step's two formation
-    proofs under the same binders, all built at `at`.
+    forms are the formations of q1 and of each step's sort (see
+    lfr_check.coercion_forms); they and q1 are built at `at`.
     """
     injected: dict = {}
-
-    def formation(q):
-        derivs, _ = _synth_sort_class(sig, ctx, stack, q, None)
-        if not derivs:
-            _sfail("annotation-mismatch",
-                   lambda: f"no formation proof for sort "
-                           f"{_pp(pp_sort, q, ctx, stack)}")
-        return _proof(sig, mangler, derivs[0], at, injected)
-
+    proofs = (_proof(sig, mangler, d, at, injected) for d in forms)
     head, spine = sort_spine(q1)
-    head, steps = head.name, []
-    form = formation(q1) if path else None
-    for step in path:
-        q_step = SConst(step)
-        for m in spine:
-            q_step = SApp(q_step, m)
-        form_step = formation(q_step)
+    head, steps, form = head.name, [], next(proofs, None)
+    for step, form_step in zip(path, proofs):
         t = IConst(mangler.coercion(head, step))
         for m in spine:
             t = IApp(t, _inj_arg(m, injected, at))

@@ -105,7 +105,8 @@ DEP_TEXT = (
 # dbl/z's formation needs z, refined at a, at c (at d): a subsort path
 # that a declaration after dbl/z's refinement shortens (or ties earlier).
 # The coercion must take the path the checker found at dbl/z, whose edges
-# are all declared before it.
+# are all declared before it, and so must the formations of the sorts a
+# coercion converts between.
 LATER_EDGE_TEXTS = {
     "shorter": (
         "nat : type. z : nat. a << nat. b << nat. c << nat. z :: a.\n"
@@ -119,6 +120,17 @@ LATER_EDGE_TEXTS = {
         "double : nat -> nat -> type. dbl/z : double z z.\n"
         "double* << double :: # -> d -> sort. dbl/z :: double* z z.\n"
         "c <: d.\n"),
+    # A coercion from p1 z to p2 z serves w's refinement; the formations
+    # of p1 z and p2 z check z at c, which a <: c, declared after w's
+    # refinement, would reach in one step.
+    "formation": (
+        "nat : type. z : nat. a << nat. b << nat. c << nat. z :: a.\n"
+        "a <: b. b <: c.\n"
+        "foo : nat -> type. p1 << foo :: c -> sort. p2 << foo :: c -> sort.\n"
+        "p1 <: p2. k : foo z. k :: p1 z. m : foo z -> nat. m :: p2 z -> a.\n"
+        "q : nat -> type. qq << q :: a -> sort.\n"
+        "w : q (m k). w :: qq (m k).\n"
+        "a <: c.\n"),
 }
 
 

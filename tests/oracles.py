@@ -1546,3 +1546,205 @@ def retranslating_verify(sig, result) -> None:
             raise VerifyError(
                 f"translated proof for {c} failed re-checking: "
                 f"{e.message}", sig.const_refs[c][0].span)
+
+
+# ---------------------------------------------------------------------------
+# The target checker without its closed-term memo.
+#
+# lfi.py keeps, per signature, the type of each application it checks with
+# no hypothesis in scope, and lfi_equal stops at a subterm both sides
+# share.  These copies do neither: each occurrence of a subterm is checked,
+# and equality walks both trees, every time it is reached.  lfi_check_sig
+# must give the same verdict, message, span and failing declaration as
+# uncached_check_sig.
+
+
+def uncached_equal(x, y, respect_irrelevance: bool = True) -> bool:
+    if type(x) is not type(y):
+        return False
+    eq = uncached_equal
+    match x, y:
+        case ((L.IConst(a), L.IConst(b)) | (L.IFVar(a), L.IFVar(b))
+              | (L.ITConst(a), L.ITConst(b)) | (L.IBVar(a), L.IBVar(b))):
+            return a == b
+        case ((L.IUnit(), L.IUnit()) | (L.ITUnitT(), L.ITUnitT())
+              | (L.IKType(), L.IKType()) | (L.IKUnit(), L.IKUnit())):
+            return True
+        case (L.IApp(f1, a1), L.IApp(f2, a2)) | (L.ITApp(f1, a1), L.ITApp(f2, a2)):
+            return (eq(f1, f2, respect_irrelevance)
+                    and eq(a1, a2, respect_irrelevance))
+        case ((L.IIrrApp(f1, a1), L.IIrrApp(f2, a2))
+              | (L.ITIrrApp(f1, a1), L.ITIrrApp(f2, a2))):
+            if not eq(f1, f2, respect_irrelevance):
+                return False
+            return True if respect_irrelevance else eq(a1, a2, respect_irrelevance)
+        case (L.IFst(b1), L.IFst(b2)) | (L.ISnd(b1), L.ISnd(b2)):
+            return eq(b1, b2, respect_irrelevance)
+        case (L.ILam(_, b1), L.ILam(_, b2)):
+            return eq(b1, b2, respect_irrelevance)
+        case ((L.IPair(l1, r1), L.IPair(l2, r2))
+              | (L.ITProd(l1, r1), L.ITProd(l2, r2))
+              | (L.IKProd(l1, r1), L.IKProd(l2, r2))):
+            return (eq(l1, l2, respect_irrelevance)
+                    and eq(r1, r2, respect_irrelevance))
+        case ((L.ITPi(_, d1, c1), L.ITPi(_, d2, c2))
+              | (L.ITIrrPi(_, d1, c1), L.ITIrrPi(_, d2, c2))
+              | (L.IKPi(_, d1, c1), L.IKPi(_, d2, c2))
+              | (L.IKIrrPi(_, d1, c1), L.IKIrrPi(_, d2, c2))):
+            return (eq(d1, d2, respect_irrelevance)
+                    and eq(c1, c2, respect_irrelevance))
+    return False
+
+
+def _uncached_apply(sig, ctx, stack, ty, spine, pis, mismatch):
+    done = []
+    for arg, irr in spine:
+        if not isinstance(ty, pis[irr]):
+            raise mismatch(L._inst(ty, done), irr)
+        if irr:
+            _uncached_check(sig, promote(ctx), L._promote(stack), arg,
+                            L._inst(ty.dom, done))
+        else:
+            _uncached_check(sig, ctx, stack, arg, L._inst(ty.dom, done))
+        done.append((arg, L.lfi_erase_type(ty.dom)))
+        ty = ty.cod
+    return L._inst(ty, done)
+
+
+def _uncached_synth(sig, ctx, stack, r):
+    match r:
+        case L.IConst(n):
+            ty = sig.const_type(n)
+            if ty is None:
+                raise LfiError(f"unbound constant {n}")
+            return ty
+        case L.IFVar(n):
+            entry = lfi_ctx_lookup(ctx, n)
+            if entry is None:
+                raise LfiError(f"unbound variable {n}")
+            if not entry.relevant:
+                raise LfiError(
+                    f"irrelevant hypothesis {n} used in a relevant position")
+            return entry.type
+        case L.IBVar(i) if i < len(stack):
+            _, d, relevant = stack[-1 - i]
+            if not relevant:
+                raise LfiError(
+                    f"irrelevant hypothesis {L._names(ctx, stack)[-1 - i]} "
+                    f"used in a relevant position")
+            return L._shift_lfi(d, i + 1)
+        case L.IApp() | L.IIrrApp():
+            head, spine = L._unspine(r, (L.IApp, L.IIrrApp))
+            return _uncached_apply(
+                sig, ctx, stack, _uncached_synth(sig, ctx, stack, head), spine,
+                (L.ITPi, L.ITIrrPi), lambda ty, irr: LfiError(
+                    f"{L._NOT_A_PI[irr]} {L._fmt_type(ty, ctx, stack)}"))
+        case L.IFst(b) | L.ISnd(b):
+            bty = _uncached_synth(sig, ctx, stack, b)
+            if not isinstance(bty, L.ITProd):
+                which = "first" if isinstance(r, L.IFst) else "second"
+                raise LfiError(f"{which} projection of non-pair type "
+                               f"{L._fmt_type(bty, ctx, stack)}")
+            return bty.left if isinstance(r, L.IFst) else bty.right
+    raise LfiError(f"cannot synthesize a type for "
+                   f"{L._fmt_term(r, ctx, stack)}")
+
+
+def _uncached_check(sig, ctx, stack, n, a) -> None:
+    match n:
+        case L.ILam(h, b):
+            if not isinstance(a, (L.ITPi, L.ITIrrPi)):
+                raise LfiError(f"function checked against non-function "
+                               f"type {L._fmt_type(a, ctx, stack)}")
+            _uncached_check(sig, ctx,
+                            stack + ((h, a.dom, isinstance(a, L.ITPi)),),
+                            b, a.cod)
+        case L.IPair(l, r):
+            if not isinstance(a, L.ITProd):
+                raise LfiError(f"pair checked against non-product type "
+                               f"{L._fmt_type(a, ctx, stack)}")
+            _uncached_check(sig, ctx, stack, l, a.left)
+            _uncached_check(sig, ctx, stack, r, a.right)
+        case L.IUnit():
+            if not isinstance(a, L.ITUnitT):
+                raise LfiError(
+                    f"unit checked against {L._fmt_type(a, ctx, stack)}")
+        case _:
+            if not L.is_lfi_atomic(n):
+                raise LfiError(f"cannot check {L._fmt_term(n, ctx, stack)}")
+            syn = _uncached_synth(sig, ctx, stack, n)
+            if not uncached_equal(syn, a):
+                raise LfiError(
+                    f"type mismatch: expected {L._fmt_type(a, ctx, stack)}, "
+                    f"synthesized {L._fmt_type(syn, ctx, stack)}")
+
+
+def _uncached_check_type(sig, ctx, stack, a) -> None:
+    match a:
+        case L.ITPi(h, d, c) | L.ITIrrPi(h, d, c):
+            _uncached_check_type(sig, ctx, stack, d)
+            _uncached_check_type(sig, ctx,
+                                 stack + ((h, d, isinstance(a, L.ITPi)),), c)
+        case L.ITProd(l, r):
+            _uncached_check_type(sig, ctx, stack, l)
+            _uncached_check_type(sig, ctx, stack, r)
+        case L.ITUnitT():
+            pass
+        case L.ITConst() | L.ITApp() | L.ITIrrApp():
+            k = _uncached_kind_of_atomic(sig, ctx, stack, a)
+            if not isinstance(k, L.IKType):
+                raise LfiError(f"type family not fully applied: "
+                               f"{L._fmt_type(a, ctx, stack)}")
+        case _:
+            raise LfiError(f"not a type: {L._named(a, ctx, stack)!r}")
+
+
+def _uncached_kind_of_atomic(sig, ctx, stack, p):
+    p, spine = L._unspine(p, (L.ITApp, L.ITIrrApp))
+    if not isinstance(p, L.ITConst):
+        raise LfiError(
+            f"type head is not a constant: {L._named(p, ctx, stack)!r}")
+    kind = sig.fam_kind(p.name)
+    if kind is None:
+        raise LfiError(f"unbound type family {p.name}")
+    return _uncached_apply(sig, ctx, stack, kind, spine, (L.IKPi, L.IKIrrPi),
+                           lambda ty, irr: LfiError(
+                               f"kind of {p.name} does not accept this "
+                               f"argument shape"))
+
+
+def _uncached_check_kind(sig, ctx, stack, k) -> None:
+    match k:
+        case L.IKType() | L.IKUnit():
+            pass
+        case L.IKPi(h, d, c) | L.IKIrrPi(h, d, c):
+            _uncached_check_type(sig, ctx, stack, d)
+            _uncached_check_kind(sig, ctx,
+                                 stack + ((h, d, isinstance(k, L.IKPi)),), c)
+        case L.IKProd(l, r):
+            _uncached_check_kind(sig, ctx, stack, l)
+            _uncached_check_kind(sig, ctx, stack, r)
+        case _:
+            raise LfiError(f"not a kind: {L._named(k, ctx, stack)!r}")
+
+
+def uncached_check(sig, ctx, n, a) -> None:
+    _uncached_check(sig, ctx, (), n, a)
+
+
+def uncached_check_sig(sig) -> None:
+    checked = L.LfiSignature()
+    for decl in sig:
+        try:
+            if decl.name in checked._fams or decl.name in checked._consts:
+                raise LfiError(f"{decl.name} is declared twice")
+            if decl.is_family():
+                _uncached_check_kind(checked, [], (), decl.classifier)
+            else:
+                _uncached_check_type(checked, [], (), decl.classifier)
+        except LfiError as e:
+            e.decl = decl.name
+            if e.span is None:
+                e.span = decl.span
+            raise
+        checked.append(decl)

@@ -625,6 +625,18 @@ class TestEntrypoint:
         proc = run("bad-odd")
         assert proc.returncode == 1, proc.stderr
 
+    @pytest.mark.parametrize("command", ["check", "translate", "verify"])
+    def test_deep_input_under_the_limit_exits_zero(self, command, tmp_path):
+        # Deep at d=140 fits under the default recursion limit in every
+        # stage (d=145 does not): the target checker keeps closed terms'
+        # types without a frame per level of nesting.
+        src = tmp_path / "deep-140.lfr"
+        src.write_text(deep_text(140))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lfr.cli", command, "--quiet", str(src)],
+            capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == 0, proc.stderr
+
     def test_too_deep_input_exits_four(self, tmp_path):
         # Parsing 150 nested parentheses exceeds the default recursion
         # limit; that is an internal error, not a verdict on the input.

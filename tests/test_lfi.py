@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lfr.lfi
+import lfr.translate
 from lfr import (
     LfiError,
     LfiSignature,
@@ -60,20 +61,26 @@ from lfr.lfi import (
     lfi_hsubst,
     promote,
 )
+from lfr.diagnostics import VerifyError
 from lfr.printer import pp_lfi_kind, pp_lfi_term, pp_lfi_type, print_lfi
 from lfr.subst import MetricExhausted, SubstFailure
+from lfr.syntax import ConstRef
 from lfr.translate import verify_translation
 
+from conftest import GOLDEN_NAMES
 from gen import (
     LFI_CONSTS,
     LFI_NAT,
     binders_text,
+    deep_signature,
+    deep_text,
     gen_lfi_kind,
     gen_lfi_term,
     gen_lfi_type,
     gen_lfi_usable,
     lfi_simple_to_type,
     rehint,
+    wide_signature,
 )
 from oracles import (
     close_lfi,
@@ -88,6 +95,8 @@ from oracles import (
     opened_pp_lfi_type,
     open_lfi,
     result_key,
+    uncached_check,
+    uncached_check_sig,
 )
 
 EVEN_PRED = ITConst("even")
@@ -664,6 +673,165 @@ class TestBinderScaling:
                               for m in (8, 16, 32))
         assert at_16 <= 1.5 * at_8
         assert at_32 <= 1.7 * at_16
+
+
+def _kernel_verdict(lfi_sig):
+    """(verdict of lfi_check_sig, of the memo-free reference): None for
+    acceptance, else the error's message, span and failing declaration."""
+    out = []
+    for check in (lfi_check_sig, uncached_check_sig):
+        try:
+            check(lfi_sig)
+            out.append(None)
+        except LfiError as e:
+            out.append((e.message, e.span, e.decl))
+    return tuple(out)
+
+
+def _reclassified(lfi_sig, name: str, classifier) -> LfiSignature:
+    return LfiSignature(LfiDecl(d.name, classifier, d.span)
+                        if d.name == name else d for d in lfi_sig)
+
+
+_S1, _S21 = IFst(IConst("s^")), IFst(ISnd(IConst("s^")))
+
+
+def _swap_step(t, k: int):
+    """t with its k-th s^.1 or s^.2.1, in preorder, swapped for the other.
+    A subtree that holds neither is kept as the object it is, so the
+    translator's sharing survives."""
+    seen = 0
+
+    def walk(t):
+        nonlocal seen
+        if t == _S1 or t == _S21:
+            seen += 1
+            return (_S21 if t == _S1 else _S1) if seen == k + 1 else t
+        if not dataclasses.is_dataclass(t):
+            return t
+        parts = {f.name: walk(getattr(t, f.name))
+                 for f in dataclasses.fields(t)}
+        if all(parts[n] is getattr(t, n) for n in parts):
+            return t
+        return type(t)(**parts)
+    return walk(t)
+
+
+def _deep_swapped(d: int, k: int) -> LfiSignature:
+    """Deep's translation at depth d with level k of c^'s proof, counted
+    from the outside, proving the other parity."""
+    lfi_sig = trans_sig(check_signature(deep_signature(d))).lfi_sig
+    c_hat = next(decl for decl in lfi_sig if decl.name == "c^")
+    return _reclassified(lfi_sig, "c^", _swap_step(c_hat.classifier, k))
+
+
+class TestClosedTermMemo:
+    """lfi.py keeps the type of each application it checks with no
+    hypothesis in scope, once per signature, and lfi_equal stops at a
+    subterm both sides share.  The verdicts, messages, spans and failing
+    declarations are those of the copy in tests/oracles.py that does
+    neither."""
+
+    def test_translated_goldens(self, translated_goldens):
+        for name in GOLDEN_NAMES:
+            lfi_sig = translated_goldens[name].lfi_sig
+            assert _kernel_verdict(lfi_sig) == (None, None), name
+
+    @pytest.mark.parametrize("make", [
+        lambda: wide_signature(20), lambda: deep_signature(12),
+        lambda: parse_signature(binders_text(8))],
+        ids=["wide", "deep-12", "binders"])
+    def test_generated_families(self, make):
+        result = trans_sig(check_signature(make()))
+        assert _kernel_verdict(result.lfi_sig) == (None, None)
+
+    @pytest.mark.parametrize("other", ["top", "twice"])
+    @pytest.mark.parametrize("name", ["even-odd", "coerce", "double", "cbv"])
+    def test_tampered_proofs(self, name, other, checked_goldens,
+                             translated_goldens, monkeypatch):
+        # TestTamperedProofs' inputs: each refined constant's proof
+        # constant at the predicate of top or at its own one twice.  Its
+        # refinement proof is checked too, by verify_translation.
+        sig, result = checked_goldens[name], translated_goldens[name]
+        for c in dict.fromkeys(d.const for d in sig
+                               if isinstance(d, ConstRef)):
+            c_hat = result.mangler.term_const(c)
+            p = next(d.classifier for d in result.lfi_sig if d.name == c_hat)
+            broken = dataclasses.replace(result, lfi_sig=_reclassified(
+                result.lfi_sig, c_hat,
+                ITUnitT() if other == "top" else ITProd(p, p)))
+            cached, uncached = _kernel_verdict(broken.lfi_sig)
+            assert cached == uncached, c
+            verdicts = []
+            for kernel in ((lfr.translate.lfi_check_sig,
+                            lfr.translate.lfi_check),
+                           (uncached_check_sig, uncached_check)):
+                with monkeypatch.context() as patch:
+                    patch.setattr(lfr.translate, "lfi_check_sig", kernel[0])
+                    patch.setattr(lfr.translate, "lfi_check", kernel[1])
+                    try:
+                        verify_translation(sig, broken)
+                        verdicts.append(None)
+                    except VerifyError as e:
+                        verdicts.append((e.message, e.span))
+            assert verdicts[0] is not None and verdicts[0] == verdicts[1], c
+
+    @pytest.mark.parametrize("d, k", [(12, 0), (12, 5), (12, 11), (20, 10),
+                                      (20, 19)])
+    def test_step_swapped_mid_chain(self, d, k):
+        # The levels inside level k check, and are kept, before it fails.
+        cached, uncached = _kernel_verdict(_deep_swapped(d, k))
+        assert cached is not None and cached == uncached
+        assert cached[2] == "c^"
+        assert cached[0].startswith("type mismatch: ")
+
+
+@functools.cache
+def _kernel_calls(d: int) -> Counter:
+    """Entries into lfi._check, lfi._synth and lfi_equal while
+    lfi_check_sig re-checks Deep's translation at depth d."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        lfi_sig = trans_sig(check_signature(
+            parse_signature(deep_text(d)))).lfi_sig
+        calls: Counter = Counter()
+
+        def counted(real, name):
+            def count(*args):
+                calls[name] += 1
+                return real(*args)
+            return count
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_check", "_synth", "lfi_equal"):
+                patch.setattr(lfr.lfi, name,
+                              counted(getattr(lfr.lfi, name), name))
+            lfi_check_sig(lfi_sig)
+    finally:
+        sys.setrecursionlimit(limit)
+    return calls
+
+
+class TestDeepScaling:
+    """Re-checking Deep: the proof of `c :: pp (s^d z)` has one step per
+    level, and each step takes the shared index below it.  The kernel
+    checks that index once and compares it by identity, so the work grows
+    linearly in d.  The counts do not depend on the host.
+
+    Re-checking the index at every level and comparing index types
+    structurally made 1 010 / 13 550 / 52 670 _check and 2 937 / 40 437 /
+    157 637 lfi_equal entries at d=40 / 160 / 320."""
+
+    def test_counts_at_40(self):
+        assert _kernel_calls(40) == Counter(
+            {"_check": 190, "_synth": 374, "lfi_equal": 477})
+
+    @pytest.mark.parametrize("name", ["_check", "_synth", "lfi_equal"])
+    def test_growth_is_about_linear(self, name):
+        counts = [_kernel_calls(d)[name] for d in (40, 80, 160, 320)]
+        assert counts == sorted(counts)
+        assert counts[-1] <= 8 ** 1.2 * counts[0]
 
 
 class TestDeBruijn:
