@@ -5,6 +5,10 @@ Subcommands:
   translate  compile to the proof-irrelevant target and write it out
   verify     compile in memory and re-check the result
 
+check --trace prints the rule names the checker logs; check
+--oracle-depth N has check_signature audit each atomic comparison it
+logs against the declarative rules, in the signature checked so far.
+
 Exit codes: 0 success, 1 checking failure, 2 lexing or parsing failure
 (including unreadable input and input that is not UTF-8) or a usage
 error (bad options, a negative --oracle-depth, a non-integer LFR_FUEL,
@@ -31,9 +35,9 @@ from .diagnostics import (
     SourceSpan,
     VerifyError,
 )
-from .lfr_check import check_signature, set_subsort_audit
+from .lfr_check import check_signature
 from .parser import parse_signature
-from .printer import pp_lfi_decl
+from .printer import pp_lfi_decl, pp_sort
 from .subst import MetricExhausted
 from .subsort import SubsortQuery, declarative_subsort_oracle
 from .syntax import (
@@ -131,36 +135,18 @@ def _check_file(path: str, strict: bool, oracle_depth: int | None,
         kind, line = _decl_line(decl)
         report.add(kind, line)
 
-    shadow = Signature()
-    audit_installed = False
-    if oracle_depth is not None:
-        def on_decl_shadow(decl) -> None:
-            shadow.append(decl)
-            on_decl(decl)
-
-        def audit(ctx, q, goal, ok: bool) -> None:
-            report.oracle_checked += 1
-            oracle = declarative_subsort_oracle(
-                SubsortQuery.make(shadow, ctx, q, goal, None), oracle_depth)
-            if oracle and not ok:
-                report.oracle_disagreements += 1
-                from .printer import pp_sort
-                print(f"oracle disagreement: {pp_sort(q)} <= {pp_sort(goal)} "
-                      f"is derivable but the algorithm said no",
-                      file=sys.stderr)
-
-        set_subsort_audit(audit)
-        audit_installed = True
-        hook = on_decl_shadow
-    else:
-        hook = on_decl
+    def audit(sig, ctx, q, goal, ok: bool) -> None:
+        report.oracle_checked += 1
+        oracle = declarative_subsort_oracle(
+            SubsortQuery.make(sig, ctx, q, goal, None), oracle_depth)
+        if oracle and not ok:
+            report.oracle_disagreements += 1
+            print(f"oracle disagreement: {pp_sort(q)} <= {pp_sort(goal)} "
+                  f"is derivable but the algorithm said no", file=sys.stderr)
 
     start = time.monotonic()
-    try:
-        sig = check_signature(raw, strict=strict, trace=trace, on_decl=hook)
-    finally:
-        if audit_installed:
-            set_subsort_audit(None)
+    sig = check_signature(raw, strict=strict, trace=trace, on_decl=on_decl,
+                          audit=None if oracle_depth is None else audit)
     report.elapsed = time.monotonic() - start
     return sig, report
 

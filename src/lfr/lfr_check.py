@@ -24,7 +24,7 @@ tagged tuple per rule, holding the derivations of its premises.
                                     q with its head taken along declared
                                     edges through the heads on path (see
                                     subsort_path); forms are the steps'
-                                    formations (see coercion_forms)
+                                    formations (see _coercion_forms)
 
 Synthesis sets are lists of (sort, derivation), and sort formation
 yields every (class, derivation) candidate.  Derivations hold no target
@@ -43,7 +43,7 @@ and the result shared; see _shared_synth.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .diagnostics import CheckError, Message, SourceSpan
 from .printer import pp_sort, pp_term, pp_type
@@ -138,6 +138,36 @@ def _pp(pp, t, ctx: Context, stack) -> str:
     return pp(named(t, binder_names((e.name for e in ctx), stack)))
 
 
+class Log(NamedTuple):
+    """What the judgments record as they run, for --trace and the audit.
+
+    rules gets the name of each rule applied, in order.  compared, None
+    where no audit reads it, gets the (ctx, stack, q, s, ok) of each
+    atomic comparison at a switch, q and s read under the binders on
+    stack.  A judgment given no log records nothing.
+    """
+
+    rules: list
+    compared: Optional[list]
+
+
+def _log(trace: Optional[list]) -> Optional[Log]:
+    """A log whose rules are the list trace, or none."""
+    return None if trace is None else Log(trace, None)
+
+
+def _opened(ctx, stack, q, s, ok: bool) -> tuple:
+    """A comparison of Log.compared with the binders on stack opened into
+    ctx by name, as the audit of check_signature receives it."""
+    names = binder_names((e.name for e in ctx), stack)
+    # The j-th binder's sort and type are read under the j outside it.
+    opened = [*ctx, *(CtxEntry(x, named(sort, names[:j]),
+                               named(ty, names[:j]))
+                      for j, (x, (_, ty, sort))
+                      in enumerate(zip(names, stack)))]
+    return opened, named(q, names), named(s, names), ok
+
+
 # ---------------------------------------------------------------------------
 # The declared subsort preorder
 
@@ -189,23 +219,26 @@ def subsort_path(sig: Signature, q1, q2) -> tuple[str, ...]:
     return tuple(reversed(path))
 
 
-def coercion_forms(sig: Signature, ctx: Context, stack, q, path) -> tuple:
+def _coercion_forms(sig, ctx, stack, q, path, log) -> tuple:
     """The first formation derivation of q and of q's spine under each
     head on path, read under the binders on stack; none for an empty path.
 
     A coercion along path converts between these sorts.  They are formed
     where the switch is taken, so by the edges and refinements declared
-    before the declaration it serves, as the path is.
+    before the declaration it serves, as the path is.  Their comparisons
+    go to log, their rule names nowhere.
     """
     if not path:
         return ()
+    if log is not None:
+        log = None if log.compared is None else Log([], log.compared)
     head, spine = sort_spine(q)
     forms = []
     for step in (head.name, *path):
         q_step = SConst(step)
         for m in spine:
             q_step = SApp(q_step, m)
-        derivs, _ = _synth_sort_class(sig, ctx, stack, q_step, None)
+        derivs, _ = _synth_sort_class(sig, ctx, stack, q_step, log)
         if not derivs:
             _sfail("annotation-mismatch",
                    lambda: f"no formation proof for sort "
@@ -214,55 +247,26 @@ def coercion_forms(sig: Signature, ctx: Context, stack, q, path) -> tuple:
     return tuple(forms)
 
 
-# Called with (ctx, synthesized_atom, goal_atom, result) at every switch
-# point, the binders on the stack opened into ctx by name; used to
-# cross-check the algorithm against the declarative rules.
-_subsort_audit: Optional[Callable] = None
-
-
-def set_subsort_audit(fn: Optional[Callable]) -> None:
-    global _subsort_audit
-    _subsort_audit = fn
-
-
-# The audit calls made since each unfinished shared synthesis began,
-# innermost last; empty between checks.
-_audit_records: list[list] = []
-
-
-def _audit(ctx, stack, q, s, ok: bool) -> None:
-    if _subsort_audit is not None:
-        names = binder_names((e.name for e in ctx), stack)
-        # The j-th binder's sort and type are read under the j outside it.
-        opened = [*ctx, *(CtxEntry(x, named(sort, names[:j]),
-                                   named(ty, names[:j]))
-                          for j, (x, (_, ty, sort))
-                          in enumerate(zip(names, stack)))]
-        _subsort_audit(opened, named(q, names), named(s, names), ok)
-        for calls in _audit_records:
-            calls.append((ctx, stack, q, s, ok))
-
-
 # ---------------------------------------------------------------------------
 # Synthesis sets
 
 
 def split(s, trace: Optional[list] = None) -> list:
     """Flatten a sort into its atomic and function components."""
-    return [q for q, _, _ in _split(s, None, (), trace)]
+    return [q for q, _, _ in _split(s, None, (), _log(trace))]
 
 
-def _split(s, d, done, trace) -> list:
+def _split(s, d, done, log) -> list:
     """split, pairing each component with its projection out of d and the
     arguments done it is read under (see _apply_delta)."""
     match s:
         case SInter(l, r):
-            if trace is not None:
-                trace.append("∧-E₁")
-            left = _split(l, ("fst", d), done, trace)
-            if trace is not None:
-                trace.append("∧-E₂")
-            return left + _split(r, ("snd", d), done, trace)
+            if log is not None:
+                log.rules.append("∧-E₁")
+            left = _split(l, ("fst", d), done, log)
+            if log is not None:
+                log.rules.append("∧-E₂")
+            return left + _split(r, ("snd", d), done, log)
         case STop():
             return []
         case _:
@@ -271,15 +275,15 @@ def _split(s, d, done, trace) -> list:
 
 def asynth(sig: Signature, ctx: Context, r,
            trace: Optional[list] = None) -> list:
-    return [q for q, _ in _asynth(sig, ctx, (), r, trace)]
+    return [q for q, _ in _asynth(sig, ctx, (), r, _log(trace))]
 
 
-def _asynth(sig, ctx, stack, r, trace) -> list:
+def _asynth(sig, ctx, stack, r, log) -> list:
     """The synthesis set of r: its head's components, applied to its whole
     spine.  A component is read under the arguments it has taken (see
     _apply_delta), and is set to them once, when the spine ends."""
     out = []
-    for q, d, done in _pending(sig, ctx, stack, r, trace):
+    for q, d, done in _pending(sig, ctx, stack, r, log):
         try:
             out.append((inst_spine(q, done), d))
         except MetricExhausted:
@@ -289,7 +293,7 @@ def _asynth(sig, ctx, stack, r, trace) -> list:
     return out
 
 
-def _pending(sig, ctx, stack, r, trace) -> list:
+def _pending(sig, ctx, stack, r, log) -> list:
     """The (sort, derivation, done) components of r, before they are set
     to the arguments done they have taken."""
     match r:
@@ -298,60 +302,58 @@ def _pending(sig, ctx, stack, r, trace) -> list:
             if merged is None:
                 _sfail("no-refinement-declared",
                        f"constant {n} has no refinement declaration")
-            if trace is not None:
-                trace.append("const")
+            if log is not None:
+                log.rules.append("const")
             return _split(merged, ("const", n, len(sig.const_refs[n])), (),
-                          trace)
+                          log)
         case FVar(n):
             entry = ctx_lookup(ctx, n)
             if entry is None:
                 _sfail("no-refinement-declared",
                        f"variable {n} is not in the context")
-            if trace is not None:
-                trace.append("var")
-            return _split(entry.sort, ("var", n), (), trace)
+            if log is not None:
+                log.rules.append("var")
+            return _split(entry.sort, ("var", n), (), log)
         case BVar(i) if i < len(stack):
-            if trace is not None:
-                trace.append("var")
+            if log is not None:
+                log.rules.append("var")
             return _split(shift(stack[-1 - i][2], i + 1), ("var", i), (),
-                          trace)
+                          log)
         case App(f, a):
-            d = _pending(sig, ctx, stack, f, trace)
-            out = _apply_delta(sig, ctx, stack, d, a, trace)
-            if trace is not None:
-                trace.append("Π-E")
+            d = _pending(sig, ctx, stack, f, log)
+            out = _apply_delta(sig, ctx, stack, d, a, log)
+            if log is not None:
+                log.rules.append("Π-E")
             return out
     raise TypeError(f"asynth: not atomic: {r!r}")
 
 
-def _shared_synth(sig, ctx, stack, n, trace) -> Callable[[], list]:
+def _shared_synth(sig, ctx, stack, n, log) -> Callable[[], list]:
     """The synthesis of n, run on the first call and replayed after.
 
-    A replay cannot be told from running again: it appends the rule names
-    the run traced, passes the subsort comparisons it made to the audit
-    hook, and returns its synthesis set or raises its SortError.
+    A replay cannot be told from running again: it logs the rule names
+    and the subsort comparisons the run logged, and returns its synthesis
+    set or raises its SortError.
     """
     memo: list = []
 
     def synth() -> list:
         if memo:
-            out, err, steps, audits = memo[0]
-            if trace is not None:
-                trace.extend(steps)
-            for call in audits:
-                _audit(*call)
+            out, err, rules, compared = memo[0]
+            if log is not None:
+                log.rules.extend(rules)
+                if compared:
+                    log.compared.extend(compared)
         else:
-            start = len(trace) if trace is not None else 0
-            audits = []
-            _audit_records.append(audits)
+            rules = [] if log is None else log.rules
+            compared = ([] if log is None or log.compared is None
+                        else log.compared)
+            r0, c0 = len(rules), len(compared)
             try:
-                out, err = _asynth(sig, ctx, stack, n, trace), None
+                out, err = _asynth(sig, ctx, stack, n, log), None
             except SortError as e:
                 out, err = None, e
-            finally:
-                _audit_records.pop()
-            memo.append((out, err,
-                         trace[start:] if trace is not None else None, audits))
+            memo.append((out, err, rules[r0:], compared[c0:]))
         if err is not None:
             raise err.with_traceback(None)
         return out
@@ -359,7 +361,7 @@ def _shared_synth(sig, ctx, stack, n, trace) -> Callable[[], list]:
     return synth
 
 
-def _apply_delta(sig, ctx, stack, cands, arg, trace) -> list:
+def _apply_delta(sig, ctx, stack, cands, arg, log) -> list:
     """Push an argument through every function component that accepts it.
 
     A component (sort, derivation, done) is read under a binder for each
@@ -369,7 +371,7 @@ def _apply_delta(sig, ctx, stack, cands, arg, trace) -> list:
     shape of an intersection, a top or a function sort.
     """
     out: list = []
-    synth = _shared_synth(sig, ctx, stack, arg, trace)
+    synth = _shared_synth(sig, ctx, stack, arg, log)
     for entry, d_fn, done in cands:
         if not isinstance(entry, SPi):
             continue
@@ -377,38 +379,38 @@ def _apply_delta(sig, ctx, stack, cands, arg, trace) -> list:
             raise TypeError("apply_delta: sort was not elaborated")
         try:
             d_arg = _acheck(sig, ctx, stack, arg,
-                            inst_spine(entry.dom_sort, done), trace, synth)
+                            inst_spine(entry.dom_sort, done), log, synth)
         except MetricExhausted:
             raise
         except (SortError, SubstFailure):
             continue
         out.extend(_split(entry.cod, ("app", d_fn, arg, d_arg),
-                          done + ((arg, erase_type(entry.dom_type)),), trace))
+                          done + ((arg, erase_type(entry.dom_type)),), log))
     return out
 
 
 def acheck(sig: Signature, ctx: Context, n, s,
            trace: Optional[list] = None) -> None:
-    _acheck(sig, ctx, (), n, s, trace)
+    _acheck(sig, ctx, (), n, s, _log(trace))
 
 
-def _acheck(sig, ctx, stack, n, s, trace, synth=None) -> tuple:
+def _acheck(sig, ctx, stack, n, s, log, synth=None) -> tuple:
     """The derivation of n against s; a SortError if there is none.
 
     synth, when given, is n's shared synthesis (see _shared_synth).
     """
     match s:
         case STop():
-            if trace is not None:
-                trace.append("⊤-I")
+            if log is not None:
+                log.rules.append("⊤-I")
             return ("unit",)
         case SInter(l, r):
             if synth is None:
-                synth = _shared_synth(sig, ctx, stack, n, trace)
-            left = _acheck(sig, ctx, stack, n, l, trace, synth)
-            right = _acheck(sig, ctx, stack, n, r, trace, synth)
-            if trace is not None:
-                trace.append("∧-I")
+                synth = _shared_synth(sig, ctx, stack, n, log)
+            left = _acheck(sig, ctx, stack, n, l, log, synth)
+            right = _acheck(sig, ctx, stack, n, r, log, synth)
+            if log is not None:
+                log.rules.append("∧-I")
             return ("pair", left, right)
         case SPi(h, ds, dt, cod):
             if not isinstance(n, Lam):
@@ -419,9 +421,9 @@ def _acheck(sig, ctx, stack, n, s, trace, synth=None) -> tuple:
             if dt is None:
                 raise TypeError("acheck: sort was not elaborated")
             body = _acheck(sig, ctx, stack + ((h, dt, ds),), n.body,
-                           cod, trace)
-            if trace is not None:
-                trace.append("Π-I")
+                           cod, log)
+            if log is not None:
+                log.rules.append("Π-I")
             return ("lam", h, body)
         case _:
             if not is_atomic_sort(s):
@@ -431,7 +433,7 @@ def _acheck(sig, ctx, stack, n, s, trace, synth=None) -> tuple:
                        lambda: f"function term checked against atomic sort "
                                f"{_pp(pp_sort, s, ctx, stack)}")
             d = (synth() if synth is not None
-                 else _asynth(sig, ctx, stack, n, trace))
+                 else _asynth(sig, ctx, stack, n, log))
             if not d:
                 _sfail("empty-synthesis",
                        lambda: f"term {_pp(pp_term, n, ctx, stack)} "
@@ -441,11 +443,12 @@ def _acheck(sig, ctx, stack, n, s, trace, synth=None) -> tuple:
                 if isinstance(q, SPi):
                     continue
                 ok = subsort_q(sig, q, s)
-                _audit(ctx, stack, q, s, ok)
+                if log is not None and log.compared is not None:
+                    log.compared.append((ctx, stack, q, s, ok))
                 if ok:
                     path = subsort_path(sig, q, s)
                     matched = ("sub", q, path,
-                               coercion_forms(sig, ctx, stack, q, path),
+                               _coercion_forms(sig, ctx, stack, q, path, log),
                                n, d_q)
                     break
             if matched is None:
@@ -456,8 +459,8 @@ def _acheck(sig, ctx, stack, n, s, trace, synth=None) -> tuple:
                             f"synthesized sorts [{shown}] is a subsort of "
                             f"{_pp(pp_sort, s, ctx, stack)}")
                 _sfail("subsort-failure", message)
-            if trace is not None:
-                trace.append("switch")
+            if log is not None:
+                log.rules.append("switch")
             return matched
 
 
@@ -465,7 +468,7 @@ def _acheck(sig, ctx, stack, n, s, trace, synth=None) -> tuple:
 # Sort and class formation
 
 
-def _synth_sort_class(sig, ctx, stack, s, trace):
+def _synth_sort_class(sig, ctx, stack, s, log):
     """The derivation of every candidate class an atomic sort's spine
     leads to `sort`, in order, and the type the sort refines.
 
@@ -484,9 +487,9 @@ def _synth_sort_class(sig, ctx, stack, s, trace):
     refined = TConst(fam.refines)
     ectx = erase_ctx(ctx)
     for i, arg in enumerate(args, start=1):
-        synth = _shared_synth(sig, ctx, stack, arg, trace)
+        synth = _shared_synth(sig, ctx, stack, arg, log)
         applied = [_class_apply(sig, ctx, stack, ectx, cls, d, done,
-                                arg, i, head.name, trace, synth)
+                                arg, i, head.name, log, synth)
                    for cls, d, done in cands]
         cands = [c for taken, _ in applied for c in taken]
         if not cands:
@@ -496,7 +499,7 @@ def _synth_sort_class(sig, ctx, stack, s, trace):
 
 
 def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
-                 fam_name, trace, synth):
+                 fam_name, log, synth):
     """Apply one spine argument to a class; intersections keep both sides.
 
     The class is read under the arguments done, as a component is in
@@ -513,7 +516,7 @@ def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
             try:
                 _lf_check(sig, ectx, stack, arg, inst_spine(dt, done))
                 d_arg = _acheck(sig, ctx, stack, arg,
-                                inst_spine(ds, done), trace, synth)
+                                inst_spine(ds, done), log, synth)
             except MetricExhausted:
                 raise
             except (SortError, LfError) as e:
@@ -527,10 +530,10 @@ def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
         case CInter(l, r):
             left, l_err = _class_apply(sig, ctx, stack, ectx, l,
                                        ("fst", d), done, arg, i, fam_name,
-                                       trace, synth)
+                                       log, synth)
             right, r_err = _class_apply(sig, ctx, stack, ectx, r,
                                         ("snd", d), done, arg, i, fam_name,
-                                        trace, synth)
+                                        log, synth)
             return left + right, r_err or l_err
         case CSort() | CTop():
             return [], SortError(SortDiagnostic(
@@ -553,20 +556,20 @@ def _rewrap_arg(e, i: int, fam_name: str):
 def elaborate_sort(sig: Signature, ctx: Context, s, a,
                    trace: Optional[list] = None):
     """Check that a sort refines a type; fill in function domain types."""
-    return _elab_sort(sig, ctx, (), s, a, trace)
+    return _elab_sort(sig, ctx, (), s, a, _log(trace))
 
 
-def _elab_sort(sig, ctx, stack, s, a, trace):
+def _elab_sort(sig, ctx, stack, s, a, log):
     match s:
         case STop():
-            if trace is not None:
-                trace.append("⊤-F")
+            if log is not None:
+                log.rules.append("⊤-F")
             return s
         case SInter(l, r):
-            out = SInter(_elab_sort(sig, ctx, stack, l, a, trace),
-                         _elab_sort(sig, ctx, stack, r, a, trace))
-            if trace is not None:
-                trace.append("∧-F")
+            out = SInter(_elab_sort(sig, ctx, stack, l, a, log),
+                         _elab_sort(sig, ctx, stack, r, a, log))
+            if log is not None:
+                log.rules.append("∧-F")
             return out
         case SPi(h, ds, _, cod):
             if not isinstance(a, TPi):
@@ -574,24 +577,24 @@ def _elab_sort(sig, ctx, stack, s, a, trace):
                        lambda: f"function sort {_pp(pp_sort, s, ctx, stack)} "
                                f"cannot refine non-function type "
                                f"{_pp(pp_type, a, ctx, stack)}")
-            ds2 = _elab_sort(sig, ctx, stack, ds, a.dom, trace)
+            ds2 = _elab_sort(sig, ctx, stack, ds, a.dom, log)
             cod2 = _elab_sort(sig, ctx, stack + ((h, a.dom, ds2),),
-                              cod, a.cod, trace)
-            if trace is not None:
-                trace.append("Π-F")
+                              cod, a.cod, log)
+            if log is not None:
+                log.rules.append("Π-F")
             return SPi(h, ds2, a.dom, cod2)
         case SConst() | SApp():
-            _form_atom(sig, ctx, stack, s, a, trace)
-            if trace is not None:
-                trace.append("Q-F")
+            _form_atom(sig, ctx, stack, s, a, log)
+            if log is not None:
+                log.rules.append("Q-F")
             return s
     raise TypeError(f"elaborate_sort: not a sort: {s!r}")
 
 
-def _form_atom(sig, ctx, stack, s, a, trace) -> list:
+def _form_atom(sig, ctx, stack, s, a, log) -> list:
     """The derivations that the atom s is a sort refining a (any type if a
     is None), in elimination order, recorded with sig for the translator."""
-    derivs, refined = _synth_sort_class(sig, ctx, stack, s, trace)
+    derivs, refined = _synth_sort_class(sig, ctx, stack, s, log)
     if not derivs:
         _sfail("annotation-mismatch",
                lambda: f"sort {_pp(pp_sort, s, ctx, stack)} is not fully "
@@ -605,7 +608,7 @@ def _form_atom(sig, ctx, stack, s, a, trace) -> list:
     return derivs
 
 
-def _elab_class(sig, ctx, stack, cls, kind, trace):
+def _elab_class(sig, ctx, stack, cls, kind, log):
     """Check that a class refines a kind; fill in function domain types."""
     match cls:
         case CSort():
@@ -617,16 +620,16 @@ def _elab_class(sig, ctx, stack, cls, kind, trace):
             return cls
         case CInter(l, r):
             return CInter(
-                _elab_class(sig, ctx, stack, l, kind, trace),
-                _elab_class(sig, ctx, stack, r, kind, trace))
+                _elab_class(sig, ctx, stack, l, kind, log),
+                _elab_class(sig, ctx, stack, r, kind, log))
         case CPi(h, ds, _, body):
             if not isinstance(kind, KPi):
                 _sfail("annotation-mismatch",
                        "function class cannot refine a non-function kind")
-            ds2 = _elab_sort(sig, ctx, stack, ds, kind.dom, trace)
+            ds2 = _elab_sort(sig, ctx, stack, ds, kind.dom, log)
             body2 = _elab_class(sig, ctx,
                                 stack + ((h, kind.dom, ds2),), body, kind.cod,
-                                trace)
+                                log)
             return CPi(h, ds2, kind.dom, body2)
     raise TypeError(f"_elab_class: not a class: {cls!r}")
 
@@ -650,14 +653,24 @@ def check_context(sig: Signature, entries: Context) -> Context:
 
 def check_signature(raw: Signature, strict: bool = False,
                     trace: Optional[list] = None,
-                    on_decl: Optional[Callable] = None) -> Signature:
+                    on_decl: Optional[Callable] = None,
+                    audit: Optional[Callable] = None) -> Signature:
     """Check a signature and return it with all sorts elaborated.
 
     With strict=True a constant may carry at most one refinement
-    declaration; by default repeats merge as an intersection.
+    declaration; by default repeats merge as an intersection.  trace gets
+    the name of each rule applied.  After each declaration, accepted or
+    not, audit is called as audit(sig, ctx, q, s, ok) for each atomic
+    comparison it made at a switch: sig is the signature checked so far,
+    ctx the context with the binders q and s are read under opened into
+    it by name.
     """
     checked = Signature()
     for decl in raw:
+        log = None
+        if trace is not None or audit is not None:
+            log = Log([] if trace is None else trace,
+                      None if audit is None else [])
         try:
             match decl:
                 case TypeFam(n, k):
@@ -678,7 +691,7 @@ def check_signature(raw: Signature, strict: bool = False,
                         raise CheckError(
                             f"sort {n} refines unknown type family {ref}",
                             decl.span)
-                    cls2 = _elab_class(checked, [], (), cls, fam.kind, trace)
+                    cls2 = _elab_class(checked, [], (), cls, fam.kind, log)
                     checked.append(SortFam(n, ref, cls2, decl.span))
                 case SubDecl(s1, s2):
                     f1 = checked.sort_fam(s1)
@@ -706,7 +719,7 @@ def check_signature(raw: Signature, strict: bool = False,
                         raise CheckError(
                             f"{c} already has a refinement declaration",
                             decl.span)
-                    s2 = _elab_sort(checked, [], (), s, const.type, trace)
+                    s2 = _elab_sort(checked, [], (), s, const.type, log)
                     checked.append(ConstRef(c, s2, decl.span))
                 case _:
                     raise CheckError(f"unexpected declaration {decl!r}",
@@ -716,6 +729,10 @@ def check_signature(raw: Signature, strict: bool = False,
                 e.span = decl.span
                 e.diag.span = decl.span
             raise
+        finally:
+            if audit is not None:
+                for call in log.compared:
+                    audit(checked, *_opened(*call))
         if on_decl is not None:
             on_decl(decl)
     return checked

@@ -251,7 +251,6 @@ class Signature:
         self._term_consts: dict[str, TermConst] = {}
         self._sort_fams: dict[str, SortFam] = {}
         self.const_refs: dict[str, list[ConstRef]] = {}
-        self.sub_decls: list[SubDecl] = []
         self.sub_edges: dict[str, list[str]] = {}
         self.subsorts: dict[str, dict] = {}      # see lfr_check.build_closure
         self.formations: dict[int, tuple] = {}   # see lfr_check._form_atom
@@ -270,7 +269,6 @@ class Signature:
             case ConstRef(const=c):
                 self.const_refs.setdefault(c, []).append(decl)
             case SubDecl(sub=a, sup=b):
-                self.sub_decls.append(decl)
                 self.sub_edges.setdefault(a, []).append(b)
                 self.subsorts.clear()
 
@@ -298,10 +296,6 @@ class Signature:
         for ref in refs[1:]:
             sort = SInter(sort, ref.sort)
         return sort
-
-    def sort_fams_of(self, family: str) -> list[str]:
-        return [d.name for d in self.decls
-                if isinstance(d, SortFam) and d.refines == family]
 
     def names(self) -> set[str]:
         out: set[str] = set()

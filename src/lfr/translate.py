@@ -63,13 +63,13 @@ from .lfr_check import (
     SortError,
     _acheck,
     _asynth,
+    _coercion_forms,
     _elab_class,
     _elab_sort,
     _form_atom,
     _pp,
     _sfail,
     build_closure,  # noqa: F401  (bound here for bench/tracer.py to wrap)
-    coercion_forms,
     subsort_path,
     subsort_q,
 )
@@ -531,7 +531,8 @@ def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None
                lambda: f"no declared path from {_pp(pp_sort, q1, ctx, ())} "
                        f"to {_pp(pp_sort, q2, ctx, ())}")
     path = subsort_path(sig, q1, q2)
-    return _coercion(sig, q1, path, coercion_forms(sig, ctx, (), q1, path),
+    return _coercion(sig, q1, path,
+                     _coercion_forms(sig, ctx, (), q1, path, None),
                      mangler or NameMangler(sig), _root(ctx))
 
 
@@ -540,7 +541,7 @@ def _coercion(sig, q1, path, forms, mangler, at: At) -> Metafunction:
     is taken through (see lfr_check.subsort_path).
 
     forms are the formations of q1 and of each step's sort (see
-    lfr_check.coercion_forms); they and q1 are built at `at`.
+    lfr_check._coercion_forms); they and q1 are built at `at`.
     """
     injected: dict = {}
     proofs = (_proof(sig, mangler, d, at, injected) for d in forms)

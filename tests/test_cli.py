@@ -343,27 +343,47 @@ class TestPinnedOutput:
         pinned = golden_path(name).with_suffix(".lfi").read_bytes()
         assert dest.read_bytes() == _after_leading_comment(pinned)
 
-    @pytest.mark.parametrize("name", ("coherence", "class-inter", "deep-8",
-                                      "deep-9"))
-    def test_check_trace_and_audit_match_pin(self, name, tmp_path,
+    @pytest.mark.parametrize("name, flags", [
+        pytest.param(name, flags, id=name + suffix)
+        for name in ("coherence", "class-inter", "deep-8", "deep-9")
+        for suffix, flags in (("", ("--trace", "--oracle-depth", "3")),
+                              ("-trace", ("--trace",)),
+                              ("-audit", ("--oracle-depth", "3")))])
+    def test_check_trace_and_audit_match_pin(self, name, flags, tmp_path,
                                              monkeypatch, capsys):
         # The shared synthesis of an argument must replay what running it
         # again would show: its rule names and its audited comparisons.
         # A .trace pin holds the accepted run's stdout, an .err pin the
-        # rejected run's stderr.
+        # rejected run's stderr.  With one flag, the other's line is gone.
         trace = GOLDEN_DIR / f"{name}.trace"
         pinned = trace if trace.exists() else trace.with_suffix(".err")
         text = _after_leading_comment(pinned.read_bytes()).decode()
+        for flag, line in (("--trace", "rule trace ("),
+                           ("--oracle-depth", "oracle audit: ")):
+            if flag not in flags:
+                text = "".join(kept for kept in text.splitlines(True)
+                               if not kept.startswith(line))
         want = (0, text, "") if pinned == trace else (1, "", text)
         if name.startswith("deep-"):
             (tmp_path / f"{name}.lfr").write_text(deep_text(int(name[5:])))
             monkeypatch.chdir(tmp_path)
         else:
             monkeypatch.chdir(GOLDEN_DIR)
-        rc = main(["check", "--trace", "--oracle-depth", "3", f"{name}.lfr"])
+        rc = main(["check", *flags, f"{name}.lfr"])
         out, err = capsys.readouterr()
         assert (rc, re.sub(r"(?m)^(ok: .*) in \d+\.\d+s$", r"\1", out),
                 err) == want
+
+    def test_coercion_formations_are_audited(self, tmp_path, capsys):
+        # The formations a coercion's steps convert between are derived at
+        # the switch: their comparisons are audited, their rules not traced.
+        path = tmp_path / "formation.lfr"
+        path.write_text(LATER_EDGE_TEXTS["formation"])
+        assert main(["check", "--trace", "--oracle-depth", "3",
+                     str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "oracle audit: 6 atomic comparisons, 0 disagreements" in lines
+        assert lines[-1].startswith("rule trace (18 steps): ")
 
 
 def _bench_workloads():

@@ -31,7 +31,7 @@ from lfr import (
     subsort_q,
 )
 from lfr.lf import LfError
-from lfr.lfr_check import (SortError, _elab_class, set_subsort_audit,
+from lfr.lfr_check import (Log, SortError, _acheck, _elab_class, _opened,
                            subsort_path)
 from lfr.subst import erase_type, eta_expand
 from lfr.syntax import (
@@ -55,13 +55,14 @@ from lfr.syntax import (
     alpha_eq,
 )
 
-from conftest import DEP_TEXT, GOLDEN_NAMES, checkout_env
+from conftest import DEP_TEXT, GOLDEN_DIR, GOLDEN_NAMES, checkout_env
 from gen import (
     HINTS,
     NAT,
     REF_CONSTS,
     REF_TEXT,
     deep_signature,
+    deep_text,
     gen_class,
     gen_dep_sort,
     gen_eta_term,
@@ -454,23 +455,68 @@ class TestContextChecking:
             check_context(nat_sig, [CtxEntry("x", EVEN, TConst("ghost"))])
 
 
+def _audited(judge) -> list:
+    """The (ctx, q, goal, ok) of each comparison judge(log) logs, as the
+    audit of check_signature receives it."""
+    log = Log([], [])
+    judge(log)
+    return [_opened(*call) for call in log.compared]
+
+
+def _audit_calls(text: str, audit=None) -> list:
+    """The (ctx, q, goal, ok) check_signature audits on text, accepted or
+    not; audit, when given, also sees each call."""
+    calls = []
+
+    def record(sig, ctx, q, goal, ok):
+        calls.append((ctx, q, goal, ok))
+        if audit is not None:
+            audit()
+
+    try:
+        check_signature(parse_signature(text), audit=record)
+    except SortError:
+        pass
+    return calls
+
+
 class TestAudit:
     def test_audit_sees_every_atomic_comparison(self, nat_sig):
-        calls = []
-        set_subsort_audit(lambda ctx, q, goal, ok: calls.append((q, goal, ok)))
-        try:
-            acheck(nat_sig, [], numeral(1), SInter(ODD, POS))
-        finally:
-            set_subsort_audit(None)
+        calls = [(q, goal, ok) for _, q, goal, ok in _audited(
+            lambda log: _acheck(nat_sig, [], (), numeral(1),
+                                SInter(ODD, POS), log))]
         assert (ODD, ODD, True) in calls
         assert any(goal == POS and ok for _, goal, ok in calls)
 
     def test_audit_reset(self, nat_sig):
-        calls = []
-        set_subsort_audit(lambda *a: calls.append(a))
-        set_subsort_audit(None)
+        # An audit ends with its check: a later check without one, and a
+        # judgment, call nothing.
+        text = (GOLDEN_DIR / "coherence.lfr").read_text()
+        calls = _audit_calls(text)
+        seen = len(calls)
+        check_signature(parse_signature(text))
         acheck(nat_sig, [], numeral(0), EVEN)
-        assert calls == []
+        assert seen > 0 and len(calls) == seen
+
+    @pytest.mark.parametrize("text, count", [
+        ((GOLDEN_DIR / "bad-odd.lfr").read_text(), 1),
+        (deep_text(13), 20479),
+    ], ids=["bad-odd", "deep-13"])
+    def test_audit_sees_the_failing_declaration(self, text, count):
+        calls = _audit_calls(text)
+        assert len(calls) == count
+        assert calls[-1][3] is False
+
+    def test_audits_nest(self):
+        # An audit that runs an audited check sees only its own check's
+        # comparisons, and so does the check it runs.
+        inner = []
+        outer = _audit_calls(
+            (GOLDEN_DIR / "class-inter.lfr").read_text(),
+            lambda: inner.append(len(_audit_calls(
+                (GOLDEN_DIR / "coherence.lfr").read_text()))))
+        assert len(outer) == 9
+        assert inner == [5] * 9
 
 
 class TestDiagnostics:
@@ -631,15 +677,12 @@ class TestBinderDiagnostics:
                 info.value.span.line) == (kind, message, 9)
 
     def test_audit_sees_binders_by_name(self, dep_sig):
-        calls = []
-        set_subsort_audit(lambda ctx, q, goal, ok: calls.append(
-            ([(e.name, e.sort, e.type) for e in ctx], q, goal, ok)))
-        try:
-            acheck(dep_sig, [CtxEntry("x", EVEN, NAT_T)],
-                   Lam("x", App(Const("k"), BVar(0))),
-                   SPi("x", EVEN, NAT_T, _pe(BVar(0))))
-        finally:
-            set_subsort_audit(None)
+        calls = [([(e.name, e.sort, e.type) for e in ctx], q, goal, ok)
+                 for ctx, q, goal, ok in _audited(
+                     lambda log: _acheck(
+                         dep_sig, [CtxEntry("x", EVEN, NAT_T)], (),
+                         Lam("x", App(Const("k"), BVar(0))),
+                         SPi("x", EVEN, NAT_T, _pe(BVar(0))), log))]
         x = FVar("x'")
         assert calls == [
             ([("x", EVEN, NAT_T), ("x'", EVEN, NAT_T)], EVEN, EVEN, True),

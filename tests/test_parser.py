@@ -470,8 +470,7 @@ class TestDeclarations:
     def test_subsort_declaration(self):
         sig = parse_signature(
             "nat : type. a << nat. b << nat. a <: b.")
-        assert len(sig.sub_decls) == 1
-        assert (sig.sub_decls[0].sub, sig.sub_decls[0].sup) == ("a", "b")
+        assert sig.sub_edges == {"a": ["b"]}
 
 
 class TestErrors:

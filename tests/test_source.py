@@ -49,3 +49,11 @@ def test_one_module_reads_the_subsort_edges():
                for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "sub_edges"}
     assert readers - {"syntax.py"} == {"lfr_check.py"}
+
+
+def test_no_global_statement():
+    # Checker state lives in the objects a call is given, so that checks
+    # can nest (see lfr_check.Log).
+    found = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []

@@ -298,9 +298,6 @@ class TestSignature:
         assert all(isinstance(d, (TypeFam, TermConst)) for d in erased)
         assert erased.names() == {"nat", "z", "s"}
 
-    def test_sort_fams_of(self, nat_sig):
-        assert nat_sig.sort_fams_of("nat") == ["even", "odd", "pos"]
-
 
 class TestContext:
     def test_lookup_shadowing(self):
