@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .diagnostics import (
-    CheckError,
     LexError,
     LfrError,
     ParseError,
@@ -92,7 +91,6 @@ def _decl_line(decl) -> tuple[str, str]:
             return "subsort declarations", f"subsorting {sub} <: {sup}"
         case ConstRef(const, _):
             return "refinements", f"refinement of {const}"
-    return "declarations", "declaration"
 
 
 def _read(path: str) -> str:
@@ -131,10 +129,6 @@ def _check_file(path: str, strict: bool, oracle_depth: int | None,
     raw = parse_signature(text, filename=path)
     report = RunReport(path)
 
-    def on_decl(decl) -> None:
-        kind, line = _decl_line(decl)
-        report.add(kind, line)
-
     def audit(sig, ctx, q, goal, ok: bool) -> None:
         report.oracle_checked += 1
         oracle = declarative_subsort_oracle(
@@ -145,9 +139,11 @@ def _check_file(path: str, strict: bool, oracle_depth: int | None,
                   f"is derivable but the algorithm said no", file=sys.stderr)
 
     start = time.monotonic()
-    sig = check_signature(raw, strict=strict, trace=trace, on_decl=on_decl,
+    sig = check_signature(raw, strict=strict, trace=trace,
                           audit=None if oracle_depth is None else audit)
     report.elapsed = time.monotonic() - start
+    for decl in raw:
+        report.add(*_decl_line(decl))
     return sig, report
 
 
@@ -281,10 +277,8 @@ def main(argv=None) -> int:
     except (LexError, ParseError) as e:
         print(e.format(), file=sys.stderr)
         return 2
-    except CheckError as e:
-        print(e.format(), file=sys.stderr)
-        return 1
     except LfrError as e:
+        # Every other LfrError is a CheckError: the input is rejected.
         print(e.format(), file=sys.stderr)
         return 1
     except (RecursionError, TypeError) as e:

@@ -8,16 +8,19 @@ each argument is checked against its domain set to the arguments before
 it, and the codomain is set to all of them in one walk.  The checkers
 descend binders by index, keeping a stack of the binders passed, and name
 them only to build a message; the sort checker shares that stack.
+
+A failure is an LfError: its kind, its message, its span (the failing
+declaration's, set by the signature checker) and, where the message
+shows them, the expected and the actual classifier as printed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .diagnostics import CheckError, SourceSpan
+from .diagnostics import CheckError
 from .printer import pp_term, pp_type
-from .subst import MetricExhausted, SubstFailure, erase_type, inst_spine
+from .subst import SubstFailure, erase_type, inst_spine
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,
@@ -45,29 +48,18 @@ _KINDS = ("type mismatch", "unbound name", "non-atomic at atomic type",
           "ill-formed kind")
 
 
-@dataclass
-class LfDiagnostic:
-    kind: str
-    message: str
-    expected: Optional[str] = None
-    actual: Optional[str] = None
-    span: Optional[SourceSpan] = field(default=None)
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise TypeError(f"unknown LF diagnostic kind {self.kind!r}")
-
-
 class LfError(CheckError):
-    """LF checking failure carrying a structured diagnostic."""
+    """An LF checking failure of one of the kinds in _KINDS."""
 
-    def __init__(self, diag: LfDiagnostic):
-        super().__init__(diag.message, diag.span)
-        self.diag = diag
-
-
-def _fail(kind: str, message: str, expected=None, actual=None):
-    raise LfError(LfDiagnostic(kind, message, expected, actual))
+    def __init__(self, kind: str, message: str,
+                 expected: Optional[str] = None,
+                 actual: Optional[str] = None):
+        if kind not in _KINDS:
+            raise TypeError(f"unknown LF diagnostic kind {kind!r}")
+        super().__init__(message)
+        self.kind = kind
+        self.expected = expected
+        self.actual = actual
 
 
 # `stack` holds an entry for each binder passed, innermost last, whose
@@ -89,10 +81,9 @@ def _inst(t, done, what: str):
     outermost first, with those binders set to the arguments."""
     try:
         return inst_spine(t, done)
-    except MetricExhausted:
-        raise
     except SubstFailure as e:
-        _fail("type mismatch", f"substitution into {what} failed: {e}")
+        raise LfError("type mismatch",
+                      f"substitution into {what} failed: {e}")
 
 
 def lf_synth_term(sig: Signature, ctx: list[tuple[str, object]], r):
@@ -116,12 +107,12 @@ def _synth(sig: Signature, ctx, stack, r):
         case Const(n):
             decl = sig.term_const(n)
             if decl is None:
-                _fail("unbound name", f"unbound constant {n}")
+                raise LfError("unbound name", f"unbound constant {n}")
             return decl.type
         case FVar(n):
             ty = next((ty for x, ty in reversed(ctx) if x == n), None)
             if ty is None:
-                _fail("unbound name", f"unbound variable {n}")
+                raise LfError("unbound name", f"unbound variable {n}")
             return ty
         case BVar(i) if i < len(stack):
             return shift(stack[-1 - i][1], i + 1)
@@ -132,8 +123,8 @@ def _synth(sig: Signature, ctx, stack, r):
                 if not isinstance(ty, TPi):
                     shown = _pp_ty(_inst(ty, done, "a function codomain"),
                                    ctx, stack)
-                    _fail("type mismatch", f"applied term of non-function "
-                          f"type {shown}", actual=shown)
+                    raise LfError("type mismatch", f"applied term of "
+                                  f"non-function type {shown}", actual=shown)
                 _check(sig, ctx, stack, arg,
                        _inst(ty.dom, done, "a function codomain"))
                 done.append((arg, erase_type(ty.dom)))
@@ -146,22 +137,24 @@ def _check(sig: Signature, ctx, stack, n, a) -> None:
     match n:
         case Lam(h, b):
             if not isinstance(a, TPi):
-                _fail("non-atomic at atomic type", f"function term checked "
-                      f"against atomic type {_pp_ty(a, ctx, stack)}",
-                      expected=_pp_ty(a, ctx, stack))
+                raise LfError("non-atomic at atomic type",
+                              f"function term checked against atomic type "
+                              f"{_pp_ty(a, ctx, stack)}",
+                              expected=_pp_ty(a, ctx, stack))
             _check(sig, ctx, stack + ((h, a.dom),), b, a.cod)
         case _:
             if not is_atomic_term(n):
                 raise TypeError(f"lf_check_term: not a normal term: {n!r}")
             if isinstance(a, TPi):
                 a, n = _pp_ty(a, ctx, stack), _pp_tm(n, ctx, stack)
-                _fail("type mismatch", f"atomic term {n} at function type "
-                      f"{a}; terms must be eta-long", expected=a, actual=n)
+                raise LfError("type mismatch", f"atomic term {n} at function "
+                              f"type {a}; terms must be eta-long",
+                              expected=a, actual=n)
             syn = _synth(sig, ctx, stack, n)
             if not alpha_eq(syn, a):
                 a, syn = _pp_ty(a, ctx, stack), _pp_ty(syn, ctx, stack)
-                _fail("type mismatch", f"type mismatch: expected {a}, "
-                      f"synthesized {syn}", expected=a, actual=syn)
+                raise LfError("type mismatch", f"type mismatch: expected {a}, "
+                              f"synthesized {syn}", expected=a, actual=syn)
 
 
 def _check_type(sig: Signature, ctx, stack, a) -> None:
@@ -172,8 +165,9 @@ def _check_type(sig: Signature, ctx, stack, a) -> None:
         case TConst() | TApp():
             kind = _synth_spine_kind(sig, ctx, stack, a)
             if not isinstance(kind, KType):
-                _fail("ill-formed kind", f"type family not fully applied: "
-                      f"{_pp_ty(a, ctx, stack)}", actual=_pp_ty(a, ctx, stack))
+                raise LfError("ill-formed kind", f"type family not fully "
+                              f"applied: {_pp_ty(a, ctx, stack)}",
+                              actual=_pp_ty(a, ctx, stack))
         case _:
             raise TypeError(f"lf_check_type: not a type: {a!r}")
 
@@ -184,12 +178,12 @@ def _synth_spine_kind(sig: Signature, ctx, stack, a):
         raise TypeError(f"_synth_spine_kind: type head is not a constant: {a!r}")
     decl = sig.type_fam(a.name)
     if decl is None:
-        _fail("unbound name", f"unbound type family {a.name}")
+        raise LfError("unbound name", f"unbound type family {a.name}")
     kind, done = decl.kind, []
     for arg in args:
         if not isinstance(kind, KPi):
-            _fail("ill-formed kind",
-                  f"type family {a.name} applied to too many arguments")
+            raise LfError("ill-formed kind", f"type family {a.name} "
+                          f"applied to too many arguments")
         _check(sig, ctx, stack, arg, _inst(kind.dom, done, "a kind codomain"))
         done.append((arg, erase_type(kind.dom)))
         kind = kind.cod
@@ -230,6 +224,5 @@ def lf_check_sig(sig: Signature) -> None:
         except LfError as e:
             if e.span is None:
                 e.span = decl.span
-                e.diag.span = decl.span
             raise
         checked.append(decl)

@@ -39,17 +39,25 @@ Where the rules check one term against several sorts in one context (the
 function components one argument meets, the two sides of an intersection,
 the candidates of an intersection class), the term is synthesized once
 and the result shared; see _shared_synth.
+
+A failure is a SortError of one of the kinds in _KINDS, or an LfError
+from an LF premise.  A sort error's message may be given as a function
+that builds it (see diagnostics.Message): the checker rejects an argument
+in every function component that does not take it, and most such
+rejections are caught and dropped.  check_signature sets the span to the
+failing declaration's.  An undefined substitution rejects the input; a
+MetricExhausted, which is not a SubstFailure, passes every handler.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .diagnostics import CheckError, Message, SourceSpan
+from .diagnostics import CheckError, Message
 from .printer import pp_sort, pp_term, pp_type
 from .lf import LfError, _check as _lf_check, lf_check_kind, lf_check_type
 from .lf import lf_check_term  # noqa: F401  (bound for bench/tracer.py)
-from .subst import MetricExhausted, SubstFailure, erase_type, inst_spine
+from .subst import SubstFailure, erase_type, inst_spine
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,
@@ -83,7 +91,7 @@ from .syntax import (
     binder_names,
     ctx_lookup,
     erase_ctx,
-    erase_sig,  # unused here; kept because bench/tracer.py wraps this binding
+    erase_sig,  # noqa: F401  (bound for bench/tracer.py)
     is_atomic_sort,
     named,
     shift,
@@ -94,43 +102,14 @@ _KINDS = ("no-refinement-declared", "subsort-failure", "annotation-mismatch",
           "empty-synthesis")
 
 
-class SortDiagnostic:
-    """A sort-checking failure: its kind, its message and its span.
+class SortError(CheckError):
+    """A sort checking failure of one of the kinds in _KINDS."""
 
-    The message may be given as a function that builds it (see
-    diagnostics.Message): the checker rejects an argument in every
-    function component that does not take it, and most such rejections
-    are caught and dropped.
-    """
-
-    def __init__(self, kind: str, message: Message,
-                 span: Optional[SourceSpan] = None):
+    def __init__(self, kind: str, message: Message):
         if kind not in _KINDS:
             raise TypeError(f"unknown sort diagnostic kind {kind!r}")
+        super().__init__(message)
         self.kind = kind
-        self._message = message
-        self.span = span
-
-    @property
-    def message(self) -> str:
-        if not isinstance(self._message, str):
-            self._message = self._message()
-        return self._message
-
-    def __repr__(self) -> str:
-        return f"SortDiagnostic({self.kind!r}, {self.message!r}, {self.span!r})"
-
-
-class SortError(CheckError):
-    """Sort checking failure carrying a structured diagnostic."""
-
-    def __init__(self, diag: SortDiagnostic):
-        super().__init__(lambda: diag.message, diag.span)
-        self.diag = diag
-
-
-def _sfail(kind: str, message: Message):
-    raise SortError(SortDiagnostic(kind, message))
 
 
 def _pp(pp, t, ctx: Context, stack) -> str:
@@ -149,11 +128,6 @@ class Log(NamedTuple):
 
     rules: list
     compared: Optional[list]
-
-
-def _log(trace: Optional[list]) -> Optional[Log]:
-    """A log whose rules are the list trace, or none."""
-    return None if trace is None else Log(trace, None)
 
 
 def _opened(ctx, stack, q, s, ok: bool) -> tuple:
@@ -240,9 +214,9 @@ def _coercion_forms(sig, ctx, stack, q, path, log) -> tuple:
             q_step = SApp(q_step, m)
         derivs, _ = _synth_sort_class(sig, ctx, stack, q_step, log)
         if not derivs:
-            _sfail("annotation-mismatch",
-                   lambda: f"no formation proof for sort "
-                           f"{_pp(pp_sort, q_step, ctx, stack)}")
+            raise SortError("annotation-mismatch",
+                            lambda: f"no formation proof for sort "
+                                    f"{_pp(pp_sort, q_step, ctx, stack)}")
         forms.append(derivs[0])
     return tuple(forms)
 
@@ -251,9 +225,9 @@ def _coercion_forms(sig, ctx, stack, q, path, log) -> tuple:
 # Synthesis sets
 
 
-def split(s, trace: Optional[list] = None) -> list:
+def split(s) -> list:
     """Flatten a sort into its atomic and function components."""
-    return [q for q, _, _ in _split(s, None, (), _log(trace))]
+    return [q for q, _, _ in _split(s, None, (), None)]
 
 
 def _split(s, d, done, log) -> list:
@@ -273,9 +247,8 @@ def _split(s, d, done, log) -> list:
             return [(s, d, done)]
 
 
-def asynth(sig: Signature, ctx: Context, r,
-           trace: Optional[list] = None) -> list:
-    return [q for q, _ in _asynth(sig, ctx, (), r, _log(trace))]
+def asynth(sig: Signature, ctx: Context, r) -> list:
+    return [q for q, _ in _asynth(sig, ctx, (), r, None)]
 
 
 def _asynth(sig, ctx, stack, r, log) -> list:
@@ -286,8 +259,6 @@ def _asynth(sig, ctx, stack, r, log) -> list:
     for q, d, done in _pending(sig, ctx, stack, r, log):
         try:
             out.append((inst_spine(q, done), d))
-        except MetricExhausted:
-            raise
         except SubstFailure:
             continue
     return out
@@ -300,8 +271,8 @@ def _pending(sig, ctx, stack, r, log) -> list:
         case Const(n):
             merged = sig.merged_ref_sort(n)
             if merged is None:
-                _sfail("no-refinement-declared",
-                       f"constant {n} has no refinement declaration")
+                raise SortError("no-refinement-declared",
+                                f"constant {n} has no refinement declaration")
             if log is not None:
                 log.rules.append("const")
             return _split(merged, ("const", n, len(sig.const_refs[n])), (),
@@ -309,8 +280,8 @@ def _pending(sig, ctx, stack, r, log) -> list:
         case FVar(n):
             entry = ctx_lookup(ctx, n)
             if entry is None:
-                _sfail("no-refinement-declared",
-                       f"variable {n} is not in the context")
+                raise SortError("no-refinement-declared",
+                                f"variable {n} is not in the context")
             if log is not None:
                 log.rules.append("var")
             return _split(entry.sort, ("var", n), (), log)
@@ -380,8 +351,6 @@ def _apply_delta(sig, ctx, stack, cands, arg, log) -> list:
         try:
             d_arg = _acheck(sig, ctx, stack, arg,
                             inst_spine(entry.dom_sort, done), log, synth)
-        except MetricExhausted:
-            raise
         except (SortError, SubstFailure):
             continue
         out.extend(_split(entry.cod, ("app", d_fn, arg, d_arg),
@@ -391,7 +360,7 @@ def _apply_delta(sig, ctx, stack, cands, arg, log) -> list:
 
 def acheck(sig: Signature, ctx: Context, n, s,
            trace: Optional[list] = None) -> None:
-    _acheck(sig, ctx, (), n, s, _log(trace))
+    _acheck(sig, ctx, (), n, s, None if trace is None else Log(trace, None))
 
 
 def _acheck(sig, ctx, stack, n, s, log, synth=None) -> tuple:
@@ -414,10 +383,11 @@ def _acheck(sig, ctx, stack, n, s, log, synth=None) -> tuple:
             return ("pair", left, right)
         case SPi(h, ds, dt, cod):
             if not isinstance(n, Lam):
-                _sfail("annotation-mismatch",
-                       lambda: f"term {_pp(pp_term, n, ctx, stack)} is not a "
-                               f"function but was checked against function "
-                               f"sort {_pp(pp_sort, s, ctx, stack)}")
+                raise SortError(
+                    "annotation-mismatch",
+                    lambda: f"term {_pp(pp_term, n, ctx, stack)} is not a "
+                            f"function but was checked against function "
+                            f"sort {_pp(pp_sort, s, ctx, stack)}")
             if dt is None:
                 raise TypeError("acheck: sort was not elaborated")
             body = _acheck(sig, ctx, stack + ((h, dt, ds),), n.body,
@@ -429,15 +399,16 @@ def _acheck(sig, ctx, stack, n, s, log, synth=None) -> tuple:
             if not is_atomic_sort(s):
                 raise TypeError(f"acheck: not a sort: {s!r}")
             if isinstance(n, Lam):
-                _sfail("annotation-mismatch",
-                       lambda: f"function term checked against atomic sort "
-                               f"{_pp(pp_sort, s, ctx, stack)}")
+                raise SortError(
+                    "annotation-mismatch",
+                    lambda: f"function term checked against atomic sort "
+                            f"{_pp(pp_sort, s, ctx, stack)}")
             d = (synth() if synth is not None
                  else _asynth(sig, ctx, stack, n, log))
             if not d:
-                _sfail("empty-synthesis",
-                       lambda: f"term {_pp(pp_term, n, ctx, stack)} "
-                               f"synthesizes no sorts")
+                raise SortError("empty-synthesis",
+                                lambda: f"term {_pp(pp_term, n, ctx, stack)} "
+                                        f"synthesizes no sorts")
             matched = None
             for q, d_q in d:
                 if isinstance(q, SPi):
@@ -458,7 +429,7 @@ def _acheck(sig, ctx, stack, n, s, log, synth=None) -> tuple:
                     return (f"term {_pp(pp_term, n, ctx, stack)}: none of the "
                             f"synthesized sorts [{shown}] is a subsort of "
                             f"{_pp(pp_sort, s, ctx, stack)}")
-                _sfail("subsort-failure", message)
+                raise SortError("subsort-failure", message)
             if log is not None:
                 log.rules.append("switch")
             return matched
@@ -482,7 +453,7 @@ def _synth_sort_class(sig, ctx, stack, s, log):
         raise TypeError(f"sort head is not a constant: {head!r}")
     fam = sig.sort_fam(head.name)
     if fam is None:
-        _sfail("no-refinement-declared", f"unknown sort {head.name}")
+        raise SortError("no-refinement-declared", f"unknown sort {head.name}")
     cands = [(fam.cls, ("intro", head.name), ())]
     refined = TConst(fam.refines)
     ectx = erase_ctx(ctx)
@@ -517,14 +488,12 @@ def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
                 _lf_check(sig, ectx, stack, arg, inst_spine(dt, done))
                 d_arg = _acheck(sig, ctx, stack, arg,
                                 inst_spine(ds, done), log, synth)
-            except MetricExhausted:
-                raise
             except (SortError, LfError) as e:
                 return [], _rewrap_arg(e, i, fam_name)
             except SubstFailure as e:
-                return [], SortError(SortDiagnostic(
+                return [], SortError(
                     "annotation-mismatch",
-                    f"argument {i} of {fam_name}: substitution failed: {e}"))
+                    f"argument {i} of {fam_name}: substitution failed: {e}")
             return [(body, ("app", d, arg, d_arg),
                      done + ((arg, erase_type(dt)),))], None
         case CInter(l, r):
@@ -536,27 +505,25 @@ def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
                                         log, synth)
             return left + right, r_err or l_err
         case CSort() | CTop():
-            return [], SortError(SortDiagnostic(
+            return [], SortError(
                 "annotation-mismatch",
-                f"sort {fam_name} applied to too many arguments"))
+                f"sort {fam_name} applied to too many arguments")
     raise TypeError(f"_class_apply: not a class: {cls!r}")
 
 
 def _rewrap_arg(e, i: int, fam_name: str):
-    """Prefix argument position info, preserving the diagnostic kind."""
+    """e as a new error of its kind, its message prefixed with the
+    argument's position."""
     if isinstance(e, SortError):
-        return SortError(SortDiagnostic(
-            e.diag.kind,
-            lambda: f"argument {i} of {fam_name}: {e.diag.message}"))
-    return LfError(type(e.diag)(
-        e.diag.kind, f"argument {i} of {fam_name}: {e.diag.message}",
-        e.diag.expected, e.diag.actual))
+        return SortError(e.kind,
+                         lambda: f"argument {i} of {fam_name}: {e.message}")
+    return LfError(e.kind, f"argument {i} of {fam_name}: {e.message}",
+                   e.expected, e.actual)
 
 
-def elaborate_sort(sig: Signature, ctx: Context, s, a,
-                   trace: Optional[list] = None):
+def elaborate_sort(sig: Signature, ctx: Context, s, a):
     """Check that a sort refines a type; fill in function domain types."""
-    return _elab_sort(sig, ctx, (), s, a, _log(trace))
+    return _elab_sort(sig, ctx, (), s, a, None)
 
 
 def _elab_sort(sig, ctx, stack, s, a, log):
@@ -573,10 +540,11 @@ def _elab_sort(sig, ctx, stack, s, a, log):
             return out
         case SPi(h, ds, _, cod):
             if not isinstance(a, TPi):
-                _sfail("annotation-mismatch",
-                       lambda: f"function sort {_pp(pp_sort, s, ctx, stack)} "
-                               f"cannot refine non-function type "
-                               f"{_pp(pp_type, a, ctx, stack)}")
+                raise SortError(
+                    "annotation-mismatch",
+                    lambda: f"function sort {_pp(pp_sort, s, ctx, stack)} "
+                            f"cannot refine non-function type "
+                            f"{_pp(pp_type, a, ctx, stack)}")
             ds2 = _elab_sort(sig, ctx, stack, ds, a.dom, log)
             cod2 = _elab_sort(sig, ctx, stack + ((h, a.dom, ds2),),
                               cod, a.cod, log)
@@ -596,14 +564,14 @@ def _form_atom(sig, ctx, stack, s, a, log) -> list:
     is None), in elimination order, recorded with sig for the translator."""
     derivs, refined = _synth_sort_class(sig, ctx, stack, s, log)
     if not derivs:
-        _sfail("annotation-mismatch",
-               lambda: f"sort {_pp(pp_sort, s, ctx, stack)} is not fully "
-                       f"applied")
+        raise SortError("annotation-mismatch",
+                        lambda: f"sort {_pp(pp_sort, s, ctx, stack)} is not "
+                                f"fully applied")
     if a is not None and not alpha_eq(refined, a):
-        _sfail("annotation-mismatch",
-               lambda: f"sort {_pp(pp_sort, s, ctx, stack)} refines "
-                       f"{_pp(pp_type, refined, ctx, stack)}, not "
-                       f"{_pp(pp_type, a, ctx, stack)}")
+        raise SortError("annotation-mismatch",
+                        lambda: f"sort {_pp(pp_sort, s, ctx, stack)} refines "
+                                f"{_pp(pp_type, refined, ctx, stack)}, not "
+                                f"{_pp(pp_type, a, ctx, stack)}")
     sig.formations[id(s)] = s, derivs
     return derivs
 
@@ -613,8 +581,8 @@ def _elab_class(sig, ctx, stack, cls, kind, log):
     match cls:
         case CSort():
             if not isinstance(kind, KType):
-                _sfail("annotation-mismatch",
-                       "'sort' refines the kind 'type' only")
+                raise SortError("annotation-mismatch",
+                                "'sort' refines the kind 'type' only")
             return cls
         case CTop():
             return cls
@@ -624,8 +592,8 @@ def _elab_class(sig, ctx, stack, cls, kind, log):
                 _elab_class(sig, ctx, stack, r, kind, log))
         case CPi(h, ds, _, body):
             if not isinstance(kind, KPi):
-                _sfail("annotation-mismatch",
-                       "function class cannot refine a non-function kind")
+                raise SortError("annotation-mismatch", "function class cannot "
+                                "refine a non-function kind")
             ds2 = _elab_sort(sig, ctx, stack, ds, kind.dom, log)
             body2 = _elab_class(sig, ctx,
                                 stack + ((h, kind.dom, ds2),), body, kind.cod,
@@ -653,7 +621,6 @@ def check_context(sig: Signature, entries: Context) -> Context:
 
 def check_signature(raw: Signature, strict: bool = False,
                     trace: Optional[list] = None,
-                    on_decl: Optional[Callable] = None,
                     audit: Optional[Callable] = None) -> Signature:
     """Check a signature and return it with all sorts elaborated.
 
@@ -727,12 +694,9 @@ def check_signature(raw: Signature, strict: bool = False,
         except (SortError, LfError) as e:
             if e.span is None:
                 e.span = decl.span
-                e.diag.span = decl.span
             raise
         finally:
             if audit is not None:
                 for call in log.compared:
                     audit(checked, *_opened(*call))
-        if on_decl is not None:
-            on_decl(decl)
     return checked

@@ -19,7 +19,6 @@ from typing import NamedTuple, Optional
 
 from . import lfi as L
 from .diagnostics import LexError, ParseError, SourceSpan
-from .printer import print_lfi  # noqa: F401  (re-exported for convenience)
 from .syntax import (
     App,
     BVar,
@@ -236,11 +235,9 @@ _ATOM_STARTERS_SYM = {"#", "(", "<", "<>"}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str, target_mode: bool):
+    def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
-        self.filename = filename
-        self.target_mode = target_mode
         self.infix: dict[str, int] = {}
 
     # -- token plumbing
@@ -546,7 +543,7 @@ def _default_class(kind):
 
 def parse_signature(text: str, filename: str = "<input>") -> Signature:
     tokens = tokenize(text, filename, target_mode=False)
-    p = _Parser(tokens, filename, target_mode=False)
+    p = _Parser(tokens)
     elab = _SourceElab()
     sig = Signature()
     while p.peek().kind != "EOF":
@@ -638,8 +635,7 @@ def parse_sort(text: str, consts: frozenset[str] | set[str] = frozenset(),
 
 def _parse_one(text, filename, consts, elaborate):
     """One expression, the whole of text, elaborated by `elaborate`."""
-    p = _Parser(tokenize(text, filename, target_mode=False), filename,
-                target_mode=False)
+    p = _Parser(tokenize(text, filename, target_mode=False))
     elab = _SourceElab()
     elab.term_consts = set(consts)
     e = p.parse_expr()
@@ -748,7 +744,7 @@ class _TargetElab:
 
 def parse_lfi(text: str, filename: str = "<input>") -> L.LfiSignature:
     tokens = tokenize(text, filename, target_mode=True)
-    p = _Parser(tokens, filename, target_mode=True)
+    p = _Parser(tokens)
     elab = _TargetElab()
     sig = L.LfiSignature()
     while p.peek().kind != "EOF":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .lfr_check import SortError, _acheck, split, subsort_q
-from .subst import MetricExhausted, SubstFailure, eta_expand
+from .subst import SubstFailure, eta_expand
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     CtxEntry,
@@ -54,8 +54,6 @@ def intrinsic_subsort(q: SubsortQuery) -> bool:
     try:
         _acheck(q.sig, ctx, (), subject, q.t, None)
         return True
-    except MetricExhausted:
-        raise
     except (SortError, SubstFailure):
         return False
 

@@ -6,7 +6,8 @@ the redex is reduced immediately by a further substitution at a strictly
 smaller simple type, so canonical form is preserved and the process
 terminates.  A fuel counter guards that termination argument at runtime:
 it is a debug assertion, not a semantic limit, and can be raised with the
-LFR_FUEL environment variable.
+LFR_FUEL environment variable.  Running out raises MetricExhausted, which
+is not a SubstFailure, so no handler of an undefined substitution sees it.
 
 The variables replaced are a free name, or a block of bound indices at
 once; substitution counts the binders it descends instead of opening them.
@@ -39,11 +40,16 @@ class SubstFailure(Exception):
         self.path = path
 
 
-class MetricExhausted(SubstFailure):
-    """The termination metric guard fired; indicates a bug, not bad input."""
+class MetricExhausted(Exception):
+    """The termination metric guard fired; indicates a bug, not bad input.
+
+    Not a SubstFailure: a substitution that is undefined rejects the
+    input, one that runs out of fuel stops the whole run.
+    """
 
     def __init__(self, path: Path):
-        super().__init__("metric exhausted", path)
+        super().__init__(f"metric exhausted at {'/'.join(path) or 'root'}")
+        self.path = path
 
 
 DEFAULT_FUEL = 1_000_000

@@ -68,8 +68,7 @@ from .lfr_check import (
     _elab_sort,
     _form_atom,
     _pp,
-    _sfail,
-    build_closure,  # noqa: F401  (bound here for bench/tracer.py to wrap)
+    build_closure,  # noqa: F401  (bound for bench/tracer.py)
     subsort_path,
     subsort_q,
 )
@@ -527,9 +526,10 @@ def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None
                         ) -> Metafunction:
     """Coercion between atomic sorts, a function of subject and proof."""
     if not subsort_q(sig, q1, q2):
-        _sfail("subsort-failure",
-               lambda: f"no declared path from {_pp(pp_sort, q1, ctx, ())} "
-                       f"to {_pp(pp_sort, q2, ctx, ())}")
+        raise SortError("subsort-failure",
+                        lambda: f"no declared path from "
+                                f"{_pp(pp_sort, q1, ctx, ())} "
+                                f"to {_pp(pp_sort, q2, ctx, ())}")
     path = subsort_path(sig, q1, q2)
     return _coercion(sig, q1, path,
                      _coercion_forms(sig, ctx, (), q1, path, None),

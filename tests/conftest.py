@@ -134,6 +134,24 @@ LATER_EDGE_TEXTS = {
 }
 
 
+# c's second argument has a domain sort, pe x -> even with its domain
+# type p x, that takes more substitution steps to set to c's first
+# argument than the domain type p x -> nat the LF checker sets: so at
+# some budgets the first walk to run out is the sort checker's, at k's
+# refinement.  d's codomain sort qe x is set to d's argument by the sort
+# checker alone when asynth is called directly.
+FUEL_TEXT = (
+    "nat : type. z : nat. s : nat -> nat.\n"
+    "even << nat. odd << nat. z :: even. s :: even -> odd ^ odd -> even.\n"
+    "p : nat -> type. pe << p :: even -> sort.\n"
+    "c : {x : nat} (p x -> nat) -> nat.\n"
+    "c :: {x :: even} (pe x -> even) -> even.\n"
+    "q : nat -> type. qe << q :: even -> sort.\n"
+    "d : {x : nat} q x. d :: {x :: even} qe x.\n"
+    "r : nat -> type. re << r :: even -> sort.\n"
+    "k : r (c z ([y] z)). k :: re (c z ([y] z)).\n")
+
+
 @pytest.fixture(scope="session")
 def dep_sig():
     return check_signature(parse_signature(DEP_TEXT))

@@ -288,7 +288,6 @@ from lfr.subsort import (  # noqa: E402
     _dist_top_pi,
     _middle_pool,
 )
-from lfr.subst import MetricExhausted as _MetricExhausted  # noqa: E402
 from lfr.subst import erase_type as _erase_type  # noqa: E402
 
 
@@ -332,8 +331,6 @@ def _named_algo_apply(sig, ctx, d, x, d1, a1) -> list:
             continue
         try:
             cod = hsubst_syntax(eta_x, 0, a1, entry.cod)
-        except _MetricExhausted:
-            raise
         except _SubstFailure:
             continue
         out.extend(_split_sort(cod))
@@ -1085,27 +1082,23 @@ def reference_tokens(text: str, filename: str, target_mode: bool):
 # Derivations, traces and the sharing of a synthesis are left out: none
 # of them changes a verdict or a message.
 
-from lfr.lf import LfDiagnostic, LfError  # noqa: E402
+from lfr.lf import LfError  # noqa: E402
 from lfr.lfr_check import (  # noqa: E402
-    SortDiagnostic,
     SortError,
     _rewrap_arg,
     split,
     subsort_q,
 )
 from lfr.printer import pp_sort, pp_term, pp_type  # noqa: E402
-from lfr.subst import MetricExhausted  # noqa: E402
 
 
 def _lf_fail(kind, message, expected=None, actual=None):
-    raise LfError(LfDiagnostic(kind, message, expected, actual))
+    raise LfError(kind, message, expected, actual)
 
 
 def _lf_inst(body, arg, dom, what: str):
     try:
         return hsubst_syntax(arg, 0, dom, body)
-    except MetricExhausted:
-        raise
     except _SubstFailure as e:
         _lf_fail("type mismatch", f"substitution into {what} failed: {e}")
 
@@ -1191,7 +1184,7 @@ def opened_lf_check_kind(sig, ctx, k) -> None:
 
 
 def _sort_fail(kind, message):
-    raise SortError(SortDiagnostic(kind, message))
+    raise SortError(kind, message)
 
 
 def opened_asynth(sig, ctx, r) -> list:
@@ -1216,8 +1209,6 @@ def opened_asynth(sig, ctx, r) -> list:
                 try:
                     opened_acheck(sig, ctx, a, q.dom_sort)
                     cod = hsubst_syntax(a, 0, q.dom_type, q.cod)
-                except MetricExhausted:
-                    raise
                 except (SortError, _SubstFailure):
                     continue
                 out.extend(split(cod))
@@ -1265,24 +1256,20 @@ def _opened_class_apply(sig, ctx, cls, arg, i, fam):
             try:
                 opened_lf_check(sig, [(e.name, e.type) for e in ctx], arg, dt)
                 opened_acheck(sig, ctx, arg, ds)
-            except MetricExhausted:
-                raise
             except (SortError, LfError) as e:
                 return [], _rewrap_arg(e, i, fam)
             try:
                 return [hsubst_syntax(arg, 0, dt, body)], None
-            except MetricExhausted:
-                raise
             except _SubstFailure as e:
-                return [], SortError(SortDiagnostic(
+                return [], SortError(
                     "annotation-mismatch",
-                    f"argument {i} of {fam}: substitution failed: {e}"))
+                    f"argument {i} of {fam}: substitution failed: {e}")
         case s.CInter(l, r):
             left, l_err = _opened_class_apply(sig, ctx, l, arg, i, fam)
             right, r_err = _opened_class_apply(sig, ctx, r, arg, i, fam)
             return left + right, r_err or l_err
-    return [], SortError(SortDiagnostic(
-        "annotation-mismatch", f"sort {fam} applied to too many arguments"))
+    return [], SortError(
+        "annotation-mismatch", f"sort {fam} applied to too many arguments")
 
 
 def opened_elab_sort(sig, ctx, sort, a):
@@ -1363,7 +1350,7 @@ def opened_elab_class(sig, ctx, cls, kind):
 
 from lfr.diagnostics import VerifyError  # noqa: E402
 from lfr.lfi import _shift_lfi, lfi_check, lfi_check_sig  # noqa: E402
-from lfr.lfr_check import _pp, _sfail, _synth_sort_class  # noqa: E402
+from lfr.lfr_check import _pp, _synth_sort_class  # noqa: E402
 from lfr.subst import eta_expand  # noqa: E402
 from lfr.syntax import pool_name  # noqa: E402
 from lfr.translate import (  # noqa: E402
@@ -1383,9 +1370,9 @@ def _formations(sig, ctx, stack, q) -> list:
     derived afresh."""
     derivs, _ = _synth_sort_class(sig, ctx, stack, q, None)
     if not derivs:
-        _sfail("annotation-mismatch",
-               lambda: f"no formation proof for sort "
-                       f"{_pp(pp_sort, q, ctx, stack)}")
+        raise SortError("annotation-mismatch",
+                        lambda: f"no formation proof for sort "
+                                f"{_pp(pp_sort, q, ctx, stack)}")
     return derivs
 
 
@@ -1448,8 +1435,8 @@ def _opened_sort_body(sig, ctx, sort, a, mangler, scope: list[str]):
             return lambda n: L.ITProd(left(n), right(n))
         case s.SPi(h, ds, _, cod):
             if not isinstance(a, s.TPi):
-                _sfail("annotation-mismatch",
-                       "function sort at non-function type")
+                raise SortError("annotation-mismatch",
+                                "function sort at non-function type")
             x = pool_name(h, {e.name for e in ctx} | free_vars(cod)
                           | free_vars(a.cod) | free_vars(ds))
             eta_x = inj_term(eta_expand(a.dom, s.FVar(x)))

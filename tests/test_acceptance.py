@@ -123,8 +123,8 @@ def test_criterion_03_indexed_static_error(capsys, double_sig):
     with verdict(capsys, 3, "odd index rejected statically") as note:
         err = indexed_sort_error(double_sig)
         assert err is not None
-        assert err.diag.kind == "subsort-failure"
-        assert "argument 2" in err.diag.message
+        assert err.kind == "subsort-failure"
+        assert "argument 2" in err.message
         note["detail"] = "subsort diagnostic points at argument 2"
 
 

@@ -20,8 +20,8 @@ from lfr.cli import main
 from lfr.lfi import ITUnitT, LfiDecl
 from lfr.parser import tokenize
 
-from conftest import (GOLDEN_DIR, GOLDEN_NAMES, LATER_EDGE_TEXTS, checkout_env,
-                      golden_path)
+from conftest import (FUEL_TEXT, GOLDEN_DIR, GOLDEN_NAMES, LATER_EDGE_TEXTS,
+                      checkout_env, golden_path)
 from gen import binders_text, deep_text
 
 
@@ -511,6 +511,29 @@ class TestVerify:
         monkeypatch.setenv("LFR_FUEL", "2")
         assert main(["verify", str(golden_path("double"))]) == 3
         assert "search budget exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "translate", "verify"])
+    @pytest.mark.parametrize("text, fuel, where", [
+        # With no fuel the first walk, in the LF checker, runs out.
+        ((GOLDEN_DIR / "cbv.lfr").read_text(), "0", "arg"),
+        # Here the first walk to run out is the sort checker's, setting
+        # c's second domain sort (its domtype step) to z in k's
+        # refinement (see FUEL_TEXT).  That stops the run; it does not
+        # reject c's one function component and leave c z ([y] z)
+        # without a sort.
+        (FUEL_TEXT, "3", "domtype/arg"),
+    ], ids=["lf", "sort"])
+    def test_exhausted_budget_is_not_a_rejection(self, command, text, fuel,
+                                                 where, monkeypatch,
+                                                 tmp_path, capsys):
+        src = tmp_path / "input.lfr"
+        src.write_text(text)
+        monkeypatch.setenv("LFR_FUEL", fuel)
+        assert main([command, str(src)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: search budget exhausted: metric exhausted at "
+                f"{where}\n")
+        assert list(tmp_path.iterdir()) == [src]
 
     @pytest.mark.parametrize("command", ["check", "translate", "verify"])
     def test_non_integer_budget_is_a_usage_error(self, command, monkeypatch,

@@ -107,8 +107,8 @@ class TestTermTyping:
         erased = erase_sig(double_sig)
         with pytest.raises(LfError) as info:
             lf_check_term(erased, [], Z, TApp(TApp(TConst("double"), Z), Z))
-        diag = info.value.diag
-        assert diag.expected is not None and diag.actual is not None
+        err = info.value
+        assert err.expected is not None and err.actual is not None
 
     def test_unbound_name(self, nat_sig):
         erased = erase_sig(nat_sig)
@@ -258,7 +258,7 @@ class TestDiagnostics:
     def test_message(self, dep_sig, call, diag):
         with pytest.raises(LfError) as info:
             call(dep_sig)
-        d = info.value.diag
+        d = info.value
         assert (d.kind, d.message, d.expected, d.actual) == diag
 
 
@@ -306,8 +306,7 @@ def _lf_outcome(call, *args):
     try:
         call(*args)
     except LfError as e:
-        d = e.diag
-        return d.kind, d.message, d.expected, d.actual
+        return e.kind, e.message, e.expected, e.actual
     return None
 
 

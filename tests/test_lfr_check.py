@@ -33,7 +33,7 @@ from lfr import (
 from lfr.lf import LfError
 from lfr.lfr_check import (Log, SortError, _acheck, _elab_class, _opened,
                            subsort_path)
-from lfr.subst import erase_type, eta_expand
+from lfr.subst import MetricExhausted, erase_type, eta_expand
 from lfr.syntax import (
     App,
     BVar,
@@ -55,7 +55,8 @@ from lfr.syntax import (
     alpha_eq,
 )
 
-from conftest import DEP_TEXT, GOLDEN_DIR, GOLDEN_NAMES, checkout_env
+from conftest import (DEP_TEXT, FUEL_TEXT, GOLDEN_DIR, GOLDEN_NAMES,
+                      checkout_env)
 from gen import (
     HINTS,
     NAT,
@@ -136,7 +137,7 @@ class TestAsynth:
     def test_unknown_constant(self, nat_sig):
         with pytest.raises(SortError) as info:
             asynth(nat_sig, [], Const("nonesuch"))
-        assert info.value.diag.kind == "no-refinement-declared"
+        assert info.value.kind == "no-refinement-declared"
 
     def test_split_preserves_order(self):
         s = SInter(SInter(EVEN, ODD), POS)
@@ -207,8 +208,8 @@ class TestElaboration:
     def test_indexed_sort_error(self, double_sig):
         err = indexed_sort_error(double_sig)
         assert err is not None
-        assert err.diag.kind == "subsort-failure"
-        assert "argument 2" in err.diag.message
+        assert err.kind == "subsort-failure"
+        assert "argument 2" in err.message
 
     def test_indexed_sort_accepts_even_index(self, double_sig):
         ctx = [CtxEntry("X", STop(), NAT_T)]
@@ -313,7 +314,7 @@ class TestSignatureChecking:
         text = (GOLDEN_DIR / "bad-odd.lfr").read_text()
         with pytest.raises(SortError) as info:
             check_signature(parse_signature(text))
-        assert info.value.diag.kind == "subsort-failure"
+        assert info.value.kind == "subsort-failure"
 
 
 CLOSURE_SORTS = ("a", "b", "c", "d", "e", "f")
@@ -530,19 +531,21 @@ class TestDiagnostics:
                 nat_sig, [CtxEntry("x", STop(), NAT_T)], FVar("x"), EVEN)),
         ):
             assert exc is not None
-            kinds.add(exc.diag.kind)
+            kinds.add(exc.kind)
         assert kinds <= {"no-refinement-declared", "subsort-failure",
                          "annotation-mismatch", "empty-synthesis"}
         assert "empty-synthesis" in kinds
 
     def test_unknown_kind_raises_under_optimize_flag(self):
         # Under `python -O` an `assert` would let a bogus kind through.
-        code = ("from lfr.lfr_check import SortDiagnostic\n"
-                "try:\n"
-                "    SortDiagnostic('bogus', 'm')\n"
-                "except TypeError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(1)\n")
+        code = ("from lfr.lf import LfError\n"
+                "from lfr.lfr_check import SortError\n"
+                "for error in (SortError, LfError):\n"
+                "    try:\n"
+                "        error('bogus', 'm')\n"
+                "    except TypeError:\n"
+                "        continue\n"
+                "    raise SystemExit(f'{error.__name__} took a bogus kind')\n")
         proc = subprocess.run([sys.executable, "-O", "-c", code],
                               capture_output=True, text=True,
                               env=checkout_env())
@@ -569,14 +572,37 @@ class TestDiagnostics:
                 "p : nat -> type.\n" + sorts)
         with pytest.raises(SortError) as info:
             check_signature(parse_signature(text))
-        assert (info.value.diag.kind, info.value.diag.message) == (kind,
-                                                                   message)
+        assert (info.value.kind, info.value.message) == (kind, message)
         assert info.value.span.line == 7
 
     def test_no_diagnostic_on_success(self, nat_sig):
         trace = []
         acheck(nat_sig, [], numeral(2), EVEN, trace=trace)
         assert "switch" in trace and "const" in trace
+
+
+class TestFuel:
+    """Running out of fuel inside the sort checker stops the check: it is
+    never read as a component that rejects its argument, which would
+    leave the synthesis set without it."""
+
+    @pytest.mark.parametrize("term, sort, fuel", [
+        # d z's codomain sort qe x, set to z when the spine ends.
+        (App(Const("d"), Const("z")), SApp(SConst("qe"), Const("z")), 2),
+        # c's second domain sort, pe x -> even with its type, set to z.
+        (App(App(Const("c"), Const("z")), Lam("y", Const("z"))), EVEN, 4),
+    ], ids=["codomain", "domain"])
+    def test_exhaustion_is_not_a_sort_failure(self, monkeypatch, term, sort,
+                                              fuel):
+        sig = check_signature(parse_signature(FUEL_TEXT))
+        monkeypatch.setenv("LFR_FUEL", str(fuel))
+        assert [alpha_eq(q, sort) for q in asynth(sig, [], term)] == [True]
+        acheck(sig, [], term, sort)
+        monkeypatch.setenv("LFR_FUEL", str(fuel - 1))
+        with pytest.raises(MetricExhausted):
+            asynth(sig, [], term)
+        with pytest.raises(MetricExhausted):
+            acheck(sig, [], term, sort)
 
 
 P_T = TConst("p")
@@ -657,8 +683,7 @@ class TestBinderDiagnostics:
     def test_message(self, dep_sig, call, kind, message):
         with pytest.raises(SortError) as info:
             call(dep_sig)
-        assert (info.value.diag.kind, info.value.diag.message) == (kind,
-                                                                   message)
+        assert (info.value.kind, info.value.message) == (kind, message)
 
     @pytest.mark.parametrize("decl, kind, message", [
         ("rr << r :: {x :: even} {h :: pe (s (s x))} sort.",
@@ -673,7 +698,7 @@ class TestBinderDiagnostics:
     def test_class_message(self, decl, kind, message):
         with pytest.raises(SortError) as info:
             check_signature(parse_signature(DEP_TEXT + decl))
-        assert (info.value.diag.kind, info.value.diag.message,
+        assert (info.value.kind, info.value.message,
                 info.value.span.line) == (kind, message, 9)
 
     def test_audit_sees_binders_by_name(self, dep_sig):
@@ -739,9 +764,9 @@ def _ref_outcome(call, *args):
     try:
         return "ok", call(*args)
     except SortError as e:
-        return e.diag.kind, e.diag.message
+        return e.kind, e.message
     except LfError as e:
-        return "lf", e.diag.kind, e.diag.message
+        return "lf", e.kind, e.message
 
 
 class TestOpenedReference:

@@ -924,7 +924,7 @@ def _translated(which, ctx, subject, sort, class_form, kind_pred, kind_sub,
             case _:
                 out = trans_context(REF_SIG, ctx, mangler)
     except (SortError, VerifyError) as e:
-        return type(e).__name__, e.diag.kind if hasattr(e, "diag") else None
+        return type(e).__name__, getattr(e, "kind", None)
     return "ok", repr(out)
 
 
