@@ -55,6 +55,7 @@ from lfr.syntax import (
 )
 
 from conftest import GOLDEN_DIR, GOLDEN_NAMES, golden_path
+from test_cli import mangled_sources
 from gen import (
     HO_CONSTS,
     LFI_NAT,
@@ -79,6 +80,8 @@ from oracles import (
     opened_pp_sort,
     opened_pp_term,
     opened_pp_type,
+    reference_parse_lfi,
+    reference_parse_signature,
     reference_tokens,
 )
 
@@ -574,6 +577,48 @@ class TestLexer:
             tokenize(f"c : 1{digit}.", "f.lfr", False)
         assert info.value.message == f"unexpected character {digit!r}"
         assert info.value.span.col == 6
+
+
+def _parsed(parse, text: str):
+    """The declarations parse reads from text, each with its span, or the
+    error it raises: its type, message and span."""
+    try:
+        return [(repr(d), d.span) for d in parse(text, "f.lfr")]
+    except (LexError, ParseError) as e:
+        return (type(e).__name__, e.message, e.span)
+    except RecursionError:
+        return RecursionError
+
+
+PARSERS = ((parse_signature, reference_parse_signature),
+           (parse_lfi, reference_parse_lfi))
+PARSED_TEXTS = sorted(GOLDEN_DIR.glob("*.lf[ri]"))
+
+
+def _agrees_with_reference(text: str) -> None:
+    for parse, reference in PARSERS:
+        expected = _parsed(reference, text)
+        if expected is not RecursionError:
+            # The reference needs a frame per precedence level; where it
+            # runs out of them the package may still give an answer.
+            assert _parsed(parse, text) == expected
+
+
+class TestReferenceParser:
+    """Both parsers against the one that built a raw tree before it
+    elaborated (tests/oracles.py): the same declarations with the same
+    spans, or the same error at the same place, in both modes."""
+
+    @settings(max_examples=400)
+    @given(st.one_of(mangled_sources(), lexer_inputs(),
+                     st.sampled_from(PARSED_TEXTS).map(
+                         lambda p: p.read_text())))
+    def test_parsers_agree(self, text):
+        _agrees_with_reference(text)
+
+    @pytest.mark.parametrize("path", PARSED_TEXTS, ids=lambda p: p.name)
+    def test_goldens_and_bad_files_agree(self, path):
+        _agrees_with_reference(path.read_text())
 
 
 class TestLfiSyntax:
