@@ -24,7 +24,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import (
@@ -52,24 +52,24 @@ from .translate import trans_sig, verify_translation
 
 @dataclass
 class RunReport:
-    """What a check run did, one line per declaration."""
+    """What a check run did; its lines, one per declaration of decls, are
+    built only when it is rendered."""
 
     path: str
-    lines: list[str] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
+    decls: Signature
     elapsed: float = 0.0
     oracle_checked: int = 0
     oracle_disagreements: int = 0
 
-    def add(self, kind: str, line: str) -> None:
-        self.lines.append(line)
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-
     def render(self) -> str:
         out = [f"checking {self.path}"]
-        out.extend("  " + line for line in self.lines)
-        total = sum(self.counts.values())
-        parts = [f"{n} {kind}" for kind, n in sorted(self.counts.items())]
+        counts: dict[str, int] = {}
+        for decl in self.decls:
+            kind, line = _decl_line(decl)
+            out.append("  " + line)
+            counts[kind] = counts.get(kind, 0) + 1
+        total = sum(counts.values())
+        parts = [f"{n} {kind}" for kind, n in sorted(counts.items())]
         out.append(f"ok: {total} declarations ({', '.join(parts)}) "
                    f"in {self.elapsed:.3f}s")
         if self.oracle_checked:
@@ -127,7 +127,7 @@ def _check_file(path: str, strict: bool, oracle_depth: int | None,
                 ) -> tuple[Signature, RunReport]:
     text = _read(path)
     raw = parse_signature(text, filename=path)
-    report = RunReport(path)
+    report = RunReport(path, raw)
 
     def audit(sig, ctx, q, goal, ok: bool) -> None:
         report.oracle_checked += 1
@@ -142,8 +142,6 @@ def _check_file(path: str, strict: bool, oracle_depth: int | None,
     sig = check_signature(raw, strict=strict, trace=trace,
                           audit=None if oracle_depth is None else audit)
     report.elapsed = time.monotonic() - start
-    for decl in raw:
-        report.add(*_decl_line(decl))
     return sig, report
 
 
@@ -269,7 +267,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MetricExhausted as e:
-        print(f"error: search budget exhausted: {e}", file=sys.stderr)
+        where = "" if e.span is None else f"{e.span}: "
+        print(f"{where}error: search budget exhausted: {e}", file=sys.stderr)
         return 3
     except VerifyError as e:
         print(e.format(), file=sys.stderr)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .diagnostics import CheckError, SourceSpan
-from .subst import SubstFailure, _Fuel
+from .subst import MetricExhausted, SubstFailure, _Fuel
 from .syntax import fresh_name
 
 # ---------------------------------------------------------------------------
@@ -774,5 +774,8 @@ def lfi_check_sig(sig: LfiSignature) -> None:
             e.decl = decl.name
             if e.span is None:
                 e.span = decl.span
+            raise
+        except MetricExhausted as e:
+            e.span = decl.span
             raise
         checked.append(decl)

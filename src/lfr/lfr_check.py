@@ -57,7 +57,7 @@ from .diagnostics import CheckError, Message
 from .printer import pp_sort, pp_term, pp_type
 from .lf import LfError, _check as _lf_check, lf_check_kind, lf_check_type
 from .lf import lf_check_term  # noqa: F401  (bound for bench/tracer.py)
-from .subst import SubstFailure, erase_type, inst_spine
+from .subst import MetricExhausted, SubstFailure, erase_type, inst_spine
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,
@@ -691,7 +691,7 @@ def check_signature(raw: Signature, strict: bool = False,
                 case _:
                     raise CheckError(f"unexpected declaration {decl!r}",
                                      decl.span)
-        except (SortError, LfError) as e:
+        except (SortError, LfError, MetricExhausted) as e:
             if e.span is None:
                 e.span = decl.span
             raise

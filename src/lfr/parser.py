@@ -2,20 +2,35 @@
 
 The lexer has two modes: in source mode `^` is the intersection symbol,
 while in target mode it is an ordinary identifier character (mangled
-names like even^ live there).  One raw expression grammar serves both;
-elaboration into the proper AST category happens per declaration.
+names like even^ live there).  One expression grammar serves both; each
+mode elaborates what it reads into its own AST as it reads it.
 
 Binders take maximal scope, arrows are right-associative, `^` binds
 looser than arrows, `*` sits between arrows and declared infix
 operators, and application binds tightest except for the postfix
 projections `.1` and `.2`.
+
+A token is a (kind, text, offset) triple.  A table of line starts turns
+an offset into a SourceSpan where one is needed: in an error, and once
+per declaration.
+
+Every expression is read in a category (term, type, kind, sort or class)
+that says what it elaborates to.  Where the grammar settles an operand's
+category only after the operand (the domain of an arrow or its codomain,
+the left operand of an infix operator, the codomains of a `<-` chain, a
+kind or a type in a `:` declaration) the operand is read again in the
+category it turned out to have.  A construct that is not well formed in
+its category elaborates to a _Bad, which holds the error that
+elaborating the whole expression would meet first: a construct's own
+check before its parts, and its parts from left to right.  It is raised
+once the declaration has parsed, so that a syntax error anywhere in the
+declaration is reported first.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from bisect import bisect_right
 
 from . import lfi as L
 from .diagnostics import LexError, ParseError, SourceSpan
@@ -78,457 +93,617 @@ def _scanner(target_mode: bool) -> re.Pattern:
 _SCANNERS = (_scanner(False), _scanner(True))
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT | NUM | SYM | EOF
-    text: str
-    span: SourceSpan
+class SourceLines:
+    """Where the lines of one text start, to place an offset in it.  Lines
+    end at `\\n` only, so a `\\r` or a tab is one column."""
+
+    def __init__(self, text: str, filename: str):
+        self.filename = filename
+        self.starts = [0, *(m.end() for m in re.finditer("\n", text))]
+
+    def span(self, offset: int, length: int = 0) -> SourceSpan:
+        """The span of the length characters at offset, on one line."""
+        line = bisect_right(self.starts, offset)
+        col = offset - self.starts[line - 1] + 1
+        return SourceSpan(self.filename, line, col, line, col + length)
 
 
-def tokenize(text: str, filename: str, target_mode: bool) -> list[Token]:
-    """The tokens of text, ending with one EOF token."""
-    out: list[Token] = []
-    line, line_start, pos = 1, 0, 0
+def tokenize(text: str, filename: str,
+             target_mode: bool) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of text, ending with one EOF token;
+    a kind is IDENT, NUM, SYM or EOF."""
+    out = []
+    add = out.append
+    pos = 0
     # The matches are contiguous up to the first one that has no token,
-    # which is the end of the input or a lexing error; scanning one match
-    # at a time stops there and holds no list of them all.
-    for m in _SCANNERS[target_mode].finditer(text):
-        skip, sym, ident, num = m.groups()
-        if skip:
-            newlines = skip.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + skip.rindex("\n") + 1
-            pos += len(skip)
-        col = pos - line_start + 1
-        if sym:
-            kind, tok = "SYM", sym
-        elif ident:
-            kind, tok = "IDENT", ident
+    # which is the end of the input or a lexing error.
+    for skip, sym, ident, num in _SCANNERS[target_mode].findall(text):
+        pos += len(skip)
+        if ident:
+            add(("IDENT", ident, pos))
+            pos += len(ident)
+        elif sym:
+            add(("SYM", sym, pos))
+            pos += len(sym)
         elif num:
-            kind, tok = "NUM", num
+            add(("NUM", num, pos))
+            pos += len(num)
         else:
-            span = SourceSpan(filename, line, col, line, col)
             if pos < len(text):
-                raise LexError(f"unexpected character {text[pos]!r}", span)
-            out.append(Token("EOF", "", span))
+                raise LexError(f"unexpected character {text[pos]!r}",
+                               SourceLines(text, filename).span(pos))
+            add(("EOF", "", pos))
             break
-        out.append(Token(kind, tok, SourceSpan(filename, line, col, line,
-                                               col + len(tok))))
-        pos += len(tok)
     return out
 
 
-def _numeral(t: Token) -> int:
-    """The value of a NUM token; one int() refuses is a located error."""
-    try:
-        return int(t.text)
-    except ValueError:
-        raise ParseError(f"numeral of {len(t.text)} digits is too long",
-                         t.span) from None
-
-
 # ---------------------------------------------------------------------------
-# Raw expressions
+# Categories, and what a construct elaborates to in each
+
+_TERM, _TYPE, _KIND, _SORT, _CLASS = range(5)
+# The category of a binder's or an arrow's domain, by that of the whole.
+_DOMAIN = (_TERM, _TYPE, _TYPE, _SORT, _SORT)
+_EXPECTED = tuple(f"expected a {c}"
+                  for c in ("term", "type", "kind", "sort", "class"))
 
 
-@dataclass(frozen=True)
-class RIdent:
-    name: str
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+class _Bad:
+    """An expression that is not well formed: the message of the error it
+    raises, placed at the token with index `at`."""
+
+    __slots__ = ("message", "at")
+
+    def __init__(self, message: str, at: int):
+        self.message = message
+        self.at = at
 
 
-@dataclass(frozen=True)
-class RNum:
-    value: int
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+def _apply(fn, arg, at: int, atomic: bool, message: str, make):
+    """make(fn, arg), unless fn is ill formed, or not atomic (message), or
+    arg is ill formed."""
+    if type(fn) is _Bad:
+        return fn
+    if not atomic:
+        return _Bad(message, at)
+    if type(arg) is _Bad:
+        return arg
+    return make(fn, arg)
 
 
-@dataclass(frozen=True)
-class RTop:
-    span: Optional[SourceSpan] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class RApp:
-    fn: "RawExpr"
-    arg: "RawExpr"
-
-
-@dataclass(frozen=True)
-class RIrrApp:
-    fn: "RawExpr"
-    arg: "RawExpr"
-
-
-@dataclass(frozen=True)
-class RProj:
-    base: "RawExpr"
-    which: int
-
-
-@dataclass(frozen=True)
-class RArrow:
-    dom: "RawExpr"
-    cod: "RawExpr"
-
-
-@dataclass(frozen=True)
-class RIrrArrow:
-    dom: "RawExpr"
-    cod: "RawExpr"
-
-
-@dataclass(frozen=True)
-class RInter:
-    left: "RawExpr"
-    right: "RawExpr"
-
-
-@dataclass(frozen=True)
-class RProd:
-    left: "RawExpr"
-    right: "RawExpr"
-
-
-@dataclass(frozen=True)
-class RPi:
-    name: str
-    colon: str  # ":" or "::"
-    dom: "RawExpr"
-    body: "RawExpr"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class RLam:
-    name: str
-    body: "RawExpr"
-    span: Optional[SourceSpan] = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class RPair:
-    left: "RawExpr"
-    right: "RawExpr"
-
-
-@dataclass(frozen=True)
-class RUnitTerm:
-    span: Optional[SourceSpan] = field(default=None, compare=False)
-
-
-RawExpr = object  # union of the above; kept loose on purpose
-
-
-def _raw_span(e) -> Optional[SourceSpan]:
-    match e:
-        case RIdent() | RNum() | RTop() | RPi() | RLam() | RUnitTerm():
-            return e.span
-        case RApp(f, _) | RIrrApp(f, _) | RProj(f, _) | RArrow(f, _) | RIrrArrow(f, _):
-            return _raw_span(f)
-        case RInter(f, _) | RProd(f, _) | RPair(f, _):
-            return _raw_span(f)
-    return None
-
-
-_ATOM_STARTERS_SYM = {"#", "(", "<", "<>"}
-
-
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
-        self.pos = 0
-        self.infix: dict[str, int] = {}
-
-    # -- token plumbing
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
-
-    def at(self, text: str) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == "SYM" and t.text == text
-
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            t = self.peek()
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.span)
-        return self.next()
-
-    def expect_ident(self, what: str = "an identifier") -> Token:
-        t = self.peek()
-        if t.kind != "IDENT":
-            raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}",
-                             t.span)
-        return self.next()
-
-    # -- expressions
-
-    def parse_expr(self):
-        if self.at("{"):
-            return self._parse_brace_binder()
-        if self.at("["):
-            return self._parse_lambda()
-        left = self._parse_arrows()
-        if self.at("^"):
-            self.next()
-            return RInter(left, self.parse_expr())
+def _both(left, right, make):
+    """make(left, right), unless one of them is ill formed, left first."""
+    if type(left) is _Bad:
         return left
-
-    def _parse_brace_binder(self):
-        start = self.expect("{")
-        name = self.expect_ident("a binder name").text
-        if self.at("::"):
-            colon = self.next().text
-        elif self.at(":"):
-            colon = self.next().text
-        else:
-            t = self.peek()
-            raise ParseError(f"expected ':' or '::' in binder, found {t.text!r}",
-                             t.span)
-        dom = self.parse_expr()
-        self.expect("}")
-        body = self.parse_expr()
-        return RPi(name, colon, dom, body, start.span)
-
-    def _parse_lambda(self):
-        start = self.expect("[")
-        name = self.expect_ident("a binder name").text
-        self.expect("]")
-        body = self.parse_expr()
-        return RLam(name, body, start.span)
-
-    def _parse_arrows(self):
-        items = [self._parse_prod()]
-        ops: list[str] = []
-        while self.at("->") or self.at("-:>") or self.at("<-"):
-            ops.append(self.next().text)
-            if self.at("{") or self.at("["):
-                items.append(self.parse_expr())
-                break
-            items.append(self._parse_prod())
-        if not ops:
-            return items[0]
-        if all(op in ("->", "-:>") for op in ops):
-            result = items[-1]
-            for op, item in zip(reversed(ops), reversed(items[:-1])):
-                result = (RArrow if op == "->" else RIrrArrow)(item, result)
-            return result
-        if all(op == "<-" for op in ops):
-            result = items[0]
-            for item in items[1:]:
-                result = RArrow(item, result)
-            return result
-        raise ParseError("mixing -> and <- in one chain needs parentheses",
-                         _raw_span(items[0]))
-
-    def _parse_prod(self):
-        left = self._parse_infix(0)
-        if self.at("*"):
-            self.next()
-            return RProd(left, self._parse_prod())
-        return left
-
-    def _parse_infix(self, min_prec: int):
-        left = self._parse_app()
-        while True:
-            t = self.peek()
-            if t.kind == "IDENT" and self.infix.get(t.text, -1) >= min_prec:
-                op = self.next()
-                rhs = self._parse_infix(self.infix[op.text])
-                left = RApp(RApp(RIdent(op.text, op.span), left), rhs)
-            else:
-                return left
-
-    def _starts_atom(self) -> bool:
-        t = self.peek()
-        if t.kind == "IDENT":
-            return t.text not in self.infix
-        if t.kind == "NUM":
-            return True
-        return t.kind == "SYM" and t.text in _ATOM_STARTERS_SYM
-
-    def _parse_app(self):
-        head = self._parse_atom_postfix()
-        while True:
-            if self.at("[["):
-                self.next()
-                arg = self.parse_expr()
-                self.expect("]]")
-                head = RIrrApp(head, arg)
-            elif self._starts_atom():
-                head = RApp(head, self._parse_atom_postfix())
-            else:
-                return head
-
-    def _parse_atom_postfix(self):
-        base = self._parse_atom()
-        while self.at(".1") or self.at(".2"):
-            which = int(self.next().text[1])
-            base = RProj(base, which)
-        return base
-
-    def _parse_atom(self):
-        t = self.peek()
-        if t.kind == "IDENT":
-            self.next()
-            return RIdent(t.text, t.span)
-        if t.kind == "NUM":
-            self.next()
-            return RNum(_numeral(t), t.span)
-        if self.at("#"):
-            self.next()
-            return RTop(t.span)
-        if self.at("("):
-            self.next()
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        if self.at("["):
-            return self._parse_lambda()
-        if self.at("<>"):
-            self.next()
-            return RUnitTerm(t.span)
-        if self.at("<"):
-            self.next()
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
-            self.expect(">")
-            return RPair(left, right)
-        raise ParseError(f"expected an expression, found {t.text or 'end of input'!r}",
-                         t.span)
+    if type(right) is _Bad:
+        return right
+    return make(left, right)
 
 
-def _is_kind_expr(e) -> bool:
-    """A classifier is a kind iff some tail position reaches `type` or `sort`."""
-    match e:
-        case RIdent(n):
-            return n in ("type", "sort")
-        case RArrow(_, c) | RIrrArrow(_, c):
-            return _is_kind_expr(c)
-        case RPi(_, _, _, b):
-            return _is_kind_expr(b)
-        case RProd(l, r):
-            return _is_kind_expr(l) or _is_kind_expr(r)
-        case RInter(l, r):
-            return _is_kind_expr(l) or _is_kind_expr(r)
-    return False
+class _Elab:
+    """Each method builds one construct in category cat from its parts,
+    already elaborated.  A construct a category has no rule for is ill
+    formed where it starts; these defaults say so."""
+
+    def num(self, cat, value, at):
+        return _Bad(_EXPECTED[cat], at)
+
+    def top(self, cat, at):
+        return _Bad(_EXPECTED[cat], at)
+
+    def unit(self, cat, at):
+        return _Bad(_EXPECTED[cat], at)
+
+    def pair(self, cat, left, right, at):
+        return _Bad(_EXPECTED[cat], at)
+
+    def lam(self, cat, name, body, at):
+        return _Bad(_EXPECTED[cat], at)
+
+    def app(self, cat, fn, arg, at):
+        return _Bad(_EXPECTED[cat], at)
+
+    def irr_app(self, cat, fn, arg, at):
+        return _Bad(_EXPECTED[cat], at)
+
+    def proj(self, cat, base, which, at):
+        return _Bad(_EXPECTED[cat], at)
+
+    def prod(self, cat, left, right, at):
+        return _Bad(_EXPECTED[cat], at)
+
+    def inter(self, cat, left, right, at):
+        return _Bad(_EXPECTED[cat], at)
 
 
-# ---------------------------------------------------------------------------
-# Elaboration into the source AST
-#
-# A scope lists the names of the binders around an expression, innermost
-# last, None for an arrow's.  A bound name becomes its index as it is
-# read, and each binder is built around its body as the body comes back.
-
-
-class _SourceElab:
+class _SourceElab(_Elab):
     def __init__(self):
         self.term_consts: set[str] = set()
         self.fam_kinds: dict[str, KType | KPi] = {}
 
-    def term(self, e, scope: list):
-        match e:
-            case RIdent(n):
-                if n in scope:
-                    return BVar(scope[::-1].index(n))
-                if n in self.term_consts:
-                    return Const(n)
-                if n[:1].isupper():
-                    raise ParseError(
-                        f"undeclared uppercase identifier {n}; implicit "
-                        f"quantification is not supported, bind it explicitly",
-                        e.span)
-                return FVar(n)
-            case RApp(f, a):
-                fn = self.term(f, scope)
-                if isinstance(fn, Lam):
-                    raise ParseError(
-                        "application of a function expression is not a "
-                        "canonical form", _raw_span(e))
-                return App(fn, self.term(a, scope))
-            case RLam(x, b):
-                return Lam(x, self.term(b, scope + [x]))
-        raise ParseError("expected a term", _raw_span(e))
+    def ident(self, cat, n, at, scope):
+        if cat == _TERM:
+            if n in scope:
+                return BVar(scope[::-1].index(n))
+            if n in self.term_consts:
+                return Const(n)
+            if n[:1].isupper():
+                return _Bad(
+                    f"undeclared uppercase identifier {n}; implicit "
+                    f"quantification is not supported, bind it explicitly",
+                    at)
+            return FVar(n)
+        if cat == _TYPE:
+            return TConst(n)
+        if cat == _SORT:
+            return SConst(n)
+        if n == ("type" if cat == _KIND else "sort"):
+            return KType() if cat == _KIND else CSort()
+        return _Bad(_EXPECTED[cat], at)
 
-    def type(self, e, scope: list):
-        match e:
-            case RIdent(n):
-                return TConst(n)
-            case RApp(f, a):
-                fn = self.type(f, scope)
-                if not isinstance(fn, (TConst, TApp)):
-                    raise ParseError("expected an atomic type", _raw_span(e))
-                return TApp(fn, self.term(a, scope))
-            case RArrow(d, c):
-                return TPi("x", self.type(d, scope),
-                           self.type(c, scope + [None]))
-            case RPi(x, ":", d, b):
-                return TPi(x, self.type(d, scope), self.type(b, scope + [x]))
-            case RPi(_, "::", _, _):
-                raise ParseError("type binders use ':', not '::'", e.span)
-        raise ParseError("expected a type", _raw_span(e))
+    def top(self, cat, at):
+        if cat == _SORT:
+            return STop()
+        if cat == _CLASS:
+            return CTop()
+        return _Bad(_EXPECTED[cat], at)
 
-    def kind(self, e, scope: list):
-        match e:
-            case RIdent("type"):
-                return KType()
-            case RArrow(d, c):
-                return KPi("x", self.type(d, scope),
-                           self.kind(c, scope + [None]))
-            case RPi(x, ":", d, b):
-                return KPi(x, self.type(d, scope), self.kind(b, scope + [x]))
-        raise ParseError("expected a kind", _raw_span(e))
+    def lam(self, cat, name, body, at):
+        if cat != _TERM:
+            return _Bad(_EXPECTED[cat], at)
+        return body if type(body) is _Bad else Lam(name, body)
 
-    def sort(self, e, scope: list):
-        match e:
-            case RIdent(n):
-                return SConst(n)
-            case RTop():
-                return STop()
-            case RApp(f, a):
-                fn = self.sort(f, scope)
-                if not isinstance(fn, (SConst, SApp)):
-                    raise ParseError("expected an atomic sort", _raw_span(e))
-                return SApp(fn, self.term(a, scope))
-            case RInter(l, r):
-                return SInter(self.sort(l, scope), self.sort(r, scope))
-            case RArrow(d, c):
-                return SPi("x", self.sort(d, scope), None,
-                           self.sort(c, scope + [None]))
-            case RPi(x, "::", d, b):
-                return SPi(x, self.sort(d, scope), None,
-                           self.sort(b, scope + [x]))
-            case RPi(_, ":", _, _):
-                raise ParseError("sort binders use '::', not ':'", e.span)
-        raise ParseError("expected a sort", _raw_span(e))
+    def app(self, cat, fn, arg, at):
+        if cat == _TERM:
+            return _apply(fn, arg, at, not isinstance(fn, Lam),
+                          "application of a function expression is not a "
+                          "canonical form", App)
+        if cat == _TYPE:
+            return _apply(fn, arg, at, isinstance(fn, (TConst, TApp)),
+                          "expected an atomic type", TApp)
+        if cat == _SORT:
+            return _apply(fn, arg, at, isinstance(fn, (SConst, SApp)),
+                          "expected an atomic sort", SApp)
+        return _Bad(_EXPECTED[cat], at)
 
-    def cls(self, e, scope: list):
-        match e:
-            case RIdent("sort"):
-                return CSort()
-            case RTop():
-                return CTop()
-            case RInter(l, r):
-                return CInter(self.cls(l, scope), self.cls(r, scope))
-            case RArrow(d, c):
-                return CPi("x", self.sort(d, scope), None,
-                           self.cls(c, scope + [None]))
-            case RPi(x, "::", d, b):
-                return CPi(x, self.sort(d, scope), None,
-                           self.cls(b, scope + [x]))
-            case RPi(_, ":", _, _):
-                raise ParseError("class binders use '::', not ':'", e.span)
-        raise ParseError("expected a class", _raw_span(e))
+    def arrow(self, cat, irrelevant, dom, cod, at):
+        if irrelevant or cat == _TERM:
+            return _Bad(_EXPECTED[cat], at)
+        return self._pi(cat, "x", dom, cod)
+
+    def pi(self, cat, name, colon, dom, body, at):
+        if cat == _TERM or cat == _KIND and colon == "::":
+            return _Bad(_EXPECTED[cat], at)
+        if cat == _TYPE and colon == "::":
+            return _Bad("type binders use ':', not '::'", at)
+        if cat >= _SORT and colon == ":":
+            return _Bad(f"{'sort' if cat == _SORT else 'class'} binders "
+                        f"use '::', not ':'", at)
+        return self._pi(cat, name, dom, body)
+
+    @staticmethod
+    def _pi(cat, name, dom, cod):
+        if type(dom) is _Bad:
+            return dom
+        if type(cod) is _Bad:
+            return cod
+        if cat == _TYPE:
+            return TPi(name, dom, cod)
+        if cat == _KIND:
+            return KPi(name, dom, cod)
+        return (SPi if cat == _SORT else CPi)(name, dom, None, cod)
+
+    def inter(self, cat, left, right, at):
+        if cat == _SORT:
+            return _both(left, right, SInter)
+        if cat == _CLASS:
+            return _both(left, right, CInter)
+        return _Bad(_EXPECTED[cat], at)
+
+
+_ATOMIC_TYPES = (L.ITConst, L.ITApp, L.ITIrrApp)
+
+
+class _TargetElab(_Elab):
+    """Elaboration into the target AST, in the term, type and kind
+    categories."""
+
+    def __init__(self):
+        self.consts: set[str] = set()
+
+    def ident(self, cat, n, at, scope):
+        if cat == _TERM:
+            if n in scope:
+                return L.IBVar(scope[::-1].index(n))
+            return L.IConst(n) if n in self.consts else L.IFVar(n)
+        if cat == _TYPE:
+            return L.ITConst(n)
+        return L.IKType() if n == "type" else _Bad(_EXPECTED[cat], at)
+
+    def num(self, cat, value, at):
+        if value == 1 and cat != _TERM:
+            return L.ITUnitT() if cat == _TYPE else L.IKUnit()
+        return _Bad(_EXPECTED[cat], at)
+
+    def unit(self, cat, at):
+        return L.IUnit() if cat == _TERM else _Bad(_EXPECTED[cat], at)
+
+    def pair(self, cat, left, right, at):
+        if cat != _TERM:
+            return _Bad(_EXPECTED[cat], at)
+        return _both(left, right, L.IPair)
+
+    def lam(self, cat, name, body, at):
+        if cat != _TERM:
+            return _Bad(_EXPECTED[cat], at)
+        return body if type(body) is _Bad else L.ILam(name, body)
+
+    def app(self, cat, fn, arg, at):
+        if cat == _TERM:
+            return _apply(fn, arg, at, L.is_lfi_atomic(fn),
+                          "application of a non-atomic term", L.IApp)
+        if cat == _TYPE:
+            return _apply(fn, arg, at, isinstance(fn, _ATOMIC_TYPES),
+                          "expected an atomic type", L.ITApp)
+        return _Bad(_EXPECTED[cat], at)
+
+    def irr_app(self, cat, fn, arg, at):
+        if cat == _TERM:
+            return _apply(fn, arg, at, L.is_lfi_atomic(fn),
+                          "irrelevant application of a non-atomic term",
+                          L.IIrrApp)
+        if cat == _TYPE:
+            return _apply(fn, arg, at, isinstance(fn, _ATOMIC_TYPES),
+                          "expected an atomic type", L.ITIrrApp)
+        return _Bad(_EXPECTED[cat], at)
+
+    def proj(self, cat, base, which, at):
+        if cat != _TERM:
+            return _Bad(_EXPECTED[cat], at)
+        if type(base) is _Bad:
+            return base
+        if not L.is_lfi_atomic(base):
+            return _Bad("projection from a non-atomic term", at)
+        return (L.IFst if which == 1 else L.ISnd)(base)
+
+    def arrow(self, cat, irrelevant, dom, cod, at):
+        return self.pi(cat, "x", "::" if irrelevant else ":", dom, cod, at)
+
+    def pi(self, cat, name, colon, dom, body, at):
+        if cat == _TERM:
+            return _Bad(_EXPECTED[cat], at)
+        if type(dom) is _Bad:
+            return dom
+        if type(body) is _Bad:
+            return body
+        if cat == _TYPE:
+            return (L.ITPi if colon == ":" else L.ITIrrPi)(name, dom, body)
+        return (L.IKPi if colon == ":" else L.IKIrrPi)(name, dom, body)
+
+    def prod(self, cat, left, right, at):
+        if cat == _TERM:
+            return _Bad(_EXPECTED[cat], at)
+        return _both(left, right, L.ITProd if cat == _TYPE else L.IKProd)
+
+
+# ---------------------------------------------------------------------------
+# The grammar
+#
+# A scope lists the names of the binders around an expression, innermost
+# last, None for an arrow's.  A bound name becomes its index as it is
+# read, and each binder is built around its body as the body comes back.
+#
+# expr and operand return (value, at, kind tail): the elaborated value,
+# the index of the token the expression's span is taken from, and whether
+# a tail position of it is `type` or `sort`, which makes a `:`
+# declaration's classifier a kind.  Nesting one parenthesis deeper costs
+# one frame of each.
+
+_ARROWS = frozenset(("->", "-:>", "<-"))
+_ARG_SYMS = frozenset(("#", "(", "<", "<>"))   # they start an argument
+_PI, _LAM, _INTER, _CHAIN = range(4)   # what waits for the rest
+
+
+class _Parser:
+    def __init__(self, text: str, filename: str, target_mode: bool, elab):
+        self.toks = tokenize(text, filename, target_mode)
+        self.lines = SourceLines(text, filename)
+        self.pos = 0
+        self.infix: dict[str, int] = {}
+        self.el = elab
+
+    # -- tokens and errors
+
+    def span(self, i: int) -> SourceSpan:
+        _, text, offset = self.toks[i]
+        return self.lines.span(offset, len(text))
+
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.span(i))
+
+    def expect(self, text: str) -> None:
+        found = self.toks[self.pos][1]
+        if found != text:
+            raise self.error(
+                f"expected {text!r}, found {found or 'end of input'!r}",
+                self.pos)
+        self.pos += 1
+
+    def ident(self, what: str) -> str:
+        kind, text, _ = self.toks[self.pos]
+        if kind != "IDENT":
+            raise self.error(
+                f"expected {what}, found {text or 'end of input'!r}",
+                self.pos)
+        self.pos += 1
+        return text
+
+    def numeral(self, i: int) -> int:
+        """The value of NUM token i; one int() refuses is a located error."""
+        text = self.toks[i][1]
+        try:
+            return int(text)
+        except ValueError:
+            raise self.error(f"numeral of {len(text)} digits is too long",
+                             i) from None
+
+    def elaborated(self, value):
+        if type(value) is _Bad:
+            raise self.error(value.message, value.at)
+        return value
+
+    # -- declarations
+
+    def declared(self, cat: int):
+        """A declaration's classifier in cat, up to and with its `.`."""
+        value = self.expr(cat, [])[0]
+        self.expect(".")
+        return self.elaborated(value)
+
+    def classifier(self):
+        """A `:` declaration's classifier, up to and with its `.`, and
+        whether it is a kind: whether a tail position is `type` or `sort`
+        (a kind that does not say so reads as a type)."""
+        start = self.pos
+        value, _, is_kind = self.expr(_TYPE, [])
+        self.expect(".")
+        if is_kind:
+            end, self.pos = self.pos, start
+            value = self.expr(_KIND, [])[0]
+            self.pos = end
+        return self.elaborated(value), is_kind
+
+    # -- expressions
+
+    def expr(self, cat: int, scope: list):
+        toks, el = self.toks, self.el
+        waiting = []   # binders, `^` and arrow chains, innermost last
+        while True:
+            text = toks[self.pos][1]
+            if text == "{":
+                at = self.pos
+                self.pos += 1
+                name = self.ident("a binder name")
+                colon = toks[self.pos][1]
+                if colon != ":" and colon != "::":
+                    raise self.error(f"expected ':' or '::' in binder, "
+                                     f"found {colon!r}", self.pos)
+                self.pos += 1
+                dom = self.expr(_DOMAIN[cat], scope)[0]
+                self.expect("}")
+                waiting.append((_PI, cat, at, name, colon, dom))
+                scope = scope + [name]
+                continue
+            if text == "[":
+                at = self.pos
+                self.pos += 1
+                name = self.ident("a binder name")
+                self.expect("]")
+                waiting.append((_LAM, cat, at, name))
+                scope = scope + [name]
+                cat = _TERM
+                continue
+            # Operands joined by arrows, each read as a domain.
+            dom_cat, start = _DOMAIN[cat], self.pos
+            value, at, tail = self.operand(dom_cat, scope)
+            op = toks[self.pos][1]
+            if op in _ARROWS:
+                items, ops, inner = [(value, at, tail, start)], [], scope
+                while True:
+                    ops.append(op)
+                    self.pos += 1
+                    inner = inner + [None]
+                    if toks[self.pos][1] in ("{", "["):
+                        break
+                    start = self.pos
+                    items.append((*self.operand(dom_cat, inner), start))
+                    op = toks[self.pos][1]
+                    if op not in _ARROWS:
+                        break
+                if op in _ARROWS:
+                    # A binder or an abstraction ends the chain: the rest
+                    # of the expression is its last operand, a codomain,
+                    # or the first domain when it reads right to left.
+                    waiting.append((_CHAIN, cat, scope, items, ops))
+                    if "->" in ops or "-:>" in ops:
+                        scope = inner
+                    else:
+                        cat = dom_cat
+                    continue
+                value, at, tail = self.chain(cat, scope, items, ops, None)
+            elif dom_cat != cat:
+                value, at, tail = self.reread(start, cat, scope)
+            if toks[self.pos][1] != "^":
+                break
+            self.pos += 1
+            waiting.append((_INTER, cat, value, at, tail))
+        while waiting:
+            w = waiting.pop()
+            if w[0] == _PI:
+                _, wcat, at, name, colon, dom = w
+                value = el.pi(wcat, name, colon, dom, value, at)
+            elif w[0] == _LAM:
+                _, wcat, at, name = w
+                value, tail = el.lam(wcat, name, value, at), False
+            elif w[0] == _INTER:
+                _, wcat, left, at, left_tail = w
+                value = el.inter(wcat, left, value, at)
+                tail = left_tail or tail
+            else:
+                _, wcat, wscope, items, ops = w
+                value, at, tail = self.chain(wcat, wscope, items, ops,
+                                             (value, at, tail))
+        return value, at, tail
+
+    def chain(self, cat: int, scope: list, items: list, ops: list, last):
+        """The arrows ops between items, each (value, at, kind tail,
+        start) read as a domain in scope with an arrow's None for each
+        item before it; last is the final operand when a binder or an
+        abstraction started it, read as it belongs."""
+        el = self.el
+        if "<-" not in ops:
+            # a -> b -> c: each item under the arrows to its left.
+            if last is None:
+                *items, (value, at, tail, start) = items
+                if _DOMAIN[cat] != cat:
+                    value, at, tail = self.reread(
+                        start, cat, scope + [None] * len(items))
+            else:
+                value, at, tail = last
+            for (dom, dom_at, _, _), op in zip(reversed(items),
+                                               reversed(ops)):
+                value, at = el.arrow(cat, op == "-:>", dom, value,
+                                     dom_at), dom_at
+            return value, at, tail
+        if "->" in ops or "-:>" in ops:
+            raise self.error("mixing -> and <- in one chain needs "
+                             "parentheses", items[0][1])
+        # c <- b <- a is a -> b -> c: each item under the arrows to its
+        # right.
+        n = len(ops)
+        doms = [last if i == n and last is not None else
+                self.reread(items[i][3], _DOMAIN[cat],
+                            scope + [None] * (n - i))
+                for i in range(1, n + 1)]
+        value, _, tail = self.reread(items[0][3], cat, scope + [None] * n)
+        for dom, at, _ in doms:
+            value = el.arrow(cat, False, dom, value, at)
+        return value, at, tail
+
+    def reread(self, start: int, cat: int, scope: list):
+        """The operand at token start read again, in cat under scope."""
+        end, self.pos = self.pos, start
+        result = self.operand(cat, scope)
+        self.pos = end
+        return result
+
+    def operand(self, cat: int, scope: list):
+        """Factors of `*`, each infix operators over applications."""
+        toks, infix, el = self.toks, self.infix, self.el
+        factors = []
+        while True:
+            start, app_cat, args, ops = self.pos, cat, None, None
+            while True:
+                # An application in app_cat: a head, its projections, and
+                # arguments, each a term.
+                value = None
+                while True:
+                    i = self.pos
+                    kind, text, _ = toks[i]
+                    if value is None:
+                        c = app_cat
+                    elif text == "[[":
+                        self.pos = i + 1
+                        arg = self.expr(_TERM, scope)[0]
+                        self.expect("]]")
+                        value = el.irr_app(app_cat, value, arg, at)
+                        tail = False
+                        continue
+                    elif (kind == "IDENT" and text not in infix
+                          or kind == "NUM" or text in _ARG_SYMS):
+                        c = _TERM
+                    else:
+                        break
+                    a_tail = False
+                    if kind == "IDENT":
+                        self.pos = i + 1
+                        a, a_at = el.ident(c, text, i, scope), i
+                        a_tail = text == "type" or text == "sort"
+                    elif kind == "NUM":
+                        self.pos = i + 1
+                        a, a_at = el.num(c, self.numeral(i), i), i
+                    elif text == "(":
+                        self.pos = i + 1
+                        a, a_at, a_tail = self.expr(c, scope)
+                        self.expect(")")
+                    elif text == "#":
+                        self.pos = i + 1
+                        a, a_at = el.top(c, i), i
+                    elif text == "<>":
+                        self.pos = i + 1
+                        a, a_at = el.unit(c, i), i
+                    elif text == "<":
+                        self.pos = i + 1
+                        left, a_at, _ = self.expr(_TERM, scope)
+                        self.expect(",")
+                        right = self.expr(_TERM, scope)[0]
+                        self.expect(">")
+                        a = el.pair(c, left, right, a_at)
+                    elif text == "[":
+                        self.pos = i + 1
+                        name = self.ident("a binder name")
+                        self.expect("]")
+                        body = self.expr(_TERM, scope + [name])[0]
+                        a, a_at = el.lam(c, name, body, i), i
+                    else:
+                        raise self.error(f"expected an expression, found "
+                                         f"{text or 'end of input'!r}", i)
+                    while toks[self.pos][1] in (".1", ".2"):
+                        which = int(toks[self.pos][1][1])
+                        a, a_tail = el.proj(c, a, which, a_at), False
+                        self.pos += 1
+                    if value is None:
+                        value, at, tail = a, a_at, a_tail
+                    else:
+                        value, tail = el.app(app_cat, value, a, at), False
+                kind, text, _ = toks[self.pos]
+                if kind != "IDENT" or text not in infix:
+                    break
+                if app_cat != _TERM:
+                    # An operand of an infix operator is a term.
+                    self.pos, app_cat = start, _TERM
+                    continue
+                if args is None:
+                    args, ops = [], []   # operands; (precedence, at)
+                args.append((value, at, tail))
+                prec = infix[text]
+                while ops and ops[-1][0] > prec:
+                    self.infix_app(_TERM, args, ops, scope)
+                ops.append((prec, self.pos))
+                self.pos += 1
+            if args is not None:
+                args.append((value, at, tail))
+                while ops:
+                    self.infix_app(cat if len(ops) == 1 else _TERM, args,
+                                   ops, scope)
+                value, at, tail = args[0]
+            if toks[self.pos][1] != "*":
+                break
+            factors.append((value, at, tail))
+            self.pos += 1
+        while factors:
+            left, at, left_tail = factors.pop()
+            value = el.prod(cat, left, value, at)
+            tail = left_tail or tail
+        return value, at, tail
+
+    def infix_app(self, cat: int, args: list, ops: list, scope: list):
+        """Apply the last operator of ops to the last two of args."""
+        _, at = ops.pop()
+        right, left = args.pop()[0], args.pop()[0]
+        el = self.el
+        head = el.ident(cat, self.toks[at][1], at, scope)
+        args.append((el.app(cat, el.app(cat, head, left, at), right, at),
+                     at, False))
 
 
 def _default_class(kind):
@@ -542,74 +717,64 @@ def _default_class(kind):
 
 
 def parse_signature(text: str, filename: str = "<input>") -> Signature:
-    tokens = tokenize(text, filename, target_mode=False)
-    p = _Parser(tokens)
     elab = _SourceElab()
+    p = _Parser(text, filename, False, elab)
+    toks = p.toks
     sig = Signature()
-    while p.peek().kind != "EOF":
-        if p.at("%infix"):
-            p.next()
-            assoc = p.expect_ident("an associativity").text
-            if assoc != "right":
-                raise ParseError("only right-associative infix is supported",
-                                 p.toks[p.pos - 1].span)
-            prec_tok = p.peek()
-            if prec_tok.kind != "NUM":
-                raise ParseError("expected a precedence", prec_tok.span)
-            p.next()
-            op = p.expect_ident("an operator name")
-            if op.text not in elab.term_consts:
-                raise ParseError(
-                    f"infix operator {op.text} must name a declared constant",
-                    op.span)
+    while toks[p.pos][0] != "EOF":
+        if toks[p.pos][1] == "%infix":
+            p.pos += 1
+            if p.ident("an associativity") != "right":
+                raise p.error("only right-associative infix is supported",
+                              p.pos - 1)
+            prec = p.pos
+            if toks[prec][0] != "NUM":
+                raise p.error("expected a precedence", prec)
+            p.pos += 1
+            op = p.ident("an operator name")
+            if op not in elab.term_consts:
+                raise p.error(
+                    f"infix operator {op} must name a declared constant",
+                    p.pos - 1)
             p.expect(".")
-            p.infix[op.text] = _numeral(prec_tok)
+            p.infix[op] = p.numeral(prec)
             continue
-        name = p.expect_ident("a declaration name")
-        if p.at(":"):
-            p.next()
-            e = p.parse_expr()
-            p.expect(".")
-            if _is_kind_expr(e):
-                kind = elab.kind(e, [])
-                elab.fam_kinds[name.text] = kind
-                sig.append(TypeFam(name.text, kind, name.span))
+        at = p.pos
+        name = p.ident("a declaration name")
+        sep = toks[p.pos][1]
+        p.pos += 1
+        if sep == ":":
+            classifier, is_kind = p.classifier()
+            if is_kind:
+                elab.fam_kinds[name] = classifier
+                sig.append(TypeFam(name, classifier, p.span(at)))
             else:
-                ty = elab.type(e, [])
-                elab.term_consts.add(name.text)
-                sig.append(TermConst(name.text, ty, name.span))
-        elif p.at("<<"):
-            p.next()
-            fam = p.expect_ident("a type family name")
-            if p.at("::"):
-                p.next()
-                e = p.parse_expr()
-                p.expect(".")
-                cls = elab.cls(e, [])
+                elab.term_consts.add(name)
+                sig.append(TermConst(name, classifier, p.span(at)))
+        elif sep == "<<":
+            fam = p.ident("a type family name")
+            if toks[p.pos][1] == "::":
+                p.pos += 1
+                cls = p.declared(_CLASS)
             else:
                 p.expect(".")
-                kind = elab.fam_kinds.get(fam.text)
+                kind = elab.fam_kinds.get(fam)
                 if kind is None:
-                    raise ParseError(
-                        f"cannot default the class of {name.text}: unknown "
-                        f"family {fam.text}", fam.span)
+                    raise p.error(
+                        f"cannot default the class of {name}: unknown "
+                        f"family {fam}", at + 2)
                 cls = _default_class(kind)
-            sig.append(SortFam(name.text, fam.text, cls, name.span))
-        elif p.at("::"):
-            p.next()
-            e = p.parse_expr()
+            sig.append(SortFam(name, fam, cls, p.span(at)))
+        elif sep == "::":
+            sig.append(ConstRef(name, p.declared(_SORT), p.span(at)))
+        elif sep == "<:":
+            sup = p.ident("a sort family name")
             p.expect(".")
-            sig.append(ConstRef(name.text, elab.sort(e, []), name.span))
-        elif p.at("<:"):
-            p.next()
-            sup = p.expect_ident("a sort family name")
-            p.expect(".")
-            sig.append(SubDecl(name.text, sup.text, name.span))
+            sig.append(SubDecl(name, sup, p.span(at)))
         else:
-            t = p.peek()
-            raise ParseError(
-                f"expected ':', '::', '<<', or '<:' after {name.text}, "
-                f"found {t.text or 'end of input'!r}", t.span)
+            raise p.error(
+                f"expected ':', '::', '<<', or '<:' after {name}, "
+                f"found {sep or 'end of input'!r}", p.pos - 1)
     return sig
 
 
@@ -620,141 +785,40 @@ def parse_signature(text: str, filename: str = "<input>") -> Signature:
 def parse_term(text: str, consts: frozenset[str] | set[str] = frozenset(),
                filename: str = "<term>"):
     """Parse one term; identifiers in `consts` become constants."""
-    return _parse_one(text, filename, consts, _SourceElab.term)
+    return _parse_one(text, filename, consts, _TERM)
 
 
 def parse_type(text: str, consts: frozenset[str] | set[str] = frozenset(),
                filename: str = "<type>"):
-    return _parse_one(text, filename, consts, _SourceElab.type)
+    return _parse_one(text, filename, consts, _TYPE)
 
 
 def parse_sort(text: str, consts: frozenset[str] | set[str] = frozenset(),
                filename: str = "<sort>"):
-    return _parse_one(text, filename, consts, _SourceElab.sort)
+    return _parse_one(text, filename, consts, _SORT)
 
 
-def _parse_one(text, filename, consts, elaborate):
-    """One expression, the whole of text, elaborated by `elaborate`."""
-    p = _Parser(tokenize(text, filename, target_mode=False))
+def _parse_one(text, filename, consts, cat):
+    """One expression in category cat, the whole of text."""
     elab = _SourceElab()
     elab.term_consts = set(consts)
-    e = p.parse_expr()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.span)
-    return elaborate(elab, e, [])
-
-
-# ---------------------------------------------------------------------------
-# Elaboration into the target AST
-
-
-class _TargetElab:
-    def __init__(self):
-        self.consts: set[str] = set()
-
-    def term(self, e, scope: list):
-        match e:
-            case RIdent(n):
-                if n in scope:
-                    return L.IBVar(scope[::-1].index(n))
-                if n in self.consts:
-                    return L.IConst(n)
-                return L.IFVar(n)
-            case RApp(f, a):
-                fn = self.term(f, scope)
-                if not L.is_lfi_atomic(fn):
-                    raise ParseError("application of a non-atomic term",
-                                     _raw_span(e))
-                return L.IApp(fn, self.term(a, scope))
-            case RIrrApp(f, a):
-                fn = self.term(f, scope)
-                if not L.is_lfi_atomic(fn):
-                    raise ParseError("irrelevant application of a non-atomic "
-                                     "term", _raw_span(e))
-                return L.IIrrApp(fn, self.term(a, scope))
-            case RProj(b, which):
-                base = self.term(b, scope)
-                if not L.is_lfi_atomic(base):
-                    raise ParseError("projection from a non-atomic term",
-                                     _raw_span(e))
-                return (L.IFst if which == 1 else L.ISnd)(base)
-            case RLam(x, b):
-                return L.ILam(x, self.term(b, scope + [x]))
-            case RPair(l, r):
-                return L.IPair(self.term(l, scope), self.term(r, scope))
-            case RUnitTerm():
-                return L.IUnit()
-        raise ParseError("expected a term", _raw_span(e))
-
-    def type(self, e, scope: list):
-        match e:
-            case RIdent(n):
-                return L.ITConst(n)
-            case RNum(1):
-                return L.ITUnitT()
-            case RApp(f, a):
-                fn = self.type(f, scope)
-                if not isinstance(fn, (L.ITConst, L.ITApp, L.ITIrrApp)):
-                    raise ParseError("expected an atomic type", _raw_span(e))
-                return L.ITApp(fn, self.term(a, scope))
-            case RIrrApp(f, a):
-                fn = self.type(f, scope)
-                if not isinstance(fn, (L.ITConst, L.ITApp, L.ITIrrApp)):
-                    raise ParseError("expected an atomic type", _raw_span(e))
-                return L.ITIrrApp(fn, self.term(a, scope))
-            case RArrow(d, c):
-                return L.ITPi("x", self.type(d, scope),
-                              self.type(c, scope + [None]))
-            case RIrrArrow(d, c):
-                return L.ITIrrPi("x", self.type(d, scope),
-                                 self.type(c, scope + [None]))
-            case RPi(x, ":", d, b):
-                return L.ITPi(x, self.type(d, scope),
-                              self.type(b, scope + [x]))
-            case RPi(x, "::", d, b):
-                return L.ITIrrPi(x, self.type(d, scope),
-                                 self.type(b, scope + [x]))
-            case RProd(l, r):
-                return L.ITProd(self.type(l, scope), self.type(r, scope))
-        raise ParseError("expected a type", _raw_span(e))
-
-    def kind(self, e, scope: list):
-        match e:
-            case RIdent("type"):
-                return L.IKType()
-            case RNum(1):
-                return L.IKUnit()
-            case RArrow(d, c):
-                return L.IKPi("x", self.type(d, scope),
-                              self.kind(c, scope + [None]))
-            case RIrrArrow(d, c):
-                return L.IKIrrPi("x", self.type(d, scope),
-                                 self.kind(c, scope + [None]))
-            case RPi(x, ":", d, b):
-                return L.IKPi(x, self.type(d, scope),
-                              self.kind(b, scope + [x]))
-            case RPi(x, "::", d, b):
-                return L.IKIrrPi(x, self.type(d, scope),
-                                 self.kind(b, scope + [x]))
-            case RProd(l, r):
-                return L.IKProd(self.kind(l, scope), self.kind(r, scope))
-        raise ParseError("expected a kind", _raw_span(e))
+    p = _Parser(text, filename, False, elab)
+    value = p.expr(cat, [])[0]
+    kind, rest, _ = p.toks[p.pos]
+    if kind != "EOF":
+        raise p.error(f"unexpected trailing input {rest!r}", p.pos)
+    return p.elaborated(value)
 
 
 def parse_lfi(text: str, filename: str = "<input>") -> L.LfiSignature:
-    tokens = tokenize(text, filename, target_mode=True)
-    p = _Parser(tokens)
     elab = _TargetElab()
+    p = _Parser(text, filename, True, elab)
     sig = L.LfiSignature()
-    while p.peek().kind != "EOF":
-        name = p.expect_ident("a declaration name")
+    while p.toks[p.pos][0] != "EOF":
+        at = p.pos
+        name = p.ident("a declaration name")
         p.expect(":")
-        e = p.parse_expr()
-        p.expect(".")
-        if _is_kind_expr(e):
-            sig.append(L.LfiDecl(name.text, elab.kind(e, []), name.span))
-        else:
-            sig.append(L.LfiDecl(name.text, elab.type(e, []), name.span))
-        elab.consts.add(name.text)
+        classifier, _ = p.classifier()
+        sig.append(L.LfiDecl(name, classifier, p.span(at)))
+        elab.consts.add(name)
     return sig

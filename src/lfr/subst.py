@@ -44,12 +44,15 @@ class MetricExhausted(Exception):
     """The termination metric guard fired; indicates a bug, not bad input.
 
     Not a SubstFailure: a substitution that is undefined rejects the
-    input, one that runs out of fuel stops the whole run.
+    input, one that runs out of fuel stops the whole run.  span is the
+    declaration being checked, translated or re-checked when it fired;
+    the loop over declarations sets it.
     """
 
     def __init__(self, path: Path):
         super().__init__(f"metric exhausted at {'/'.join(path) or 'root'}")
         self.path = path
+        self.span = None
 
 
 DEFAULT_FUEL = 1_000_000

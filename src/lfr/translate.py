@@ -73,7 +73,7 @@ from .lfr_check import (
     subsort_q,
 )
 from .printer import pp_sort
-from .subst import erase_type, eta_expand
+from .subst import MetricExhausted, erase_type, eta_expand
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,
@@ -646,3 +646,6 @@ def verify_translation(sig: Signature, result: TransResult) -> None:
             raise VerifyError(
                 f"translated proof for {c} failed re-checking: "
                 f"{e.message}", sig.const_refs[c][0].span)
+        except MetricExhausted as e:
+            e.span = sig.const_refs[c][0].span
+            raise

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from lfr import VerifyError, lfi_check_sig, parse_lfi
 from lfr.cli import main
 from lfr.lfi import ITUnitT, LfiDecl
-from lfr.parser import tokenize
+from lfr.parser import SourceLines, tokenize
 
 from conftest import (FUEL_TEXT, GOLDEN_DIR, GOLDEN_NAMES, LATER_EDGE_TEXTS,
                       checkout_env, golden_path)
@@ -513,26 +513,28 @@ class TestVerify:
         assert "search budget exhausted" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check", "translate", "verify"])
-    @pytest.mark.parametrize("text, fuel, where", [
-        # With no fuel the first walk, in the LF checker, runs out.
-        ((GOLDEN_DIR / "cbv.lfr").read_text(), "0", "arg"),
+    @pytest.mark.parametrize("text, fuel, line_col, where", [
+        # With no fuel the first walk, in the LF checker, runs out, at the
+        # first declaration that substitutes.
+        ((GOLDEN_DIR / "cbv.lfr").read_text(), "0", "24:1", "arg"),
         # Here the first walk to run out is the sort checker's, setting
         # c's second domain sort (its domtype step) to z in k's
         # refinement (see FUEL_TEXT).  That stops the run; it does not
         # reject c's one function component and leave c z ([y] z)
         # without a sort.
-        (FUEL_TEXT, "3", "domtype/arg"),
+        (FUEL_TEXT, "3", "9:22", "domtype/arg"),
     ], ids=["lf", "sort"])
     def test_exhausted_budget_is_not_a_rejection(self, command, text, fuel,
-                                                 where, monkeypatch,
-                                                 tmp_path, capsys):
+                                                 line_col, where,
+                                                 monkeypatch, tmp_path,
+                                                 capsys):
         src = tmp_path / "input.lfr"
         src.write_text(text)
         monkeypatch.setenv("LFR_FUEL", fuel)
         assert main([command, str(src)]) == 3
         assert capsys.readouterr() == (
-            "", f"error: search budget exhausted: metric exhausted at "
-                f"{where}\n")
+            "", f"{src}:{line_col}: error: search budget exhausted: metric "
+                f"exhausted at {where}\n")
         assert list(tmp_path.iterdir()) == [src]
 
     @pytest.mark.parametrize("command", ["check", "translate", "verify"])
@@ -552,8 +554,9 @@ class TestVerify:
 def _token_lines(text: str) -> list[list[str]]:
     """The tokens of a source signature, line by line."""
     lines: dict[int, list[str]] = {}
-    for tok in tokenize(text, "<golden>", False)[:-1]:
-        lines.setdefault(tok.span.line, []).append(tok.text)
+    where = SourceLines(text, "<golden>")
+    for _, tok, offset in tokenize(text, "<golden>", False)[:-1]:
+        lines.setdefault(where.span(offset).line, []).append(tok)
     return list(lines.values())
 
 
@@ -670,21 +673,22 @@ class TestEntrypoint:
 
     @pytest.mark.parametrize("command", ["check", "translate", "verify"])
     def test_deep_input_under_the_limit_exits_zero(self, command, tmp_path):
-        # Deep at d=140 fits under the default recursion limit in every
-        # stage (d=145 does not): the target checker keeps closed terms'
-        # types without a frame per level of nesting.
-        src = tmp_path / "deep-140.lfr"
-        src.write_text(deep_text(140))
+        # Deep at d=190 fits under the default recursion limit in every
+        # stage (d=197 does not): the parser takes two frames per
+        # parenthesis, and the target checker keeps closed terms' types
+        # without a frame per level of nesting.
+        src = tmp_path / "deep-190.lfr"
+        src.write_text(deep_text(190))
         proc = subprocess.run(
             [sys.executable, "-m", "lfr.cli", command, "--quiet", str(src)],
             capture_output=True, text=True, env=checkout_env())
         assert proc.returncode == 0, proc.stderr
 
     def test_too_deep_input_exits_four(self, tmp_path):
-        # Parsing 150 nested parentheses exceeds the default recursion
+        # Checking 250 nested parentheses exceeds the default recursion
         # limit; that is an internal error, not a verdict on the input.
-        src = tmp_path / "deep-150.lfr"
-        src.write_text(deep_text(150))
+        src = tmp_path / "deep-250.lfr"
+        src.write_text(deep_text(250))
         proc = subprocess.run(
             [sys.executable, "-m", "lfr.cli", "check", str(src)],
             capture_output=True, text=True, env=checkout_env())

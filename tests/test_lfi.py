@@ -1010,7 +1010,7 @@ class TestSwitching:
 # from each (None: any).  The printer is imported lazily, for messages.
 TRUST_BASE_IMPORTS = {
     "diagnostics": None,
-    "subst": {"SubstFailure", "_Fuel"},
+    "subst": {"MetricExhausted", "SubstFailure", "_Fuel"},
     "syntax": {"fresh_name"},
     "printer": None,
 }

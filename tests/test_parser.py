@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ import lfr.lfi
 import lfr.syntax
 from lfr import lfi as L
 from lfr.lfi import lfi_equal
-from lfr.parser import tokenize
+from lfr.parser import SourceLines, tokenize
 from lfr.printer import (
     pp_class,
     pp_kind,
@@ -61,6 +62,7 @@ from gen import (
     LFI_NAT,
     NAT,
     binders_text,
+    deep_text,
     gen_class,
     gen_dep_sort,
     gen_eta_term,
@@ -534,6 +536,13 @@ def lexer_inputs(draw):
     return text
 
 
+def spanned_tokens(text: str, filename: str, target_mode: bool):
+    """tokenize's tokens, each with the span the parser gives it."""
+    lines = SourceLines(text, filename)
+    return [(kind, tok, lines.span(offset, len(tok)))
+            for kind, tok, offset in tokenize(text, filename, target_mode)]
+
+
 def _lexed(lex, text: str, target_mode: bool):
     try:
         return [(k, t, tuple(span))
@@ -546,13 +555,13 @@ class TestLexer:
     @settings(max_examples=400)
     @given(lexer_inputs(), st.booleans())
     def test_scanner_matches_reference_lexer(self, text, target_mode):
-        assert _lexed(tokenize, text, target_mode) == \
+        assert _lexed(spanned_tokens, text, target_mode) == \
             _lexed(reference_tokens, text, target_mode)
 
     def test_spans_end_one_past_the_last_character(self):
         text = "nat : type. % trailing\r\n% whole line\n\tz :: nat.1"
-        assert [(t.kind, t.text, tuple(t.span))
-                for t in tokenize(text, "f.lfr", False)] == [
+        assert [(kind, tok, tuple(span)) for kind, tok, span
+                in spanned_tokens(text, "f.lfr", False)] == [
             ("IDENT", "nat", ("f.lfr", 1, 1, 1, 4)),
             ("SYM", ":", ("f.lfr", 1, 5, 1, 6)),
             ("IDENT", "type", ("f.lfr", 1, 7, 1, 11)),
@@ -619,6 +628,32 @@ class TestReferenceParser:
     @pytest.mark.parametrize("path", PARSED_TEXTS, ids=lambda p: p.name)
     def test_goldens_and_bad_files_agree(self, path):
         _agrees_with_reference(path.read_text())
+
+
+def _frames() -> int:
+    """The frames on the stack of the caller's caller and below."""
+    frame, n = sys._getframe(2), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+class TestNesting:
+    def test_deep_input_parses_under_the_default_limit(self):
+        assert len(parse_signature(deep_text(400))) == 13
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_signature, deep_text(300)),
+        (parse_lfi, "nat : type. z : nat. s : nat -> nat. p : nat -> type. "
+                    "c : p " + "(s " * 300 + "z" + ")" * 300 + "."),
+    ], ids=["source", "target"])
+    def test_two_frames_per_parenthesis(self, parse, text):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frames() + 2 * 300 + 20)
+        try:
+            parse(text)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestLfiSyntax:

@@ -56,7 +56,7 @@ from lfr.lfi import (
 from lfr.lf import LfError
 from lfr.lfr_check import _elab_class
 from lfr.printer import pp_lfi_type, print_lfi
-from lfr.subst import eta_expand, hsubst_syntax
+from lfr.subst import MetricExhausted, eta_expand, hsubst_syntax
 from lfr.syntax import (
     Const,
     ConstRef,
@@ -236,6 +236,32 @@ class TestTamperedProofs:
         assert info.value.span == sig.const_refs["dbl/z"][0].span
         lines = golden_path("double").read_text().splitlines()
         assert lines[info.value.span.line - 1] == "dbl/z :: double* z z."
+
+
+class TestExhaustedBudget:
+    """Running out of budget in verification is placed at the declaration
+    being re-checked, or at the refinement whose proof is re-derived."""
+
+    def test_signature_recheck_is_located(self, monkeypatch,
+                                          checked_goldens,
+                                          translated_goldens):
+        # Of cbv's target declarations, the first to substitute is the
+        # one emitted for line 14.
+        sig, result = checked_goldens["cbv"], translated_goldens["cbv"]
+        monkeypatch.setenv("LFR_FUEL", "0")
+        with pytest.raises(MetricExhausted) as info:
+            verify_translation(sig, result)
+        assert (info.value.span.line, info.value.span.col) == (14, 1)
+
+    def test_proof_recheck_is_located(self, monkeypatch, checked_goldens,
+                                      translated_goldens):
+        sig, result = checked_goldens["cbv"], translated_goldens["cbv"]
+        monkeypatch.setattr(lfr.translate, "lfi_check_sig", lambda s: None)
+        monkeypatch.setenv("LFR_FUEL", "0")
+        with pytest.raises(MetricExhausted) as info:
+            verify_translation(sig, result)
+        first = next(iter(result.sorts))
+        assert info.value.span == sig.const_refs[first][0].span
 
 
 def _verdict(verify, sig, result):
