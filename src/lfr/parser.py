@@ -17,9 +17,10 @@ per declaration.
 Every expression is read in a category (term, type, kind, sort or class)
 that says what it elaborates to.  Where the grammar settles an operand's
 category only after the operand (the domain of an arrow or its codomain,
-the left operand of an infix operator, the codomains of a `<-` chain, a
-kind or a type in a `:` declaration) the operand is read again in the
-category it turned out to have.  A construct that is not well formed in
+the left operand of an infix operator, a kind or a type in a `:`
+declaration) the operand is read again in the category it turned out to
+have; so are the operands of a `<-` chain, whose scopes depend on how
+many operands follow.  A construct that is not well formed in
 its category elaborates to a _Bad, which holds the error that
 elaborating the whole expression would meet first: a construct's own
 check before its parts, and its parts from left to right.  It is raised
@@ -475,6 +476,8 @@ class _Parser:
     # -- expressions
 
     def expr(self, cat: int, scope: list):
+        """An expression: binders and abstractions, then operands joined
+        by arrows, then `^` and another expression."""
         toks, el = self.toks, self.el
         waiting = []   # binders, `^` and arrow chains, innermost last
         while True:
