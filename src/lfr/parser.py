@@ -411,6 +411,9 @@ class _Parser:
         self.pos = 0
         self.infix: dict[str, int] = {}
         self.el = elab
+        # An application read again as a term, by the token it starts at:
+        # its scope, value, span token, kind tail and end.
+        self.terms: dict[int, tuple] = {}
 
     # -- tokens and errors
 
@@ -505,22 +508,26 @@ class _Parser:
                 scope = scope + [name]
                 cat = _TERM
                 continue
-            # Operands joined by arrows, each read as a domain.
-            dom_cat, start = _DOMAIN[cat], self.pos
-            value, at, tail = self.operand(dom_cat, scope)
+            # Operands joined by arrows: each but the last is a domain.
+            start = self.pos
+            value, at, tail = self.operand(cat, scope)
             op = toks[self.pos][1]
             if op in _ARROWS:
-                items, ops, inner = [(value, at, tail, start)], [], scope
+                dom_cat, items, ops, inner = _DOMAIN[cat], [], [], scope
                 while True:
+                    if dom_cat != cat:
+                        value, at, tail = self.reread(start, dom_cat, inner)
+                    items.append((value, at, tail, start))
                     ops.append(op)
                     self.pos += 1
                     inner = inner + [None]
                     if toks[self.pos][1] in ("{", "["):
                         break
                     start = self.pos
-                    items.append((*self.operand(dom_cat, inner), start))
+                    value, at, tail = self.operand(cat, inner)
                     op = toks[self.pos][1]
                     if op not in _ARROWS:
+                        items.append((value, at, tail, start))
                         break
                 if op in _ARROWS:
                     # A binder or an abstraction ends the chain: the rest
@@ -533,8 +540,6 @@ class _Parser:
                         cat = dom_cat
                     continue
                 value, at, tail = self.chain(cat, scope, items, ops, None)
-            elif dom_cat != cat:
-                value, at, tail = self.reread(start, cat, scope)
             if toks[self.pos][1] != "^":
                 break
             self.pos += 1
@@ -559,17 +564,14 @@ class _Parser:
 
     def chain(self, cat: int, scope: list, items: list, ops: list, last):
         """The arrows ops between items, each (value, at, kind tail,
-        start) read as a domain in scope with an arrow's None for each
-        item before it; last is the final operand when a binder or an
-        abstraction started it, read as it belongs."""
+        start) read in scope with an arrow's None for each item before it,
+        as a domain but for the last; last is the final operand when a
+        binder or an abstraction started it, read as it belongs."""
         el = self.el
         if "<-" not in ops:
             # a -> b -> c: each item under the arrows to its left.
             if last is None:
-                *items, (value, at, tail, start) = items
-                if _DOMAIN[cat] != cat:
-                    value, at, tail = self.reread(
-                        start, cat, scope + [None] * len(items))
+                *items, (value, at, tail, _) = items
             else:
                 value, at, tail = last
             for (dom, dom_at, _, _), op in zip(reversed(items),
@@ -613,6 +615,10 @@ class _Parser:
                     i = self.pos
                     kind, text, _ = toks[i]
                     if value is None:
+                        known = self.terms.get(i) if app_cat == _TERM else None
+                        if known is not None and known[0] is scope:
+                            _, value, at, tail, self.pos = known
+                            break
                         c = app_cat
                     elif text == "[[":
                         self.pos = i + 1
@@ -668,6 +674,11 @@ class _Parser:
                         value, at, tail = a, a_at, a_tail
                     else:
                         value, tail = el.app(app_cat, value, a, at), False
+                if app_cat != cat and args is None:
+                    # A first application read again as a term: kept, so
+                    # that reading an enclosing one again as a term does
+                    # not read this one a third time.
+                    self.terms[start] = (scope, value, at, tail, self.pos)
                 kind, text, _ = toks[self.pos]
                 if kind != "IDENT" or text not in infix:
                     break

@@ -52,7 +52,14 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "broken.lfr:" in err and "error:" in err
 
-    def test_quiet_suppresses_report(self, capsys):
+    def test_quiet_suppresses_report(self, capsys, monkeypatch):
+        # The report's lines are built only when it is printed.
+        import lfr.cli as cli
+
+        def unused(decl):
+            raise AssertionError("a report line was built")
+
+        monkeypatch.setattr(cli, "_decl_line", unused)
         assert main(["check", "--quiet", str(golden_path("nat"))]) == 0
         assert capsys.readouterr().out == ""
 

@@ -20,6 +20,7 @@ from lfr import (
     print_lfi,
 )
 import lfr.lfi
+import lfr.parser
 import lfr.syntax
 from lfr import lfi as L
 from lfr.lfi import lfi_equal
@@ -644,9 +645,13 @@ class TestNesting:
 
     @pytest.mark.parametrize("parse, text", [
         (parse_signature, deep_text(300)),
+        (parse_signature, "a : type. c : " + "a -> (" * 300 + "type"
+         + ")" * 300 + "."),
+        (parse_signature, "a : type. q << a :: " + "# -> (" * 300 + "sort"
+         + ")" * 300 + "."),
         (parse_lfi, "nat : type. z : nat. s : nat -> nat. p : nat -> type. "
                     "c : p " + "(s " * 300 + "z" + ")" * 300 + "."),
-    ], ids=["source", "target"])
+    ], ids=["source", "target", "kind", "class"])
     def test_two_frames_per_parenthesis(self, parse, text):
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_frames() + 2 * 300 + 20)
@@ -654,6 +659,20 @@ class TestNesting:
             parse(text)
         finally:
             sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("nested", [
+        lambda d: "c : " + "a -> (" * d + "type" + ")" * d + ".",
+        lambda d: "q << a :: " + "# -> (" * d + "sort" + ")" * d + ".",
+        lambda d: "c : " + "(" * d + "z" + " arr z)" * d + ".",
+    ], ids=["kind", "class", "infix"])
+    def test_operands_read_again_at_most_a_few_times(self, nested):
+        # A kind's or a class's codomain, or the left operand of an infix
+        # operator, is read again in another category; nesting them must
+        # not read the inner ones again at every level.
+        text = ("a : type. z : a. arr : a -> a -> a. %infix right 1 arr. ")
+        reads = [_visits(lfr.parser._Parser, "operand", parse_signature,
+                         text + nested(d)) for d in (50, 100)]
+        assert reads[1] <= 2 * reads[0] + 10
 
 
 class TestLfiSyntax:
