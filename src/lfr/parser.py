@@ -182,8 +182,9 @@ def _both(left, right, make):
 
 class _Elab:
     """Each method builds one construct in category cat from its parts,
-    already elaborated.  A construct a category has no rule for is ill
-    formed where it starts; these defaults say so."""
+    already elaborated, or returns the _Bad it is.  A construct that a
+    category has no rule for is ill formed where it starts; these
+    defaults say so for the constructs one language lacks."""
 
     def num(self, cat, value, at):
         return _Bad(_EXPECTED[cat], at)
@@ -195,12 +196,6 @@ class _Elab:
         return _Bad(_EXPECTED[cat], at)
 
     def pair(self, cat, left, right, at):
-        return _Bad(_EXPECTED[cat], at)
-
-    def lam(self, cat, name, body, at):
-        return _Bad(_EXPECTED[cat], at)
-
-    def app(self, cat, fn, arg, at):
         return _Bad(_EXPECTED[cat], at)
 
     def irr_app(self, cat, fn, arg, at):

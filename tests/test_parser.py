@@ -690,6 +690,14 @@ class TestLfiSyntax:
         assert isinstance(sig.decls[1].classifier, ITProd)
         assert isinstance(sig.decls[1].classifier.right, ITUnitT)
 
+    def test_kind_without_a_type_tail_reads_as_a_type(self):
+        # Only a `type` or `sort` tail makes a kind, so `1` here is the
+        # unit type (ROADMAP item 5).
+        sig = parse_lfi("nat : type. c : nat -> 1. d : 1 * type.")
+        assert sig.decls[1].classifier == L.ITPi("x", L.ITConst("nat"),
+                                                 L.ITUnitT())
+        assert sig.decls[2].classifier == L.IKProd(L.IKUnit(), L.IKType())
+
     def test_lfi_errors_have_spans(self):
         with pytest.raises((LexError, ParseError)) as info:
             parse_lfi("a : .")
