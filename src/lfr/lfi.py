@@ -770,12 +770,9 @@ def lfi_check_sig(sig: LfiSignature) -> None:
                 lfi_check_kind(checked, [], decl.classifier)
             else:
                 lfi_check_type(checked, [], decl.classifier)
-        except LfiError as e:
+        except (LfiError, MetricExhausted) as e:
             e.decl = decl.name
             if e.span is None:
                 e.span = decl.span
-            raise
-        except MetricExhausted as e:
-            e.span = decl.span
             raise
         checked.append(decl)

@@ -44,9 +44,9 @@ class MetricExhausted(Exception):
     """The termination metric guard fired; indicates a bug, not bad input.
 
     Not a SubstFailure: a substitution that is undefined rejects the
-    input, one that runs out of fuel stops the whole run.  span is the
-    declaration being checked, translated or re-checked when it fired;
-    the loop over declarations sets it.
+    input, one that runs out of fuel stops the whole run.  span places
+    it: the declaration being checked or re-checked when it fired, or
+    the refinement whose proof was being re-derived.
     """
 
     def __init__(self, path: Path):

@@ -651,7 +651,7 @@ class TestNesting:
          + ")" * 300 + "."),
         (parse_lfi, "nat : type. z : nat. s : nat -> nat. p : nat -> type. "
                     "c : p " + "(s " * 300 + "z" + ")" * 300 + "."),
-    ], ids=["source", "target", "kind", "class"])
+    ], ids=["source", "kind", "class", "target"])
     def test_two_frames_per_parenthesis(self, parse, text):
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_frames() + 2 * 300 + 20)
@@ -669,7 +669,7 @@ class TestNesting:
         # A kind's or a class's codomain, or the left operand of an infix
         # operator, is read again in another category; nesting them must
         # not read the inner ones again at every level.
-        text = ("a : type. z : a. arr : a -> a -> a. %infix right 1 arr. ")
+        text = "a : type. z : a. arr : a -> a -> a. %infix right 1 arr. "
         reads = [_visits(lfr.parser._Parser, "operand", parse_signature,
                          text + nested(d)) for d in (50, 100)]
         assert reads[1] <= 2 * reads[0] + 10
