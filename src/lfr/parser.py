@@ -3,7 +3,7 @@
 The lexer has two modes: in source mode `^` is the intersection symbol,
 while in target mode it is an ordinary identifier character (mangled
 names like even^ live there).  One expression grammar serves both; each
-mode elaborates what it reads into its own AST as it reads it.
+mode elaborates what it reads into its own AST.
 
 Binders take maximal scope, arrows are right-associative, `^` binds
 looser than arrows, `*` sits between arrows and declared infix
@@ -14,24 +14,23 @@ A token is a (kind, text, offset) triple.  A table of line starts turns
 an offset into a SourceSpan where one is needed: in an error, and once
 per declaration.
 
-Every expression is read in a category (term, type, kind, sort or class)
-that says what it elaborates to.  Where the grammar settles an operand's
-category only after the operand (the domain of an arrow or its codomain,
-the left operand of an infix operator, a kind or a type in a `:`
-declaration) the operand is read again in the category it turned out to
-have; so are the operands of a `<-` chain, whose scopes depend on how
-many operands follow.  A construct that is not well formed in
-its category elaborates to a _Bad, which holds the error that
-elaborating the whole expression would meet first: a construct's own
-check before its parts, and its parts from left to right.  It is raised
-once the declaration has parsed, so that a syntax error anywhere in the
-declaration is reported first.
+A declaration's expression is read into a raw tree, whose leaves keep
+the index of their token, and elaborated once it has parsed, so that a
+syntax error anywhere in the declaration is reported first.  The grammar
+settles an operand's category (term, type, kind, sort or class) only
+after the operand: an arrow's domain or its codomain, the left operand
+of an infix operator, a `:` declaration's kind or type, and the scope of
+each operand of a `<-` chain, which depends on how many follow.  Reading
+the tree first reads each token once.  Binders, arrows, `*` and infix
+operators are loops, so that nesting one parenthesis deeper costs two
+frames of the parser and at most two of an elaborator.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from dataclasses import dataclass
 
 from . import lfi as L
 from .diagnostics import LexError, ParseError, SourceSpan
@@ -139,260 +138,64 @@ def tokenize(text: str, filename: str,
 
 
 # ---------------------------------------------------------------------------
-# Categories, and what a construct elaborates to in each
-
-_TERM, _TYPE, _KIND, _SORT, _CLASS = range(5)
-# The category of a binder's or an arrow's domain, by that of the whole.
-_DOMAIN = (_TERM, _TYPE, _TYPE, _SORT, _SORT)
-_EXPECTED = tuple(f"expected a {c}"
-                  for c in ("term", "type", "kind", "sort", "class"))
+# Raw expressions: what the grammar reads, before elaboration.  A leaf
+# keeps the index of its token, which places an error in it.
 
 
-class _Bad:
-    """An expression that is not well formed: the message of the error it
-    raises, placed at the token with index `at`."""
-
-    __slots__ = ("message", "at")
-
-    def __init__(self, message: str, at: int):
-        self.message = message
-        self.at = at
+def _raw(name: str, *fields: str):
+    """A raw node class with the given fields, matched positionally."""
+    return dataclass(slots=True)(
+        type(name, (), {"__annotations__": dict.fromkeys(fields, object)}))
 
 
-def _apply(fn, arg, at: int, atomic: bool, message: str, make):
-    """make(fn, arg), unless fn is ill formed, or not atomic (message), or
-    arg is ill formed."""
-    if type(fn) is _Bad:
-        return fn
-    if not atomic:
-        return _Bad(message, at)
-    if type(arg) is _Bad:
-        return arg
-    return make(fn, arg)
+RIdent = _raw("RIdent", "name", "at")
+RNum = _raw("RNum", "value", "at")
+RTop = _raw("RTop", "at")
+RUnitTerm = _raw("RUnitTerm", "at")
+RApp = _raw("RApp", "fn", "arg")
+RIrrApp = _raw("RIrrApp", "fn", "arg")
+RProj = _raw("RProj", "base", "which")
+RArrow = _raw("RArrow", "dom", "cod")
+RIrrArrow = _raw("RIrrArrow", "dom", "cod")
+RInter = _raw("RInter", "left", "right")
+RProd = _raw("RProd", "left", "right")
+RPair = _raw("RPair", "left", "right")
+RPi = _raw("RPi", "name", "colon", "dom", "body", "at")
+RLam = _raw("RLam", "name", "body", "at")
 
 
-def _both(left, right, make):
-    """make(left, right), unless one of them is ill formed, left first."""
-    if type(left) is _Bad:
-        return left
-    if type(right) is _Bad:
-        return right
-    return make(left, right)
+def _at(e) -> int:
+    """The token a raw expression's errors are placed at: its leftmost
+    leaf's, or a binder's or an abstraction's opening bracket."""
+    while True:
+        match e:
+            case RIdent() | RNum() | RTop() | RPi() | RLam() | RUnitTerm():
+                return e.at
+            case RApp(f, _) | RIrrApp(f, _) | RProj(f, _) | RArrow(f, _) \
+                    | RIrrArrow(f, _) | RInter(f, _) | RProd(f, _) \
+                    | RPair(f, _):
+                e = f
 
 
-class _Elab:
-    """Each method builds one construct in category cat from its parts,
-    already elaborated, or returns the _Bad it is.  A construct that a
-    category has no rule for is ill formed where it starts; these
-    defaults say so for the constructs one language lacks."""
-
-    def num(self, cat, value, at):
-        return _Bad(_EXPECTED[cat], at)
-
-    def top(self, cat, at):
-        return _Bad(_EXPECTED[cat], at)
-
-    def unit(self, cat, at):
-        return _Bad(_EXPECTED[cat], at)
-
-    def pair(self, cat, left, right, at):
-        return _Bad(_EXPECTED[cat], at)
-
-    def irr_app(self, cat, fn, arg, at):
-        return _Bad(_EXPECTED[cat], at)
-
-    def proj(self, cat, base, which, at):
-        return _Bad(_EXPECTED[cat], at)
-
-    def prod(self, cat, left, right, at):
-        return _Bad(_EXPECTED[cat], at)
-
-    def inter(self, cat, left, right, at):
-        return _Bad(_EXPECTED[cat], at)
-
-
-class _SourceElab(_Elab):
-    def __init__(self):
-        self.term_consts: set[str] = set()
-        self.fam_kinds: dict[str, KType | KPi] = {}
-
-    def ident(self, cat, n, at, scope):
-        if cat == _TERM:
-            if n in scope:
-                return BVar(scope[::-1].index(n))
-            if n in self.term_consts:
-                return Const(n)
-            if n[:1].isupper():
-                return _Bad(
-                    f"undeclared uppercase identifier {n}; implicit "
-                    f"quantification is not supported, bind it explicitly",
-                    at)
-            return FVar(n)
-        if cat == _TYPE:
-            return TConst(n)
-        if cat == _SORT:
-            return SConst(n)
-        if n == ("type" if cat == _KIND else "sort"):
-            return KType() if cat == _KIND else CSort()
-        return _Bad(_EXPECTED[cat], at)
-
-    def top(self, cat, at):
-        if cat == _SORT:
-            return STop()
-        if cat == _CLASS:
-            return CTop()
-        return _Bad(_EXPECTED[cat], at)
-
-    def lam(self, cat, name, body, at):
-        if cat != _TERM:
-            return _Bad(_EXPECTED[cat], at)
-        return body if type(body) is _Bad else Lam(name, body)
-
-    def app(self, cat, fn, arg, at):
-        if cat == _TERM:
-            return _apply(fn, arg, at, not isinstance(fn, Lam),
-                          "application of a function expression is not a "
-                          "canonical form", App)
-        if cat == _TYPE:
-            return _apply(fn, arg, at, isinstance(fn, (TConst, TApp)),
-                          "expected an atomic type", TApp)
-        if cat == _SORT:
-            return _apply(fn, arg, at, isinstance(fn, (SConst, SApp)),
-                          "expected an atomic sort", SApp)
-        return _Bad(_EXPECTED[cat], at)
-
-    def arrow(self, cat, irrelevant, dom, cod, at):
-        if irrelevant or cat == _TERM:
-            return _Bad(_EXPECTED[cat], at)
-        return self._pi(cat, "x", dom, cod)
-
-    def pi(self, cat, name, colon, dom, body, at):
-        if cat == _TERM or cat == _KIND and colon == "::":
-            return _Bad(_EXPECTED[cat], at)
-        if cat == _TYPE and colon == "::":
-            return _Bad("type binders use ':', not '::'", at)
-        if cat >= _SORT and colon == ":":
-            return _Bad(f"{'sort' if cat == _SORT else 'class'} binders "
-                        f"use '::', not ':'", at)
-        return self._pi(cat, name, dom, body)
-
-    @staticmethod
-    def _pi(cat, name, dom, cod):
-        if type(dom) is _Bad:
-            return dom
-        if type(cod) is _Bad:
-            return cod
-        if cat == _TYPE:
-            return TPi(name, dom, cod)
-        if cat == _KIND:
-            return KPi(name, dom, cod)
-        return (SPi if cat == _SORT else CPi)(name, dom, None, cod)
-
-    def inter(self, cat, left, right, at):
-        if cat == _SORT:
-            return _both(left, right, SInter)
-        if cat == _CLASS:
-            return _both(left, right, CInter)
-        return _Bad(_EXPECTED[cat], at)
-
-
-_ATOMIC_TYPES = (L.ITConst, L.ITApp, L.ITIrrApp)
-
-
-class _TargetElab(_Elab):
-    """Elaboration into the target AST, in the term, type and kind
-    categories."""
-
-    def __init__(self):
-        self.consts: set[str] = set()
-
-    def ident(self, cat, n, at, scope):
-        if cat == _TERM:
-            if n in scope:
-                return L.IBVar(scope[::-1].index(n))
-            return L.IConst(n) if n in self.consts else L.IFVar(n)
-        if cat == _TYPE:
-            return L.ITConst(n)
-        return L.IKType() if n == "type" else _Bad(_EXPECTED[cat], at)
-
-    def num(self, cat, value, at):
-        if value == 1 and cat != _TERM:
-            return L.ITUnitT() if cat == _TYPE else L.IKUnit()
-        return _Bad(_EXPECTED[cat], at)
-
-    def unit(self, cat, at):
-        return L.IUnit() if cat == _TERM else _Bad(_EXPECTED[cat], at)
-
-    def pair(self, cat, left, right, at):
-        if cat != _TERM:
-            return _Bad(_EXPECTED[cat], at)
-        return _both(left, right, L.IPair)
-
-    def lam(self, cat, name, body, at):
-        if cat != _TERM:
-            return _Bad(_EXPECTED[cat], at)
-        return body if type(body) is _Bad else L.ILam(name, body)
-
-    def app(self, cat, fn, arg, at):
-        if cat == _TERM:
-            return _apply(fn, arg, at, L.is_lfi_atomic(fn),
-                          "application of a non-atomic term", L.IApp)
-        if cat == _TYPE:
-            return _apply(fn, arg, at, isinstance(fn, _ATOMIC_TYPES),
-                          "expected an atomic type", L.ITApp)
-        return _Bad(_EXPECTED[cat], at)
-
-    def irr_app(self, cat, fn, arg, at):
-        if cat == _TERM:
-            return _apply(fn, arg, at, L.is_lfi_atomic(fn),
-                          "irrelevant application of a non-atomic term",
-                          L.IIrrApp)
-        if cat == _TYPE:
-            return _apply(fn, arg, at, isinstance(fn, _ATOMIC_TYPES),
-                          "expected an atomic type", L.ITIrrApp)
-        return _Bad(_EXPECTED[cat], at)
-
-    def proj(self, cat, base, which, at):
-        if cat != _TERM:
-            return _Bad(_EXPECTED[cat], at)
-        if type(base) is _Bad:
-            return base
-        if not L.is_lfi_atomic(base):
-            return _Bad("projection from a non-atomic term", at)
-        return (L.IFst if which == 1 else L.ISnd)(base)
-
-    def arrow(self, cat, irrelevant, dom, cod, at):
-        return self.pi(cat, "x", "::" if irrelevant else ":", dom, cod, at)
-
-    def pi(self, cat, name, colon, dom, body, at):
-        if cat == _TERM:
-            return _Bad(_EXPECTED[cat], at)
-        if type(dom) is _Bad:
-            return dom
-        if type(body) is _Bad:
-            return body
-        if cat == _TYPE:
-            return (L.ITPi if colon == ":" else L.ITIrrPi)(name, dom, body)
-        return (L.IKPi if colon == ":" else L.IKIrrPi)(name, dom, body)
-
-    def prod(self, cat, left, right, at):
-        if cat == _TERM:
-            return _Bad(_EXPECTED[cat], at)
-        return _both(left, right, L.ITProd if cat == _TYPE else L.IKProd)
+def _is_kind_expr(e) -> bool:
+    """A classifier is a kind iff some tail position reaches `type` or
+    `sort`."""
+    match e:
+        case RIdent(n):
+            return n in ("type", "sort")
+        case RArrow(_, c) | RIrrArrow(_, c):
+            return _is_kind_expr(c)
+        case RPi(_, _, _, b):
+            return _is_kind_expr(b)
+        case RProd(l, r):
+            return _is_kind_expr(l) or _is_kind_expr(r)
+        case RInter(l, r):
+            return _is_kind_expr(l) or _is_kind_expr(r)
+    return False
 
 
 # ---------------------------------------------------------------------------
 # The grammar
-#
-# A scope lists the names of the binders around an expression, innermost
-# last, None for an arrow's.  A bound name becomes its index as it is
-# read, and each binder is built around its body as the body comes back.
-#
-# expr and operand return (value, at, kind tail): the elaborated value,
-# the index of the token the expression's span is taken from, and whether
-# a tail position of it is `type` or `sort`, which makes a `:`
-# declaration's classifier a kind.  Nesting one parenthesis deeper costs
-# one frame of each.
 
 _ARROWS = frozenset(("->", "-:>", "<-"))
 _ARG_SYMS = frozenset(("#", "(", "<", "<>"))   # they start an argument
@@ -400,17 +203,11 @@ _PI, _LAM, _INTER, _CHAIN = range(4)   # what waits for the rest
 
 
 class _Parser:
-    def __init__(self, text: str, filename: str, target_mode: bool, elab):
+    def __init__(self, text: str, filename: str, target_mode: bool):
         self.toks = tokenize(text, filename, target_mode)
         self.lines = SourceLines(text, filename)
         self.pos = 0
         self.infix: dict[str, int] = {}
-        self.el = elab
-        # An application read again as a term, by the token it starts at:
-        # its scope, value, span token, kind tail and end.
-        self.terms: dict[int, tuple] = {}
-
-    # -- tokens and errors
 
     def span(self, i: int) -> SourceSpan:
         _, text, offset = self.toks[i]
@@ -445,38 +242,16 @@ class _Parser:
             raise self.error(f"numeral of {len(text)} digits is too long",
                              i) from None
 
-    def elaborated(self, value):
-        if type(value) is _Bad:
-            raise self.error(value.message, value.at)
-        return value
-
-    # -- declarations
-
-    def declared(self, cat: int):
-        """A declaration's classifier in cat, up to and with its `.`."""
-        value = self.expr(cat, [])[0]
+    def declared(self):
+        """A declaration's expression, up to and with its `.`."""
+        e = self.expr()
         self.expect(".")
-        return self.elaborated(value)
+        return e
 
-    def classifier(self):
-        """A `:` declaration's classifier, up to and with its `.`, and
-        whether it is a kind: whether a tail position is `type` or `sort`
-        (a kind that does not say so reads as a type)."""
-        start = self.pos
-        value, _, is_kind = self.expr(_TYPE, [])
-        self.expect(".")
-        if is_kind:
-            end, self.pos = self.pos, start
-            value = self.expr(_KIND, [])[0]
-            self.pos = end
-        return self.elaborated(value), is_kind
-
-    # -- expressions
-
-    def expr(self, cat: int, scope: list):
+    def expr(self):
         """An expression: binders and abstractions, then operands joined
         by arrows, then `^` and another expression."""
-        toks, el = self.toks, self.el
+        toks = self.toks
         waiting = []   # binders, `^` and arrow chains, innermost last
         while True:
             text = toks[self.pos][1]
@@ -489,230 +264,365 @@ class _Parser:
                     raise self.error(f"expected ':' or '::' in binder, "
                                      f"found {colon!r}", self.pos)
                 self.pos += 1
-                dom = self.expr(_DOMAIN[cat], scope)[0]
+                dom = self.expr()
                 self.expect("}")
-                waiting.append((_PI, cat, at, name, colon, dom))
-                scope = scope + [name]
+                waiting.append((_PI, name, colon, dom, at))
                 continue
             if text == "[":
                 at = self.pos
                 self.pos += 1
                 name = self.ident("a binder name")
                 self.expect("]")
-                waiting.append((_LAM, cat, at, name))
-                scope = scope + [name]
-                cat = _TERM
+                waiting.append((_LAM, name, at))
                 continue
-            # Operands joined by arrows: each but the last is a domain.
-            start = self.pos
-            value, at, tail = self.operand(cat, scope)
+            value = self.operand()
             op = toks[self.pos][1]
             if op in _ARROWS:
-                dom_cat, items, ops, inner = _DOMAIN[cat], [], [], scope
+                items, ops = [value], []
                 while True:
-                    if dom_cat != cat:
-                        value, at, tail = self.reread(start, dom_cat, inner)
-                    items.append((value, at, tail, start))
                     ops.append(op)
                     self.pos += 1
-                    inner = inner + [None]
                     if toks[self.pos][1] in ("{", "["):
                         break
-                    start = self.pos
-                    value, at, tail = self.operand(cat, inner)
+                    items.append(self.operand())
                     op = toks[self.pos][1]
                     if op not in _ARROWS:
-                        items.append((value, at, tail, start))
                         break
                 if op in _ARROWS:
                     # A binder or an abstraction ends the chain: the rest
-                    # of the expression is its last operand, a codomain,
-                    # or the first domain when it reads right to left.
-                    waiting.append((_CHAIN, cat, scope, items, ops))
-                    if "->" in ops or "-:>" in ops:
-                        scope = inner
-                    else:
-                        cat = dom_cat
+                    # of the expression is its last operand.
+                    waiting.append((_CHAIN, items, ops))
                     continue
-                value, at, tail = self.chain(cat, scope, items, ops, None)
+                value = self.chain(items, ops)
             if toks[self.pos][1] != "^":
                 break
             self.pos += 1
-            waiting.append((_INTER, cat, value, at, tail))
+            waiting.append((_INTER, value))
         while waiting:
             w = waiting.pop()
             if w[0] == _PI:
-                _, wcat, at, name, colon, dom = w
-                value = el.pi(wcat, name, colon, dom, value, at)
+                value = RPi(w[1], w[2], w[3], value, w[4])
             elif w[0] == _LAM:
-                _, wcat, at, name = w
-                value, tail = el.lam(wcat, name, value, at), False
+                value = RLam(w[1], value, w[2])
             elif w[0] == _INTER:
-                _, wcat, left, at, left_tail = w
-                value = el.inter(wcat, left, value, at)
-                tail = left_tail or tail
+                value = RInter(w[1], value)
             else:
-                _, wcat, wscope, items, ops = w
-                value, at, tail = self.chain(wcat, wscope, items, ops,
-                                             (value, at, tail))
-        return value, at, tail
+                value = self.chain(w[1] + [value], w[2])
+        return value
 
-    def chain(self, cat: int, scope: list, items: list, ops: list, last):
-        """The arrows ops between items, each (value, at, kind tail,
-        start) read in scope with an arrow's None for each item before it,
-        as a domain but for the last; last is the final operand when a
-        binder or an abstraction started it, read as it belongs."""
-        el = self.el
+    def chain(self, items: list, ops: list):
+        """The arrows ops between items: a -> b -> c, or c <- b <- a for
+        the same."""
         if "<-" not in ops:
-            # a -> b -> c: each item under the arrows to its left.
-            if last is None:
-                *items, (value, at, tail, _) = items
-            else:
-                value, at, tail = last
-            for (dom, dom_at, _, _), op in zip(reversed(items),
-                                               reversed(ops)):
-                value, at = el.arrow(cat, op == "-:>", dom, value,
-                                     dom_at), dom_at
-            return value, at, tail
+            value = items[-1]
+            for op, item in zip(reversed(ops), reversed(items[:-1])):
+                value = (RArrow if op == "->" else RIrrArrow)(item, value)
+            return value
         if "->" in ops or "-:>" in ops:
             raise self.error("mixing -> and <- in one chain needs "
-                             "parentheses", items[0][1])
-        # c <- b <- a is a -> b -> c: each item under the arrows to its
-        # right.
-        n = len(ops)
-        doms = [last if i == n and last is not None else
-                self.reread(items[i][3], _DOMAIN[cat],
-                            scope + [None] * (n - i))
-                for i in range(1, n + 1)]
-        value, _, tail = self.reread(items[0][3], cat, scope + [None] * n)
-        for dom, at, _ in doms:
-            value = el.arrow(cat, False, dom, value, at)
-        return value, at, tail
+                             "parentheses", _at(items[0]))
+        value = items[0]
+        for item in items[1:]:
+            value = RArrow(item, value)
+        return value
 
-    def reread(self, start: int, cat: int, scope: list):
-        """The operand at token start read again, in cat under scope."""
-        end, self.pos = self.pos, start
-        result = self.operand(cat, scope)
-        self.pos = end
-        return result
-
-    def operand(self, cat: int, scope: list):
+    def operand(self):
         """Factors of `*`, each infix operators over applications."""
-        toks, infix, el = self.toks, self.infix, self.el
+        toks, infix = self.toks, self.infix
         factors = []
         while True:
-            start, app_cat, args, ops = self.pos, cat, None, None
+            args = ops = None   # infix operands; (precedence, at)
             while True:
-                # An application in app_cat: a head, its projections, and
-                # arguments, each a term.
+                # An application: a head, its projections, and arguments.
                 value = None
                 while True:
                     i = self.pos
                     kind, text, _ = toks[i]
-                    if value is None:
-                        known = self.terms.get(i) if app_cat == _TERM else None
-                        if known is not None and known[0] is scope:
-                            _, value, at, tail, self.pos = known
+                    if value is not None:
+                        if text == "[[":
+                            self.pos = i + 1
+                            arg = self.expr()
+                            self.expect("]]")
+                            value = RIrrApp(value, arg)
+                            continue
+                        if not (kind == "IDENT" and text not in infix
+                                or kind == "NUM" or text in _ARG_SYMS):
                             break
-                        c = app_cat
-                    elif text == "[[":
-                        self.pos = i + 1
-                        arg = self.expr(_TERM, scope)[0]
-                        self.expect("]]")
-                        value = el.irr_app(app_cat, value, arg, at)
-                        tail = False
-                        continue
-                    elif (kind == "IDENT" and text not in infix
-                          or kind == "NUM" or text in _ARG_SYMS):
-                        c = _TERM
-                    else:
-                        break
-                    a_tail = False
+                    self.pos = i + 1
                     if kind == "IDENT":
-                        self.pos = i + 1
-                        a, a_at = el.ident(c, text, i, scope), i
-                        a_tail = text == "type" or text == "sort"
+                        a = RIdent(text, i)
                     elif kind == "NUM":
-                        self.pos = i + 1
-                        a, a_at = el.num(c, self.numeral(i), i), i
+                        a = RNum(self.numeral(i), i)
                     elif text == "(":
-                        self.pos = i + 1
-                        a, a_at, a_tail = self.expr(c, scope)
+                        a = self.expr()
                         self.expect(")")
                     elif text == "#":
-                        self.pos = i + 1
-                        a, a_at = el.top(c, i), i
+                        a = RTop(i)
                     elif text == "<>":
-                        self.pos = i + 1
-                        a, a_at = el.unit(c, i), i
+                        a = RUnitTerm(i)
                     elif text == "<":
-                        self.pos = i + 1
-                        left, a_at, _ = self.expr(_TERM, scope)
+                        left = self.expr()
                         self.expect(",")
-                        right = self.expr(_TERM, scope)[0]
+                        right = self.expr()
                         self.expect(">")
-                        a = el.pair(c, left, right, a_at)
+                        a = RPair(left, right)
                     elif text == "[":
-                        self.pos = i + 1
                         name = self.ident("a binder name")
                         self.expect("]")
-                        body = self.expr(_TERM, scope + [name])[0]
-                        a, a_at = el.lam(c, name, body, i), i
+                        a = RLam(name, self.expr(), i)
                     else:
                         raise self.error(f"expected an expression, found "
                                          f"{text or 'end of input'!r}", i)
                     while toks[self.pos][1] in (".1", ".2"):
-                        which = int(toks[self.pos][1][1])
-                        a, a_tail = el.proj(c, a, which, a_at), False
+                        a = RProj(a, int(toks[self.pos][1][1]))
                         self.pos += 1
-                    if value is None:
-                        value, at, tail = a, a_at, a_tail
-                    else:
-                        value, tail = el.app(app_cat, value, a, at), False
-                if app_cat != cat and args is None:
-                    # A first application read again as a term: kept, so
-                    # that reading an enclosing one again as a term does
-                    # not read this one a third time.
-                    self.terms[start] = (scope, value, at, tail, self.pos)
+                    value = a if value is None else RApp(value, a)
                 kind, text, _ = toks[self.pos]
                 if kind != "IDENT" or text not in infix:
                     break
-                if app_cat != _TERM:
-                    # An operand of an infix operator is a term.
-                    self.pos, app_cat = start, _TERM
-                    continue
                 if args is None:
-                    args, ops = [], []   # operands; (precedence, at)
-                args.append((value, at, tail))
+                    args, ops = [], []
+                args.append(value)
                 prec = infix[text]
                 while ops and ops[-1][0] > prec:
-                    self.infix_app(_TERM, args, ops, scope)
+                    self.infix_app(args, ops)
                 ops.append((prec, self.pos))
                 self.pos += 1
             if args is not None:
-                args.append((value, at, tail))
+                args.append(value)
                 while ops:
-                    self.infix_app(cat if len(ops) == 1 else _TERM, args,
-                                   ops, scope)
-                value, at, tail = args[0]
+                    self.infix_app(args, ops)
+                value = args[0]
             if toks[self.pos][1] != "*":
                 break
-            factors.append((value, at, tail))
+            factors.append(value)
             self.pos += 1
         while factors:
-            left, at, left_tail = factors.pop()
-            value = el.prod(cat, left, value, at)
-            tail = left_tail or tail
-        return value, at, tail
+            value = RProd(factors.pop(), value)
+        return value
 
-    def infix_app(self, cat: int, args: list, ops: list, scope: list):
+    def infix_app(self, args: list, ops: list):
         """Apply the last operator of ops to the last two of args."""
         _, at = ops.pop()
-        right, left = args.pop()[0], args.pop()[0]
-        el = self.el
-        head = el.ident(cat, self.toks[at][1], at, scope)
-        args.append((el.app(cat, el.app(cat, head, left, at), right, at),
-                     at, False))
+        right, left = args.pop(), args.pop()
+        args.append(RApp(RApp(RIdent(self.toks[at][1], at), left), right))
+
+
+# ---------------------------------------------------------------------------
+# Elaboration into the source AST
+#
+# A scope lists the names of the binders around an expression, innermost
+# last, None for an arrow's.  A bound name becomes its index as it is
+# read, and each binder is built around its body as the body comes back.
+
+
+class _Elab:
+    """Raw trees into one language's AST, a method per category; errors
+    are placed through the parser p."""
+
+    def __init__(self, p: _Parser):
+        self.p = p
+
+    def fail(self, message: str, e) -> ParseError:
+        """The error message, placed at raw expression e."""
+        return self.p.error(message, _at(e))
+
+
+class _SourceElab(_Elab):
+    def __init__(self, p: _Parser):
+        super().__init__(p)
+        self.term_consts: set[str] = set()
+        self.fam_kinds: dict[str, KType | KPi] = {}
+
+    def term(self, e, scope: list):
+        match e:
+            case RIdent(n):
+                if n in scope:
+                    return BVar(scope[::-1].index(n))
+                if n in self.term_consts:
+                    return Const(n)
+                if n[:1].isupper():
+                    raise self.fail(
+                        f"undeclared uppercase identifier {n}; implicit "
+                        f"quantification is not supported, bind it explicitly",
+                        e)
+                return FVar(n)
+            case RApp(f, a):
+                fn = self.term(f, scope)
+                if isinstance(fn, Lam):
+                    raise self.fail(
+                        "application of a function expression is not a "
+                        "canonical form", e)
+                return App(fn, self.term(a, scope))
+            case RLam(x, b):
+                return Lam(x, self.term(b, scope + [x]))
+        raise self.fail("expected a term", e)
+
+    def type(self, e, scope: list):
+        match e:
+            case RIdent(n):
+                return TConst(n)
+            case RApp(f, a):
+                fn = self.type(f, scope)
+                if not isinstance(fn, (TConst, TApp)):
+                    raise self.fail("expected an atomic type", e)
+                return TApp(fn, self.term(a, scope))
+            case RArrow(d, c):
+                return TPi("x", self.type(d, scope),
+                           self.type(c, scope + [None]))
+            case RPi(x, ":", d, b):
+                return TPi(x, self.type(d, scope), self.type(b, scope + [x]))
+            case RPi(_, "::", _, _):
+                raise self.fail("type binders use ':', not '::'", e)
+        raise self.fail("expected a type", e)
+
+    def kind(self, e, scope: list):
+        match e:
+            case RIdent("type"):
+                return KType()
+            case RArrow(d, c):
+                return KPi("x", self.type(d, scope),
+                           self.kind(c, scope + [None]))
+            case RPi(x, ":", d, b):
+                return KPi(x, self.type(d, scope), self.kind(b, scope + [x]))
+        raise self.fail("expected a kind", e)
+
+    def sort(self, e, scope: list):
+        match e:
+            case RIdent(n):
+                return SConst(n)
+            case RTop():
+                return STop()
+            case RApp(f, a):
+                fn = self.sort(f, scope)
+                if not isinstance(fn, (SConst, SApp)):
+                    raise self.fail("expected an atomic sort", e)
+                return SApp(fn, self.term(a, scope))
+            case RInter(l, r):
+                return SInter(self.sort(l, scope), self.sort(r, scope))
+            case RArrow(d, c):
+                return SPi("x", self.sort(d, scope), None,
+                           self.sort(c, scope + [None]))
+            case RPi(x, "::", d, b):
+                return SPi(x, self.sort(d, scope), None,
+                           self.sort(b, scope + [x]))
+            case RPi(_, ":", _, _):
+                raise self.fail("sort binders use '::', not ':'", e)
+        raise self.fail("expected a sort", e)
+
+    def cls(self, e, scope: list):
+        match e:
+            case RIdent("sort"):
+                return CSort()
+            case RTop():
+                return CTop()
+            case RInter(l, r):
+                return CInter(self.cls(l, scope), self.cls(r, scope))
+            case RArrow(d, c):
+                return CPi("x", self.sort(d, scope), None,
+                           self.cls(c, scope + [None]))
+            case RPi(x, "::", d, b):
+                return CPi(x, self.sort(d, scope), None,
+                           self.cls(b, scope + [x]))
+            case RPi(_, ":", _, _):
+                raise self.fail("class binders use '::', not ':'", e)
+        raise self.fail("expected a class", e)
+
+
+# ---------------------------------------------------------------------------
+# Elaboration into the target AST
+
+
+class _TargetElab(_Elab):
+    def __init__(self, p: _Parser):
+        super().__init__(p)
+        self.consts: set[str] = set()
+
+    def term(self, e, scope: list):
+        match e:
+            case RIdent(n):
+                if n in scope:
+                    return L.IBVar(scope[::-1].index(n))
+                if n in self.consts:
+                    return L.IConst(n)
+                return L.IFVar(n)
+            case RApp(f, a):
+                fn = self.term(f, scope)
+                if not L.is_lfi_atomic(fn):
+                    raise self.fail("application of a non-atomic term", e)
+                return L.IApp(fn, self.term(a, scope))
+            case RIrrApp(f, a):
+                fn = self.term(f, scope)
+                if not L.is_lfi_atomic(fn):
+                    raise self.fail("irrelevant application of a non-atomic "
+                                    "term", e)
+                return L.IIrrApp(fn, self.term(a, scope))
+            case RProj(b, which):
+                base = self.term(b, scope)
+                if not L.is_lfi_atomic(base):
+                    raise self.fail("projection from a non-atomic term", e)
+                return (L.IFst if which == 1 else L.ISnd)(base)
+            case RLam(x, b):
+                return L.ILam(x, self.term(b, scope + [x]))
+            case RPair(l, r):
+                return L.IPair(self.term(l, scope), self.term(r, scope))
+            case RUnitTerm():
+                return L.IUnit()
+        raise self.fail("expected a term", e)
+
+    def type(self, e, scope: list):
+        match e:
+            case RIdent(n):
+                return L.ITConst(n)
+            case RNum(1):
+                return L.ITUnitT()
+            case RApp(f, a):
+                fn = self.type(f, scope)
+                if not isinstance(fn, (L.ITConst, L.ITApp, L.ITIrrApp)):
+                    raise self.fail("expected an atomic type", e)
+                return L.ITApp(fn, self.term(a, scope))
+            case RIrrApp(f, a):
+                fn = self.type(f, scope)
+                if not isinstance(fn, (L.ITConst, L.ITApp, L.ITIrrApp)):
+                    raise self.fail("expected an atomic type", e)
+                return L.ITIrrApp(fn, self.term(a, scope))
+            case RArrow(d, c):
+                return L.ITPi("x", self.type(d, scope),
+                              self.type(c, scope + [None]))
+            case RIrrArrow(d, c):
+                return L.ITIrrPi("x", self.type(d, scope),
+                                 self.type(c, scope + [None]))
+            case RPi(x, ":", d, b):
+                return L.ITPi(x, self.type(d, scope),
+                              self.type(b, scope + [x]))
+            case RPi(x, "::", d, b):
+                return L.ITIrrPi(x, self.type(d, scope),
+                                 self.type(b, scope + [x]))
+            case RProd(l, r):
+                return L.ITProd(self.type(l, scope), self.type(r, scope))
+        raise self.fail("expected a type", e)
+
+    def kind(self, e, scope: list):
+        match e:
+            case RIdent("type"):
+                return L.IKType()
+            case RNum(1):
+                return L.IKUnit()
+            case RArrow(d, c):
+                return L.IKPi("x", self.type(d, scope),
+                              self.kind(c, scope + [None]))
+            case RIrrArrow(d, c):
+                return L.IKIrrPi("x", self.type(d, scope),
+                                 self.kind(c, scope + [None]))
+            case RPi(x, ":", d, b):
+                return L.IKPi(x, self.type(d, scope),
+                              self.kind(b, scope + [x]))
+            case RPi(x, "::", d, b):
+                return L.IKIrrPi(x, self.type(d, scope),
+                                 self.kind(b, scope + [x]))
+            case RProd(l, r):
+                return L.IKProd(self.kind(l, scope), self.kind(r, scope))
+        raise self.fail("expected a kind", e)
 
 
 def _default_class(kind):
@@ -726,8 +636,8 @@ def _default_class(kind):
 
 
 def parse_signature(text: str, filename: str = "<input>") -> Signature:
-    elab = _SourceElab()
-    p = _Parser(text, filename, False, elab)
+    p = _Parser(text, filename, False)
+    elab = _SourceElab(p)
     toks = p.toks
     sig = Signature()
     while toks[p.pos][0] != "EOF":
@@ -753,18 +663,20 @@ def parse_signature(text: str, filename: str = "<input>") -> Signature:
         sep = toks[p.pos][1]
         p.pos += 1
         if sep == ":":
-            classifier, is_kind = p.classifier()
-            if is_kind:
-                elab.fam_kinds[name] = classifier
-                sig.append(TypeFam(name, classifier, p.span(at)))
+            e = p.declared()
+            if _is_kind_expr(e):
+                kind = elab.kind(e, [])
+                elab.fam_kinds[name] = kind
+                sig.append(TypeFam(name, kind, p.span(at)))
             else:
+                ty = elab.type(e, [])
                 elab.term_consts.add(name)
-                sig.append(TermConst(name, classifier, p.span(at)))
+                sig.append(TermConst(name, ty, p.span(at)))
         elif sep == "<<":
             fam = p.ident("a type family name")
             if toks[p.pos][1] == "::":
                 p.pos += 1
-                cls = p.declared(_CLASS)
+                cls = elab.cls(p.declared(), [])
             else:
                 p.expect(".")
                 kind = elab.fam_kinds.get(fam)
@@ -775,7 +687,8 @@ def parse_signature(text: str, filename: str = "<input>") -> Signature:
                 cls = _default_class(kind)
             sig.append(SortFam(name, fam, cls, p.span(at)))
         elif sep == "::":
-            sig.append(ConstRef(name, p.declared(_SORT), p.span(at)))
+            sort = elab.sort(p.declared(), [])
+            sig.append(ConstRef(name, sort, p.span(at)))
         elif sep == "<:":
             sup = p.ident("a sort family name")
             p.expect(".")
@@ -794,40 +707,43 @@ def parse_signature(text: str, filename: str = "<input>") -> Signature:
 def parse_term(text: str, consts: frozenset[str] | set[str] = frozenset(),
                filename: str = "<term>"):
     """Parse one term; identifiers in `consts` become constants."""
-    return _parse_one(text, filename, consts, _TERM)
+    return _parse_one(text, filename, consts, _SourceElab.term)
 
 
 def parse_type(text: str, consts: frozenset[str] | set[str] = frozenset(),
                filename: str = "<type>"):
-    return _parse_one(text, filename, consts, _TYPE)
+    return _parse_one(text, filename, consts, _SourceElab.type)
 
 
 def parse_sort(text: str, consts: frozenset[str] | set[str] = frozenset(),
                filename: str = "<sort>"):
-    return _parse_one(text, filename, consts, _SORT)
+    return _parse_one(text, filename, consts, _SourceElab.sort)
 
 
-def _parse_one(text, filename, consts, cat):
-    """One expression in category cat, the whole of text."""
-    elab = _SourceElab()
+def _parse_one(text, filename, consts, elaborate):
+    """One expression, the whole of text, elaborated by elaborate."""
+    p = _Parser(text, filename, False)
+    elab = _SourceElab(p)
     elab.term_consts = set(consts)
-    p = _Parser(text, filename, False, elab)
-    value = p.expr(cat, [])[0]
+    e = p.expr()
     kind, rest, _ = p.toks[p.pos]
     if kind != "EOF":
         raise p.error(f"unexpected trailing input {rest!r}", p.pos)
-    return p.elaborated(value)
+    return elaborate(elab, e, [])
 
 
 def parse_lfi(text: str, filename: str = "<input>") -> L.LfiSignature:
-    elab = _TargetElab()
-    p = _Parser(text, filename, True, elab)
+    p = _Parser(text, filename, True)
+    elab = _TargetElab(p)
     sig = L.LfiSignature()
     while p.toks[p.pos][0] != "EOF":
         at = p.pos
         name = p.ident("a declaration name")
         p.expect(":")
-        classifier, _ = p.classifier()
-        sig.append(L.LfiDecl(name, classifier, p.span(at)))
+        e = p.declared()
+        if _is_kind_expr(e):
+            sig.append(L.LfiDecl(name, elab.kind(e, []), p.span(at)))
+        else:
+            sig.append(L.LfiDecl(name, elab.type(e, []), p.span(at)))
         elab.consts.add(name)
     return sig

@@ -1738,11 +1738,12 @@ def uncached_check_sig(sig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The parser as it was before it elaborated while parsing.
+# The parser as it was before its tokens carried offsets only.
 #
 # It tokenizes with a span per token, reads each declaration into a raw
-# tree (RIdent, RApp, ...), decides kind versus type on that tree, and
-# then elaborates it.  The package's parser must give the same
+# tree (RIdent, RApp, ...) by recursive descent, five frames per
+# parenthesis, decides kind versus type on that tree, and then elaborates
+# it.  The package's parser must give the same
 # declarations with the same spans, or raise the same error with the same
 # message and span.  The scanner is the package's own regular expression;
 # the line and column bookkeeping is this copy's.

@@ -407,6 +407,15 @@ class TestExpressions:
         fwd = parse_type("b -> a -> c", consts={"a", "b", "c"})
         rev = parse_type("c <- a <- b", consts={"a", "b", "c"})
         assert alpha_eq(fwd, rev)
+        # Each operand lies under the arrows to its right, so x's index
+        # in it counts them, in parentheses and under a binder too.
+        for rev, fwd in [
+                ("(p x <- nat) <- p x", "p x -> nat -> p x"),
+                ("p x <- (p x <- nat) <- nat", "nat -> (nat -> p x) -> p x"),
+                ("p x <- nat <- {y : nat} p y <- p x",
+                 "({y : nat} p x -> p y) -> nat -> p x")]:
+            assert (parse_type("{x : nat} " + rev, consts={"nat", "p"})
+                    == parse_type("{x : nat} " + fwd, consts={"nat", "p"}))
 
     def test_mixed_arrows_need_parens(self):
         with pytest.raises(ParseError):
@@ -507,6 +516,20 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_signature("nat :", filename="f.lfr")
         assert info.value.format().startswith("f.lfr:1:")
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_signature, "a : type. p : a -> type. c : p (([x] x) Y).",
+         "1:34: error: application of a function expression is not a "
+         "canonical form"),
+        (parse_lfi, "a : type. p : a -> type. c : p (<a, a> (a -> a)).",
+         "1:34: error: application of a non-atomic term"),
+    ], ids=["source", "target"])
+    def test_a_construct_is_checked_before_its_parts(self, parse, text,
+                                                     message):
+        # The argument is ill formed too, but the head's error comes first.
+        with pytest.raises(ParseError) as info:
+            parse(text, "f")
+        assert info.value.format() == "f:" + message
 
     def test_comments_are_skipped(self):
         sig = parse_signature("% comment\nnat : type. % trailing\n")
@@ -615,9 +638,9 @@ def _agrees_with_reference(text: str) -> None:
 
 
 class TestReferenceParser:
-    """Both parsers against the one that built a raw tree before it
-    elaborated (tests/oracles.py): the same declarations with the same
-    spans, or the same error at the same place, in both modes."""
+    """Both parsers against the one that spanned every token and read by
+    recursive descent (tests/oracles.py): the same declarations with the
+    same spans, or the same error at the same place, in both modes."""
 
     @settings(max_examples=400)
     @given(st.one_of(mangled_sources(), lexer_inputs(),
@@ -664,14 +687,19 @@ class TestNesting:
         lambda d: "c : " + "a -> (" * d + "type" + ")" * d + ".",
         lambda d: "q << a :: " + "# -> (" * d + "sort" + ")" * d + ".",
         lambda d: "c : " + "(" * d + "z" + " arr z)" * d + ".",
-    ], ids=["kind", "class", "infix"])
+        lambda d: "c : a <- " + "(a <- " * d + "a" + ")" * d + ".",
+        lambda d: "c : " + "(" * d + "a" + " <- a)" * d + " <- a.",
+    ], ids=["kind", "class", "infix", "back-right", "back-left"])
     def test_operands_read_again_at_most_a_few_times(self, nested):
-        # A kind's or a class's codomain, or the left operand of an infix
-        # operator, is read again in another category; nesting them must
-        # not read the inner ones again at every level.
+        # Whether an operand is a kind's or a class's codomain, or the
+        # left operand of an infix operator, is known only after it, and
+        # the scope of a `<-` chain's operand depends on how many follow;
+        # the inner ones must not be read again at every level of
+        # nesting.  The depths are small, so that reading them again
+        # fails in seconds even where it doubles the work per level.
         text = "a : type. z : a. arr : a -> a -> a. %infix right 1 arr. "
         reads = [_visits(lfr.parser._Parser, "operand", parse_signature,
-                         text + nested(d)) for d in (50, 100)]
+                         text + nested(d)) for d in (8, 16)]
         assert reads[1] <= 2 * reads[0] + 10
 
 
