@@ -24,12 +24,12 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .diagnostics import (
     LexError,
     LfrError,
+    Node,
     ParseError,
     SourceSpan,
     VerifyError,
@@ -50,16 +50,15 @@ from .syntax import (
 from .translate import trans_sig, verify_translation
 
 
-@dataclass
-class RunReport:
+class RunReport(Node):
     """What a check run did; its lines, one per declaration of decls, are
     built only when it is rendered."""
 
     path: str
     decls: Signature
-    elapsed: float = 0.0
-    oracle_checked: int = 0
-    oracle_disagreements: int = 0
+    elapsed: float
+    oracle_checked: int
+    oracle_disagreements: int
 
     def render(self) -> str:
         out = [f"checking {self.path}"]
@@ -68,10 +67,10 @@ class RunReport:
             kind, line = _decl_line(decl)
             out.append("  " + line)
             counts[kind] = counts.get(kind, 0) + 1
-        total = sum(counts.values())
-        parts = [f"{n} {kind}" for kind, n in sorted(counts.items())]
-        out.append(f"ok: {total} declarations ({', '.join(parts)}) "
-                   f"in {self.elapsed:.3f}s")
+        parts = ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items()))
+        out.append(f"ok: {len(self.decls)} declarations"
+                   + (f" ({parts})" if parts else "")
+                   + f" in {self.elapsed:.3f}s")
         if self.oracle_checked:
             out.append(f"oracle audit: {self.oracle_checked} atomic "
                        f"comparisons, {self.oracle_disagreements} "
@@ -127,22 +126,21 @@ def _check_file(path: str, strict: bool, oracle_depth: int | None,
                 ) -> tuple[Signature, RunReport]:
     text = _read(path)
     raw = parse_signature(text, filename=path)
-    report = RunReport(path, raw)
+    audited = [0, 0]    # atomic comparisons, disagreements
 
     def audit(sig, ctx, q, goal, ok: bool) -> None:
-        report.oracle_checked += 1
+        audited[0] += 1
         oracle = declarative_subsort_oracle(
             SubsortQuery.make(sig, ctx, q, goal, None), oracle_depth)
         if oracle and not ok:
-            report.oracle_disagreements += 1
+            audited[1] += 1
             print(f"oracle disagreement: {pp_sort(q)} <= {pp_sort(goal)} "
                   f"is derivable but the algorithm said no", file=sys.stderr)
 
     start = time.monotonic()
     sig = check_signature(raw, strict=strict, trace=trace,
                           audit=None if oracle_depth is None else audit)
-    report.elapsed = time.monotonic() - start
-    return sig, report
+    return sig, RunReport(path, raw, time.monotonic() - start, *audited)
 
 
 def cmd_check(args) -> int:

@@ -1,4 +1,5 @@
-"""Source locations and the error hierarchy shared by every stage.
+"""Source locations, the error hierarchy, and the base of every syntax
+node, shared by every stage.
 
 Exit-code conventions live in the CLI, but the split is decided here:
 lexer and parser failures are LexError/ParseError, failures of the source
@@ -7,6 +8,7 @@ program are CheckError, and failures of generated output are VerifyError.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, NamedTuple, Union
 
 # A message, or a function of no arguments that builds it when it is first
@@ -67,3 +69,95 @@ class CheckError(LfrError):
 
 class VerifyError(LfrError):
     """Generated output failed re-verification; indicates a translator bug."""
+
+
+# ---------------------------------------------------------------------------
+# Syntax nodes
+
+_set = object.__setattr__
+
+
+def _init(names: tuple[str, ...]):
+    """An __init__ that sets the fields names from as many arguments."""
+    match names:
+        case ():
+            def __init__(self):
+                pass
+        case (a,):
+            def __init__(self, v):
+                _set(self, a, v)
+        case (a, b):
+            def __init__(self, v, w):
+                _set(self, a, v)
+                _set(self, b, w)
+        case (a, b, c):
+            def __init__(self, v, w, x):
+                _set(self, a, v)
+                _set(self, b, w)
+                _set(self, c, x)
+        case (a, b, c, d):
+            def __init__(self, v, w, x, y):
+                _set(self, a, v)
+                _set(self, b, w)
+                _set(self, c, x)
+                _set(self, d, y)
+        case (a, b, c, d, e):
+            def __init__(self, v, w, x, y, z):
+                _set(self, a, v)
+                _set(self, b, w)
+                _set(self, c, x)
+                _set(self, d, y)
+                _set(self, e, z)
+    return __init__
+
+
+def _compare(key, width: int):
+    """__eq__ and __hash__ over the tuple of the width fields that key
+    reads; one field is read as a 1-tuple, so that the comparison stops
+    at `is`."""
+    if width == 1:
+        def __eq__(self, other):
+            if self.__class__ is other.__class__:
+                a, b = key(self), key(other)
+                return a is b or a == b
+            return NotImplemented
+        return __eq__, lambda self: hash((key(self),))
+
+    def __eq__(self, other):
+        if self.__class__ is other.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+    return __eq__, lambda self: hash(key(self))
+
+
+class Node:
+    """An immutable record.  A subclass's fields are its own annotations,
+    in order: its constructor's positional parameters and __match_args__;
+    a class-level value is a field's default.  Equality needs the same
+    class and compares one tuple of the fields other than `hint` and
+    `span`, so that it is alpha-equivalence under de Bruijn indices and
+    stops at a subterm both sides share; the hash is that tuple's."""
+
+    __match_args__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        names = tuple(vars(cls).get("__annotations__", ()))
+        cls.__match_args__ = names
+        cls.__init__ = _init(names)
+        cls.__init__.__defaults__ = tuple(
+            vars(cls)[n] for n in names if n in vars(cls)) or None
+        compared = [n for n in names if n not in ("hint", "span")]
+        cls.__eq__, cls.__hash__ = _compare(
+            attrgetter(*compared) if compared else lambda _: (), len(compared))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}"
+                           for n in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"

@@ -22,10 +22,9 @@ does not share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .diagnostics import CheckError, SourceSpan
+from .diagnostics import CheckError, Node, SourceSpan
 from .subst import MetricExhausted, SubstFailure, _Fuel
 from .syntax import fresh_name
 
@@ -33,59 +32,49 @@ from .syntax import fresh_name
 # Terms
 
 
-@dataclass(frozen=True)
-class IConst:
+class IConst(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class IFVar:
+class IFVar(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class IBVar:
+class IBVar(Node):
     index: int
 
 
-@dataclass(frozen=True)
-class IApp:
+class IApp(Node):
     fn: "LfiAtomic"
     arg: "LfiTerm"
 
 
-@dataclass(frozen=True)
-class IIrrApp:
+class IIrrApp(Node):
     """Application at an irrelevant function type; the argument is a proof."""
 
     fn: "LfiAtomic"
     arg: "LfiTerm"
 
 
-@dataclass(frozen=True)
-class IFst:
+class IFst(Node):
     base: "LfiAtomic"
 
 
-@dataclass(frozen=True)
-class ISnd:
+class ISnd(Node):
     base: "LfiAtomic"
 
 
-@dataclass(frozen=True)
-class ILam:
-    hint: str = field(compare=False)
+class ILam(Node):
+    hint: str
     body: "LfiTerm"
 
 
-@dataclass(frozen=True)
-class IPair:
+class IPair(Node):
     left: "LfiTerm"
     right: "LfiTerm"
 
 
-@dataclass(frozen=True)
-class IUnit:
+class IUnit(Node):
     pass
 
 
@@ -97,45 +86,38 @@ LfiTerm = Union[LfiAtomic, ILam, IPair, IUnit]
 # Types and kinds
 
 
-@dataclass(frozen=True)
-class ITConst:
+class ITConst(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class ITApp:
+class ITApp(Node):
     fn: "LfiAtomicType"
     arg: LfiTerm
 
 
-@dataclass(frozen=True)
-class ITIrrApp:
+class ITIrrApp(Node):
     fn: "LfiAtomicType"
     arg: LfiTerm
 
 
-@dataclass(frozen=True)
-class ITPi:
-    hint: str = field(compare=False)
+class ITPi(Node):
+    hint: str
     dom: "LfiType"
     cod: "LfiType"
 
 
-@dataclass(frozen=True)
-class ITIrrPi:
-    hint: str = field(compare=False)
+class ITIrrPi(Node):
+    hint: str
     dom: "LfiType"
     cod: "LfiType"
 
 
-@dataclass(frozen=True)
-class ITProd:
+class ITProd(Node):
     left: "LfiType"
     right: "LfiType"
 
 
-@dataclass(frozen=True)
-class ITUnitT:
+class ITUnitT(Node):
     pass
 
 
@@ -143,33 +125,28 @@ LfiAtomicType = Union[ITConst, ITApp, ITIrrApp]
 LfiType = Union[LfiAtomicType, ITPi, ITIrrPi, ITProd, ITUnitT]
 
 
-@dataclass(frozen=True)
-class IKType:
+class IKType(Node):
     pass
 
 
-@dataclass(frozen=True)
-class IKPi:
-    hint: str = field(compare=False)
+class IKPi(Node):
+    hint: str
     dom: LfiType
     cod: "LfiKind"
 
 
-@dataclass(frozen=True)
-class IKIrrPi:
-    hint: str = field(compare=False)
+class IKIrrPi(Node):
+    hint: str
     dom: LfiType
     cod: "LfiKind"
 
 
-@dataclass(frozen=True)
-class IKProd:
+class IKProd(Node):
     left: "LfiKind"
     right: "LfiKind"
 
 
-@dataclass(frozen=True)
-class IKUnit:
+class IKUnit(Node):
     pass
 
 
@@ -182,31 +159,26 @@ LfiSyntax = Union[LfiTerm, LfiType, LfiKind]
 # Extended simple types for hereditary substitution
 
 
-@dataclass(frozen=True)
-class IBase:
+class IBase(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class IArrow:
+class IArrow(Node):
     dom: "LfiSimple"
     cod: "LfiSimple"
 
 
-@dataclass(frozen=True)
-class IIrrArrow:
+class IIrrArrow(Node):
     dom: "LfiSimple"
     cod: "LfiSimple"
 
 
-@dataclass(frozen=True)
-class IProdS:
+class IProdS(Node):
     left: "LfiSimple"
     right: "LfiSimple"
 
 
-@dataclass(frozen=True)
-class IUnitS:
+class IUnitS(Node):
     pass
 
 
@@ -236,11 +208,10 @@ def lfi_erase_type(a: Union[LfiType, LfiSimple]) -> LfiSimple:
 # Signatures and contexts
 
 
-@dataclass(frozen=True)
-class LfiDecl:
+class LfiDecl(Node):
     name: str
     classifier: Union[LfiType, LfiKind]
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
     def is_family(self) -> bool:
         return isinstance(self.classifier, (IKType, IKPi, IKIrrPi, IKProd, IKUnit))
@@ -281,8 +252,7 @@ class LfiSignature:
         return {d.name for d in self.decls}
 
 
-@dataclass(frozen=True)
-class LfiCtxEntry:
+class LfiCtxEntry(Node):
     name: str
     type: LfiType
     relevant: bool = True

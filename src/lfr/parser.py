@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from . import lfi as L
 from .diagnostics import LexError, ParseError, SourceSpan
@@ -138,58 +137,37 @@ def tokenize(text: str, filename: str,
 
 
 # ---------------------------------------------------------------------------
-# Raw expressions: what the grammar reads, before elaboration.  A leaf
-# keeps the index of its token, which places an error in it.
-
-
-def _raw(name: str, *fields: str):
-    """A raw node class with the given fields, matched positionally."""
-    return dataclass(slots=True)(
-        type(name, (), {"__annotations__": dict.fromkeys(fields, object)}))
-
-
-RIdent = _raw("RIdent", "name", "at")
-RNum = _raw("RNum", "value", "at")
-RTop = _raw("RTop", "at")
-RUnitTerm = _raw("RUnitTerm", "at")
-RApp = _raw("RApp", "fn", "arg")
-RIrrApp = _raw("RIrrApp", "fn", "arg")
-RProj = _raw("RProj", "base", "which")
-RArrow = _raw("RArrow", "dom", "cod")
-RIrrArrow = _raw("RIrrArrow", "dom", "cod")
-RInter = _raw("RInter", "left", "right")
-RProd = _raw("RProd", "left", "right")
-RPair = _raw("RPair", "left", "right")
-RPi = _raw("RPi", "name", "colon", "dom", "body", "at")
-RLam = _raw("RLam", "name", "body", "at")
+# Raw expressions: what the grammar reads, before elaboration.  A raw
+# expression is a tuple, its tag first:
+#
+#   ("ident", name, at)  ("num", value, at)  ("top", at)  ("unit", at)
+#   ("app", fn, arg)  ("irrapp", fn, arg)  ("proj", base, which)
+#   ("pair", left, right)  ("->", dom, cod)  ("-:>", dom, cod)
+#   ("^", left, right)  ("*", left, right)
+#   ("pi", name, colon, dom, body, at)  ("lam", name, body, at)
+#
+# A leaf, a binder and an abstraction end with the index of their first
+# token, which places an error in them.
+_LEAVES = frozenset(("ident", "num", "top", "unit", "pi", "lam"))
 
 
 def _at(e) -> int:
     """The token a raw expression's errors are placed at: its leftmost
     leaf's, or a binder's or an abstraction's opening bracket."""
-    while True:
-        match e:
-            case RIdent() | RNum() | RTop() | RPi() | RLam() | RUnitTerm():
-                return e.at
-            case RApp(f, _) | RIrrApp(f, _) | RProj(f, _) | RArrow(f, _) \
-                    | RIrrArrow(f, _) | RInter(f, _) | RProd(f, _) \
-                    | RPair(f, _):
-                e = f
+    while e[0] not in _LEAVES:
+        e = e[1]
+    return e[-1]
 
 
 def _is_kind_expr(e) -> bool:
     """A classifier is a kind iff some tail position reaches `type` or
     `sort`."""
     match e:
-        case RIdent(n):
+        case ("ident", n, _):
             return n in ("type", "sort")
-        case RArrow(_, c) | RIrrArrow(_, c):
+        case ("->" | "-:>", _, c) | ("pi", _, _, _, c, _):
             return _is_kind_expr(c)
-        case RPi(_, _, _, b):
-            return _is_kind_expr(b)
-        case RProd(l, r):
-            return _is_kind_expr(l) or _is_kind_expr(r)
-        case RInter(l, r):
+        case ("*" | "^", l, r):
             return _is_kind_expr(l) or _is_kind_expr(r)
     return False
 
@@ -301,11 +279,11 @@ class _Parser:
         while waiting:
             w = waiting.pop()
             if w[0] == _PI:
-                value = RPi(w[1], w[2], w[3], value, w[4])
+                value = ("pi", w[1], w[2], w[3], value, w[4])
             elif w[0] == _LAM:
-                value = RLam(w[1], value, w[2])
+                value = ("lam", w[1], value, w[2])
             elif w[0] == _INTER:
-                value = RInter(w[1], value)
+                value = ("^", w[1], value)
             else:
                 value = self.chain(w[1] + [value], w[2])
         return value
@@ -316,14 +294,14 @@ class _Parser:
         if "<-" not in ops:
             value = items[-1]
             for op, item in zip(reversed(ops), reversed(items[:-1])):
-                value = (RArrow if op == "->" else RIrrArrow)(item, value)
+                value = (op, item, value)
             return value
         if "->" in ops or "-:>" in ops:
             raise self.error("mixing -> and <- in one chain needs "
                              "parentheses", _at(items[0]))
         value = items[0]
         for item in items[1:]:
-            value = RArrow(item, value)
+            value = ("->", item, value)
         return value
 
     def operand(self):
@@ -343,40 +321,40 @@ class _Parser:
                             self.pos = i + 1
                             arg = self.expr()
                             self.expect("]]")
-                            value = RIrrApp(value, arg)
+                            value = ("irrapp", value, arg)
                             continue
                         if not (kind == "IDENT" and text not in infix
                                 or kind == "NUM" or text in _ARG_SYMS):
                             break
                     self.pos = i + 1
                     if kind == "IDENT":
-                        a = RIdent(text, i)
+                        a = ("ident", text, i)
                     elif kind == "NUM":
-                        a = RNum(self.numeral(i), i)
+                        a = ("num", self.numeral(i), i)
                     elif text == "(":
                         a = self.expr()
                         self.expect(")")
                     elif text == "#":
-                        a = RTop(i)
+                        a = ("top", i)
                     elif text == "<>":
-                        a = RUnitTerm(i)
+                        a = ("unit", i)
                     elif text == "<":
                         left = self.expr()
                         self.expect(",")
                         right = self.expr()
                         self.expect(">")
-                        a = RPair(left, right)
+                        a = ("pair", left, right)
                     elif text == "[":
                         name = self.ident("a binder name")
                         self.expect("]")
-                        a = RLam(name, self.expr(), i)
+                        a = ("lam", name, self.expr(), i)
                     else:
                         raise self.error(f"expected an expression, found "
                                          f"{text or 'end of input'!r}", i)
                     while toks[self.pos][1] in (".1", ".2"):
-                        a = RProj(a, int(toks[self.pos][1][1]))
+                        a = ("proj", a, int(toks[self.pos][1][1]))
                         self.pos += 1
-                    value = a if value is None else RApp(value, a)
+                    value = a if value is None else ("app", value, a)
                 kind, text, _ = toks[self.pos]
                 if kind != "IDENT" or text not in infix:
                     break
@@ -398,14 +376,15 @@ class _Parser:
             factors.append(value)
             self.pos += 1
         while factors:
-            value = RProd(factors.pop(), value)
+            value = ("*", factors.pop(), value)
         return value
 
     def infix_app(self, args: list, ops: list):
         """Apply the last operator of ops to the last two of args."""
         _, at = ops.pop()
         right, left = args.pop(), args.pop()
-        args.append(RApp(RApp(RIdent(self.toks[at][1], at), left), right))
+        op = ("ident", self.toks[at][1], at)
+        args.append(("app", ("app", op, left), right))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +415,7 @@ class _SourceElab(_Elab):
 
     def term(self, e, scope: list):
         match e:
-            case RIdent(n):
+            case ("ident", n, _):
                 if n in scope:
                     return BVar(scope[::-1].index(n))
                 if n in self.term_consts:
@@ -447,84 +426,84 @@ class _SourceElab(_Elab):
                         f"quantification is not supported, bind it explicitly",
                         e)
                 return FVar(n)
-            case RApp(f, a):
+            case ("app", f, a):
                 fn = self.term(f, scope)
                 if isinstance(fn, Lam):
                     raise self.fail(
                         "application of a function expression is not a "
                         "canonical form", e)
                 return App(fn, self.term(a, scope))
-            case RLam(x, b):
+            case ("lam", x, b, _):
                 return Lam(x, self.term(b, scope + [x]))
         raise self.fail("expected a term", e)
 
     def type(self, e, scope: list):
         match e:
-            case RIdent(n):
+            case ("ident", n, _):
                 return TConst(n)
-            case RApp(f, a):
+            case ("app", f, a):
                 fn = self.type(f, scope)
                 if not isinstance(fn, (TConst, TApp)):
                     raise self.fail("expected an atomic type", e)
                 return TApp(fn, self.term(a, scope))
-            case RArrow(d, c):
+            case ("->", d, c):
                 return TPi("x", self.type(d, scope),
                            self.type(c, scope + [None]))
-            case RPi(x, ":", d, b):
+            case ("pi", x, ":", d, b, _):
                 return TPi(x, self.type(d, scope), self.type(b, scope + [x]))
-            case RPi(_, "::", _, _):
+            case ("pi", _, "::", _, _, _):
                 raise self.fail("type binders use ':', not '::'", e)
         raise self.fail("expected a type", e)
 
     def kind(self, e, scope: list):
         match e:
-            case RIdent("type"):
+            case ("ident", "type", _):
                 return KType()
-            case RArrow(d, c):
+            case ("->", d, c):
                 return KPi("x", self.type(d, scope),
                            self.kind(c, scope + [None]))
-            case RPi(x, ":", d, b):
+            case ("pi", x, ":", d, b, _):
                 return KPi(x, self.type(d, scope), self.kind(b, scope + [x]))
         raise self.fail("expected a kind", e)
 
     def sort(self, e, scope: list):
         match e:
-            case RIdent(n):
+            case ("ident", n, _):
                 return SConst(n)
-            case RTop():
+            case ("top", _):
                 return STop()
-            case RApp(f, a):
+            case ("app", f, a):
                 fn = self.sort(f, scope)
                 if not isinstance(fn, (SConst, SApp)):
                     raise self.fail("expected an atomic sort", e)
                 return SApp(fn, self.term(a, scope))
-            case RInter(l, r):
+            case ("^", l, r):
                 return SInter(self.sort(l, scope), self.sort(r, scope))
-            case RArrow(d, c):
+            case ("->", d, c):
                 return SPi("x", self.sort(d, scope), None,
                            self.sort(c, scope + [None]))
-            case RPi(x, "::", d, b):
+            case ("pi", x, "::", d, b, _):
                 return SPi(x, self.sort(d, scope), None,
                            self.sort(b, scope + [x]))
-            case RPi(_, ":", _, _):
+            case ("pi", _, ":", _, _, _):
                 raise self.fail("sort binders use '::', not ':'", e)
         raise self.fail("expected a sort", e)
 
     def cls(self, e, scope: list):
         match e:
-            case RIdent("sort"):
+            case ("ident", "sort", _):
                 return CSort()
-            case RTop():
+            case ("top", _):
                 return CTop()
-            case RInter(l, r):
+            case ("^", l, r):
                 return CInter(self.cls(l, scope), self.cls(r, scope))
-            case RArrow(d, c):
+            case ("->", d, c):
                 return CPi("x", self.sort(d, scope), None,
                            self.cls(c, scope + [None]))
-            case RPi(x, "::", d, b):
+            case ("pi", x, "::", d, b, _):
                 return CPi(x, self.sort(d, scope), None,
                            self.cls(b, scope + [x]))
-            case RPi(_, ":", _, _):
+            case ("pi", _, ":", _, _, _):
                 raise self.fail("class binders use '::', not ':'", e)
         raise self.fail("expected a class", e)
 
@@ -540,87 +519,87 @@ class _TargetElab(_Elab):
 
     def term(self, e, scope: list):
         match e:
-            case RIdent(n):
+            case ("ident", n, _):
                 if n in scope:
                     return L.IBVar(scope[::-1].index(n))
                 if n in self.consts:
                     return L.IConst(n)
                 return L.IFVar(n)
-            case RApp(f, a):
+            case ("app", f, a):
                 fn = self.term(f, scope)
                 if not L.is_lfi_atomic(fn):
                     raise self.fail("application of a non-atomic term", e)
                 return L.IApp(fn, self.term(a, scope))
-            case RIrrApp(f, a):
+            case ("irrapp", f, a):
                 fn = self.term(f, scope)
                 if not L.is_lfi_atomic(fn):
                     raise self.fail("irrelevant application of a non-atomic "
                                     "term", e)
                 return L.IIrrApp(fn, self.term(a, scope))
-            case RProj(b, which):
+            case ("proj", b, which):
                 base = self.term(b, scope)
                 if not L.is_lfi_atomic(base):
                     raise self.fail("projection from a non-atomic term", e)
                 return (L.IFst if which == 1 else L.ISnd)(base)
-            case RLam(x, b):
+            case ("lam", x, b, _):
                 return L.ILam(x, self.term(b, scope + [x]))
-            case RPair(l, r):
+            case ("pair", l, r):
                 return L.IPair(self.term(l, scope), self.term(r, scope))
-            case RUnitTerm():
+            case ("unit", _):
                 return L.IUnit()
         raise self.fail("expected a term", e)
 
     def type(self, e, scope: list):
         match e:
-            case RIdent(n):
+            case ("ident", n, _):
                 return L.ITConst(n)
-            case RNum(1):
+            case ("num", 1, _):
                 return L.ITUnitT()
-            case RApp(f, a):
+            case ("app", f, a):
                 fn = self.type(f, scope)
                 if not isinstance(fn, (L.ITConst, L.ITApp, L.ITIrrApp)):
                     raise self.fail("expected an atomic type", e)
                 return L.ITApp(fn, self.term(a, scope))
-            case RIrrApp(f, a):
+            case ("irrapp", f, a):
                 fn = self.type(f, scope)
                 if not isinstance(fn, (L.ITConst, L.ITApp, L.ITIrrApp)):
                     raise self.fail("expected an atomic type", e)
                 return L.ITIrrApp(fn, self.term(a, scope))
-            case RArrow(d, c):
+            case ("->", d, c):
                 return L.ITPi("x", self.type(d, scope),
                               self.type(c, scope + [None]))
-            case RIrrArrow(d, c):
+            case ("-:>", d, c):
                 return L.ITIrrPi("x", self.type(d, scope),
                                  self.type(c, scope + [None]))
-            case RPi(x, ":", d, b):
+            case ("pi", x, ":", d, b, _):
                 return L.ITPi(x, self.type(d, scope),
                               self.type(b, scope + [x]))
-            case RPi(x, "::", d, b):
+            case ("pi", x, "::", d, b, _):
                 return L.ITIrrPi(x, self.type(d, scope),
                                  self.type(b, scope + [x]))
-            case RProd(l, r):
+            case ("*", l, r):
                 return L.ITProd(self.type(l, scope), self.type(r, scope))
         raise self.fail("expected a type", e)
 
     def kind(self, e, scope: list):
         match e:
-            case RIdent("type"):
+            case ("ident", "type", _):
                 return L.IKType()
-            case RNum(1):
+            case ("num", 1, _):
                 return L.IKUnit()
-            case RArrow(d, c):
+            case ("->", d, c):
                 return L.IKPi("x", self.type(d, scope),
                               self.kind(c, scope + [None]))
-            case RIrrArrow(d, c):
+            case ("-:>", d, c):
                 return L.IKIrrPi("x", self.type(d, scope),
                                  self.kind(c, scope + [None]))
-            case RPi(x, ":", d, b):
+            case ("pi", x, ":", d, b, _):
                 return L.IKPi(x, self.type(d, scope),
                               self.kind(b, scope + [x]))
-            case RPi(x, "::", d, b):
+            case ("pi", x, "::", d, b, _):
                 return L.IKIrrPi(x, self.type(d, scope),
                                  self.kind(b, scope + [x]))
-            case RProd(l, r):
+            case ("*", l, r):
                 return L.IKProd(self.kind(l, scope), self.kind(r, scope))
         raise self.fail("expected a kind", e)
 

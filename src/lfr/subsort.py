@@ -11,9 +11,9 @@ the other two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
+from .diagnostics import Node
 from .lfr_check import SortError, _acheck, split, subsort_q
 from .subst import SubstFailure, eta_expand
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
@@ -32,8 +32,7 @@ from .syntax import (
 _FRESH_SUBJECT = "$sub"
 
 
-@dataclass(frozen=True)
-class SubsortQuery:
+class SubsortQuery(Node):
     """S <= T as sorts refining the common type a, in a context."""
 
     sig: Signature

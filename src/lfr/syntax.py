@@ -6,29 +6,27 @@ representable.  Binding is locally nameless: bound variables are de Bruijn
 indices (BVar), free variables are named (FVar).  Binder name hints are
 carried for printing only and are excluded from equality, which makes
 structural equality coincide with alpha-equivalence.  One walk, `map_vars`,
-rebuilds a tree around its variables; shifting and naming for messages
-are leaf functions over it.  Names stand for bound variables only where
-text is read (the parser's scope) and where messages are printed.
+rebuilds a tree around its variables; shifting, naming for messages and
+collecting free names are leaf functions over it.  Names stand for bound
+variables only where text is read (the parser's scope) and where messages
+are printed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .diagnostics import SourceSpan
+from .diagnostics import Node, SourceSpan
 
 # ---------------------------------------------------------------------------
 # Simple types (erased skeletons used to index hereditary substitution)
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Node):
     dom: "SimpleType"
     cod: "SimpleType"
 
@@ -40,36 +38,31 @@ SimpleType = Union[Base, Arrow]
 # Terms
 
 
-@dataclass(frozen=True)
-class BVar:
+class BVar(Node):
     """Bound variable, de Bruijn index counting enclosing binders."""
 
     index: int
 
 
-@dataclass(frozen=True)
-class FVar:
+class FVar(Node):
     """Free variable, identified by name."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class App:
+class App(Node):
     """Spine application; the head side stays atomic by construction."""
 
     fn: "AtomicTerm"
     arg: "NormalTerm"
 
 
-@dataclass(frozen=True)
-class Lam:
-    hint: str = field(compare=False)
+class Lam(Node):
+    hint: str
     body: "NormalTerm"
 
 
@@ -81,20 +74,17 @@ NormalTerm = Union[BVar, FVar, Const, App, Lam]
 # Types and kinds
 
 
-@dataclass(frozen=True)
-class TConst:
+class TConst(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class TApp:
+class TApp(Node):
     fn: "AtomicType"
     arg: NormalTerm
 
 
-@dataclass(frozen=True)
-class TPi:
-    hint: str = field(compare=False)
+class TPi(Node):
+    hint: str
     dom: "NormalType"
     cod: "NormalType"
 
@@ -103,14 +93,12 @@ AtomicType = Union[TConst, TApp]
 NormalType = Union[TConst, TApp, TPi]
 
 
-@dataclass(frozen=True)
-class KType:
+class KType(Node):
     pass
 
 
-@dataclass(frozen=True)
-class KPi:
-    hint: str = field(compare=False)
+class KPi(Node):
+    hint: str
     dom: NormalType
     cod: "Kind"
 
@@ -122,37 +110,32 @@ Kind = Union[KType, KPi]
 # Sorts and classes
 
 
-@dataclass(frozen=True)
-class SConst:
+class SConst(Node):
     name: str
 
 
-@dataclass(frozen=True)
-class SApp:
+class SApp(Node):
     fn: "AtomicSort"
     arg: NormalTerm
 
 
-@dataclass(frozen=True)
-class SPi:
+class SPi(Node):
     """Dependent function sort; dom_type is the refined domain type.
 
     The parser leaves dom_type as None, elaboration fills it in.
     """
 
-    hint: str = field(compare=False)
+    hint: str
     dom_sort: "NormalSort"
     dom_type: Optional[NormalType]
     cod: "NormalSort"
 
 
-@dataclass(frozen=True)
-class STop:
+class STop(Node):
     pass
 
 
-@dataclass(frozen=True)
-class SInter:
+class SInter(Node):
     left: "NormalSort"
     right: "NormalSort"
 
@@ -161,26 +144,22 @@ AtomicSort = Union[SConst, SApp]
 NormalSort = Union[SConst, SApp, SPi, STop, SInter]
 
 
-@dataclass(frozen=True)
-class CSort:
+class CSort(Node):
     pass
 
 
-@dataclass(frozen=True)
-class CPi:
-    hint: str = field(compare=False)
+class CPi(Node):
+    hint: str
     dom_sort: NormalSort
     dom_type: Optional[NormalType]
     cod: "Class"
 
 
-@dataclass(frozen=True)
-class CTop:
+class CTop(Node):
     pass
 
 
-@dataclass(frozen=True)
-class CInter:
+class CInter(Node):
     left: "Class"
     right: "Class"
 
@@ -195,40 +174,35 @@ Syntax = Union[NormalTerm, NormalType, NormalSort, Kind, Class]
 # Declarations and signatures
 
 
-@dataclass(frozen=True)
-class TypeFam:
+class TypeFam(Node):
     name: str
     kind: Kind
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
-class TermConst:
+class TermConst(Node):
     name: str
     type: NormalType
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
-class SortFam:
+class SortFam(Node):
     name: str
     refines: str
     cls: Class
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
-class SubDecl:
+class SubDecl(Node):
     sub: str
     sup: str
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
 
-@dataclass(frozen=True)
-class ConstRef:
+class ConstRef(Node):
     const: str
     sort: NormalSort
-    span: Optional[SourceSpan] = field(default=None, compare=False)
+    span: Optional[SourceSpan] = None
 
 
 Declaration = Union[TypeFam, TermConst, SortFam, SubDecl, ConstRef]
@@ -312,8 +286,7 @@ class Signature:
 # Contexts
 
 
-@dataclass(frozen=True)
-class CtxEntry:
+class CtxEntry(Node):
     name: str
     sort: NormalSort
     type: NormalType
@@ -348,7 +321,7 @@ def map_vars(t: Syntax, f, k: int = 0) -> Syntax:
     an FVar, where depth is k plus the binders passed to reach v.
 
     This is the one walk that rebuilds source syntax around its variables:
-    shifting and naming are leaf functions over it.
+    shifting, naming and free_vars are leaf functions over it.
     """
     match t:
         case BVar() | FVar():
@@ -387,34 +360,13 @@ def alpha_eq(x: Syntax, y: Syntax) -> bool:
 
 def free_vars(t: Syntax) -> set[str]:
     out: set[str] = set()
-    _collect_free(t, out)
+
+    def leaf(v, depth):
+        if isinstance(v, FVar):
+            out.add(v.name)
+        return v
+    map_vars(t, leaf)
     return out
-
-
-def _collect_free(t: Syntax, out: set[str]) -> None:
-    match t:
-        case FVar(n):
-            out.add(n)
-        case BVar() | Const() | TConst() | SConst() | STop() | KType() | CSort() | CTop():
-            pass
-        case App(f, a) | TApp(f, a) | SApp(f, a):
-            _collect_free(f, out)
-            _collect_free(a, out)
-        case Lam(_, b):
-            _collect_free(b, out)
-        case TPi(_, d, c) | KPi(_, d, c):
-            _collect_free(d, out)
-            _collect_free(c, out)
-        case SPi(_, ds, dt, c) | CPi(_, ds, dt, c):
-            _collect_free(ds, out)
-            if dt is not None:
-                _collect_free(dt, out)
-            _collect_free(c, out)
-        case SInter(l, r) | CInter(l, r):
-            _collect_free(l, out)
-            _collect_free(r, out)
-        case _:
-            raise TypeError(f"free_vars: unexpected node {t!r}")
 
 
 def fresh_name(hint: str, avoid: set[str]) -> str:

@@ -27,10 +27,9 @@ only shown, drawn from the name pool against the names shown so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .diagnostics import VerifyError
+from .diagnostics import Node, VerifyError
 from .lfi import (
     IApp,
     IBVar,
@@ -157,8 +156,7 @@ class NameMangler:
         return self._get("coerce", f"{s1}\x00{s2}", f"{s1}-{s2}")
 
 
-@dataclass
-class TransResult:
+class TransResult(Node):
     lfi_sig: LfiSignature
     provenance: dict[str, str]
     mangler: NameMangler
@@ -262,8 +260,7 @@ def _applied(t, at: At, app=ITApp):
 # Interpretations
 
 
-@dataclass(frozen=True)
-class Metafunction:
+class Metafunction(Node):
     """An interpretation: `fn` builds a target type, kind or proof from
     `arity` arguments."""
 

@@ -8,7 +8,6 @@ for the high-volume acceptance runs.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 from lfr import lfi as L
@@ -36,7 +35,7 @@ from lfr.syntax import (
     TPi,
 )
 
-from oracles import close_at, close_lfi, open_at
+from oracles import close_at, close_lfi, node_fields, node_replace, open_at
 
 NAT = Base("nat")
 
@@ -118,13 +117,13 @@ def gen_eta_term(choose, ctx, alpha, depth: int, consts=NAT_CONSTS):
 def rehint(t, hint):
     """t, of either language, with each binder's hint replaced by a call
     of hint()."""
-    if not dataclasses.is_dataclass(t):
+    if not node_fields(t):
         return t
-    fields = {f.name: rehint(getattr(t, f.name), hint)
-              for f in dataclasses.fields(t) if f.name != "hint"}
-    if hasattr(t, "hint"):
+    fields = {n: rehint(getattr(t, n), hint)
+              for n in node_fields(t) if n != "hint"}
+    if "hint" in node_fields(t):
         fields["hint"] = hint()
-    return dataclasses.replace(t, **fields)
+    return node_replace(t, **fields)
 
 
 def bury(n):

@@ -14,6 +14,23 @@ from dataclasses import dataclass
 from typing import Union
 
 from lfr import syntax as s
+from lfr.diagnostics import Node
+
+
+def node_fields(t) -> tuple[str, ...]:
+    """The names of t's fields, in order, if t is a node of either
+    language; none otherwise."""
+    return type(t).__match_args__ if isinstance(t, Node) else ()
+
+
+def node_kids(t) -> list:
+    """The values of t's fields, in order; none if t is not a node."""
+    return [getattr(t, n) for n in node_fields(t)]
+
+
+def node_replace(t, **changes):
+    """The node t with the fields changes names set to its values."""
+    return type(t)(*(changes.get(n, getattr(t, n)) for n in node_fields(t)))
 
 
 @dataclass(frozen=True)
@@ -429,7 +446,6 @@ def stepwise_path(edges, a: str, b: str):
 # alpha-equivalence with alpha_key.  No binding operation of the package
 # is used, so agreement with hereditary substitution is evidence.
 
-import dataclasses  # noqa: E402
 import itertools  # noqa: E402
 
 
@@ -471,8 +487,8 @@ def named(t, env: tuple = ()):
     if isinstance(t, (s.FVar, L.IFVar)):
         return NVar(t.name)
     cls = type(t).__name__
-    fields = [getattr(t, f.name) for f in dataclasses.fields(t)]
-    if any(f.name == "hint" for f in dataclasses.fields(t)):
+    fields = node_kids(t)
+    if "hint" in node_fields(t):
         x = f"%{next(_binder_names)}"
         return NBind(cls, x, tuple(named(d, env) for d in fields[1:-1]),
                      named(fields[-1], env + (x,)))
@@ -601,10 +617,7 @@ def _names_in(t, nodes) -> set[str]:
     """The names of the nodes of the given classes that occur in t."""
     if isinstance(t, nodes):
         return {t.name}
-    if not dataclasses.is_dataclass(t):
-        return set()
-    return set().union(*(_names_in(getattr(t, f.name), nodes)
-                         for f in dataclasses.fields(t)))
+    return set().union(*(_names_in(v, nodes) for v in node_kids(t)))
 
 
 def _used(t) -> set[str]:
@@ -621,10 +634,8 @@ def _mentions(t, k: int) -> bool:
     t's root."""
     if isinstance(t, (L.IBVar, s.BVar)):
         return t.index == k
-    if not dataclasses.is_dataclass(t):
-        return False
-    kids = [getattr(t, f.name) for f in dataclasses.fields(t)]
-    body = len(kids) - 1 if hasattr(t, "hint") else None
+    kids = node_kids(t)
+    body = len(kids) - 1 if "hint" in node_fields(t) else None
     return any(_mentions(v, k + (i == body)) for i, v in enumerate(kids))
 
 

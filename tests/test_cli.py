@@ -23,6 +23,7 @@ from lfr.parser import SourceLines, tokenize
 from conftest import (FUEL_TEXT, GOLDEN_DIR, GOLDEN_NAMES, LATER_EDGE_TEXTS,
                       checkout_env, golden_path)
 from gen import binders_text, deep_text
+from oracles import node_replace
 
 
 GOOD = [n for n in GOLDEN_NAMES]
@@ -62,6 +63,16 @@ class TestCheck:
         monkeypatch.setattr(cli, "_decl_line", unused)
         assert main(["check", "--quiet", str(golden_path("nat"))]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_empty_signature_reports_no_kinds(self, tmp_path, capsys):
+        # No declaration of any kind: the count stands without a list.
+        p = tmp_path / "empty.lfr"
+        p.write_text("% nothing declared\n")
+        assert main(["check", str(p)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"checking {p}"
+        assert re.fullmatch(r"ok: 0 declarations in \d+\.\d{3}s", out[1])
+        assert len(out) == 2
 
     def test_trace_replays_rule_names(self, capsys):
         assert main(["check", "--trace", str(golden_path("nat"))]) == 0
@@ -472,10 +483,9 @@ class TestVerify:
 
         def tampered(sig):
             result = lfr.translate.trans_sig(sig)
-            result.lfi_sig = type(result.lfi_sig)(
+            return node_replace(result, lfi_sig=type(result.lfi_sig)(
                 [LfiDecl(d.name, ITUnitT(), d.span) if d.name == "z^" else d
-                 for d in result.lfi_sig])
-            return result
+                 for d in result.lfi_sig]))
 
         monkeypatch.setattr(cli, "trans_sig", tampered)
         path = golden_path("even-odd")
@@ -501,10 +511,9 @@ class TestVerify:
 
         def tampered(sig):
             result = lfr.translate.trans_sig(sig)
-            result.lfi_sig = type(result.lfi_sig)(
+            return node_replace(result, lfi_sig=type(result.lfi_sig)(
                 [LfiDecl(d.name, ITUnitT(), d.span) if d.name == "z^" else d
-                 for d in result.lfi_sig])
-            return result
+                 for d in result.lfi_sig]))
 
         monkeypatch.setattr(cli, "trans_sig", tampered)
         path = golden_path("double")

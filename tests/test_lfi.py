@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import functools
 import sys
 from collections import Counter
@@ -86,6 +85,9 @@ from oracles import (
     close_lfi,
     named_inst,
     named_subst,
+    node_fields,
+    node_kids,
+    node_replace,
     occurs,
     opened_check,
     opened_check_kind,
@@ -348,11 +350,8 @@ O_CONSTS = LFI_CONSTS + (
 
 
 def _hints(t) -> list[str]:
-    if not dataclasses.is_dataclass(t):
-        return []
-    own = [t.hint] if hasattr(t, "hint") else []
-    return own + [h for f in dataclasses.fields(t)
-                  for h in _hints(getattr(t, f.name))]
+    own = [t.hint] if "hint" in node_fields(t) else []
+    return own + [h for v in node_kids(t) for h in _hints(v)]
 
 
 def _o_subject(choose, which: int):
@@ -707,13 +706,11 @@ def _swap_step(t, k: int):
         if t == _S1 or t == _S21:
             seen += 1
             return (_S21 if t == _S1 else _S1) if seen == k + 1 else t
-        if not dataclasses.is_dataclass(t):
+        kids = node_kids(t)
+        parts = [walk(v) for v in kids]
+        if all(p is v for p, v in zip(parts, kids)):
             return t
-        parts = {f.name: walk(getattr(t, f.name))
-                 for f in dataclasses.fields(t)}
-        if all(parts[n] is getattr(t, n) for n in parts):
-            return t
-        return type(t)(**parts)
+        return type(t)(*parts)
     return walk(t)
 
 
@@ -757,7 +754,7 @@ class TestClosedTermMemo:
                                if isinstance(d, ConstRef)):
             c_hat = result.mangler.term_const(c)
             p = next(d.classifier for d in result.lfi_sig if d.name == c_hat)
-            broken = dataclasses.replace(result, lfi_sig=_reclassified(
+            broken = node_replace(result, lfi_sig=_reclassified(
                 result.lfi_sig, c_hat,
                 ITUnitT() if other == "top" else ITProd(p, p)))
             cached, uncached = _kernel_verdict(broken.lfi_sig)
@@ -856,13 +853,13 @@ class TestDeBruijn:
 
 class TestPromotion:
     def test_promote_makes_everything_relevant(self):
-        ctx = [LfiCtxEntry("x", IBase("nat"), relevant=False),
-               LfiCtxEntry("y", IBase("nat"), relevant=True)]
+        ctx = [LfiCtxEntry("x", IBase("nat"), False),
+               LfiCtxEntry("y", IBase("nat"), True)]
         out = promote(ctx)
         assert all(e.relevant for e in out)
 
     def test_promote_idempotent(self):
-        ctx = [LfiCtxEntry("x", IBase("nat"), relevant=False)]
+        ctx = [LfiCtxEntry("x", IBase("nat"), False)]
         assert promote(promote(ctx)) == promote(ctx)
 
 
@@ -898,7 +895,7 @@ class TestChecking:
             lfi_check(eo, [], IPair(IUnit(), IConst("z^")), both)
 
     def test_irrelevant_variables_usable_only_irrelevantly(self, eo):
-        ctx = [LfiCtxEntry("p", ITConst("even^"), relevant=False)]
+        ctx = [LfiCtxEntry("p", ITConst("even^"), False)]
         goal = ITApp(ITIrrApp(EVEN_PRED, IFVar("p")), num(0))
         lfi_check(eo, ctx, IConst("z^"), goal)
         with pytest.raises(LfiError):

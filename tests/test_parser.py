@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 
 import pytest
@@ -78,6 +77,8 @@ from gen import (
 )
 from oracles import (
     close_at,
+    node_fields,
+    node_replace,
     opened_pp_class,
     opened_pp_kind,
     opened_pp_sort,
@@ -207,13 +208,12 @@ class TestScope:
 def forget_domain_types(t):
     """t with each sort or class binder's domain type left out, as the
     printer leaves it out."""
-    if not dataclasses.is_dataclass(t):
+    if not node_fields(t):
         return t
-    fields = {f.name: forget_domain_types(getattr(t, f.name))
-              for f in dataclasses.fields(t)}
+    fields = {n: forget_domain_types(getattr(t, n)) for n in node_fields(t)}
     if "dom_type" in fields:
         fields["dom_type"] = None
-    return dataclasses.replace(t, **fields)
+    return node_replace(t, **fields)
 
 
 # Declarations that make the generators' constants constants.

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import lfr
+from conftest import checkout_env
 
 SOURCES = sorted(Path(lfr.__file__).parent.glob("*.py"))
 
@@ -112,3 +115,68 @@ def test_tracer_bindings_are_marked():
         text = paths[module].read_text()
         line = text.splitlines()[_imports(ast.parse(text))[name] - 1]
         assert line.rstrip().endswith(TRACER_MARK), (module, name, line)
+
+
+# ---------------------------------------------------------------------------
+# What `import lfr` costs.  Every `lfr` run pays for it before it reads its
+# input, so it loads only what the package needs.
+
+SUBMODULES = {"diagnostics", "lf", "lfi", "lfr_check", "parser", "printer",
+              "subsort", "subst", "syntax", "translate"}
+# Standard modules that no lfr module needs: code generation for records
+# would bring all of them in.
+UNNEEDED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _loaded_after(statement: str) -> set[str]:
+    """The modules a fresh interpreter, without site, holds after running
+    statement."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"{statement}; import sys; print(sorted(sys.modules))"],
+        env=checkout_env(), capture_output=True, text=True, timeout=60,
+        check=True).stdout
+    return set(ast.literal_eval(out))
+
+
+@pytest.mark.parametrize("statement", ["import lfr", "import lfr.cli"])
+def test_import_loads_no_record_generation(statement):
+    assert _loaded_after(statement) & UNNEEDED == set()
+
+
+def test_import_loads_every_submodule():
+    loaded = {m for m in _loaded_after("import lfr") if m.startswith("lfr.")}
+    assert loaded == {f"lfr.{m}" for m in SUBMODULES}
+
+
+def test_nothing_is_loaded_later():
+    # The import is cheap because its modules are, not because some load
+    # when first used: no module __getattr__, and no import below a
+    # module's top level but the target checker's of the printer, which
+    # tests/test_lfi.py requires to be lazy.
+    found = []
+    for name, tree in _trees().items():
+        top = {id(node) for node in tree.body}
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and id(node) not in top
+                  and not (name == "lfi.py" and node.module == "printer")]
+        found += [f"{name}:{node.lineno}" for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "__getattr__"]
+    assert found == []
+
+
+def test_nodes_are_not_generated():
+    # Syntax nodes come from the one hand-written base in diagnostics.py:
+    # no module imports dataclasses, and nothing compiles code at runtime.
+    found = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and any("dataclasses" in (a.name, getattr(node, "module", ""))
+                     for a in node.names)
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "eval", "compile")
+             or isinstance(node, ast.ClassDef)
+             and any(k.arg == "metaclass" for k in node.keywords)]
+    assert found == []

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lfr import lfi, syntax as syn
+from lfr.diagnostics import Node
 from lfr.syntax import (
     App,
     Arrow,
@@ -44,7 +44,7 @@ from lfr.syntax import (
 )
 
 from gen import gen_eta_term, gen_simple, gen_sort
-from oracles import close_at, open_at, used_names
+from oracles import close_at, node_fields, node_kids, open_at, used_names
 
 
 @st.composite
@@ -101,8 +101,8 @@ class TestConstructorAudit:
 
     def test_every_application_constructor_audited(self):
         apps = [c for c in vars(syn).values()
-                if dataclasses.is_dataclass(c) and isinstance(c, type)
-                and "fn" in {f.name for f in dataclasses.fields(c)}]
+                if isinstance(c, type) and issubclass(c, Node)
+                and "fn" in c.__match_args__]
         assert sorted(c.__name__ for c in apps) == ["App", "SApp", "TApp"]
 
 
@@ -167,10 +167,8 @@ def _variables(t, depth: int = 0) -> list:
     field of a node with a hint is its binder's body."""
     if isinstance(t, VARIABLES):
         return [(t, depth)]
-    if not dataclasses.is_dataclass(t):
-        return []
-    kids = [getattr(t, f.name) for f in dataclasses.fields(t)]
-    body = len(kids) - 1 if hasattr(t, "hint") else None
+    kids = node_kids(t)
+    body = len(kids) - 1 if "hint" in node_fields(t) else None
     return [p for i, v in enumerate(kids) for p in _variables(v, depth + (i == body))]
 
 
@@ -178,10 +176,9 @@ def _sample(tp, depth: int = 0):
     """A value of the annotation tp that holds a variable where one fits."""
     if tp in (str, int):
         return tp()
-    if dataclasses.is_dataclass(tp):
+    if isinstance(tp, type) and issubclass(tp, Node):
         hints = typing.get_type_hints(tp)
-        return tp(*(_sample(hints[f.name], depth + 1)
-                    for f in dataclasses.fields(tp)))
+        return tp(*(_sample(hints[n], depth + 1) for n in tp.__match_args__))
     members = [m for m in typing.get_args(tp) if m is not type(None)]
     for m in members:
         if m in VARIABLES:
@@ -195,8 +192,8 @@ def _sample(tp, depth: int = 0):
                 if set(typing.get_type_hints(m).values()) <= {str, int})
 
 
-# Each AST's one variable walk, and the dataclasses of its module that are
-# not syntax.
+# Each AST's one variable walk, and the nodes of its module that are not
+# syntax.
 WALKS = {
     syn: (syn.map_vars, {"Base", "Arrow", "TypeFam", "TermConst", "SortFam",
                          "SubDecl", "ConstRef", "CtxEntry"}),
@@ -214,7 +211,7 @@ class TestMapVars:
     @pytest.mark.parametrize("module", SYNTAX, ids=["source", "target"])
     def test_syntax_union_names_every_constructor(self, module):
         classes = {c.__name__ for c in vars(module).values()
-                   if isinstance(c, type) and dataclasses.is_dataclass(c)
+                   if isinstance(c, type) and issubclass(c, Node)
                    and c.__module__ == module.__name__}
         union = {c.__name__ for c in SYNTAX[module]}
         assert classes == union | WALKS[module][1]

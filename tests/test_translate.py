@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import re
 import sys
@@ -113,6 +112,8 @@ from gen import (
     wide_signature,
 )
 from oracles import (
+    node_kids,
+    node_replace,
     opened_trans_class_form,
     opened_trans_ctx,
     opened_trans_kind_pred,
@@ -174,7 +175,7 @@ class TestVerification:
                     inj_term(numeral(1)))
         decls = [LfiDecl(d.name, bad, d.span) if d.name == "z^" else d
                  for d in broken.lfi_sig.decls]
-        broken.lfi_sig = type(broken.lfi_sig)(decls)
+        broken = node_replace(broken, lfi_sig=type(broken.lfi_sig)(decls))
         with pytest.raises(VerifyError):
             verify_translation(sig, broken)
         # The untouched result still verifies.
@@ -185,7 +186,7 @@ def _tampered(result, name: str, classifier):
     """A copy of result whose emitted signature gives name classifier."""
     decls = [LfiDecl(d.name, classifier, d.span) if d.name == name else d
              for d in result.lfi_sig.decls]
-    return dataclasses.replace(result, lfi_sig=type(result.lfi_sig)(decls))
+    return node_replace(result, lfi_sig=type(result.lfi_sig)(decls))
 
 
 def _refined(sig) -> list[str]:
@@ -348,7 +349,7 @@ class TestReferenceVerify:
         decls = result.lfi_sig.decls
         victim = decls[i % len(decls)]
         if drop:
-            broken = dataclasses.replace(result, lfi_sig=type(result.lfi_sig)(
+            broken = node_replace(result, lfi_sig=type(result.lfi_sig)(
                 [d for d in decls if d is not victim]))
         else:
             broken = _tampered(result, victim.name,
@@ -736,10 +737,7 @@ def _consts_in(t) -> set[str]:
         x = stack.pop()
         if isinstance(x, IConst):
             out.add(x.name)
-        for f in getattr(x, "__dataclass_fields__", {}):
-            v = getattr(x, f)
-            if hasattr(v, "__dataclass_fields__"):
-                stack.append(v)
+        stack.extend(node_kids(x))
     return out
 
 
