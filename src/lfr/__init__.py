@@ -9,7 +9,13 @@ everything into a proof-irrelevant target calculus whose checker
 independently revalidates the output.
 """
 
-from .diagnostics import CheckError, LexError, ParseError, VerifyError
+from .diagnostics import (
+    CheckError,
+    LexError,
+    MetricExhausted,
+    ParseError,
+    VerifyError,
+)
 from .lf import (
     lf_check_kind,
     lf_check_sig,
@@ -51,7 +57,7 @@ from .subsort import (
     declarative_subsort_oracle,
     intrinsic_subsort,
 )
-from .subst import MetricExhausted, hsubst_syntax
+from .subst import hsubst_syntax
 from .translate import (
     meta_apply,
     trans_sig,

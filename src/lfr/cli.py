@@ -29,15 +29,16 @@ from pathlib import Path
 from .diagnostics import (
     LexError,
     LfrError,
+    MetricExhausted,
     Node,
     ParseError,
     SourceSpan,
     VerifyError,
+    _Fuel,
 )
 from .lfr_check import check_signature
 from .parser import parse_signature
 from .printer import pp_lfi_decl, pp_sort
-from .subst import MetricExhausted
 from .subsort import SubsortQuery, declarative_subsort_oracle
 from .syntax import (
     ConstRef,
@@ -252,16 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # Substitution reads the budget afresh for each walk; check it once
+    # Substitution reads the budget afresh for each walk; read it once
     # here, so that a bad value is a usage error and not a traceback.
-    fuel = os.environ.get("LFR_FUEL")
-    if fuel is not None:
-        try:
-            int(fuel)
-        except ValueError:
-            print(f"error: LFR_FUEL must be an integer, got {fuel!r}",
-                  file=sys.stderr)
-            return 2
+    try:
+        _Fuel()
+    except ValueError:
+        print(f"error: LFR_FUEL must be an integer, "
+              f"got {os.environ['LFR_FUEL']!r}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except MetricExhausted as e:

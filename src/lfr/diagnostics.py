@@ -1,5 +1,7 @@
-"""Source locations, the error hierarchy, and the base of every syntax
-node, shared by every stage.
+"""Source locations, the error hierarchy, the base of every syntax node,
+and what both substitutions share: their failures, their fuel and fresh
+binder names.  Every stage uses this module, and the target checker uses
+no other, so that it shares no judgment with the source side.
 
 Exit-code conventions live in the CLI, but the split is decided here:
 lexer and parser failures are LexError/ParseError, failures of the source
@@ -8,6 +10,7 @@ program are CheckError, and failures of generated output are VerifyError.
 
 from __future__ import annotations
 
+import os
 from operator import attrgetter
 from typing import Callable, NamedTuple, Union
 
@@ -69,6 +72,62 @@ class CheckError(LfrError):
 
 class VerifyError(LfrError):
     """Generated output failed re-verification; indicates a translator bug."""
+
+
+# ---------------------------------------------------------------------------
+# What both substitutions (subst.py and lfi.py) share: their failures,
+# their fuel and fresh names
+
+Path = tuple[str, ...]
+
+
+class SubstFailure(Exception):
+    """No substitution rule applies; carries the failing position."""
+
+    def __init__(self, reason: str, path: Path):
+        super().__init__(f"{reason} at {'/'.join(path) or 'root'}")
+        self.reason = reason
+        self.path = path
+
+
+class MetricExhausted(Exception):
+    """The termination metric guard fired; indicates a bug, not bad input.
+
+    Not a SubstFailure: a substitution that is undefined rejects the
+    input, one that runs out of fuel stops the whole run.  span places
+    it: the declaration being checked or re-checked when it fired, or
+    the refinement whose proof was being re-derived.
+    """
+
+    def __init__(self, path: Path):
+        super().__init__(f"metric exhausted at {'/'.join(path) or 'root'}")
+        self.path = path
+        self.span = None
+
+
+DEFAULT_FUEL = 1_000_000
+
+
+class _Fuel:
+    """The steps one substitution walk may take: LFR_FUEL, or DEFAULT_FUEL
+    where it is unset.  This is the one reader of LFR_FUEL: a value int()
+    refuses raises ValueError."""
+
+    def __init__(self) -> None:
+        self.left = int(os.environ.get("LFR_FUEL", DEFAULT_FUEL))
+
+    def tick(self, path: Path) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise MetricExhausted(path)
+
+
+def fresh_name(hint: str, avoid: set[str]) -> str:
+    """hint, or x for no hint, primed until avoid does not hold it."""
+    name = hint if hint else "x"
+    while name in avoid:
+        name += "'"
+    return name
 
 
 # ---------------------------------------------------------------------------

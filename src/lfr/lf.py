@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .diagnostics import CheckError
+from .diagnostics import CheckError, SubstFailure
 from .printer import pp_term, pp_type
-from .subst import SubstFailure, erase_type, inst_spine
+from .subst import erase_type, inst_spine
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,

@@ -1,9 +1,11 @@
 """The target calculus: LF with proof irrelevance, products, and units.
 
-Terms, types, and kinds mirror the source AST but add an irrelevant
-function space, pairs, and unit at both the type and the kind level.
-Definitional equality ignores the arguments of irrelevant applications;
-that single rule is what makes translated refinement proofs coherent.
+Terms, types, and kinds mirror the source AST but add pairs, products
+and a unit type, and irrelevance where the translation of refinements
+needs it: a kind may take an argument irrelevantly (`-:>`), and a type
+family is applied to that argument with `[[ ]]`.  Definitional equality
+ignores the arguments of irrelevant applications; that single rule is
+what makes translated refinement proofs coherent.
 
 Hereditary substitution replaces a free name, or a block of bound indices
 at once, and counts the binders it descends instead of opening them.  The
@@ -24,9 +26,15 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from .diagnostics import CheckError, Node, SourceSpan
-from .subst import MetricExhausted, SubstFailure, _Fuel
-from .syntax import fresh_name
+from .diagnostics import (
+    CheckError,
+    MetricExhausted,
+    Node,
+    SourceSpan,
+    SubstFailure,
+    _Fuel,
+    fresh_name,
+)
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -45,13 +53,6 @@ class IBVar(Node):
 
 
 class IApp(Node):
-    fn: "LfiAtomic"
-    arg: "LfiTerm"
-
-
-class IIrrApp(Node):
-    """Application at an irrelevant function type; the argument is a proof."""
-
     fn: "LfiAtomic"
     arg: "LfiTerm"
 
@@ -78,7 +79,7 @@ class IUnit(Node):
     pass
 
 
-LfiAtomic = Union[IConst, IFVar, IBVar, IApp, IIrrApp, IFst, ISnd]
+LfiAtomic = Union[IConst, IFVar, IBVar, IApp, IFst, ISnd]
 LfiTerm = Union[LfiAtomic, ILam, IPair, IUnit]
 
 
@@ -96,17 +97,14 @@ class ITApp(Node):
 
 
 class ITIrrApp(Node):
+    """A family applied to a proof, the argument its kind takes
+    irrelevantly."""
+
     fn: "LfiAtomicType"
     arg: LfiTerm
 
 
 class ITPi(Node):
-    hint: str
-    dom: "LfiType"
-    cod: "LfiType"
-
-
-class ITIrrPi(Node):
     hint: str
     dom: "LfiType"
     cod: "LfiType"
@@ -122,7 +120,7 @@ class ITUnitT(Node):
 
 
 LfiAtomicType = Union[ITConst, ITApp, ITIrrApp]
-LfiType = Union[LfiAtomicType, ITPi, ITIrrPi, ITProd, ITUnitT]
+LfiType = Union[LfiAtomicType, ITPi, ITProd, ITUnitT]
 
 
 class IKType(Node):
@@ -141,16 +139,7 @@ class IKIrrPi(Node):
     cod: "LfiKind"
 
 
-class IKProd(Node):
-    left: "LfiKind"
-    right: "LfiKind"
-
-
-class IKUnit(Node):
-    pass
-
-
-LfiKind = Union[IKType, IKPi, IKIrrPi, IKProd, IKUnit]
+LfiKind = Union[IKType, IKPi, IKIrrPi]
 
 LfiSyntax = Union[LfiTerm, LfiType, LfiKind]
 
@@ -168,11 +157,6 @@ class IArrow(Node):
     cod: "LfiSimple"
 
 
-class IIrrArrow(Node):
-    dom: "LfiSimple"
-    cod: "LfiSimple"
-
-
 class IProdS(Node):
     left: "LfiSimple"
     right: "LfiSimple"
@@ -182,12 +166,12 @@ class IUnitS(Node):
     pass
 
 
-LfiSimple = Union[IBase, IArrow, IIrrArrow, IProdS, IUnitS]
+LfiSimple = Union[IBase, IArrow, IProdS, IUnitS]
 
 
 def lfi_erase_type(a: Union[LfiType, LfiSimple]) -> LfiSimple:
     match a:
-        case IBase() | IArrow() | IIrrArrow() | IProdS() | IUnitS():
+        case IBase() | IArrow() | IProdS() | IUnitS():
             return a
         case ITConst(n):
             return IBase(n)
@@ -195,8 +179,6 @@ def lfi_erase_type(a: Union[LfiType, LfiSimple]) -> LfiSimple:
             return lfi_erase_type(f)
         case ITPi(_, d, c):
             return IArrow(lfi_erase_type(d), lfi_erase_type(c))
-        case ITIrrPi(_, d, c):
-            return IIrrArrow(lfi_erase_type(d), lfi_erase_type(c))
         case ITProd(l, r):
             return IProdS(lfi_erase_type(l), lfi_erase_type(r))
         case ITUnitT():
@@ -214,7 +196,7 @@ class LfiDecl(Node):
     span: Optional[SourceSpan] = None
 
     def is_family(self) -> bool:
-        return isinstance(self.classifier, (IKType, IKPi, IKIrrPi, IKProd, IKUnit))
+        return isinstance(self.classifier, (IKType, IKPi, IKIrrPi))
 
 
 class LfiSignature:
@@ -287,16 +269,16 @@ def _map_vars(t: LfiSyntax, f, k: int = 0) -> LfiSyntax:
     match t:
         case IBVar() | IFVar():
             return f(t, k)
-        case IConst() | IUnit() | ITConst() | ITUnitT() | IKType() | IKUnit():
+        case IConst() | IUnit() | ITConst() | ITUnitT() | IKType():
             return t
-        case (IApp(l, r) | IIrrApp(l, r) | IPair(l, r) | ITApp(l, r)
-              | ITIrrApp(l, r) | ITProd(l, r) | IKProd(l, r)):
+        case (IApp(l, r) | IPair(l, r) | ITApp(l, r) | ITIrrApp(l, r)
+              | ITProd(l, r)):
             return type(t)(_map_vars(l, f, k), _map_vars(r, f, k))
         case IFst(b) | ISnd(b):
             return type(t)(_map_vars(b, f, k))
         case ILam(h, b):
             return ILam(h, _map_vars(b, f, k + 1))
-        case ITPi(h, d, c) | ITIrrPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
+        case ITPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
             return type(t)(h, _map_vars(d, f, k), _map_vars(c, f, k + 1))
     raise TypeError(f"_map_vars: unexpected node {t!r}")
 
@@ -313,13 +295,13 @@ def _shift_lfi(t: LfiSyntax, by: int, cutoff: int = 0) -> LfiSyntax:
 
 
 def is_lfi_atomic(t: LfiTerm) -> bool:
-    return isinstance(t, (IConst, IFVar, IBVar, IApp, IIrrApp, IFst, ISnd))
+    return isinstance(t, (IConst, IFVar, IBVar, IApp, IFst, ISnd))
 
 
 def lfi_head(r: LfiAtomic):
     while True:
         match r:
-            case IApp(f, _) | IIrrApp(f, _):
+            case IApp(f, _):
                 r = f
             case IFst(b) | ISnd(b):
                 r = b
@@ -331,49 +313,40 @@ def lfi_head(r: LfiAtomic):
 # Definitional equality
 
 
-def lfi_equal(x: LfiSyntax, y: LfiSyntax, respect_irrelevance: bool = True) -> bool:
+def lfi_equal(x: LfiSyntax, y: LfiSyntax) -> bool:
     """Structural equality that skips irrelevant application arguments.
 
-    Passing respect_irrelevance=False compares those arguments too; the
-    difference between the two modes is observable on translated output
-    and is exactly the coherence property.
+    Node equality (==) compares those arguments too; the difference
+    between the two is observable on translated output and is exactly
+    the coherence property.
     """
     if x is y:
         return True
     if type(x) is not type(y):
         return False
     match x, y:
-        case (IConst(a), IConst(b)) | (IFVar(a), IFVar(b)) | (ITConst(a), ITConst(b)):
+        case ((IConst(a), IConst(b)) | (IFVar(a), IFVar(b))
+              | (ITConst(a), ITConst(b)) | (IBVar(a), IBVar(b))):
             return a == b
-        case (IBVar(a), IBVar(b)):
-            return a == b
-        case (IUnit(), IUnit()) | (ITUnitT(), ITUnitT()) | (IKType(), IKType()) | (IKUnit(), IKUnit()):
+        case (IUnit(), IUnit()) | (ITUnitT(), ITUnitT()) | (IKType(), IKType()):
             return True
-        case (IApp(f1, a1), IApp(f2, a2)) | (ITApp(f1, a1), ITApp(f2, a2)):
-            return (lfi_equal(f1, f2, respect_irrelevance)
-                    and lfi_equal(a1, a2, respect_irrelevance))
-        case (IIrrApp(f1, a1), IIrrApp(f2, a2)) | (ITIrrApp(f1, a1), ITIrrApp(f2, a2)):
-            if not lfi_equal(f1, f2, respect_irrelevance):
-                return False
-            return True if respect_irrelevance else lfi_equal(a1, a2, respect_irrelevance)
-        case (IFst(b1), IFst(b2)) | (ISnd(b1), ISnd(b2)):
-            return lfi_equal(b1, b2, respect_irrelevance)
-        case (ILam(_, b1), ILam(_, b2)):
-            return lfi_equal(b1, b2, respect_irrelevance)
-        case (IPair(l1, r1), IPair(l2, r2)) | (ITProd(l1, r1), ITProd(l2, r2)) | (IKProd(l1, r1), IKProd(l2, r2)):
-            return (lfi_equal(l1, l2, respect_irrelevance)
-                    and lfi_equal(r1, r2, respect_irrelevance))
+        case ((IApp(f1, a1), IApp(f2, a2)) | (ITApp(f1, a1), ITApp(f2, a2))
+              | (IPair(f1, a1), IPair(f2, a2)) | (ITProd(f1, a1), ITProd(f2, a2))):
+            return lfi_equal(f1, f2) and lfi_equal(a1, a2)
+        case (ITIrrApp(f1, _), ITIrrApp(f2, _)):
+            return lfi_equal(f1, f2)
+        case ((IFst(b1), IFst(b2)) | (ISnd(b1), ISnd(b2))
+              | (ILam(_, b1), ILam(_, b2))):
+            return lfi_equal(b1, b2)
         case ((ITPi(_, d1, c1), ITPi(_, d2, c2))
-              | (ITIrrPi(_, d1, c1), ITIrrPi(_, d2, c2))
               | (IKPi(_, d1, c1), IKPi(_, d2, c2))
               | (IKIrrPi(_, d1, c1), IKIrrPi(_, d2, c2))):
-            return (lfi_equal(d1, d2, respect_irrelevance)
-                    and lfi_equal(c1, c2, respect_irrelevance))
+            return lfi_equal(d1, d2) and lfi_equal(c1, c2)
     return False
 
 
 # ---------------------------------------------------------------------------
-# Hereditary substitution, extended with pairs and irrelevant application
+# Hereditary substitution, extended with pairs and projections
 #
 # One walk replaces a block of variables at once: a free name (x0 a str,
 # a block of one) or the bound indices x0 .. x0 + n - 1 (x0 an int).  sub
@@ -437,9 +410,9 @@ def _l_rr(sub, x0, r, k, fuel, path) -> LfiAtomic:
             return IBVar(i - len(sub))
         case IConst() | IFVar() | IBVar():
             return r
-        case IApp(f, a) | IIrrApp(f, a):
-            return type(r)(_l_rr(sub, x0, f, k, fuel, path + ("fn",)),
-                           _l_n(sub, x0, a, k, fuel, path + ("arg",)))
+        case IApp(f, a):
+            return IApp(_l_rr(sub, x0, f, k, fuel, path + ("fn",)),
+                        _l_n(sub, x0, a, k, fuel, path + ("arg",)))
         case IFst(b) | ISnd(b):
             return type(r)(_l_rr(sub, x0, b, k, fuel, path + ("base",)))
     raise TypeError(f"lfi_hsubst: not atomic: {r!r}")
@@ -451,12 +424,12 @@ def _l_rn(sub, x0, r, k, fuel, path) -> tuple[LfiTerm, LfiSimple]:
     if hit is not None:
         return _shift_lfi(hit[0], k), hit[1]
     match r:
-        case IApp(f, a) | IIrrApp(f, a):
+        case IApp(f, a):
             fn, fty = _l_rn(sub, x0, f, k, fuel, path + ("fn",))
             arg = _l_n(sub, x0, a, k, fuel, path + ("arg",))
             if not isinstance(fn, ILam):
                 raise SubstFailure("non-function applied", path)
-            if not isinstance(fty, IArrow if isinstance(r, IApp) else IIrrArrow):
+            if not isinstance(fty, IArrow):
                 raise SubstFailure("head-type mismatch", path)
             # The beta step: the lambda's index 0 is a block of one.
             body = _l_n(((arg, fty.dom),), 0, fn.body, 0, fuel, path + ("beta",))
@@ -473,20 +446,20 @@ def _l_rn(sub, x0, r, k, fuel, path) -> tuple[LfiTerm, LfiSimple]:
 
 def _l_syn(sub, x0, t, k, fuel, path):
     match t:
-        case (IConst() | IFVar() | IBVar() | IApp() | IIrrApp() | IFst() | ISnd()
-              | ILam() | IPair() | IUnit()):
+        case (IConst() | IFVar() | IBVar() | IApp() | IFst() | ISnd() | ILam()
+              | IPair() | IUnit()):
             return _l_n(sub, x0, t, k, fuel, path)
-        case ITConst() | ITUnitT() | IKType() | IKUnit():
+        case ITConst() | ITUnitT() | IKType():
             return t
         case ITApp(f, a) | ITIrrApp(f, a):
             return type(t)(_l_syn(sub, x0, f, k, fuel, path + ("fn",)),
                            _l_n(sub, x0, a, k, fuel, path + ("arg",)))
-        case ITPi(h, d, c) | ITIrrPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
+        case ITPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
             return type(t)(h, _l_syn(sub, x0, d, k, fuel, path + ("dom",)),
                            _l_syn(sub, x0, c, k + 1, fuel, path + ("cod",)))
-        case ITProd(l, r) | IKProd(l, r):
-            return type(t)(_l_syn(sub, x0, l, k, fuel, path + ("left",)),
-                           _l_syn(sub, x0, r, k, fuel, path + ("right",)))
+        case ITProd(l, r):
+            return ITProd(_l_syn(sub, x0, l, k, fuel, path + ("left",)),
+                          _l_syn(sub, x0, r, k, fuel, path + ("right",)))
     raise TypeError(f"lfi_hsubst: unexpected node {t!r}")
 
 
@@ -548,18 +521,14 @@ def _promote(stack: Stack) -> Stack:
     return tuple((h, d, True) for h, d, _ in stack)
 
 
-def _unspine(r, apps) -> tuple:
-    """(head, [(argument, irrelevant), ...] outermost first) of r, through
-    the relevant and the irrelevant application classes apps."""
+def _unspine(r) -> tuple:
+    """(head, [(argument, irrelevant), ...] outermost first) of r, a term
+    or an atomic type."""
     spine = []
-    while isinstance(r, apps):
-        spine.append((r.arg, isinstance(r, apps[1])))
+    while isinstance(r, (IApp, ITApp, ITIrrApp)):
+        spine.append((r.arg, isinstance(r, ITIrrApp)))
         r = r.fn
     return r, spine[::-1]
-
-
-_NOT_A_PI = ("applied term of non-function type",
-             "irrelevant application at non-irrelevant type")
 
 
 def _apply(sig: LfiSignature, ctx: LfiContext, stack: Stack, ty, spine,
@@ -567,19 +536,25 @@ def _apply(sig: LfiSignature, ctx: LfiContext, stack: Stack, ty, spine,
     """ty, a Pi type or kind, applied to spine's (argument, irrelevant)
     pairs, outermost first.  Each argument is checked against its domain
     set to the arguments before it, and the codomain is set to all of them
-    at once.  pis are ty's relevant and irrelevant Pi; mismatch(ty,
-    irrelevant) is the error when ty does not take the next argument."""
+    at once.  pis are ty's relevant Pi and, for a kind, its irrelevant
+    one; mismatch(ty) is the error when ty does not take the next
+    argument.  An ill-typed ty, say a domain that applies a hypothesis of
+    base type, can make a substitution undefined: that is an LfiError."""
     done: list[tuple[LfiTerm, LfiSimple]] = []
-    for arg, irr in spine:
-        if not isinstance(ty, pis[irr]):
-            raise mismatch(_inst(ty, done), irr)
-        if irr:
-            _check(sig, promote(ctx), _promote(stack), arg, _inst(ty.dom, done))
-        else:
-            _check(sig, ctx, stack, arg, _inst(ty.dom, done))
-        done.append((arg, lfi_erase_type(ty.dom)))
-        ty = ty.cod
-    return _inst(ty, done)
+    try:
+        for arg, irr in spine:
+            if not isinstance(ty, pis[irr]):
+                raise mismatch(_inst(ty, done))
+            if irr:
+                _check(sig, promote(ctx), _promote(stack), arg,
+                       _inst(ty.dom, done))
+            else:
+                _check(sig, ctx, stack, arg, _inst(ty.dom, done))
+            done.append((arg, lfi_erase_type(ty.dom)))
+            ty = ty.cod
+        return _inst(ty, done)
+    except SubstFailure as e:
+        raise LfiError(f"substitution failed: {e}") from None
 
 
 def lfi_synth(sig: LfiSignature, ctx: LfiContext, r: LfiAtomic) -> LfiType:
@@ -621,16 +596,17 @@ def _synth(sig: LfiSignature, ctx: LfiContext, stack: Stack, r: LfiAtomic
                     f"irrelevant hypothesis {_names(ctx, stack)[-1 - i]} "
                     f"used in a relevant position")
             return _shift_lfi(d, i + 1)
-        case IApp() | IIrrApp():
+        case IApp():
             # With no hypothesis in scope, r succeeds only if it has no
             # free variable, and then its type depends on sig alone.
             closed = not stack and not ctx
             if closed and (hit := sig.closed.get(id(r))) is not None:
                 return hit[1]
-            head, spine = _unspine(r, (IApp, IIrrApp))
+            head, spine = _unspine(r)
             ty = _apply(sig, ctx, stack, _synth(sig, ctx, stack, head), spine,
-                        (ITPi, ITIrrPi), lambda ty, irr: LfiError(
-                            f"{_NOT_A_PI[irr]} {_fmt_type(ty, ctx, stack)}"))
+                        (ITPi,), lambda ty: LfiError(
+                            f"applied term of non-function type "
+                            f"{_fmt_type(ty, ctx, stack)}"))
             if closed:
                 sig.closed[id(r)] = r, ty
             return ty
@@ -653,15 +629,10 @@ def _check(sig: LfiSignature, ctx: LfiContext, stack: Stack, n: LfiTerm,
            a: LfiType) -> None:
     match n:
         case ILam(h, b):
-            match a:
-                case ITPi(_, d, c):
-                    relevant = True
-                case ITIrrPi(_, d, c):
-                    relevant = False
-                case _:
-                    raise LfiError(f"function checked against non-function "
-                                   f"type {_fmt_type(a, ctx, stack)}")
-            _check(sig, ctx, stack + ((h, d, relevant),), b, c)
+            if not isinstance(a, ITPi):
+                raise LfiError(f"function checked against non-function "
+                               f"type {_fmt_type(a, ctx, stack)}")
+            _check(sig, ctx, stack + ((h, a.dom, True),), b, a.cod)
         case IPair(l, r):
             if not isinstance(a, ITProd):
                 raise LfiError(f"pair checked against non-product type "
@@ -684,9 +655,9 @@ def _check(sig: LfiSignature, ctx: LfiContext, stack: Stack, n: LfiTerm,
 def _check_type(sig: LfiSignature, ctx: LfiContext, stack: Stack, a: LfiType
                 ) -> None:
     match a:
-        case ITPi(h, d, c) | ITIrrPi(h, d, c):
+        case ITPi(h, d, c):
             _check_type(sig, ctx, stack, d)
-            _check_type(sig, ctx, stack + ((h, d, isinstance(a, ITPi)),), c)
+            _check_type(sig, ctx, stack + ((h, d, True),), c)
         case ITProd(l, r):
             _check_type(sig, ctx, stack, l)
             _check_type(sig, ctx, stack, r)
@@ -703,28 +674,25 @@ def _check_type(sig: LfiSignature, ctx: LfiContext, stack: Stack, a: LfiType
 
 def _kind_of_atomic(sig: LfiSignature, ctx: LfiContext, stack: Stack,
                     p: LfiAtomicType) -> LfiKind:
-    p, spine = _unspine(p, (ITApp, ITIrrApp))
+    p, spine = _unspine(p)
     if not isinstance(p, ITConst):
         raise LfiError(f"type head is not a constant: {_named(p, ctx, stack)!r}")
     kind = sig.fam_kind(p.name)
     if kind is None:
         raise LfiError(f"unbound type family {p.name}")
     return _apply(sig, ctx, stack, kind, spine, (IKPi, IKIrrPi),
-                  lambda ty, irr: LfiError(
+                  lambda ty: LfiError(
                       f"kind of {p.name} does not accept this argument shape"))
 
 
 def _check_kind(sig: LfiSignature, ctx: LfiContext, stack: Stack, k: LfiKind
                 ) -> None:
     match k:
-        case IKType() | IKUnit():
+        case IKType():
             pass
         case IKPi(h, d, c) | IKIrrPi(h, d, c):
             _check_type(sig, ctx, stack, d)
             _check_kind(sig, ctx, stack + ((h, d, isinstance(k, IKPi)),), c)
-        case IKProd(l, r):
-            _check_kind(sig, ctx, stack, l)
-            _check_kind(sig, ctx, stack, r)
         case _:
             raise LfiError(f"not a kind: {_named(k, ctx, stack)!r}")
 

@@ -53,11 +53,11 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .diagnostics import CheckError, Message
+from .diagnostics import CheckError, Message, MetricExhausted, SubstFailure
 from .printer import pp_sort, pp_term, pp_type
 from .lf import LfError, _check as _lf_check, lf_check_kind, lf_check_type
 from .lf import lf_check_term  # noqa: F401  (bound for bench/tracer.py)
-from .subst import MetricExhausted, SubstFailure, erase_type, inst_spine
+from .subst import erase_type, inst_spine
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,

@@ -530,12 +530,6 @@ class _TargetElab(_Elab):
                 if not L.is_lfi_atomic(fn):
                     raise self.fail("application of a non-atomic term", e)
                 return L.IApp(fn, self.term(a, scope))
-            case ("irrapp", f, a):
-                fn = self.term(f, scope)
-                if not L.is_lfi_atomic(fn):
-                    raise self.fail("irrelevant application of a non-atomic "
-                                    "term", e)
-                return L.IIrrApp(fn, self.term(a, scope))
             case ("proj", b, which):
                 base = self.term(b, scope)
                 if not L.is_lfi_atomic(base):
@@ -547,6 +541,9 @@ class _TargetElab(_Elab):
                 return L.IPair(self.term(l, scope), self.term(r, scope))
             case ("unit", _):
                 return L.IUnit()
+            case ("irrapp", _, _):
+                raise self.fail("only a type family takes an argument "
+                                "irrelevantly", e)
         raise self.fail("expected a term", e)
 
     def type(self, e, scope: list):
@@ -568,25 +565,19 @@ class _TargetElab(_Elab):
             case ("->", d, c):
                 return L.ITPi("x", self.type(d, scope),
                               self.type(c, scope + [None]))
-            case ("-:>", d, c):
-                return L.ITIrrPi("x", self.type(d, scope),
-                                 self.type(c, scope + [None]))
             case ("pi", x, ":", d, b, _):
                 return L.ITPi(x, self.type(d, scope),
                               self.type(b, scope + [x]))
-            case ("pi", x, "::", d, b, _):
-                return L.ITIrrPi(x, self.type(d, scope),
-                                 self.type(b, scope + [x]))
             case ("*", l, r):
                 return L.ITProd(self.type(l, scope), self.type(r, scope))
+            case ("-:>", _, _) | ("pi", _, "::", _, _, _):
+                raise self.fail("only a kind takes an argument irrelevantly", e)
         raise self.fail("expected a type", e)
 
     def kind(self, e, scope: list):
         match e:
             case ("ident", "type", _):
                 return L.IKType()
-            case ("num", 1, _):
-                return L.IKUnit()
             case ("->", d, c):
                 return L.IKPi("x", self.type(d, scope),
                               self.kind(c, scope + [None]))
@@ -599,8 +590,6 @@ class _TargetElab(_Elab):
             case ("pi", x, "::", d, b, _):
                 return L.IKIrrPi(x, self.type(d, scope),
                                  self.kind(b, scope + [x]))
-            case ("*", l, r):
-                return L.IKProd(self.kind(l, scope), self.kind(r, scope))
         raise self.fail("expected a kind", e)
 
 

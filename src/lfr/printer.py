@@ -17,6 +17,7 @@ forms of both languages.
 from __future__ import annotations
 
 from . import lfi as L
+from .diagnostics import fresh_name
 from .syntax import (
     App,
     BVar,
@@ -43,7 +44,6 @@ from .syntax import (
     TermConst,
     TPi,
     TypeFam,
-    fresh_name,
 )
 
 
@@ -77,19 +77,19 @@ def _scope(t, memo: dict) -> tuple[frozenset, frozenset]:
             out = (frozenset((n,)), _NONE)
         case L.IBVar(i) | BVar(i):
             out = (_NONE, frozenset((i,)))
-        case (L.IUnit() | L.ITUnitT() | L.IKType() | L.IKUnit() | STop() | KType()
-              | CSort() | CTop()):
+        case (L.IUnit() | L.ITUnitT() | L.IKType() | STop() | KType() | CSort()
+              | CTop()):
             out = (_NONE, _NONE)
         case L.IFst(b) | L.ISnd(b):
             out = _scope(b, memo)
         case L.ILam(_, b) | Lam(_, b):
             out = _under_binder(_scope(b, memo))
-        case (L.IApp(l, r) | L.IIrrApp(l, r) | L.ITApp(l, r) | L.ITIrrApp(l, r)
-              | L.IPair(l, r) | L.ITProd(l, r) | L.IKProd(l, r) | App(l, r)
-              | TApp(l, r) | SApp(l, r) | SInter(l, r) | CInter(l, r)):
+        case (L.IApp(l, r) | L.ITApp(l, r) | L.ITIrrApp(l, r) | L.IPair(l, r)
+              | L.ITProd(l, r) | App(l, r) | TApp(l, r) | SApp(l, r)
+              | SInter(l, r) | CInter(l, r)):
             out = _join(_scope(l, memo), _scope(r, memo))
-        case (L.ITPi(_, d, c) | L.ITIrrPi(_, d, c) | L.IKPi(_, d, c)
-              | L.IKIrrPi(_, d, c) | TPi(_, d, c) | KPi(_, d, c)):
+        case (L.ITPi(_, d, c) | L.IKPi(_, d, c) | L.IKIrrPi(_, d, c)
+              | TPi(_, d, c) | KPi(_, d, c)):
             out = _join(_scope(d, memo), _under_binder(_scope(c, memo)))
         case SPi(_, ds, dt, c) | CPi(_, ds, dt, c):
             out = _join(_scope(ds, memo), _under_binder(_scope(c, memo)))
@@ -266,9 +266,6 @@ def _pl_term(t, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
         case L.IApp(f, a):
             s = f"{_pl_term(f, 3, False, env, memo)} {_pl_term(a, 4, False, env, memo)}"
             return _wrap(lvl >= 4, s)
-        case L.IIrrApp(f, a):
-            s = f"{_pl_term(f, 3, False, env, memo)} [[ {_pl_term(a, 0, True, env, memo)} ]]"
-            return _wrap(lvl >= 4, s)
         case L.IFst(b):
             return f"{_pl_term(b, 4, False, env, memo)}.1"
         case L.ISnd(b):
@@ -299,8 +296,6 @@ def _pl_type(a, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
             return _wrap(lvl >= 4, s)
         case L.ITPi(h, d, c):
             return _pi(h, d, c, ":", "->", _pl_type, _pl_type, lvl, ext, env, memo)
-        case L.ITIrrPi(h, d, c):
-            return _pi(h, d, c, "::", "-:>", _pl_type, _pl_type, lvl, ext, env, memo)
         case L.ITProd(l, r):
             s = f"({_pl_type(l, 0, True, env, memo)}) * ({_pl_type(r, 0, True, env, memo)})"
             return _wrap(lvl >= 3, s)
@@ -317,11 +312,6 @@ def _pl_kind(k, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
             return _pi(h, d, c, ":", "->", _pl_type, _pl_kind, lvl, ext, env, memo)
         case L.IKIrrPi(h, d, c):
             return _pi(h, d, c, "::", "-:>", _pl_type, _pl_kind, lvl, ext, env, memo)
-        case L.IKProd(l, r):
-            s = f"({_pl_kind(l, 0, True, env, memo)}) * ({_pl_kind(r, 0, True, env, memo)})"
-            return _wrap(lvl >= 3, s)
-        case L.IKUnit():
-            return "1"
     raise TypeError(f"pp_lfi_kind: {k!r}")
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .diagnostics import Node
+from .diagnostics import Node, SubstFailure
 from .lfr_check import SortError, _acheck, split, subsort_q
-from .subst import SubstFailure, eta_expand
+from .subst import eta_expand
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     CtxEntry,

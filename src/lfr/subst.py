@@ -4,10 +4,11 @@ Substitution is indexed by the erased simple type of the variable being
 replaced.  Replacing the head of an application can expose a beta-redex;
 the redex is reduced immediately by a further substitution at a strictly
 smaller simple type, so canonical form is preserved and the process
-terminates.  A fuel counter guards that termination argument at runtime:
-it is a debug assertion, not a semantic limit, and can be raised with the
-LFR_FUEL environment variable.  Running out raises MetricExhausted, which
-is not a SubstFailure, so no handler of an undefined substitution sees it.
+terminates.  A fuel counter (diagnostics._Fuel) guards that termination
+argument at runtime: it is a debug assertion, not a semantic limit, and
+can be raised with the LFR_FUEL environment variable.  Running out raises
+MetricExhausted, which is not a SubstFailure, so no handler of an
+undefined substitution sees it.
 
 The variables replaced are a free name, or a block of bound indices at
 once; substitution counts the binders it descends instead of opening them.
@@ -18,54 +19,15 @@ lambda's index 0.
 
 from __future__ import annotations
 
-import os
 from typing import Union
 
+from .diagnostics import Path, SubstFailure, _Fuel
 from .syntax import (
     App, Arrow, AtomicTerm, Base, BVar, CInter, Const, CPi, CSort, CTop,
     CtxEntry, FVar, KPi, KType, Lam, NormalTerm, NormalType, SApp, SConst,
     SimpleType, SInter, SPi, STop, Syntax, TApp, TConst, TPi, free_vars,
     head, is_atomic_term, pool_name, shift,
 )
-
-Path = tuple[str, ...]
-
-
-class SubstFailure(Exception):
-    """No substitution rule applies; carries the failing position."""
-
-    def __init__(self, reason: str, path: Path):
-        super().__init__(f"{reason} at {'/'.join(path) or 'root'}")
-        self.reason = reason
-        self.path = path
-
-
-class MetricExhausted(Exception):
-    """The termination metric guard fired; indicates a bug, not bad input.
-
-    Not a SubstFailure: a substitution that is undefined rejects the
-    input, one that runs out of fuel stops the whole run.  span places
-    it: the declaration being checked or re-checked when it fired, or
-    the refinement whose proof was being re-derived.
-    """
-
-    def __init__(self, path: Path):
-        super().__init__(f"metric exhausted at {'/'.join(path) or 'root'}")
-        self.path = path
-        self.span = None
-
-
-DEFAULT_FUEL = 1_000_000
-
-
-class _Fuel:
-    def __init__(self) -> None:
-        self.left = int(os.environ.get("LFR_FUEL", DEFAULT_FUEL))
-
-    def tick(self, path: Path) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise MetricExhausted(path)
 
 
 def erase_type(a: Union[NormalType, SimpleType]) -> SimpleType:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .diagnostics import Node, SourceSpan
+from .diagnostics import Node, SourceSpan, fresh_name
 
 # ---------------------------------------------------------------------------
 # Simple types (erased skeletons used to index hereditary substitution)
@@ -367,13 +367,6 @@ def free_vars(t: Syntax) -> set[str]:
         return v
     map_vars(t, leaf)
     return out
-
-
-def fresh_name(hint: str, avoid: set[str]) -> str:
-    name = hint if hint else "x"
-    while name in avoid:
-        name += "'"
-    return name
 
 
 def binder_names(ctx_names: Iterable[str], stack) -> list[str]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .diagnostics import Node, VerifyError
+from .diagnostics import MetricExhausted, Node, VerifyError
 from .lfi import (
     IApp,
     IBVar,
@@ -72,7 +72,7 @@ from .lfr_check import (
     subsort_q,
 )
 from .printer import pp_sort
-from .subst import MetricExhausted, erase_type, eta_expand
+from .subst import erase_type, eta_expand
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
     App,

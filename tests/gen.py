@@ -466,14 +466,13 @@ LFI_CONSTS = (("z", LFI_NAT), ("s", L.IArrow(LFI_NAT, LFI_NAT)),
 
 
 def gen_lfi_simple(choose, depth: int):
-    """An extended simple type over nat: arrows of both kinds, products,
-    unit."""
-    k = 0 if depth <= 0 else choose(0, 4)
+    """An extended simple type over nat: arrows, products, unit."""
+    k = 0 if depth <= 0 else choose(0, 3)
     if k == 0:
         return LFI_NAT
-    if k == 4:
+    if k == 3:
         return L.IUnitS()
-    ctor = (L.IArrow, L.IIrrArrow, L.IProdS)[k - 1]
+    ctor = (L.IArrow, L.IProdS)[k - 1]
     return ctor(gen_lfi_simple(choose, depth - 1),
                 gen_lfi_simple(choose, depth - 1))
 
@@ -492,8 +491,6 @@ def lfi_simple_to_type(alpha):
             return L.ITConst(n)
         case L.IArrow(d, c):
             return L.ITPi("x", lfi_simple_to_type(d), lfi_simple_to_type(c))
-        case L.IIrrArrow(d, c):
-            return L.ITIrrPi("x", lfi_simple_to_type(d), lfi_simple_to_type(c))
         case L.IProdS(l, r):
             return L.ITProd(lfi_simple_to_type(l), lfi_simple_to_type(r))
         case L.IUnitS():
@@ -502,15 +499,13 @@ def lfi_simple_to_type(alpha):
 
 
 def _eliminations(ty, target) -> list:
-    """Every spine (application, irrelevant application, projection
-    steps) that takes a head of type ty to the base type target."""
+    """Every spine (application and projection steps) that takes a head
+    of type ty to the base type target."""
     match ty:
         case L.IBase():
             return [[]] if ty == target else []
         case L.IArrow(d, c):
             return [[("app", d)] + p for p in _eliminations(c, target)]
-        case L.IIrrArrow(d, c):
-            return [[("irr", d)] + p for p in _eliminations(c, target)]
         case L.IProdS(l, r):
             return ([[("fst",)] + p for p in _eliminations(l, target)]
                     + [[("snd",)] + p for p in _eliminations(r, target)])
@@ -526,7 +521,7 @@ def gen_lfi_term(choose, ctx, alpha, depth: int, consts=LFI_CONSTS):
     term is defined.
     """
     match alpha:
-        case L.IArrow(d, c) | L.IIrrArrow(d, c):
+        case L.IArrow(d, c):
             name = _fresh_var(ctx, "v")
             body = gen_lfi_term(choose, ctx + [(name, d)], c, depth, consts)
             return L.ILam(name, close_lfi(body, name))
@@ -551,9 +546,6 @@ def gen_lfi_term(choose, ctx, alpha, depth: int, consts=LFI_CONSTS):
         match step:
             case ("app", d):
                 r = L.IApp(r, gen_lfi_term(choose, ctx, d, depth - 1, consts))
-            case ("irr", d):
-                r = L.IIrrApp(r, gen_lfi_term(choose, ctx, d, depth - 1,
-                                              consts))
             case ("fst",):
                 r = L.IFst(r)
             case ("snd",):
@@ -574,34 +566,27 @@ def _lfi_binder(choose, ctx, depth: int, classifier, consts):
 
 
 def gen_lfi_type(choose, ctx, depth: int, consts=LFI_CONSTS):
-    """A target type over ctx: both Pi forms, products, unit, and
-    `p [[N1]] N2` with N1 and N2 at nat; its terms' heads come from ctx
-    and consts."""
-    k = 0 if depth <= 0 else choose(0, 4)
+    """A target type over ctx: Pi, products, unit, and `p [[N1]] N2` with
+    N1 and N2 at nat; its terms' heads come from ctx and consts."""
+    k = 0 if depth <= 0 else choose(0, 3)
     if k == 0:
         proof = gen_lfi_term(choose, ctx, LFI_NAT, choose(0, max(depth, 0)),
                              consts)
         index = gen_lfi_term(choose, ctx, LFI_NAT, choose(0, max(depth, 0)),
                              consts)
         return L.ITApp(L.ITIrrApp(L.ITConst("p"), proof), index)
-    if k == 3:
+    if k == 2:
         return L.ITProd(gen_lfi_type(choose, ctx, depth - 1, consts),
                         gen_lfi_type(choose, ctx, depth - 1, consts))
-    if k == 4:
+    if k == 3:
         return L.ITUnitT()
-    ctor = L.ITPi if k == 1 else L.ITIrrPi
-    return ctor(*_lfi_binder(choose, ctx, depth, gen_lfi_type, consts))
+    return L.ITPi(*_lfi_binder(choose, ctx, depth, gen_lfi_type, consts))
 
 
 def gen_lfi_kind(choose, ctx, depth: int, consts=LFI_CONSTS):
-    """A target kind over ctx: both Pi forms, products, unit and `type`."""
-    k = 0 if depth <= 0 else choose(0, 4)
+    """A target kind over ctx: both Pi forms and `type`."""
+    k = 0 if depth <= 0 else choose(0, 2)
     if k == 0:
         return L.IKType()
-    if k == 3:
-        return L.IKProd(gen_lfi_kind(choose, ctx, depth - 1, consts),
-                        gen_lfi_kind(choose, ctx, depth - 1, consts))
-    if k == 4:
-        return L.IKUnit()
     ctor = L.IKPi if k == 1 else L.IKIrrPi
     return ctor(*_lfi_binder(choose, ctx, depth, gen_lfi_kind, consts))

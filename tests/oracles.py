@@ -473,7 +473,7 @@ class NBind:
 
 
 _binder_names = itertools.count()
-_REDEX_HEADS = {"App": "Lam", "IApp": "ILam", "IIrrApp": "ILam"}
+_REDEX_HEADS = {"App": "Lam", "IApp": "ILam"}
 
 
 def named(t, env: tuple = ()):
@@ -663,8 +663,6 @@ def _opl_term(t, lvl: int, ext: bool) -> str:
             return f"?{i}"
         case L.IApp(f, a):
             return _wrap(lvl >= 4, f"{_opl_term(f, 3, False)} {_opl_term(a, 4, False)}")
-        case L.IIrrApp(f, a):
-            return _wrap(lvl >= 4, f"{_opl_term(f, 3, False)} [[ {_opl_term(a, 0, True)} ]]")
         case L.IFst(b):
             return f"{_opl_term(b, 4, False)}.1"
         case L.ISnd(b):
@@ -699,8 +697,6 @@ def _opl_type(a, lvl: int, ext: bool) -> str:
             return _wrap(lvl >= 4, f"{_opl_type(f, 3, False)} [[ {_opl_term(arg, 0, True)} ]]")
         case L.ITPi(h, d, c):
             return _opl_binder(h, d, c, _opl_type, ":", "->", ext, lvl)
-        case L.ITIrrPi(h, d, c):
-            return _opl_binder(h, d, c, _opl_type, "::", "-:>", ext, lvl)
         case L.ITProd(l, r):
             return _wrap(lvl >= 3, f"({_opl_type(l, 0, True)}) * ({_opl_type(r, 0, True)})")
         case L.ITUnitT():
@@ -716,10 +712,6 @@ def _opl_kind(k, lvl: int, ext: bool) -> str:
             return _opl_binder(h, d, c, _opl_kind, ":", "->", ext, lvl)
         case L.IKIrrPi(h, d, c):
             return _opl_binder(h, d, c, _opl_kind, "::", "-:>", ext, lvl)
-        case L.IKProd(l, r):
-            return _wrap(lvl >= 3, f"({_opl_kind(l, 0, True)}) * ({_opl_kind(r, 0, True)})")
-        case L.IKUnit():
-            return "1"
     raise TypeError(k)
 
 
@@ -753,13 +745,6 @@ def opened_synth(sig, ctx, r):
                 raise LfiError(f"applied term of non-function type {opened_pp_lfi_type(fty)}")
             opened_check(sig, ctx, a, fty.dom)
             return lfi_hsubst(a, 0, fty.dom, fty.cod)
-        case L.IIrrApp(f, a):
-            fty = opened_synth(sig, ctx, f)
-            if not isinstance(fty, L.ITIrrPi):
-                raise LfiError(
-                    f"irrelevant application at non-irrelevant type {opened_pp_lfi_type(fty)}")
-            opened_check(sig, promote(ctx), a, fty.dom)
-            return lfi_hsubst(a, 0, fty.dom, fty.cod)
         case L.IFst(b):
             bty = opened_synth(sig, ctx, b)
             if not isinstance(bty, L.ITProd):
@@ -776,11 +761,10 @@ def opened_synth(sig, ctx, r):
 def opened_check(sig, ctx, n, a) -> None:
     match n:
         case L.ILam(h, b):
-            if not isinstance(a, (L.ITPi, L.ITIrrPi)):
+            if not isinstance(a, L.ITPi):
                 raise LfiError(
                     f"function checked against non-function type {opened_pp_lfi_type(a)}")
-            opened_check(sig, *_opened(ctx, h, a.dom, isinstance(a, L.ITPi),
-                                       b, a.cod))
+            opened_check(sig, *_opened(ctx, h, a.dom, True, b, a.cod))
         case L.IPair(l, r):
             if not isinstance(a, L.ITProd):
                 raise LfiError(f"pair checked against non-product type {opened_pp_lfi_type(a)}")
@@ -801,9 +785,9 @@ def opened_check(sig, ctx, n, a) -> None:
 
 def opened_check_type(sig, ctx, a) -> None:
     match a:
-        case L.ITPi(h, d, c) | L.ITIrrPi(h, d, c):
+        case L.ITPi(h, d, c):
             opened_check_type(sig, ctx, d)
-            opened_check_type(sig, *_opened(ctx, h, d, isinstance(a, L.ITPi), c))
+            opened_check_type(sig, *_opened(ctx, h, d, True, c))
         case L.ITProd(l, r):
             opened_check_type(sig, ctx, l)
             opened_check_type(sig, ctx, r)
@@ -841,14 +825,11 @@ def _opened_kind_of(sig, ctx, p):
 
 def opened_check_kind(sig, ctx, k) -> None:
     match k:
-        case L.IKType() | L.IKUnit():
+        case L.IKType():
             pass
         case L.IKPi(h, d, c) | L.IKIrrPi(h, d, c):
             opened_check_type(sig, ctx, d)
             opened_check_kind(sig, *_opened(ctx, h, d, isinstance(k, L.IKPi), c))
-        case L.IKProd(l, r):
-            opened_check_kind(sig, ctx, l)
-            opened_check_kind(sig, ctx, r)
         case _:
             raise LfiError(f"not a kind: {k!r}")
 
@@ -1557,7 +1538,7 @@ def retranslating_verify(sig, result) -> None:
 # uncached_check_sig.
 
 
-def uncached_equal(x, y, respect_irrelevance: bool = True) -> bool:
+def uncached_equal(x, y) -> bool:
     if type(x) is not type(y):
         return False
     eq = uncached_equal
@@ -1566,47 +1547,41 @@ def uncached_equal(x, y, respect_irrelevance: bool = True) -> bool:
               | (L.ITConst(a), L.ITConst(b)) | (L.IBVar(a), L.IBVar(b))):
             return a == b
         case ((L.IUnit(), L.IUnit()) | (L.ITUnitT(), L.ITUnitT())
-              | (L.IKType(), L.IKType()) | (L.IKUnit(), L.IKUnit())):
+              | (L.IKType(), L.IKType())):
             return True
         case (L.IApp(f1, a1), L.IApp(f2, a2)) | (L.ITApp(f1, a1), L.ITApp(f2, a2)):
-            return (eq(f1, f2, respect_irrelevance)
-                    and eq(a1, a2, respect_irrelevance))
-        case ((L.IIrrApp(f1, a1), L.IIrrApp(f2, a2))
-              | (L.ITIrrApp(f1, a1), L.ITIrrApp(f2, a2))):
-            if not eq(f1, f2, respect_irrelevance):
-                return False
-            return True if respect_irrelevance else eq(a1, a2, respect_irrelevance)
+            return eq(f1, f2) and eq(a1, a2)
+        case (L.ITIrrApp(f1, _), L.ITIrrApp(f2, _)):
+            return eq(f1, f2)
         case (L.IFst(b1), L.IFst(b2)) | (L.ISnd(b1), L.ISnd(b2)):
-            return eq(b1, b2, respect_irrelevance)
+            return eq(b1, b2)
         case (L.ILam(_, b1), L.ILam(_, b2)):
-            return eq(b1, b2, respect_irrelevance)
-        case ((L.IPair(l1, r1), L.IPair(l2, r2))
-              | (L.ITProd(l1, r1), L.ITProd(l2, r2))
-              | (L.IKProd(l1, r1), L.IKProd(l2, r2))):
-            return (eq(l1, l2, respect_irrelevance)
-                    and eq(r1, r2, respect_irrelevance))
+            return eq(b1, b2)
+        case (L.IPair(l1, r1), L.IPair(l2, r2)) | (L.ITProd(l1, r1), L.ITProd(l2, r2)):
+            return eq(l1, l2) and eq(r1, r2)
         case ((L.ITPi(_, d1, c1), L.ITPi(_, d2, c2))
-              | (L.ITIrrPi(_, d1, c1), L.ITIrrPi(_, d2, c2))
               | (L.IKPi(_, d1, c1), L.IKPi(_, d2, c2))
               | (L.IKIrrPi(_, d1, c1), L.IKIrrPi(_, d2, c2))):
-            return (eq(d1, d2, respect_irrelevance)
-                    and eq(c1, c2, respect_irrelevance))
+            return eq(d1, d2) and eq(c1, c2)
     return False
 
 
 def _uncached_apply(sig, ctx, stack, ty, spine, pis, mismatch):
     done = []
-    for arg, irr in spine:
-        if not isinstance(ty, pis[irr]):
-            raise mismatch(L._inst(ty, done), irr)
-        if irr:
-            _uncached_check(sig, promote(ctx), L._promote(stack), arg,
-                            L._inst(ty.dom, done))
-        else:
-            _uncached_check(sig, ctx, stack, arg, L._inst(ty.dom, done))
-        done.append((arg, L.lfi_erase_type(ty.dom)))
-        ty = ty.cod
-    return L._inst(ty, done)
+    try:
+        for arg, irr in spine:
+            if not isinstance(ty, pis[irr]):
+                raise mismatch(L._inst(ty, done))
+            if irr:
+                _uncached_check(sig, promote(ctx), L._promote(stack), arg,
+                                L._inst(ty.dom, done))
+            else:
+                _uncached_check(sig, ctx, stack, arg, L._inst(ty.dom, done))
+            done.append((arg, L.lfi_erase_type(ty.dom)))
+            ty = ty.cod
+        return L._inst(ty, done)
+    except _SubstFailure as e:
+        raise LfiError(f"substitution failed: {e}") from None
 
 
 def _uncached_synth(sig, ctx, stack, r):
@@ -1631,12 +1606,13 @@ def _uncached_synth(sig, ctx, stack, r):
                     f"irrelevant hypothesis {L._names(ctx, stack)[-1 - i]} "
                     f"used in a relevant position")
             return L._shift_lfi(d, i + 1)
-        case L.IApp() | L.IIrrApp():
-            head, spine = L._unspine(r, (L.IApp, L.IIrrApp))
+        case L.IApp():
+            head, spine = L._unspine(r)
             return _uncached_apply(
                 sig, ctx, stack, _uncached_synth(sig, ctx, stack, head), spine,
-                (L.ITPi, L.ITIrrPi), lambda ty, irr: LfiError(
-                    f"{L._NOT_A_PI[irr]} {L._fmt_type(ty, ctx, stack)}"))
+                (L.ITPi,), lambda ty: LfiError(
+                    f"applied term of non-function type "
+                    f"{L._fmt_type(ty, ctx, stack)}"))
         case L.IFst(b) | L.ISnd(b):
             bty = _uncached_synth(sig, ctx, stack, b)
             if not isinstance(bty, L.ITProd):
@@ -1651,12 +1627,10 @@ def _uncached_synth(sig, ctx, stack, r):
 def _uncached_check(sig, ctx, stack, n, a) -> None:
     match n:
         case L.ILam(h, b):
-            if not isinstance(a, (L.ITPi, L.ITIrrPi)):
+            if not isinstance(a, L.ITPi):
                 raise LfiError(f"function checked against non-function "
                                f"type {L._fmt_type(a, ctx, stack)}")
-            _uncached_check(sig, ctx,
-                            stack + ((h, a.dom, isinstance(a, L.ITPi)),),
-                            b, a.cod)
+            _uncached_check(sig, ctx, stack + ((h, a.dom, True),), b, a.cod)
         case L.IPair(l, r):
             if not isinstance(a, L.ITProd):
                 raise LfiError(f"pair checked against non-product type "
@@ -1679,10 +1653,9 @@ def _uncached_check(sig, ctx, stack, n, a) -> None:
 
 def _uncached_check_type(sig, ctx, stack, a) -> None:
     match a:
-        case L.ITPi(h, d, c) | L.ITIrrPi(h, d, c):
+        case L.ITPi(h, d, c):
             _uncached_check_type(sig, ctx, stack, d)
-            _uncached_check_type(sig, ctx,
-                                 stack + ((h, d, isinstance(a, L.ITPi)),), c)
+            _uncached_check_type(sig, ctx, stack + ((h, d, True),), c)
         case L.ITProd(l, r):
             _uncached_check_type(sig, ctx, stack, l)
             _uncached_check_type(sig, ctx, stack, r)
@@ -1698,7 +1671,7 @@ def _uncached_check_type(sig, ctx, stack, a) -> None:
 
 
 def _uncached_kind_of_atomic(sig, ctx, stack, p):
-    p, spine = L._unspine(p, (L.ITApp, L.ITIrrApp))
+    p, spine = L._unspine(p)
     if not isinstance(p, L.ITConst):
         raise LfiError(
             f"type head is not a constant: {L._named(p, ctx, stack)!r}")
@@ -1706,22 +1679,19 @@ def _uncached_kind_of_atomic(sig, ctx, stack, p):
     if kind is None:
         raise LfiError(f"unbound type family {p.name}")
     return _uncached_apply(sig, ctx, stack, kind, spine, (L.IKPi, L.IKIrrPi),
-                           lambda ty, irr: LfiError(
+                           lambda ty: LfiError(
                                f"kind of {p.name} does not accept this "
                                f"argument shape"))
 
 
 def _uncached_check_kind(sig, ctx, stack, k) -> None:
     match k:
-        case L.IKType() | L.IKUnit():
+        case L.IKType():
             pass
         case L.IKPi(h, d, c) | L.IKIrrPi(h, d, c):
             _uncached_check_type(sig, ctx, stack, d)
             _uncached_check_kind(sig, ctx,
                                  stack + ((h, d, isinstance(k, L.IKPi)),), c)
-        case L.IKProd(l, r):
-            _uncached_check_kind(sig, ctx, stack, l)
-            _uncached_check_kind(sig, ctx, stack, r)
         case _:
             raise LfiError(f"not a kind: {L._named(k, ctx, stack)!r}")
 
@@ -2350,12 +2320,6 @@ class _TargetElab:
                     raise ParseError("application of a non-atomic term",
                                      _raw_span(e))
                 return L.IApp(fn, self.term(a, scope))
-            case RIrrApp(f, a):
-                fn = self.term(f, scope)
-                if not L.is_lfi_atomic(fn):
-                    raise ParseError("irrelevant application of a non-atomic "
-                                     "term", _raw_span(e))
-                return L.IIrrApp(fn, self.term(a, scope))
             case RProj(b, which):
                 base = self.term(b, scope)
                 if not L.is_lfi_atomic(base):
@@ -2368,6 +2332,9 @@ class _TargetElab:
                 return L.IPair(self.term(l, scope), self.term(r, scope))
             case RUnitTerm():
                 return L.IUnit()
+            case RIrrApp():
+                raise ParseError("only a type family takes an argument "
+                                 "irrelevantly", _raw_span(e))
         raise ParseError("expected a term", _raw_span(e))
 
     def type(self, e, scope: list):
@@ -2389,25 +2356,20 @@ class _TargetElab:
             case RArrow(d, c):
                 return L.ITPi("x", self.type(d, scope),
                               self.type(c, scope + [None]))
-            case RIrrArrow(d, c):
-                return L.ITIrrPi("x", self.type(d, scope),
-                                 self.type(c, scope + [None]))
             case RPi(x, ":", d, b):
                 return L.ITPi(x, self.type(d, scope),
                               self.type(b, scope + [x]))
-            case RPi(x, "::", d, b):
-                return L.ITIrrPi(x, self.type(d, scope),
-                                 self.type(b, scope + [x]))
             case RProd(l, r):
                 return L.ITProd(self.type(l, scope), self.type(r, scope))
+            case RIrrArrow() | RPi(_, "::"):
+                raise ParseError("only a kind takes an argument irrelevantly",
+                                 _raw_span(e))
         raise ParseError("expected a type", _raw_span(e))
 
     def kind(self, e, scope: list):
         match e:
             case RIdent("type"):
                 return L.IKType()
-            case RNum(1):
-                return L.IKUnit()
             case RArrow(d, c):
                 return L.IKPi("x", self.type(d, scope),
                               self.kind(c, scope + [None]))
@@ -2420,8 +2382,6 @@ class _TargetElab:
             case RPi(x, "::", d, b):
                 return L.IKIrrPi(x, self.type(d, scope),
                                  self.kind(b, scope + [x]))
-            case RProd(l, r):
-                return L.IKProd(self.kind(l, scope), self.kind(r, scope))
         raise ParseError("expected a kind", _raw_span(e))
 
 

@@ -27,7 +27,6 @@ from lfr.lfi import (
     IApp,
     IConst,
     IFst,
-    IIrrApp,
     ILam,
     IPair,
     ISnd,
@@ -39,7 +38,8 @@ from lfr.lfi import (
     is_lfi_atomic,
     lfi_synth,
 )
-from lfr.subst import MetricExhausted, eta_expand, hsubst_n
+from lfr.diagnostics import MetricExhausted
+from lfr.subst import eta_expand, hsubst_n
 from lfr.syntax import (
     Arrow,
     Const,
@@ -295,8 +295,7 @@ def test_criterion_08_pinned_translations(capsys, translated_goldens):
             got = translated_goldens[name].lfi_sig
             assert [d.name for d in got] == [d.name for d in expected], name
             for g, e in zip(got, expected):
-                assert lfi_equal(g.classifier, e.classifier,
-                                 respect_irrelevance=False), (name, g.name)
+                assert g.classifier == e.classifier, (name, g.name)
                 total += 1
         note["detail"] = f"{total} declarations identical"
 
@@ -313,7 +312,7 @@ def test_criterion_09_coherence(capsys, coherence_sig, translated_goldens):
         t1 = ITApp(ITIrrApp(pred, proofs[0]), subject)
         t2 = ITApp(ITIrrApp(pred, proofs[1]), subject)
         assert lfi_equal(t1, t2) is True
-        assert lfi_equal(t1, t2, respect_irrelevance=False) is False
+        assert (t1 == t2) is False
         note["detail"] = ("two candidate types for dbl/z equal exactly "
                           "under irrelevance")
 
@@ -332,7 +331,6 @@ def _enumerate_atomic(max_size: int):
             for f in atomic[fs]:
                 for a in atomic[size - 1 - fs]:
                     out.append(IApp(f, a))
-                    out.append(IIrrApp(f, a))
         atomic[size] = out
     return [t for ts in atomic.values() for t in ts]
 
@@ -359,7 +357,7 @@ def test_criterion_10_no_junk_proofs(capsys, translated_goldens):
                     (odd_at(0), "odd 0"), (odd_at(2), "odd 2")]
         accepted_goal = goal0
 
-        candidates = _enumerate_atomic(6)
+        candidates = _enumerate_atomic(7)
         assert len(candidates) > 20_000
         found_positive = False
         for t in candidates:

@@ -32,13 +32,9 @@ from lfr.lfi import (
     IConst,
     IFst,
     IFVar,
-    IIrrApp,
-    IIrrArrow,
     IKIrrPi,
     IKPi,
-    IKProd,
     IKType,
-    IKUnit,
     ILam,
     IPair,
     IProdS,
@@ -46,7 +42,6 @@ from lfr.lfi import (
     ITApp,
     ITConst,
     ITIrrApp,
-    ITIrrPi,
     ITPi,
     ITProd,
     ITUnitT,
@@ -60,11 +55,11 @@ from lfr.lfi import (
     lfi_hsubst,
     promote,
 )
-from lfr.diagnostics import VerifyError
+from lfr.diagnostics import MetricExhausted, Node, SubstFailure, VerifyError
+from lfr.parser import parse_lfi
 from lfr.printer import pp_lfi_kind, pp_lfi_term, pp_lfi_type, print_lfi
-from lfr.subst import MetricExhausted, SubstFailure
-from lfr.syntax import ConstRef
-from lfr.translate import verify_translation
+from lfr.syntax import ConstRef, CtxEntry, SConst, TConst
+from lfr.translate import trans_ctx, verify_translation
 
 from conftest import GOLDEN_NAMES
 from gen import (
@@ -131,7 +126,7 @@ class TestEquality:
         a = ITApp(ITIrrApp(EVEN_PRED, EVEN_INTRO), num(0))
         b = ITApp(ITIrrApp(EVEN_PRED, ODD_INTRO), num(0))
         assert lfi_equal(a, b)
-        assert not lfi_equal(a, b, respect_irrelevance=False)
+        assert a != b
 
     def test_relevant_arguments_still_compared(self):
         a = ITApp(ITIrrApp(EVEN_PRED, EVEN_INTRO), num(0))
@@ -153,7 +148,8 @@ class TestEquality:
         # unequal terms differ unless the hole is irrelevant.
         x, y = num(1), num(2)
         assert not lfi_equal(IApp(IConst("f"), x), IApp(IConst("f"), y))
-        assert lfi_equal(IIrrApp(IConst("f"), x), IIrrApp(IConst("f"), y))
+        assert not lfi_equal(ITApp(EVEN_PRED, x), ITApp(EVEN_PRED, y))
+        assert lfi_equal(ITIrrApp(EVEN_PRED, x), ITIrrApp(EVEN_PRED, y))
 
     def test_pairs_and_projections(self):
         assert lfi_equal(IFst(IConst("c")), IFst(IConst("c")))
@@ -168,7 +164,7 @@ class TestSubstitution:
         s1 = lfi_hsubst(EVEN_INTRO, "p", IBase("even^"), t)
         s2 = lfi_hsubst(ODD_INTRO, "p", IBase("even^"), t)
         assert lfi_equal(s1, s2)
-        assert not lfi_equal(s1, s2, respect_irrelevance=False)
+        assert s1 != s2
 
     def test_relevant_substitution(self):
         t = IApp(IConst("s"), IFVar("n"))
@@ -253,12 +249,12 @@ class TestNamedOracle:
 @st.composite
 def lfi_spine_instances(draw):
     """(pi, spine): a Pi type or kind over O_CTX with two to four binders,
-    each relevant or not, whose domains mention the binders before them,
-    and an (argument, erased domain) pair for each binder.  An argument
-    at a function or a product type is a lambda or a pair, so where its
-    variable heads a spine, substitution reduces a redex or projects.
-    The hypothesis a is closed into a dangling index, one binder out, in
-    pi and in the arguments."""
+    each of a kind relevant or not, whose domains mention the binders
+    before them, and an (argument, erased domain) pair for each binder.
+    An argument at a function or a product type is a lambda or a pair,
+    so where its variable heads a spine, substitution reduces a redex or
+    projects.  The hypothesis a is closed into a dangling index, one
+    binder out, in pi and in the arguments."""
 
     def choose(lo, hi):
         return draw(st.integers(lo, hi))
@@ -272,9 +268,9 @@ def lfi_spine_instances(draw):
         ctx.append((f"y{i}", beta))
     which = choose(1, 2)
     t = _lfi_subject(choose, ctx, ctx[-1][0], which)
-    pis = (ITPi, ITIrrPi) if which == 1 else (IKPi, IKIrrPi)
+    pis = (ITPi,) if which == 1 else (IKPi, IKIrrPi)
     for (y, _), dom in reversed(list(zip(ctx[len(O_CTX):], doms))):
-        t = pis[choose(0, 1)](y, dom, close_lfi(t, y))
+        t = pis[choose(0, len(pis) - 1)](y, dom, close_lfi(t, y))
     return close_lfi(t, "a"), [(close_lfi(n, "a"), beta) for n, beta in spine]
 
 
@@ -296,7 +292,7 @@ class TestSpineInstantiation:
             body = body.cod
         out = lfr.lfi._inst(body, spine)
         assert out == folded
-        pp = pp_lfi_type if isinstance(pi, (ITPi, ITIrrPi)) else pp_lfi_kind
+        pp = pp_lfi_type if isinstance(pi, ITPi) else pp_lfi_kind
         assert pp(out) == pp(folded)
         # Named substitution, with the dangling index opened as a again:
         # in body it is index len(spine).
@@ -309,12 +305,10 @@ class TestSpineInstantiation:
 # Few binder hints, so that nested binders often share one; they meet a
 # constant, a context name and a name the generators give a binder.
 O_HINTS = ("x", "x'", "z", "a", "b5")
-# LFI_CTX; g, which takes its argument irrelevantly; c and e, into the
-# family p, so that a term at p has a head, and one that takes an argument.
-O_CTX = LFI_CTX + [("g", IIrrArrow(LFI_NAT, LFI_NAT)), ("c", IBase("p")),
-                   ("e", IArrow(LFI_NAT, IBase("p")))]
+# LFI_CTX; c and e, into the family p, so that a term at p has a head, and
+# one that takes an argument.
+O_CTX = LFI_CTX + [("c", IBase("p")), ("e", IArrow(LFI_NAT, IBase("p")))]
 O_TYPES = {"a": I_NAT, "f": ITPi("x", I_NAT, I_NAT),
-           "g": ITIrrPi("x", I_NAT, I_NAT),
            "c": ITApp(ITIrrApp(ITConst("p"), IConst("z")), IConst("z")),
            "e": ITPi("x", I_NAT, ITApp(ITIrrApp(ITConst("p"), IConst("z")),
                                        IBVar(0)))}
@@ -325,11 +319,11 @@ def _p(proof, index):
     return ITApp(ITIrrApp(ITConst("p"), proof), index)
 
 
-# d : {x : nat} {u :: p [[z]] x} {y : nat} {v : p [[x]] y} {t : p [[y]] (s x)}
+# d : {x : nat} {u : p [[z]] x} {y : nat} {v : p [[x]] y} {t : p [[y]] (s x)}
 #     ({w : nat} p [[x]] w) * nat
 # Three of its domains and its codomain depend on the binders before them,
 # so an argument at any of its five places can be ill-typed.
-O_D = ITPi("x", I_NAT, ITIrrPi("u", _p(IConst("z"), IBVar(0)), ITPi(
+O_D = ITPi("x", I_NAT, ITPi("u", _p(IConst("z"), IBVar(0)), ITPi(
     "y", I_NAT, ITPi("v", _p(IBVar(2), IBVar(0)), ITPi(
         "t", _p(IBVar(1), IApp(IConst("s"), IBVar(3))),
         ITProd(ITPi("w", I_NAT, _p(IBVar(5), IBVar(0))), I_NAT))))))
@@ -345,7 +339,7 @@ O_SIG = LfiSignature([
 O_BASE = IBase("p")
 O_CONSTS = LFI_CONSTS + (
     ("d", lfi_erase_type(O_D)),
-    ("d", IArrow(LFI_NAT, IIrrArrow(O_BASE, IArrow(LFI_NAT, IArrow(
+    ("d", IArrow(LFI_NAT, IArrow(O_BASE, IArrow(LFI_NAT, IArrow(
         O_BASE, IArrow(O_BASE, IArrow(LFI_NAT, O_BASE))))))))
 
 
@@ -356,8 +350,8 @@ def _hints(t) -> list[str]:
 
 def _o_subject(choose, which: int):
     """A term (with a type it has the erasure of), a type or a kind over
-    O_CTX and O_CONSTS, under up to three binders of nat, each relevant
-    or not.  The binders are rehinted from O_HINTS: all with one hint, or
+    O_CTX and O_CONSTS, under up to three binders of nat, each of a kind
+    relevant or not.  The binders are rehinted from O_HINTS: all with one hint, or
     each with its own."""
     def hint():
         return O_HINTS[choose(0, len(O_HINTS) - 1)]
@@ -380,13 +374,14 @@ def _o_subject(choose, which: int):
 
 
 def _bind(x: str, relevant: bool, t):
-    """t under a binder of x at nat: a lambda, or a Pi at t's level."""
+    """t under a binder of x at nat: a lambda, or a Pi at t's level, which
+    for a kind is irrelevant where relevant is false."""
     body = close_lfi(t, x)
     if lfr.lfi.is_lfi_atomic(t) or isinstance(t, (ILam, IPair, IUnit)):
         return ILam(x, body)
-    pis = ((IKPi, IKIrrPi) if isinstance(t, (IKType, IKPi, IKIrrPi, IKProd, IKUnit))
-           else (ITPi, ITIrrPi))
-    return pis[not relevant](x, I_NAT, body)
+    if isinstance(t, (IKType, IKPi, IKIrrPi)):
+        return (IKPi, IKIrrPi)[not relevant](x, I_NAT, body)
+    return ITPi(x, I_NAT, body)
 
 
 @st.composite
@@ -435,13 +430,13 @@ def _e(n):
 
 
 def _d_spine(end=(ISnd,), **args):
-    """snd (d a [[e a]] z (e z) (e (s a))), well-typed at nat, with the
+    """snd (d a (e a) z (e z) (e (s a))), well-typed at nat, with the
     arguments named in args replaced; end wraps the spine."""
     spine = {"x": IFVar("a"), "u": _e(IFVar("a")), "y": IConst("z"),
              "v": _e(IConst("z")), "t": _e(IApp(IConst("s"), IFVar("a")))}
     r = IConst("d")
-    for name, arg in {**spine, **args}.items():
-        r = (IIrrApp if name == "u" else IApp)(r, arg)
+    for arg in {**spine, **args}.values():
+        r = IApp(r, arg)
     for wrap in end:
         r = wrap(r)
     return r
@@ -494,19 +489,72 @@ class TestOpenedOracle:
          None),
         (IApp(IFst(_d_spine(end=())), IFVar("c")), _p(IConst("z"), IConst("z")),
          "type mismatch: expected nat, synthesized p [[ z ]] z"),
-        (IIrrApp(IConst("d"), IFVar("a")), I_NAT,
-         "irrelevant application at non-irrelevant type {x : nat} "
-         "p [[ z ]] x -:> {y : nat} p [[ x ]] y -> p [[ y ]] (s x) -> "
-         "({w : nat} p [[ x ]] w) * (nat)"),
+        (_d_spine(y=IFVar("i")), I_NAT,
+         "irrelevant hypothesis i used in a relevant position"),
     ], ids=["well-typed", "ill-typed-1", "ill-typed-2", "ill-typed-3",
             "ill-typed-4", "ill-typed-5", "pair-applied", "projected",
             "after-projection", "irrelevant-at-relevant"])
     def test_checker_matches_on_spines_of_d(self, spine, goal, message):
         # Every argument of d is checked against its domain set to the
         # arguments before it; a projection ends one spine and starts one.
-        ctx = [LfiCtxEntry(x, O_TYPES[x]) for x, _ in O_CTX]
+        # The hypothesis i is irrelevant.
+        ctx = ([LfiCtxEntry(x, O_TYPES[x]) for x, _ in O_CTX]
+               + [LfiCtxEntry("i", I_NAT, False)])
         assert _outcome(lfi_check, O_SIG, ctx, spine, goal) == message
         assert _outcome(opened_check, O_SIG, ctx, spine, goal) == message
+
+    @pytest.mark.parametrize("a, message", [
+        (_p(IFVar("i"), IFVar("a")), None),
+        (_p(IApp(IConst("s"), IFVar("i")), IFVar("a")), None),
+        (_p(IConst("z"), IFVar("i")),
+         "irrelevant hypothesis i used in a relevant position"),
+        (ITPi("x", I_NAT, _p(IBVar(0), IFVar("i"))),
+         "irrelevant hypothesis i used in a relevant position"),
+        (ITApp(ITApp(ITConst("p"), IConst("z")), IConst("z")),
+         "kind of p does not accept this argument shape"),
+        (ITIrrApp(ITIrrApp(ITConst("p"), IConst("z")), IConst("z")),
+         "kind of p does not accept this argument shape"),
+        (_p(IConst("z"), IFVar("c")),
+         "type mismatch: expected nat, synthesized p [[ z ]] z"),
+        (_p(IFVar("c"), IConst("z")),
+         "type mismatch: expected nat, synthesized p [[ z ]] z"),
+    ], ids=["irrelevant-proof", "irrelevant-under-s", "irrelevant-index",
+            "irrelevant-under-pi", "relevant-at-irrelevant",
+            "irrelevant-at-relevant", "ill-typed-index", "ill-typed-proof"])
+    def test_checker_matches_on_applications_of_p(self, a, message):
+        # p's kind takes its first argument irrelevantly: the irrelevant
+        # hypothesis i may occur there, and only there.
+        ctx = ([LfiCtxEntry(x, O_TYPES[x]) for x, _ in O_CTX]
+               + [LfiCtxEntry("i", I_NAT, False)])
+        assert _outcome(lfi_check_type, O_SIG, ctx, a) == message
+        assert _outcome(opened_check_type, O_SIG, ctx, a) == message
+
+    @pytest.mark.parametrize("k, message", [
+        (IKIrrPi("u", I_NAT, IKPi("_", _p(IBVar(0), IConst("z")), IKType())),
+         None),
+        (IKIrrPi("u", I_NAT, IKPi("_", _p(IConst("z"), IBVar(0)), IKType())),
+         "irrelevant hypothesis u used in a relevant position"),
+        (IKIrrPi("u", I_NAT, IKPi("_", ITPi("x", I_NAT, _p(
+            IApp(IConst("s"), IBVar(1)), IBVar(0))), IKType())), None),
+        (IKIrrPi("u", I_NAT, IKPi("_", ITPi("x", I_NAT, _p(
+            IBVar(0), IBVar(1))), IKType())),
+         "irrelevant hypothesis u used in a relevant position"),
+        (IKIrrPi("u", I_NAT, IKIrrPi("v", I_NAT, IKPi("_", _p(
+            IBVar(1), IBVar(0)), IKType()))),
+         "irrelevant hypothesis v used in a relevant position"),
+        (IKPi("u", I_NAT, IKIrrPi("v", I_NAT, IKPi("_", _p(
+            IBVar(0), IBVar(1)), IKType()))), None),
+        (IKIrrPi("i", I_NAT, IKPi("_", _p(IConst("z"), IBVar(0)), IKType())),
+         "irrelevant hypothesis i' used in a relevant position"),
+    ], ids=["proof", "index", "proof-under-pi", "index-under-pi",
+            "inner-index", "outer-relevant", "hint-meets-context"])
+    def test_checker_matches_on_kinds_binding_irrelevantly(self, k, message):
+        # A kind's irrelevant binder may occur in a `[[ ]]` argument only,
+        # also under a Pi type; i is an irrelevant context entry too.
+        ctx = ([LfiCtxEntry(x, O_TYPES[x]) for x, _ in O_CTX]
+               + [LfiCtxEntry("i", I_NAT, False)])
+        assert _outcome(lfi_check_kind, O_SIG, ctx, k) == message
+        assert _outcome(opened_check_kind, O_SIG, ctx, k) == message
 
 
 # Values recorded from the named implementation, which opened every binder
@@ -529,7 +577,7 @@ class TestPinnedFailures:
          _ip(IFst(IFVar("q"))),
          "head-type mismatch", ("arg",)),
         (ILam("x", IBVar(0)), "f", I_NN,
-         ITPi("y", I_NAT, _ip(IIrrApp(IFVar("f"), IBVar(0)))),
+         ITPi("y", I_NAT, _ip(IFst(IFVar("f")))),
          "head-type mismatch", ("cod", "arg")),
         (num(0), "f", I_NN, ILam("y", IApp(IFVar("f"), IBVar(0))),
          "non-function applied", ("body",)),
@@ -541,8 +589,8 @@ class TestPinnedFailures:
          IKIrrPi("y", _ip(IFVar("f")), IKType()),
          "head-type mismatch", ("dom", "arg")),
         (IPair(num(0), num(0)), "q", IProdS(IBase("nat"), IBase("nat")),
-         ITIrrPi("y", I_NAT,
-                 ITProd(ITUnitT(), _ip(IApp(ISnd(IFVar("q")), IBVar(0))))),
+         ITPi("y", I_NAT,
+              ITProd(ITUnitT(), _ip(IApp(ISnd(IFVar("q")), IBVar(0))))),
          "non-function applied", ("cod", "right", "arg")),
     ])
     def test_reason_and_path(self, n0, x0, alpha0, t, reason, path):
@@ -559,8 +607,8 @@ class TestPinnedFailures:
 
 I_TWICE = ILam("g", IApp(IBVar(0), IApp(IBVar(0), num(0))))
 I_SPLIT = ILam("u", IPair(IApp(IConst("s"), IBVar(0)), IBVar(0)))
-# {y :: nat} {v : nat} p [[ f [w] s w ]] (f [w] y) (k v).2
-I_DEP_TYPE = ITIrrPi("y", I_NAT, ITPi("v", I_NAT, ITApp(ITApp(
+# {y : nat} {v : nat} p [[ f [w] s w ]] (f [w] y) (k v).2
+I_DEP_TYPE = ITPi("y", I_NAT, ITPi("v", I_NAT, ITApp(ITApp(
     ITIrrApp(ITConst("p"), IApp(IFVar("f"), ILam("w", IApp(IConst("s"),
                                                            IBVar(0))))),
     IApp(IFVar("f"), ILam("w", IBVar(2)))),
@@ -903,11 +951,17 @@ class TestChecking:
             lfi_synth(eo, ctx, IFVar("p"))
 
     def test_bound_irrelevant_hypothesis_usable_only_irrelevantly(self):
-        sig = LfiSignature(list(D_SIG) + [LfiDecl("g", ITIrrPi("x", D_NAT, D_NAT))])
-        goal = ITIrrPi("u", D_NAT, D_NAT)
-        lfi_check(sig, [], ILam("u", IIrrApp(IConst("g"), IBVar(0))), goal)
+        # r : nat -:> nat -> type; the kind binds u irrelevantly, so u may
+        # be r's first argument but not its second.
+        sig = LfiSignature(list(D_SIG) + [LfiDecl("r", IKIrrPi(
+            "x", D_NAT, IKPi("y", D_NAT, IKType())))])
+
+        def kind(proof, index):
+            return IKIrrPi("u", D_NAT, IKPi("_", ITApp(ITIrrApp(
+                ITConst("r"), proof), index), IKType()))
+        lfi_check_kind(sig, [], kind(IApp(IConst("s"), IBVar(0)), D_Z))
         with pytest.raises(LfiError):
-            lfi_check(sig, [], ILam("u", IApp(IConst("s"), IBVar(0))), goal)
+            lfi_check_kind(sig, [], kind(D_Z, IApp(IConst("s"), IBVar(0))))
 
     def test_kind_level_products_and_irrelevant_pi(self, eo):
         assert isinstance(eo.fam_kind("even"), IKIrrPi)
@@ -954,8 +1008,8 @@ class TestDiagnostics:
             ITPi("a", D_NAT, ITPi("b", ITApp(D_P, IBVar(0)), ITPi(
                 "a", D_NAT, ITApp(ITApp(D_Q, IBVar(2)), IBVar(0)))))),
          "type mismatch: expected {a' : nat} q a a', synthesized p z"),
-        (lambda: lfi_check(D_SIG, [], ILam("u", IApp(IConst("s"), IBVar(0))),
-                           ITIrrPi("u", D_NAT, D_NAT)),
+        (lambda: lfi_check(D_SIG, [LfiCtxEntry("u", D_NAT, False)],
+                           IApp(IConst("s"), IFVar("u")), D_NAT),
          "irrelevant hypothesis u used in a relevant position"),
         (lambda: lfi_check_kind(D_SIG, [], IKIrrPi(
             "u", D_NAT, IKPi("_", ITApp(D_P, IBVar(0)), IKType()))),
@@ -992,6 +1046,27 @@ class TestDiagnostics:
         assert str(info.value) == message
 
 
+class TestUndefinedSubstitution:
+    """A goal the kernel did not form can make a substitution undefined:
+    here the domain of x's second argument applies x's first, which is a
+    nat.  The kernel rejects it with an LfiError, as it does any other
+    ill-typed input."""
+
+    def test_substitution_failure_is_an_lfi_error(self):
+        with pytest.raises(LfiError) as info:
+            lfi_check(parse_lfi("nat : type. z : nat. p : nat -> type."), [],
+                      ILam("x", IApp(IApp(IBVar(0), IConst("z")),
+                                     IConst("z"))),
+                      ITPi("x", ITPi("y", ITConst("nat"),
+                                     ITPi("w", ITApp(ITConst("p"),
+                                                     IApp(IBVar(0),
+                                                          IConst("z"))),
+                                          ITConst("nat"))),
+                           ITConst("nat")))
+        assert info.value.message == ("substitution failed: non-function "
+                                      "applied at arg")
+
+
 class TestSwitching:
     def test_atomic_terms_switch_at_any_type(self, eo):
         # The checker compares a synthesized type against the goal even at
@@ -1007,8 +1082,6 @@ class TestSwitching:
 # from each (None: any).  The printer is imported lazily, for messages.
 TRUST_BASE_IMPORTS = {
     "diagnostics": None,
-    "subst": {"MetricExhausted", "SubstFailure", "_Fuel"},
-    "syntax": {"fresh_name"},
     "printer": None,
 }
 
@@ -1050,3 +1123,70 @@ class TestTrustBase:
                 assert names is not None and names <= allowed, (module, names)
             if sub == "printer":
                 assert not top_level, "the printer must be imported lazily"
+
+
+# The classes of lfi.py that no translation has to build: the simple types
+# that index substitution, and the records of signatures and contexts.
+NOT_EMITTED = {"IBase", "IArrow", "IProdS", "IUnitS", "LfiDecl", "LfiCtxEntry"}
+
+
+def _classes(t, out: set, seen: dict) -> None:
+    """Add to out the class names of t and of the nodes below it; seen
+    holds each node walked, by its id, so that no id is reused."""
+    if id(t) in seen or not isinstance(t, Node):
+        return
+    seen[id(t)] = t
+    out.add(type(t).__name__)
+    for v in node_kids(t):
+        _classes(v, out, seen)
+
+
+@pytest.fixture(scope="module")
+def emitted(checked_goldens) -> set[str]:
+    """The class names of the nodes the translation builds: in the
+    signatures trans_sig emits for the goldens, Deep at depth 6 and
+    binders with three premises, in the proofs and goals that
+    verify_translation checks for them, and in trans_ctx's types."""
+    sigs = [checked_goldens[name] for name in GOLDEN_NAMES]
+    sigs += [check_signature(parse_signature(text))
+             for text in (deep_text(6), binders_text(3))]
+    built, seen = set(), {}
+
+    def recorded(sig, ctx, n, a):
+        for t in (n, a):
+            _classes(t, built, seen)
+        real_check(sig, ctx, n, a)
+
+    real_check = lfr.translate.lfi_check
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lfr.translate, "lfi_check", recorded)
+        for sig in sigs:
+            result = trans_sig(sig)
+            for d in result.lfi_sig:
+                _classes(d.classifier, built, seen)
+            verify_translation(sig, result)
+    eo = checked_goldens["even-odd"]
+    for e in trans_ctx(eo, [CtxEntry("x", SConst("even"), TConst("nat"))]):
+        _classes(e.type, built, seen)
+    return built
+
+
+# Every node class lfi.py defines that the translation must build.
+EMITTABLE = sorted(name for name, c in vars(lfr.lfi).items()
+                   if isinstance(c, type) and issubclass(c, Node)
+                   and c.__module__ == "lfr.lfi" and name not in NOT_EMITTED)
+
+
+class TestEveryConstructorIsEmitted:
+    """The kernel has no term, type or kind former that the translation
+    does not build: in the signatures trans_sig emits, in the proofs that
+    verify_translation derives again, or in trans_ctx, the one source of
+    free variables.  A constructor none of them builds is code the trust
+    base carries for nothing."""
+
+    def test_the_constructors_are_found(self):
+        assert len(EMITTABLE) == 18
+
+    @pytest.mark.parametrize("name", EMITTABLE)
+    def test_translation_builds(self, name, emitted):
+        assert name in emitted

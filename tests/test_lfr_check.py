@@ -33,7 +33,8 @@ from lfr import (
 from lfr.lf import LfError
 from lfr.lfr_check import (Log, SortError, _acheck, _elab_class, _opened,
                            subsort_path)
-from lfr.subst import MetricExhausted, erase_type, eta_expand
+from lfr.diagnostics import MetricExhausted
+from lfr.subst import erase_type, eta_expand
 from lfr.syntax import (
     App,
     BVar,

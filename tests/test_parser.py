@@ -22,7 +22,6 @@ import lfr.lfi
 import lfr.parser
 import lfr.syntax
 from lfr import lfi as L
-from lfr.lfi import lfi_equal
 from lfr.parser import SourceLines, tokenize
 from lfr.printer import (
     pp_class,
@@ -121,8 +120,7 @@ class TestRoundTrip:
         again = parse_lfi(print_lfi(sig))
         assert [d.name for d in sig] == [d.name for d in again]
         for d1, d2 in zip(sig, again):
-            assert lfi_equal(d1.classifier, d2.classifier,
-                             respect_irrelevance=False)
+            assert d1.classifier == d2.classifier
 
 
 # Binder hints that meet the generators' constants (z, s, h, p, q), the
@@ -190,14 +188,19 @@ class TestScope:
 
     def test_target_binders(self):
         sig = parse_lfi("nat : type. p : nat -:> nat -> type. "
-                        "c : {x :: nat} {y : nat} nat -:> p [[x]] y. "
-                        "d : (nat -> nat) -> p [[z]] ([x] x).")
+                        "c : {x : nat} {y : nat} nat -> p [[x]] y. "
+                        "d : (nat -> nat) -> p [[z]] ([x] x). "
+                        "q : {x :: nat} {y : nat} p [[x]] y -> type.")
         inner = L.ITApp(L.ITIrrApp(L.ITConst("p"), L.IBVar(2)), L.IBVar(1))
-        assert sig.decls[2].classifier == L.ITIrrPi(
-            "x", L.ITConst("nat"), L.ITPi("y", L.ITConst("nat"), L.ITIrrPi(
+        assert sig.decls[2].classifier == L.ITPi(
+            "x", L.ITConst("nat"), L.ITPi("y", L.ITConst("nat"), L.ITPi(
                 "x", L.ITConst("nat"), inner)))
         assert sig.decls[1].classifier == L.IKIrrPi(
             "x", L.ITConst("nat"), L.IKPi("x", L.ITConst("nat"), L.IKType()))
+        assert sig.decls[4].classifier == L.IKIrrPi(
+            "x", L.ITConst("nat"), L.IKPi("y", L.ITConst("nat"), L.IKPi(
+                "x", L.ITApp(L.ITIrrApp(L.ITConst("p"), L.IBVar(1)),
+                             L.IBVar(0)), L.IKType())))
         # z is not declared, so it stays free; the lambda binds under the
         # arrow's binder.
         d = sig.decls[3].classifier
@@ -220,19 +223,6 @@ def forget_domain_types(t):
 SOURCE_CONSTS = "nat : type. z : nat. s : nat -> nat. h : (nat -> nat) -> nat. "
 TARGET_CONSTS = ("nat : type. z : nat. s : nat -> nat. "
                  "h : (nat -> nat) -> nat. p : nat -:> nat -> type. ")
-
-
-def _has_type_tail(k) -> bool:
-    """Whether some tail of the target kind k is `type`, which is how the
-    parser tells a kind from a type."""
-    match k:
-        case L.IKType():
-            return True
-        case L.IKPi(_, _, c) | L.IKIrrPi(_, _, c):
-            return _has_type_tail(c)
-        case L.IKProd(left, right):
-            return _has_type_tail(left) or _has_type_tail(right)
-    return False
 
 
 @st.composite
@@ -298,8 +288,7 @@ class TestPrintParse:
         language, which, t = inst
         if language == 0:
             assert _reparse_source(which, t) == forget_domain_types(t)
-        elif which < 2 or _has_type_tail(t):
-            # A kind with no `type` tail reads as a type.
+        else:
             assert _reparse_target(which, t) == t
 
     def test_pair_with_a_pair_or_unit_on_the_left(self):
@@ -720,11 +709,35 @@ class TestLfiSyntax:
 
     def test_kind_without_a_type_tail_reads_as_a_type(self):
         # Only a `type` or `sort` tail makes a kind, so `1` here is the
-        # unit type (ROADMAP item 5).
-        sig = parse_lfi("nat : type. c : nat -> 1. d : 1 * type.")
+        # unit type.  Every kind ends in `type`, and a kind has no unit
+        # and no product, so what reads as a kind has no `1` tail either.
+        sig = parse_lfi("nat : type. c : nat -> 1.")
         assert sig.decls[1].classifier == L.ITPi("x", L.ITConst("nat"),
                                                  L.ITUnitT())
-        assert sig.decls[2].classifier == L.IKProd(L.IKUnit(), L.IKType())
+        with pytest.raises(ParseError) as info:
+            parse_lfi("nat : type. d : 1 * type.", "f.lfi")
+        assert info.value.message == "expected a kind"
+        assert info.value.span == ("f.lfi", 1, 17, 1, 18)
+
+    @pytest.mark.parametrize("text, message, col", [
+        ("c : nat -:> nat.", "only a kind takes an argument irrelevantly",
+         5),
+        ("c : {x :: nat} nat.", "only a kind takes an argument irrelevantly",
+         5),
+        ("c : p (f [[ z ]]).",
+         "only a type family takes an argument irrelevantly", 8),
+        ("d : 1 * type.", "expected a kind", 5),
+        ("d : nat -> 1 * type.", "expected a kind", 12),
+    ], ids=["irrelevant-arrow", "irrelevant-binder", "irrelevant-application",
+            "unit-kind", "product-kind"])
+    def test_irrelevance_outside_kinds_and_kind_products_are_rejected(
+            self, text, message, col):
+        with pytest.raises(ParseError) as info:
+            parse_lfi(text, "f.lfi")
+        assert (info.value.message, info.value.span.col) == (message, col)
+        with pytest.raises(ParseError) as info:
+            reference_parse_lfi(text, "f.lfi")
+        assert (info.value.message, info.value.span.col) == (message, col)
 
     def test_lfi_errors_have_spans(self):
         with pytest.raises((LexError, ParseError)) as info:

@@ -16,9 +16,8 @@ from lfr import (
     verify_translation,
 )
 from lfr.printer import pp_class, pp_kind, pp_sort, pp_type
+from lfr.diagnostics import MetricExhausted, SubstFailure
 from lfr.subst import (
-    MetricExhausted,
-    SubstFailure,
     erase_type,
     eta_expand,
     hsubst_n,

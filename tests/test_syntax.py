@@ -197,8 +197,8 @@ def _sample(tp, depth: int = 0):
 WALKS = {
     syn: (syn.map_vars, {"Base", "Arrow", "TypeFam", "TermConst", "SortFam",
                          "SubDecl", "ConstRef", "CtxEntry"}),
-    lfi: (lfi._map_vars, {"IBase", "IArrow", "IIrrArrow", "IProdS", "IUnitS",
-                          "LfiDecl", "LfiCtxEntry"}),
+    lfi: (lfi._map_vars, {"IBase", "IArrow", "IProdS", "IUnitS", "LfiDecl",
+                          "LfiCtxEntry"}),
 }
 SYNTAX = {syn: typing.get_args(syn.Syntax), lfi: typing.get_args(lfi.LfiSyntax)}
 
