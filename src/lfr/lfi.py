@@ -283,7 +283,7 @@ def _map_vars(t: LfiSyntax, f, k: int = 0) -> LfiSyntax:
     raise TypeError(f"_map_vars: unexpected node {t!r}")
 
 
-def _shift_lfi(t: LfiSyntax, by: int, cutoff: int = 0) -> LfiSyntax:
+def _shift_lfi(t: LfiSyntax, by: int) -> LfiSyntax:
     """Shift free bound-variable indices; needed when a replacement that
     mentions an enclosing binder is inserted under further binders."""
     if by == 0:
@@ -291,7 +291,7 @@ def _shift_lfi(t: LfiSyntax, by: int, cutoff: int = 0) -> LfiSyntax:
 
     def leaf(v, depth):
         return IBVar(v.index + by) if isinstance(v, IBVar) and v.index >= depth else v
-    return _map_vars(t, leaf, cutoff)
+    return _map_vars(t, leaf)
 
 
 def is_lfi_atomic(t: LfiTerm) -> bool:

@@ -60,7 +60,6 @@ from .lf import lf_check_term  # noqa: F401  (bound for bench/tracer.py)
 from .subst import erase_type, inst_spine
 from .subst import hsubst_syntax  # noqa: F401  (bound for bench/tracer.py)
 from .syntax import (
-    App,
     BVar,
     CInter,
     Const,
@@ -96,6 +95,7 @@ from .syntax import (
     named,
     shift,
     sort_spine,
+    spine,
 )
 
 _KINDS = ("no-refinement-declared", "subsort-failure", "annotation-mismatch",
@@ -232,16 +232,17 @@ def split(s) -> list:
 
 def _split(s, d, done, log) -> list:
     """split, pairing each component with its projection out of d and the
-    arguments done it is read under (see _apply_delta)."""
+    arguments done it is read under (see _asynth).  A class splits the
+    same way (see _synth_sort_class)."""
     match s:
-        case SInter(l, r):
+        case SInter(l, r) | CInter(l, r):
             if log is not None:
                 log.rules.append("∧-E₁")
             left = _split(l, ("fst", d), done, log)
             if log is not None:
                 log.rules.append("∧-E₂")
             return left + _split(r, ("snd", d), done, log)
-        case STop():
+        case STop() | CTop():
             return []
         case _:
             return [(s, d, done)]
@@ -253,21 +254,18 @@ def asynth(sig: Signature, ctx: Context, r) -> list:
 
 def _asynth(sig, ctx, stack, r, log) -> list:
     """The synthesis set of r: its head's components, applied to its whole
-    spine.  A component is read under the arguments it has taken (see
-    _apply_delta), and is set to them once, when the spine ends."""
-    out = []
-    for q, d, done in _pending(sig, ctx, stack, r, log):
-        try:
-            out.append((inst_spine(q, done), d))
-        except SubstFailure:
-            continue
-    return out
+    spine in one loop.
 
-
-def _pending(sig, ctx, stack, r, log) -> list:
-    """The (sort, derivation, done) components of r, before they are set
-    to the arguments done they have taken."""
-    match r:
+    A component (sort, derivation, done) is read under a binder for each
+    (argument, erased domain) pair of done, outermost first, standing for
+    those arguments.  An argument goes through every function component
+    that accepts it; only the domain is set to the arguments before it,
+    and the codomain takes it as one more pair, since substitution never
+    changes the shape of an intersection, a top or a function sort.  Each
+    component that survives the spine is set to all of them once.
+    """
+    head, args = spine(r)
+    match head:
         case Const(n):
             merged = sig.merged_ref_sort(n)
             if merged is None:
@@ -275,8 +273,8 @@ def _pending(sig, ctx, stack, r, log) -> list:
                                 f"constant {n} has no refinement declaration")
             if log is not None:
                 log.rules.append("const")
-            return _split(merged, ("const", n, len(sig.const_refs[n])), (),
-                          log)
+            cands = _split(merged, ("const", n, len(sig.const_refs[n])), (),
+                           log)
         case FVar(n):
             entry = ctx_lookup(ctx, n)
             if entry is None:
@@ -284,19 +282,39 @@ def _pending(sig, ctx, stack, r, log) -> list:
                                 f"variable {n} is not in the context")
             if log is not None:
                 log.rules.append("var")
-            return _split(entry.sort, ("var", n), (), log)
+            cands = _split(entry.sort, ("var", n), (), log)
         case BVar(i) if i < len(stack):
             if log is not None:
                 log.rules.append("var")
-            return _split(shift(stack[-1 - i][2], i + 1), ("var", i), (),
-                          log)
-        case App(f, a):
-            d = _pending(sig, ctx, stack, f, log)
-            out = _apply_delta(sig, ctx, stack, d, a, log)
-            if log is not None:
-                log.rules.append("Π-E")
-            return out
-    raise TypeError(f"asynth: not atomic: {r!r}")
+            cands = _split(shift(stack[-1 - i][2], i + 1), ("var", i), (),
+                           log)
+        case _:
+            raise TypeError(f"asynth: not atomic: {head!r}")
+    for arg in args:
+        synth = _shared_synth(sig, ctx, stack, arg, log)
+        taken: list = []
+        for entry, d_fn, done in cands:
+            if not isinstance(entry, SPi):
+                continue
+            if entry.dom_type is None:
+                raise TypeError("asynth: sort was not elaborated")
+            try:
+                d_arg = _acheck(sig, ctx, stack, arg,
+                                inst_spine(entry.dom_sort, done), log, synth)
+            except (SortError, SubstFailure):
+                continue
+            taken.extend(_split(entry.cod, ("app", d_fn, arg, d_arg), done
+                                + ((arg, erase_type(entry.dom_type)),), log))
+        cands = taken
+        if log is not None:
+            log.rules.append("Π-E")
+    out = []
+    for q, d, done in cands:
+        try:
+            out.append((inst_spine(q, done), d))
+        except SubstFailure:
+            continue
+    return out
 
 
 def _shared_synth(sig, ctx, stack, n, log) -> Callable[[], list]:
@@ -330,32 +348,6 @@ def _shared_synth(sig, ctx, stack, n, log) -> Callable[[], list]:
         return out
 
     return synth
-
-
-def _apply_delta(sig, ctx, stack, cands, arg, log) -> list:
-    """Push an argument through every function component that accepts it.
-
-    A component (sort, derivation, done) is read under a binder for each
-    (argument, erased domain) pair of done, outermost first, standing for
-    those arguments.  Only its domain is set to them; its codomain takes
-    the argument as one more pair, since substitution never changes the
-    shape of an intersection, a top or a function sort.
-    """
-    out: list = []
-    synth = _shared_synth(sig, ctx, stack, arg, log)
-    for entry, d_fn, done in cands:
-        if not isinstance(entry, SPi):
-            continue
-        if entry.dom_type is None:
-            raise TypeError("apply_delta: sort was not elaborated")
-        try:
-            d_arg = _acheck(sig, ctx, stack, arg,
-                            inst_spine(entry.dom_sort, done), log, synth)
-        except (SortError, SubstFailure):
-            continue
-        out.extend(_split(entry.cod, ("app", d_fn, arg, d_arg),
-                          done + ((arg, erase_type(entry.dom_type)),), log))
-    return out
 
 
 def acheck(sig: Signature, ctx: Context, n, s,
@@ -440,13 +432,15 @@ def _acheck(sig, ctx, stack, n, s, log, synth=None) -> tuple:
 
 
 def _synth_sort_class(sig, ctx, stack, s, log):
-    """The derivation of every candidate class an atomic sort's spine
-    leads to `sort`, in order, and the type the sort refines.
+    """The derivation of every `sort` the candidate classes an atomic
+    sort's spine leads to split into, in order, and the type the sort
+    refines.
 
-    A class ends in `sort`, which no substitution changes, so a candidate
-    is never set to the arguments it took; only its domains are (see
-    _class_apply).  When no candidate takes an argument, the error is the
-    first candidate's: the one a left-first search would report.
+    A class ends in `sort`, `#` or an intersection of them, which no
+    substitution changes, so a candidate is never set to the arguments it
+    took; only its domains are (see _class_apply).  When no candidate
+    takes an argument, the error is the first candidate's: the one a
+    left-first search would report.
     """
     head, args = sort_spine(s)
     if not isinstance(head, SConst):
@@ -466,7 +460,8 @@ def _synth_sort_class(sig, ctx, stack, s, log):
         if not cands:
             raise applied[0][1]
         refined = TApp(refined, arg)
-    return [d for cls, d, _ in cands if isinstance(cls, CSort)], refined
+    parts = [part for cls, d, _ in cands for part in _split(cls, d, (), None)]
+    return [d for cls, d, _ in parts if isinstance(cls, CSort)], refined
 
 
 def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
@@ -474,7 +469,7 @@ def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
     """Apply one spine argument to a class; intersections keep both sides.
 
     The class is read under the arguments done, as a component is in
-    _apply_delta: only the domain is set to them.  Returns the (class,
+    _asynth: only the domain is set to them.  Returns the (class,
     derivation, done) triples that accept the argument, left side first,
     and the error of the last side that does not (or None).  The LF
     premise runs on sig itself: LF looks up only type families and term

@@ -341,8 +341,8 @@ def map_vars(t: Syntax, f, k: int = 0) -> Syntax:
     raise TypeError(f"map_vars: unexpected node {t!r}")
 
 
-def shift(t: Syntax, by: int, cutoff: int = 0) -> Syntax:
-    """Raise the indices of t at or above cutoff by `by`."""
+def shift(t: Syntax, by: int) -> Syntax:
+    """Raise the loose indices of t by `by`."""
     if by == 0:
         return t
 
@@ -350,7 +350,7 @@ def shift(t: Syntax, by: int, cutoff: int = 0) -> Syntax:
         if isinstance(v, BVar) and v.index >= depth:
             return BVar(v.index + by)
         return v
-    return map_vars(t, leaf, cutoff)
+    return map_vars(t, leaf)
 
 
 def alpha_eq(x: Syntax, y: Syntax) -> bool:

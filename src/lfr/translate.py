@@ -478,10 +478,6 @@ def _proof(sig, mangler, d, at: At, injected: dict):
     each is injected once.
     """
     levels, depth, shown = at
-
-    def premise(d1):
-        return _proof(sig, mangler, d1, at, injected)
-
     match d:
         case ("const", c, k):
             # c^ fuses all c's refinements: its first k, one fst per later one.
@@ -496,14 +492,17 @@ def _proof(sig, mangler, d, at: At, injected: dict):
         case ("var", x):
             return IFVar(x + "^")
         case ("fst" | "snd") as side, d1:
-            return (IFst if side == "fst" else ISnd)(premise(d1))
+            return (IFst if side == "fst" else ISnd)(
+                _proof(sig, mangler, d1, at, injected))
         case ("app", d_fn, arg, d_arg):
-            return IApp(IApp(premise(d_fn), _inj_arg(arg, injected, at)),
-                        premise(d_arg))
+            return IApp(IApp(_proof(sig, mangler, d_fn, at, injected),
+                             _inj_arg(arg, injected, at)),
+                        _proof(sig, mangler, d_arg, at, injected))
         case ("unit",):
             return IUnit()
         case ("pair", d1, d2):
-            return IPair(premise(d1), premise(d2))
+            return IPair(_proof(sig, mangler, d1, at, injected),
+                         _proof(sig, mangler, d2, at, injected))
         case ("lam", hint, body):
             x = pool_name(hint, shown)
             inner = _proof(sig, mangler, body, _bind(at, x), injected)
@@ -511,7 +510,8 @@ def _proof(sig, mangler, d, at: At, injected: dict):
         case ("sub", q, path, forms, n, d1):
             coerce = _coercion(sig, q, path, forms, mangler, at)
             return meta_apply(coerce, [_inj_arg(n, injected, at),
-                                       premise(d1)])
+                                       _proof(sig, mangler, d1, at,
+                                              injected)])
     raise TypeError(f"_proof: not a derivation: {d!r}")
 
 

@@ -1293,6 +1293,9 @@ def opened_elab_sort(sig, ctx, sort, a):
         if not classes:
             raise applied[0][1]
         refined = s.TApp(refined, arg)
+    while any(isinstance(c, s.CInter) for c in classes):
+        classes = [p for c in classes for p in (
+            (c.left, c.right) if isinstance(c, s.CInter) else (c,))]
     if not any(isinstance(c, s.CSort) for c in classes):
         _sort_fail("annotation-mismatch",
                    f"sort {pp_sort(sort)} is not fully applied")

@@ -689,22 +689,36 @@ class TestEntrypoint:
 
     @pytest.mark.parametrize("command", ["check", "translate", "verify"])
     def test_deep_input_under_the_limit_exits_zero(self, command, tmp_path):
-        # Deep at d=190 fits under the default recursion limit in every
-        # stage (d=197 does not): the parser takes two frames per
-        # parenthesis, and the target checker keeps closed terms' types
-        # without a frame per level of nesting.
-        src = tmp_path / "deep-190.lfr"
-        src.write_text(deep_text(190))
+        # Deep at d=300 fits under the default recursion limit in every
+        # stage (d=326 does not): the parser takes two frames per
+        # parenthesis, and the sort checker and the target checker three
+        # per level of nesting.
+        src = tmp_path / "deep-300.lfr"
+        src.write_text(deep_text(300))
         proc = subprocess.run(
             [sys.executable, "-m", "lfr.cli", command, "--quiet", str(src)],
             capture_output=True, text=True, env=checkout_env())
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("command", ["check", "translate", "verify"])
+    def test_deep_input_under_the_limit_gets_its_diagnostic(self, command,
+                                                            tmp_path):
+        # Deep at an odd depth is rejected at its last line, a verdict on
+        # the input rather than an internal error.
+        src = tmp_path / "deep-301.lfr"
+        src.write_text(deep_text(301))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lfr.cli", command, "--quiet", str(src)],
+            capture_output=True, text=True, env=checkout_env())
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"{src}:13:1: error: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_too_deep_input_exits_four(self, tmp_path):
-        # Checking 250 nested parentheses exceeds the default recursion
+        # Checking 400 nested parentheses exceeds the default recursion
         # limit; that is an internal error, not a verdict on the input.
-        src = tmp_path / "deep-250.lfr"
-        src.write_text(deep_text(250))
+        src = tmp_path / "deep-400.lfr"
+        src.write_text(deep_text(400))
         proc = subprocess.run(
             [sys.executable, "-m", "lfr.cli", "check", str(src)],
             capture_output=True, text=True, env=checkout_env())

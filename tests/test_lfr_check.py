@@ -789,6 +789,25 @@ class TestOpenedReference:
         theirs = _ref_outcome(self.THEIRS[which], REF_SIG, ctx, *subject)
         assert ours == theirs
 
+    @pytest.mark.parametrize("cls, sort, refines", [
+        ("sort ^ sort", SConst("s"), NAT_T),
+        ("sort ^ #", SConst("s"), NAT_T),
+        ("# ^ #", SConst("s"), NAT_T),
+        ("{x :: even} sort ^ sort", SApp(SConst("s"), Const("z")),
+         TApp(TConst("p"), Const("z"))),
+    ], ids=["sort^sort", "sort^top", "top^top", "indexed"])
+    def test_class_intersection_at_sort(self, cls, sort, refines):
+        # Each `sort` side of an intersection the spine leaves is a
+        # formation; `#` alone is none.
+        sig = check_signature(parse_signature(
+            "nat : type. z : nat. even << nat. z :: even. "
+            "p : nat -> type. "
+            f"s << {'nat' if refines == NAT_T else 'p'} :: {cls}."))
+        ours = _ref_outcome(elaborate_sort, sig, [], sort, refines)
+        theirs = _ref_outcome(opened_elab_sort, sig, [], sort, refines)
+        assert ours == theirs
+        assert ours[0] == ("annotation-mismatch" if cls == "# ^ #" else "ok")
+
 
 # The operations a judgment needs to open a binder: opening, closing,
 # collecting free names, and picking a fresh name.

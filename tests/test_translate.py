@@ -523,6 +523,34 @@ class TestErasure:
                     assert lfi.const_type(d.name) == inj_type(d.type)
 
 
+# A class intersection at `sort`: each side is a formation, reached by
+# ∧-elimination on the intro constant's proof.
+SORT_INTER_TEXTS = {
+    "sort^sort": "nat : type. z : nat. s << nat :: sort ^ sort. z :: s.",
+    "sort^top": "nat : type. z : nat. s << nat :: sort ^ #. z :: s.",
+    "indexed": "nat : type. z : nat. ev << nat. z :: ev. "
+               "p : nat -> type. s << p :: {x :: ev} sort ^ sort. "
+               "k : p z. k :: s z.",
+}
+
+
+class TestClassIntersectionAtSort:
+    @pytest.mark.parametrize("name", SORT_INTER_TEXTS)
+    def test_checks_verifies_and_round_trips(self, name):
+        sig = check_signature(parse_signature(SORT_INTER_TEXTS[name]))
+        result = trans_sig(sig)
+        verify_translation(sig, result)
+        again = parse_lfi(print_lfi(result.lfi_sig))
+        lfi_check_sig(again)
+        assert [(d.name, d.classifier) for d in again] == \
+            [(d.name, d.classifier) for d in result.lfi_sig]
+
+    def test_formation_proof_is_the_first_side(self):
+        sig = check_signature(parse_signature(SORT_INTER_TEXTS["indexed"]))
+        assert "k^ : s z [[ (s^/i z z^).1 ]] k." in \
+            print_lfi(trans_sig(sig).lfi_sig).splitlines()
+
+
 class TestProvenance:
     def test_every_emitted_name_has_a_source(self, translated_goldens):
         for result in translated_goldens.values():
