@@ -264,7 +264,9 @@ def _map_vars(t: LfiSyntax, f, k: int = 0) -> LfiSyntax:
     an IFVar, where depth is k plus the binders passed to reach v.
 
     This is the one walk that rebuilds target syntax around its variables:
-    shifting and naming are leaf functions over it.
+    shifting and naming are leaf functions over it.  A node none of whose
+    variables f changes comes back itself, not a copy, so the result
+    shares every unchanged subtree with t.
     """
     match t:
         case IBVar() | IFVar():
@@ -273,20 +275,28 @@ def _map_vars(t: LfiSyntax, f, k: int = 0) -> LfiSyntax:
             return t
         case (IApp(l, r) | IPair(l, r) | ITApp(l, r) | ITIrrApp(l, r)
               | ITProd(l, r)):
-            return type(t)(_map_vars(l, f, k), _map_vars(r, f, k))
+            l2, r2 = _map_vars(l, f, k), _map_vars(r, f, k)
+            return t if l2 is l and r2 is r else type(t)(l2, r2)
         case IFst(b) | ISnd(b):
-            return type(t)(_map_vars(b, f, k))
+            b2 = _map_vars(b, f, k)
+            return t if b2 is b else type(t)(b2)
         case ILam(h, b):
-            return ILam(h, _map_vars(b, f, k + 1))
+            b2 = _map_vars(b, f, k + 1)
+            return t if b2 is b else ILam(h, b2)
         case ITPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
-            return type(t)(h, _map_vars(d, f, k), _map_vars(c, f, k + 1))
+            d2, c2 = _map_vars(d, f, k), _map_vars(c, f, k + 1)
+            return t if d2 is d and c2 is c else type(t)(h, d2, c2)
     raise TypeError(f"_map_vars: unexpected node {t!r}")
+
+
+# The leaves with no variable: every substitution and shift keeps them.
+_CLOSED_LEAVES = frozenset((ITConst, IKType, ITUnitT, IConst))
 
 
 def _shift_lfi(t: LfiSyntax, by: int) -> LfiSyntax:
     """Shift free bound-variable indices; needed when a replacement that
     mentions an enclosing binder is inserted under further binders."""
-    if by == 0:
+    if by == 0 or t.__class__ in _CLOSED_LEAVES:
         return t
 
     def leaf(v, depth):
@@ -318,31 +328,33 @@ def lfi_equal(x: LfiSyntax, y: LfiSyntax) -> bool:
 
     Node equality (==) compares those arguments too; the difference
     between the two is observable on translated output and is exactly
-    the coherence property.
+    the coherence property.  Two nodes are equal when they are one
+    object, or of one class with equal fields: names and indices by
+    value, subterms by this equality, binder hints not at all, and of an
+    ITIrrApp only the family.
     """
     if x is y:
         return True
-    if type(x) is not type(y):
+    cls = x.__class__
+    if cls is not y.__class__:
         return False
-    match x, y:
-        case ((IConst(a), IConst(b)) | (IFVar(a), IFVar(b))
-              | (ITConst(a), ITConst(b)) | (IBVar(a), IBVar(b))):
-            return a == b
-        case (IUnit(), IUnit()) | (ITUnitT(), ITUnitT()) | (IKType(), IKType()):
-            return True
-        case ((IApp(f1, a1), IApp(f2, a2)) | (ITApp(f1, a1), ITApp(f2, a2))
-              | (IPair(f1, a1), IPair(f2, a2)) | (ITProd(f1, a1), ITProd(f2, a2))):
-            return lfi_equal(f1, f2) and lfi_equal(a1, a2)
-        case (ITIrrApp(f1, _), ITIrrApp(f2, _)):
-            return lfi_equal(f1, f2)
-        case ((IFst(b1), IFst(b2)) | (ISnd(b1), ISnd(b2))
-              | (ILam(_, b1), ILam(_, b2))):
-            return lfi_equal(b1, b2)
-        case ((ITPi(_, d1, c1), ITPi(_, d2, c2))
-              | (IKPi(_, d1, c1), IKPi(_, d2, c2))
-              | (IKIrrPi(_, d1, c1), IKIrrPi(_, d2, c2))):
-            return lfi_equal(d1, d2) and lfi_equal(c1, c2)
-    return False
+    if cls is ITConst or cls is IConst or cls is IFVar:
+        return x.name == y.name
+    if cls is IBVar:
+        return x.index == y.index
+    if cls is ITApp or cls is IApp:
+        return lfi_equal(x.fn, y.fn) and lfi_equal(x.arg, y.arg)
+    if cls is ITIrrApp:
+        return lfi_equal(x.fn, y.fn)
+    if cls is ITPi or cls is IKPi or cls is IKIrrPi:
+        return lfi_equal(x.dom, y.dom) and lfi_equal(x.cod, y.cod)
+    if cls is ILam:
+        return lfi_equal(x.body, y.body)
+    if cls is IFst or cls is ISnd:
+        return lfi_equal(x.base, y.base)
+    if cls is IPair or cls is ITProd:
+        return lfi_equal(x.left, y.left) and lfi_equal(x.right, y.right)
+    return cls is IUnit or cls is ITUnitT or cls is IKType
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +381,9 @@ def lfi_hsubst(n0: LfiTerm, x0: Union[str, int],
 def _inst(t: LfiSyntax, spine: list[tuple[LfiTerm, LfiSimple]]) -> LfiSyntax:
     """t, under a binder for each (argument, erased domain) pair of spine,
     outermost first, with those binders set to the arguments."""
-    return _hsubst(spine[::-1], 0, t) if spine else t
+    if not spine or t.__class__ in _CLOSED_LEAVES:
+        return t
+    return _hsubst(spine[::-1], 0, t)
 
 
 def _hsubst(sub, x0, t: LfiSyntax) -> LfiSyntax:

@@ -58,41 +58,52 @@ def _wrap(cond: bool, s: str) -> str:
 # last, and print a bound index i as env[-1 - i]; an index past env
 # dangles and prints as ?i.  A dependent binder takes its hint, primed
 # away from the constants and free names its body uses and from the names
-# env gives the body's free indices.  `memo` holds those per node, once
-# for each top-level term, type, kind, sort or class printed.  A sort's
-# or class's Pi counts its domain type among the names its body uses,
-# though it is not printed.
+# env gives the body's free indices.  A node's scope holds the first as a
+# set and the second as an int mask, bit i for index i, so a binder's
+# body shifts its mask right by one and bit 0 of a Pi's codomain says
+# whether the codomain mentions the binder.  `memo` holds the scope of
+# each inner node, once for each top-level term, type, kind, sort or
+# class printed; a leaf's is answered at once.  A sort's or class's Pi
+# counts its domain type among the names its body uses, though it is not
+# printed.
 
 _NONE: frozenset = frozenset()
+_EMPTY = (_NONE, 0)
+_NAMED = frozenset((L.IConst, L.IFVar, L.ITConst, FVar, Const, TConst, SConst))
+_INDEX = frozenset((L.IBVar, BVar))
+_CLOSED = frozenset((L.IUnit, L.ITUnitT, L.IKType, STop, KType, CSort, CTop))
 
 
-def _scope(t, memo: dict) -> tuple[frozenset, frozenset]:
-    """(names of the constants and free variables, free indices) of t."""
+def _scope(t, memo: dict) -> tuple[frozenset, int]:
+    """(names of the constants and free variables, mask of the free
+    indices) of t."""
+    cls = t.__class__
+    if cls in _NAMED:
+        return frozenset((t.name,)), 0
+    if cls in _INDEX:
+        return _NONE, 1 << t.index
+    if cls in _CLOSED:
+        return _EMPTY
     hit = memo.get(id(t))
     if hit is not None:
         return hit
     match t:
-        case (L.IConst(n) | L.IFVar(n) | L.ITConst(n) | FVar(n) | Const(n)
-              | TConst(n) | SConst(n)):
-            out = (frozenset((n,)), _NONE)
-        case L.IBVar(i) | BVar(i):
-            out = (_NONE, frozenset((i,)))
-        case (L.IUnit() | L.ITUnitT() | L.IKType() | STop() | KType() | CSort()
-              | CTop()):
-            out = (_NONE, _NONE)
         case L.IFst(b) | L.ISnd(b):
             out = _scope(b, memo)
         case L.ILam(_, b) | Lam(_, b):
-            out = _under_binder(_scope(b, memo))
+            names, idx = _scope(b, memo)
+            out = names, idx >> 1
         case (L.IApp(l, r) | L.ITApp(l, r) | L.ITIrrApp(l, r) | L.IPair(l, r)
               | L.ITProd(l, r) | App(l, r) | TApp(l, r) | SApp(l, r)
               | SInter(l, r) | CInter(l, r)):
             out = _join(_scope(l, memo), _scope(r, memo))
         case (L.ITPi(_, d, c) | L.IKPi(_, d, c) | L.IKIrrPi(_, d, c)
               | TPi(_, d, c) | KPi(_, d, c)):
-            out = _join(_scope(d, memo), _under_binder(_scope(c, memo)))
+            names, idx = _scope(c, memo)
+            out = _join(_scope(d, memo), (names, idx >> 1))
         case SPi(_, ds, dt, c) | CPi(_, ds, dt, c):
-            out = _join(_scope(ds, memo), _under_binder(_scope(c, memo)))
+            names, idx = _scope(c, memo)
+            out = _join(_scope(ds, memo), (names, idx >> 1))
             if dt is not None:
                 out = _join(out, _scope(dt, memo))
         case _:
@@ -102,25 +113,30 @@ def _scope(t, memo: dict) -> tuple[frozenset, frozenset]:
 
 
 def _join(a: tuple, b: tuple) -> tuple:
-    return (a[0] | b[0] if b[0] else a[0]), (a[1] | b[1] if b[1] else a[1])
-
-
-def _under_binder(scope: tuple) -> tuple:
-    """A binder body's scope as seen outside the binder."""
-    names, idx = scope
-    return names, frozenset(i - 1 for i in idx if i)
+    names, more = a[0], b[0]
+    if not more <= names:
+        names = more if names <= more else names | more
+    return names, a[1] | b[1]
 
 
 def _binder_name(h: str, body, env: tuple, memo: dict) -> str:
     names, idx = _scope(body, memo)
-    return fresh_name(h, names | {env[-i] for i in idx if 0 < i <= len(env)})
+    # Bit j of outer is the body's index j + 1, the binder env[-1 - j].
+    outer = (idx >> 1) & ((1 << len(env)) - 1)
+    if outer:
+        names = set(names)
+        while outer:
+            low = outer & -outer
+            names.add(env[-low.bit_length()])
+            outer ^= low
+    return fresh_name(h, names)
 
 
 def _pi(h: str, d, c, colon: str, arrow: str, dom, body, lvl: int, ext: bool,
         env: tuple, memo: dict) -> str:
     """A Pi of either language: `dom` prints its domain, `body` its
     codomain; `{x colon D} C` when C mentions x, `D arrow C` when not."""
-    if 0 in _scope(c, memo)[1]:
+    if _scope(c, memo)[1] & 1:
         x = _binder_name(h, c, env, memo)
         s = (f"{{{x} {colon} {dom(d, 0, True, env, memo)}}} "
              f"{body(c, 0, True, env + (x,), memo)}")

@@ -13,10 +13,10 @@ or of the subject and the proof being coerced; `meta_apply` applies
 them.  Proofs of terms and formation proofs of sorts are not derived
 here: the sort checker's judgments return derivations, and `_proof`
 maps each rule to its target term.  A subsort switch becomes one
-coercion per declared edge on the path the checker recorded with it, so
-nothing here searches the subsort preorder.  The emitted signature is
-self-contained and re-checkable by the target checker, which
-verify_translation does.
+coercion per declared edge on the path the checker recorded with it, and
+none for an empty path, so nothing here searches the subsort preorder.
+The emitted signature is self-contained and re-checkable by the target
+checker, which verify_translation does.
 
 The interpretations descend the source binders by index, as the
 checkers do.  Each source binder of a function sort or class becomes the
@@ -475,7 +475,9 @@ def _proof(sig, mangler, d, at: At, injected: dict):
     2i + 1.  Its binder is shown under the pool name its hint gets against
     the names shown so far.  `injected` is _inj_arg's memo for the whole
     tree: the arguments of an argument's premises are its own subterms, so
-    each is injected once.
+    each is injected once.  A switch along no declared edge (an empty
+    path) denotes its premise's proof, which the identity coercion would
+    return, so it builds no coercion.
     """
     levels, depth, shown = at
     match d:
@@ -507,6 +509,8 @@ def _proof(sig, mangler, d, at: At, injected: dict):
             x = pool_name(hint, shown)
             inner = _proof(sig, mangler, body, _bind(at, x), injected)
             return ILam(x, ILam(x + "^", inner))
+        case ("sub", _, (), _, _, d1):
+            return _proof(sig, mangler, d1, at, injected)
         case ("sub", q, path, forms, n, d1):
             coerce = _coercion(sig, q, path, forms, mangler, at)
             return meta_apply(coerce, [_inj_arg(n, injected, at),

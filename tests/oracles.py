@@ -1722,6 +1722,74 @@ def uncached_check_sig(sig) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The kernel's equality and variable walk as they were before they tested
+# the class first and shared what did not change.
+#
+# match_equal tries a chain of tuple patterns on the pair of nodes; the
+# kernel's lfi_equal must give the same verdict on every pair.
+# rebuilding_map_vars builds every node of the result afresh; lfi._map_vars
+# must give an equal result, and its argument itself where nothing changed.
+
+from lfr.lfi import (  # noqa: E402
+    IApp, IBVar, IConst, IFst, IFVar, IKIrrPi, IKPi, IKType, ILam, IPair,
+    ISnd, ITApp, ITConst, ITIrrApp, ITPi, ITProd, ITUnitT, IUnit)
+
+
+def match_equal(x, y) -> bool:
+    """Structural equality that skips irrelevant application arguments.
+
+    Node equality (==) compares those arguments too; the difference
+    between the two is observable on translated output and is exactly
+    the coherence property.
+    """
+    lfi_equal = match_equal
+    if x is y:
+        return True
+    if type(x) is not type(y):
+        return False
+    match x, y:
+        case ((IConst(a), IConst(b)) | (IFVar(a), IFVar(b))
+              | (ITConst(a), ITConst(b)) | (IBVar(a), IBVar(b))):
+            return a == b
+        case (IUnit(), IUnit()) | (ITUnitT(), ITUnitT()) | (IKType(), IKType()):
+            return True
+        case ((IApp(f1, a1), IApp(f2, a2)) | (ITApp(f1, a1), ITApp(f2, a2))
+              | (IPair(f1, a1), IPair(f2, a2)) | (ITProd(f1, a1), ITProd(f2, a2))):
+            return lfi_equal(f1, f2) and lfi_equal(a1, a2)
+        case (ITIrrApp(f1, _), ITIrrApp(f2, _)):
+            return lfi_equal(f1, f2)
+        case ((IFst(b1), IFst(b2)) | (ISnd(b1), ISnd(b2))
+              | (ILam(_, b1), ILam(_, b2))):
+            return lfi_equal(b1, b2)
+        case ((ITPi(_, d1, c1), ITPi(_, d2, c2))
+              | (IKPi(_, d1, c1), IKPi(_, d2, c2))
+              | (IKIrrPi(_, d1, c1), IKIrrPi(_, d2, c2))):
+            return lfi_equal(d1, d2) and lfi_equal(c1, c2)
+    return False
+
+
+def rebuilding_map_vars(t, f, k: int = 0):
+    """t rebuilt with f(v, depth) in place of each variable v, an IBVar or
+    an IFVar, where depth is k plus the binders passed to reach v."""
+    _map_vars = rebuilding_map_vars
+    match t:
+        case IBVar() | IFVar():
+            return f(t, k)
+        case IConst() | IUnit() | ITConst() | ITUnitT() | IKType():
+            return t
+        case (IApp(l, r) | IPair(l, r) | ITApp(l, r) | ITIrrApp(l, r)
+              | ITProd(l, r)):
+            return type(t)(_map_vars(l, f, k), _map_vars(r, f, k))
+        case IFst(b) | ISnd(b):
+            return type(t)(_map_vars(b, f, k))
+        case ILam(h, b):
+            return ILam(h, _map_vars(b, f, k + 1))
+        case ITPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
+            return type(t)(h, _map_vars(d, f, k), _map_vars(c, f, k + 1))
+    raise TypeError(f"_map_vars: unexpected node {t!r}")
+
+
+# ---------------------------------------------------------------------------
 # The parser as it was before its tokens carried offsets only.
 #
 # It tokenizes with a span per token, reads each declaration into a raw

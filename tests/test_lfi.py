@@ -78,6 +78,7 @@ from gen import (
 )
 from oracles import (
     close_lfi,
+    match_equal,
     named_inst,
     named_subst,
     node_fields,
@@ -91,6 +92,7 @@ from oracles import (
     opened_pp_lfi_term,
     opened_pp_lfi_type,
     open_lfi,
+    rebuilding_map_vars,
     result_key,
     uncached_check,
     uncached_check_sig,
@@ -155,6 +157,164 @@ class TestEquality:
         assert lfi_equal(IFst(IConst("c")), IFst(IConst("c")))
         assert not lfi_equal(IFst(IConst("c")), ISnd(IConst("c")))
         assert lfi_equal(IPair(num(1), IUnit()), IPair(num(1), IUnit()))
+
+
+def _positions(t, path=(), relevant=True):
+    """(path, node, relevant) for t and each node below it: path names
+    the fields taken from t, and relevant says that no irrelevant
+    argument (of an ITIrrApp) encloses the node."""
+    yield path, t, relevant
+    for name, kid in zip(node_fields(t), node_kids(t)):
+        if isinstance(kid, Node):
+            yield from _positions(kid, path + (name,), relevant and not (
+                isinstance(t, ITIrrApp) and name == "arg"))
+
+
+def _replaced(t, path, new):
+    """t with its node at path replaced by new."""
+    if not path:
+        return new
+    return node_replace(t, **{path[0]: _replaced(getattr(t, path[0]),
+                                                 path[1:], new)})
+
+
+def _rebuilt(t):
+    """A copy of t that shares no node with it."""
+    return type(t)(*(_rebuilt(v) if isinstance(v, Node) else v
+                     for v in node_kids(t)))
+
+
+# The classes whose nodes have the fields of another's.
+OTHER_CLASSES = {IFst: (ISnd,), ISnd: (IFst,), ITApp: (ITIrrApp,),
+                 ITIrrApp: (ITApp,), ITPi: (IKPi, IKIrrPi),
+                 IKPi: (ITPi, IKIrrPi), IKIrrPi: (ITPi, IKPi),
+                 IPair: (ITProd,), ITProd: (IPair,)}
+
+
+def _edits(t, relevant: bool) -> list:
+    """(kind, edited node, whether it must stay equal to t) for the
+    one-node edits of t: a binder hint, an irrelevant argument, a name,
+    an index, a relevant argument or the class; each but the first two
+    breaks equality where t is relevant."""
+    out = []
+    if "hint" in node_fields(t):
+        out.append(("hint", node_replace(t, hint=t.hint + "'"), True))
+    if isinstance(t, ITIrrApp):
+        out.append(("irrelevant", node_replace(t, arg=IApp(IConst("s"), t.arg)),
+                    True))
+    if isinstance(t, (IConst, IFVar, ITConst)):
+        out.append(("name", node_replace(t, name=t.name + "'"), not relevant))
+    if isinstance(t, IBVar):
+        out.append(("index", IBVar(t.index + 1), not relevant))
+    if isinstance(t, (IApp, ITApp)):
+        out.append(("argument", node_replace(t, arg=IApp(IConst("s"), t.arg)),
+                    not relevant))
+    for other in OTHER_CLASSES.get(type(t), ()):
+        out.append((f"{type(t).__name__} to {other.__name__}",
+                    other(*node_kids(t)), not relevant))
+    return out
+
+
+@st.composite
+def lfi_syntax(draw):
+    """A term, a type or a kind over LFI_CTX and a pair g, which its
+    atoms project, with the variable a bound past the root, so that a
+    dangling index stands for it."""
+
+    def choose(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    ctx = LFI_CTX + [("g", IProdS(LFI_NAT, IArrow(LFI_NAT, LFI_NAT)))]
+    return close_lfi(_lfi_subject(choose, ctx, "a"), "a")
+
+
+@st.composite
+def lfi_equality_pairs(draw):
+    """(x, y, equal): x generated, y a copy of x with at most one node
+    edited, and whether the two must be equal."""
+    x = draw(lfi_syntax())
+    # Each kind of edit x admits is as likely as any other.
+    edits: dict = {}
+    for path, t, relevant in _positions(x):
+        for kind, new, equal in _edits(t, relevant):
+            edits.setdefault(kind, []).append((path, new, equal))
+    if not edits or draw(st.booleans()):
+        return x, _rebuilt(x), True
+    path, new, equal = draw(st.sampled_from(
+        edits[draw(st.sampled_from(sorted(edits)))]))
+    y = _replaced(x, path, new)
+    return x, _rebuilt(y) if draw(st.booleans()) else y, equal
+
+
+class TestEqualityReference:
+    """lfi_equal against match_equal, the tuple-pattern equality it
+    replaced: the two agree, and both give the verdict the edit calls
+    for."""
+
+    @settings(max_examples=400)
+    @given(lfi_equality_pairs())
+    def test_agrees_with_the_reference(self, pair):
+        x, y, equal = pair
+        assert lfi_equal(x, y) == lfi_equal(y, x) == match_equal(x, y) == equal
+
+    @pytest.mark.parametrize("x", [
+        IFst(IConst("c")), ITApp(ITConst("p"), IConst("c")),
+        ITPi("x", ITConst("nat"), IKType()), IKPi("x", ITConst("nat"), IKType()),
+        IKIrrPi("x", ITConst("nat"), IKType()), IPair(ITUnitT(), IUnit())],
+        ids=lambda x: type(x).__name__)
+    def test_same_fields_of_another_class_differ(self, x):
+        for other in OTHER_CLASSES[type(x)]:
+            y = other(*node_kids(x))
+            assert not lfi_equal(x, y) and not lfi_equal(y, x)
+            assert not match_equal(x, y)
+
+    @pytest.mark.parametrize("x, y", [
+        (IConst("c"), IFVar("c")), (IConst("c"), ITConst("c")),
+        (IBVar(0), IBVar(1)), (IUnit(), ITUnitT()), (ITUnitT(), IKType())])
+    def test_leaves(self, x, y):
+        assert lfi_equal(x, _rebuilt(x)) and lfi_equal(y, _rebuilt(y))
+        assert not lfi_equal(x, y) and not match_equal(x, y)
+
+
+def _shares(out, t) -> bool:
+    """Whether out is t at each place where the two trees are equal."""
+    if out == t:
+        return out is t
+    return all(_shares(a, b) for a, b in zip(node_kids(out), node_kids(t))
+               if isinstance(b, Node))
+
+
+def _renamed(v, k):
+    return IFVar("g") if isinstance(v, IFVar) and v.name == "f" else v
+
+
+class TestSharing:
+    """Walks that change nothing below a node return the node itself."""
+
+    @given(lfi_syntax(), st.integers(1, 3))
+    def test_shift(self, t, by):
+        out = _shift_lfi(t, by)
+        assert out == rebuilding_map_vars(t, lambda v, k: IBVar(
+            v.index + by) if isinstance(v, IBVar) and v.index >= k else v)
+        assert _shares(out, t)
+        assert _shift_lfi(t, 0) is t
+
+    @given(lfi_syntax())
+    def test_map_vars(self, t):
+        out = lfr.lfi._map_vars(t, _renamed)
+        assert out == rebuilding_map_vars(t, _renamed)
+        assert _shares(out, t)
+        assert lfr.lfi._map_vars(t, lambda v, k: v) is t
+
+    @pytest.mark.parametrize("leaf", [ITConst("nat"), IKType(), ITUnitT(),
+                                      IConst("z")], ids=repr)
+    def test_closed_leaf_is_not_walked(self, monkeypatch, leaf):
+        def never(*args):
+            raise AssertionError("walked a closed leaf")
+        monkeypatch.setattr(lfr.lfi, "_Fuel", never)
+        monkeypatch.setattr(lfr.lfi, "_map_vars", never)
+        assert lfr.lfi._inst(leaf, [(num(1), IBase("nat"))]) is leaf
+        assert _shift_lfi(leaf, 2) is leaf
 
 
 class TestSubstitution:
@@ -557,6 +717,45 @@ class TestOpenedOracle:
         assert _outcome(opened_check_kind, O_SIG, ctx, k) == message
 
 
+def _seventy_binders():
+    """70 nested Pi types, each hinted x, around a family applied to
+    indices 0, 66, 69 and 75: the last one dangles, and naming a binder
+    reads the names of binders more than 64 levels out."""
+    t = ITApp(ITApp(ITIrrApp(ITApp(ITConst("p"), IBVar(0)),
+                             IApp(IConst("c"), IBVar(66))), IBVar(69)),
+              IBVar(75))
+    for i in range(70):
+        t = ITPi("x", ITApp(ITConst("q"), IBVar(i)) if i % 3 == 0
+                 else ITConst("nat"), t)
+    return t
+
+
+class TestPrinterPins:
+    """Bytes the printer gave when it kept a node's free indices as a set,
+    for scopes wider than one machine word."""
+
+    def test_binders_32(self):
+        # 132 nested binders: free indices pass bit 63.
+        sig = check_signature(parse_signature(binders_text(32)))
+        pinned = Path(__file__).parent / "golden" / "printer" / "binders-32.lfi"
+        assert print_lfi(trans_sig(sig).lfi_sig) == pinned.read_text()
+
+    def test_dangling_index_under_seventy_binders(self):
+        assert pp_lfi_type(_seventy_binders()) == (
+            "{x : q ?69} nat -> {x' : nat} {x'' : q ?66} nat -> nat -> q ?63 "
+            "-> nat -> {x''' : nat} q ?60 -> nat -> nat -> q ?57 -> nat -> "
+            "{x'''' : nat} q ?54 -> nat -> nat -> q ?51 -> nat -> "
+            "{x''''' : nat} q ?48 -> nat -> nat -> q ?45 -> nat -> "
+            "{x'''''' : nat} q ?42 -> nat -> nat -> q ?39 -> nat -> "
+            "{x''''''' : nat} q ?36 -> nat -> nat -> q x' -> nat -> "
+            "{x' : nat} q x''' -> nat -> nat -> q x'''' -> nat -> "
+            "{x''' : nat} q x''''' -> nat -> nat -> q x'''''' -> nat -> "
+            "{x'''' : nat} q x''''''' -> nat -> nat -> q x' -> nat -> "
+            "{x' : nat} q x''' -> nat -> nat -> q x'''' -> nat -> "
+            "{x''' : nat} q x' -> nat -> nat -> q x''' -> nat -> "
+            "{x' : nat} {x' : q x'} p x' [[ c x'' ]] x ?75")
+
+
 # Values recorded from the named implementation, which opened every binder
 # it substituted under; index-based substitution must reproduce them.
 I_NN = IArrow(IBase("nat"), IBase("nat"))
@@ -689,10 +888,12 @@ class TestBinderScaling:
     visits, so it does not depend on the host."""
 
     # When verify_translation translated every sort again, it placed
-    # subjects in 91 / 123 / 187 visits.
-    PINNED = {8: {"_shift_lfi": 2745, "_place": 85},
-              16: {"_shift_lfi": 3881, "_place": 117},
-              32: {"_shift_lfi": 6153, "_place": 181}}
+    # subjects in 91 / 123 / 187 visits.  When a shift walked a closed
+    # leaf (a constant, `type` or the unit type) too, it made 2 745 /
+    # 3 881 / 6 153 visits; it now returns such a leaf at once.
+    PINNED = {8: {"_shift_lfi": 2474, "_place": 85},
+              16: {"_shift_lfi": 3522, "_place": 117},
+              32: {"_shift_lfi": 5618, "_place": 181}}
 
     def test_substitution_walks_no_binder(self):
         # The named implementation made 784 725 of its 974 423 visits at

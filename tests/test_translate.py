@@ -812,6 +812,32 @@ class TestCoercions:
         out = meta_apply(f, [IConst("z"), IFVar("p")])
         assert out == IFVar("p")
 
+    @pytest.mark.parametrize("name", GOLDEN_NAMES)
+    def test_switch_along_no_edge_is_its_premise(self, checked_goldens,
+                                                 name):
+        # Every ("sub", q, (), ...) derivation _proof meets while the
+        # golden is translated and verified: its proof is its premise's,
+        # which is what the identity coercion made of it.
+        sig, switches = checked_goldens[name], []
+        real = lfr.translate._proof
+
+        def proof(sig, mangler, d, at, injected):
+            if d[0] == "sub" and not d[2]:
+                switches.append((mangler, d, at))
+            return real(sig, mangler, d, at, injected)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lfr.translate, "_proof", proof)
+            verify_translation(sig, trans_sig(sig))
+        assert switches
+        for mangler, d, at in switches:
+            _, q, path, forms, n, d1 = d
+            premise = real(sig, mangler, d1, at, {})
+            identity = lfr.translate._coercion(sig, q, path, forms, mangler,
+                                               at)
+            assert real(sig, mangler, d, at, {}) == premise == meta_apply(
+                identity, [lfr.translate._inj_arg(n, {}, at), premise])
+
     def test_declared_edge_uses_its_constant(self, nat_sig):
         result = trans_sig(nat_sig)
         f = trans_subsort_check(nat_sig, [], SConst("odd"), SConst("pos"),
