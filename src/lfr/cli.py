@@ -9,13 +9,18 @@ check --trace prints the rule names the checker logs; check
 --oracle-depth N has check_signature audit each atomic comparison it
 logs against the declarative rules, in the signature checked so far.
 
+A call of one command builds that command's argument parser alone.  The
+parser of every command, whose text is the same, is built only for what
+that one cannot take: no command, help for lfr itself, or a usage error.
+
 Exit codes: 0 success, 1 checking failure, 2 lexing or parsing failure
 (including unreadable input and input that is not UTF-8) or a usage
 error (bad options, a negative --oracle-depth, a non-integer LFR_FUEL,
-or an output path translate cannot write or that names its input), 3
-verification failure or search budget exhaustion, 4 internal error
-(input nested too deeply for the recursion limit, or a broken internal
-invariant).
+an output path translate cannot write or that names its input, or a
+standard output that takes no more: `error: cannot write standard
+output: REASON`), 3 verification failure or search budget exhaustion,
+4 internal error (input nested too deeply for the recursion limit, or a
+broken internal invariant).
 """
 
 from __future__ import annotations
@@ -149,9 +154,9 @@ def cmd_check(args) -> int:
     sig, report = _check_file(args.file, args.strict, args.oracle_depth,
                               trace=trace)
     if not args.quiet:
-        print(report.render())
+        _say(report.render())
     if trace is not None:
-        print(f"rule trace ({len(trace)} steps): {' '.join(trace)}")
+        _say(f"rule trace ({len(trace)} steps): {' '.join(trace)}")
     if report.oracle_disagreements:
         return 1
     return 0
@@ -186,15 +191,15 @@ def cmd_translate(args) -> int:
                   file=sys.stderr)
             return 2
     if not args.quiet:
-        print(report.render())
-        print(f"wrote {out_path} ({len(result.lfi_sig)} declarations) "
-              f"and {prov_path}")
+        _say(report.render())
+        _say(f"wrote {out_path} ({len(result.lfi_sig)} declarations) "
+             f"and {prov_path}")
     if args.no_verify:
         return 0
     verify_translation(sig, result)
     if not args.quiet:
-        print("verified: translated signature and all refinement proofs "
-              "re-check")
+        _say("verified: translated signature and all refinement proofs "
+             "re-check")
     return 0
 
 
@@ -203,11 +208,60 @@ def cmd_verify(args) -> int:
     result = trans_sig(sig)
     verify_translation(sig, result)
     if not args.quiet:
-        print(report.render())
+        _say(report.render())
         refined = len({d.const for d in sig if isinstance(d, ConstRef)})
-        print(f"verified: {len(result.lfi_sig)} translated declarations, "
-              f"{refined} refined constants")
+        _say(f"verified: {len(result.lfi_sig)} translated declarations, "
+             f"{refined} refined constants")
     return 0
+
+
+# One line of help for each command, in the order the usage lists them.
+_COMMANDS = {
+    "check": "parse and sort-check a signature",
+    "translate": "compile to the proof-irrelevant target",
+    "verify": "compile in memory and re-check the result",
+}
+
+
+class _Refused(Exception):
+    """A command's own parser cannot take its arguments."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's arguments alone.  It prints help, but it reports no
+    usage error: it raises _Refused, and the full parser, which has the
+    same arguments, parses the argv again and reports it."""
+
+    def error(self, message):
+        raise _Refused
+
+
+def _command_parser(name: str, add_help: bool = True) -> argparse.ArgumentParser:
+    """The arguments of command name, defined once: parsed alone for a
+    call of name, and the parent of name's subparser in the full parser."""
+    p = _CommandParser(prog=f"lfr {name}", add_help=add_help)
+    p.add_argument("file", help="signature file to process")
+    p.add_argument("--strict", action="store_true",
+                   help="reject repeated refinements of one constant")
+    p.add_argument("--quiet", action="store_true",
+                   help="suppress the per-declaration report")
+    if name == "check":
+        p.add_argument("--oracle-depth", type=_search_depth, default=None,
+                       metavar="N",
+                       help="audit every atomic subsort comparison against "
+                            "the declarative oracle at this search depth")
+        p.add_argument("--trace", action="store_true",
+                       help="print the name of every checking rule applied")
+        p.set_defaults(func=cmd_check)
+    elif name == "translate":
+        p.add_argument("-o", "--out", default=None,
+                       help="output path (default: input with .lfi suffix)")
+        p.add_argument("--no-verify", action="store_true",
+                       help="skip re-checking the emitted signature")
+        p.set_defaults(func=cmd_translate)
+    else:
+        p.set_defaults(func=cmd_verify)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,45 +270,55 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sort checker and proof-irrelevant compiler for "
                     "refinement signatures.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp) -> None:
-        sp.add_argument("file", help="signature file to process")
-        sp.add_argument("--strict", action="store_true",
-                        help="reject repeated refinements of one constant")
-        sp.add_argument("--quiet", action="store_true",
-                        help="suppress the per-declaration report")
-
-    pc = sub.add_parser("check", help="parse and sort-check a signature")
-    common(pc)
-    pc.add_argument("--oracle-depth", type=_search_depth, default=None,
-                    metavar="N",
-                    help="audit every atomic subsort comparison against the "
-                         "declarative oracle at this search depth")
-    pc.add_argument("--trace", action="store_true",
-                    help="print the name of every checking rule applied")
-    pc.set_defaults(func=cmd_check)
-
-    pt = sub.add_parser("translate",
-                        help="compile to the proof-irrelevant target")
-    common(pt)
-    pt.add_argument("-o", "--out", default=None,
-                    help="output path (default: input with .lfi suffix)")
-    pt.add_argument("--no-verify", action="store_true",
-                    help="skip re-checking the emitted signature")
-    pt.set_defaults(func=cmd_translate)
-
-    pv = sub.add_parser("verify",
-                        help="compile in memory and re-check the result")
-    common(pv)
-    pv.set_defaults(func=cmd_verify)
-
+    for name, summary in _COMMANDS.items():
+        sub.add_parser(name, help=summary,
+                       parents=[_command_parser(name, add_help=False)])
     return p
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, exiting on help or a
+    usage error.  A call of one command that its own parser takes builds
+    that parser alone: its help is the full parser's, and so is the
+    namespace, but for a `command` attribute that nothing reads."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _command_parser(argv[0]).parse_args(argv[1:])
+        except _Refused:
+            pass
+    return _build_parser().parse_args(argv)
+
+
+class _Unwritable(Exception):
+    """Standard output refused a write: the OSError is the cause."""
+
+
+def _say(text: str) -> None:
+    """Write text and a newline to standard output, at once."""
+    try:
+        print(text, flush=True)
+    except OSError as e:
+        raise _Unwritable from e
+
+
+def _stdout_failed(e: OSError) -> int:
+    print(f"error: cannot write standard output: {e.strerror or e}",
+          file=sys.stderr)
+    # What was not written is still buffered, and the interpreter flushes
+    # it again at exit: send it to the null device, or that flush fails
+    # too and prints a second report.
+    if sys.stdout is sys.__stdout__:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 2
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # Substitution reads the budget afresh for each walk; read it once
-    # here, so that a bad value is a usage error and not a traceback.
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    # Substitution reads the budget afresh for each walk that substitutes;
+    # read it once here, so that a bad value is a usage error and not a
+    # traceback.
     try:
         _Fuel()
     except ValueError:
@@ -282,6 +346,8 @@ def main(argv=None) -> int:
         # the input, so report it in one line instead of a traceback.
         print(f"error: internal error: {e}", file=sys.stderr)
         return 4
+    except _Unwritable as e:
+        return _stdout_failed(e.__cause__)
 
 
 if __name__ == "__main__":

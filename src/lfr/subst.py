@@ -14,7 +14,10 @@ The variables replaced are a free name, or a block of bound indices at
 once; substitution counts the binders it descends instead of opening them.
 Instantiating a classifier with a whole spine substitutes for all of its
 binders in one walk (inst_spine), and a beta step substitutes for the
-lambda's index 0.
+lambda's index 0.  A walk builds its fuel, and so reads LFR_FUEL, when
+it starts; inst_spine starts none for a closed leaf (a family or sort
+constant, the top sort or class, the kind type or the class sort), which
+a walk would return untouched without a tick.
 """
 
 from __future__ import annotations
@@ -195,10 +198,18 @@ def hsubst_syntax(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType]
     return _subst_syn(sub, x0, t, 0, fuel, ())
 
 
+# Nodes with no variable and no child: a walk returns them untouched,
+# without a tick.
+_CLOSED_LEAVES = frozenset((TConst, SConst, STop, KType, CSort, CTop))
+
+
 def inst_spine(t, spine) -> Syntax:
     """t, under a binder for each (argument, erased domain) pair of spine,
-    outermost first, with those binders set to the arguments."""
-    return _subst_syn(tuple(spine[::-1]), 0, t, 0, _Fuel(), ()) if spine else t
+    outermost first, with those binders set to the arguments.  A closed
+    leaf is returned at once, with no walk and no fuel."""
+    if not spine or t.__class__ in _CLOSED_LEAVES:
+        return t
+    return _subst_syn(tuple(spine[::-1]), 0, t, 0, _Fuel(), ())
 
 
 def _subst_syn(sub: Sub, x0: Var, t: Syntax, k: int, fuel: _Fuel, path: Path):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import errno
 import hashlib
 import importlib.util
 import io
+import json
+import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -16,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfr import VerifyError, lfi_check_sig, parse_lfi
+import lfr.cli as cli
 from lfr.cli import main
 from lfr.lfi import ITUnitT, LfiDecl
 from lfr.parser import SourceLines, tokenize
@@ -565,6 +571,146 @@ class TestVerify:
         assert capsys.readouterr() == (
             "", "error: LFR_FUEL must be an integer, got 'abc'\n")
         assert list(tmp_path.iterdir()) == [src]
+
+
+# The usage text, help and argument errors of every form of call, taken
+# from `python -m lfr.cli` with COLUMNS=80 on Python 3.11, before a call of
+# one command built that command's parser alone.  Each case runs in a
+# directory holding F, a rejected signature (bad-odd.lfr), and G, an
+# accepted one (nat.lfr), so that no output shows a time.
+USAGE_CASES = json.loads((GOLDEN_DIR / "cli-usage.json").read_text())
+
+
+def _run_in(tmp_path, monkeypatch, capsys, argv) -> tuple:
+    """(exit status, stdout, stderr) of main(argv), in a directory holding
+    F and G, at COLUMNS=80."""
+    shutil.copy(golden_path("bad-odd"), tmp_path / "F")
+    shutil.copy(golden_path("nat"), tmp_path / "G")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("LFR_FUEL", raising=False)
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return (code, *capsys.readouterr())
+
+
+def _usage_id(case) -> str:
+    return " ".join(case["argv"]) or "(none)"
+
+
+def _count_parsers(monkeypatch) -> list[int]:
+    """A one-item list that counts the ArgumentParsers built from now."""
+    built = [0]
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+class TestUsage:
+    # argparse's wording and layout change between Python versions.
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the pin was taken on Python 3.11")
+    @pytest.mark.parametrize("case", USAGE_CASES, ids=_usage_id)
+    def test_matches_pin(self, case, tmp_path, monkeypatch, capsys):
+        assert _run_in(tmp_path, monkeypatch, capsys, case["argv"]) == (
+            case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("case", USAGE_CASES, ids=_usage_id)
+    def test_full_parser_agrees(self, case, tmp_path, monkeypatch, capsys):
+        # On any Python: a call that the parser of every command parses
+        # gives the same output.
+        fast = _run_in(tmp_path, monkeypatch, capsys, case["argv"])
+        monkeypatch.setattr(cli, "_parse_args",
+                            lambda argv: cli._build_parser().parse_args(argv))
+        assert _run_in(tmp_path, monkeypatch, capsys, case["argv"]) == fast
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--quiet", "G"], ["translate", "--quiet", "G"],
+        ["verify", "--quiet", "G"]], ids=["check", "translate", "verify"])
+    def test_a_command_builds_one_parser(self, argv, tmp_path, monkeypatch,
+                                         capsys):
+        built = _count_parsers(monkeypatch)
+        assert _run_in(tmp_path, monkeypatch, capsys, argv) == (0, "", "")
+        assert built == [1]
+
+    def test_a_usage_error_builds_every_parser(self, tmp_path, monkeypatch,
+                                               capsys):
+        # The command's own parser, then the full parser: the top level
+        # and, for each command, its arguments and its subparser.
+        built = _count_parsers(monkeypatch)
+        assert _run_in(tmp_path, monkeypatch, capsys,
+                       ["check", "G", "--bogus"])[0] == 2
+        assert built == [8]
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counted(self, *a, **k):\n"
+             "    built.append(1)\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counted\n"
+             "import lfr.cli\n"
+             "print(len(built))\n"],
+            capture_output=True, text=True, env=checkout_env())
+        assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+class TestStandardOutput:
+    """A failed write to standard output: one line and exit 2, like an
+    output path translate cannot write, with no traceback and no report
+    at interpreter exit."""
+
+    @staticmethod
+    def _run(argv, stdout, tmp_path) -> subprocess.CompletedProcess:
+        src = tmp_path / "cbv.lfr"
+        src.write_text(golden_path("cbv").read_text())
+        return subprocess.run(
+            [sys.executable, "-m", "lfr.cli", *argv, str(src)],
+            stdout=stdout, stderr=subprocess.PIPE, text=True,
+            env=checkout_env())
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", [["check"], ["check", "--trace"],
+                                      ["translate"], ["verify"]],
+                             ids=" ".join)
+    def test_full_device(self, argv, tmp_path):
+        with open("/dev/full", "w") as full:
+            proc = self._run(argv, full, tmp_path)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write standard output: "
+               f"{os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("argv", [["check"], ["check", "--trace"],
+                                      ["translate"], ["verify"]],
+                             ids=" ".join)
+    def test_closed_pipe(self, argv, tmp_path):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._run(argv, write, tmp_path)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write standard output: "
+               f"{os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="no /dev/full on this system")
+    def test_nothing_to_write(self, tmp_path):
+        # --quiet writes nothing, so nothing fails.
+        with open("/dev/full", "w") as full:
+            proc = self._run(["check", "--quiet"], full, tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _token_lines(text: str) -> list[list[str]]:

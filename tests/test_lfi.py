@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -217,15 +218,13 @@ def _edits(t, relevant: bool) -> list:
 
 @st.composite
 def lfi_syntax(draw):
-    """A term, a type or a kind over LFI_CTX and a pair g, which its
-    atoms project, with the variable a bound past the root, so that a
-    dangling index stands for it."""
+    """A term, a type or a kind over PAIR_CTX, with the variable a bound
+    past the root, so that a dangling index stands for it."""
 
     def choose(lo, hi):
         return draw(st.integers(lo, hi))
 
-    ctx = LFI_CTX + [("g", IProdS(LFI_NAT, IArrow(LFI_NAT, LFI_NAT)))]
-    return close_lfi(_lfi_subject(choose, ctx, "a"), "a")
+    return close_lfi(_lfi_subject(choose, PAIR_CTX, "a"), "a")
 
 
 @st.composite
@@ -342,6 +341,10 @@ class TestSubstitution:
 X0 = "x0"
 I_NAT = ITConst("nat")
 LFI_CTX = [("a", LFI_NAT), ("f", IArrow(LFI_NAT, LFI_NAT))]
+# A pair g, which a generated atom can project: without it, a subject
+# holds IFst or ISnd only where a lambda binds a pair.
+PAIR = ("g", IProdS(LFI_NAT, IArrow(LFI_NAT, LFI_NAT)))
+PAIR_CTX = LFI_CTX + [PAIR]
 
 
 def _lfi_subject(choose, ctx, var: str, which=None):
@@ -361,29 +364,26 @@ def _lfi_subject(choose, ctx, var: str, which=None):
     return t
 
 
-@st.composite
-def lfi_subst_instances(draw):
-    """(alpha0, n0 at alpha0 over a, t over x0 : alpha0, a and f)."""
+def _drawn(build):
+    """The strategy of build(choose), where choose(lo, hi) draws an
+    integer from lo to hi."""
+    return st.composite(
+        lambda draw: build(lambda lo, hi: draw(st.integers(lo, hi))))()
 
-    def choose(lo, hi):
-        return draw(st.integers(lo, hi))
 
+def subst_instance(choose):
+    """(alpha0, n0 at alpha0 over a, t over x0 : alpha0 and PAIR_CTX)."""
     alpha0 = gen_lfi_usable(choose, 2)
     n0 = gen_lfi_term(choose, LFI_CTX[:1], alpha0, choose(0, 2))
-    return alpha0, n0, _lfi_subject(choose, [(X0, alpha0)] + LFI_CTX, X0)
+    return alpha0, n0, _lfi_subject(choose, [(X0, alpha0)] + PAIR_CTX, X0)
 
 
-@st.composite
-def lfi_inst_instances(draw):
-    """(cod, arg, dom): a term, type or kind under one binder of type dom,
-    and an argument at dom's erasure."""
-
-    def choose(lo, hi):
-        return draw(st.integers(lo, hi))
-
+def inst_instance(choose):
+    """(cod, arg, dom): a term, type or kind over PAIR_CTX under one
+    binder of type dom, and an argument at dom's erasure."""
     beta = gen_lfi_usable(choose, 2)
-    body = _lfi_subject(choose, LFI_CTX + [("y", beta)], "y")
-    arg = gen_lfi_term(choose, LFI_CTX, beta, choose(0, 2))
+    body = _lfi_subject(choose, PAIR_CTX + [("y", beta)], "y")
+    arg = gen_lfi_term(choose, PAIR_CTX, beta, choose(0, 2))
     return close_lfi(body, "y"), arg, lfi_simple_to_type(beta)
 
 
@@ -393,43 +393,39 @@ class TestNamedOracle:
     substituting a function or a pair for an applied or projected
     variable leaves redexes the substitution must contract."""
 
-    @given(lfi_subst_instances())
+    @given(_drawn(subst_instance))
     def test_hsubst_matches_named_substitution(self, inst):
         alpha0, n0, t = inst
         assert (result_key(lfi_hsubst(n0, X0, alpha0, t))
                 == named_subst(n0, X0, t))
 
-    @given(lfi_inst_instances())
+    @given(_drawn(inst_instance))
     def test_inst_matches_named_substitution(self, inst):
         cod, arg, dom = inst
         assert (result_key(lfr.lfi._inst(cod, [(arg, lfi_erase_type(dom))]))
                 == named_inst(cod, arg))
 
 
-@st.composite
-def lfi_spine_instances(draw):
-    """(pi, spine): a Pi type or kind over O_CTX with two to four binders,
-    each of a kind relevant or not, whose domains mention the binders
-    before them, and an (argument, erased domain) pair for each binder.
-    An argument at a function or a product type is a lambda or a pair,
-    so where its variable heads a spine, substitution reduces a redex or
-    projects.  The hypothesis a is closed into a dangling index, one
-    binder out, in pi and in the arguments."""
-
-    def choose(lo, hi):
-        return draw(st.integers(lo, hi))
-
-    ctx, doms, spine = list(O_CTX), [], []
+def spine_instance(choose):
+    """(pi, spine): a Pi type or kind over O_CTX and the pair g with two
+    to four binders, each of a kind relevant or not, whose domains mention
+    the binders before them, and an (argument, erased domain) pair for
+    each binder.  An argument at a function or a product type is a lambda
+    or a pair, so where its variable heads a spine, substitution reduces a
+    redex or projects.  The hypothesis a is closed into a dangling index,
+    one binder out, in pi and in the arguments."""
+    outer = O_CTX + [PAIR]
+    ctx, doms, spine = list(outer), [], []
     for i in range(choose(2, 4)):
         dom = gen_lfi_type(choose, ctx, choose(0, 2))
         beta = lfi_erase_type(dom)
-        spine.append((gen_lfi_term(choose, O_CTX, beta, choose(0, 2)), beta))
+        spine.append((gen_lfi_term(choose, outer, beta, choose(0, 2)), beta))
         doms.append(dom)
         ctx.append((f"y{i}", beta))
     which = choose(1, 2)
     t = _lfi_subject(choose, ctx, ctx[-1][0], which)
     pis = (ITPi,) if which == 1 else (IKPi, IKIrrPi)
-    for (y, _), dom in reversed(list(zip(ctx[len(O_CTX):], doms))):
+    for (y, _), dom in reversed(list(zip(ctx[len(outer):], doms))):
         t = pis[choose(0, len(pis) - 1)](y, dom, close_lfi(t, y))
     return close_lfi(t, "a"), [(close_lfi(n, "a"), beta) for n, beta in spine]
 
@@ -440,7 +436,7 @@ class TestSpineInstantiation:
     named substitution: the domains, each set to the arguments before it,
     and the codomain, set to all of them."""
 
-    @given(lfi_spine_instances())
+    @given(_drawn(spine_instance))
     def test_one_walk_matches_folding(self, inst):
         pi, spine = inst
         folded = body = pi
@@ -460,6 +456,24 @@ class TestSpineInstantiation:
         assert (result_key(open_lfi(out, a))
                 == named_inst(open_lfi(body, a, len(spine)),
                               *(open_lfi(n, a) for n, _ in spine)))
+
+
+class TestGeneratedSubjects:
+    @pytest.mark.parametrize("build, at", [
+        (subst_instance, 2), (inst_instance, 0), (spine_instance, 0)],
+        ids=["subst", "inst", "spine"])
+    def test_fixed_seed_sample_projects(self, build, at):
+        # The subjects TestNamedOracle and TestSpineInstantiation
+        # substitute into meet both projections: at seed 0, a fifth or
+        # more of 200 hold IFst, and as many ISnd.  Without the pair g,
+        # 37 of the substitution subjects held IFst.
+        rng = random.Random(0)
+        held = Counter()
+        for _ in range(200):
+            names: set[str] = set()
+            _classes(build(rng.randint)[at], names, {})
+            held.update(names)
+        assert held["IFst"] >= 40 and held["ISnd"] >= 40, held
 
 
 # Few binder hints, so that nested binders often share one; they meet a

@@ -34,6 +34,7 @@ from lfr.syntax import (
     Const,
     CPi,
     CSort,
+    CTop,
     CtxEntry,
     FVar,
     KPi,
@@ -57,6 +58,7 @@ from gen import (
     NAT,
     binders_text,
     bury,
+    deep_text,
     gen_class,
     gen_dep_sort,
     gen_eta_term,
@@ -415,6 +417,47 @@ def _source_ticks(m: int) -> int:
         patch.setattr(lfr.subst, "_Fuel", Fuel)
         verify_translation(sig, result)
     return ticks
+
+
+def _count_fuel(monkeypatch) -> list[int]:
+    """A one-item list that counts the _Fuel objects the source side's
+    substitution builds from now."""
+    built = [0]
+
+    class Fuel(lfr.subst._Fuel):
+        def __init__(self):
+            built[0] += 1
+            super().__init__()
+    monkeypatch.setattr(lfr.subst, "_Fuel", Fuel)
+    return built
+
+
+class TestClosedLeaves:
+    """A walk would return a closed leaf untouched and tick nothing, so
+    inst_spine returns it at once and reads no budget."""
+
+    @pytest.mark.parametrize("leaf", [TConst("nat"), SConst("even"), STop(),
+                                      KType(), CSort(), CTop()],
+                             ids=lambda t: type(t).__name__)
+    def test_returned_itself_without_fuel(self, leaf, monkeypatch):
+        built = _count_fuel(monkeypatch)
+        assert inst_spine(leaf, [(Const("z"), NAT)]) is leaf
+        assert built == [0]
+
+    def test_other_nodes_are_walked(self, monkeypatch):
+        built = _count_fuel(monkeypatch)
+        t = TApp(TConst("p"), BVar(0))
+        assert inst_spine(t, [(Const("z"), NAT)]) == TApp(TConst("p"),
+                                                           Const("z"))
+        assert built == [1]
+
+    def test_checking_deep_builds_no_fuel(self, monkeypatch):
+        # Checking Deep d=12 instantiates 48 classifiers, each a closed
+        # leaf: each built a _Fuel, and read LFR_FUEL, to tick nothing.
+        raw = parse_signature(deep_text(12))
+        built = _count_fuel(monkeypatch)
+        check_signature(raw)
+        assert built == [0]
 
 
 class TestSpineScaling:
