@@ -59,7 +59,6 @@ from .subsort import (
 )
 from .subst import hsubst_syntax
 from .translate import (
-    meta_apply,
     trans_sig,
     trans_sort,
     trans_sort_synth_all,
@@ -87,7 +86,6 @@ __all__ = [
     "lfi_check_sig",
     "lfi_equal",
     "lfi_synth",
-    "meta_apply",
     "SortError",
     "acheck",
     "asynth",

@@ -171,6 +171,10 @@ def _is_file(path: Path, other: str) -> bool:
 
 
 def cmd_translate(args) -> int:
+    if not (args.out or Path(args.file).name):
+        # "/", "" and "." have no file name to name the output after; they
+        # name a directory, so reading fails, as it does for check.
+        _read(args.file)
     out_path = Path(args.out) if args.out else Path(args.file).with_suffix(".lfi")
     prov_path = Path(str(out_path) + ".prov")
     for path in (out_path, prov_path):
@@ -227,7 +231,18 @@ class _Refused(Exception):
     """A command's own parser cannot take its arguments."""
 
 
-class _CommandParser(argparse.ArgumentParser):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help reports a failed write to standard
+    output as the commands' output does; argparse would swallow it."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _say(message, end="")
+        else:
+            super()._print_message(message, file)
+
+
+class _CommandParser(_Parser):
     """A command's arguments alone.  It prints help, but it reports no
     usage error: it raises _Refused, and the full parser, which has the
     same arguments, parses the argv again and reports it."""
@@ -265,7 +280,7 @@ def _command_parser(name: str, add_help: bool = True) -> argparse.ArgumentParser
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lfr",
         description="Sort checker and proof-irrelevant compiler for "
                     "refinement signatures.")
@@ -293,10 +308,10 @@ class _Unwritable(Exception):
     """Standard output refused a write: the OSError is the cause."""
 
 
-def _say(text: str) -> None:
-    """Write text and a newline to standard output, at once."""
+def _say(text: str, end: str = "\n") -> None:
+    """Write text and end to standard output, at once."""
     try:
-        print(text, flush=True)
+        print(text, end=end, flush=True)
     except OSError as e:
         raise _Unwritable from e
 
@@ -315,7 +330,10 @@ def _stdout_failed(e: OSError) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    except _Unwritable as e:
+        return _stdout_failed(e.__cause__)
     # Substitution reads the budget afresh for each walk that substitutes;
     # read it once here, so that a bad value is a usage error and not a
     # traceback.

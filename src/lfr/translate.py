@@ -6,17 +6,21 @@ declaration becomes a coercion between proofs.  Formation proofs ride
 along irrelevantly, so provably-equal coercion paths cannot break
 equality of translated types.
 
-A sort translates to its interpretation: a Python function of the
-subject term that builds the sort's predicate type.  Kinds, classes and
-subsort coercions translate to such functions too, of the family atoms
-or of the subject and the proof being coerced; `meta_apply` applies
-them.  Proofs of terms and formation proofs of sorts are not derived
-here: the sort checker's judgments return derivations, and `_proof`
-maps each rule to its target term.  A subsort switch becomes one
-coercion per declared edge on the path the checker recorded with it, and
-none for an empty path, so nothing here searches the subsort preorder.
-The emitted signature is self-contained and re-checkable by the target
-checker, which verify_translation does.
+A sort translates to its interpretation at a subject: the predicate
+type whose inhabitants prove that the subject has the sort.  Every
+subject is known where its interpretation is built (a refined constant,
+a binder or a hypothesis eta-expanded, or the injected term at a subsort
+switch), so each interpretation is a plain function from source syntax
+and its subject to target syntax.  Kinds and classes translate at their
+closed family atoms, and a subsort coercion to its steps, which
+`_coerce` applies to the subject and the proof being coerced.  Proofs of
+terms and formation proofs of sorts are not derived here: the sort
+checker's judgments return derivations, and `_proof` maps each rule to
+its target term.  A subsort switch becomes one coercion per declared
+edge on the path the checker recorded with it, and none for an empty
+path, so nothing here searches the subsort preorder.  The emitted
+signature is self-contained and re-checkable by the target checker,
+which verify_translation does against the goals trans_sig kept.
 
 The interpretations descend the source binders by index, as the
 checkers do.  Each source binder of a function sort or class becomes the
@@ -26,8 +30,6 @@ only shown, drawn from the name pool against the names shown so far.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .diagnostics import MetricExhausted, Node, VerifyError
 from .lfi import (
@@ -160,7 +162,7 @@ class TransResult(Node):
     lfi_sig: LfiSignature
     provenance: dict[str, str]
     mangler: NameMangler
-    sorts: dict[str, Metafunction]    # each refined constant's trans_sort
+    sorts: dict[str, object]    # each refined constant's goal, c^'s type
 
 
 # ---------------------------------------------------------------------------
@@ -257,123 +259,96 @@ def _applied(t, at: At, app=ITApp):
 
 
 # ---------------------------------------------------------------------------
-# Interpretations
-
-
-class Metafunction(Node):
-    """An interpretation: `fn` builds a target type, kind or proof from
-    `arity` arguments."""
-
-    arity: int
-    fn: Callable
-
-
-def meta_apply(f: Metafunction, args: list):
-    """Apply an interpretation; the one place where one is applied."""
-    if len(args) != f.arity:
-        raise VerifyError(
-            f"metafunction of arity {f.arity} applied to {len(args)} arguments")
-    return f.fn(*args)
-
-
-# ---------------------------------------------------------------------------
 # Kinds
 
 
-def trans_kind_pred(kind) -> Metafunction:
-    """Kind of a sort's predicate family.
-
-    Arguments: the proof family atom and the refined family atom, both
-    closed constants, so the names bound here cannot capture them.  At
-    base kind the predicate takes the formation proof irrelevantly and
-    then the subject.
-    """
-    def base(atoms, indexed, avoid):
-        pf, fam = atoms
-        return IKIrrPi("_", indexed(pf, 0),
-                       IKPi("x", indexed(fam, 1), IKType()))
-    return Metafunction(
-        2, lambda *atoms: _over_indices(kind, atoms, IKPi, base))
+def trans_kind_pred(kind, pf, fam):
+    """Kind of a sort's predicate family, whose proof family atom is pf
+    and refined family atom fam, both closed constants, so the names bound
+    here cannot capture them.  At base kind the predicate takes the
+    formation proof irrelevantly and then the subject."""
+    indices, at = _indices(kind)
+    return _over(indices, IKPi, IKIrrPi(
+        "_", _indexed(pf, at), IKPi("x", _indexed(fam, at, 1), IKType())))
 
 
-def trans_kind_sub(kind) -> Metafunction:
-    """Type of a coercion constant between two sorts over one kind.
-
-    Arguments, all closed constants: the refined family atom, then the
-    proof family and predicate atoms of the first sort and of the second.
-    Index arguments come first and are bare; then the two formation
-    proofs, the subject, and the proof being coerced.
-    """
-    def base(atoms, indexed, avoid):
-        fam, pf1, pred1, pf2, pred2 = atoms
-        subject = pool_name("x", avoid | {"f1", "f2"})
-        # Under f1, f2, the subject and the proof: f1 is 3, f2 2, x 1.
-        t = ITPi("_", ITApp(ITIrrApp(indexed(pred1, 3), IBVar(2)), IBVar(0)),
-                 ITApp(ITIrrApp(indexed(pred2, 4), IBVar(2)), IBVar(1)))
-        t = ITPi(subject, indexed(fam, 2), t)
-        t = ITPi("f2", indexed(pf2, 1), t)
-        return ITPi("f1", indexed(pf1, 0), t)
-    return Metafunction(
-        5, lambda *atoms: _over_indices(kind, atoms, ITPi, base))
+def trans_kind_sub(kind, fam, pf1, pred1, pf2, pred2):
+    """Type of a coercion constant between two sorts over one kind, from
+    the refined family atom and the proof family and predicate atoms of
+    the first sort and of the second, all closed constants.  Index
+    arguments come first and are bare; then the two formation proofs, the
+    subject, and the proof being coerced."""
+    indices, at = _indices(kind)
+    subject = pool_name("x", at[2] | {"f1", "f2"})
+    # Under f1, f2, the subject and the proof: f1 is 3, f2 2, x 1.
+    t = ITPi("_", ITApp(ITIrrApp(_indexed(pred1, at, 3), IBVar(2)), IBVar(0)),
+             ITApp(ITIrrApp(_indexed(pred2, at, 4), IBVar(2)), IBVar(1)))
+    t = ITPi(subject, _indexed(fam, at, 2), t)
+    t = ITPi("f2", _indexed(pf2, at, 1), t)
+    return _over(indices, ITPi, ITPi("f1", _indexed(pf1, at), t))
 
 
-def _over_indices(kind, atoms, pi, base, at: At = _root()):
-    """One `pi` for each index argument of kind, around base(atoms,
-    indexed, names bound), where indexed(t, extra) is t applied to every
-    index, read under `extra` binders more.  Each index is one target
-    binder, so the domains inject as they are."""
-    match kind:
-        case KType():
-            levels, depth, shown = at
-            return base(atoms, lambda t, extra: _applied(
-                t, (levels, depth + extra, shown)), shown)
-        case KPi(h, a, k2):
-            y = pool_name(h, at[2])
-            return pi(y, inj_type(a), _over_indices(k2, atoms, pi, base,
-                                                    _bind(at, y, a, 1)))
-    raise TypeError(f"_over_indices: not a kind: {kind!r}")
+def _indices(kind):
+    """The index binders of kind, outermost first, each as its shown name
+    and its injected type, and the place under them.  Each index is one
+    target binder, so the domains inject as they are."""
+    indices, at = [], _root()
+    while isinstance(kind, KPi):
+        y = pool_name(kind.hint, at[2])
+        indices.append((y, inj_type(kind.dom)))
+        at = _bind(at, y, kind.dom, 1)
+        kind = kind.cod
+    if not isinstance(kind, KType):
+        raise TypeError(f"_indices: not a kind: {kind!r}")
+    return indices, at
+
+
+def _indexed(t, at: At, extra: int = 0):
+    """t applied to every index passed at `at`, read under `extra` binders
+    more."""
+    levels, depth, shown = at
+    return _applied(t, (levels, depth + extra, shown))
+
+
+def _over(indices, pi, t):
+    """t under one `pi` for each index binder."""
+    for y, a in reversed(indices):
+        t = pi(y, a, t)
+    return t
 
 
 # ---------------------------------------------------------------------------
 # Sorts, classes, formation proofs
 
 
-def trans_sort(sig: Signature, ctx: Context, s, a, mangler=None
-               ) -> Metafunction:
-    """Predicate type for a sort, as a function of the (injected) subject."""
+def trans_sort(sig: Signature, ctx: Context, s, a, subject, mangler=None):
+    """Predicate type for a sort at the (injected) subject."""
     mangler = mangler or NameMangler(sig)
     s = _elab_sort(sig, ctx, (), s, a, None)
-    return Metafunction(1, _sort_body(sig, s, a, mangler, _root(ctx)))
+    return _sort_body(sig, s, a, mangler, _root(ctx), subject)
 
 
-def _sort_body(sig, s, a, mangler, at: At):
-    """The sort's predicate type as a function of the subject.
+def _sort_body(sig, s, a, mangler, at: At, n, p: int = 0):
+    """The sort's predicate type at the subject n, built at `at`.
 
-    The type is built at `at`, all but the subject once, here; an atom's
-    formation proof is of the first derivation the sort checker recorded
-    when it elaborated the atom.  The function takes the subject and the
-    number (by default 0) of its lambdas enclosing function sorts stripped,
-    and places it (see _place) at the root of the type, so none of its
-    free names is captured."""
+    Function sorts above have stripped p (by default 0) of n's lambdas,
+    and each atom places n (see _place) at its root, so none of n's free
+    names is captured.  An atom's formation proof is of the first
+    derivation the sort checker recorded when it elaborated the atom."""
     match s:
         case STop():
-            return lambda n, p=0: ITUnitT()
+            return ITUnitT()
         case SInter(l, r):
-            left, right = (_sort_body(sig, side, a, mangler, at)
-                           for side in (l, r))
-            return lambda n, p=0: ITProd(left(n, p), right(n, p))
+            return ITProd(_sort_body(sig, l, a, mangler, at, n, p),
+                          _sort_body(sig, r, a, mangler, at, n, p))
         case SPi(h, ds, _, cod):
-            wrap, at = _binder(sig, h, ds, a.dom, mangler, at)
-            cod_body = _sort_body(sig, cod, a.cod, mangler, at)
-
-            def body(n, p=0):
-                if not isinstance(n, ILam):
-                    raise VerifyError(
-                        "reverse application of a non-function term")
-                # The subject applied to x: the lambda's variable becomes x
-                # when the subject is placed.
-                return wrap(cod_body(n.body, p + 1))
-            return body
+            x, dom, dom_pred, at = _binder(sig, h, ds, a.dom, mangler, at)
+            if not isinstance(n, ILam):
+                raise VerifyError("reverse application of a non-function term")
+            # The subject applied to x: the lambda's variable becomes x when
+            # the subject is placed.
+            return ITPi(x, dom, ITPi(x + "^", dom_pred, _sort_body(
+                sig, cod, a.cod, mangler, at, n.body, p + 1)))
         case SConst() | SApp():
             head, args = sort_spine(s)
             injected: dict = {}
@@ -385,23 +360,23 @@ def _sort_body(sig, s, a, mangler, at: At):
                 raise TypeError("trans_sort: sort was not elaborated")
             pred = ITIrrApp(pred, _proof(sig, mangler, derivs[0], at,
                                          injected))
-            return lambda n, p=0: ITApp(pred, _place(n, p))
+            return ITApp(pred, _place(n, p))
     raise TypeError(f"trans_sort: not a sort: {s!r}")
+
+
+meta_apply = _sort_body  # (bound for bench/tracer.py; nothing calls it)
 
 
 def _binder(sig, h, ds, a, mangler, at: At):
     """For the binder of a function sort or class over ds at type a, read
-    at `at`: the function that binds x and x^ around a type, and the place
-    its body is read at.  x^'s type, ds's predicate of x, sits under x
-    alone."""
+    at `at`: the name x it is shown as, the types of x and of x^, and the
+    place the body under them is read at.  x^'s type, ds's predicate of x,
+    sits under x alone."""
     levels, depth, shown = at
     x = pool_name(h, shown)
-    dom = _inj_arg(a, {}, at)
-    dom_pred = _sort_body(sig, ds, a, mangler,
-                          (levels, depth + 1, shown | {x}))
-    dom_pred = dom_pred(_eta(a, IBVar(0), {x}))
-    return (lambda t: ITPi(x, dom, ITPi(x + "^", dom_pred, t)),
-            _bind(at, x, a))
+    dom_pred = _sort_body(sig, ds, a, mangler, (levels, depth + 1, shown | {x}),
+                          _eta(a, IBVar(0), {x}))
+    return x, _inj_arg(a, {}, at), dom_pred, _bind(at, x, a)
 
 
 def _place(n, p: int):
@@ -415,13 +390,11 @@ def _place(n, p: int):
     return _map_vars(n, leaf) if p else n
 
 
-def trans_class_form(sig: Signature, ctx: Context, cls, kind, mangler
-                     ) -> Metafunction:
-    """Type of a sort's intro constant, as a function of the proof family
-    atom, a closed constant; cls is elaborated against kind first."""
+def trans_class_form(sig: Signature, ctx: Context, cls, kind, pf, mangler):
+    """Type of a sort's intro constant, whose proof family atom is pf, a
+    closed constant; cls is elaborated against kind first."""
     cls = _elab_class(sig, ctx, (), cls, kind, None)
-    return Metafunction(1, lambda pf: _class_form_body(
-        sig, cls, mangler, pf, _root(ctx)))
+    return _class_form_body(sig, cls, mangler, pf, _root(ctx))
 
 
 def _class_form_body(sig, cls, mangler, pf, at: At):
@@ -436,8 +409,9 @@ def _class_form_body(sig, cls, mangler, pf, at: At):
             return ITProd(*(_class_form_body(sig, side, mangler, pf, at)
                             for side in (l, r)))
         case CPi(h, ds, dt, body):
-            wrap, at = _binder(sig, h, ds, dt, mangler, at)
-            return wrap(_class_form_body(sig, body, mangler, pf, at))
+            x, dom, dom_pred, at = _binder(sig, h, ds, dt, mangler, at)
+            return ITPi(x, dom, ITPi(x + "^", dom_pred, _class_form_body(
+                sig, body, mangler, pf, at)))
     raise TypeError(f"trans_class_form: not a class: {cls!r}")
 
 
@@ -512,10 +486,9 @@ def _proof(sig, mangler, d, at: At, injected: dict):
         case ("sub", _, (), _, _, d1):
             return _proof(sig, mangler, d1, at, injected)
         case ("sub", q, path, forms, n, d1):
-            coerce = _coercion(sig, q, path, forms, mangler, at)
-            return meta_apply(coerce, [_inj_arg(n, injected, at),
-                                       _proof(sig, mangler, d1, at,
-                                              injected)])
+            steps = _coercion(sig, q, path, forms, mangler, at)
+            return _coerce(steps, _inj_arg(n, injected, at),
+                           _proof(sig, mangler, d1, at, injected))
     raise TypeError(f"_proof: not a derivation: {d!r}")
 
 
@@ -523,23 +496,25 @@ def _proof(sig, mangler, d, at: At, injected: dict):
 # Subsort coercions
 
 
-def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, mangler=None
-                        ) -> Metafunction:
-    """Coercion between atomic sorts, a function of subject and proof."""
+def trans_subsort_check(sig: Signature, ctx: Context, q1, q2, subject, proof,
+                        mangler=None):
+    """proof, of the atomic sort q1 at subject, coerced to q2."""
     if not subsort_q(sig, q1, q2):
         raise SortError("subsort-failure",
                         lambda: f"no declared path from "
                                 f"{_pp(pp_sort, q1, ctx, ())} "
                                 f"to {_pp(pp_sort, q2, ctx, ())}")
     path = subsort_path(sig, q1, q2)
-    return _coercion(sig, q1, path,
-                     _coercion_forms(sig, ctx, (), q1, path, None),
-                     mangler or NameMangler(sig), _root(ctx))
+    steps = _coercion(sig, q1, path,
+                      _coercion_forms(sig, ctx, (), q1, path, None),
+                      mangler or NameMangler(sig), _root(ctx))
+    return _coerce(steps, subject, proof)
 
 
-def _coercion(sig, q1, path, forms, mangler, at: At) -> Metafunction:
-    """Wrap the proof in one coercion per step of path, the heads q1's head
-    is taken through (see lfr_check.subsort_path).
+def _coercion(sig, q1, path, forms, mangler, at: At) -> list:
+    """One coercion per step of path, the heads q1's head is taken through
+    (see lfr_check.subsort_path), applied to its indices and its two
+    formation proofs; _coerce applies each to the subject and the proof.
 
     forms are the formations of q1 and of each step's sort (see
     lfr_check._coercion_forms); they and q1 are built at `at`.
@@ -554,12 +529,14 @@ def _coercion(sig, q1, path, forms, mangler, at: At) -> Metafunction:
             t = IApp(t, _inj_arg(m, injected, at))
         steps.append(IApp(IApp(t, form), form_step))
         head, form = step, form_step
+    return steps
 
-    def coerce(subject, proof):
-        for t in steps:
-            proof = IApp(IApp(t, subject), proof)
-        return proof
-    return Metafunction(2, coerce)
+
+def _coerce(steps, subject, proof):
+    """proof wrapped in the coercion steps, innermost first."""
+    for t in steps:
+        proof = IApp(IApp(t, subject), proof)
+    return proof
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +549,8 @@ def trans_ctx(sig: Signature, ctx: Context, mangler=None) -> LfiContext:
     out: LfiContext = []
     for i, e in enumerate(ctx):
         out.append(LfiCtxEntry(e.name, inj_type(e.type), True))
-        smeta = trans_sort(sig, ctx[:i + 1], e.sort, e.type, mangler)
-        sty = meta_apply(smeta, [_eta(e.type, IFVar(e.name), {e.name})])
+        sty = trans_sort(sig, ctx[:i + 1], e.sort, e.type,
+                         _eta(e.type, IFVar(e.name), {e.name}), mangler)
         out.append(LfiCtxEntry(e.name + "^", sty, True))
     return out
 
@@ -583,7 +560,7 @@ def trans_sig(sig: Signature) -> TransResult:
     mangler = NameMangler(sig)
     lfi_sig = LfiSignature()
     prov: dict[str, str] = {}
-    sorts: dict[str, Metafunction] = {}
+    goals: dict[str, object] = {}
 
     def emit(name: str, classifier, label: str) -> None:
         lfi_sig.append(LfiDecl(name, classifier, decl.span))
@@ -602,26 +579,25 @@ def trans_sig(sig: Signature) -> TransResult:
                 emit(pf, inj_kind(fam.kind), label)
                 emit(mangler.sort_intro(s), _class_form_body(
                     sig, cls, mangler, ITConst(pf), _root()), label)
-                pred = mangler.predicate(s)
-                emit(pred, meta_apply(trans_kind_pred(fam.kind),
-                                      [ITConst(pf), ITConst(ref)]), label)
+                emit(mangler.predicate(s), trans_kind_pred(
+                    fam.kind, ITConst(pf), ITConst(ref)), label)
             case SubDecl(s1, s2):
                 f1 = sig.sort_fam(s1)
                 kind = sig.type_fam(f1.refines).kind
-                ty = meta_apply(trans_kind_sub(kind), [ITConst(n) for n in (
+                ty = trans_kind_sub(kind, *(ITConst(n) for n in (
                     f1.refines, mangler.sort_proof_fam(s1),
                     mangler.predicate(s1), mangler.sort_proof_fam(s2),
-                    mangler.predicate(s2))])
+                    mangler.predicate(s2))))
                 emit(mangler.coercion(s1, s2), ty, f"{s1} <: {s2}.")
             case ConstRef(c, _):
-                if c in sorts:
+                if c in goals:
                     continue
                 const = sig.term_const(c)
-                smeta = sorts[c] = Metafunction(1, _sort_body(
-                    sig, sig.merged_ref_sort(c), const.type, mangler, _root()))
-                ty = meta_apply(smeta, [_eta(const.type, IConst(c), set())])
-                emit(mangler.term_const(c), ty, f"{c} :: _.")
-    return TransResult(lfi_sig, prov, mangler, sorts)
+                goals[c] = _sort_body(sig, sig.merged_ref_sort(c), const.type,
+                                      mangler, _root(),
+                                      _eta(const.type, IConst(c), set()))
+                emit(mangler.term_const(c), goals[c], f"{c} :: _.")
+    return TransResult(lfi_sig, prov, mangler, goals)
 
 
 def verify_translation(sig: Signature, result: TransResult) -> None:
@@ -629,19 +605,19 @@ def verify_translation(sig: Signature, result: TransResult) -> None:
 
     The emitted signature is checked declaration by declaration, then each
     refined constant's proof is derived afresh and checked against the
-    sort interpretation trans_sig kept, at its first refinement."""
+    goal trans_sig emitted as its proof constant's type and kept in
+    `sorts`, at its first refinement."""
     try:
         lfi_check_sig(result.lfi_sig)
     except LfiError as e:
         raise VerifyError(
             f"translated signature failed re-checking at {e.decl}: "
             f"{e.message}", e.span)
-    for c, smeta in result.sorts.items():
+    for c, goal in result.sorts.items():
         const, merged = sig.term_const(c), sig.merged_ref_sort(c)
         subject = eta_expand(const.type, Const(c))
         try:
             nhat = trans_term_check(sig, [], subject, merged, result.mangler)
-            goal = meta_apply(smeta, [inj_term(subject)])
             lfi_check(result.lfi_sig, [], nhat, goal)
         except (LfiError, SortError) as e:
             raise VerifyError(

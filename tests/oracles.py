@@ -1338,10 +1338,15 @@ def opened_elab_class(sig, ctx, cls, kind):
 # from the name pool, primed away from the context's names, the names of
 # the enclosing binders and the free names of what lies inside, open the
 # rest with that name, and bind the names again around what they built.
-# The package must build the same target syntax, binder hints included.
-# A formation proof is the package's proof of the sort checker's first
-# derivation, read in an opened context with no binders; the mangler,
-# meta_apply and the injections are the package's too.
+# Each interpretation is a Python function, as the paper's metafunctions
+# are, applied after it is built to the subject, the family atoms, or the
+# subject and the proof being coerced.  The package, which builds each
+# interpretation at its arguments, must build the same target syntax,
+# binder hints included.  A formation proof is the package's proof of the
+# sort checker's first derivation, read in an opened context with no
+# binders; the mangler and the injections are the package's too.
+
+from typing import Callable  # noqa: E402
 
 from lfr.diagnostics import VerifyError  # noqa: E402
 from lfr.lfi import _shift_lfi, lfi_check, lfi_check_sig  # noqa: E402
@@ -1349,15 +1354,28 @@ from lfr.lfr_check import _pp, _synth_sort_class  # noqa: E402
 from lfr.subst import eta_expand  # noqa: E402
 from lfr.syntax import pool_name  # noqa: E402
 from lfr.translate import (  # noqa: E402
-    Metafunction,
     _proof,
     _root,
     inj_term,
     inj_type,
-    meta_apply,
     trans_sort,
     trans_term_check,
 )
+
+
+class Metafunction(Node):
+    """An interpretation: `fn` builds a target type, kind or proof from
+    `arity` arguments."""
+
+    arity: int
+    fn: Callable
+
+
+def meta_apply(f: Metafunction, args: list):
+    if len(args) != f.arity:
+        raise VerifyError(
+            f"metafunction of arity {f.arity} applied to {len(args)} arguments")
+    return f.fn(*args)
 
 
 def _formations(sig, ctx, stack, q) -> list:
@@ -1505,7 +1523,8 @@ def opened_trans_ctx(sig, ctx, mangler) -> list:
 
 
 # translate.verify_translation as it was before it reused what trans_sig
-# kept: it translates each refined constant's sort again to make the goal.
+# kept: it translates each refined constant's sort again, at the subject,
+# to make the goal.
 # The package's verify must pass exactly when this one does, and fail with
 # the same message at the same span.
 
@@ -1521,8 +1540,8 @@ def retranslating_verify(sig, result) -> None:
         subject = eta_expand(const.type, s.Const(c))
         try:
             nhat = trans_term_check(sig, [], subject, merged, result.mangler)
-            smeta = trans_sort(sig, [], merged, const.type, result.mangler)
-            goal = meta_apply(smeta, [inj_term(subject)])
+            goal = trans_sort(sig, [], merged, const.type, inj_term(subject),
+                              result.mangler)
             lfi_check(result.lfi_sig, [], nhat, goal)
         except (LfiError, SortError) as e:
             raise VerifyError(

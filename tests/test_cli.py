@@ -292,6 +292,14 @@ class TestTranslate:
         assert "induced failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("path", ["/", ""], ids=["root", "empty"])
+    def test_input_with_no_file_name_is_a_read_error(self, path, capsys):
+        # No output name can be derived from it; it names a directory, so
+        # it fails as check fails to read it.
+        assert main(["translate", path]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot read {path}: {os.strerror(errno.EISDIR)}\n")
+
     @pytest.mark.parametrize("dest, reason", [
         ("missing/x.lfi", "No such file or directory"),
         (".", "Is a directory"),
@@ -698,6 +706,36 @@ class TestStandardOutput:
         os.close(read)
         try:
             proc = self._run(argv, write, tmp_path)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write standard output: "
+               f"{os.strerror(errno.EPIPE)}\n")
+
+    @staticmethod
+    def _help(argv, stdout) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "lfr.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True,
+            env=checkout_env())
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="no /dev/full on this system")
+    @pytest.mark.parametrize("argv", [["-h"], ["check", "-h"],
+                                      ["translate", "--help"]], ids=" ".join)
+    def test_help_to_full_device(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = self._help(argv, full)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write standard output: "
+               f"{os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["check", "-h"]], ids=" ".join)
+    def test_help_to_closed_pipe(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._help(argv, write)
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (

@@ -849,13 +849,13 @@ class TestPinnedFuel:
 
 
 @functools.cache
-def _binder_walks(m: int) -> tuple[Counter, Counter, int]:
+def _binder_walks(m: int) -> tuple[Counter, Counter, int, Counter]:
     """(visits of lfi._map_vars by the function whose leaf it carries,
     those of them made while a substitution walk runs, fuel ticks of those
-    walks) during verify_translation and print_lfi on binders_text(m).  A
-    walk ticks once at each node it visits."""
+    walks) during verify_translation and print_lfi on binders_text(m), and
+    the visits during trans_sig before them.  A walk ticks once at each
+    node it visits."""
     sig = check_signature(parse_signature(binders_text(m)))
-    result = trans_sig(sig)
     visits: Counter = Counter()
     inside: Counter = Counter()
     depth = ticks = 0
@@ -886,28 +886,39 @@ def _binder_walks(m: int) -> tuple[Counter, Counter, int]:
     real_hsubst, walk = lfr.lfi._hsubst, lfr.lfi._map_vars
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lfr.lfi, "_map_vars", visit)
+        patch.setattr(lfr.translate, "_map_vars", visit)
         patch.setattr(lfr.lfi, "_hsubst", hsubst)
         patch.setattr(lfr.lfi, "_Fuel", Fuel)
+        result = trans_sig(sig)
+        translated = visits.copy()
+        visits.clear()
         verify_translation(sig, result)
         print_lfi(result.lfi_sig)
-    return visits, inside, ticks
+    return visits, inside, ticks, translated
 
 
 class TestBinderScaling:
-    """Re-checking and printing a rule under many dependent binders.  The
-    checker, the printer and substitution descend binders by index, so
-    none of them names a bound variable (lfi._named, which only a message
-    needs); what is left are shifts and the translator's placing of a
-    subject under the binders of a function sort.  The count is of node
-    visits, so it does not depend on the host."""
+    """Translating, re-checking and printing a rule under many dependent
+    binders.  The translator, the checker, the printer and substitution
+    descend binders by index, so none of them names a bound variable
+    (lfi._named, which only a message needs); what is left are shifts and
+    the translator's placing of a subject under the binders of a function
+    sort.  The count is of node visits, so it does not depend on the
+    host."""
 
     # When verify_translation translated every sort again, it placed
-    # subjects in 91 / 123 / 187 visits.  When a shift walked a closed
-    # leaf (a constant, `type` or the unit type) too, it made 2 745 /
-    # 3 881 / 6 153 visits; it now returns such a leaf at once.
-    PINNED = {8: {"_shift_lfi": 2474, "_place": 85},
-              16: {"_shift_lfi": 3522, "_place": 117},
-              32: {"_shift_lfi": 5618, "_place": 181}}
+    # subjects in 91 / 123 / 187 visits, and when it applied the sort
+    # interpretations trans_sig kept, in 85 / 117 / 181; it now checks
+    # against the goals trans_sig kept and places none.  When a shift
+    # walked a closed leaf (a constant, `type` or the unit type) too, it
+    # made 2 745 / 3 881 / 6 153 visits; it now returns such a leaf at once.
+    PINNED = {8: {"_shift_lfi": 2474},
+              16: {"_shift_lfi": 3522},
+              32: {"_shift_lfi": 5618}}
+    # trans_sig places each subject once, at each atom of its sort; a
+    # subject shifted at every function-sort level instead costs visits
+    # quadratic in the binders.
+    TRANSLATED = {8: {"_place": 99}, 16: {"_place": 131}, 32: {"_place": 195}}
 
     def test_substitution_walks_no_binder(self):
         # The named implementation made 784 725 of its 974 423 visits at
@@ -918,6 +929,10 @@ class TestBinderScaling:
     @pytest.mark.parametrize("m", [8, 16, 32])
     def test_no_binder_is_opened(self, m):
         assert _binder_walks(m)[0] == Counter(self.PINNED[m])
+
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    def test_translation_places_each_subject_once(self, m):
+        assert _binder_walks(m)[3] == Counter(self.TRANSLATED[m])
 
     def test_substitution_grows_gently_in_premises(self):
         # Substituting each argument of a spine through the whole rest of

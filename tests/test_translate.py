@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import sys
@@ -78,12 +79,10 @@ from lfr.syntax import (
     TypeFam,
 )
 from lfr.translate import (
-    Metafunction,
     NameMangler,
     inj_kind,
     inj_term,
     inj_type,
-    meta_apply,
     trans_class_form,
     trans_ctx,
     trans_kind_pred,
@@ -98,6 +97,7 @@ from gen import (
     binders_text,
     chain_signature,
     deep_signature,
+    deep_text,
     gen_class,
     gen_dep_sort,
     gen_eta_term,
@@ -114,6 +114,7 @@ from gen import (
     wide_signature,
 )
 from oracles import (
+    meta_apply,
     node_kids,
     node_replace,
     opened_trans_class_form,
@@ -155,6 +156,40 @@ class TestGoldenOutput:
         for sig in checked_goldens.values():
             assert print_lfi(trans_sig(sig).lfi_sig) == \
                 print_lfi(trans_sig(sig).lfi_sig)
+
+
+class TestPinnedFamilies:
+    """The emitted signature and its provenance lines on generated
+    families, as the translator that applied each sort's interpretation as
+    a Python function to its subject emitted them, pinned by sha256."""
+
+    PINNED = {
+        "wide_signature(100)": (
+            "76fd678b5684d411672a617d86eb7acdc82b1304a882d8c9fba1c75c122e1ed9",
+            "5a9c4ee69d606a34cafcb76d5112a5796522e9cad857e38f135792f683c545f1"),
+        "chain_signature(50)": (
+            "e43ee91554e69c3d25f90763510471c40d4ecb4e6ff6812d474b55a501d929b9",
+            "10f310e3889e6b1f6c85270ee6e69a2f49b9641cdc0666f4ffb6cae54f0a3927"),
+        "deep_text(40)": (
+            "e01cbc4a24b1e382c11fe1116db60aa5781961e2aafff3bc522e5a82820d2b52",
+            "928a94e06cd1623df486a556026fe8f409350a61e2989d34c874970a44762bc1"),
+        "binders_text(16)": (
+            "2178bb16d139a5087642685e61de6cda571069442fc1fe0937d75d348644f949",
+            "ba253b1013e822843461ea7d05c07a93e2b7ed3ca97cf5e16dbe15e55454ee4e"),
+    }
+    MAKE = {"wide_signature(100)": lambda: wide_signature(100),
+            "chain_signature(50)": lambda: chain_signature(50),
+            "deep_text(40)": lambda: parse_signature(deep_text(40)),
+            "binders_text(16)": lambda: parse_signature(binders_text(16))}
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_bytes_match_pins(self, name):
+        result = trans_sig(check_signature(self.MAKE[name]()))
+        prov = "".join(f"{d.name}\t{result.provenance[d.name]}\n"
+                       for d in result.lfi_sig)
+        assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                     for text in (print_lfi(result.lfi_sig), prov)) == \
+            self.PINNED[name]
 
 
 class TestVerification:
@@ -261,9 +296,7 @@ class TestTamperedProofs:
         # of base type.  The failure is the kernel's, placed at lam's
         # refinement, and no SubstFailure escapes.
         sig, result = checked_goldens["cbv"], translated_goldens["cbv"]
-        smeta = result.sorts["lam"]
-        swapped = Metafunction(
-            1, lambda n: _self_applied(meta_apply(smeta, [n])))
+        swapped = _self_applied(result.sorts["lam"])
         broken = node_replace(result,
                               sorts={**result.sorts, "lam": swapped})
         with pytest.raises(VerifyError) as info:
@@ -628,9 +661,8 @@ class TestSoundness:
         assume(_accepts(nat_sig, ctx, n, s))
         result = translated_goldens["nat"]
         proof = trans_term_check(nat_sig, ctx, n, s, result.mangler)
-        smeta = trans_sort(nat_sig, ctx, s, simple_to_type(alpha),
-                           result.mangler)
-        goal = meta_apply(smeta, [inj_term(n)])
+        goal = trans_sort(nat_sig, ctx, s, simple_to_type(alpha),
+                          inj_term(n), result.mangler)
         ictx = trans_ctx(nat_sig, ctx, result.mangler)
         lfi_check(result.lfi_sig, ictx, proof, goal)
 
@@ -646,9 +678,8 @@ class TestSoundness:
             ictx = trans_ctx(nat_sig, ctx, result.mangler)
             subject = inj_term(eta_expand(NAT, n))
             for q, proof in pairs:
-                smeta = trans_sort(nat_sig, ctx, q, NAT_TY, result.mangler)
-                lfi_check(result.lfi_sig, ictx, proof,
-                          meta_apply(smeta, [subject]))
+                lfi_check(result.lfi_sig, ictx, proof, trans_sort(
+                    nat_sig, ctx, q, NAT_TY, subject, result.mangler))
                 seen += 1
         assert seen >= 100
 
@@ -682,14 +713,13 @@ class TestCompositionality:
         ctx = [CtxEntry("x", STop(), NAT_TY)]
         s = SApp(SApp(SConst("double*"), FVar("x")), numeral(2))
         a = TApp(TApp(TConst("double"), FVar("x")), numeral(2))
-        smeta = trans_sort(double_sig, ctx, s, a, result.mangler)
-        open_hat = meta_apply(smeta, [IFVar("w")])
+        open_hat = trans_sort(double_sig, ctx, s, a, IFVar("w"),
+                              result.mangler)
         lhs = lfi_hsubst(inj_term(numeral(k)), "x", ITConst("nat"), open_hat)
 
         s2 = hsubst_syntax(numeral(k), "x", NAT_TY, s)
         a2 = hsubst_syntax(numeral(k), "x", NAT_TY, a)
-        smeta2 = trans_sort(double_sig, [], s2, a2, result.mangler)
-        rhs = meta_apply(smeta2, [IFVar("w")])
+        rhs = trans_sort(double_sig, [], s2, a2, IFVar("w"), result.mangler)
         assert lfi_equal(lhs, rhs)
 
     @pytest.mark.parametrize("k", [0, 2])
@@ -700,8 +730,8 @@ class TestCompositionality:
         ctx = [CtxEntry("y", SConst("even"), NAT_TY)]
         s = SApp(SApp(SConst("double*"), Const("z")), FVar("y"))
         a = TApp(TApp(TConst("double"), Const("z")), FVar("y"))
-        smeta = trans_sort(double_sig, ctx, s, a, result.mangler)
-        open_hat = meta_apply(smeta, [IFVar("w")])
+        open_hat = trans_sort(double_sig, ctx, s, a, IFVar("w"),
+                              result.mangler)
 
         ictx = trans_ctx(double_sig, ctx, result.mangler)
         proof_ty = ictx[-1].type
@@ -713,8 +743,7 @@ class TestCompositionality:
 
         s2 = hsubst_syntax(arg, "y", NAT_TY, s)
         a2 = hsubst_syntax(arg, "y", NAT_TY, a)
-        smeta2 = trans_sort(double_sig, [], s2, a2, result.mangler)
-        rhs = meta_apply(smeta2, [IFVar("w")])
+        rhs = trans_sort(double_sig, [], s2, a2, IFVar("w"), result.mangler)
         assert lfi_equal(lhs, rhs)
 
 
@@ -808,8 +837,8 @@ def _consts_in(t) -> set[str]:
 
 class TestCoercions:
     def test_reflexive_coercion_is_identity(self, nat_sig):
-        f = trans_subsort_check(nat_sig, [], SConst("odd"), SConst("odd"))
-        out = meta_apply(f, [IConst("z"), IFVar("p")])
+        out = trans_subsort_check(nat_sig, [], SConst("odd"), SConst("odd"),
+                                  IConst("z"), IFVar("p"))
         assert out == IFVar("p")
 
     @pytest.mark.parametrize("name", GOLDEN_NAMES)
@@ -833,27 +862,25 @@ class TestCoercions:
         for mangler, d, at in switches:
             _, q, path, forms, n, d1 = d
             premise = real(sig, mangler, d1, at, {})
-            identity = lfr.translate._coercion(sig, q, path, forms, mangler,
-                                               at)
-            assert real(sig, mangler, d, at, {}) == premise == meta_apply(
-                identity, [lfr.translate._inj_arg(n, {}, at), premise])
+            steps = lfr.translate._coercion(sig, q, path, forms, mangler, at)
+            assert real(sig, mangler, d, at, {}) == premise == \
+                lfr.translate._coerce(
+                    steps, lfr.translate._inj_arg(n, {}, at), premise)
 
     def test_declared_edge_uses_its_constant(self, nat_sig):
         result = trans_sig(nat_sig)
-        f = trans_subsort_check(nat_sig, [], SConst("odd"), SConst("pos"),
-                                result.mangler)
-        out = meta_apply(f, [inj_term(numeral(1)),
-                             trans_term_check(nat_sig, [], numeral(1),
-                                              SConst("odd"), result.mangler)])
+        out = trans_subsort_check(
+            nat_sig, [], SConst("odd"), SConst("pos"), inj_term(numeral(1)),
+            trans_term_check(nat_sig, [], numeral(1), SConst("odd"),
+                             result.mangler), result.mangler)
         assert "odd-pos" in _consts_in(out)
 
     def test_bfs_prefers_earlier_declaration_on_ties(self):
         sig = check_signature(parse_signature(DIAMOND, "diamond.lfr"))
         result = trans_sig(sig)
         verify_translation(sig, result)
-        f = trans_subsort_check(sig, [], SConst("a"), SConst("d"),
-                                result.mangler)
-        body = meta_apply(f, [IConst("z"), IFVar("p")])
+        body = trans_subsort_check(sig, [], SConst("a"), SConst("d"),
+                                   IConst("z"), IFVar("p"), result.mangler)
         names = _consts_in(body)
         assert {"a-b", "b-d"} <= names
         assert not {"a-c", "c-d"} & names
@@ -882,14 +909,12 @@ class TestCoercions:
     def test_coerced_proof_rechecks(self):
         sig = check_signature(parse_signature(DIAMOND, "diamond.lfr"))
         result = trans_sig(sig)
-        f = trans_subsort_check(sig, [], SConst("a"), SConst("d"),
-                                result.mangler)
         proof = trans_term_check(sig, [], Const("z"), SConst("a"),
                                  result.mangler)
-        coerced = meta_apply(f, [IConst("z"), proof])
-        goal_meta = trans_sort(sig, [], SConst("d"), NAT_TY, result.mangler)
-        lfi_check(result.lfi_sig, [], coerced,
-                  meta_apply(goal_meta, [IConst("z")]))
+        coerced = trans_subsort_check(sig, [], SConst("a"), SConst("d"),
+                                      IConst("z"), proof, result.mangler)
+        lfi_check(result.lfi_sig, [], coerced, trans_sort(
+            sig, [], SConst("d"), NAT_TY, IConst("z"), result.mangler))
 
 
 def _even_to_odd(nat_sig):
@@ -898,27 +923,18 @@ def _even_to_odd(nat_sig):
 
 
 class TestMetafunctions:
+    """The paper's metafunctions, each built at its arguments."""
+
     def test_arguments_fill_in_order(self, nat_sig):
         result = trans_sig(nat_sig)
-        f = trans_subsort_check(nat_sig, [], SConst("odd"), SConst("pos"),
-                                result.mangler)
-        out = meta_apply(f, [IConst("a"), IConst("b")])
+        out = trans_subsort_check(nat_sig, [], SConst("odd"), SConst("pos"),
+                                  IConst("a"), IConst("b"), result.mangler)
         assert out.arg == IConst("b")
         assert out.fn.arg == IConst("a")
 
-    def test_meta_apply_calls_the_function(self):
-        f = Metafunction(1, lambda n: IApp(IConst("s"), n))
-        assert meta_apply(f, [IConst("z")]) == IApp(IConst("s"), IConst("z"))
-
-    def test_arity_mismatch_rejected(self, nat_sig):
-        f = trans_sort(nat_sig, [], SConst("even"), NAT_TY)
-        with pytest.raises(VerifyError):
-            meta_apply(f, [IConst("a"), IConst("b")])
-
     def test_intersection_shares_the_subject(self, nat_sig):
-        f = trans_sort(nat_sig, [], SInter(SConst("even"), SConst("pos")),
-                       NAT_TY)
-        out = meta_apply(f, [IConst("a")])
+        out = trans_sort(nat_sig, [], SInter(SConst("even"), SConst("pos")),
+                         NAT_TY, IConst("a"))
         assert isinstance(out, ITProd)
         assert out.left.arg == out.right.arg == IConst("a")
 
@@ -928,7 +944,7 @@ class TestMetafunctions:
         # translator, which filled the subject in after binding x.
         s, a = nat_sig.merged_ref_sort("s"), nat_sig.term_const("s").type
         subject = ILam("y", IApp(IApp(IConst("plus"), IFVar("x")), IBVar(0)))
-        out = meta_apply(trans_sort(nat_sig, [], s, a), [subject])
+        out = trans_sort(nat_sig, [], s, a, subject)
         assert pp_lfi_type(out) == (
             "({x' : nat} even [[ even^/i ]] x' -> odd [[ odd^/i ]] (plus x x'))"
             " * (({x' : nat} odd [[ odd^/i ]] x' -> even [[ even^/i ]]"
@@ -941,7 +957,7 @@ class TestSubjectApplication:
     def test_subject_applied_to_bound_variable(self, nat_sig):
         s, a = _even_to_odd(nat_sig)
         subject = ILam("x", IApp(IConst("s"), IBVar(0)))
-        out = meta_apply(trans_sort(nat_sig, [], s, a), [subject])
+        out = trans_sort(nat_sig, [], s, a, subject)
         # Under x and x^, x is index 1.
         assert out.cod.cod.arg == IApp(IConst("s"), IBVar(1))
         assert pp_lfi_type(out) == (
@@ -955,14 +971,14 @@ class TestSubjectApplication:
                                             SPi("y", SConst("odd"), None,
                                                 SConst("pos"))), a)
         subject = ILam("x", ILam("y", IPair(IBVar(0), IBVar(1))))
-        out = meta_apply(trans_sort(nat_sig, [], s, a), [subject])
+        out = trans_sort(nat_sig, [], s, a, subject)
         # Under x, x^, y and y^: y is index 1 and x index 3.
         assert out.cod.cod.cod.cod.arg == IPair(IBVar(1), IBVar(3))
 
     def test_non_function_subject_rejected(self, nat_sig):
         s, a = _even_to_odd(nat_sig)
         with pytest.raises(VerifyError):
-            meta_apply(trans_sort(nat_sig, [], s, a), [IConst("f")])
+            trans_sort(nat_sig, [], s, a, IConst("f"))
 
 
 # ---------------------------------------------------------------------------
@@ -1019,25 +1035,42 @@ def opened_instance(seed: int):
         return None
 
 
-def _translated(which, ctx, subject, sort, class_form, kind_pred, kind_sub,
-                trans_context):
+# The atoms a class and the kinds are translated at.
+ATOMS = [ITConst(n) for n in ("t", "q^", "q", "r^", "r")]
+
+
+def _ours(which, ctx, subject, mangler):
+    match which:
+        case 0:
+            return trans_sort(REF_SIG, ctx, *subject, mangler)
+        case 1:
+            return trans_class_form(REF_SIG, ctx, *subject, ATOMS[1], mangler)
+        case 2:
+            return (trans_kind_pred(subject, *ATOMS[1:3]),
+                    trans_kind_sub(subject, *ATOMS))
+    return trans_ctx(REF_SIG, ctx, mangler)
+
+
+def _theirs(which, ctx, subject, mangler):
+    match which:
+        case 0:
+            s, a, n = subject
+            return meta_apply(opened_trans_sort(REF_SIG, ctx, s, a, mangler),
+                              [n])
+        case 1:
+            return meta_apply(opened_trans_class_form(REF_SIG, ctx, *subject,
+                                                      mangler), ATOMS[1:2])
+        case 2:
+            return (meta_apply(opened_trans_kind_pred(subject), ATOMS[1:3]),
+                    meta_apply(opened_trans_kind_sub(subject), ATOMS))
+    return opened_trans_ctx(REF_SIG, ctx, mangler)
+
+
+def _translated(translate, which, ctx, subject):
     """What one translator makes of an instance: the result's repr, which
     shows every binder hint, or the kind of its failure."""
-    mangler = NameMangler(REF_SIG)
     try:
-        match which:
-            case 0:
-                s, a, n = subject
-                out = meta_apply(sort(REF_SIG, ctx, s, a, mangler), [n])
-            case 1:
-                out = meta_apply(class_form(REF_SIG, ctx, *subject, mangler),
-                                 [ITConst("q^")])
-            case 2:
-                atoms = [ITConst(n) for n in ("t", "q^", "q", "r^", "r")]
-                out = (meta_apply(kind_pred(subject), atoms[1:3]),
-                       meta_apply(kind_sub(subject), atoms))
-            case _:
-                out = trans_context(REF_SIG, ctx, mangler)
+        out = translate(which, ctx, subject, NameMangler(REF_SIG))
     except (SortError, VerifyError) as e:
         return type(e).__name__, getattr(e, "kind", None)
     return "ok", repr(out)
@@ -1053,9 +1086,4 @@ class TestOpenedTranslator:
     def test_translations_match(self, seed):
         instance = opened_instance(seed)
         assume(instance is not None)
-        ours = _translated(*instance, trans_sort, trans_class_form,
-                           trans_kind_pred, trans_kind_sub, trans_ctx)
-        theirs = _translated(*instance, opened_trans_sort,
-                             opened_trans_class_form, opened_trans_kind_pred,
-                             opened_trans_kind_sub, opened_trans_ctx)
-        assert ours == theirs
+        assert _translated(_ours, *instance) == _translated(_theirs, *instance)
