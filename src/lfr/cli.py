@@ -26,6 +26,7 @@ broken internal invariant).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import time
@@ -311,6 +312,10 @@ class _Unwritable(Exception):
 def _say(text: str, end: str = "\n") -> None:
     """Write text and end to standard output, at once."""
     try:
+        if sys.stdout is None:
+            # Descriptor 1 was closed when Python started, and print
+            # would drop the text without a word.
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         print(text, end=end, flush=True)
     except OSError as e:
         raise _Unwritable from e
@@ -322,7 +327,7 @@ def _stdout_failed(e: OSError) -> int:
     # What was not written is still buffered, and the interpreter flushes
     # it again at exit: send it to the null device, or that flush fails
     # too and prints a second report.
-    if sys.stdout is sys.__stdout__:
+    if sys.stdout is not None and sys.stdout is sys.__stdout__:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

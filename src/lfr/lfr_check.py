@@ -431,7 +431,7 @@ def _acheck(sig, ctx, stack, n, s, log, synth=None) -> tuple:
 # Sort and class formation
 
 
-def _synth_sort_class(sig, ctx, stack, s, log):
+def _synth_sort_class(sig, ctx, stack, s, log, premises=True):
     """The derivation of every `sort` the candidate classes an atomic
     sort's spine leads to split into, in order, and the type the sort
     refines.
@@ -440,7 +440,8 @@ def _synth_sort_class(sig, ctx, stack, s, log):
     substitution changes, so a candidate is never set to the arguments it
     took; only its domains are (see _class_apply).  When no candidate
     takes an argument, the error is the first candidate's: the one a
-    left-first search would report.
+    left-first search would report.  With premises=False the arguments'
+    LF premises are known to hold and do not run (see _form_atom).
     """
     head, args = sort_spine(s)
     if not isinstance(head, SConst):
@@ -450,7 +451,7 @@ def _synth_sort_class(sig, ctx, stack, s, log):
         raise SortError("no-refinement-declared", f"unknown sort {head.name}")
     cands = [(fam.cls, ("intro", head.name), ())]
     refined = TConst(fam.refines)
-    ectx = erase_ctx(ctx)
+    ectx = erase_ctx(ctx) if premises else None
     for i, arg in enumerate(args, start=1):
         synth = _shared_synth(sig, ctx, stack, arg, log)
         applied = [_class_apply(sig, ctx, stack, ectx, cls, d, done,
@@ -472,7 +473,8 @@ def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
     _asynth: only the domain is set to them.  Returns the (class,
     derivation, done) triples that accept the argument, left side first,
     and the error of the last side that does not (or None).  The LF
-    premise runs on sig itself: LF looks up only type families and term
+    premise runs on sig itself, in the erased context ectx, or not at all
+    where ectx is None: LF looks up only type families and term
     constants, which a signature shares with its erasure.
     """
     match cls:
@@ -480,7 +482,8 @@ def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
             if dt is None:
                 raise TypeError("class was not elaborated")
             try:
-                _lf_check(sig, ectx, stack, arg, inst_spine(dt, done))
+                if ectx is not None:
+                    _lf_check(sig, ectx, stack, arg, inst_spine(dt, done))
                 d_arg = _acheck(sig, ctx, stack, arg,
                                 inst_spine(ds, done), log, synth)
             except (SortError, LfError) as e:
@@ -521,15 +524,17 @@ def elaborate_sort(sig: Signature, ctx: Context, s, a):
     return _elab_sort(sig, ctx, (), s, a, None)
 
 
-def _elab_sort(sig, ctx, stack, s, a, log):
+def _elab_sort(sig, ctx, stack, s, a, log, typed=False):
+    """elaborate_sort under the binders on stack.  typed says that a is
+    known to be a type there: its LF typing was derived (see _form_atom)."""
     match s:
         case STop():
             if log is not None:
                 log.rules.append("⊤-F")
             return s
         case SInter(l, r):
-            out = SInter(_elab_sort(sig, ctx, stack, l, a, log),
-                         _elab_sort(sig, ctx, stack, r, a, log))
+            out = SInter(_elab_sort(sig, ctx, stack, l, a, log, typed),
+                         _elab_sort(sig, ctx, stack, r, a, log, typed))
             if log is not None:
                 log.rules.append("∧-F")
             return out
@@ -540,29 +545,36 @@ def _elab_sort(sig, ctx, stack, s, a, log):
                     lambda: f"function sort {_pp(pp_sort, s, ctx, stack)} "
                             f"cannot refine non-function type "
                             f"{_pp(pp_type, a, ctx, stack)}")
-            ds2 = _elab_sort(sig, ctx, stack, ds, a.dom, log)
+            ds2 = _elab_sort(sig, ctx, stack, ds, a.dom, log, typed)
             cod2 = _elab_sort(sig, ctx, stack + ((h, a.dom, ds2),),
-                              cod, a.cod, log)
+                              cod, a.cod, log, typed)
             if log is not None:
                 log.rules.append("Π-F")
             return SPi(h, ds2, a.dom, cod2)
         case SConst() | SApp():
-            _form_atom(sig, ctx, stack, s, a, log)
+            _form_atom(sig, ctx, stack, s, a, log, typed)
             if log is not None:
                 log.rules.append("Q-F")
             return s
     raise TypeError(f"elaborate_sort: not a sort: {s!r}")
 
 
-def _form_atom(sig, ctx, stack, s, a, log) -> list:
+def _form_atom(sig, ctx, stack, s, a, log, typed=False) -> list:
     """The derivations that the atom s is a sort refining a (any type if a
-    is None), in elimination order, recorded with sig for the translator."""
-    derivs, refined = _synth_sort_class(sig, ctx, stack, s, log)
+    is None), in elimination order, recorded with sig for the translator.
+
+    Where a is typed (see _elab_sort) and s's spine refines a itself, a's
+    typing has derived each argument's LF premise: the argument is the one
+    a applies at its position, against the same kind domain set to the
+    same arguments before it.  Those premises do not run again.
+    """
+    held = typed and isinstance(s, SApp) and _spine_refines(sig, s, a)
+    derivs, refined = _synth_sort_class(sig, ctx, stack, s, log, not held)
     if not derivs:
         raise SortError("annotation-mismatch",
                         lambda: f"sort {_pp(pp_sort, s, ctx, stack)} is not "
                                 f"fully applied")
-    if a is not None and not alpha_eq(refined, a):
+    if a is not None and not held and not alpha_eq(refined, a):
         raise SortError("annotation-mismatch",
                         lambda: f"sort {_pp(pp_sort, s, ctx, stack)} refines "
                                 f"{_pp(pp_type, refined, ctx, stack)}, not "
@@ -571,8 +583,20 @@ def _form_atom(sig, ctx, stack, s, a, log) -> list:
     return derivs
 
 
-def _elab_class(sig, ctx, stack, cls, kind, log):
-    """Check that a class refines a kind; fill in function domain types."""
+def _spine_refines(sig, s, a) -> bool:
+    """Whether the atomic sort s applies a sort family to a's arguments,
+    and the family refines a's head."""
+    while isinstance(s, SApp):
+        if not (isinstance(a, TApp) and alpha_eq(s.arg, a.arg)):
+            return False
+        s, a = s.fn, a.fn
+    fam = sig.sort_fam(s.name) if isinstance(s, SConst) else None
+    return fam is not None and isinstance(a, TConst) and fam.refines == a.name
+
+
+def _elab_class(sig, ctx, stack, cls, kind, log, typed=False):
+    """Check that a class refines a kind; fill in function domain types.
+    typed says that kind is known to be a kind (see _elab_sort)."""
     match cls:
         case CSort():
             if not isinstance(kind, KType):
@@ -583,16 +607,16 @@ def _elab_class(sig, ctx, stack, cls, kind, log):
             return cls
         case CInter(l, r):
             return CInter(
-                _elab_class(sig, ctx, stack, l, kind, log),
-                _elab_class(sig, ctx, stack, r, kind, log))
+                _elab_class(sig, ctx, stack, l, kind, log, typed),
+                _elab_class(sig, ctx, stack, r, kind, log, typed))
         case CPi(h, ds, _, body):
             if not isinstance(kind, KPi):
                 raise SortError("annotation-mismatch", "function class cannot "
                                 "refine a non-function kind")
-            ds2 = _elab_sort(sig, ctx, stack, ds, kind.dom, log)
+            ds2 = _elab_sort(sig, ctx, stack, ds, kind.dom, log, typed)
             body2 = _elab_class(sig, ctx,
                                 stack + ((h, kind.dom, ds2),), body, kind.cod,
-                                log)
+                                log, typed)
             return CPi(h, ds2, kind.dom, body2)
     raise TypeError(f"_elab_class: not a class: {cls!r}")
 
@@ -605,7 +629,7 @@ def check_context(sig: Signature, entries: Context) -> Context:
     out: list[CtxEntry] = []
     for e in entries:
         lf_check_type(sig, [(o.name, o.type) for o in out], e.type)
-        s2 = _elab_sort(sig, out, (), e.sort, e.type, None)
+        s2 = _elab_sort(sig, out, (), e.sort, e.type, None, True)
         out.append(CtxEntry(e.name, s2, e.type))
     return out
 
@@ -653,7 +677,9 @@ def check_signature(raw: Signature, strict: bool = False,
                         raise CheckError(
                             f"sort {n} refines unknown type family {ref}",
                             decl.span)
-                    cls2 = _elab_class(checked, [], (), cls, fam.kind, log)
+                    # fam.kind was checked at fam's declaration.
+                    cls2 = _elab_class(checked, [], (), cls, fam.kind, log,
+                                       True)
                     checked.append(SortFam(n, ref, cls2, decl.span))
                 case SubDecl(s1, s2):
                     f1 = checked.sort_fam(s1)
@@ -681,7 +707,9 @@ def check_signature(raw: Signature, strict: bool = False,
                         raise CheckError(
                             f"{c} already has a refinement declaration",
                             decl.span)
-                    s2 = _elab_sort(checked, [], (), s, const.type, log)
+                    # const.type was checked at const's declaration.
+                    s2 = _elab_sort(checked, [], (), s, const.type, log,
+                                    True)
                     checked.append(ConstRef(c, s2, decl.span))
                 case _:
                     raise CheckError(f"unexpected declaration {decl!r}",

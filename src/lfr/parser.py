@@ -74,17 +74,19 @@ _NAME_CHARS = "A-Za-z0-9_'/*"
 
 def _scanner(target_mode: bool) -> re.Pattern:
     """Whitespace and `%` comments, then one token, as four groups: the
-    skipped text and a SYM, IDENT or NUM token.  The last alternative
+    skipped text and an IDENT, SYM or NUM token.  The last alternative
     matches the empty string where no token starts: at the end of the
     input, or at a character that starts no token.  In target mode `^` is
-    an identifier character instead of a symbol."""
+    an identifier character instead of a symbol.  An identifier starts
+    with a letter, which no symbol or number does, so it is tried first:
+    it is the most common token."""
     syms = [s for s in _SYMBOLS if not (target_mode and s == "^")]
     hat = "^" if target_mode else ""
     return re.compile(
         r"((?:[ \t\r\n]+|%(?!infix)[^\n]*)*)"
-        rf"(?:(%infix|\.[12](?![{_NAME_CHARS}-])|"
+        rf"(?:([A-Za-z](?:[{_NAME_CHARS}{hat}]|-(?=[{_NAME_CHARS}-]))*)"
+        rf"|(%infix|\.[12](?![{_NAME_CHARS}-])|"
         + "|".join(map(re.escape, syms)) + ")"
-        rf"|([A-Za-z](?:[{_NAME_CHARS}{hat}]|-(?=[{_NAME_CHARS}-]))*)"
         r"|([0-9]+)"
         r"|)")
 
@@ -116,7 +118,7 @@ def tokenize(text: str, filename: str,
     pos = 0
     # The matches are contiguous up to the first one that has no token,
     # which is the end of the input or a lexing error.
-    for skip, sym, ident, num in _SCANNERS[target_mode].findall(text):
+    for skip, ident, sym, num in _SCANNERS[target_mode].findall(text):
         pos += len(skip)
         if ident:
             add(("IDENT", ident, pos))

@@ -151,6 +151,46 @@ FUEL_TEXT = (
     "r : nat -> type. re << r :: even -> sort.\n"
     "k : r (c z ([y] z)). k :: re (c z ([y] z)).\n")
 
+# Refinements check_signature rejects, each appended to TYPED_BASE: the
+# declarations, the error's class, kind and message, and its span's
+# (line, col, end_line, end_col), the failing declaration's.  An argument
+# can be ill-typed in LF (t is no nat), of the wrong sort (s z is no
+# even), or the sort can refine another type than declared; the first
+# failure in argument order is reported, an argument's LF premise before
+# its sort.
+TYPED_BASE = DEP_TEXT + "b : type. t : b.\n"
+_LF = ("LfError", "type mismatch")
+_SUB = ("SortError", "subsort-failure")
+_S_Z = ("term s z: none of the synthesized sorts [odd, pos] is a subsort "
+        "of even")
+REJECTED_REFINEMENTS = {
+    "lf-argument": ("c : p z.\nc :: pe t.\n", *_LF,
+                    "argument 1 of pe: type mismatch: expected nat, "
+                    "synthesized b", (11, 1, 11, 2)),
+    "sort-argument": ("c : p (s z).\nc :: pe (s z).\n", *_SUB,
+                      f"argument 1 of pe: {_S_Z}", (11, 1, 11, 2)),
+    "second-sort-argument": ("c : q z (s z).\nc :: qe z (s z).\n", *_SUB,
+                             f"argument 2 of qe: {_S_Z}", (11, 1, 11, 2)),
+    "other-type": ("c : p z.\nc :: pe (s (s z)).\n", "SortError",
+                   "annotation-mismatch",
+                   "sort pe (s (s z)) refines p (s (s z)), not p z",
+                   (11, 1, 11, 2)),
+    "lf-then-sort": ("c : q z (s z).\nc :: qe t (s z).\n", *_LF,
+                     "argument 1 of qe: type mismatch: expected nat, "
+                     "synthesized b", (11, 1, 11, 2)),
+    "sort-then-lf": ("c : q z z.\nc :: qe (s z) t.\n", *_SUB,
+                     f"argument 1 of qe: {_S_Z}", (11, 1, 11, 2)),
+    "sort-then-other-type": ("c : q z z.\nc :: qe (s z) (s z).\n", *_SUB,
+                             f"argument 1 of qe: {_S_Z}", (11, 1, 11, 2)),
+    "class-lf-argument": ("rr << r :: {x :: even} {h :: pe t} sort.\n", *_LF,
+                          "argument 1 of pe: type mismatch: expected nat, "
+                          "synthesized b", (10, 1, 10, 3)),
+    "class-sort-argument": ("rr << r :: {x :: even} {h :: pe (s x)} sort.\n",
+                            *_SUB, "argument 1 of pe: term s x: none of the "
+                            "synthesized sorts [odd, pos] is a subsort of "
+                            "even", (10, 1, 10, 3)),
+}
+
 
 @pytest.fixture(scope="session")
 def dep_sig():

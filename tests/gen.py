@@ -379,6 +379,18 @@ def refined(t):
     return None
 
 
+def mistype(t):
+    """t with every z replaced by k z, which is a t z and no nat: each
+    argument z occurs in is ill-typed in LF, and refined(mistype(t)) is
+    mistype(refined(t))."""
+    if t == Const("z"):
+        return App(Const("k"), t)
+    if not node_fields(t):
+        return t
+    return node_replace(t, **{n: mistype(getattr(t, n))
+                              for n in node_fields(t)})
+
+
 # ---------------------------------------------------------------------------
 # Dependent function sorts over a family p : nat -> type, for subsorting.
 

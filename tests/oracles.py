@@ -1867,7 +1867,7 @@ def _reference_tokenize(text: str, filename: str, target_mode: bool) -> list[Tok
     # which is the end of the input or a lexing error; scanning one match
     # at a time stops there and holds no list of them all.
     for m in _SCANNERS[target_mode].finditer(text):
-        skip, sym, ident, num = m.groups()
+        skip, ident, sym, num = m.groups()
         if skip:
             newlines = skip.count("\n")
             if newlines:

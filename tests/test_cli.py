@@ -27,7 +27,8 @@ from lfr.lfi import ITUnitT, LfiDecl
 from lfr.parser import SourceLines, tokenize
 
 from conftest import (FUEL_TEXT, GOLDEN_DIR, GOLDEN_NAMES, LATER_EDGE_TEXTS,
-                      checkout_env, golden_path)
+                      REJECTED_REFINEMENTS, TYPED_BASE, checkout_env,
+                      golden_path)
 from gen import binders_text, deep_text
 from oracles import node_replace
 
@@ -47,6 +48,18 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "at-odd*" in err
+
+    @pytest.mark.parametrize("tail, error, kind, message, span",
+                             REJECTED_REFINEMENTS.values(),
+                             ids=REJECTED_REFINEMENTS)
+    def test_rejected_refinement(self, tmp_path, capsys, tail, error, kind,
+                                 message, span):
+        p = tmp_path / "typed.lfr"
+        p.write_text(TYPED_BASE + tail)
+        code = main(["check", str(p)])
+        line, col = span[:2]
+        assert (code, *capsys.readouterr()) == (
+            1, "", f"{p}:{line}:{col}: error: {message}\n")
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["check", "no-such-file.lfr"]) == 2
@@ -672,19 +685,25 @@ class TestUsage:
         assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
+def _close_stdout() -> None:
+    """Close descriptor 1 in a child before it runs the command."""
+    os.close(1)
+
+
 class TestStandardOutput:
     """A failed write to standard output: one line and exit 2, like an
     output path translate cannot write, with no traceback and no report
     at interpreter exit."""
 
     @staticmethod
-    def _run(argv, stdout, tmp_path) -> subprocess.CompletedProcess:
+    def _run(argv, stdout, tmp_path,
+             closed: bool = False) -> subprocess.CompletedProcess:
         src = tmp_path / "cbv.lfr"
         src.write_text(golden_path("cbv").read_text())
         return subprocess.run(
             [sys.executable, "-m", "lfr.cli", *argv, str(src)],
             stdout=stdout, stderr=subprocess.PIPE, text=True,
-            env=checkout_env())
+            env=checkout_env(), preexec_fn=_close_stdout if closed else None)
 
     @pytest.mark.skipif(not Path("/dev/full").exists(),
                         reason="no /dev/full on this system")
@@ -713,11 +732,12 @@ class TestStandardOutput:
                f"{os.strerror(errno.EPIPE)}\n")
 
     @staticmethod
-    def _help(argv, stdout) -> subprocess.CompletedProcess:
+    def _help(argv, stdout,
+              closed: bool = False) -> subprocess.CompletedProcess:
         return subprocess.run(
             [sys.executable, "-m", "lfr.cli", *argv],
             stdout=stdout, stderr=subprocess.PIPE, text=True,
-            env=checkout_env())
+            env=checkout_env(), preexec_fn=_close_stdout if closed else None)
 
     @pytest.mark.skipif(not Path("/dev/full").exists(),
                         reason="no /dev/full on this system")
@@ -741,6 +761,29 @@ class TestStandardOutput:
         assert (proc.returncode, proc.stderr) == (
             2, f"error: cannot write standard output: "
                f"{os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.parametrize("argv", [["check"], ["check", "--trace"],
+                                      ["translate"], ["verify"]],
+                             ids=" ".join)
+    def test_closed_descriptor(self, argv, tmp_path):
+        # With descriptor 1 closed, Python starts with sys.stdout None, and
+        # print to None writes nothing without an error.
+        proc = self._run(argv, None, tmp_path, closed=True)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write standard output: "
+               f"{os.strerror(errno.EBADF)}\n")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["check", "-h"],
+                                      ["translate", "--help"]], ids=" ".join)
+    def test_help_to_closed_descriptor(self, argv):
+        proc = self._help(argv, None, closed=True)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write standard output: "
+               f"{os.strerror(errno.EBADF)}\n")
+
+    def test_nothing_to_write_to_closed_descriptor(self, tmp_path):
+        proc = self._run(["check", "--quiet"], None, tmp_path, closed=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     @pytest.mark.skipif(not Path("/dev/full").exists(),
                         reason="no /dev/full on this system")

@@ -40,8 +40,12 @@ from lfr.syntax import (
     BVar,
     Const,
     ConstRef,
+    CPi,
+    CSort,
     CtxEntry,
     FVar,
+    KPi,
+    KType,
     Lam,
     SApp,
     SConst,
@@ -57,12 +61,13 @@ from lfr.syntax import (
 )
 
 from conftest import (DEP_TEXT, FUEL_TEXT, GOLDEN_DIR, GOLDEN_NAMES,
-                      checkout_env)
+                      REJECTED_REFINEMENTS, TYPED_BASE, checkout_env)
 from gen import (
     HINTS,
     NAT,
     REF_CONSTS,
     REF_TEXT,
+    binders_text,
     deep_signature,
     deep_text,
     gen_class,
@@ -70,6 +75,7 @@ from gen import (
     gen_eta_term,
     gen_sort,
     gen_type,
+    mistype,
     numeral,
     refined,
     refining,
@@ -715,6 +721,84 @@ class TestBinderDiagnostics:
             ([("x", EVEN, NAT_T), ("x'", EVEN, NAT_T)], _pe(x), _pe(x), True)]
 
 
+# The public judgments promise nothing of the type they are given: pp t
+# refines p t, whose argument t is no nat.
+PREMISE_TEXT = ("nat : type. z : nat. b : type. t : b. p : nat -> type. "
+                "even << nat. z :: even. pp << p :: even -> sort.")
+PREMISE_ERROR = "argument 1 of pp: type mismatch: expected nat, synthesized b"
+
+
+class TestTypedFormation:
+    """check_signature and check_context LF-check a type (or kind) before
+    they elaborate a sort (or class) against it, and an atom whose spine
+    refines that very type takes its arguments' LF premises from there.
+    Where the types differ, or nothing was checked, every premise runs."""
+
+    @pytest.mark.parametrize("text, premises", [
+        (lambda: (GOLDEN_DIR / "cbv.lfr").read_text(), 2),
+        (lambda: binders_text(8), 16),
+        (lambda: (GOLDEN_DIR / "double.lfr").read_text(), 0),
+        (lambda: deep_text(12), 0),
+    ], ids=["cbv", "binders-8", "double", "deep-12"])
+    def test_premise_count(self, monkeypatch, text, premises):
+        # The premises left are the coercion steps' formations: at the
+        # parent of this change they were 33, 83, 6 and 1.
+        raw = parse_signature(text())
+        calls = [0]
+        lf_check = lfr.lfr_check._lf_check
+
+        def counted(*args):
+            calls[0] += 1
+            return lf_check(*args)
+        monkeypatch.setattr(lfr.lfr_check, "_lf_check", counted)
+        check_signature(raw)
+        assert calls[0] == premises
+
+    def test_public_elaboration_keeps_premise(self):
+        sig = check_signature(parse_signature(PREMISE_TEXT))
+        pp_t = SApp(SConst("pp"), Const("t"))
+        p_t = TApp(TConst("p"), Const("t"))
+        for elab in (elaborate_sort, opened_elab_sort):
+            with pytest.raises(LfError) as info:
+                elab(sig, [], pp_t, p_t)
+            assert info.value.message == PREMISE_ERROR
+
+    def test_class_elaboration_keeps_premise(self):
+        sig = check_signature(parse_signature(PREMISE_TEXT))
+        cls = CPi("x", SApp(SConst("pp"), Const("t")), None, CSort())
+        kind = KPi("x", TApp(TConst("p"), Const("t")), KType())
+        with pytest.raises(LfError) as info:
+            _elab_class(sig, [], (), cls, kind, None)
+        assert info.value.message == PREMISE_ERROR
+
+    @pytest.mark.parametrize("tail, error, kind, message, span",
+                             REJECTED_REFINEMENTS.values(),
+                             ids=REJECTED_REFINEMENTS)
+    def test_rejected_refinement(self, tail, error, kind, message, span):
+        with pytest.raises((SortError, LfError)) as info:
+            check_signature(parse_signature(TYPED_BASE + tail))
+        e = info.value
+        assert (type(e).__name__, e.kind, e.message, tuple(e.span)[1:]) == (
+            error, kind, message, span)
+
+    @pytest.mark.parametrize("sort, type_, error, message", [
+        (_pe(_s(Const("z"))), TApp(P_T, _s(Const("z"))), SortError,
+         "argument 1 of pe: term s z: none of the synthesized sorts "
+         "[odd, pos] is a subsort of even"),
+        (_pe(Const("t")), TApp(P_T, Const("z")), LfError,
+         "argument 1 of pe: type mismatch: expected nat, synthesized b"),
+        (_pe(Const("t")), TApp(P_T, Const("t")), LfError,
+         "type mismatch: expected nat, synthesized b"),
+        (_pe(_s(_s(Const("z")))), TApp(P_T, Const("z")), SortError,
+         "sort pe (s (s z)) refines p (s (s z)), not p z"),
+    ], ids=["sort-argument", "lf-argument", "ill-typed-type", "other-type"])
+    def test_context_rejects(self, sort, type_, error, message):
+        sig = check_signature(parse_signature(TYPED_BASE))
+        with pytest.raises(error) as info:
+            check_context(sig, [CtxEntry("x", sort, type_)])
+        assert info.value.message == message
+
+
 def _catch(f):
     try:
         f()
@@ -729,7 +813,10 @@ REF_SIG = check_signature(parse_signature(REF_TEXT))
 def reference_instances(seed: int):
     """(which, ctx, subject): a sort with a type, a class with a kind, or
     an eta-long term with an elaborated sort, over a context of x and x'
-    and sometimes y; binder hints are drawn from names the context uses."""
+    and sometimes y; binder hints are drawn from names the context uses.
+    Some sorts and classes are mistyped, and most of those come with the
+    type or kind they refine: the public judgments promise nothing of it,
+    so every LF premise must still run."""
     choose = random.Random(seed).randint
 
     def hint():
@@ -748,6 +835,8 @@ def reference_instances(seed: int):
         return 2, ctx + [CtxEntry("f", s, a)], (eta_expand(a, FVar("f")), s)
     gen = gen_class if which == 1 else gen_dep_sort
     s = rehint(sort_fit(choose, gen(choose, gctx, choose(0, 3))), hint)
+    if which < 2 and not choose(0, 3):
+        s = mistype(s)
     a = refined(s) or TApp(TConst("t"), Const("z"))
     if which == 0 and not choose(0, 3):
         a = rehint(gen_type(choose, gctx, choose(0, 2)), hint)

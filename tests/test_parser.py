@@ -564,10 +564,32 @@ def _lexed(lex, text: str, target_mode: bool):
         return ("LexError", e.message, tuple(e.span))
 
 
+# Whole texts, and texts a lexing error stops at a character that starts
+# no token, at the start, inside and at the end.
+LEXED_TEXTS = {
+    **{p.name: p.read_text() for p in sorted(GOLDEN_DIR.glob("*.lf[ri]"))},
+    "deep-12": deep_text(12), "deep-13": deep_text(13),
+    "binders-8": binders_text(8),
+    "error-first": "@nat : type.", "error-after-comment": "% c\n\t\u00e9",
+    "error-in-name": "nat : ty@pe.", "error-after-number": "c : 1\u00b2.",
+    "error-last": "nat : type.\r\n#@",
+}
+
+
 class TestLexer:
     @settings(max_examples=400)
     @given(lexer_inputs(), st.booleans())
     def test_scanner_matches_reference_lexer(self, text, target_mode):
+        assert _lexed(spanned_tokens, text, target_mode) == \
+            _lexed(reference_tokens, text, target_mode)
+
+    @pytest.mark.parametrize("target_mode", [False, True],
+                             ids=["source", "target"])
+    @pytest.mark.parametrize("name", LEXED_TEXTS)
+    def test_texts_match_reference_lexer(self, name, target_mode):
+        # The scanner tries an identifier first; no symbol or number
+        # starts with a letter, so the tokens and errors are the same.
+        text = LEXED_TEXTS[name]
         assert _lexed(spanned_tokens, text, target_mode) == \
             _lexed(reference_tokens, text, target_mode)
 

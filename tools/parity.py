@@ -1,0 +1,150 @@
+"""Compare what `lfr` prints and writes in this checkout with revision REV.
+
+Run from anywhere, with git on the path:
+
+    python3 tools/parity.py REV
+
+REV (a commit, a branch or a tag) is unpacked with `git archive` into a
+temporary directory.  Both trees then run, each as `python -m lfr.cli`
+on its own `src` and in a directory of its own that holds the same
+inputs at the same relative paths:
+
+- `check`, `translate`, `translate --no-verify` and `verify` on every
+  `tests/golden/*.lfr` (the `bad-*` files too) and on the benchmark's
+  Wide, Deep and binders texts (bench/workloads.py) at seeds 1-3;
+- `check --trace --oracle-depth 2` on the goldens and on the Deep texts
+  of depth at most 12 only: the trace and the audit grow as 2^d.
+
+For each run it compares the exit code, standard output with the
+elapsed time masked, standard error, and after a `translate` the bytes
+of the `.lfi` and `.prov` files.  It prints one line per difference and
+exits 1 if there is any, 0 if there is none, and 2 if REV cannot be
+unpacked.  The inputs come from this checkout; nothing in it is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+SEEDS = (1, 2, 3)
+TRACE_DEPTH = 12
+COMMANDS = (["check"], ["translate"], ["translate", "--no-verify"],
+            ["verify"])
+TRACED = ["check", "--trace", "--oracle-depth", "2"]
+ELAPSED = re.compile(r" in \d+\.\d+s$", re.M)
+
+
+def _workloads():
+    """bench/workloads.py of this checkout, loaded as a module."""
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("parity_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # for its dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def inputs() -> list[tuple[str, str, bool]]:
+    """(file name, text, traced) of every input, traced when the trace
+    and audit run on it too."""
+    out = [(p.name, p.read_text(encoding="utf-8"), True)
+           for p in sorted(GOLDEN.glob("*.lfr"))]
+    w = _workloads()
+    cbv = (GOLDEN / "cbv.lfr").read_text(encoding="utf-8")
+    for seed in SEEDS:
+        out.append((f"wide-{seed}.lfr", w.wide_text(w.WIDE_N, seed), False))
+        for depth in (w.DEEP_ACCEPTED, w.DEEP_REJECTED):
+            out.append((f"deep-{depth}-{seed}.lfr", w.deep_text(depth, seed),
+                        depth <= TRACE_DEPTH))
+        out.append((f"binders-{seed}.lfr",
+                    w.binders_text(cbv, w.BINDERS_M, seed), False))
+    return out
+
+
+def unpack(rev: str, into: Path) -> bool:
+    """Write the tree of rev under into; False, with a report, if git
+    cannot."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True)
+    if archive.returncode != 0:
+        print(f"error: cannot unpack {rev}: "
+              f"{archive.stderr.decode(errors='replace').strip()}",
+              file=sys.stderr)
+        return False
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive.stdout,
+                   check=True)
+    return True
+
+
+class Tree:
+    """One tree's lfr, run in a work directory holding the inputs."""
+
+    def __init__(self, src: Path, work: Path, texts) -> None:
+        self.env = dict(os.environ, PYTHONPATH=str(src))
+        self.work = work
+        work.mkdir()
+        for name, text, _ in texts:
+            (work / name).write_text(text, encoding="utf-8")
+
+    def run(self, argv: list[str], name: str) -> dict[str, object]:
+        """What one call printed and wrote."""
+        written = [self.work / Path(name).with_suffix(".lfi")]
+        written.append(Path(f"{written[0]}.prov"))
+        for path in written:
+            path.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lfr.cli", *argv, name], cwd=self.work,
+            env=self.env, capture_output=True)
+        out = {"exit code": proc.returncode,
+               "stdout": ELAPSED.sub(" in <elapsed>s",
+                                     proc.stdout.decode(errors="replace")),
+               "stderr": proc.stderr}
+        if argv[0] == "translate":
+            for path in written:
+                out[path.suffix] = (path.read_bytes() if path.exists()
+                                    else None)
+        return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="parity.py",
+        description="Compare lfr's output in this checkout with REV's.")
+    parser.add_argument("rev", metavar="REV",
+                        help="the revision to compare with")
+    args = parser.parse_args(argv)
+    texts = inputs()
+    with tempfile.TemporaryDirectory(prefix="lfr-parity-") as tmp:
+        base = Path(tmp) / "rev"
+        base.mkdir()
+        if not unpack(args.rev, base):
+            return 2
+        theirs = Tree(base / "src", Path(tmp) / "rev-work", texts)
+        ours = Tree(ROOT / "src", Path(tmp) / "work", texts)
+        runs = differences = 0
+        for name, _, traced in texts:
+            for command in [*COMMANDS, *([TRACED] if traced else [])]:
+                runs += 1
+                old = theirs.run(command, name)
+                new = ours.run(command, name)
+                for what in old:
+                    if old[what] != new[what]:
+                        differences += 1
+                        print(f"{name}: lfr {' '.join(command)}: {what} "
+                              f"differs")
+    print(f"{runs} runs on {len(texts)} inputs, {differences} differences "
+          f"from {args.rev}")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
