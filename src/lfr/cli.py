@@ -87,16 +87,16 @@ class RunReport(Node):
 
 def _decl_line(decl) -> tuple[str, str]:
     match decl:
-        case TypeFam(name, _):
-            return "type families", f"type family {name}"
-        case TermConst(name, _):
-            return "constants", f"constant {name}"
-        case SortFam(name, refines, _):
-            return "sorts", f"sort {name} refining {refines}"
-        case SubDecl(sub, sup):
-            return "subsort declarations", f"subsorting {sub} <: {sup}"
-        case ConstRef(const, _):
-            return "refinements", f"refinement of {const}"
+        case TypeFam():
+            return "type families", f"type family {decl.name}"
+        case TermConst():
+            return "constants", f"constant {decl.name}"
+        case SortFam():
+            return "sorts", f"sort {decl.name} refining {decl.refines}"
+        case SubDecl():
+            return "subsort declarations", f"subsorting {decl.sub} <: {decl.sup}"
+        case ConstRef():
+            return "refinements", f"refinement of {decl.const}"
 
 
 def _read(path: str) -> str:

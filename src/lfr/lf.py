@@ -104,18 +104,18 @@ def lf_check_kind(sig: Signature, ctx: list[tuple[str, object]], k) -> None:
 
 def _synth(sig: Signature, ctx, stack, r):
     match r:
-        case Const(n):
-            decl = sig.term_const(n)
+        case Const():
+            decl = sig.term_const(r.name)
             if decl is None:
-                raise LfError("unbound name", f"unbound constant {n}")
+                raise LfError("unbound name", f"unbound constant {r.name}")
             return decl.type
-        case FVar(n):
-            ty = next((ty for x, ty in reversed(ctx) if x == n), None)
+        case FVar():
+            ty = next((ty for x, ty in reversed(ctx) if x == r.name), None)
             if ty is None:
-                raise LfError("unbound name", f"unbound variable {n}")
+                raise LfError("unbound name", f"unbound variable {r.name}")
             return ty
-        case BVar(i) if i < len(stack):
-            return shift(stack[-1 - i][1], i + 1)
+        case BVar() if r.index < len(stack):
+            return shift(stack[-1 - r.index][1], r.index + 1)
         case App():
             h, args = spine(r)
             ty, done = _synth(sig, ctx, stack, h), []
@@ -135,13 +135,13 @@ def _synth(sig: Signature, ctx, stack, r):
 
 def _check(sig: Signature, ctx, stack, n, a) -> None:
     match n:
-        case Lam(h, b):
+        case Lam():
             if not isinstance(a, TPi):
                 raise LfError("non-atomic at atomic type",
                               f"function term checked against atomic type "
                               f"{_pp_ty(a, ctx, stack)}",
                               expected=_pp_ty(a, ctx, stack))
-            _check(sig, ctx, stack + ((h, a.dom),), b, a.cod)
+            _check(sig, ctx, stack + ((n.hint, a.dom),), n.body, a.cod)
         case _:
             if not is_atomic_term(n):
                 raise TypeError(f"lf_check_term: not a normal term: {n!r}")
@@ -159,9 +159,9 @@ def _check(sig: Signature, ctx, stack, n, a) -> None:
 
 def _check_type(sig: Signature, ctx, stack, a) -> None:
     match a:
-        case TPi(h, d, c):
-            _check_type(sig, ctx, stack, d)
-            _check_type(sig, ctx, stack + ((h, d),), c)
+        case TPi():
+            _check_type(sig, ctx, stack, a.dom)
+            _check_type(sig, ctx, stack + ((a.hint, a.dom),), a.cod)
         case TConst() | TApp():
             kind = _synth_spine_kind(sig, ctx, stack, a)
             if not isinstance(kind, KType):
@@ -196,9 +196,9 @@ def _check_kind(sig: Signature, ctx, stack, k) -> None:
     match k:
         case KType():
             pass
-        case KPi(h, d, c):
-            _check_type(sig, ctx, stack, d)
-            _check_kind(sig, ctx, stack + ((h, d),), c)
+        case KPi():
+            _check_type(sig, ctx, stack, k.dom)
+            _check_kind(sig, ctx, stack + ((k.hint, k.dom),), k.cod)
         case _:
             raise TypeError(f"lf_check_kind: not a kind: {k!r}")
 
@@ -209,14 +209,14 @@ def lf_check_sig(sig: Signature) -> None:
     for decl in sig:
         try:
             match decl:
-                case TypeFam(n, k):
+                case TypeFam() | TermConst():
+                    n = decl.name
                     if checked.type_fam(n) or checked.term_const(n):
                         raise CheckError(f"{n} is declared twice", decl.span)
-                    lf_check_kind(checked, [], k)
-                case TermConst(n, a):
-                    if checked.type_fam(n) or checked.term_const(n):
-                        raise CheckError(f"{n} is declared twice", decl.span)
-                    lf_check_type(checked, [], a)
+                    if isinstance(decl, TypeFam):
+                        lf_check_kind(checked, [], decl.kind)
+                    else:
+                        lf_check_type(checked, [], decl.type)
                 case _:
                     raise CheckError(
                         "only type families and term constants belong in an "

@@ -170,19 +170,19 @@ LfiSimple = Union[IBase, IArrow, IProdS, IUnitS]
 
 
 def lfi_erase_type(a: Union[LfiType, LfiSimple]) -> LfiSimple:
-    match a:
-        case IBase() | IArrow() | IProdS() | IUnitS():
-            return a
-        case ITConst(n):
-            return IBase(n)
-        case ITApp(f, _) | ITIrrApp(f, _):
-            return lfi_erase_type(f)
-        case ITPi(_, d, c):
-            return IArrow(lfi_erase_type(d), lfi_erase_type(c))
-        case ITProd(l, r):
-            return IProdS(lfi_erase_type(l), lfi_erase_type(r))
-        case ITUnitT():
-            return IUnitS()
+    cls = a.__class__
+    if cls is ITConst:
+        return IBase(a.name)
+    if cls is ITApp or cls is ITIrrApp:
+        return lfi_erase_type(a.fn)
+    if cls is ITPi:
+        return IArrow(lfi_erase_type(a.dom), lfi_erase_type(a.cod))
+    if cls is ITProd:
+        return IProdS(lfi_erase_type(a.left), lfi_erase_type(a.right))
+    if cls is ITUnitT:
+        return IUnitS()
+    if cls is IBase or cls is IArrow or cls is IProdS or cls is IUnitS:
+        return a
     raise TypeError(f"lfi_erase_type: not a type: {a!r}")
 
 
@@ -268,25 +268,28 @@ def _map_vars(t: LfiSyntax, f, k: int = 0) -> LfiSyntax:
     variables f changes comes back itself, not a copy, so the result
     shares every unchanged subtree with t.
     """
-    match t:
-        case IBVar() | IFVar():
-            return f(t, k)
-        case IConst() | IUnit() | ITConst() | ITUnitT() | IKType():
-            return t
-        case (IApp(l, r) | IPair(l, r) | ITApp(l, r) | ITIrrApp(l, r)
-              | ITProd(l, r)):
-            l2, r2 = _map_vars(l, f, k), _map_vars(r, f, k)
-            return t if l2 is l and r2 is r else type(t)(l2, r2)
-        case IFst(b) | ISnd(b):
-            b2 = _map_vars(b, f, k)
-            return t if b2 is b else type(t)(b2)
-        case ILam(h, b):
-            b2 = _map_vars(b, f, k + 1)
-            return t if b2 is b else ILam(h, b2)
-        case ITPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
-            d2, c2 = _map_vars(d, f, k), _map_vars(c, f, k + 1)
-            return t if d2 is d and c2 is c else type(t)(h, d2, c2)
-    raise TypeError(f"_map_vars: unexpected node {t!r}")
+    cls = t.__class__
+    if cls is IBVar or cls is IFVar:
+        return f(t, k)
+    if cls is IApp or cls is ITApp or cls is ITIrrApp:
+        l, r = t.fn, t.arg
+    elif cls is ITPi or cls is IKPi or cls is IKIrrPi:
+        d, c = _map_vars(t.dom, f, k), _map_vars(t.cod, f, k + 1)
+        return t if d is t.dom and c is t.cod else cls(t.hint, d, c)
+    elif cls in _CLOSED_LEAVES or cls is IUnit:
+        return t
+    elif cls is ILam:
+        b = _map_vars(t.body, f, k + 1)
+        return t if b is t.body else ILam(t.hint, b)
+    elif cls is IPair or cls is ITProd:
+        l, r = t.left, t.right
+    elif cls is IFst or cls is ISnd:
+        b = _map_vars(t.base, f, k)
+        return t if b is t.base else cls(b)
+    else:
+        raise TypeError(f"_map_vars: unexpected node {t!r}")
+    l2, r2 = _map_vars(l, f, k), _map_vars(r, f, k)
+    return t if l2 is l and r2 is r else cls(l2, r2)
 
 
 # The leaves with no variable: every substitution and shift keeps them.
@@ -310,13 +313,13 @@ def is_lfi_atomic(t: LfiTerm) -> bool:
 
 def lfi_head(r: LfiAtomic):
     while True:
-        match r:
-            case IApp(f, _):
-                r = f
-            case IFst(b) | ISnd(b):
-                r = b
-            case _:
-                return r
+        cls = r.__class__
+        if cls is IApp:
+            r = r.fn
+        elif cls is IFst or cls is ISnd:
+            r = r.base
+        else:
+            return r
 
 
 # ---------------------------------------------------------------------------
@@ -400,35 +403,35 @@ def _hit(r, sub, x0, k: int):
 
 def _l_n(sub, x0, n, k, fuel, path) -> LfiTerm:
     fuel.tick(path)
-    match n:
-        case ILam(h, b):
-            return ILam(h, _l_n(sub, x0, b, k + 1, fuel, path + ("body",)))
-        case IPair(l, r):
-            return IPair(_l_n(sub, x0, l, k, fuel, path + ("left",)),
-                         _l_n(sub, x0, r, k, fuel, path + ("right",)))
-        case IUnit():
-            return n
-        case _:
-            if _hit(lfi_head(n), sub, x0, k) is not None:
-                term, ty = _l_rn(sub, x0, n, k, fuel, path)
-                if is_lfi_atomic(term) and isinstance(ty, IBase):
-                    return term
-                raise SubstFailure("head-type mismatch", path)
-            return _l_rr(sub, x0, n, k, fuel, path)
+    cls = n.__class__
+    if cls is ILam:
+        return ILam(n.hint, _l_n(sub, x0, n.body, k + 1, fuel, path + ("body",)))
+    if cls is IPair:
+        return IPair(_l_n(sub, x0, n.left, k, fuel, path + ("left",)),
+                     _l_n(sub, x0, n.right, k, fuel, path + ("right",)))
+    if cls is IUnit:
+        return n
+    if _hit(lfi_head(n), sub, x0, k) is not None:
+        term, ty = _l_rn(sub, x0, n, k, fuel, path)
+        if is_lfi_atomic(term) and isinstance(ty, IBase):
+            return term
+        raise SubstFailure("head-type mismatch", path)
+    return _l_rr(sub, x0, n, k, fuel, path)
 
 
 def _l_rr(sub, x0, r, k, fuel, path) -> LfiAtomic:
     fuel.tick(path)
-    match r:
-        case IBVar(i) if not isinstance(x0, str) and i >= x0 + k + len(sub):
-            return IBVar(i - len(sub))
-        case IConst() | IFVar() | IBVar():
-            return r
-        case IApp(f, a):
-            return IApp(_l_rr(sub, x0, f, k, fuel, path + ("fn",)),
-                        _l_n(sub, x0, a, k, fuel, path + ("arg",)))
-        case IFst(b) | ISnd(b):
-            return type(r)(_l_rr(sub, x0, b, k, fuel, path + ("base",)))
+    cls = r.__class__
+    if cls is IApp:
+        return IApp(_l_rr(sub, x0, r.fn, k, fuel, path + ("fn",)),
+                    _l_n(sub, x0, r.arg, k, fuel, path + ("arg",)))
+    if (cls is IBVar and not isinstance(x0, str)
+            and r.index >= x0 + k + len(sub)):
+        return IBVar(r.index - len(sub))
+    if cls is IBVar or cls is IConst or cls is IFVar:
+        return r
+    if cls is IFst or cls is ISnd:
+        return cls(_l_rr(sub, x0, r.base, k, fuel, path + ("base",)))
     raise TypeError(f"lfi_hsubst: not atomic: {r!r}")
 
 
@@ -437,43 +440,42 @@ def _l_rn(sub, x0, r, k, fuel, path) -> tuple[LfiTerm, LfiSimple]:
     hit = _hit(r, sub, x0, k)
     if hit is not None:
         return _shift_lfi(hit[0], k), hit[1]
-    match r:
-        case IApp(f, a):
-            fn, fty = _l_rn(sub, x0, f, k, fuel, path + ("fn",))
-            arg = _l_n(sub, x0, a, k, fuel, path + ("arg",))
-            if not isinstance(fn, ILam):
-                raise SubstFailure("non-function applied", path)
-            if not isinstance(fty, IArrow):
-                raise SubstFailure("head-type mismatch", path)
-            # The beta step: the lambda's index 0 is a block of one.
-            body = _l_n(((arg, fty.dom),), 0, fn.body, 0, fuel, path + ("beta",))
-            return body, fty.cod
-        case IFst(b) | ISnd(b):
-            bn, bt = _l_rn(sub, x0, b, k, fuel, path + ("base",))
-            if not isinstance(bn, IPair) or not isinstance(bt, IProdS):
-                raise SubstFailure("head-type mismatch", path)
-            if isinstance(r, IFst):
-                return bn.left, bt.left
-            return bn.right, bt.right
+    cls = r.__class__
+    if cls is IApp:
+        fn, fty = _l_rn(sub, x0, r.fn, k, fuel, path + ("fn",))
+        arg = _l_n(sub, x0, r.arg, k, fuel, path + ("arg",))
+        if not isinstance(fn, ILam):
+            raise SubstFailure("non-function applied", path)
+        if not isinstance(fty, IArrow):
+            raise SubstFailure("head-type mismatch", path)
+        # The beta step: the lambda's index 0 is a block of one.
+        body = _l_n(((arg, fty.dom),), 0, fn.body, 0, fuel, path + ("beta",))
+        return body, fty.cod
+    if cls is IFst or cls is ISnd:
+        bn, bt = _l_rn(sub, x0, r.base, k, fuel, path + ("base",))
+        if not isinstance(bn, IPair) or not isinstance(bt, IProdS):
+            raise SubstFailure("head-type mismatch", path)
+        if cls is IFst:
+            return bn.left, bt.left
+        return bn.right, bt.right
     raise SubstFailure("head-type mismatch", path)
 
 
 def _l_syn(sub, x0, t, k, fuel, path):
-    match t:
-        case (IConst() | IFVar() | IBVar() | IApp() | IFst() | ISnd() | ILam()
-              | IPair() | IUnit()):
-            return _l_n(sub, x0, t, k, fuel, path)
-        case ITConst() | ITUnitT() | IKType():
-            return t
-        case ITApp(f, a) | ITIrrApp(f, a):
-            return type(t)(_l_syn(sub, x0, f, k, fuel, path + ("fn",)),
-                           _l_n(sub, x0, a, k, fuel, path + ("arg",)))
-        case ITPi(h, d, c) | IKPi(h, d, c) | IKIrrPi(h, d, c):
-            return type(t)(h, _l_syn(sub, x0, d, k, fuel, path + ("dom",)),
-                           _l_syn(sub, x0, c, k + 1, fuel, path + ("cod",)))
-        case ITProd(l, r):
-            return ITProd(_l_syn(sub, x0, l, k, fuel, path + ("left",)),
-                          _l_syn(sub, x0, r, k, fuel, path + ("right",)))
+    cls = t.__class__
+    if cls is ITApp or cls is ITIrrApp:
+        return cls(_l_syn(sub, x0, t.fn, k, fuel, path + ("fn",)),
+                   _l_n(sub, x0, t.arg, k, fuel, path + ("arg",)))
+    if cls is ITPi or cls is IKPi or cls is IKIrrPi:
+        return cls(t.hint, _l_syn(sub, x0, t.dom, k, fuel, path + ("dom",)),
+                   _l_syn(sub, x0, t.cod, k + 1, fuel, path + ("cod",)))
+    if cls is ITConst or cls is ITUnitT or cls is IKType:
+        return t
+    if cls is ITProd:
+        return ITProd(_l_syn(sub, x0, t.left, k, fuel, path + ("left",)),
+                      _l_syn(sub, x0, t.right, k, fuel, path + ("right",)))
+    if is_lfi_atomic(t) or cls is ILam or cls is IPair or cls is IUnit:
+        return _l_n(sub, x0, t, k, fuel, path)
     raise TypeError(f"lfi_hsubst: unexpected node {t!r}")
 
 
@@ -589,101 +591,95 @@ def lfi_check_kind(sig: LfiSignature, ctx: LfiContext, k: LfiKind) -> None:
 
 def _synth(sig: LfiSignature, ctx: LfiContext, stack: Stack, r: LfiAtomic
            ) -> LfiType:
-    match r:
-        case IConst(n):
-            ty = sig.const_type(n)
-            if ty is None:
-                raise LfiError(f"unbound constant {n}")
-            return ty
-        case IFVar(n):
-            entry = lfi_ctx_lookup(ctx, n)
-            if entry is None:
-                raise LfiError(f"unbound variable {n}")
-            if not entry.relevant:
-                raise LfiError(
-                    f"irrelevant hypothesis {n} used in a relevant position")
-            return entry.type
-        case IBVar(i) if i < len(stack):
-            _, d, relevant = stack[-1 - i]
-            if not relevant:
-                raise LfiError(
-                    f"irrelevant hypothesis {_names(ctx, stack)[-1 - i]} "
-                    f"used in a relevant position")
-            return _shift_lfi(d, i + 1)
-        case IApp():
-            # With no hypothesis in scope, r succeeds only if it has no
-            # free variable, and then its type depends on sig alone.
-            closed = not stack and not ctx
-            if closed and (hit := sig.closed.get(id(r))) is not None:
-                return hit[1]
-            head, spine = _unspine(r)
-            ty = _apply(sig, ctx, stack, _synth(sig, ctx, stack, head), spine,
-                        (ITPi,), lambda ty: LfiError(
-                            f"applied term of non-function type "
-                            f"{_fmt_type(ty, ctx, stack)}"))
-            if closed:
-                sig.closed[id(r)] = r, ty
-            return ty
-        case IFst(b):
-            bty = _synth(sig, ctx, stack, b)
-            if not isinstance(bty, ITProd):
-                raise LfiError(f"first projection of non-pair type "
-                               f"{_fmt_type(bty, ctx, stack)}")
-            return bty.left
-        case ISnd(b):
-            bty = _synth(sig, ctx, stack, b)
-            if not isinstance(bty, ITProd):
-                raise LfiError(f"second projection of non-pair type "
-                               f"{_fmt_type(bty, ctx, stack)}")
-            return bty.right
+    cls = r.__class__
+    if cls is IApp:
+        # With no hypothesis in scope, r succeeds only if it has no free
+        # variable, and then its type depends on sig alone.
+        closed = not stack and not ctx
+        if closed and (hit := sig.closed.get(id(r))) is not None:
+            return hit[1]
+        head, spine = _unspine(r)
+        ty = _apply(sig, ctx, stack, _synth(sig, ctx, stack, head), spine,
+                    (ITPi,), lambda ty: LfiError(
+                        f"applied term of non-function type "
+                        f"{_fmt_type(ty, ctx, stack)}"))
+        if closed:
+            sig.closed[id(r)] = r, ty
+        return ty
+    if cls is IConst:
+        ty = sig.const_type(r.name)
+        if ty is None:
+            raise LfiError(f"unbound constant {r.name}")
+        return ty
+    if cls is IBVar and (i := r.index) < len(stack):
+        _, d, relevant = stack[-1 - i]
+        if not relevant:
+            raise LfiError(
+                f"irrelevant hypothesis {_names(ctx, stack)[-1 - i]} "
+                f"used in a relevant position")
+        return _shift_lfi(d, i + 1)
+    if cls is IFVar:
+        n = r.name
+        entry = lfi_ctx_lookup(ctx, n)
+        if entry is None:
+            raise LfiError(f"unbound variable {n}")
+        if not entry.relevant:
+            raise LfiError(
+                f"irrelevant hypothesis {n} used in a relevant position")
+        return entry.type
+    if cls is IFst or cls is ISnd:
+        bty = _synth(sig, ctx, stack, r.base)
+        if not isinstance(bty, ITProd):
+            raise LfiError(f"{'first' if cls is IFst else 'second'} "
+                           f"projection of non-pair type "
+                           f"{_fmt_type(bty, ctx, stack)}")
+        return bty.left if cls is IFst else bty.right
     raise LfiError(f"cannot synthesize a type for {_fmt_term(r, ctx, stack)}")
 
 
 def _check(sig: LfiSignature, ctx: LfiContext, stack: Stack, n: LfiTerm,
            a: LfiType) -> None:
-    match n:
-        case ILam(h, b):
-            if not isinstance(a, ITPi):
-                raise LfiError(f"function checked against non-function "
-                               f"type {_fmt_type(a, ctx, stack)}")
-            _check(sig, ctx, stack + ((h, a.dom, True),), b, a.cod)
-        case IPair(l, r):
-            if not isinstance(a, ITProd):
-                raise LfiError(f"pair checked against non-product type "
-                               f"{_fmt_type(a, ctx, stack)}")
-            _check(sig, ctx, stack, l, a.left)
-            _check(sig, ctx, stack, r, a.right)
-        case IUnit():
-            if not isinstance(a, ITUnitT):
-                raise LfiError(f"unit checked against {_fmt_type(a, ctx, stack)}")
-        case _:
-            if not is_lfi_atomic(n):
-                raise LfiError(f"cannot check {_fmt_term(n, ctx, stack)}")
-            syn = _synth(sig, ctx, stack, n)
-            if not lfi_equal(syn, a):
-                raise LfiError(
-                    f"type mismatch: expected {_fmt_type(a, ctx, stack)}, "
-                    f"synthesized {_fmt_type(syn, ctx, stack)}")
+    cls = n.__class__
+    if cls is ILam:
+        if not isinstance(a, ITPi):
+            raise LfiError(f"function checked against non-function "
+                           f"type {_fmt_type(a, ctx, stack)}")
+        _check(sig, ctx, stack + ((n.hint, a.dom, True),), n.body, a.cod)
+    elif cls is IPair:
+        if not isinstance(a, ITProd):
+            raise LfiError(f"pair checked against non-product type "
+                           f"{_fmt_type(a, ctx, stack)}")
+        _check(sig, ctx, stack, n.left, a.left)
+        _check(sig, ctx, stack, n.right, a.right)
+    elif cls is IUnit:
+        if not isinstance(a, ITUnitT):
+            raise LfiError(f"unit checked against {_fmt_type(a, ctx, stack)}")
+    else:
+        if not is_lfi_atomic(n):
+            raise LfiError(f"cannot check {_fmt_term(n, ctx, stack)}")
+        syn = _synth(sig, ctx, stack, n)
+        if not lfi_equal(syn, a):
+            raise LfiError(
+                f"type mismatch: expected {_fmt_type(a, ctx, stack)}, "
+                f"synthesized {_fmt_type(syn, ctx, stack)}")
 
 
 def _check_type(sig: LfiSignature, ctx: LfiContext, stack: Stack, a: LfiType
                 ) -> None:
-    match a:
-        case ITPi(h, d, c):
-            _check_type(sig, ctx, stack, d)
-            _check_type(sig, ctx, stack + ((h, d, True),), c)
-        case ITProd(l, r):
-            _check_type(sig, ctx, stack, l)
-            _check_type(sig, ctx, stack, r)
-        case ITUnitT():
-            pass
-        case ITConst() | ITApp() | ITIrrApp():
-            k = _kind_of_atomic(sig, ctx, stack, a)
-            if not isinstance(k, IKType):
-                raise LfiError(f"type family not fully applied: "
-                               f"{_fmt_type(a, ctx, stack)}")
-        case _:
-            raise LfiError(f"not a type: {_named(a, ctx, stack)!r}")
+    cls = a.__class__
+    if cls is ITPi:
+        _check_type(sig, ctx, stack, a.dom)
+        _check_type(sig, ctx, stack + ((a.hint, a.dom, True),), a.cod)
+    elif cls is ITApp or cls is ITConst or cls is ITIrrApp:
+        k = _kind_of_atomic(sig, ctx, stack, a)
+        if not isinstance(k, IKType):
+            raise LfiError(f"type family not fully applied: "
+                           f"{_fmt_type(a, ctx, stack)}")
+    elif cls is ITProd:
+        _check_type(sig, ctx, stack, a.left)
+        _check_type(sig, ctx, stack, a.right)
+    elif cls is not ITUnitT:
+        raise LfiError(f"not a type: {_named(a, ctx, stack)!r}")
 
 
 def _kind_of_atomic(sig: LfiSignature, ctx: LfiContext, stack: Stack,
@@ -701,14 +697,12 @@ def _kind_of_atomic(sig: LfiSignature, ctx: LfiContext, stack: Stack,
 
 def _check_kind(sig: LfiSignature, ctx: LfiContext, stack: Stack, k: LfiKind
                 ) -> None:
-    match k:
-        case IKType():
-            pass
-        case IKPi(h, d, c) | IKIrrPi(h, d, c):
-            _check_type(sig, ctx, stack, d)
-            _check_kind(sig, ctx, stack + ((h, d, isinstance(k, IKPi)),), c)
-        case _:
-            raise LfiError(f"not a kind: {_named(k, ctx, stack)!r}")
+    cls = k.__class__
+    if cls is IKPi or cls is IKIrrPi:
+        _check_type(sig, ctx, stack, k.dom)
+        _check_kind(sig, ctx, stack + ((k.hint, k.dom, cls is IKPi),), k.cod)
+    elif cls is not IKType:
+        raise LfiError(f"not a kind: {_named(k, ctx, stack)!r}")
 
 
 def lfi_check_sig(sig: LfiSignature) -> None:

@@ -235,13 +235,13 @@ def _split(s, d, done, log) -> list:
     arguments done it is read under (see _asynth).  A class splits the
     same way (see _synth_sort_class)."""
     match s:
-        case SInter(l, r) | CInter(l, r):
+        case SInter() | CInter():
             if log is not None:
                 log.rules.append("∧-E₁")
-            left = _split(l, ("fst", d), done, log)
+            left = _split(s.left, ("fst", d), done, log)
             if log is not None:
                 log.rules.append("∧-E₂")
-            return left + _split(r, ("snd", d), done, log)
+            return left + _split(s.right, ("snd", d), done, log)
         case STop() | CTop():
             return []
         case _:
@@ -266,7 +266,8 @@ def _asynth(sig, ctx, stack, r, log) -> list:
     """
     head, args = spine(r)
     match head:
-        case Const(n):
+        case Const():
+            n = head.name
             merged = sig.merged_ref_sort(n)
             if merged is None:
                 raise SortError("no-refinement-declared",
@@ -275,15 +276,15 @@ def _asynth(sig, ctx, stack, r, log) -> list:
                 log.rules.append("const")
             cands = _split(merged, ("const", n, len(sig.const_refs[n])), (),
                            log)
-        case FVar(n):
-            entry = ctx_lookup(ctx, n)
+        case FVar():
+            entry = ctx_lookup(ctx, head.name)
             if entry is None:
                 raise SortError("no-refinement-declared",
-                                f"variable {n} is not in the context")
+                                f"variable {head.name} is not in the context")
             if log is not None:
                 log.rules.append("var")
-            cands = _split(entry.sort, ("var", n), (), log)
-        case BVar(i) if i < len(stack):
+            cands = _split(entry.sort, ("var", head.name), (), log)
+        case BVar() if (i := head.index) < len(stack):
             if log is not None:
                 log.rules.append("var")
             cands = _split(shift(stack[-1 - i][2], i + 1), ("var", i), (),
@@ -365,28 +366,28 @@ def _acheck(sig, ctx, stack, n, s, log, synth=None) -> tuple:
             if log is not None:
                 log.rules.append("⊤-I")
             return ("unit",)
-        case SInter(l, r):
+        case SInter():
             if synth is None:
                 synth = _shared_synth(sig, ctx, stack, n, log)
-            left = _acheck(sig, ctx, stack, n, l, log, synth)
-            right = _acheck(sig, ctx, stack, n, r, log, synth)
+            left = _acheck(sig, ctx, stack, n, s.left, log, synth)
+            right = _acheck(sig, ctx, stack, n, s.right, log, synth)
             if log is not None:
                 log.rules.append("∧-I")
             return ("pair", left, right)
-        case SPi(h, ds, dt, cod):
+        case SPi():
             if not isinstance(n, Lam):
                 raise SortError(
                     "annotation-mismatch",
                     lambda: f"term {_pp(pp_term, n, ctx, stack)} is not a "
                             f"function but was checked against function "
                             f"sort {_pp(pp_sort, s, ctx, stack)}")
-            if dt is None:
+            if s.dom_type is None:
                 raise TypeError("acheck: sort was not elaborated")
-            body = _acheck(sig, ctx, stack + ((h, dt, ds),), n.body,
-                           cod, log)
+            body = _acheck(sig, ctx, stack + ((s.hint, s.dom_type, s.dom_sort),),
+                           n.body, s.cod, log)
             if log is not None:
                 log.rules.append("Π-I")
-            return ("lam", h, body)
+            return ("lam", s.hint, body)
         case _:
             if not is_atomic_sort(s):
                 raise TypeError(f"acheck: not a sort: {s!r}")
@@ -478,27 +479,28 @@ def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
     constants, which a signature shares with its erasure.
     """
     match cls:
-        case CPi(h, ds, dt, body):
+        case CPi():
+            dt = cls.dom_type
             if dt is None:
                 raise TypeError("class was not elaborated")
             try:
                 if ectx is not None:
                     _lf_check(sig, ectx, stack, arg, inst_spine(dt, done))
                 d_arg = _acheck(sig, ctx, stack, arg,
-                                inst_spine(ds, done), log, synth)
+                                inst_spine(cls.dom_sort, done), log, synth)
             except (SortError, LfError) as e:
                 return [], _rewrap_arg(e, i, fam_name)
             except SubstFailure as e:
                 return [], SortError(
                     "annotation-mismatch",
                     f"argument {i} of {fam_name}: substitution failed: {e}")
-            return [(body, ("app", d, arg, d_arg),
+            return [(cls.cod, ("app", d, arg, d_arg),
                      done + ((arg, erase_type(dt)),))], None
-        case CInter(l, r):
-            left, l_err = _class_apply(sig, ctx, stack, ectx, l,
+        case CInter():
+            left, l_err = _class_apply(sig, ctx, stack, ectx, cls.left,
                                        ("fst", d), done, arg, i, fam_name,
                                        log, synth)
-            right, r_err = _class_apply(sig, ctx, stack, ectx, r,
+            right, r_err = _class_apply(sig, ctx, stack, ectx, cls.right,
                                         ("snd", d), done, arg, i, fam_name,
                                         log, synth)
             return left + right, r_err or l_err
@@ -532,25 +534,25 @@ def _elab_sort(sig, ctx, stack, s, a, log, typed=False):
             if log is not None:
                 log.rules.append("⊤-F")
             return s
-        case SInter(l, r):
-            out = SInter(_elab_sort(sig, ctx, stack, l, a, log, typed),
-                         _elab_sort(sig, ctx, stack, r, a, log, typed))
+        case SInter():
+            out = SInter(_elab_sort(sig, ctx, stack, s.left, a, log, typed),
+                         _elab_sort(sig, ctx, stack, s.right, a, log, typed))
             if log is not None:
                 log.rules.append("∧-F")
             return out
-        case SPi(h, ds, _, cod):
+        case SPi():
             if not isinstance(a, TPi):
                 raise SortError(
                     "annotation-mismatch",
                     lambda: f"function sort {_pp(pp_sort, s, ctx, stack)} "
                             f"cannot refine non-function type "
                             f"{_pp(pp_type, a, ctx, stack)}")
-            ds2 = _elab_sort(sig, ctx, stack, ds, a.dom, log, typed)
-            cod2 = _elab_sort(sig, ctx, stack + ((h, a.dom, ds2),),
-                              cod, a.cod, log, typed)
+            ds2 = _elab_sort(sig, ctx, stack, s.dom_sort, a.dom, log, typed)
+            cod2 = _elab_sort(sig, ctx, stack + ((s.hint, a.dom, ds2),),
+                              s.cod, a.cod, log, typed)
             if log is not None:
                 log.rules.append("Π-F")
-            return SPi(h, ds2, a.dom, cod2)
+            return SPi(s.hint, ds2, a.dom, cod2)
         case SConst() | SApp():
             _form_atom(sig, ctx, stack, s, a, log, typed)
             if log is not None:
@@ -605,18 +607,18 @@ def _elab_class(sig, ctx, stack, cls, kind, log, typed=False):
             return cls
         case CTop():
             return cls
-        case CInter(l, r):
+        case CInter():
             return CInter(
-                _elab_class(sig, ctx, stack, l, kind, log, typed),
-                _elab_class(sig, ctx, stack, r, kind, log, typed))
-        case CPi(h, ds, _, body):
+                _elab_class(sig, ctx, stack, cls.left, kind, log, typed),
+                _elab_class(sig, ctx, stack, cls.right, kind, log, typed))
+        case CPi():
             if not isinstance(kind, KPi):
                 raise SortError("annotation-mismatch", "function class cannot "
                                 "refine a non-function kind")
+            h, ds = cls.hint, cls.dom_sort
             ds2 = _elab_sort(sig, ctx, stack, ds, kind.dom, log, typed)
-            body2 = _elab_class(sig, ctx,
-                                stack + ((h, kind.dom, ds2),), body, kind.cod,
-                                log, typed)
+            body2 = _elab_class(sig, ctx, stack + ((h, kind.dom, ds2),),
+                                cls.cod, kind.cod, log, typed)
             return CPi(h, ds2, kind.dom, body2)
     raise TypeError(f"_elab_class: not a class: {cls!r}")
 
@@ -659,17 +661,17 @@ def check_signature(raw: Signature, strict: bool = False,
                       None if audit is None else [])
         try:
             match decl:
-                case TypeFam(n, k):
+                case TypeFam() | TermConst():
+                    n = decl.name
                     if checked.type_fam(n) or checked.term_const(n):
                         raise CheckError(f"{n} is declared twice", decl.span)
-                    lf_check_kind(checked, [], k)
+                    if isinstance(decl, TypeFam):
+                        lf_check_kind(checked, [], decl.kind)
+                    else:
+                        lf_check_type(checked, [], decl.type)
                     checked.append(decl)
-                case TermConst(n, a):
-                    if checked.type_fam(n) or checked.term_const(n):
-                        raise CheckError(f"{n} is declared twice", decl.span)
-                    lf_check_type(checked, [], a)
-                    checked.append(decl)
-                case SortFam(n, ref, cls):
+                case SortFam():
+                    n, ref = decl.name, decl.refines
                     if checked.sort_fam(n) is not None:
                         raise CheckError(f"{n} is declared twice", decl.span)
                     fam = checked.type_fam(ref)
@@ -678,10 +680,11 @@ def check_signature(raw: Signature, strict: bool = False,
                             f"sort {n} refines unknown type family {ref}",
                             decl.span)
                     # fam.kind was checked at fam's declaration.
-                    cls2 = _elab_class(checked, [], (), cls, fam.kind, log,
-                                       True)
+                    cls2 = _elab_class(checked, [], (), decl.cls, fam.kind,
+                                       log, True)
                     checked.append(SortFam(n, ref, cls2, decl.span))
-                case SubDecl(s1, s2):
+                case SubDecl():
+                    s1, s2 = decl.sub, decl.sup
                     f1 = checked.sort_fam(s1)
                     f2 = checked.sort_fam(s2)
                     if f1 is None or f2 is None:
@@ -698,7 +701,8 @@ def check_signature(raw: Signature, strict: bool = False,
                             f"subsorting between {s1} and {s2} needs matching "
                             f"classes", decl.span)
                     checked.append(decl)
-                case ConstRef(c, s):
+                case ConstRef():
+                    c = decl.const
                     const = checked.term_const(c)
                     if const is None:
                         raise CheckError(
@@ -708,8 +712,8 @@ def check_signature(raw: Signature, strict: bool = False,
                             f"{c} already has a refinement declaration",
                             decl.span)
                     # const.type was checked at const's declaration.
-                    s2 = _elab_sort(checked, [], (), s, const.type, log,
-                                    True)
+                    s2 = _elab_sort(checked, [], (), decl.sort, const.type,
+                                    log, True)
                     checked.append(ConstRef(c, s2, decl.span))
                 case _:
                     raise CheckError(f"unexpected declaration {decl!r}",

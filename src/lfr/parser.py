@@ -600,8 +600,8 @@ def _default_class(kind):
     match kind:
         case KType():
             return CSort()
-        case KPi(h, _, c):
-            return CPi(h, STop(), None, _default_class(c))
+        case KPi():
+            return CPi(kind.hint, STop(), None, _default_class(kind.cod))
     raise TypeError(f"_default_class: {kind!r}")
 
 

@@ -72,6 +72,8 @@ _EMPTY = (_NONE, 0)
 _NAMED = frozenset((L.IConst, L.IFVar, L.ITConst, FVar, Const, TConst, SConst))
 _INDEX = frozenset((L.IBVar, BVar))
 _CLOSED = frozenset((L.IUnit, L.ITUnitT, L.IKType, STop, KType, CSort, CTop))
+_APPS = frozenset((L.IApp, L.ITApp, L.ITIrrApp, App, TApp, SApp))
+_PIS = frozenset((L.ITPi, L.IKPi, L.IKIrrPi, TPi, KPi))
 
 
 def _scope(t, memo: dict) -> tuple[frozenset, int]:
@@ -87,27 +89,25 @@ def _scope(t, memo: dict) -> tuple[frozenset, int]:
     hit = memo.get(id(t))
     if hit is not None:
         return hit
-    match t:
-        case L.IFst(b) | L.ISnd(b):
-            out = _scope(b, memo)
-        case L.ILam(_, b) | Lam(_, b):
-            names, idx = _scope(b, memo)
-            out = names, idx >> 1
-        case (L.IApp(l, r) | L.ITApp(l, r) | L.ITIrrApp(l, r) | L.IPair(l, r)
-              | L.ITProd(l, r) | App(l, r) | TApp(l, r) | SApp(l, r)
-              | SInter(l, r) | CInter(l, r)):
-            out = _join(_scope(l, memo), _scope(r, memo))
-        case (L.ITPi(_, d, c) | L.IKPi(_, d, c) | L.IKIrrPi(_, d, c)
-              | TPi(_, d, c) | KPi(_, d, c)):
-            names, idx = _scope(c, memo)
-            out = _join(_scope(d, memo), (names, idx >> 1))
-        case SPi(_, ds, dt, c) | CPi(_, ds, dt, c):
-            names, idx = _scope(c, memo)
-            out = _join(_scope(ds, memo), (names, idx >> 1))
-            if dt is not None:
-                out = _join(out, _scope(dt, memo))
-        case _:
-            raise TypeError(f"printer: unexpected node {t!r}")
+    if cls in _APPS:
+        out = _join(_scope(t.fn, memo), _scope(t.arg, memo))
+    elif cls in _PIS:
+        names, idx = _scope(t.cod, memo)
+        out = _join(_scope(t.dom, memo), (names, idx >> 1))
+    elif cls is L.ILam or cls is Lam:
+        names, idx = _scope(t.body, memo)
+        out = names, idx >> 1
+    elif cls is L.IPair or cls is L.ITProd or cls is SInter or cls is CInter:
+        out = _join(_scope(t.left, memo), _scope(t.right, memo))
+    elif cls is L.IFst or cls is L.ISnd:
+        out = _scope(t.base, memo)
+    elif cls is SPi or cls is CPi:
+        names, idx = _scope(t.cod, memo)
+        out = _join(_scope(t.dom_sort, memo), (names, idx >> 1))
+        if t.dom_type is not None:
+            out = _join(out, _scope(t.dom_type, memo))
+    else:
+        raise TypeError(f"printer: unexpected node {t!r}")
     memo[id(t)] = out
     return out
 
@@ -132,10 +132,12 @@ def _binder_name(h: str, body, env: tuple, memo: dict) -> str:
     return fresh_name(h, names)
 
 
-def _pi(h: str, d, c, colon: str, arrow: str, dom, body, lvl: int, ext: bool,
+def _pi(t, d, colon: str, arrow: str, dom, body, lvl: int, ext: bool,
         env: tuple, memo: dict) -> str:
-    """A Pi of either language: `dom` prints its domain, `body` its
-    codomain; `{x colon D} C` when C mentions x, `D arrow C` when not."""
+    """The Pi t of either language, whose domain is d: `dom` prints d,
+    `body` the codomain C; `{x colon D} C` when C mentions x, `D arrow C`
+    when not."""
+    h, c = t.hint, t.cod
     if _scope(c, memo)[1] & 1:
         x = _binder_name(h, c, env, memo)
         s = (f"{{{x} {colon} {dom(d, 0, True, env, memo)}}} "
@@ -172,29 +174,29 @@ def pp_class(c) -> str:
 
 def _p_term(t, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match t:
-        case FVar(n) | Const(n):
-            return n
-        case BVar(i):
-            return env[-1 - i] if i < len(env) else f"?{i}"
-        case App(f, a):
-            s = f"{_p_term(f, 3, False, env, memo)} {_p_term(a, 4, False, env, memo)}"
+        case FVar() | Const():
+            return t.name
+        case BVar():
+            return env[-1 - t.index] if t.index < len(env) else f"?{t.index}"
+        case App():
+            s = f"{_p_term(t.fn, 3, False, env, memo)} {_p_term(t.arg, 4, False, env, memo)}"
             return _wrap(lvl >= 4, s)
-        case Lam(h, b):
-            x = _binder_name(h, b, env, memo)
-            s = f"[{x}] {_p_term(b, 0, True, env + (x,), memo)}"
+        case Lam():
+            x = _binder_name(t.hint, t.body, env, memo)
+            s = f"[{x}] {_p_term(t.body, 0, True, env + (x,), memo)}"
             return _wrap(not ext, s)
     raise TypeError(f"pp_term: {t!r}")
 
 
 def _p_type(a, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match a:
-        case TConst(n):
-            return n
-        case TApp(f, arg):
-            s = f"{_p_type(f, 3, False, env, memo)} {_p_term(arg, 4, False, env, memo)}"
+        case TConst():
+            return a.name
+        case TApp():
+            s = f"{_p_type(a.fn, 3, False, env, memo)} {_p_term(a.arg, 4, False, env, memo)}"
             return _wrap(lvl >= 4, s)
-        case TPi(h, d, c):
-            return _pi(h, d, c, ":", "->", _p_type, _p_type, lvl, ext, env, memo)
+        case TPi():
+            return _pi(a, a.dom, ":", "->", _p_type, _p_type, lvl, ext, env, memo)
     raise TypeError(f"pp_type: {a!r}")
 
 
@@ -202,25 +204,25 @@ def _p_kind(k, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match k:
         case KType():
             return "type"
-        case KPi(h, d, c):
-            return _pi(h, d, c, ":", "->", _p_type, _p_kind, lvl, ext, env, memo)
+        case KPi():
+            return _pi(k, k.dom, ":", "->", _p_type, _p_kind, lvl, ext, env, memo)
     raise TypeError(f"pp_kind: {k!r}")
 
 
 def _p_sort(s, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
     match s:
-        case SConst(n):
-            return n
+        case SConst():
+            return s.name
         case STop():
             return "#"
-        case SApp(f, arg):
-            out = f"{_p_sort(f, 3, False, env, memo)} {_p_term(arg, 4, False, env, memo)}"
+        case SApp():
+            out = f"{_p_sort(s.fn, 3, False, env, memo)} {_p_term(s.arg, 4, False, env, memo)}"
             return _wrap(lvl >= 4, out)
-        case SInter(l, r):
-            out = f"{_p_sort(l, 1, False, env, memo)} ^ {_p_sort(r, 0, ext, env, memo)}"
+        case SInter():
+            out = f"{_p_sort(s.left, 1, False, env, memo)} ^ {_p_sort(s.right, 0, ext, env, memo)}"
             return _wrap(lvl >= 1, out)
-        case SPi(h, d, _, c):
-            return _pi(h, d, c, "::", "->", _p_sort, _p_sort, lvl, ext, env, memo)
+        case SPi():
+            return _pi(s, s.dom_sort, "::", "->", _p_sort, _p_sort, lvl, ext, env, memo)
     raise TypeError(f"pp_sort: {s!r}")
 
 
@@ -230,26 +232,26 @@ def _p_class(c, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
             return "sort"
         case CTop():
             return "#"
-        case CInter(l, r):
-            out = f"{_p_class(l, 1, False, env, memo)} ^ {_p_class(r, 0, ext, env, memo)}"
+        case CInter():
+            out = f"{_p_class(c.left, 1, False, env, memo)} ^ {_p_class(c.right, 0, ext, env, memo)}"
             return _wrap(lvl >= 1, out)
-        case CPi(h, d, _, b):
-            return _pi(h, d, b, "::", "->", _p_sort, _p_class, lvl, ext, env, memo)
+        case CPi():
+            return _pi(c, c.dom_sort, "::", "->", _p_sort, _p_class, lvl, ext, env, memo)
     raise TypeError(f"pp_class: {c!r}")
 
 
 def pp_decl(d) -> str:
     match d:
-        case TypeFam(n, k):
-            return f"{n} : {pp_kind(k)}."
-        case TermConst(n, a):
-            return f"{n} : {pp_type(a)}."
-        case SortFam(n, ref, cls):
-            return f"{n} << {ref} :: {pp_class(cls)}."
-        case SubDecl(s1, s2):
-            return f"{s1} <: {s2}."
-        case ConstRef(c, s):
-            return f"{c} :: {pp_sort(s)}."
+        case TypeFam():
+            return f"{d.name} : {pp_kind(d.kind)}."
+        case TermConst():
+            return f"{d.name} : {pp_type(d.type)}."
+        case SortFam():
+            return f"{d.name} << {d.refines} :: {pp_class(d.cls)}."
+        case SubDecl():
+            return f"{d.sub} <: {d.sup}."
+        case ConstRef():
+            return f"{d.const} :: {pp_sort(d.sort)}."
     raise TypeError(f"pp_decl: {d!r}")
 
 
@@ -274,60 +276,58 @@ def pp_lfi_kind(k) -> str:
 
 
 def _pl_term(t, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
-    match t:
-        case L.IConst(n) | L.IFVar(n):
-            return n
-        case L.IBVar(i):
-            return env[-1 - i] if i < len(env) else f"?{i}"
-        case L.IApp(f, a):
-            s = f"{_pl_term(f, 3, False, env, memo)} {_pl_term(a, 4, False, env, memo)}"
-            return _wrap(lvl >= 4, s)
-        case L.IFst(b):
-            return f"{_pl_term(b, 4, False, env, memo)}.1"
-        case L.ISnd(b):
-            return f"{_pl_term(b, 4, False, env, memo)}.2"
-        case L.ILam(h, b):
-            x = _binder_name(h, b, env, memo)
-            s = f"[{x}] {_pl_term(b, 0, True, env + (x,), memo)}"
-            return _wrap(not ext, s)
-        case L.IPair(l, r):
-            left = _pl_term(l, 0, True, env, memo)
-            # A space keeps `<` and a left side `<...` from lexing as `<<`.
-            sep = " " if left.startswith("<") else ""
-            return f"<{sep}{left}, {_pl_term(r, 0, True, env, memo)}>"
-        case L.IUnit():
-            return "<>"
+    cls = t.__class__
+    if cls is L.IApp:
+        s = f"{_pl_term(t.fn, 3, False, env, memo)} {_pl_term(t.arg, 4, False, env, memo)}"
+        return _wrap(lvl >= 4, s)
+    if cls is L.IBVar:
+        return env[-1 - t.index] if t.index < len(env) else f"?{t.index}"
+    if cls is L.IConst or cls is L.IFVar:
+        return t.name
+    if cls is L.ILam:
+        x = _binder_name(t.hint, t.body, env, memo)
+        s = f"[{x}] {_pl_term(t.body, 0, True, env + (x,), memo)}"
+        return _wrap(not ext, s)
+    if cls is L.IFst or cls is L.ISnd:
+        which = 1 if cls is L.IFst else 2
+        return f"{_pl_term(t.base, 4, False, env, memo)}.{which}"
+    if cls is L.IPair:
+        left = _pl_term(t.left, 0, True, env, memo)
+        # A space keeps `<` and a left side `<...` from lexing as `<<`.
+        sep = " " if left.startswith("<") else ""
+        return f"<{sep}{left}, {_pl_term(t.right, 0, True, env, memo)}>"
+    if cls is L.IUnit:
+        return "<>"
     raise TypeError(f"pp_lfi_term: {t!r}")
 
 
 def _pl_type(a, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
-    match a:
-        case L.ITConst(n):
-            return n
-        case L.ITApp(f, arg):
-            s = f"{_pl_type(f, 3, False, env, memo)} {_pl_term(arg, 4, False, env, memo)}"
-            return _wrap(lvl >= 4, s)
-        case L.ITIrrApp(f, arg):
-            s = f"{_pl_type(f, 3, False, env, memo)} [[ {_pl_term(arg, 0, True, env, memo)} ]]"
-            return _wrap(lvl >= 4, s)
-        case L.ITPi(h, d, c):
-            return _pi(h, d, c, ":", "->", _pl_type, _pl_type, lvl, ext, env, memo)
-        case L.ITProd(l, r):
-            s = f"({_pl_type(l, 0, True, env, memo)}) * ({_pl_type(r, 0, True, env, memo)})"
-            return _wrap(lvl >= 3, s)
-        case L.ITUnitT():
-            return "1"
+    cls = a.__class__
+    if cls is L.ITApp:
+        s = f"{_pl_type(a.fn, 3, False, env, memo)} {_pl_term(a.arg, 4, False, env, memo)}"
+        return _wrap(lvl >= 4, s)
+    if cls is L.ITPi:
+        return _pi(a, a.dom, ":", "->", _pl_type, _pl_type, lvl, ext, env, memo)
+    if cls is L.ITConst:
+        return a.name
+    if cls is L.ITIrrApp:
+        s = f"{_pl_type(a.fn, 3, False, env, memo)} [[ {_pl_term(a.arg, 0, True, env, memo)} ]]"
+        return _wrap(lvl >= 4, s)
+    if cls is L.ITProd:
+        s = f"({_pl_type(a.left, 0, True, env, memo)}) * ({_pl_type(a.right, 0, True, env, memo)})"
+        return _wrap(lvl >= 3, s)
+    if cls is L.ITUnitT:
+        return "1"
     raise TypeError(f"pp_lfi_type: {a!r}")
 
 
 def _pl_kind(k, lvl: int, ext: bool, env: tuple, memo: dict) -> str:
-    match k:
-        case L.IKType():
-            return "type"
-        case L.IKPi(h, d, c):
-            return _pi(h, d, c, ":", "->", _pl_type, _pl_kind, lvl, ext, env, memo)
-        case L.IKIrrPi(h, d, c):
-            return _pi(h, d, c, "::", "-:>", _pl_type, _pl_kind, lvl, ext, env, memo)
+    cls = k.__class__
+    if cls is L.IKType:
+        return "type"
+    if cls is L.IKPi or cls is L.IKIrrPi:
+        colon, arrow = (":", "->") if cls is L.IKPi else ("::", "-:>")
+        return _pi(k, k.dom, colon, arrow, _pl_type, _pl_kind, lvl, ext, env, memo)
     raise TypeError(f"pp_lfi_kind: {k!r}")
 
 

@@ -70,19 +70,19 @@ def algo_subsort(sig: Signature, d: list, s) -> bool:
     match s:
         case STop():
             return True
-        case SInter(l, r):
-            return algo_subsort(sig, d, l) and algo_subsort(sig, d, r)
-        case SPi(_, s1, a1, t):
-            if a1 is None:
+        case SInter():
+            return algo_subsort(sig, d, s.left) and algo_subsort(sig, d, s.right)
+        case SPi():
+            if s.dom_type is None:
                 raise TypeError("algo_subsort: sort was not elaborated")
             # Push a variable known to refine s1 through the function
             # components: the codomains of those that take it are read,
             # as t is, under one binder for it.
-            d1 = split(s1)
+            d1 = split(s.dom_sort)
             d2 = [q for f in d if isinstance(f, SPi)
                   and algo_subsort(sig, d1, f.dom_sort)
                   for q in split(f.cod)]
-            return algo_subsort(sig, d2, t)
+            return algo_subsort(sig, d2, s.cod)
         case _:
             if not is_atomic_sort(s):
                 raise TypeError(f"algo_subsort: not a sort: {s!r}")
@@ -175,14 +175,14 @@ def _dist_inter_pi_merge(s, t) -> bool:
 
 def _assoc(s, t) -> bool:
     """Intersection is associative, both rotations."""
-    match s, t:
-        case (SInter(SInter(a, b), c), SInter(a2, SInter(b2, c2))):
-            if alpha_eq(a, a2) and alpha_eq(b, b2) and alpha_eq(c, c2):
-                return True
-    match s, t:
-        case (SInter(a, SInter(b, c)), SInter(SInter(a2, b2), c2)):
-            if alpha_eq(a, a2) and alpha_eq(b, b2) and alpha_eq(c, c2):
-                return True
+    for x, y in ((s, t), (t, s)):
+        # x is (a ^ b) ^ c and y is a ^ (b ^ c).
+        if (isinstance(x, SInter) and isinstance(x.left, SInter)
+                and isinstance(y, SInter) and isinstance(y.right, SInter)
+                and alpha_eq(x.left.left, y.left)
+                and alpha_eq(x.left.right, y.right.left)
+                and alpha_eq(x.right, y.right.right)):
+            return True
     return False
 
 
@@ -204,8 +204,8 @@ def _closed_subsorts(s, out: list) -> None:
     under a binder and are skipped."""
     out.append(s)
     match s:
-        case SInter(l, r):
-            _closed_subsorts(l, out)
-            _closed_subsorts(r, out)
-        case SPi(_, d, _, _):
-            _closed_subsorts(d, out)
+        case SInter():
+            _closed_subsorts(s.left, out)
+            _closed_subsorts(s.right, out)
+        case SPi():
+            _closed_subsorts(s.dom_sort, out)

@@ -35,17 +35,17 @@ from .syntax import (
 
 def erase_type(a: Union[NormalType, SimpleType]) -> SimpleType:
     """Forget dependency: (P N..)- is the head family, Pi erases to an arrow."""
-    match a:
-        case Base() | Arrow():
-            return a
-        case TConst(n):
-            return Base(n)
-        case TApp(f, _):
-            return erase_type(f)
-        case TPi(_, d, c):
-            # Erasure never inspects terms, so the bound codomain can be
-            # erased without opening it.
-            return Arrow(erase_type(d), erase_type(c))
+    cls = a.__class__
+    if cls is TConst:
+        return Base(a.name)
+    if cls is TApp:
+        return erase_type(a.fn)
+    if cls is TPi:
+        # Erasure never inspects terms, so the bound codomain can be
+        # erased without opening it.
+        return Arrow(erase_type(a.dom), erase_type(a.cod))
+    if cls is Base or cls is Arrow:
+        return a
     raise TypeError(f"erase_type: not a type: {a!r}")
 
 
@@ -127,29 +127,28 @@ def _hit(r, sub: Sub, x0: Var, k: int):
 def _subst_n(sub: Sub, x0: Var, n: NormalTerm, k: int, fuel: _Fuel,
              path: Path) -> NormalTerm:
     fuel.tick(path)
-    match n:
-        case Lam(h, b):
-            return Lam(h, _subst_n(sub, x0, b, k + 1, fuel, path + ("body",)))
-        case _:
-            if _hit(head(n), sub, x0, k) is not None:
-                term, ty = _subst_rn(sub, x0, n, k, fuel, path)
-                if is_atomic_term(term) and isinstance(ty, Base):
-                    return term
-                raise SubstFailure("head-type mismatch", path)
-            return _subst_rr(sub, x0, n, k, fuel, path)
+    if n.__class__ is Lam:
+        return Lam(n.hint, _subst_n(sub, x0, n.body, k + 1, fuel, path + ("body",)))
+    if _hit(head(n), sub, x0, k) is not None:
+        term, ty = _subst_rn(sub, x0, n, k, fuel, path)
+        if is_atomic_term(term) and isinstance(ty, Base):
+            return term
+        raise SubstFailure("head-type mismatch", path)
+    return _subst_rr(sub, x0, n, k, fuel, path)
 
 
 def _subst_rr(sub: Sub, x0: Var, r: AtomicTerm, k: int, fuel: _Fuel,
               path: Path) -> AtomicTerm:
     fuel.tick(path)
-    match r:
-        case BVar(i) if not isinstance(x0, str) and i >= x0 + k + len(sub):
-            return BVar(i - len(sub))
-        case Const() | FVar() | BVar():
-            return r
-        case App(f, a):
-            return App(_subst_rr(sub, x0, f, k, fuel, path + ("fn",)),
-                       _subst_n(sub, x0, a, k, fuel, path + ("arg",)))
+    cls = r.__class__
+    if cls is App:
+        return App(_subst_rr(sub, x0, r.fn, k, fuel, path + ("fn",)),
+                   _subst_n(sub, x0, r.arg, k, fuel, path + ("arg",)))
+    if (cls is BVar and not isinstance(x0, str)
+            and r.index >= x0 + k + len(sub)):
+        return BVar(r.index - len(sub))
+    if cls is BVar or cls is Const or cls is FVar:
+        return r
     raise TypeError(f"hsubst_rr: not atomic: {r!r}")
 
 
@@ -159,24 +158,22 @@ def _subst_rn(sub: Sub, x0: Var, r: AtomicTerm, k: int, fuel: _Fuel,
     hit = _hit(r, sub, x0, k)
     if hit is not None:
         return shift(hit[0], k), hit[1]
-    match r:
-        case App(f, a):
-            fn, fty = _subst_rn(sub, x0, f, k, fuel, path + ("fn",))
-            arg = _subst_n(sub, x0, a, k, fuel, path + ("arg",))
-            if not isinstance(fn, Lam):
-                raise SubstFailure("non-function applied", path)
-            if not isinstance(fty, Arrow):
-                raise SubstFailure("head-type mismatch", path)
-            # The beta step: the lambda's index 0 is a block of one.
-            res = _subst_n(((arg, fty.dom),), 0, fn.body, 0, fuel,
-                           path + ("beta",))
-            # The returned type is always a subterm of the replaced
-            # variable's type; this is the decreasing measure of the beta
-            # case.
-            if not _simple_subterm(fty.cod, _hit(head(r), sub, x0, k)[1]):
-                raise TypeError("hereditary substitution: result type is not "
-                                "a subterm of the index type")
-            return res, fty.cod
+    if r.__class__ is App:
+        fn, fty = _subst_rn(sub, x0, r.fn, k, fuel, path + ("fn",))
+        arg = _subst_n(sub, x0, r.arg, k, fuel, path + ("arg",))
+        if not isinstance(fn, Lam):
+            raise SubstFailure("non-function applied", path)
+        if not isinstance(fty, Arrow):
+            raise SubstFailure("head-type mismatch", path)
+        # The beta step: the lambda's index 0 is a block of one.
+        res = _subst_n(((arg, fty.dom),), 0, fn.body, 0, fuel,
+                       path + ("beta",))
+        # The returned type is always a subterm of the replaced variable's
+        # type; this is the decreasing measure of the beta case.
+        if not _simple_subterm(fty.cod, _hit(head(r), sub, x0, k)[1]):
+            raise TypeError("hereditary substitution: result type is not "
+                            "a subterm of the index type")
+        return res, fty.cod
     raise SubstFailure("head-type mismatch", path)
 
 
@@ -217,19 +214,20 @@ def _subst_syn(sub: Sub, x0: Var, t: Syntax, k: int, fuel: _Fuel, path: Path):
         """u, a child of t at step, under `binders` more binders."""
         return _subst_syn(sub, x0, u, k + binders, fuel, path + (step,))
 
-    match t:
-        case BVar() | FVar() | Const() | App() | Lam():
-            return _subst_n(sub, x0, t, k, fuel, path)
-        case TConst() | SConst() | STop() | KType() | CSort() | CTop():
-            return t
-        case TApp(f, a) | SApp(f, a):
-            return type(t)(sub_at(f, "fn"), sub_at(a, "arg"))
-        case TPi(h, d, c) | KPi(h, d, c):
-            return type(t)(h, sub_at(d, "dom"), sub_at(c, "cod", 1))
-        case SPi(h, ds, dt, c) | CPi(h, ds, dt, c):
-            return type(t)(h, sub_at(ds, "dom"),
-                           None if dt is None else sub_at(dt, "domtype"),
-                           sub_at(c, "cod", 1))
-        case SInter(l, r) | CInter(l, r):
-            return type(t)(sub_at(l, "left"), sub_at(r, "right"))
+    cls = t.__class__
+    if cls is TApp or cls is SApp:
+        return cls(sub_at(t.fn, "fn"), sub_at(t.arg, "arg"))
+    if cls is TPi or cls is KPi:
+        return cls(t.hint, sub_at(t.dom, "dom"), sub_at(t.cod, "cod", 1))
+    if is_atomic_term(t) or cls is Lam:
+        return _subst_n(sub, x0, t, k, fuel, path)
+    if cls in _CLOSED_LEAVES:
+        return t
+    if cls is SPi or cls is CPi:
+        dt = t.dom_type
+        return cls(t.hint, sub_at(t.dom_sort, "dom"),
+                   None if dt is None else sub_at(dt, "domtype"),
+                   sub_at(t.cod, "cod", 1))
+    if cls is SInter or cls is CInter:
+        return cls(sub_at(t.left, "left"), sub_at(t.right, "right"))
     raise TypeError(f"hsubst_syntax: unexpected node {t!r}")

@@ -234,16 +234,16 @@ class Signature:
     def append(self, decl: Declaration) -> None:
         self.decls.append(decl)
         match decl:
-            case TypeFam(name=n):
-                self._type_fams.setdefault(n, decl)
-            case TermConst(name=n):
-                self._term_consts.setdefault(n, decl)
-            case SortFam(name=n):
-                self._sort_fams.setdefault(n, decl)
-            case ConstRef(const=c):
-                self.const_refs.setdefault(c, []).append(decl)
-            case SubDecl(sub=a, sup=b):
-                self.sub_edges.setdefault(a, []).append(b)
+            case TypeFam():
+                self._type_fams.setdefault(decl.name, decl)
+            case TermConst():
+                self._term_consts.setdefault(decl.name, decl)
+            case SortFam():
+                self._sort_fams.setdefault(decl.name, decl)
+            case ConstRef():
+                self.const_refs.setdefault(decl.const, []).append(decl)
+            case SubDecl():
+                self.sub_edges.setdefault(decl.sub, []).append(decl.sup)
                 self.subsorts.clear()
 
     def __iter__(self) -> Iterator[Declaration]:
@@ -272,14 +272,8 @@ class Signature:
         return sort
 
     def names(self) -> set[str]:
-        out: set[str] = set()
-        for d in self.decls:
-            match d:
-                case TypeFam(name=n) | TermConst(name=n) | SortFam(name=n):
-                    out.add(n)
-                case _:
-                    pass
-        return out
+        return {d.name for d in self.decls
+                if isinstance(d, (TypeFam, TermConst, SortFam))}
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +310,9 @@ def erase_sig(sig: Signature) -> Signature:
 # Binding operations
 
 
+_LEAVES = frozenset((Const, TConst, SConst, STop, KType, CSort, CTop))
+
+
 def map_vars(t: Syntax, f, k: int = 0) -> Syntax:
     """t rebuilt with f(v, depth) in place of each variable v, a BVar or
     an FVar, where depth is k plus the binders passed to reach v.
@@ -323,21 +320,24 @@ def map_vars(t: Syntax, f, k: int = 0) -> Syntax:
     This is the one walk that rebuilds source syntax around its variables:
     shifting, naming and free_vars are leaf functions over it.
     """
-    match t:
-        case BVar() | FVar():
-            return f(t, k)
-        case Const() | TConst() | SConst() | STop() | KType() | CSort() | CTop():
-            return t
-        case App(l, r) | TApp(l, r) | SApp(l, r) | SInter(l, r) | CInter(l, r):
-            return type(t)(map_vars(l, f, k), map_vars(r, f, k))
-        case Lam(h, b):
-            return Lam(h, map_vars(b, f, k + 1))
-        case TPi(h, d, c) | KPi(h, d, c):
-            return type(t)(h, map_vars(d, f, k), map_vars(c, f, k + 1))
-        case SPi(h, ds, dt, c) | CPi(h, ds, dt, c):
-            return type(t)(h, map_vars(ds, f, k),
-                           None if dt is None else map_vars(dt, f, k),
-                           map_vars(c, f, k + 1))
+    cls = t.__class__
+    if cls is BVar or cls is FVar:
+        return f(t, k)
+    if cls is App or cls is TApp or cls is SApp:
+        return cls(map_vars(t.fn, f, k), map_vars(t.arg, f, k))
+    if cls is Lam:
+        return Lam(t.hint, map_vars(t.body, f, k + 1))
+    if cls is TPi or cls is KPi:
+        return cls(t.hint, map_vars(t.dom, f, k), map_vars(t.cod, f, k + 1))
+    if cls in _LEAVES:
+        return t
+    if cls is SPi or cls is CPi:
+        dt = t.dom_type
+        return cls(t.hint, map_vars(t.dom_sort, f, k),
+                   None if dt is None else map_vars(dt, f, k),
+                   map_vars(t.cod, f, k + 1))
+    if cls is SInter or cls is CInter:
+        return cls(map_vars(t.left, f, k), map_vars(t.right, f, k))
     raise TypeError(f"map_vars: unexpected node {t!r}")
 
 

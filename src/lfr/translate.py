@@ -204,31 +204,31 @@ def _inj_arg(t, memo: dict, at: At = _root(), k: int = 0):
     key = (id(t), k, depth)
     if key in memo:
         return memo[key][1]
-    match t:
-        case Const(n):
-            out = IConst(n)
-        case FVar(n):
-            out = IFVar(n)
-        case BVar(i) if i < k:
-            out = IBVar(i)
-        case BVar(i) if i - k < len(levels):
-            out = IBVar(k + depth - 1 - levels[k - 1 - i][0])
-        case BVar(i):
-            out = IBVar(i + depth - len(levels))
-        case App(f, a) | TApp(f, a):
-            out = (IApp if isinstance(t, App) else ITApp)(
-                _inj_arg(f, memo, at, k), _inj_arg(a, memo, at, k))
-        case Lam(h, b):
-            out = ILam(h, _inj_arg(b, memo, at, k + 1))
-        case TConst(n):
-            out = ITConst(n)
-        case KType():
-            out = IKType()
-        case TPi(h, d, c) | KPi(h, d, c):
-            out = (ITPi if isinstance(t, TPi) else IKPi)(
-                h, _inj_arg(d, memo, at, k), _inj_arg(c, memo, at, k + 1))
-        case _:
-            raise TypeError(f"inj_term: {t!r}")
+    cls = t.__class__
+    if cls is App or cls is TApp:
+        out = (IApp if cls is App else ITApp)(
+            _inj_arg(t.fn, memo, at, k), _inj_arg(t.arg, memo, at, k))
+    elif cls is BVar:
+        i = t.index
+        if i >= k:
+            i = (k + depth - 1 - levels[k - 1 - i][0] if i - k < len(levels)
+                 else i + depth - len(levels))
+        out = IBVar(i)
+    elif cls is Const:
+        out = IConst(t.name)
+    elif cls is FVar:
+        out = IFVar(t.name)
+    elif cls is Lam:
+        out = ILam(t.hint, _inj_arg(t.body, memo, at, k + 1))
+    elif cls is TConst:
+        out = ITConst(t.name)
+    elif cls is TPi or cls is KPi:
+        out = (ITPi if cls is TPi else IKPi)(
+            t.hint, _inj_arg(t.dom, memo, at, k), _inj_arg(t.cod, memo, at, k + 1))
+    elif cls is KType:
+        out = IKType()
+    else:
+        raise TypeError(f"inj_term: {t!r}")
     memo[key] = (t, out)
     return out
 
@@ -338,17 +338,17 @@ def _sort_body(sig, s, a, mangler, at: At, n, p: int = 0):
     match s:
         case STop():
             return ITUnitT()
-        case SInter(l, r):
-            return ITProd(_sort_body(sig, l, a, mangler, at, n, p),
-                          _sort_body(sig, r, a, mangler, at, n, p))
-        case SPi(h, ds, _, cod):
-            x, dom, dom_pred, at = _binder(sig, h, ds, a.dom, mangler, at)
+        case SInter():
+            return ITProd(_sort_body(sig, s.left, a, mangler, at, n, p),
+                          _sort_body(sig, s.right, a, mangler, at, n, p))
+        case SPi():
+            x, dom, dom_pred, at = _binder(sig, s, a.dom, mangler, at)
             if not isinstance(n, ILam):
                 raise VerifyError("reverse application of a non-function term")
             # The subject applied to x: the lambda's variable becomes x when
             # the subject is placed.
             return ITPi(x, dom, ITPi(x + "^", dom_pred, _sort_body(
-                sig, cod, a.cod, mangler, at, n.body, p + 1)))
+                sig, s.cod, a.cod, mangler, at, n.body, p + 1)))
         case SConst() | SApp():
             head, args = sort_spine(s)
             injected: dict = {}
@@ -367,13 +367,13 @@ def _sort_body(sig, s, a, mangler, at: At, n, p: int = 0):
 meta_apply = _sort_body  # (bound for bench/tracer.py; nothing calls it)
 
 
-def _binder(sig, h, ds, a, mangler, at: At):
-    """For the binder of a function sort or class over ds at type a, read
-    at `at`: the name x it is shown as, the types of x and of x^, and the
-    place the body under them is read at.  x^'s type, ds's predicate of x,
-    sits under x alone."""
+def _binder(sig, pi, a, mangler, at: At):
+    """For the binder of pi, a function sort or class whose domain sort ds
+    refines the type a, read at `at`: the name x it is shown as, the types
+    of x and of x^, and the place the body under them is read at.  x^'s
+    type, ds's predicate of x, sits under x alone."""
     levels, depth, shown = at
-    x = pool_name(h, shown)
+    ds, x = pi.dom_sort, pool_name(pi.hint, shown)
     dom_pred = _sort_body(sig, ds, a, mangler, (levels, depth + 1, shown | {x}),
                           _eta(a, IBVar(0), {x}))
     return x, _inj_arg(a, {}, at), dom_pred, _bind(at, x, a)
@@ -405,13 +405,13 @@ def _class_form_body(sig, cls, mangler, pf, at: At):
             return _applied(pf, at)
         case CTop():
             return ITUnitT()
-        case CInter(l, r):
+        case CInter():
             return ITProd(*(_class_form_body(sig, side, mangler, pf, at)
-                            for side in (l, r)))
-        case CPi(h, ds, dt, body):
-            x, dom, dom_pred, at = _binder(sig, h, ds, dt, mangler, at)
+                            for side in (cls.left, cls.right)))
+        case CPi():
+            x, dom, dom_pred, at = _binder(sig, cls, cls.dom_type, mangler, at)
             return ITPi(x, dom, ITPi(x + "^", dom_pred, _class_form_body(
-                sig, body, mangler, pf, at)))
+                sig, cls.cod, mangler, pf, at)))
     raise TypeError(f"trans_class_form: not a class: {cls!r}")
 
 
@@ -463,7 +463,7 @@ def _proof(sig, mangler, d, at: At, injected: dict):
             return out
         case ("intro", s):
             return IConst(mangler.sort_intro(s))
-        case ("var", int(i)):
+        case ("var", int() as i):
             return IBVar(depth - 2 - levels[-1 - i][0])
         case ("var", x):
             return IFVar(x + "^")
@@ -568,20 +568,22 @@ def trans_sig(sig: Signature) -> TransResult:
 
     for decl in sig:
         match decl:
-            case TypeFam(a, k):
-                emit(a, inj_kind(k), f"{a} : _.")
-            case TermConst(c, ty):
-                emit(c, inj_type(ty), f"{c} : _.")
-            case SortFam(s, ref, cls):
+            case TypeFam():
+                emit(decl.name, inj_kind(decl.kind), f"{decl.name} : _.")
+            case TermConst():
+                emit(decl.name, inj_type(decl.type), f"{decl.name} : _.")
+            case SortFam():
+                s, ref = decl.name, decl.refines
                 fam = sig.type_fam(ref)
                 label = f"{s} << {ref}."
                 pf = mangler.sort_proof_fam(s)
                 emit(pf, inj_kind(fam.kind), label)
                 emit(mangler.sort_intro(s), _class_form_body(
-                    sig, cls, mangler, ITConst(pf), _root()), label)
+                    sig, decl.cls, mangler, ITConst(pf), _root()), label)
                 emit(mangler.predicate(s), trans_kind_pred(
                     fam.kind, ITConst(pf), ITConst(ref)), label)
-            case SubDecl(s1, s2):
+            case SubDecl():
+                s1, s2 = decl.sub, decl.sup
                 f1 = sig.sort_fam(s1)
                 kind = sig.type_fam(f1.refines).kind
                 ty = trans_kind_sub(kind, *(ITConst(n) for n in (
@@ -589,7 +591,8 @@ def trans_sig(sig: Signature) -> TransResult:
                     mangler.predicate(s1), mangler.sort_proof_fam(s2),
                     mangler.predicate(s2))))
                 emit(mangler.coercion(s1, s2), ty, f"{s1} <: {s2}.")
-            case ConstRef(c, _):
+            case ConstRef():
+                c = decl.const
                 if c in goals:
                     continue
                 const = sig.term_const(c)

@@ -1816,14 +1816,12 @@ def rebuilding_map_vars(t, f, k: int = 0):
 # parenthesis, decides kind versus type on that tree, and then elaborates
 # it.  The package's parser must give the same
 # declarations with the same spans, or raise the same error with the same
-# message and span.  The scanner is the package's own regular expression;
-# the line and column bookkeeping is this copy's.
+# message and span.  The tokens are ReferenceLexer's, above.
 
 from dataclasses import field as _field  # noqa: E402
 from typing import NamedTuple, Optional  # noqa: E402
 
 from lfr.diagnostics import ParseError  # noqa: E402
-from lfr.parser import _SCANNERS  # noqa: E402
 from lfr.syntax import (  # noqa: E402
     App,
     BVar,
@@ -1860,37 +1858,10 @@ class Token(NamedTuple):
 
 
 def _reference_tokenize(text: str, filename: str, target_mode: bool) -> list[Token]:
-    """The tokens of text, ending with one EOF token."""
-    out: list[Token] = []
-    line, line_start, pos = 1, 0, 0
-    # The matches are contiguous up to the first one that has no token,
-    # which is the end of the input or a lexing error; scanning one match
-    # at a time stops there and holds no list of them all.
-    for m in _SCANNERS[target_mode].finditer(text):
-        skip, ident, sym, num = m.groups()
-        if skip:
-            newlines = skip.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + skip.rindex("\n") + 1
-            pos += len(skip)
-        col = pos - line_start + 1
-        if sym:
-            kind, tok = "SYM", sym
-        elif ident:
-            kind, tok = "IDENT", ident
-        elif num:
-            kind, tok = "NUM", num
-        else:
-            span = SourceSpan(filename, line, col, line, col)
-            if pos < len(text):
-                raise LexError(f"unexpected character {text[pos]!r}", span)
-            out.append(Token("EOF", "", span))
-            break
-        out.append(Token(kind, tok, SourceSpan(filename, line, col, line,
-                                               col + len(tok))))
-        pos += len(tok)
-    return out
+    """The tokens of text, ending with one EOF token, as ReferenceLexer
+    reads them: it shares no code with the package's scanner, so a change
+    to the scanner that alters a token shows here."""
+    return [Token(*t) for t in reference_tokens(text, filename, target_mode)]
 
 
 def _numeral(t: Token) -> int:

@@ -62,6 +62,17 @@ def test_no_global_statement():
     assert found == []
 
 
+def test_class_patterns_take_no_sub_patterns():
+    # A class pattern with sub-patterns, `case ITPi(h, d, c)`, makes
+    # MATCH_CLASS look up __match_args__ and each field on every match; a
+    # node is matched on its class alone and its fields are read by name.
+    found = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.MatchClass)
+             and (node.patterns or node.kwd_patterns)]
+    assert found == []
+
+
 # Imported names that no code of their module reads: bench/tracer.py
 # wraps each where it is bound, to time the calls through it.
 TRACER_BINDINGS = {

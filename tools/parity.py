@@ -13,7 +13,10 @@ inputs at the same relative paths:
   `tests/golden/*.lfr` (the `bad-*` files too) and on the benchmark's
   Wide, Deep and binders texts (bench/workloads.py) at seeds 1-3;
 - `check --trace --oracle-depth 2` on the goldens and on the Deep texts
-  of depth at most 12 only: the trace and the audit grow as 2^d.
+  of depth at most 12 only: the trace and the audit grow as 2^d;
+- `check` and `verify` with `LFR_FUEL` at 5 and at 20 on the goldens and
+  the Deep texts, budgets low enough that some runs exhaust them, so
+  that the path each `search budget exhausted` message names is compared.
 
 For each run it compares the exit code, standard output with the
 elapsed time masked, standard error, and after a `translate` the bytes
@@ -40,6 +43,8 @@ TRACE_DEPTH = 12
 COMMANDS = (["check"], ["translate"], ["translate", "--no-verify"],
             ["verify"])
 TRACED = ["check", "--trace", "--oracle-depth", "2"]
+FUELS = (5, 20)
+BUDGETED = (["check"], ["verify"])
 ELAPSED = re.compile(r" in \d+\.\d+s$", re.M)
 
 
@@ -53,20 +58,21 @@ def _workloads():
     return module
 
 
-def inputs() -> list[tuple[str, str, bool]]:
-    """(file name, text, traced) of every input, traced when the trace
-    and audit run on it too."""
-    out = [(p.name, p.read_text(encoding="utf-8"), True)
+def inputs() -> list[tuple[str, str, bool, bool]]:
+    """(file name, text, traced, budgeted) of every input, traced when the
+    trace and audit run on it too, budgeted when the low budgets do."""
+    out = [(p.name, p.read_text(encoding="utf-8"), True, True)
            for p in sorted(GOLDEN.glob("*.lfr"))]
     w = _workloads()
     cbv = (GOLDEN / "cbv.lfr").read_text(encoding="utf-8")
     for seed in SEEDS:
-        out.append((f"wide-{seed}.lfr", w.wide_text(w.WIDE_N, seed), False))
+        out.append((f"wide-{seed}.lfr", w.wide_text(w.WIDE_N, seed), False,
+                    False))
         for depth in (w.DEEP_ACCEPTED, w.DEEP_REJECTED):
             out.append((f"deep-{depth}-{seed}.lfr", w.deep_text(depth, seed),
-                        depth <= TRACE_DEPTH))
+                        depth <= TRACE_DEPTH, True))
         out.append((f"binders-{seed}.lfr",
-                    w.binders_text(cbv, w.BINDERS_M, seed), False))
+                    w.binders_text(cbv, w.BINDERS_M, seed), False, False))
     return out
 
 
@@ -92,18 +98,21 @@ class Tree:
         self.env = dict(os.environ, PYTHONPATH=str(src))
         self.work = work
         work.mkdir()
-        for name, text, _ in texts:
+        for name, text, *_ in texts:
             (work / name).write_text(text, encoding="utf-8")
 
-    def run(self, argv: list[str], name: str) -> dict[str, object]:
-        """What one call printed and wrote."""
+    def run(self, argv: list[str], name: str,
+            fuel: int | None = None) -> dict[str, object]:
+        """What one call printed and wrote, with LFR_FUEL set to fuel
+        unless it is None."""
         written = [self.work / Path(name).with_suffix(".lfi")]
         written.append(Path(f"{written[0]}.prov"))
         for path in written:
             path.unlink(missing_ok=True)
+        env = self.env if fuel is None else dict(self.env, LFR_FUEL=str(fuel))
         proc = subprocess.run(
             [sys.executable, "-m", "lfr.cli", *argv, name], cwd=self.work,
-            env=self.env, capture_output=True)
+            env=env, capture_output=True)
         out = {"exit code": proc.returncode,
                "stdout": ELAPSED.sub(" in <elapsed>s",
                                      proc.stdout.decode(errors="replace")),
@@ -131,16 +140,22 @@ def main(argv=None) -> int:
         theirs = Tree(base / "src", Path(tmp) / "rev-work", texts)
         ours = Tree(ROOT / "src", Path(tmp) / "work", texts)
         runs = differences = 0
-        for name, _, traced in texts:
-            for command in [*COMMANDS, *([TRACED] if traced else [])]:
+        for name, _, traced, budgeted in texts:
+            runs_on = [(None, c) for c in COMMANDS]
+            if traced:
+                runs_on.append((None, TRACED))
+            if budgeted:
+                runs_on += [(f, c) for f in FUELS for c in BUDGETED]
+            for fuel, command in runs_on:
                 runs += 1
-                old = theirs.run(command, name)
-                new = ours.run(command, name)
+                old = theirs.run(command, name, fuel)
+                new = ours.run(command, name, fuel)
+                budget = "" if fuel is None else f"LFR_FUEL={fuel} "
                 for what in old:
                     if old[what] != new[what]:
                         differences += 1
-                        print(f"{name}: lfr {' '.join(command)}: {what} "
-                              f"differs")
+                        print(f"{name}: {budget}lfr {' '.join(command)}: "
+                              f"{what} differs")
     print(f"{runs} runs on {len(texts)} inputs, {differences} differences "
           f"from {args.rev}")
     return 1 if differences else 0
