@@ -10,9 +10,12 @@ looser than arrows, `*` sits between arrows and declared infix
 operators, and application binds tightest except for the postfix
 projections `.1` and `.2`.
 
-A token is a (kind, text, offset) triple.  A table of line starts turns
-an offset into a SourceSpan where one is needed: in an error, and once
-per declaration.
+The scanner fills two flat lists, the tokens' texts and their offsets,
+so that no tuple is built per token.  A token's kind is its first
+character's: a letter starts an identifier, a digit a number, and any
+other character a symbol; the empty text is the end of the input.  A
+table of line starts turns an offset into a SourceSpan where one is
+needed: in an error, and once per declaration.
 
 A declaration's expression is read into a raw tree, whose leaves keep
 the index of their token, and elaborated once it has parsed, so that a
@@ -73,22 +76,20 @@ _NAME_CHARS = "A-Za-z0-9_'/*"
 
 
 def _scanner(target_mode: bool) -> re.Pattern:
-    """Whitespace and `%` comments, then one token, as four groups: the
-    skipped text and an IDENT, SYM or NUM token.  The last alternative
-    matches the empty string where no token starts: at the end of the
-    input, or at a character that starts no token.  In target mode `^` is
-    an identifier character instead of a symbol.  An identifier starts
-    with a letter, which no symbol or number does, so it is tried first:
-    it is the most common token."""
+    """Whitespace and `%` comments, then one token, as two groups: the
+    skipped text and the token.  The token's last alternative matches
+    the empty string where no token starts: at the end of the input, or
+    at a character that starts no token.  In target mode `^` is an
+    identifier character instead of a symbol.  Both loops are unrolled,
+    a run of one class then a starred rarer case, because a star over an
+    alternation tries each alternative at every character."""
     syms = [s for s in _SYMBOLS if not (target_mode and s == "^")]
-    hat = "^" if target_mode else ""
+    name = _NAME_CHARS + ("^" if target_mode else "")
     return re.compile(
-        r"((?:[ \t\r\n]+|%(?!infix)[^\n]*)*)"
-        rf"(?:([A-Za-z](?:[{_NAME_CHARS}{hat}]|-(?=[{_NAME_CHARS}-]))*)"
-        rf"|(%infix|\.[12](?![{_NAME_CHARS}-])|"
-        + "|".join(map(re.escape, syms)) + ")"
-        r"|([0-9]+)"
-        r"|)")
+        r"([ \t\r\n]*(?:%(?!infix)[^\n]*[ \t\r\n]*)*)"
+        rf"([A-Za-z][{name}]*(?:-(?=[{_NAME_CHARS}-])[{name}]*)*"
+        rf"|%infix|\.[12](?![{_NAME_CHARS}-])|"
+        + "|".join(map(re.escape, syms)) + r"|[0-9]+|)")
 
 
 _SCANNERS = (_scanner(False), _scanner(True))
@@ -106,36 +107,32 @@ class SourceLines:
         """The span of the length characters at offset, on one line."""
         line = bisect_right(self.starts, offset)
         col = offset - self.starts[line - 1] + 1
-        return SourceSpan(self.filename, line, col, line, col + length)
+        # tuple.__new__ builds the span without SourceSpan's Python-level
+        # constructor, which is most of the cost of one.
+        return tuple.__new__(SourceSpan,
+                             (self.filename, line, col, line, col + length))
 
 
 def tokenize(text: str, filename: str,
-             target_mode: bool) -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) tokens of text, ending with one EOF token;
-    a kind is IDENT, NUM, SYM or EOF."""
-    out = []
-    add = out.append
+             target_mode: bool) -> tuple[list[str], list[int]]:
+    """The texts and the offsets of the tokens of text, ending with the
+    empty text of the end of the input."""
+    texts, offsets = [], []
+    add_text, add_offset = texts.append, offsets.append
     pos = 0
     # The matches are contiguous up to the first one that has no token,
     # which is the end of the input or a lexing error.
-    for skip, ident, sym, num in _SCANNERS[target_mode].findall(text):
+    for skip, tok in _SCANNERS[target_mode].findall(text):
         pos += len(skip)
-        if ident:
-            add(("IDENT", ident, pos))
-            pos += len(ident)
-        elif sym:
-            add(("SYM", sym, pos))
-            pos += len(sym)
-        elif num:
-            add(("NUM", num, pos))
-            pos += len(num)
-        else:
+        add_text(tok)
+        add_offset(pos)
+        if not tok:
             if pos < len(text):
                 raise LexError(f"unexpected character {text[pos]!r}",
                                SourceLines(text, filename).span(pos))
-            add(("EOF", "", pos))
             break
-    return out
+        pos += len(tok)
+    return texts, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +161,15 @@ def _at(e) -> int:
 def _is_kind_expr(e) -> bool:
     """A classifier is a kind iff some tail position reaches `type` or
     `sort`."""
-    match e:
-        case ("ident", n, _):
-            return n in ("type", "sort")
-        case ("->" | "-:>", _, c) | ("pi", _, _, _, c, _):
-            return _is_kind_expr(c)
-        case ("*" | "^", l, r):
-            return _is_kind_expr(l) or _is_kind_expr(r)
+    match e[0]:
+        case "ident":
+            return e[1] in ("type", "sort")
+        case "->" | "-:>":
+            return _is_kind_expr(e[2])
+        case "pi":
+            return _is_kind_expr(e[4])
+        case "*" | "^":
+            return _is_kind_expr(e[1]) or _is_kind_expr(e[2])
     return False
 
 
@@ -184,20 +183,19 @@ _PI, _LAM, _INTER, _CHAIN = range(4)   # what waits for the rest
 
 class _Parser:
     def __init__(self, text: str, filename: str, target_mode: bool):
-        self.toks = tokenize(text, filename, target_mode)
+        self.texts, self.offsets = tokenize(text, filename, target_mode)
         self.lines = SourceLines(text, filename)
         self.pos = 0
         self.infix: dict[str, int] = {}
 
     def span(self, i: int) -> SourceSpan:
-        _, text, offset = self.toks[i]
-        return self.lines.span(offset, len(text))
+        return self.lines.span(self.offsets[i], len(self.texts[i]))
 
     def error(self, message: str, i: int) -> ParseError:
         return ParseError(message, self.span(i))
 
     def expect(self, text: str) -> None:
-        found = self.toks[self.pos][1]
+        found = self.texts[self.pos]
         if found != text:
             raise self.error(
                 f"expected {text!r}, found {found or 'end of input'!r}",
@@ -205,8 +203,8 @@ class _Parser:
         self.pos += 1
 
     def ident(self, what: str) -> str:
-        kind, text, _ = self.toks[self.pos]
-        if kind != "IDENT":
+        text = self.texts[self.pos]
+        if not text[:1].isalpha():
             raise self.error(
                 f"expected {what}, found {text or 'end of input'!r}",
                 self.pos)
@@ -215,7 +213,7 @@ class _Parser:
 
     def numeral(self, i: int) -> int:
         """The value of NUM token i; one int() refuses is a located error."""
-        text = self.toks[i][1]
+        text = self.texts[i]
         try:
             return int(text)
         except ValueError:
@@ -231,15 +229,15 @@ class _Parser:
     def expr(self):
         """An expression: binders and abstractions, then operands joined
         by arrows, then `^` and another expression."""
-        toks = self.toks
+        texts = self.texts
         waiting = []   # binders, `^` and arrow chains, innermost last
         while True:
-            text = toks[self.pos][1]
+            text = texts[self.pos]
             if text == "{":
                 at = self.pos
                 self.pos += 1
                 name = self.ident("a binder name")
-                colon = toks[self.pos][1]
+                colon = texts[self.pos]
                 if colon != ":" and colon != "::":
                     raise self.error(f"expected ':' or '::' in binder, "
                                      f"found {colon!r}", self.pos)
@@ -256,16 +254,16 @@ class _Parser:
                 waiting.append((_LAM, name, at))
                 continue
             value = self.operand()
-            op = toks[self.pos][1]
+            op = texts[self.pos]
             if op in _ARROWS:
                 items, ops = [value], []
                 while True:
                     ops.append(op)
                     self.pos += 1
-                    if toks[self.pos][1] in ("{", "["):
+                    if texts[self.pos] in ("{", "["):
                         break
                     items.append(self.operand())
-                    op = toks[self.pos][1]
+                    op = texts[self.pos]
                     if op not in _ARROWS:
                         break
                 if op in _ARROWS:
@@ -274,7 +272,7 @@ class _Parser:
                     waiting.append((_CHAIN, items, ops))
                     continue
                 value = self.chain(items, ops)
-            if toks[self.pos][1] != "^":
+            if texts[self.pos] != "^":
                 break
             self.pos += 1
             waiting.append((_INTER, value))
@@ -308,7 +306,7 @@ class _Parser:
 
     def operand(self):
         """Factors of `*`, each infix operators over applications."""
-        toks, infix = self.toks, self.infix
+        texts, infix = self.texts, self.infix
         factors = []
         while True:
             args = ops = None   # infix operands; (precedence, at)
@@ -317,7 +315,8 @@ class _Parser:
                 value = None
                 while True:
                     i = self.pos
-                    kind, text, _ = toks[i]
+                    text = texts[i]
+                    first = text[:1]
                     if value is not None:
                         if text == "[[":
                             self.pos = i + 1
@@ -325,13 +324,13 @@ class _Parser:
                             self.expect("]]")
                             value = ("irrapp", value, arg)
                             continue
-                        if not (kind == "IDENT" and text not in infix
-                                or kind == "NUM" or text in _ARG_SYMS):
+                        if not (first.isalpha() and text not in infix
+                                or first.isdigit() or text in _ARG_SYMS):
                             break
                     self.pos = i + 1
-                    if kind == "IDENT":
+                    if first.isalpha():
                         a = ("ident", text, i)
-                    elif kind == "NUM":
+                    elif first.isdigit():
                         a = ("num", self.numeral(i), i)
                     elif text == "(":
                         a = self.expr()
@@ -353,12 +352,12 @@ class _Parser:
                     else:
                         raise self.error(f"expected an expression, found "
                                          f"{text or 'end of input'!r}", i)
-                    while toks[self.pos][1] in (".1", ".2"):
-                        a = ("proj", a, int(toks[self.pos][1][1]))
+                    while texts[self.pos] in (".1", ".2"):
+                        a = ("proj", a, int(texts[self.pos][1]))
                         self.pos += 1
                     value = a if value is None else ("app", value, a)
-                kind, text, _ = toks[self.pos]
-                if kind != "IDENT" or text not in infix:
+                text = texts[self.pos]
+                if text not in infix:
                     break
                 if args is None:
                     args, ops = [], []
@@ -373,7 +372,7 @@ class _Parser:
                 while ops:
                     self.infix_app(args, ops)
                 value = args[0]
-            if toks[self.pos][1] != "*":
+            if texts[self.pos] != "*":
                 break
             factors.append(value)
             self.pos += 1
@@ -385,7 +384,7 @@ class _Parser:
         """Apply the last operator of ops to the last two of args."""
         _, at = ops.pop()
         right, left = args.pop(), args.pop()
-        op = ("ident", self.toks[at][1], at)
+        op = ("ident", self.texts[at], at)
         args.append(("app", ("app", op, left), right))
 
 
@@ -416,8 +415,9 @@ class _SourceElab(_Elab):
         self.fam_kinds: dict[str, KType | KPi] = {}
 
     def term(self, e, scope: list):
-        match e:
-            case ("ident", n, _):
+        match e[0]:
+            case "ident":
+                n = e[1]
                 if n in scope:
                     return BVar(scope[::-1].index(n))
                 if n in self.term_consts:
@@ -428,85 +428,90 @@ class _SourceElab(_Elab):
                         f"quantification is not supported, bind it explicitly",
                         e)
                 return FVar(n)
-            case ("app", f, a):
-                fn = self.term(f, scope)
+            case "app":
+                fn = self.term(e[1], scope)
                 if isinstance(fn, Lam):
                     raise self.fail(
                         "application of a function expression is not a "
                         "canonical form", e)
-                return App(fn, self.term(a, scope))
-            case ("lam", x, b, _):
+                return App(fn, self.term(e[2], scope))
+            case "lam":
+                _, x, b, _ = e
                 return Lam(x, self.term(b, scope + [x]))
         raise self.fail("expected a term", e)
 
     def type(self, e, scope: list):
-        match e:
-            case ("ident", n, _):
-                return TConst(n)
-            case ("app", f, a):
-                fn = self.type(f, scope)
+        match e[0]:
+            case "ident":
+                return TConst(e[1])
+            case "app":
+                fn = self.type(e[1], scope)
                 if not isinstance(fn, (TConst, TApp)):
                     raise self.fail("expected an atomic type", e)
-                return TApp(fn, self.term(a, scope))
-            case ("->", d, c):
-                return TPi("x", self.type(d, scope),
-                           self.type(c, scope + [None]))
-            case ("pi", x, ":", d, b, _):
+                return TApp(fn, self.term(e[2], scope))
+            case "->":
+                return TPi("x", self.type(e[1], scope),
+                           self.type(e[2], scope + [None]))
+            case "pi":
+                _, x, colon, d, b, _ = e
+                if colon == "::":
+                    raise self.fail("type binders use ':', not '::'", e)
                 return TPi(x, self.type(d, scope), self.type(b, scope + [x]))
-            case ("pi", _, "::", _, _, _):
-                raise self.fail("type binders use ':', not '::'", e)
         raise self.fail("expected a type", e)
 
     def kind(self, e, scope: list):
-        match e:
-            case ("ident", "type", _):
+        match e[0]:
+            case "ident" if e[1] == "type":
                 return KType()
-            case ("->", d, c):
-                return KPi("x", self.type(d, scope),
-                           self.kind(c, scope + [None]))
-            case ("pi", x, ":", d, b, _):
+            case "->":
+                return KPi("x", self.type(e[1], scope),
+                           self.kind(e[2], scope + [None]))
+            case "pi" if e[2] == ":":
+                _, x, _, d, b, _ = e
                 return KPi(x, self.type(d, scope), self.kind(b, scope + [x]))
         raise self.fail("expected a kind", e)
 
     def sort(self, e, scope: list):
-        match e:
-            case ("ident", n, _):
-                return SConst(n)
-            case ("top", _):
+        match e[0]:
+            case "ident":
+                return SConst(e[1])
+            case "top":
                 return STop()
-            case ("app", f, a):
-                fn = self.sort(f, scope)
+            case "app":
+                fn = self.sort(e[1], scope)
                 if not isinstance(fn, (SConst, SApp)):
                     raise self.fail("expected an atomic sort", e)
-                return SApp(fn, self.term(a, scope))
-            case ("^", l, r):
-                return SInter(self.sort(l, scope), self.sort(r, scope))
-            case ("->", d, c):
-                return SPi("x", self.sort(d, scope), None,
-                           self.sort(c, scope + [None]))
-            case ("pi", x, "::", d, b, _):
+                return SApp(fn, self.term(e[2], scope))
+            case "^":
+                return SInter(self.sort(e[1], scope), self.sort(e[2], scope))
+            case "->":
+                return SPi("x", self.sort(e[1], scope), None,
+                           self.sort(e[2], scope + [None]))
+            case "pi":
+                _, x, colon, d, b, _ = e
+                if colon == ":":
+                    raise self.fail("sort binders use '::', not ':'", e)
                 return SPi(x, self.sort(d, scope), None,
                            self.sort(b, scope + [x]))
-            case ("pi", _, ":", _, _, _):
-                raise self.fail("sort binders use '::', not ':'", e)
         raise self.fail("expected a sort", e)
 
     def cls(self, e, scope: list):
-        match e:
-            case ("ident", "sort", _):
+        match e[0]:
+            case "ident" if e[1] == "sort":
                 return CSort()
-            case ("top", _):
+            case "top":
                 return CTop()
-            case ("^", l, r):
-                return CInter(self.cls(l, scope), self.cls(r, scope))
-            case ("->", d, c):
-                return CPi("x", self.sort(d, scope), None,
-                           self.cls(c, scope + [None]))
-            case ("pi", x, "::", d, b, _):
+            case "^":
+                return CInter(self.cls(e[1], scope), self.cls(e[2], scope))
+            case "->":
+                return CPi("x", self.sort(e[1], scope), None,
+                           self.cls(e[2], scope + [None]))
+            case "pi":
+                _, x, colon, d, b, _ = e
+                if colon == ":":
+                    raise self.fail("class binders use '::', not ':'", e)
                 return CPi(x, self.sort(d, scope), None,
                            self.cls(b, scope + [x]))
-            case ("pi", _, ":", _, _, _):
-                raise self.fail("class binders use '::', not ':'", e)
         raise self.fail("expected a class", e)
 
 
@@ -520,78 +525,72 @@ class _TargetElab(_Elab):
         self.consts: set[str] = set()
 
     def term(self, e, scope: list):
-        match e:
-            case ("ident", n, _):
+        match e[0]:
+            case "ident":
+                n = e[1]
                 if n in scope:
                     return L.IBVar(scope[::-1].index(n))
                 if n in self.consts:
                     return L.IConst(n)
                 return L.IFVar(n)
-            case ("app", f, a):
-                fn = self.term(f, scope)
+            case "app":
+                fn = self.term(e[1], scope)
                 if not L.is_lfi_atomic(fn):
                     raise self.fail("application of a non-atomic term", e)
-                return L.IApp(fn, self.term(a, scope))
-            case ("proj", b, which):
-                base = self.term(b, scope)
+                return L.IApp(fn, self.term(e[2], scope))
+            case "proj":
+                base = self.term(e[1], scope)
                 if not L.is_lfi_atomic(base):
                     raise self.fail("projection from a non-atomic term", e)
-                return (L.IFst if which == 1 else L.ISnd)(base)
-            case ("lam", x, b, _):
+                return (L.IFst if e[2] == 1 else L.ISnd)(base)
+            case "lam":
+                _, x, b, _ = e
                 return L.ILam(x, self.term(b, scope + [x]))
-            case ("pair", l, r):
-                return L.IPair(self.term(l, scope), self.term(r, scope))
-            case ("unit", _):
+            case "pair":
+                return L.IPair(self.term(e[1], scope), self.term(e[2], scope))
+            case "unit":
                 return L.IUnit()
-            case ("irrapp", _, _):
+            case "irrapp":
                 raise self.fail("only a type family takes an argument "
                                 "irrelevantly", e)
         raise self.fail("expected a term", e)
 
     def type(self, e, scope: list):
-        match e:
-            case ("ident", n, _):
-                return L.ITConst(n)
-            case ("num", 1, _):
+        match e[0]:
+            case "ident":
+                return L.ITConst(e[1])
+            case "num" if e[1] == 1:
                 return L.ITUnitT()
-            case ("app", f, a):
-                fn = self.type(f, scope)
+            case "app" | "irrapp" as tag:
+                fn = self.type(e[1], scope)
                 if not isinstance(fn, (L.ITConst, L.ITApp, L.ITIrrApp)):
                     raise self.fail("expected an atomic type", e)
-                return L.ITApp(fn, self.term(a, scope))
-            case ("irrapp", f, a):
-                fn = self.type(f, scope)
-                if not isinstance(fn, (L.ITConst, L.ITApp, L.ITIrrApp)):
-                    raise self.fail("expected an atomic type", e)
-                return L.ITIrrApp(fn, self.term(a, scope))
-            case ("->", d, c):
-                return L.ITPi("x", self.type(d, scope),
-                              self.type(c, scope + [None]))
-            case ("pi", x, ":", d, b, _):
+                return (L.ITApp if tag == "app" else L.ITIrrApp)(
+                    fn, self.term(e[2], scope))
+            case "->":
+                return L.ITPi("x", self.type(e[1], scope),
+                              self.type(e[2], scope + [None]))
+            case "pi" if e[2] == ":":
+                _, x, _, d, b, _ = e
                 return L.ITPi(x, self.type(d, scope),
                               self.type(b, scope + [x]))
-            case ("*", l, r):
-                return L.ITProd(self.type(l, scope), self.type(r, scope))
-            case ("-:>", _, _) | ("pi", _, "::", _, _, _):
+            case "*":
+                return L.ITProd(self.type(e[1], scope), self.type(e[2], scope))
+            case "-:>" | "pi":
                 raise self.fail("only a kind takes an argument irrelevantly", e)
         raise self.fail("expected a type", e)
 
     def kind(self, e, scope: list):
-        match e:
-            case ("ident", "type", _):
+        match e[0]:
+            case "ident" if e[1] == "type":
                 return L.IKType()
-            case ("->", d, c):
-                return L.IKPi("x", self.type(d, scope),
-                              self.kind(c, scope + [None]))
-            case ("-:>", d, c):
-                return L.IKIrrPi("x", self.type(d, scope),
-                                 self.kind(c, scope + [None]))
-            case ("pi", x, ":", d, b, _):
-                return L.IKPi(x, self.type(d, scope),
-                              self.kind(b, scope + [x]))
-            case ("pi", x, "::", d, b, _):
-                return L.IKIrrPi(x, self.type(d, scope),
-                                 self.kind(b, scope + [x]))
+            case "->" | "-:>" as tag:
+                return (L.IKPi if tag == "->" else L.IKIrrPi)(
+                    "x", self.type(e[1], scope), self.kind(e[2], scope + [None]))
+            case "pi":
+                _, x, colon, d, b, _ = e
+                return (L.IKPi if colon == ":" else L.IKIrrPi)(
+                    x, self.type(d, scope), self.kind(b, scope + [x]))
         raise self.fail("expected a kind", e)
 
 
@@ -608,16 +607,16 @@ def _default_class(kind):
 def parse_signature(text: str, filename: str = "<input>") -> Signature:
     p = _Parser(text, filename, False)
     elab = _SourceElab(p)
-    toks = p.toks
+    texts = p.texts
     sig = Signature()
-    while toks[p.pos][0] != "EOF":
-        if toks[p.pos][1] == "%infix":
+    while texts[p.pos]:
+        if texts[p.pos] == "%infix":
             p.pos += 1
             if p.ident("an associativity") != "right":
                 raise p.error("only right-associative infix is supported",
                               p.pos - 1)
             prec = p.pos
-            if toks[prec][0] != "NUM":
+            if not texts[prec].isdigit():
                 raise p.error("expected a precedence", prec)
             p.pos += 1
             op = p.ident("an operator name")
@@ -630,7 +629,7 @@ def parse_signature(text: str, filename: str = "<input>") -> Signature:
             continue
         at = p.pos
         name = p.ident("a declaration name")
-        sep = toks[p.pos][1]
+        sep = texts[p.pos]
         p.pos += 1
         if sep == ":":
             e = p.declared()
@@ -644,7 +643,7 @@ def parse_signature(text: str, filename: str = "<input>") -> Signature:
                 sig.append(TermConst(name, ty, p.span(at)))
         elif sep == "<<":
             fam = p.ident("a type family name")
-            if toks[p.pos][1] == "::":
+            if texts[p.pos] == "::":
                 p.pos += 1
                 cls = elab.cls(p.declared(), [])
             else:
@@ -696,8 +695,8 @@ def _parse_one(text, filename, consts, elaborate):
     elab = _SourceElab(p)
     elab.term_consts = set(consts)
     e = p.expr()
-    kind, rest, _ = p.toks[p.pos]
-    if kind != "EOF":
+    rest = p.texts[p.pos]
+    if rest:
         raise p.error(f"unexpected trailing input {rest!r}", p.pos)
     return elaborate(elab, e, [])
 
@@ -706,7 +705,7 @@ def parse_lfi(text: str, filename: str = "<input>") -> L.LfiSignature:
     p = _Parser(text, filename, True)
     elab = _TargetElab(p)
     sig = L.LfiSignature()
-    while p.toks[p.pos][0] != "EOF":
+    while p.texts[p.pos]:
         at = p.pos
         name = p.ident("a declaration name")
         p.expect(":")

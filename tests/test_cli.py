@@ -798,7 +798,8 @@ def _token_lines(text: str) -> list[list[str]]:
     """The tokens of a source signature, line by line."""
     lines: dict[int, list[str]] = {}
     where = SourceLines(text, "<golden>")
-    for _, tok, offset in tokenize(text, "<golden>", False)[:-1]:
+    texts, offsets = tokenize(text, "<golden>", False)
+    for tok, offset in zip(texts[:-1], offsets):
         lines.setdefault(where.span(offset).line, []).append(tok)
     return list(lines.values())
 

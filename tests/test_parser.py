@@ -532,7 +532,7 @@ LEX_FRAGMENTS = ("%infix", "%", "% c\n", "-", "->", "-:>", ".1", ".2", ".",
                  "^", "\r", "\t", "\n", " ", "\u00e9", "\u00df", "x", "Q",
                  "a'", "_", "/", "*", "0", "12", "\u00b2", "\u2460", "[[",
                  "]]", "{", "}", "(", ")", "<-", "<<", "<:", "<>", "::", ":",
-                 "#", ",", "<", ">", "@")
+                 "#", ",", "<", ">", "@", "a.1-", ".2->", "b--", "c-")
 LEX_TEXTS = tuple(p.read_text() for p in sorted(GOLDEN_DIR.glob("*.lf[ri]")))
 
 
@@ -549,11 +549,21 @@ def lexer_inputs(draw):
     return text
 
 
+def _kind(tok: str) -> str:
+    """A token's kind, as the parser reads it from its first character."""
+    if not tok:
+        return "EOF"
+    return "IDENT" if tok[0].isalpha() else "NUM" if tok[0].isdigit() \
+        else "SYM"
+
+
 def spanned_tokens(text: str, filename: str, target_mode: bool):
-    """tokenize's tokens, each with the span the parser gives it."""
+    """tokenize's tokens, each with the kind its first character gives it
+    and the span the parser gives it."""
     lines = SourceLines(text, filename)
-    return [(kind, tok, lines.span(offset, len(tok)))
-            for kind, tok, offset in tokenize(text, filename, target_mode)]
+    texts, offsets = tokenize(text, filename, target_mode)
+    return [(_kind(tok), tok, lines.span(offset, len(tok)))
+            for tok, offset in zip(texts, offsets)]
 
 
 def _lexed(lex, text: str, target_mode: bool):
@@ -573,6 +583,15 @@ LEXED_TEXTS = {
     "error-first": "@nat : type.", "error-after-comment": "% c\n\t\u00e9",
     "error-in-name": "nat : ty@pe.", "error-after-number": "c : 1\u00b2.",
     "error-last": "nat : type.\r\n#@",
+    # A projection ends before a name character or `-`, and `-` continues
+    # a name only before a name character or another `-`.
+    "proj-then-arrow": "c : a.1->b.", "proj-then-irr-arrow": "c : a.2-:>b.",
+    "proj-then-hyphen": "a.1-b", "proj-then-name": "x.1y",
+    "proj-then-digit": ".12", "number-then-proj": "1.1",
+    "hyphen-in-name": "a-b", "hyphens-in-name": "a--b",
+    "hyphens-then-arrow": "a-->b", "hyphen-at-end": "a-",
+    "hyphen-then-space": "a- b", "infix-prefix": "%infixx",
+    "hyphen-then-hat": "a-^b", "hat-then-hyphen": "a^-b",
 }
 
 

@@ -73,6 +73,18 @@ def test_class_patterns_take_no_sub_patterns():
     assert found == []
 
 
+def test_parser_dispatches_on_tags():
+    # A sequence pattern, `case ("app", f, a)`, tests the subject's type
+    # and length and compares its items on every match; the parser's raw
+    # trees are matched on their tag `e[0]` and read by index.
+    found = [f"parser.py:{case.pattern.lineno}"
+             for case in ast.walk(_trees()["parser.py"])
+             if isinstance(case, ast.match_case)
+             and any(isinstance(node, ast.MatchSequence)
+                     for node in ast.walk(case.pattern))]
+    assert found == []
+
+
 # Imported names that no code of their module reads: bench/tracer.py
 # wraps each where it is bound, to time the calls through it.
 TRACER_BINDINGS = {

@@ -16,7 +16,14 @@ inputs at the same relative paths:
   of depth at most 12 only: the trace and the audit grow as 2^d;
 - `check` and `verify` with `LFR_FUEL` at 5 and at 20 on the goldens and
   the Deep texts, budgets low enough that some runs exhaust them, so
-  that the path each `search budget exhausted` message names is compared.
+  that the path each `search budget exhausted` message names is compared;
+- `check` and `verify` on texts that fail to lex or parse, so that each
+  located message of exit code 2 is compared: each golden with a `@` at
+  its start, middle and end, with its middle declaration cut in half,
+  given an extra `)` or preceded by `%infix left`, and without its
+  comments, with a `@` in its middle and its lines ended by CR alone; and
+  short texts at the lexer's boundaries, a
+  projection or a `-` before a name character, `-` or `>`.
 
 For each run it compares the exit code, standard output with the
 elapsed time masked, standard error, and after a `translate` the bytes
@@ -45,6 +52,10 @@ COMMANDS = (["check"], ["translate"], ["translate", "--no-verify"],
 TRACED = ["check", "--trace", "--oracle-depth", "2"]
 FUELS = (5, 20)
 BUDGETED = (["check"], ["verify"])
+MALFORMED = (["check"], ["verify"])
+LEXER_TEXTS = ("c : a.1->b.", "c : a.2-:>b.", "a.1-b", "x.1y", ".12", "1.1",
+               "a-b", "a--b", "a-->b", "a-", "a- b", "%infixx", "a-^b",
+               "a^-b")
 ELAPSED = re.compile(r" in \d+\.\d+s$", re.M)
 
 
@@ -58,21 +69,60 @@ def _workloads():
     return module
 
 
-def inputs() -> list[tuple[str, str, bool, bool]]:
-    """(file name, text, traced, budgeted) of every input, traced when the
-    trace and audit run on it too, budgeted when the low budgets do."""
-    out = [(p.name, p.read_text(encoding="utf-8"), True, True)
-           for p in sorted(GOLDEN.glob("*.lfr"))]
+def _runs(traced: bool, budgeted: bool) -> list[tuple[int | None, list]]:
+    """The (fuel, command) runs of a well-formed input: the commands, the
+    trace and audit when traced, the low budgets when budgeted."""
+    runs = [(None, c) for c in COMMANDS]
+    if traced:
+        runs.append((None, TRACED))
+    if budgeted:
+        runs += [(f, c) for f in FUELS for c in BUDGETED]
+    return runs
+
+
+def malformed(stem: str, text: str) -> list[tuple[str, str]]:
+    """(file name, text) of the texts derived from a golden's that fail to
+    lex or parse."""
+    lines = text.splitlines(keepends=True)
+    middle = [i for i, line in enumerate(lines)
+              if line[:1].isalpha() and line.rstrip().endswith(".")]
+    i = middle[len(middle) // 2]
+    before, line, after = "".join(lines[:i]), lines[i], "".join(lines[i + 1:])
+    decl = line.rstrip()
+    out = {f"at-{k}": text[:at] + "@" + text[at:]
+           for k, at in enumerate((0, len(text) // 2, len(text)))}
+    out["cut"] = before + decl[:len(decl) // 2]
+    out["paren"] = before + decl[:-1] + ")." + line[len(decl):] + after
+    out["infix-left"] = before + "%infix left 10 s.\n" + line + after
+    # Comments run to a `\n`, so they go before the lines end in `\r`.
+    code = "".join(line for line in lines if not line.startswith("%"))
+    half = len(code) // 2
+    out["cr"] = (code[:half] + "@" + code[half:]).replace("\n", "\r")
+    return [(f"{stem}-{k}.lfr", t) for k, t in out.items()]
+
+
+def inputs() -> list[tuple[str, str, list]]:
+    """(file name, text, runs) of every input, runs as _runs gives them."""
+    malformed_runs = [(None, c) for c in MALFORMED]
+    out = []
+    for p in sorted(GOLDEN.glob("*.lfr")):
+        text = p.read_text(encoding="utf-8")
+        out.append((p.name, text, _runs(True, True)))
+        out += [(name, bad, malformed_runs)
+                for name, bad in malformed(p.stem, text)]
+    out += [(f"lexer-{k}.lfr", text, malformed_runs)
+            for k, text in enumerate(LEXER_TEXTS)]
     w = _workloads()
     cbv = (GOLDEN / "cbv.lfr").read_text(encoding="utf-8")
     for seed in SEEDS:
-        out.append((f"wide-{seed}.lfr", w.wide_text(w.WIDE_N, seed), False,
-                    False))
+        out.append((f"wide-{seed}.lfr", w.wide_text(w.WIDE_N, seed),
+                    _runs(False, False)))
         for depth in (w.DEEP_ACCEPTED, w.DEEP_REJECTED):
             out.append((f"deep-{depth}-{seed}.lfr", w.deep_text(depth, seed),
-                        depth <= TRACE_DEPTH, True))
+                        _runs(depth <= TRACE_DEPTH, True)))
         out.append((f"binders-{seed}.lfr",
-                    w.binders_text(cbv, w.BINDERS_M, seed), False, False))
+                    w.binders_text(cbv, w.BINDERS_M, seed),
+                    _runs(False, False)))
     return out
 
 
@@ -140,12 +190,7 @@ def main(argv=None) -> int:
         theirs = Tree(base / "src", Path(tmp) / "rev-work", texts)
         ours = Tree(ROOT / "src", Path(tmp) / "work", texts)
         runs = differences = 0
-        for name, _, traced, budgeted in texts:
-            runs_on = [(None, c) for c in COMMANDS]
-            if traced:
-                runs_on.append((None, TRACED))
-            if budgeted:
-                runs_on += [(f, c) for f in FUELS for c in BUDGETED]
+        for name, _, runs_on in texts:
             for fuel, command in runs_on:
                 runs += 1
                 old = theirs.run(command, name, fuel)
