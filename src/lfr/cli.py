@@ -100,15 +100,17 @@ def _decl_line(decl) -> tuple[str, str]:
 
 
 def _read(path: str) -> str:
-    """The text of path; one leading byte-order mark is dropped."""
+    """The text of path; one leading byte-order mark is dropped, and line
+    ends are kept as they are, so that the parser places a token on the
+    line parse_signature places it on."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
     except UnicodeDecodeError as e:
         # e.object is the whole file after its byte-order mark: place the
-        # byte among the characters before it, with newlines read as the
-        # lexer reads them.
+        # byte among the characters before it, with line ends read as the
+        # parser reads them.
         before = e.object[:e.start].decode("utf-8")
         before = before.replace("\r\n", "\n").replace("\r", "\n")
         line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
@@ -129,7 +131,7 @@ def _search_depth(text: str) -> int:
 
 
 def _check_file(path: str, strict: bool, oracle_depth: int | None,
-                trace: list[str] | None = None
+                fuel: _Fuel, trace: list[str] | None = None
                 ) -> tuple[Signature, RunReport]:
     text = _read(path)
     raw = parse_signature(text, filename=path)
@@ -146,14 +148,15 @@ def _check_file(path: str, strict: bool, oracle_depth: int | None,
 
     start = time.monotonic()
     sig = check_signature(raw, strict=strict, trace=trace,
-                          audit=None if oracle_depth is None else audit)
+                          audit=None if oracle_depth is None else audit,
+                          fuel=fuel)
     return sig, RunReport(path, raw, time.monotonic() - start, *audited)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, fuel: _Fuel) -> int:
     trace: list[str] | None = [] if args.trace else None
     sig, report = _check_file(args.file, args.strict, args.oracle_depth,
-                              trace=trace)
+                              fuel, trace=trace)
     if not args.quiet:
         _say(report.render())
     if trace is not None:
@@ -171,7 +174,7 @@ def _is_file(path: Path, other: str) -> bool:
         return False
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args, fuel: _Fuel) -> int:
     if not (args.out or Path(args.file).name):
         # "/", "" and "." have no file name to name the output after; they
         # name a directory, so reading fails, as it does for check.
@@ -183,8 +186,8 @@ def cmd_translate(args) -> int:
             print(f"error: cannot write {path}: it is the input file",
                   file=sys.stderr)
             return 2
-    sig, report = _check_file(args.file, args.strict, None)
-    result = trans_sig(sig)
+    sig, report = _check_file(args.file, args.strict, None, fuel)
+    result = trans_sig(sig, fuel=fuel)
     for path, lines in (
             (out_path, (pp_lfi_decl(d) for d in result.lfi_sig)),
             (prov_path, (f"{d.name}\t{result.provenance[d.name]}"
@@ -201,17 +204,17 @@ def cmd_translate(args) -> int:
              f"and {prov_path}")
     if args.no_verify:
         return 0
-    verify_translation(sig, result)
+    verify_translation(sig, result, fuel=fuel)
     if not args.quiet:
         _say("verified: translated signature and all refinement proofs "
              "re-check")
     return 0
 
 
-def cmd_verify(args) -> int:
-    sig, report = _check_file(args.file, args.strict, None)
-    result = trans_sig(sig)
-    verify_translation(sig, result)
+def cmd_verify(args, fuel: _Fuel) -> int:
+    sig, report = _check_file(args.file, args.strict, None, fuel)
+    result = trans_sig(sig, fuel=fuel)
+    verify_translation(sig, result, fuel=fuel)
     if not args.quiet:
         _say(report.render())
         refined = len({d.const for d in sig if isinstance(d, ConstRef)})
@@ -339,17 +342,19 @@ def main(argv=None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except _Unwritable as e:
         return _stdout_failed(e.__cause__)
-    # Substitution reads the budget afresh for each walk that substitutes;
-    # read it once here, so that a bad value is a usage error and not a
-    # traceback.
+    # The one step budget of the command: every stage draws on it, so
+    # LFR_FUEL bounds the substitution steps of both sides and the sort
+    # checker's search steps of the whole command.  Translating and the
+    # kernel's rules are linear and take no step.  It is read here, once,
+    # so that a bad value is a usage error and not a traceback.
     try:
-        _Fuel()
+        fuel = _Fuel()
     except ValueError:
         print(f"error: LFR_FUEL must be an integer, "
               f"got {os.environ['LFR_FUEL']!r}", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return args.func(args, fuel)
     except MetricExhausted as e:
         where = "" if e.span is None else f"{e.span}: "
         print(f"{where}error: search budget exhausted: {e}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Source locations, the error hierarchy, the base of every syntax node,
-and what both substitutions share: their failures, their fuel and fresh
-binder names.  Every stage uses this module, and the target checker uses
-no other, so that it shares no judgment with the source side.
+and what both substitutions share: their failures, the step budget of a
+run and fresh binder names.  Every stage uses this module, and the
+target checker uses no other, so that it shares no judgment with the
+source side.
 
 Exit-code conventions live in the CLI, but the split is decided here:
 lexer and parser failures are LexError/ParseError, failures of the source
@@ -76,7 +77,7 @@ class VerifyError(LfrError):
 
 # ---------------------------------------------------------------------------
 # What both substitutions (subst.py and lfi.py) share: their failures,
-# their fuel and fresh names
+# the budget of a run and fresh names
 
 Path = tuple[str, ...]
 
@@ -109,9 +110,15 @@ DEFAULT_FUEL = 1_000_000
 
 
 class _Fuel:
-    """The steps one substitution walk may take: LFR_FUEL, or DEFAULT_FUEL
-    where it is unset.  This is the one reader of LFR_FUEL: a value int()
-    refuses raises ValueError."""
+    """The steps one run may take, all together: LFR_FUEL, or DEFAULT_FUEL
+    where it is unset, read once, when the budget is made.  This is the
+    one reader of LFR_FUEL: a value int() refuses raises ValueError.
+
+    A run makes one and hands it to every judgment by way of the
+    signature it judges against (Signature.fuel, LfiSignature.fuel).
+    Each node a substitution walk visits, on either side, ticks once,
+    and each call of the sort checker's _acheck takes one step by
+    decrementing `left` itself."""
 
     def __init__(self) -> None:
         self.left = int(os.environ.get("LFR_FUEL", DEFAULT_FUEL))

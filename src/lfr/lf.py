@@ -76,11 +76,12 @@ def _pp_tm(t, ctx, stack) -> str:
     return pp_term(named(t, binder_names((n for n, _ in ctx), stack)))
 
 
-def _inst(t, done, what: str):
+def _inst(t, done, what: str, fuel):
     """t, under a binder for each (argument, erased domain) pair of done,
-    outermost first, with those binders set to the arguments."""
+    outermost first, with those binders set to the arguments, in a walk
+    that takes its steps from fuel."""
     try:
-        return inst_spine(t, done)
+        return inst_spine(t, done, fuel)
     except SubstFailure as e:
         raise LfError("type mismatch",
                       f"substitution into {what} failed: {e}")
@@ -121,15 +122,15 @@ def _synth(sig: Signature, ctx, stack, r):
             ty, done = _synth(sig, ctx, stack, h), []
             for arg in args:
                 if not isinstance(ty, TPi):
-                    shown = _pp_ty(_inst(ty, done, "a function codomain"),
-                                   ctx, stack)
+                    shown = _pp_ty(_inst(ty, done, "a function codomain",
+                                         sig.fuel), ctx, stack)
                     raise LfError("type mismatch", f"applied term of "
                                   f"non-function type {shown}", actual=shown)
-                _check(sig, ctx, stack, arg,
-                       _inst(ty.dom, done, "a function codomain"))
+                _check(sig, ctx, stack, arg, _inst(
+                    ty.dom, done, "a function codomain", sig.fuel))
                 done.append((arg, erase_type(ty.dom)))
                 ty = ty.cod
-            return _inst(ty, done, "a function codomain")
+            return _inst(ty, done, "a function codomain", sig.fuel)
     raise TypeError(f"lf_synth_term: not atomic: {r!r}")
 
 
@@ -184,12 +185,13 @@ def _synth_spine_kind(sig: Signature, ctx, stack, a):
         if not isinstance(kind, KPi):
             raise LfError("ill-formed kind", f"type family {a.name} "
                           f"applied to too many arguments")
-        _check(sig, ctx, stack, arg, _inst(kind.dom, done, "a kind codomain"))
+        _check(sig, ctx, stack, arg, _inst(kind.dom, done, "a kind codomain",
+                                           sig.fuel))
         done.append((arg, erase_type(kind.dom)))
         kind = kind.cod
     # A kind ends in `type`, which no substitution changes.
-    return kind if isinstance(kind, KType) else _inst(kind, done,
-                                                      "a kind codomain")
+    return (kind if isinstance(kind, KType)
+            else _inst(kind, done, "a kind codomain", sig.fuel))
 
 
 def _check_kind(sig: Signature, ctx, stack, k) -> None:

@@ -15,7 +15,10 @@ set to all of them in one walk.  The checker descends binders by index
 too, keeping a stack of the hypotheses they bind, and names those
 hypotheses only to build a message.  A closed application, one checked
 with no hypothesis in scope, has a type that depends on the signature
-alone, so the signature keeps it and the term is checked once.  One walk,
+alone, so the signature keeps it and the term is checked once.  Each
+node a substitution visits takes a step from the budget of the run, which
+the signature carries (LfiSignature.fuel); the checker's own rules are
+linear in the term and take none.  One walk,
 `_map_vars`, rebuilds a tree around its variables; shifting and naming
 for messages are leaf functions over it.  All of this is this module's
 own code, so the certificates are checked by code the source checker
@@ -24,6 +27,7 @@ does not share.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .diagnostics import (
@@ -200,7 +204,11 @@ class LfiDecl(Node):
 
 
 class LfiSignature:
-    def __init__(self, decls: Iterable[LfiDecl] = ()):
+    """Ordered declarations with name indexes.  `fuel` is the step budget
+    the judgments run on the signature draw from (see diagnostics._Fuel)."""
+
+    def __init__(self, decls: Iterable[LfiDecl] = (),
+                 fuel: Optional[_Fuel] = None):
         self.decls: list[LfiDecl] = []
         self._fams: dict[str, LfiKind] = {}
         self._consts: dict[str, LfiType] = {}
@@ -208,8 +216,16 @@ class LfiSignature:
         # (the entry holds the term, so the id stays unique).  A name is
         # never bound again, so an entry holds as the signature grows.
         self.closed: dict[int, tuple[LfiAtomic, LfiType]] = {}
+        if fuel is not None:
+            self.fuel = fuel
         for d in decls:
             self.append(d)
+
+    @cached_property
+    def fuel(self) -> _Fuel:
+        """The budget of a signature made without one: LFR_FUEL, read when
+        a judgment first draws on it."""
+        return _Fuel()
 
     def append(self, decl: LfiDecl) -> None:
         self.decls.append(decl)
@@ -375,22 +391,27 @@ def lfi_equal(x: LfiSyntax, y: LfiSyntax) -> bool:
 
 
 def lfi_hsubst(n0: LfiTerm, x0: Union[str, int],
-               alpha0: Union[LfiType, LfiSimple], t: LfiSyntax) -> LfiSyntax:
+               alpha0: Union[LfiType, LfiSimple], t: LfiSyntax,
+               fuel: Optional[_Fuel] = None) -> LfiSyntax:
     """[n0/x0]t at the erased type of alpha0; for an index x0, n0 is read
-    where t's binder x0 has been removed."""
-    return _hsubst(((n0, lfi_erase_type(alpha0)),), x0, t)
+    where t's binder x0 has been removed.  The walk takes its steps from
+    fuel, or from a budget that reads LFR_FUEL where fuel is None."""
+    return _hsubst(((n0, lfi_erase_type(alpha0)),), x0, t,
+                   _Fuel() if fuel is None else fuel)
 
 
-def _inst(t: LfiSyntax, spine: list[tuple[LfiTerm, LfiSimple]]) -> LfiSyntax:
+def _inst(t: LfiSyntax, spine: list[tuple[LfiTerm, LfiSimple]],
+          fuel: _Fuel) -> LfiSyntax:
     """t, under a binder for each (argument, erased domain) pair of spine,
-    outermost first, with those binders set to the arguments."""
+    outermost first, with those binders set to the arguments, in a walk
+    that takes its steps from fuel."""
     if not spine or t.__class__ in _CLOSED_LEAVES:
         return t
-    return _hsubst(spine[::-1], 0, t)
+    return _hsubst(spine[::-1], 0, t, fuel)
 
 
-def _hsubst(sub, x0, t: LfiSyntax) -> LfiSyntax:
-    return _l_syn(sub, x0, t, 0, _Fuel(), ())
+def _hsubst(sub, x0, t: LfiSyntax, fuel: _Fuel) -> LfiSyntax:
+    return _l_syn(sub, x0, t, 0, fuel, ())
 
 
 def _hit(r, sub, x0, k: int):
@@ -560,15 +581,15 @@ def _apply(sig: LfiSignature, ctx: LfiContext, stack: Stack, ty, spine,
     try:
         for arg, irr in spine:
             if not isinstance(ty, pis[irr]):
-                raise mismatch(_inst(ty, done))
+                raise mismatch(_inst(ty, done, sig.fuel))
             if irr:
                 _check(sig, promote(ctx), _promote(stack), arg,
-                       _inst(ty.dom, done))
+                       _inst(ty.dom, done, sig.fuel))
             else:
-                _check(sig, ctx, stack, arg, _inst(ty.dom, done))
+                _check(sig, ctx, stack, arg, _inst(ty.dom, done, sig.fuel))
             done.append((arg, lfi_erase_type(ty.dom)))
             ty = ty.cod
-        return _inst(ty, done)
+        return _inst(ty, done, sig.fuel)
     except SubstFailure as e:
         raise LfiError(f"substitution failed: {e}") from None
 
@@ -577,7 +598,11 @@ def lfi_synth(sig: LfiSignature, ctx: LfiContext, r: LfiAtomic) -> LfiType:
     return _synth(sig, ctx, (), r)
 
 
-def lfi_check(sig: LfiSignature, ctx: LfiContext, n: LfiTerm, a: LfiType) -> None:
+def lfi_check(sig: LfiSignature, ctx: LfiContext, n: LfiTerm, a: LfiType,
+              fuel: Optional[_Fuel] = None) -> None:
+    """Check n against a, in steps taken from fuel, or from a budget that
+    reads LFR_FUEL where fuel is None; sig carries it from then on."""
+    sig.fuel = _Fuel() if fuel is None else fuel
     _check(sig, ctx, (), n, a)
 
 
@@ -705,9 +730,11 @@ def _check_kind(sig: LfiSignature, ctx: LfiContext, stack: Stack, k: LfiKind
         raise LfiError(f"not a kind: {_named(k, ctx, stack)!r}")
 
 
-def lfi_check_sig(sig: LfiSignature) -> None:
-    """Re-check a whole signature declaration by declaration."""
-    checked = LfiSignature()
+def lfi_check_sig(sig: LfiSignature, fuel: Optional[_Fuel] = None) -> None:
+    """Re-check a whole signature declaration by declaration, in steps
+    taken from fuel, or from a budget that reads LFR_FUEL where fuel is
+    None."""
+    checked = LfiSignature(fuel=_Fuel() if fuel is None else fuel)
     for decl in sig:
         try:
             if decl.name in checked._fams or decl.name in checked._consts:

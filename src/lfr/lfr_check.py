@@ -46,14 +46,23 @@ that builds it (see diagnostics.Message): the checker rejects an argument
 in every function component that does not take it, and most such
 rejections are caught and dropped.  check_signature sets the span to the
 failing declaration's.  An undefined substitution rejects the input; a
-MetricExhausted, which is not a SubstFailure, passes every handler.
+MetricExhausted, which is not a SubstFailure, passes every handler.  It
+is raised when the step budget the signature carries (Signature.fuel)
+runs out: each call of _acheck takes a step, and so does each node a
+substitution visits.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .diagnostics import CheckError, Message, MetricExhausted, SubstFailure
+from .diagnostics import (
+    CheckError,
+    Message,
+    MetricExhausted,
+    SubstFailure,
+    _Fuel,
+)
 from .printer import pp_sort, pp_term, pp_type
 from .lf import LfError, _check as _lf_check, lf_check_kind, lf_check_type
 from .lf import lf_check_term  # noqa: F401  (bound for bench/tracer.py)
@@ -248,7 +257,11 @@ def _split(s, d, done, log) -> list:
             return [(s, d, done)]
 
 
-def asynth(sig: Signature, ctx: Context, r) -> list:
+def asynth(sig: Signature, ctx: Context, r,
+           fuel: Optional[_Fuel] = None) -> list:
+    """The synthesis set of r, in steps taken from fuel, or from a budget
+    that reads LFR_FUEL where fuel is None; sig carries it from then on."""
+    sig.fuel = _Fuel() if fuel is None else fuel
     return [q for q, _ in _asynth(sig, ctx, (), r, None)]
 
 
@@ -301,7 +314,8 @@ def _asynth(sig, ctx, stack, r, log) -> list:
                 raise TypeError("asynth: sort was not elaborated")
             try:
                 d_arg = _acheck(sig, ctx, stack, arg,
-                                inst_spine(entry.dom_sort, done), log, synth)
+                                inst_spine(entry.dom_sort, done, sig.fuel),
+                                log, synth)
             except (SortError, SubstFailure):
                 continue
             taken.extend(_split(entry.cod, ("app", d_fn, arg, d_arg), done
@@ -312,7 +326,7 @@ def _asynth(sig, ctx, stack, r, log) -> list:
     out = []
     for q, d, done in cands:
         try:
-            out.append((inst_spine(q, done), d))
+            out.append((inst_spine(q, done, sig.fuel), d))
         except SubstFailure:
             continue
     return out
@@ -352,15 +366,24 @@ def _shared_synth(sig, ctx, stack, n, log) -> Callable[[], list]:
 
 
 def acheck(sig: Signature, ctx: Context, n, s,
-           trace: Optional[list] = None) -> None:
+           trace: Optional[list] = None,
+           fuel: Optional[_Fuel] = None) -> None:
+    """Check n against s, in steps taken from fuel, or from a budget that
+    reads LFR_FUEL where fuel is None; sig carries it from then on."""
+    sig.fuel = _Fuel() if fuel is None else fuel
     _acheck(sig, ctx, (), n, s, None if trace is None else Log(trace, None))
 
 
 def _acheck(sig, ctx, stack, n, s, log, synth=None) -> tuple:
     """The derivation of n against s; a SortError if there is none.
 
-    synth, when given, is n's shared synthesis (see _shared_synth).
+    synth, when given, is n's shared synthesis (see _shared_synth).  Each
+    call takes one step from sig's budget, so that the budget bounds the
+    search, which intersections can make exponential.
     """
+    sig.fuel.left -= 1
+    if sig.fuel.left < 0:
+        raise MetricExhausted(("acheck",))
     match s:
         case STop():
             if log is not None:
@@ -485,9 +508,11 @@ def _class_apply(sig, ctx, stack, ectx, cls, d, done, arg, i,
                 raise TypeError("class was not elaborated")
             try:
                 if ectx is not None:
-                    _lf_check(sig, ectx, stack, arg, inst_spine(dt, done))
+                    _lf_check(sig, ectx, stack, arg,
+                              inst_spine(dt, done, sig.fuel))
                 d_arg = _acheck(sig, ctx, stack, arg,
-                                inst_spine(cls.dom_sort, done), log, synth)
+                                inst_spine(cls.dom_sort, done, sig.fuel),
+                                log, synth)
             except (SortError, LfError) as e:
                 return [], _rewrap_arg(e, i, fam_name)
             except SubstFailure as e:
@@ -642,7 +667,8 @@ def check_context(sig: Signature, entries: Context) -> Context:
 
 def check_signature(raw: Signature, strict: bool = False,
                     trace: Optional[list] = None,
-                    audit: Optional[Callable] = None) -> Signature:
+                    audit: Optional[Callable] = None,
+                    fuel: Optional[_Fuel] = None) -> Signature:
     """Check a signature and return it with all sorts elaborated.
 
     With strict=True a constant may carry at most one refinement
@@ -651,9 +677,11 @@ def check_signature(raw: Signature, strict: bool = False,
     not, audit is called as audit(sig, ctx, q, s, ok) for each atomic
     comparison it made at a switch: sig is the signature checked so far,
     ctx the context with the binders q and s are read under opened into
-    it by name.
+    it by name.  Every judgment takes its steps from fuel, or from a
+    budget that reads LFR_FUEL where fuel is None; the signature returned
+    carries it.
     """
-    checked = Signature()
+    checked = Signature(fuel=_Fuel() if fuel is None else fuel)
     for decl in raw:
         log = None
         if trace is not None or audit is not None:

@@ -4,25 +4,26 @@ Substitution is indexed by the erased simple type of the variable being
 replaced.  Replacing the head of an application can expose a beta-redex;
 the redex is reduced immediately by a further substitution at a strictly
 smaller simple type, so canonical form is preserved and the process
-terminates.  A fuel counter (diagnostics._Fuel) guards that termination
-argument at runtime: it is a debug assertion, not a semantic limit, and
-can be raised with the LFR_FUEL environment variable.  Running out raises
-MetricExhausted, which is not a SubstFailure, so no handler of an
-undefined substitution sees it.
+terminates.  The step budget of the run (diagnostics._Fuel) guards that
+termination argument at runtime: each term node a walk visits takes a
+step from it.  It is a bound, not a semantic limit, and can be set with
+the LFR_FUEL environment variable.  Running out raises MetricExhausted,
+which is not a SubstFailure, so no handler of an undefined substitution
+sees it.
 
 The variables replaced are a free name, or a block of bound indices at
 once; substitution counts the binders it descends instead of opening them.
 Instantiating a classifier with a whole spine substitutes for all of its
 binders in one walk (inst_spine), and a beta step substitutes for the
-lambda's index 0.  A walk builds its fuel, and so reads LFR_FUEL, when
-it starts; inst_spine starts none for a closed leaf (a family or sort
-constant, the top sort or class, the kind type or the class sort), which
-a walk would return untouched without a tick.
+lambda's index 0.  A walk draws on the budget it is given, the one the
+judgments' signature carries; inst_spine returns a closed leaf (a family
+or sort constant, the top sort or class, the kind type or the class sort)
+at once, as a walk would, untouched and without a step.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 from .diagnostics import Path, SubstFailure, _Fuel
 from .syntax import (
@@ -98,22 +99,29 @@ Var = Union[str, int]
 Sub = tuple[tuple[NormalTerm, SimpleType], ...]
 
 
+# Each hsubst_* helper takes the steps of its walk from fuel, or, where
+# fuel is None, from a budget of its own that reads LFR_FUEL.
+
 def hsubst_n(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
-             n: NormalTerm) -> NormalTerm:
+             n: NormalTerm, fuel: Optional[_Fuel] = None) -> NormalTerm:
     """Substitute n0 for x0 (of erased type alpha0) in the normal term n."""
-    return _subst_n(((n0, erase_type(alpha0)),), x0, n, 0, _Fuel(), ())
+    return _subst_n(((n0, erase_type(alpha0)),), x0, n, 0,
+                    _Fuel() if fuel is None else fuel, ())
 
 
 def hsubst_rr(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
-              r: AtomicTerm) -> AtomicTerm:
+              r: AtomicTerm, fuel: Optional[_Fuel] = None) -> AtomicTerm:
     """Substitution in an atomic term whose head is not x0."""
-    return _subst_rr(((n0, erase_type(alpha0)),), x0, r, 0, _Fuel(), ())
+    return _subst_rr(((n0, erase_type(alpha0)),), x0, r, 0,
+                     _Fuel() if fuel is None else fuel, ())
 
 
 def hsubst_rn(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
-              r: AtomicTerm) -> tuple[NormalTerm, SimpleType]:
+              r: AtomicTerm, fuel: Optional[_Fuel] = None
+              ) -> tuple[NormalTerm, SimpleType]:
     """Substitution in an atomic term headed by x0; returns term and type."""
-    return _subst_rn(((n0, erase_type(alpha0)),), x0, r, 0, _Fuel(), ())
+    return _subst_rn(((n0, erase_type(alpha0)),), x0, r, 0,
+                     _Fuel() if fuel is None else fuel, ())
 
 
 def _hit(r, sub: Sub, x0: Var, k: int):
@@ -182,11 +190,11 @@ def _subst_rn(sub: Sub, x0: Var, r: AtomicTerm, k: int, fuel: _Fuel,
 
 
 def hsubst_syntax(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
-                  t):
+                  t, fuel: Optional[_Fuel] = None):
     """Substitute through any syntactic category, including contexts; for
     an index x0, n0 is read where t's binder x0 has been removed."""
     sub = ((n0, erase_type(alpha0)),)
-    fuel = _Fuel()
+    fuel = _Fuel() if fuel is None else fuel
     if isinstance(t, (list, tuple)):
         return [CtxEntry(e.name,
                          _subst_syn(sub, x0, e.sort, 0, fuel, (e.name, "sort")),
@@ -196,38 +204,40 @@ def hsubst_syntax(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType]
 
 
 # Nodes with no variable and no child: a walk returns them untouched,
-# without a tick.
+# without a step.
 _CLOSED_LEAVES = frozenset((TConst, SConst, STop, KType, CSort, CTop))
 
 
-def inst_spine(t, spine) -> Syntax:
+def inst_spine(t, spine, fuel: _Fuel) -> Syntax:
     """t, under a binder for each (argument, erased domain) pair of spine,
-    outermost first, with those binders set to the arguments.  A closed
-    leaf is returned at once, with no walk and no fuel."""
+    outermost first, with those binders set to the arguments, in a walk
+    that takes its steps from fuel.  A closed leaf is returned at once."""
     if not spine or t.__class__ in _CLOSED_LEAVES:
         return t
-    return _subst_syn(tuple(spine[::-1]), 0, t, 0, _Fuel(), ())
+    return _subst_syn(tuple(spine[::-1]), 0, t, 0, fuel, ())
 
 
 def _subst_syn(sub: Sub, x0: Var, t: Syntax, k: int, fuel: _Fuel, path: Path):
-    def sub_at(u, step: str, binders: int = 0):
-        """u, a child of t at step, under `binders` more binders."""
-        return _subst_syn(sub, x0, u, k + binders, fuel, path + (step,))
-
     cls = t.__class__
     if cls is TApp or cls is SApp:
-        return cls(sub_at(t.fn, "fn"), sub_at(t.arg, "arg"))
+        return cls(_subst_syn(sub, x0, t.fn, k, fuel, path + ("fn",)),
+                   _subst_syn(sub, x0, t.arg, k, fuel, path + ("arg",)))
     if cls is TPi or cls is KPi:
-        return cls(t.hint, sub_at(t.dom, "dom"), sub_at(t.cod, "cod", 1))
+        return cls(t.hint,
+                   _subst_syn(sub, x0, t.dom, k, fuel, path + ("dom",)),
+                   _subst_syn(sub, x0, t.cod, k + 1, fuel, path + ("cod",)))
     if is_atomic_term(t) or cls is Lam:
         return _subst_n(sub, x0, t, k, fuel, path)
     if cls in _CLOSED_LEAVES:
         return t
     if cls is SPi or cls is CPi:
         dt = t.dom_type
-        return cls(t.hint, sub_at(t.dom_sort, "dom"),
-                   None if dt is None else sub_at(dt, "domtype"),
-                   sub_at(t.cod, "cod", 1))
+        return cls(t.hint,
+                   _subst_syn(sub, x0, t.dom_sort, k, fuel, path + ("dom",)),
+                   None if dt is None
+                   else _subst_syn(sub, x0, dt, k, fuel, path + ("domtype",)),
+                   _subst_syn(sub, x0, t.cod, k + 1, fuel, path + ("cod",)))
     if cls is SInter or cls is CInter:
-        return cls(sub_at(t.left, "left"), sub_at(t.right, "right"))
+        return cls(_subst_syn(sub, x0, t.left, k, fuel, path + ("left",)),
+                   _subst_syn(sub, x0, t.right, k, fuel, path + ("right",)))
     raise TypeError(f"hsubst_syntax: unexpected node {t!r}")

@@ -14,9 +14,10 @@ are printed.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .diagnostics import Node, SourceSpan, fresh_name
+from .diagnostics import Node, SourceSpan, _Fuel, fresh_name
 
 # ---------------------------------------------------------------------------
 # Simple types (erased skeletons used to index hereditary substitution)
@@ -216,10 +217,12 @@ class Signature:
     edge map, sub to its declared supersorts in declaration order, which
     only `lfr_check.build_closure` searches; `subsorts` is its memo, dropped
     whenever an edge is added.  `const_refs` maps a constant to its
-    refinement declarations, in order.
+    refinement declarations, in order.  `fuel` is the step budget the
+    judgments run on the signature draw from (see diagnostics._Fuel).
     """
 
-    def __init__(self, decls: Iterable[Declaration] = ()):
+    def __init__(self, decls: Iterable[Declaration] = (),
+                 fuel: Optional[_Fuel] = None):
         self.decls: list[Declaration] = []
         self._type_fams: dict[str, TypeFam] = {}
         self._term_consts: dict[str, TermConst] = {}
@@ -228,8 +231,16 @@ class Signature:
         self.sub_edges: dict[str, list[str]] = {}
         self.subsorts: dict[str, dict] = {}      # see lfr_check.build_closure
         self.formations: dict[int, tuple] = {}   # see lfr_check._form_atom
+        if fuel is not None:
+            self.fuel = fuel
         for d in decls:
             self.append(d)
+
+    @cached_property
+    def fuel(self) -> _Fuel:
+        """The budget of a signature made without one: LFR_FUEL, read when
+        a judgment first draws on it."""
+        return _Fuel()
 
     def append(self, decl: Declaration) -> None:
         self.decls.append(decl)

@@ -31,7 +31,9 @@ only shown, drawn from the name pool against the names shown so far.
 
 from __future__ import annotations
 
-from .diagnostics import MetricExhausted, Node, VerifyError
+from typing import Optional
+
+from .diagnostics import MetricExhausted, Node, VerifyError, _Fuel
 from .lfi import (
     IApp,
     IBVar,
@@ -321,6 +323,12 @@ def _over(indices, pi, t):
 # Sorts, classes, formation proofs
 
 
+# A signature the sort checker has not elaborated lacks the formation
+# derivations of its sort atoms and the domain types of its classes.
+_UNCHECKED = ("trans_sig takes a signature that check_signature returned: "
+              "a sort in this one was not elaborated")
+
+
 def trans_sort(sig: Signature, ctx: Context, s, a, subject, mangler=None):
     """Predicate type for a sort at the (injected) subject."""
     mangler = mangler or NameMangler(sig)
@@ -357,7 +365,7 @@ def _sort_body(sig, s, a, mangler, at: At, n, p: int = 0):
                 pred = ITApp(pred, _inj_arg(m, injected, at))
             atom, derivs = sig.formations.get(id(s), (None, None))
             if atom is not s:
-                raise TypeError("trans_sort: sort was not elaborated")
+                raise ValueError(_UNCHECKED)
             pred = ITIrrApp(pred, _proof(sig, mangler, derivs[0], at,
                                          injected))
             return ITApp(pred, _place(n, p))
@@ -409,6 +417,8 @@ def _class_form_body(sig, cls, mangler, pf, at: At):
             return ITProd(*(_class_form_body(sig, side, mangler, pf, at)
                             for side in (cls.left, cls.right)))
         case CPi():
+            if cls.dom_type is None:
+                raise ValueError(_UNCHECKED)
             x, dom, dom_pred, at = _binder(sig, cls, cls.dom_type, mangler, at)
             return ITPi(x, dom, ITPi(x + "^", dom_pred, _class_form_body(
                 sig, cls.cod, mangler, pf, at)))
@@ -555,10 +565,13 @@ def trans_ctx(sig: Signature, ctx: Context, mangler=None) -> LfiContext:
     return out
 
 
-def trans_sig(sig: Signature) -> TransResult:
-    """Translate a checked signature; repeats of a constant fuse first."""
+def trans_sig(sig: Signature, fuel: Optional[_Fuel] = None) -> TransResult:
+    """Translate a signature check_signature returned; repeats of a
+    constant fuse first.  The translation is linear and takes no step; the
+    signature it emits carries fuel to the kernel judgments run on it (see
+    LfiSignature.fuel)."""
     mangler = NameMangler(sig)
-    lfi_sig = LfiSignature()
+    lfi_sig = LfiSignature(fuel=fuel)
     prov: dict[str, str] = {}
     goals: dict[str, object] = {}
 
@@ -603,15 +616,19 @@ def trans_sig(sig: Signature) -> TransResult:
     return TransResult(lfi_sig, prov, mangler, goals)
 
 
-def verify_translation(sig: Signature, result: TransResult) -> None:
+def verify_translation(sig: Signature, result: TransResult,
+                       fuel: Optional[_Fuel] = None) -> None:
     """Re-check everything the translation emitted or can derive.
 
     The emitted signature is checked declaration by declaration, then each
     refined constant's proof is derived afresh and checked against the
     goal trans_sig emitted as its proof constant's type and kept in
-    `sorts`, at its first refinement."""
+    `sorts`, at its first refinement.  Both take their steps from fuel, or
+    from a budget that reads LFR_FUEL where fuel is None; sig carries it
+    from then on."""
+    fuel = sig.fuel = _Fuel() if fuel is None else fuel
     try:
-        lfi_check_sig(result.lfi_sig)
+        lfi_check_sig(result.lfi_sig, fuel)
     except LfiError as e:
         raise VerifyError(
             f"translated signature failed re-checking at {e.decl}: "
@@ -621,7 +638,7 @@ def verify_translation(sig: Signature, result: TransResult) -> None:
         subject = eta_expand(const.type, Const(c))
         try:
             nhat = trans_term_check(sig, [], subject, merged, result.mangler)
-            lfi_check(result.lfi_sig, [], nhat, goal)
+            lfi_check(result.lfi_sig, [], nhat, goal, fuel)
         except (LfiError, SortError) as e:
             raise VerifyError(
                 f"translated proof for {c} failed re-checking: "

@@ -223,6 +223,29 @@ def deep_text(d: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def inter_text(d: int) -> str:
+    """ROADMAP's Inter family: one constant indexed by d + 1 nested `ap`,
+    13 lines, the last `c :: pp (...)`; d >= 1.
+
+    ap's refinement is an intersection of two function sorts, and each
+    level's argument `[x] ap (...) x` checks against both, so the sort
+    checker's search grows as 2^d.  Every d is accepted.
+    """
+    term = "ap ([x] s x) x"
+    for _ in range(d - 1):
+        term = f"ap ([x] {term}) x"
+    term = f"ap ([x] {term}) z"
+    lines = ["nat : type.", "z : nat.", "s : nat -> nat.",
+             "ap : (nat -> nat) -> nat -> nat.",
+             "even << nat.", "odd << nat.", "z :: even.",
+             "s :: even -> odd ^ odd -> even.",
+             "ap :: (even -> odd) -> even -> odd"
+             " ^ (odd -> even) -> odd -> even.",
+             "p : nat -> type.", "pp << p :: odd -> sort.",
+             f"c : p ({term}).", f"c :: pp ({term})."]
+    return "\n".join(lines) + "\n"
+
+
 def binders_text(m: int) -> str:
     """tests/golden/cbv.lfr plus a rule whose m premises chain
     `eval A Ei E(i+1)` under m + 2 dependent binders: the benchmark's

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from lfr import syntax as s
-from lfr.diagnostics import Node
+from lfr.diagnostics import Node, _Fuel
 
 
 def node_fields(t) -> tuple[str, ...]:
@@ -969,8 +969,11 @@ class ReferenceLexer:
         self.col = 1
 
     def _advance(self, n: int) -> None:
+        """Step over n characters.  A line ends at `\\r\\n`, `\\r` or
+        `\\n`: the `\\r` of a `\\r\\n` is the last column of its line."""
         for _ in range(n):
-            if self.text[self.pos] == "\n":
+            ch, nxt = self.text[self.pos], self.text[self.pos + 1:self.pos + 2]
+            if ch == "\n" or (ch == "\r" and nxt != "\n"):
                 self.line += 1
                 self.col = 1
             else:
@@ -997,7 +1000,7 @@ class ReferenceLexer:
                     self._advance(len("%infix"))
                     out.append(("SYM", "%infix", self._span(line, col)))
                     continue
-                while self.pos < len(text) and text[self.pos] != "\n":
+                while self.pos < len(text) and text[self.pos] not in "\r\n":
                     self._advance(1)
                 continue
             if ch in _LEX_IDENT_START:
@@ -1589,19 +1592,20 @@ def uncached_equal(x, y) -> bool:
 
 
 def _uncached_apply(sig, ctx, stack, ty, spine, pis, mismatch):
-    done = []
+    done, fuel = [], sig.fuel
     try:
         for arg, irr in spine:
             if not isinstance(ty, pis[irr]):
-                raise mismatch(L._inst(ty, done))
+                raise mismatch(L._inst(ty, done, fuel))
             if irr:
                 _uncached_check(sig, promote(ctx), L._promote(stack), arg,
-                                L._inst(ty.dom, done))
+                                L._inst(ty.dom, done, fuel))
             else:
-                _uncached_check(sig, ctx, stack, arg, L._inst(ty.dom, done))
+                _uncached_check(sig, ctx, stack, arg,
+                                L._inst(ty.dom, done, fuel))
             done.append((arg, L.lfi_erase_type(ty.dom)))
             ty = ty.cod
-        return L._inst(ty, done)
+        return L._inst(ty, done, fuel)
     except _SubstFailure as e:
         raise LfiError(f"substitution failed: {e}") from None
 
@@ -1718,12 +1722,13 @@ def _uncached_check_kind(sig, ctx, stack, k) -> None:
             raise LfiError(f"not a kind: {L._named(k, ctx, stack)!r}")
 
 
-def uncached_check(sig, ctx, n, a) -> None:
+def uncached_check(sig, ctx, n, a, fuel=None) -> None:
+    sig.fuel = _Fuel() if fuel is None else fuel
     _uncached_check(sig, ctx, (), n, a)
 
 
-def uncached_check_sig(sig) -> None:
-    checked = L.LfiSignature()
+def uncached_check_sig(sig, fuel=None) -> None:
+    checked = L.LfiSignature(fuel=_Fuel() if fuel is None else fuel)
     for decl in sig:
         try:
             if decl.name in checked._fams or decl.name in checked._consts:

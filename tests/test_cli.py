@@ -15,13 +15,17 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfr import VerifyError, lfi_check_sig, parse_lfi
+from lfr import (LexError, VerifyError, lfi_check_sig, parse_lfi,
+                 parse_signature)
 import lfr.cli as cli
+import lfr.diagnostics
 from lfr.cli import main
 from lfr.lfi import ITUnitT, LfiDecl
 from lfr.parser import SourceLines, tokenize
@@ -29,7 +33,7 @@ from lfr.parser import SourceLines, tokenize
 from conftest import (FUEL_TEXT, GOLDEN_DIR, GOLDEN_NAMES, LATER_EDGE_TEXTS,
                       REJECTED_REFINEMENTS, TYPED_BASE, checkout_env,
                       golden_path)
-from gen import binders_text, deep_text
+from gen import binders_text, deep_text, inter_text
 from oracles import node_replace
 
 
@@ -193,6 +197,25 @@ class TestCheck:
         assert main(["check", str(marked)]) == 2
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_cli_and_library_place_alike_at_every_line_end(self, tmp_path,
+                                                           capsys, end):
+        # The CLI keeps line ends as they are, and the parser ends a line,
+        # and a comment, at each of the three, so both place the `@` on
+        # line 3.  With CR alone the CLI once said 3:6, reading each CR as
+        # a newline, while parse_signature read the whole text as one
+        # comment and accepted it.
+        text = f"% c{end}nat : type.{end}z : n@t.{end}"
+        src = tmp_path / "ends.lfr"
+        src.write_bytes(text.encode())
+        assert main(["check", str(src)]) == 2
+        assert capsys.readouterr().err == \
+            f"{src}:3:6: error: unexpected character '@'\n"
+        with pytest.raises(LexError) as info:
+            parse_signature(text, str(src))
+        assert str(info.value.span) == f"{src}:3:6"
+
     def test_signature_with_leading_byte_order_mark_checks(self, tmp_path,
                                                            capsys):
         src = tmp_path / "nat.lfr"
@@ -283,7 +306,7 @@ class TestTranslate:
     def test_no_verify_skips_recheck(self, tmp_path, capsys, monkeypatch):
         import lfr.cli as cli
 
-        def boom(sig, result):
+        def boom(sig, result, fuel=None):
             raise AssertionError("verification ran")
 
         monkeypatch.setattr(cli, "verify_translation", boom)
@@ -294,7 +317,7 @@ class TestTranslate:
                                                         capsys, monkeypatch):
         import lfr.cli as cli
 
-        def fail(sig, result):
+        def fail(sig, result, fuel=None):
             raise VerifyError("induced failure")
 
         monkeypatch.setattr(cli, "verify_translation", fail)
@@ -508,8 +531,8 @@ class TestVerify:
         import lfr.cli as cli
         import lfr.translate
 
-        def tampered(sig):
-            result = lfr.translate.trans_sig(sig)
+        def tampered(sig, fuel=None):
+            result = lfr.translate.trans_sig(sig, fuel)
             return node_replace(result, lfi_sig=type(result.lfi_sig)(
                 [LfiDecl(d.name, ITUnitT(), d.span) if d.name == "z^" else d
                  for d in result.lfi_sig]))
@@ -536,8 +559,8 @@ class TestVerify:
         import lfr.cli as cli
         import lfr.translate
 
-        def tampered(sig):
-            result = lfr.translate.trans_sig(sig)
+        def tampered(sig, fuel=None):
+            result = lfr.translate.trans_sig(sig, fuel)
             return node_replace(result, lfi_sig=type(result.lfi_sig)(
                 [LfiDecl(d.name, ITUnitT(), d.span) if d.name == "z^" else d
                  for d in result.lfi_sig]))
@@ -557,15 +580,17 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["check", "translate", "verify"])
     @pytest.mark.parametrize("text, fuel, line_col, where", [
-        # With no fuel the first walk, in the LF checker, runs out, at the
-        # first declaration that substitutes.
-        ((GOLDEN_DIR / "cbv.lfr").read_text(), "0", "24:1", "arg"),
-        # Here the first walk to run out is the sort checker's, setting
+        # The budget is the run's.  The six sort checks of the refinements
+        # on lines 19 and 20 take the first six steps; the seventh, the
+        # first step of a walk, is the LF checker's, at the first
+        # declaration that substitutes.
+        ((GOLDEN_DIR / "cbv.lfr").read_text(), "6", "24:1", "arg"),
+        # Here the step that runs out is the sort checker's walk setting
         # c's second domain sort (its domtype step) to z in k's
         # refinement (see FUEL_TEXT).  That stops the run; it does not
         # reject c's one function component and leave c z ([y] z)
         # without a sort.
-        (FUEL_TEXT, "3", "9:22", "domtype/arg"),
+        (FUEL_TEXT, "8", "9:22", "domtype/arg"),
     ], ids=["lf", "sort"])
     def test_exhausted_budget_is_not_a_rejection(self, command, text, fuel,
                                                  line_col, where,
@@ -592,6 +617,66 @@ class TestVerify:
         assert capsys.readouterr() == (
             "", "error: LFR_FUEL must be an integer, got 'abc'\n")
         assert list(tmp_path.iterdir()) == [src]
+
+
+class TestRunBudget:
+    """LFR_FUEL is one budget for a whole command: every substitution step
+    of both sides and every step of the sort checker's search draw on
+    it."""
+
+    @pytest.mark.parametrize("d", [8, 40])
+    def test_budget_stops_the_search_on_inter(self, d, tmp_path,
+                                              monkeypatch, capsys):
+        # Inter d=8 needs 4 091 steps, one per _acheck call; at d=40 the
+        # search, 2^d steps, would not end in a lifetime.
+        src = tmp_path / "inter.lfr"
+        src.write_text(inter_text(d))
+        monkeypatch.setenv("LFR_FUEL", "4090")
+        start = time.perf_counter()
+        assert main(["check", str(src)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            "", f"{src}:13:1: error: search budget exhausted: metric "
+                f"exhausted at acheck\n")
+
+    def test_inter_needs_one_step_per_check(self, tmp_path, monkeypatch):
+        src = tmp_path / "inter.lfr"
+        src.write_text(inter_text(8))
+        monkeypatch.setenv("LFR_FUEL", "4091")
+        assert main(["check", "--quiet", str(src)]) == 0
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_default_budget_keeps_inter_verdicts(self, d, tmp_path,
+                                                 monkeypatch):
+        src = tmp_path / "inter.lfr"
+        src.write_text(inter_text(d))
+        monkeypatch.delenv("LFR_FUEL", raising=False)
+        assert main(["check", "--quiet", str(src)]) == 0
+
+    @pytest.mark.parametrize("command", ["check", "translate", "verify"])
+    def test_one_call_reads_the_budget_once(self, command, tmp_path,
+                                            monkeypatch):
+        # On cbv, which substitutes on both sides, a budget per walk read
+        # LFR_FUEL 47 times in check and 322 in translate and verify.
+        reads = []
+
+        class Environ(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        environ = Environ(os.environ)
+        environ.pop("LFR_FUEL", None)
+        monkeypatch.setattr(lfr.diagnostics, "os",
+                            SimpleNamespace(environ=environ))
+        src = tmp_path / "cbv.lfr"
+        src.write_text(golden_path("cbv").read_text())
+        assert main([command, "--quiet", str(src)]) == 0
+        assert reads.count("LFR_FUEL") == 1
 
 
 # The usage text, help and argument errors of every form of call, taken

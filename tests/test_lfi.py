@@ -56,7 +56,13 @@ from lfr.lfi import (
     lfi_hsubst,
     promote,
 )
-from lfr.diagnostics import MetricExhausted, Node, SubstFailure, VerifyError
+from lfr.diagnostics import (
+    MetricExhausted,
+    Node,
+    SubstFailure,
+    VerifyError,
+    _Fuel,
+)
 from lfr.parser import parse_lfi
 from lfr.printer import pp_lfi_kind, pp_lfi_term, pp_lfi_type, print_lfi
 from lfr.syntax import ConstRef, CtxEntry, SConst, TConst
@@ -310,9 +316,11 @@ class TestSharing:
     def test_closed_leaf_is_not_walked(self, monkeypatch, leaf):
         def never(*args):
             raise AssertionError("walked a closed leaf")
-        monkeypatch.setattr(lfr.lfi, "_Fuel", never)
+        monkeypatch.setattr(lfr.lfi, "_hsubst", never)
         monkeypatch.setattr(lfr.lfi, "_map_vars", never)
-        assert lfr.lfi._inst(leaf, [(num(1), IBase("nat"))]) is leaf
+        fuel = _Fuel()
+        assert lfr.lfi._inst(leaf, [(num(1), IBase("nat"))], fuel) is leaf
+        assert fuel.left == _Fuel().left
         assert _shift_lfi(leaf, 2) is leaf
 
 
@@ -402,7 +410,8 @@ class TestNamedOracle:
     @given(_drawn(inst_instance))
     def test_inst_matches_named_substitution(self, inst):
         cod, arg, dom = inst
-        assert (result_key(lfr.lfi._inst(cod, [(arg, lfi_erase_type(dom))]))
+        assert (result_key(lfr.lfi._inst(cod, [(arg, lfi_erase_type(dom))],
+                                         _Fuel()))
                 == named_inst(cod, arg))
 
 
@@ -441,12 +450,12 @@ class TestSpineInstantiation:
         pi, spine = inst
         folded = body = pi
         for i, (arg, beta) in enumerate(spine):
-            dom = lfr.lfi._inst(body.dom, spine[:i])
+            dom = lfr.lfi._inst(body.dom, spine[:i], _Fuel())
             assert dom == folded.dom
             assert pp_lfi_type(dom) == pp_lfi_type(folded.dom)
-            folded = lfr.lfi._inst(folded.cod, [(arg, beta)])
+            folded = lfr.lfi._inst(folded.cod, [(arg, beta)], _Fuel())
             body = body.cod
-        out = lfr.lfi._inst(body, spine)
+        out = lfr.lfi._inst(body, spine, _Fuel())
         assert out == folded
         pp = pp_lfi_type if isinstance(pi, ITPi) else pp_lfi_kind
         assert pp(out) == pp(folded)
@@ -813,7 +822,8 @@ class TestPinnedFailures:
 
     def test_instantiation_failure(self):
         with pytest.raises(SubstFailure) as info:
-            lfr.lfi._inst(_ip(IApp(IBVar(0), num(0))), [(num(0), I_NN)])
+            lfr.lfi._inst(_ip(IApp(IBVar(0), num(0))), [(num(0), I_NN)],
+                          _Fuel())
         assert (info.value.reason, info.value.path) == ("non-function applied",
                                                         ("arg",))
 
@@ -838,7 +848,8 @@ class TestPinnedFuel:
                             IArrow(IBase("nat"),
                                    IProdS(IBase("nat"), IBase("nat"))),
                             I_DEP_TYPE), 29),
-        (lambda: lfr.lfi._inst(I_DEP_TYPE.cod, [(num(1), IBase("nat"))]), 21),
+        (lambda: lfr.lfi._inst(I_DEP_TYPE.cod, [(num(1), IBase("nat"))],
+                               _Fuel()), 21),
     ], ids=["beta", "projection", "instantiation"])
     def test_smallest_fuel(self, monkeypatch, call, fuel):
         monkeypatch.setenv("LFR_FUEL", str(fuel))
@@ -860,10 +871,11 @@ def _binder_walks(m: int) -> tuple[Counter, Counter, int, Counter]:
     inside: Counter = Counter()
     depth = ticks = 0
 
-    class Fuel(lfr.lfi._Fuel):
+    class Fuel(_Fuel):
         def tick(self, path):
+            # The budget is the run's: count the target's walks alone.
             nonlocal ticks
-            ticks += 1
+            ticks += sys._getframe(1).f_globals["__name__"] == "lfr.lfi"
             super().tick(path)
 
     def visit(t, leaf, k=0):
@@ -888,11 +900,10 @@ def _binder_walks(m: int) -> tuple[Counter, Counter, int, Counter]:
         patch.setattr(lfr.lfi, "_map_vars", visit)
         patch.setattr(lfr.translate, "_map_vars", visit)
         patch.setattr(lfr.lfi, "_hsubst", hsubst)
-        patch.setattr(lfr.lfi, "_Fuel", Fuel)
         result = trans_sig(sig)
         translated = visits.copy()
         visits.clear()
-        verify_translation(sig, result)
+        verify_translation(sig, result, Fuel())
         print_lfi(result.lfi_sig)
     return visits, inside, ticks, translated
 
@@ -1382,10 +1393,10 @@ def emitted(checked_goldens) -> set[str]:
              for text in (deep_text(6), binders_text(3))]
     built, seen = set(), {}
 
-    def recorded(sig, ctx, n, a):
+    def recorded(sig, ctx, n, a, fuel=None):
         for t in (n, a):
             _classes(t, built, seen)
-        real_check(sig, ctx, n, a)
+        real_check(sig, ctx, n, a, fuel)
 
     real_check = lfr.translate.lfi_check
     with pytest.MonkeyPatch.context() as patch:

@@ -425,10 +425,10 @@ class TestDeepTerms:
         calls = []
         real = lfr_check.inst_spine
 
-        def counted(t, done):
+        def counted(t, done, fuel):
             if done:
                 calls.append(1)
-            return real(t, done)
+            return real(t, done, fuel)
 
         monkeypatch.setattr(lfr_check, "inst_spine", counted)
         check_signature(deep_signature(40))
@@ -595,21 +595,25 @@ class TestFuel:
 
     @pytest.mark.parametrize("term, sort, fuel", [
         # d z's codomain sort qe x, set to z when the spine ends.
-        (App(Const("d"), Const("z")), SApp(SConst("qe"), Const("z")), 2),
-        # c's second domain sort, pe x -> even with its type, set to z.
-        (App(App(Const("c"), Const("z")), Lam("y", Const("z"))), EVEN, 4),
+        (App(Const("d"), Const("z")), SApp(SConst("qe"), Const("z")), 3),
+        # c's second domain sort, pe x -> even with its type, set to z, and
+        # the check of [y] z against it.
+        (App(App(Const("c"), Const("z")), Lam("y", Const("z"))), EVEN, 7),
     ], ids=["codomain", "domain"])
     def test_exhaustion_is_not_a_sort_failure(self, monkeypatch, term, sort,
                                               fuel):
+        # A call reads LFR_FUEL once, and each _acheck takes a step: acheck
+        # takes one more than asynth, at its root.
         sig = check_signature(parse_signature(FUEL_TEXT))
         monkeypatch.setenv("LFR_FUEL", str(fuel))
         assert [alpha_eq(q, sort) for q in asynth(sig, [], term)] == [True]
+        with pytest.raises(MetricExhausted):
+            acheck(sig, [], term, sort)
+        monkeypatch.setenv("LFR_FUEL", str(fuel + 1))
         acheck(sig, [], term, sort)
         monkeypatch.setenv("LFR_FUEL", str(fuel - 1))
         with pytest.raises(MetricExhausted):
             asynth(sig, [], term)
-        with pytest.raises(MetricExhausted):
-            acheck(sig, [], term, sort)
 
 
 P_T = TConst("p")

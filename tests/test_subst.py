@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from lfr import (
     verify_translation,
 )
 from lfr.printer import pp_class, pp_kind, pp_sort, pp_type
-from lfr.diagnostics import MetricExhausted, SubstFailure
+from lfr.diagnostics import MetricExhausted, SubstFailure, _Fuel
 from lfr.subst import (
     erase_type,
     eta_expand,
@@ -229,7 +231,7 @@ class TestClassifierOracle:
     @given(instantiation_instances())
     def test_instantiation_matches_named_substitution(self, inst):
         body, arg, dom = inst
-        out = lf._inst(body, [(arg, erase_type(dom))], "a codomain")
+        out = lf._inst(body, [(arg, erase_type(dom))], "a codomain", _Fuel())
         assert result_key(out) == named_inst(body, arg)
 
 
@@ -349,7 +351,7 @@ def _one_walk(pi, fields, spine):
     n = len(spine)
     for i, field, piece in _pieces(pi, fields, n):
         try:
-            out = inst_spine(piece, spine[:i])
+            out = inst_spine(piece, spine[:i], _Fuel())
         except SubstFailure as e:
             if field is None:
                 return e.reason, ("cod",) * (n - 1) + e.path
@@ -371,13 +373,13 @@ class TestSpineInstantiation:
         folded = body = pi
         for i, (arg, alpha) in enumerate(spine):
             for f in fields:
-                dom = inst_spine(getattr(body, f), spine[:i])
+                dom = inst_spine(getattr(body, f), spine[:i], _Fuel())
                 assert dom == getattr(folded, f)
                 shown = pp_sort if f == "dom_sort" else pp_type
                 assert shown(dom) == shown(getattr(folded, f))
             folded = hsubst_syntax(arg, 0, alpha, folded.cod)
             body = body.cod
-        out = inst_spine(body, spine)
+        out = inst_spine(body, spine, _Fuel())
         assert out == folded
         assert pp(out) == pp(folded)
         # Named substitution, with the dangling index opened as a again:
@@ -397,67 +399,61 @@ class TestSpineInstantiation:
         assert _one_walk(pi, fields, spine) == _folded(pi, spine)
 
 
+class _Counted(_Fuel):
+    """A budget that counts the ticks taken from it, by module."""
+
+    def __init__(self):
+        super().__init__()
+        self.ticks: Counter = Counter()
+
+    def tick(self, path):
+        self.ticks[sys._getframe(1).f_globals["__name__"]] += 1
+        super().tick(path)
+
+
 @functools.cache
 def _source_ticks(m: int) -> int:
     """Fuel ticks of the source side's substitution walks during
     verify_translation on binders_text(m); a walk ticks once at each node
-    it visits.  lfi.py binds _Fuel under its own name, so patching
-    lfr.subst's leaves the target's walks out."""
+    it visits.  The target's walks draw on the same budget, from lfi.py."""
     sig = check_signature(parse_signature(binders_text(m)))
     result = trans_sig(sig)
-    ticks = 0
-
-    class Fuel(lfr.subst._Fuel):
-        def tick(self, path):
-            nonlocal ticks
-            ticks += 1
-            super().tick(path)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lfr.subst, "_Fuel", Fuel)
-        verify_translation(sig, result)
-    return ticks
-
-
-def _count_fuel(monkeypatch) -> list[int]:
-    """A one-item list that counts the _Fuel objects the source side's
-    substitution builds from now."""
-    built = [0]
-
-    class Fuel(lfr.subst._Fuel):
-        def __init__(self):
-            built[0] += 1
-            super().__init__()
-    monkeypatch.setattr(lfr.subst, "_Fuel", Fuel)
-    return built
+    fuel = _Counted()
+    verify_translation(sig, result, fuel)
+    return fuel.ticks["lfr.subst"]
 
 
 class TestClosedLeaves:
-    """A walk would return a closed leaf untouched and tick nothing, so
-    inst_spine returns it at once and reads no budget."""
+    """A walk would return a closed leaf untouched and take no step, so
+    inst_spine returns it at once."""
 
     @pytest.mark.parametrize("leaf", [TConst("nat"), SConst("even"), STop(),
                                       KType(), CSort(), CTop()],
                              ids=lambda t: type(t).__name__)
     def test_returned_itself_without_fuel(self, leaf, monkeypatch):
-        built = _count_fuel(monkeypatch)
-        assert inst_spine(leaf, [(Const("z"), NAT)]) is leaf
-        assert built == [0]
+        def never(*args):
+            raise AssertionError("walked a closed leaf")
+        monkeypatch.setattr(lfr.subst, "_subst_syn", never)
+        fuel = _Counted()
+        assert inst_spine(leaf, [(Const("z"), NAT)], fuel) is leaf
+        assert fuel.ticks == Counter()
 
-    def test_other_nodes_are_walked(self, monkeypatch):
-        built = _count_fuel(monkeypatch)
+    def test_other_nodes_are_walked(self):
+        fuel = _Counted()
         t = TApp(TConst("p"), BVar(0))
-        assert inst_spine(t, [(Const("z"), NAT)]) == TApp(TConst("p"),
-                                                           Const("z"))
-        assert built == [1]
+        assert inst_spine(t, [(Const("z"), NAT)], fuel) == TApp(TConst("p"),
+                                                                 Const("z"))
+        # _subst_n at the index, and _subst_rn where it is replaced.
+        assert fuel.ticks == Counter({"lfr.subst": 2})
 
-    def test_checking_deep_builds_no_fuel(self, monkeypatch):
+    def test_checking_deep_builds_no_fuel(self):
         # Checking Deep d=12 instantiates 48 classifiers, each a closed
-        # leaf: each built a _Fuel, and read LFR_FUEL, to tick nothing.
+        # leaf: when each walk built its own budget, each read LFR_FUEL
+        # to tick nothing.
         raw = parse_signature(deep_text(12))
-        built = _count_fuel(monkeypatch)
-        check_signature(raw)
-        assert built == [0]
+        fuel = _Counted()
+        check_signature(raw, fuel=fuel)
+        assert fuel.ticks == Counter()
 
 
 class TestSpineScaling:
@@ -687,7 +683,7 @@ class TestPinnedFailures:
 
         with pytest.raises(LfError) as info:
             lf._inst(_p(App(BVar(0), Z)), [(Z, erase_type(NN_T))],
-                     "a function codomain")
+                     "a function codomain", _Fuel())
         assert info.value.message == ("substitution into a function codomain "
                                       "failed: non-function applied at arg")
 
@@ -704,7 +700,7 @@ class TestPinnedFuel:
     @pytest.mark.parametrize("call, fuel", [
         (lambda: hsubst_syntax(TWICE, "f", TPi("g", NN_T, N_T), DEP_TYPE), 45),
         (lambda: lf._inst(DEP_TYPE.cod, [(App(Const("s"), Z), NAT)],
-                          "a codomain"), 15),
+                          "a codomain", _Fuel()), 15),
     ], ids=["hsubst_syntax", "instantiation"])
     def test_smallest_fuel(self, monkeypatch, call, fuel):
         monkeypatch.setenv("LFR_FUEL", str(fuel))

@@ -309,25 +309,50 @@ class TestTamperedProofs:
         assert lines[info.value.span.line - 1].startswith("lam :: ")
 
 
+class TestUncheckedSignature:
+    """trans_sig needs the formations and domain types the sort checker
+    fills in; on a signature it has not checked, it says so."""
+
+    @pytest.mark.parametrize("text", [
+        *(golden_path(name).read_text() for name in GOLDEN_NAMES),
+        # No refinement: the unelaborated class of pp is met first.
+        "nat : type. p : nat -> type. pp << p.",
+    ], ids=[*GOLDEN_NAMES, "class"])
+    def test_trans_sig_names_its_precondition(self, text):
+        with pytest.raises(ValueError) as info:
+            trans_sig(parse_signature(text))
+        assert str(info.value) == (
+            "trans_sig takes a signature that check_signature returned: a "
+            "sort in this one was not elaborated")
+        trans_sig(check_signature(parse_signature(text)))
+
+
+def _checked_cbv():
+    """cbv checked and translated afresh: verify_translation leaves the
+    budget it ran out of on the signature, so it must not be a shared
+    fixture's."""
+    sig = check_signature(parse_signature(golden_path("cbv").read_text(),
+                                          filename="cbv.lfr"))
+    return sig, trans_sig(sig)
+
+
 class TestExhaustedBudget:
     """Running out of budget in verification is placed at the declaration
     being re-checked, or at the refinement whose proof is re-derived."""
 
-    def test_signature_recheck_is_located(self, monkeypatch,
-                                          checked_goldens,
-                                          translated_goldens):
+    def test_signature_recheck_is_located(self, monkeypatch):
         # Of cbv's target declarations, the first to substitute is the
         # one emitted for line 14.
-        sig, result = checked_goldens["cbv"], translated_goldens["cbv"]
+        sig, result = _checked_cbv()
         monkeypatch.setenv("LFR_FUEL", "0")
         with pytest.raises(MetricExhausted) as info:
             verify_translation(sig, result)
         assert (info.value.span.line, info.value.span.col) == (14, 1)
 
-    def test_proof_recheck_is_located(self, monkeypatch, checked_goldens,
-                                      translated_goldens):
-        sig, result = checked_goldens["cbv"], translated_goldens["cbv"]
-        monkeypatch.setattr(lfr.translate, "lfi_check_sig", lambda s: None)
+    def test_proof_recheck_is_located(self, monkeypatch):
+        sig, result = _checked_cbv()
+        monkeypatch.setattr(lfr.translate, "lfi_check_sig",
+                            lambda s, fuel: None)
         monkeypatch.setenv("LFR_FUEL", "0")
         with pytest.raises(MetricExhausted) as info:
             verify_translation(sig, result)

@@ -10,18 +10,23 @@ on its own `src` and in a directory of its own that holds the same
 inputs at the same relative paths:
 
 - `check`, `translate`, `translate --no-verify` and `verify` on every
-  `tests/golden/*.lfr` (the `bad-*` files too) and on the benchmark's
-  Wide, Deep and binders texts (bench/workloads.py) at seeds 1-3;
-- `check --trace --oracle-depth 2` on the goldens and on the Deep texts
-  of depth at most 12 only: the trace and the audit grow as 2^d;
+  `tests/golden/*.lfr` (the `bad-*` files too), on the benchmark's
+  Wide, Deep and binders texts (bench/workloads.py) at seeds 1-3, and on
+  the Inter texts (tests/gen.py) of depth 2-6, whose intersections make
+  the sort checker search;
+- `check --trace --oracle-depth 2` on the goldens, the Inter texts and
+  the Deep texts of depth at most 12 only: the trace and the audit grow
+  as 2^d;
 - `check` and `verify` with `LFR_FUEL` at 5 and at 20 on the goldens and
-  the Deep texts, budgets low enough that some runs exhaust them, so
-  that the path each `search budget exhausted` message names is compared;
+  the Deep and Inter texts, budgets low enough that some runs exhaust
+  them, so that the place and the path each `search budget exhausted`
+  message names are compared;
 - `check` and `verify` on texts that fail to lex or parse, so that each
   located message of exit code 2 is compared: each golden with a `@` at
   its start, middle and end, with its middle declaration cut in half,
-  given an extra `)` or preceded by `%infix left`, and without its
-  comments, with a `@` in its middle and its lines ended by CR alone; and
+  given an extra `)` or preceded by `%infix left`, with its lines ended
+  by CR alone and a `@` at its end, and without its comments, with a `@`
+  in its middle and its lines ended by CR alone; and
   short texts at the lexer's boundaries, a
   projection or a `-` before a name character, `-` or `>`.
 
@@ -46,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SEEDS = (1, 2, 3)
+INTER_DEPTHS = range(2, 7)
 TRACE_DEPTH = 12
 COMMANDS = (["check"], ["translate"], ["translate", "--no-verify"],
             ["verify"])
@@ -57,6 +63,13 @@ LEXER_TEXTS = ("c : a.1->b.", "c : a.2-:>b.", "a.1-b", "x.1y", ".12", "1.1",
                "a-b", "a--b", "a-->b", "a-", "a- b", "%infixx", "a-^b",
                "a^-b")
 ELAPSED = re.compile(r" in \d+\.\d+s$", re.M)
+
+
+def _gen():
+    """tests/gen.py of this checkout, imported with this checkout's lfr."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import gen
+    return gen
 
 
 def _workloads():
@@ -94,7 +107,8 @@ def malformed(stem: str, text: str) -> list[tuple[str, str]]:
     out["cut"] = before + decl[:len(decl) // 2]
     out["paren"] = before + decl[:-1] + ")." + line[len(decl):] + after
     out["infix-left"] = before + "%infix left 10 s.\n" + line + after
-    # Comments run to a `\n`, so they go before the lines end in `\r`.
+    out["cr-end"] = text.replace("\n", "\r") + "@"
+    # Without comments, the `@` in the middle falls among declarations.
     code = "".join(line for line in lines if not line.startswith("%"))
     half = len(code) // 2
     out["cr"] = (code[:half] + "@" + code[half:]).replace("\n", "\r")
@@ -123,6 +137,9 @@ def inputs() -> list[tuple[str, str, list]]:
         out.append((f"binders-{seed}.lfr",
                     w.binders_text(cbv, w.BINDERS_M, seed),
                     _runs(False, False)))
+    gen = _gen()
+    out += [(f"inter-{d}.lfr", gen.inter_text(d), _runs(True, True))
+            for d in INTER_DEPTHS]
     return out
 
 
