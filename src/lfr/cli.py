@@ -38,12 +38,11 @@ from .diagnostics import (
     MetricExhausted,
     Node,
     ParseError,
-    SourceSpan,
     VerifyError,
     _Fuel,
 )
 from .lfr_check import check_signature
-from .parser import parse_signature
+from .parser import SourceLines, parse_signature
 from .printer import pp_lfi_decl, pp_sort
 from .subsort import SubsortQuery, declarative_subsort_oracle
 from .syntax import (
@@ -109,13 +108,10 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e.strerror or e}")
     except UnicodeDecodeError as e:
         # e.object is the whole file after its byte-order mark: place the
-        # byte among the characters before it, with line ends read as the
-        # parser reads them.
+        # byte after the characters before it, as the parser places one.
         before = e.object[:e.start].decode("utf-8")
-        before = before.replace("\r\n", "\n").replace("\r", "\n")
-        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
         raise LexError(f"invalid UTF-8 byte {e.object[e.start]:#04x}",
-                       SourceSpan(path, line, col, line, col))
+                       SourceLines(before, path).span(len(before)))
 
 
 def _search_depth(text: str) -> int:
@@ -187,7 +183,7 @@ def cmd_translate(args, fuel: _Fuel) -> int:
                   file=sys.stderr)
             return 2
     sig, report = _check_file(args.file, args.strict, None, fuel)
-    result = trans_sig(sig, fuel=fuel)
+    result = trans_sig(sig)
     for path, lines in (
             (out_path, (pp_lfi_decl(d) for d in result.lfi_sig)),
             (prov_path, (f"{d.name}\t{result.provenance[d.name]}"
@@ -204,7 +200,7 @@ def cmd_translate(args, fuel: _Fuel) -> int:
              f"and {prov_path}")
     if args.no_verify:
         return 0
-    verify_translation(sig, result, fuel=fuel)
+    verify_translation(sig, result)
     if not args.quiet:
         _say("verified: translated signature and all refinement proofs "
              "re-check")
@@ -213,8 +209,8 @@ def cmd_translate(args, fuel: _Fuel) -> int:
 
 def cmd_verify(args, fuel: _Fuel) -> int:
     sig, report = _check_file(args.file, args.strict, None, fuel)
-    result = trans_sig(sig, fuel=fuel)
-    verify_translation(sig, result, fuel=fuel)
+    result = trans_sig(sig)
+    verify_translation(sig, result)
     if not args.quiet:
         _say(report.render())
         refined = len({d.const for d in sig if isinstance(d, ConstRef)})
@@ -342,11 +338,13 @@ def main(argv=None) -> int:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except _Unwritable as e:
         return _stdout_failed(e.__cause__)
-    # The one step budget of the command: every stage draws on it, so
-    # LFR_FUEL bounds the substitution steps of both sides and the sort
-    # checker's search steps of the whole command.  Translating and the
-    # kernel's rules are linear and take no step.  It is read here, once,
-    # so that a bad value is a usage error and not a traceback.
+    # The one step budget of the command, handed to check_signature: the
+    # checked signature carries it and trans_sig's output shares it, so
+    # every stage draws on it and LFR_FUEL bounds the substitution steps
+    # of both sides and the sort checker's search steps of the whole
+    # command.  Translating and the kernel's rules are linear and take no
+    # step.  It is read here, once, so that a bad value is a usage error
+    # and not a traceback.
     try:
         fuel = _Fuel()
     except ValueError:

@@ -110,12 +110,14 @@ DEFAULT_FUEL = 1_000_000
 
 
 class _Fuel:
-    """The steps one run may take, all together: LFR_FUEL, or DEFAULT_FUEL
-    where it is unset, read once, when the budget is made.  This is the
-    one reader of LFR_FUEL: a value int() refuses raises ValueError.
+    """The steps the judgments on a signature may take, all together:
+    LFR_FUEL, or DEFAULT_FUEL where it is unset, read once, when the
+    budget is made.  This is the one reader of LFR_FUEL: a value int()
+    refuses raises ValueError.
 
-    A run makes one and hands it to every judgment by way of the
-    signature it judges against (Signature.fuel, LfiSignature.fuel).
+    A signature carries one (Signature.fuel, LfiSignature.fuel), and
+    every judgment draws on the budget of the signature it judges
+    against; check_signature sets it and trans_sig's output shares it.
     Each node a substitution walk visits, on either side, ticks once,
     and each call of the sort checker's _acheck takes one step by
     decrementing `left` itself."""

@@ -16,9 +16,9 @@ too, keeping a stack of the hypotheses they bind, and names those
 hypotheses only to build a message.  A closed application, one checked
 with no hypothesis in scope, has a type that depends on the signature
 alone, so the signature keeps it and the term is checked once.  Each
-node a substitution visits takes a step from the budget of the run, which
-the signature carries (LfiSignature.fuel); the checker's own rules are
-linear in the term and take none.  One walk,
+node a substitution visits takes a step from the budget of the signature
+checked against (LfiSignature.fuel), which no entry point replaces; the
+checker's own rules are linear in the term and take none.  One walk,
 `_map_vars`, rebuilds a tree around its variables; shifting and naming
 for messages are leaf functions over it.  All of this is this module's
 own code, so the certificates are checked by code the source checker
@@ -391,13 +391,11 @@ def lfi_equal(x: LfiSyntax, y: LfiSyntax) -> bool:
 
 
 def lfi_hsubst(n0: LfiTerm, x0: Union[str, int],
-               alpha0: Union[LfiType, LfiSimple], t: LfiSyntax,
-               fuel: Optional[_Fuel] = None) -> LfiSyntax:
+               alpha0: Union[LfiType, LfiSimple], t: LfiSyntax) -> LfiSyntax:
     """[n0/x0]t at the erased type of alpha0; for an index x0, n0 is read
-    where t's binder x0 has been removed.  The walk takes its steps from
-    fuel, or from a budget that reads LFR_FUEL where fuel is None."""
-    return _hsubst(((n0, lfi_erase_type(alpha0)),), x0, t,
-                   _Fuel() if fuel is None else fuel)
+    where t's binder x0 has been removed.  The walk takes its steps from a
+    budget of its own, which reads LFR_FUEL."""
+    return _hsubst(((n0, lfi_erase_type(alpha0)),), x0, t, _Fuel())
 
 
 def _inst(t: LfiSyntax, spine: list[tuple[LfiTerm, LfiSimple]],
@@ -598,11 +596,9 @@ def lfi_synth(sig: LfiSignature, ctx: LfiContext, r: LfiAtomic) -> LfiType:
     return _synth(sig, ctx, (), r)
 
 
-def lfi_check(sig: LfiSignature, ctx: LfiContext, n: LfiTerm, a: LfiType,
-              fuel: Optional[_Fuel] = None) -> None:
-    """Check n against a, in steps taken from fuel, or from a budget that
-    reads LFR_FUEL where fuel is None; sig carries it from then on."""
-    sig.fuel = _Fuel() if fuel is None else fuel
+def lfi_check(sig: LfiSignature, ctx: LfiContext, n: LfiTerm,
+              a: LfiType) -> None:
+    """Check n against a, in steps taken from sig's budget."""
     _check(sig, ctx, (), n, a)
 
 
@@ -730,11 +726,10 @@ def _check_kind(sig: LfiSignature, ctx: LfiContext, stack: Stack, k: LfiKind
         raise LfiError(f"not a kind: {_named(k, ctx, stack)!r}")
 
 
-def lfi_check_sig(sig: LfiSignature, fuel: Optional[_Fuel] = None) -> None:
+def lfi_check_sig(sig: LfiSignature) -> None:
     """Re-check a whole signature declaration by declaration, in steps
-    taken from fuel, or from a budget that reads LFR_FUEL where fuel is
-    None."""
-    checked = LfiSignature(fuel=_Fuel() if fuel is None else fuel)
+    taken from sig's budget."""
+    checked = LfiSignature(fuel=sig.fuel)
     for decl in sig:
         try:
             if decl.name in checked._fams or decl.name in checked._consts:

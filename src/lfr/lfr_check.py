@@ -49,7 +49,7 @@ failing declaration's.  An undefined substitution rejects the input; a
 MetricExhausted, which is not a SubstFailure, passes every handler.  It
 is raised when the step budget the signature carries (Signature.fuel)
 runs out: each call of _acheck takes a step, and so does each node a
-substitution visits.
+substitution visits.  No entry point replaces that budget.
 """
 
 from __future__ import annotations
@@ -257,11 +257,8 @@ def _split(s, d, done, log) -> list:
             return [(s, d, done)]
 
 
-def asynth(sig: Signature, ctx: Context, r,
-           fuel: Optional[_Fuel] = None) -> list:
-    """The synthesis set of r, in steps taken from fuel, or from a budget
-    that reads LFR_FUEL where fuel is None; sig carries it from then on."""
-    sig.fuel = _Fuel() if fuel is None else fuel
+def asynth(sig: Signature, ctx: Context, r) -> list:
+    """The synthesis set of r, in steps taken from sig's budget."""
     return [q for q, _ in _asynth(sig, ctx, (), r, None)]
 
 
@@ -366,11 +363,8 @@ def _shared_synth(sig, ctx, stack, n, log) -> Callable[[], list]:
 
 
 def acheck(sig: Signature, ctx: Context, n, s,
-           trace: Optional[list] = None,
-           fuel: Optional[_Fuel] = None) -> None:
-    """Check n against s, in steps taken from fuel, or from a budget that
-    reads LFR_FUEL where fuel is None; sig carries it from then on."""
-    sig.fuel = _Fuel() if fuel is None else fuel
+           trace: Optional[list] = None) -> None:
+    """Check n against s, in steps taken from sig's budget."""
     _acheck(sig, ctx, (), n, s, None if trace is None else Log(trace, None))
 
 
@@ -677,9 +671,9 @@ def check_signature(raw: Signature, strict: bool = False,
     not, audit is called as audit(sig, ctx, q, s, ok) for each atomic
     comparison it made at a switch: sig is the signature checked so far,
     ctx the context with the binders q and s are read under opened into
-    it by name.  Every judgment takes its steps from fuel, or from a
-    budget that reads LFR_FUEL where fuel is None; the signature returned
-    carries it.
+    it by name.  The signature returned carries the step budget that the
+    judgments here, and later ones on it and on trans_sig's output, draw
+    on: fuel, or where fuel is None a budget that reads LFR_FUEL now.
     """
     checked = Signature(fuel=_Fuel() if fuel is None else fuel)
     for decl in raw:

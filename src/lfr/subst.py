@@ -4,26 +4,26 @@ Substitution is indexed by the erased simple type of the variable being
 replaced.  Replacing the head of an application can expose a beta-redex;
 the redex is reduced immediately by a further substitution at a strictly
 smaller simple type, so canonical form is preserved and the process
-terminates.  The step budget of the run (diagnostics._Fuel) guards that
-termination argument at runtime: each term node a walk visits takes a
-step from it.  It is a bound, not a semantic limit, and can be set with
-the LFR_FUEL environment variable.  Running out raises MetricExhausted,
-which is not a SubstFailure, so no handler of an undefined substitution
-sees it.
+terminates.  A step budget (diagnostics._Fuel) guards that termination
+argument at runtime: each term node a walk visits takes a step from it.
+It is a bound, not a semantic limit, and can be set with the LFR_FUEL
+environment variable.  Running out raises MetricExhausted, which is not
+a SubstFailure, so no handler of an undefined substitution sees it.
 
 The variables replaced are a free name, or a block of bound indices at
 once; substitution counts the binders it descends instead of opening them.
 Instantiating a classifier with a whole spine substitutes for all of its
 binders in one walk (inst_spine), and a beta step substitutes for the
 lambda's index 0.  A walk draws on the budget it is given, the one the
-judgments' signature carries; inst_spine returns a closed leaf (a family
-or sort constant, the top sort or class, the kind type or the class sort)
-at once, as a walk would, untouched and without a step.
+signature of the judgment that runs it carries; inst_spine returns a
+closed leaf (a family or sort constant, the top sort or class, the kind
+type or the class sort) at once, as a walk would, untouched and without
+a step.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .diagnostics import Path, SubstFailure, _Fuel
 from .syntax import (
@@ -99,29 +99,30 @@ Var = Union[str, int]
 Sub = tuple[tuple[NormalTerm, SimpleType], ...]
 
 
-# Each hsubst_* helper takes the steps of its walk from fuel, or, where
-# fuel is None, from a budget of its own that reads LFR_FUEL.
+# The hsubst_* helpers stand apart from any signature: each call takes the
+# steps of its walk from a budget of its own, which reads LFR_FUEL.
+
+def _alone(walk, n0: NormalTerm, x0: Var,
+           alpha0: Union[SimpleType, NormalType], t):
+    return walk(((n0, erase_type(alpha0)),), x0, t, 0, _Fuel(), ())
+
 
 def hsubst_n(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
-             n: NormalTerm, fuel: Optional[_Fuel] = None) -> NormalTerm:
+             n: NormalTerm) -> NormalTerm:
     """Substitute n0 for x0 (of erased type alpha0) in the normal term n."""
-    return _subst_n(((n0, erase_type(alpha0)),), x0, n, 0,
-                    _Fuel() if fuel is None else fuel, ())
+    return _alone(_subst_n, n0, x0, alpha0, n)
 
 
 def hsubst_rr(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
-              r: AtomicTerm, fuel: Optional[_Fuel] = None) -> AtomicTerm:
+              r: AtomicTerm) -> AtomicTerm:
     """Substitution in an atomic term whose head is not x0."""
-    return _subst_rr(((n0, erase_type(alpha0)),), x0, r, 0,
-                     _Fuel() if fuel is None else fuel, ())
+    return _alone(_subst_rr, n0, x0, alpha0, r)
 
 
 def hsubst_rn(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
-              r: AtomicTerm, fuel: Optional[_Fuel] = None
-              ) -> tuple[NormalTerm, SimpleType]:
+              r: AtomicTerm) -> tuple[NormalTerm, SimpleType]:
     """Substitution in an atomic term headed by x0; returns term and type."""
-    return _subst_rn(((n0, erase_type(alpha0)),), x0, r, 0,
-                     _Fuel() if fuel is None else fuel, ())
+    return _alone(_subst_rn, n0, x0, alpha0, r)
 
 
 def _hit(r, sub: Sub, x0: Var, k: int):
@@ -190,17 +191,16 @@ def _subst_rn(sub: Sub, x0: Var, r: AtomicTerm, k: int, fuel: _Fuel,
 
 
 def hsubst_syntax(n0: NormalTerm, x0: Var, alpha0: Union[SimpleType, NormalType],
-                  t, fuel: Optional[_Fuel] = None):
+                  t):
     """Substitute through any syntactic category, including contexts; for
     an index x0, n0 is read where t's binder x0 has been removed."""
-    sub = ((n0, erase_type(alpha0)),)
-    fuel = _Fuel() if fuel is None else fuel
-    if isinstance(t, (list, tuple)):
-        return [CtxEntry(e.name,
-                         _subst_syn(sub, x0, e.sort, 0, fuel, (e.name, "sort")),
-                         _subst_syn(sub, x0, e.type, 0, fuel, (e.name, "type")))
-                for e in t]
-    return _subst_syn(sub, x0, t, 0, fuel, ())
+    if not isinstance(t, (list, tuple)):
+        return _alone(_subst_syn, n0, x0, alpha0, t)
+    sub, fuel = ((n0, erase_type(alpha0)),), _Fuel()
+    return [CtxEntry(e.name,
+                     _subst_syn(sub, x0, e.sort, 0, fuel, (e.name, "sort")),
+                     _subst_syn(sub, x0, e.type, 0, fuel, (e.name, "type")))
+            for e in t]
 
 
 # Nodes with no variable and no child: a walk returns them untouched,

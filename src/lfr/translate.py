@@ -31,9 +31,7 @@ only shown, drawn from the name pool against the names shown so far.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .diagnostics import MetricExhausted, Node, VerifyError, _Fuel
+from .diagnostics import MetricExhausted, Node, VerifyError
 from .lfi import (
     IApp,
     IBVar,
@@ -565,13 +563,13 @@ def trans_ctx(sig: Signature, ctx: Context, mangler=None) -> LfiContext:
     return out
 
 
-def trans_sig(sig: Signature, fuel: Optional[_Fuel] = None) -> TransResult:
+def trans_sig(sig: Signature) -> TransResult:
     """Translate a signature check_signature returned; repeats of a
     constant fuse first.  The translation is linear and takes no step; the
-    signature it emits carries fuel to the kernel judgments run on it (see
-    LfiSignature.fuel)."""
+    signature it emits shares sig's budget, so the kernel judgments run on
+    it draw on the same steps (see LfiSignature.fuel)."""
     mangler = NameMangler(sig)
-    lfi_sig = LfiSignature(fuel=fuel)
+    lfi_sig = LfiSignature(fuel=sig.fuel)
     prov: dict[str, str] = {}
     goals: dict[str, object] = {}
 
@@ -616,19 +614,17 @@ def trans_sig(sig: Signature, fuel: Optional[_Fuel] = None) -> TransResult:
     return TransResult(lfi_sig, prov, mangler, goals)
 
 
-def verify_translation(sig: Signature, result: TransResult,
-                       fuel: Optional[_Fuel] = None) -> None:
+def verify_translation(sig: Signature, result: TransResult) -> None:
     """Re-check everything the translation emitted or can derive.
 
     The emitted signature is checked declaration by declaration, then each
     refined constant's proof is derived afresh and checked against the
     goal trans_sig emitted as its proof constant's type and kept in
-    `sorts`, at its first refinement.  Both take their steps from fuel, or
-    from a budget that reads LFR_FUEL where fuel is None; sig carries it
-    from then on."""
-    fuel = sig.fuel = _Fuel() if fuel is None else fuel
+    `sorts`, at its first refinement.  The kernel's judgments draw on
+    result.lfi_sig's budget and the derivations on sig's: one budget, when
+    trans_sig made result from sig."""
     try:
-        lfi_check_sig(result.lfi_sig, fuel)
+        lfi_check_sig(result.lfi_sig)
     except LfiError as e:
         raise VerifyError(
             f"translated signature failed re-checking at {e.decl}: "
@@ -638,7 +634,7 @@ def verify_translation(sig: Signature, result: TransResult,
         subject = eta_expand(const.type, Const(c))
         try:
             nhat = trans_term_check(sig, [], subject, merged, result.mangler)
-            lfi_check(result.lfi_sig, [], nhat, goal, fuel)
+            lfi_check(result.lfi_sig, [], nhat, goal)
         except (LfiError, SortError) as e:
             raise VerifyError(
                 f"translated proof for {c} failed re-checking: "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from lfr import syntax as s
-from lfr.diagnostics import Node, _Fuel
+from lfr.diagnostics import Node
 
 
 def node_fields(t) -> tuple[str, ...]:
@@ -1722,13 +1722,12 @@ def _uncached_check_kind(sig, ctx, stack, k) -> None:
             raise LfiError(f"not a kind: {L._named(k, ctx, stack)!r}")
 
 
-def uncached_check(sig, ctx, n, a, fuel=None) -> None:
-    sig.fuel = _Fuel() if fuel is None else fuel
+def uncached_check(sig, ctx, n, a) -> None:
     _uncached_check(sig, ctx, (), n, a)
 
 
-def uncached_check_sig(sig, fuel=None) -> None:
-    checked = L.LfiSignature(fuel=_Fuel() if fuel is None else fuel)
+def uncached_check_sig(sig) -> None:
+    checked = L.LfiSignature(fuel=sig.fuel)
     for decl in sig:
         try:
             if decl.name in checked._fams or decl.name in checked._consts:

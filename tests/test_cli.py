@@ -163,11 +163,12 @@ class TestCheck:
         (b"nat : type.\n\xff\n", "2:1", "0xff"),
         (b"nat : type.\r\nc : nat. % caf\xc3\xa9 \xe9t\xe9\n", "2:17",
          "0xe9"),
-    ], ids=["line-start", "after-multibyte"])
+        (b"nat : type.\rz : nat.\r\xff\n", "3:1", "0xff"),
+    ], ids=["line-start", "after-multibyte", "after-cr"])
     def test_non_utf8_input_is_a_lexing_error(self, tmp_path, data, where,
                                               byte):
-        # The byte's place counts the characters before it, and a CRLF as
-        # one line break, as the lexer reads them.
+        # The byte's place counts the characters before it, and a CRLF or
+        # a CR as one line break, as the lexer reads them.
         src = tmp_path / "latin1.lfr"
         src.write_bytes(data)
         proc = subprocess.run(
@@ -306,7 +307,7 @@ class TestTranslate:
     def test_no_verify_skips_recheck(self, tmp_path, capsys, monkeypatch):
         import lfr.cli as cli
 
-        def boom(sig, result, fuel=None):
+        def boom(sig, result):
             raise AssertionError("verification ran")
 
         monkeypatch.setattr(cli, "verify_translation", boom)
@@ -317,7 +318,7 @@ class TestTranslate:
                                                         capsys, monkeypatch):
         import lfr.cli as cli
 
-        def fail(sig, result, fuel=None):
+        def fail(sig, result):
             raise VerifyError("induced failure")
 
         monkeypatch.setattr(cli, "verify_translation", fail)
@@ -531,11 +532,11 @@ class TestVerify:
         import lfr.cli as cli
         import lfr.translate
 
-        def tampered(sig, fuel=None):
-            result = lfr.translate.trans_sig(sig, fuel)
+        def tampered(sig):
+            result = lfr.translate.trans_sig(sig)
             return node_replace(result, lfi_sig=type(result.lfi_sig)(
                 [LfiDecl(d.name, ITUnitT(), d.span) if d.name == "z^" else d
-                 for d in result.lfi_sig]))
+                 for d in result.lfi_sig], fuel=result.lfi_sig.fuel))
 
         monkeypatch.setattr(cli, "trans_sig", tampered)
         path = golden_path("even-odd")
@@ -559,11 +560,11 @@ class TestVerify:
         import lfr.cli as cli
         import lfr.translate
 
-        def tampered(sig, fuel=None):
-            result = lfr.translate.trans_sig(sig, fuel)
+        def tampered(sig):
+            result = lfr.translate.trans_sig(sig)
             return node_replace(result, lfi_sig=type(result.lfi_sig)(
                 [LfiDecl(d.name, ITUnitT(), d.span) if d.name == "z^" else d
-                 for d in result.lfi_sig]))
+                 for d in result.lfi_sig], fuel=result.lfi_sig.fuel))
 
         monkeypatch.setattr(cli, "trans_sig", tampered)
         path = golden_path("double")

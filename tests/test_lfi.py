@@ -900,10 +900,11 @@ def _binder_walks(m: int) -> tuple[Counter, Counter, int, Counter]:
         patch.setattr(lfr.lfi, "_map_vars", visit)
         patch.setattr(lfr.translate, "_map_vars", visit)
         patch.setattr(lfr.lfi, "_hsubst", hsubst)
+        sig.fuel = Fuel()
         result = trans_sig(sig)
         translated = visits.copy()
         visits.clear()
-        verify_translation(sig, result, Fuel())
+        verify_translation(sig, result)
         print_lfi(result.lfi_sig)
     return visits, inside, ticks, translated
 
@@ -1393,10 +1394,10 @@ def emitted(checked_goldens) -> set[str]:
              for text in (deep_text(6), binders_text(3))]
     built, seen = set(), {}
 
-    def recorded(sig, ctx, n, a, fuel=None):
+    def recorded(sig, ctx, n, a):
         for t in (n, a):
             _classes(t, built, seen)
-        real_check(sig, ctx, n, a, fuel)
+        real_check(sig, ctx, n, a)
 
     real_check = lfr.translate.lfi_check
     with pytest.MonkeyPatch.context() as patch:

@@ -600,18 +600,18 @@ class TestFuel:
         # the check of [y] z against it.
         (App(App(Const("c"), Const("z")), Lam("y", Const("z"))), EVEN, 7),
     ], ids=["codomain", "domain"])
-    def test_exhaustion_is_not_a_sort_failure(self, monkeypatch, term, sort,
-                                              fuel):
-        # A call reads LFR_FUEL once, and each _acheck takes a step: acheck
-        # takes one more than asynth, at its root.
+    def test_exhaustion_is_not_a_sort_failure(self, term, sort, fuel):
+        # A call draws on the signature's budget, and each _acheck takes a
+        # step: acheck takes one more than asynth, at its root.
         sig = check_signature(parse_signature(FUEL_TEXT))
-        monkeypatch.setenv("LFR_FUEL", str(fuel))
+        sig.fuel.left = fuel
         assert [alpha_eq(q, sort) for q in asynth(sig, [], term)] == [True]
+        sig.fuel.left = fuel
         with pytest.raises(MetricExhausted):
             acheck(sig, [], term, sort)
-        monkeypatch.setenv("LFR_FUEL", str(fuel + 1))
+        sig.fuel.left = fuel + 1
         acheck(sig, [], term, sort)
-        monkeypatch.setenv("LFR_FUEL", str(fuel - 1))
+        sig.fuel.left = fuel - 1
         with pytest.raises(MetricExhausted):
             asynth(sig, [], term)
 

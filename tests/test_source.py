@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,16 @@ def test_no_closure_parameter():
                          node.args.kwarg)
              if arg is not None and arg.arg == "closure"]
     assert found == []
+
+
+def test_only_check_signature_takes_a_budget():
+    # A signature's budget is check_signature's fuel= or LFR_FUEL; every
+    # other judgment draws on the budget of the signature it runs on.  The
+    # signature classes' constructors set the budget they carry.
+    takers = [name for name in lfr.__all__
+              if inspect.isfunction(obj := getattr(lfr, name))
+              and "fuel" in inspect.signature(obj).parameters]
+    assert takers == ["check_signature"]
 
 
 def test_one_module_reads_the_subsort_edges():

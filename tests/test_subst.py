@@ -417,9 +417,8 @@ def _source_ticks(m: int) -> int:
     verify_translation on binders_text(m); a walk ticks once at each node
     it visits.  The target's walks draw on the same budget, from lfi.py."""
     sig = check_signature(parse_signature(binders_text(m)))
-    result = trans_sig(sig)
-    fuel = _Counted()
-    verify_translation(sig, result, fuel)
+    fuel = sig.fuel = _Counted()
+    verify_translation(sig, trans_sig(sig))
     return fuel.ticks["lfr.subst"]
 
 

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import lfr.diagnostics
 import lfr.lfi
 import lfr.lfr_check
 import lfr.syntax
@@ -328,11 +329,12 @@ class TestUncheckedSignature:
 
 
 def _checked_cbv():
-    """cbv checked and translated afresh: verify_translation leaves the
-    budget it ran out of on the signature, so it must not be a shared
-    fixture's."""
+    """cbv checked and translated afresh, with no step left in the budget
+    its signature and its translation share: that budget must not be a
+    shared fixture's."""
     sig = check_signature(parse_signature(golden_path("cbv").read_text(),
                                           filename="cbv.lfr"))
+    sig.fuel.left = 0
     return sig, trans_sig(sig)
 
 
@@ -340,11 +342,10 @@ class TestExhaustedBudget:
     """Running out of budget in verification is placed at the declaration
     being re-checked, or at the refinement whose proof is re-derived."""
 
-    def test_signature_recheck_is_located(self, monkeypatch):
+    def test_signature_recheck_is_located(self):
         # Of cbv's target declarations, the first to substitute is the
         # one emitted for line 14.
         sig, result = _checked_cbv()
-        monkeypatch.setenv("LFR_FUEL", "0")
         with pytest.raises(MetricExhausted) as info:
             verify_translation(sig, result)
         assert (info.value.span.line, info.value.span.col) == (14, 1)
@@ -352,12 +353,42 @@ class TestExhaustedBudget:
     def test_proof_recheck_is_located(self, monkeypatch):
         sig, result = _checked_cbv()
         monkeypatch.setattr(lfr.translate, "lfi_check_sig",
-                            lambda s, fuel: None)
-        monkeypatch.setenv("LFR_FUEL", "0")
+                            lambda s: None)
         with pytest.raises(MetricExhausted) as info:
             verify_translation(sig, result)
         first = next(iter(result.sorts))
         assert info.value.span == sig.const_refs[first][0].span
+
+
+class TestBudgetOfTheSignature:
+    """The judgments on a signature draw on the budget it carries, which
+    its translation shares; no entry point replaces it."""
+
+    def test_later_variable_changes_no_budget(self, monkeypatch):
+        # nat's budget is read while it is checked; verification and a
+        # later judgment draw on it, not on a budget of LFR_FUEL=0 that
+        # each would once have installed on the signature and left there.
+        monkeypatch.delenv("LFR_FUEL", raising=False)
+        sig = check_signature(parse_signature(
+            golden_path("nat").read_text(), filename="nat.lfr"))
+        monkeypatch.setenv("LFR_FUEL", "0")
+        verify_translation(sig, trans_sig(sig))
+        monkeypatch.delenv("LFR_FUEL")
+        trans_term_check(sig, [], Const("z"), SConst("even"))
+
+    def test_session_builds_one_budget(self, monkeypatch):
+        built = []
+        real_init = lfr.diagnostics._Fuel.__init__
+
+        def counted(fuel):
+            built.append(fuel)
+            real_init(fuel)
+
+        monkeypatch.setattr(lfr.diagnostics._Fuel, "__init__", counted)
+        sig = check_signature(parse_signature(golden_path("cbv").read_text()))
+        result = trans_sig(sig)
+        verify_translation(sig, result)
+        assert built == [sig.fuel] and result.lfi_sig.fuel is sig.fuel
 
 
 def _verdict(verify, sig, result):
